@@ -12,7 +12,6 @@ pub mod hash;
 pub mod latency;
 pub mod lower_bound;
 pub mod net_concurrency;
-pub mod net_loopback;
 pub mod obs_overhead;
 pub mod persistence;
 pub mod push_pull;
@@ -48,7 +47,6 @@ pub fn run(id: &str) -> bool {
         "coordinated" => ablations::coordinated(),
         "obs-overhead" => obs_overhead::run(),
         "engine-scaling" => engine_scaling::run(),
-        "net-loopback" => net_loopback::run(),
         "net-concurrency" => net_concurrency::run(),
         "persistence" => persistence::run(),
         "dst-soak" => dst_soak::run(),

@@ -1,25 +1,23 @@
 //! E17: cost of the observability layer on the hot path.
 //!
-//! The contract in DESIGN.md's Observability section: the `*_recorded`
-//! push variants, monomorphized against [`waves_obs::NoopRecorder`],
-//! must cost the same as the plain seed methods — every recorder hook
-//! inlines to nothing. This experiment measures three configurations of
-//! the same workload:
+//! `push_bit` *is* `push_bit_recorded(&NoopRecorder)` — one body,
+//! monomorphized — so the push itself has nothing to compare; that the
+//! noop recorder is free is carried by the repo benchmark's
+//! `engine_dense/items_per_s` and `core.push_ns_per_kitem` against the
+//! parent commit. This experiment prices what sits on top of it:
 //!
-//! 1. `push_bit` (the uninstrumented seed path);
-//! 2. `push_bit_recorded(&NoopRecorder)` (instrumentation compiled out);
-//! 3. `push_bit_recorded(&MetricsRegistry)` (live counters + latency
+//! 1. `push_bit` (the baseline);
+//! 2. `push_bit_recorded(&MetricsRegistry)` (live counters + latency
 //!    histogram — the `--stats` price);
-//! 4. the span-guard pattern over a `NoopRecorder` (the tracing hook
+//! 3. the span-guard pattern over a `NoopRecorder` (the tracing hook
 //!    with tracing disabled — `trace_enabled()` folds to `false`, so
 //!    the guard must compile down to the plain push);
-//! 5. the same guard over a live [`SpanRecorder`] with an active
+//! 4. the same guard over a live [`SpanRecorder`] with an active
 //!    [`TraceCtx`] (every push records a span into the ring).
 //!
-//! Configurations are interleaved round-robin across repetitions and
-//! each reports its best (minimum) per-item time, which strips
-//! scheduler/frequency noise; the acceptance lines check the noop
-//! recorder AND the noop span guard against the 2% budget.
+//! Each configuration reports its best (minimum) per-item time over
+//! the repetitions, which strips scheduler/frequency noise; the
+//! acceptance line checks the noop span guard against the 2% budget.
 
 use crate::table::{f, Table};
 use std::time::Instant;
@@ -101,7 +99,6 @@ pub fn run() {
         parent: ROOT_SPAN_ID,
     };
     let plain = best_ns_per_item(n, eps, &bits, |w, b| w.push_bit(b));
-    let noop = best_ns_per_item(n, eps, &bits, |w, b| w.push_bit_recorded(b, &NoopRecorder));
     let live = best_ns_per_item(n, eps, &bits, |w, b| w.push_bit_recorded(b, &registry));
     let noop_span = best_ns_per_item(n, eps, &bits, |w, b| {
         push_span_guarded(w, b, &NoopRecorder, TraceCtx::NONE)
@@ -114,12 +111,7 @@ pub fn run() {
 
     let pct = |a: f64, base: f64| 100.0 * (a - base) / base;
     let mut t = Table::new(&["configuration", "best ns/item", "vs plain"]);
-    t.row(&["push_bit (seed)".into(), f(plain), "—".into()]);
-    t.row(&[
-        "push_bit_recorded + NoopRecorder".into(),
-        f(noop),
-        format!("{:+.2}%", pct(noop, plain)),
-    ]);
+    t.row(&["push_bit".into(), f(plain), "—".into()]);
     t.row(&[
         "push_bit_recorded + MetricsRegistry".into(),
         f(live),
@@ -137,17 +129,12 @@ pub fn run() {
     ]);
     t.print();
 
-    let overhead = pct(noop, plain);
-    println!(
-        "\nnoop-recorder overhead: {overhead:+.2}% (budget: <= 2%) — {}",
-        crate::verdict::word(overhead <= 2.0)
-    );
     let span_overhead = pct(noop_span, plain);
     println!(
-        "noop-span-guard overhead: {span_overhead:+.2}% (budget: <= 2%) — {}",
+        "\nnoop-span-guard overhead: {span_overhead:+.2}% (budget: <= 2%) — {}",
         crate::verdict::word(span_overhead <= 2.0)
     );
-    println!("Expected shape: the noop columns match plain to measurement noise;");
+    println!("Expected shape: the noop span guard matches plain to measurement noise;");
     println!("the live registry pays a few ns for two relaxed atomics per item,");
     println!("and the traced span guard adds two clock reads plus a ring push.");
 }
@@ -157,24 +144,21 @@ mod tests {
     use super::*;
     use waves_obs::Recorder;
 
-    /// Semantic half of the zero-cost contract (the timing half is the
-    /// experiment): the three configurations leave the wave in an
-    /// identical state.
+    /// Semantic half of the contract (the timing half is the
+    /// experiment): a live recorder leaves the wave in the same state
+    /// as the plain push.
     #[test]
     fn all_configurations_agree() {
         let registry = MetricsRegistry::new();
         let mut a = DetWave::new(256, 0.1).unwrap();
-        let mut b = DetWave::new(256, 0.1).unwrap();
         let mut c = DetWave::new(256, 0.1).unwrap();
         let mut x = 7u64;
         for _ in 0..2000 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             let bit = (x >> 62) & 1 == 1;
             a.push_bit(bit);
-            b.push_bit_recorded(bit, &NoopRecorder);
             c.push_bit_recorded(bit, &registry);
         }
-        assert_eq!(a.encode(), b.encode());
         assert_eq!(a.encode(), c.encode());
         assert!(!NoopRecorder.enabled());
         assert!(registry.enabled());

@@ -63,15 +63,11 @@ pub const EXPERIMENTS: &[(&str, &str)] = &[
     ),
     (
         "obs-overhead",
-        "E17: noop-recorder cost on the push hot path (<= 2%)",
+        "E17: observability cost on the push hot path (noop span guard <= 2%)",
     ),
     (
         "engine-scaling",
         "E18: serving-engine ingest scaling (shards x keys x batch)",
-    ),
-    (
-        "net-loopback",
-        "E19: networked ingest throughput over loopback vs batch size",
     ),
     (
         "persistence",

@@ -393,7 +393,11 @@ impl<R: Recorder + Send + Sync + 'static> ClusterClient<R> {
         for key in keys {
             parts.push(self.query(key, window)?);
         }
-        Ok(combine_estimates(parts))
+        let total = combine_estimates(parts);
+        if total.hi == u64::MAX {
+            return Err(WaveError::TooManyItemsInWindow { bound: u64::MAX });
+        }
+        Ok(total)
     }
 
     /// The client-side shadow's own answer — the oracle the servers are

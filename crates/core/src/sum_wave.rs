@@ -191,36 +191,13 @@ impl SumWave {
     /// Returns an error (without consuming the item) if `v > R`.
     #[inline]
     pub fn push_value(&mut self, v: u64) -> Result<(), WaveError> {
-        if v > self.max_value {
-            return Err(WaveError::ValueTooLarge {
-                value: v,
-                max: self.max_value,
-            });
-        }
-        self.pos += 1;
-        self.expire();
-        if v > 0 {
-            // Level from the pre-update total (step 3(a) of Figure 5).
-            let j = sum_level(self.total, v).min(self.num_levels - 1) as usize;
-            self.total += v;
-            if self.queues[j].is_full() {
-                let old = self.queues[j].pop_front().expect("full queue has a front");
-                self.chain.remove(old);
-            }
-            let id = self.chain.push_back(Entry {
-                pos: self.pos,
-                v,
-                z: self.total,
-                level: j as u8,
-            });
-            self.queues[j].push_back(id);
-        }
-        Ok(())
+        self.push_value_recorded(v, &waves_obs::NoopRecorder)
     }
 
     /// [`SumWave::push_value`] with structural instrumentation reported
-    /// into `rec` (see [`crate::det_wave::DetWave::push_bit_recorded`]
-    /// for the monomorphization contract).
+    /// into `rec` — the one push body (see
+    /// [`crate::det_wave::DetWave::push_bit_recorded`] for the
+    /// monomorphization contract).
     #[inline]
     pub fn push_value_recorded<R: waves_obs::Recorder + ?Sized>(
         &mut self,
@@ -245,6 +222,7 @@ impl SumWave {
         if v > 0 {
             rec.incr(MetricId::WaveOnesTotal, 1);
             rec.incr(MetricId::WaveLevelOracleCalls, 1);
+            // Level from the pre-update total (step 3(a) of Figure 5).
             let j = sum_level(self.total, v).min(self.num_levels - 1) as usize;
             self.total += v;
             if self.queues[j].is_full() {
@@ -648,24 +626,6 @@ mod tests {
         }
         let r = w.space_report();
         assert!(r.entries > 0 && r.synopsis_bits > 0);
-    }
-
-    #[test]
-    fn push_recorded_matches_plain_push() {
-        let mut plain = SumWave::new(128, 50, 0.2).unwrap();
-        let mut recorded = SumWave::new(128, 50, 0.2).unwrap();
-        let rec = waves_obs::NoopRecorder;
-        for (i, v) in lcg_vals(11, 3000, 50).into_iter().enumerate() {
-            plain.push_value(v).unwrap();
-            recorded.push_value_recorded(v, &rec).unwrap();
-            if i % 13 == 0 {
-                assert_eq!(plain.query_max(), recorded.query_max(), "i={i}");
-                assert_eq!(plain.entries(), recorded.entries());
-            }
-        }
-        // Oversized values are rejected without consuming the item.
-        assert!(recorded.push_value_recorded(51, &rec).is_err());
-        assert_eq!(plain.pos(), recorded.pos());
     }
 
     #[test]

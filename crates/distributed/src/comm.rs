@@ -107,6 +107,10 @@ impl ScalarReport {
 /// within `eps` of its truth keeps the total within `eps` too. Shared
 /// by the in-process scenario drivers and the networked referee in
 /// `waves-net`.
+///
+/// Addends can come off the wire, so the interval sums saturate
+/// instead of wrapping: `hi == u64::MAX` means the total did not fit
+/// (never reported as exact), and callers that can refuse do.
 pub fn combine_estimates<I>(parts: I) -> waves_core::Estimate
 where
     I: IntoIterator<Item = waves_core::Estimate>,
@@ -114,14 +118,14 @@ where
     let (mut value, mut lo, mut hi) = (0.0, 0u64, 0u64);
     for e in parts {
         value += e.value;
-        lo += e.lo;
-        hi += e.hi;
+        lo = lo.saturating_add(e.lo);
+        hi = hi.saturating_add(e.hi);
     }
     waves_core::Estimate {
         value,
         lo,
         hi,
-        exact: lo == hi,
+        exact: lo == hi && hi != u64::MAX,
     }
 }
 
@@ -200,6 +204,9 @@ mod tests {
         assert!(combine_estimates([Estimate::exact(1), Estimate::exact(2)]).exact);
         let empty = combine_estimates(std::iter::empty());
         assert_eq!(empty, Estimate::exact(0));
+        // A total past u64 saturates and is never called exact.
+        let huge = combine_estimates([Estimate::exact(1 << 63), Estimate::exact(1 << 63)]);
+        assert_eq!((huge.lo, huge.hi, huge.exact), (u64::MAX, u64::MAX, false));
     }
 
     #[test]

@@ -56,15 +56,9 @@ impl std::fmt::Display for FaultSpec {
 /// time — see the module docs for why.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Step {
-    /// Ingest one keyed batch through the stack and feed the oracles.
-    /// `packed` picks the ingest currency: `true` sends the batch
-    /// word-packed through `IngestRequest` (the primary API), `false`
-    /// drives the deprecated per-bit shims — the coin flip keeps both
-    /// entry points under the same three-oracle check.
-    Ingest {
-        batch: Vec<(u64, Vec<bool>)>,
-        packed: bool,
-    },
+    /// Ingest one keyed batch through the stack (word-packed, via
+    /// `IngestRequest`) and feed the oracles.
+    Ingest { batch: Vec<(u64, Vec<bool>)> },
     /// Query one key at one window and check against every oracle.
     Query { key: u64, window: u64 },
     /// Barrier: wait until every shard drained its queue.
@@ -120,14 +114,9 @@ pub enum Step {
 impl std::fmt::Display for Step {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Step::Ingest { batch, packed } => {
+            Step::Ingest { batch } => {
                 let items: usize = batch.iter().map(|(_, b)| b.len()).sum();
-                let currency = if *packed { "packed" } else { "bool" };
-                write!(
-                    f,
-                    "ingest({} events, {items} bits, {currency})",
-                    batch.len()
-                )
+                write!(f, "ingest({} events, {items} bits)", batch.len())
             }
             Step::Query { key, window } => write!(f, "query(key={key}, w={window})"),
             Step::Flush => write!(f, "flush"),
@@ -373,7 +362,6 @@ fn gen_steps(
             let events = rng.gen_range(1..=6);
             Step::Ingest {
                 batch: workload.next_batch(events),
-                packed: rng.gen_bool(0.5),
             }
         } else if roll < 70 {
             gen_query(rng, cfg)
@@ -524,30 +512,16 @@ impl ScheduleBuilder {
         self
     }
 
-    /// Ingest an explicit batch through the deprecated per-bit shims.
+    /// Ingest an explicit batch.
     pub fn ingest(mut self, batch: Vec<(u64, Vec<bool>)>) -> Self {
-        self.steps.push(Step::Ingest {
-            batch,
-            packed: false,
-        });
+        self.steps.push(Step::Ingest { batch });
         self
     }
 
-    /// Ingest an explicit batch word-packed through `IngestRequest`.
-    pub fn ingest_packed(mut self, batch: Vec<(u64, Vec<bool>)>) -> Self {
-        self.steps.push(Step::Ingest {
-            batch,
-            packed: true,
-        });
-        self
-    }
-
-    /// Ingest `events` workload events as one batch, flipping the same
-    /// packed-vs-bool coin [`Schedule::from_seed`] uses.
+    /// Ingest `events` workload events as one batch.
     pub fn ingest_random(mut self, events: usize) -> Self {
         let batch = self.workload().next_batch(events);
-        let packed = self.rng.gen_bool(0.5);
-        self.steps.push(Step::Ingest { batch, packed });
+        self.steps.push(Step::Ingest { batch });
         self
     }
 

@@ -269,7 +269,7 @@ impl Sim {
 
     fn execute(&mut self, step: &Step) -> Result<(), String> {
         match step {
-            Step::Ingest { batch, packed } => self.do_ingest(batch, *packed),
+            Step::Ingest { batch } => self.do_ingest(batch),
             Step::Query { key, window } => self.do_query(*key, *window),
             Step::Flush => self.do_flush(),
             Step::Snapshot => self.do_snapshot(),
@@ -285,10 +285,9 @@ impl Sim {
         }
     }
 
-    fn do_ingest(&mut self, batch: &[(u64, Vec<bool>)], packed: bool) -> Result<(), String> {
+    fn do_ingest(&mut self, batch: &[(u64, Vec<bool>)]) -> Result<(), String> {
         if batch.is_empty() {
-            self.trace
-                .push(format!("ingest events=0 items=0 packed={packed}"));
+            self.trace.push("ingest events=0 items=0".to_string());
             return Ok(());
         }
         if let Backend::Cluster { client, .. } = self.backend() {
@@ -312,48 +311,35 @@ impl Sim {
             self.oracles.apply(batch);
             let items: usize = batch.iter().map(|(_, bits)| bits.len()).sum();
             self.trace.push(format!(
-                "ingest events={} items={items} packed={packed} deferred={deferred}",
+                "ingest events={} items={items} deferred={deferred}",
                 batch.len()
             ));
             return Ok(());
         }
-        // Word-packed form of the batch: what the packed path sends and
-        // what the WAL encodes regardless of the ingest currency.
+        // Word-packed form of the batch: what the stack is sent and what
+        // the WAL encodes.
         let words: Vec<(u64, Bits)> = batch
             .iter()
             .map(|(k, bits)| (*k, Bits::from_bools(bits)))
             .collect();
-        if packed {
-            match self.backend() {
-                Backend::Direct(engine) => engine
-                    .ingest(IngestRequest::batch(words.clone()))
-                    .map_err(|e| format!("ingest rejected by engine: {e}"))?,
-                Backend::Tcp { client, .. } => {
-                    client
-                        .ingest(IngestRequest::batch(words.clone()))
-                        .map_err(|e| format!("ingest failed over tcp: {e}"))?
-                }
-                Backend::Cluster { .. } => unreachable!("cluster ingest handled above"),
-            }
-        } else {
-            // The deprecated per-bit shims, kept under test on purpose:
-            // half of all seed-derived ingests exercise them until they
-            // are removed.
-            #[allow(deprecated)]
-            match self.backend() {
-                Backend::Direct(engine) => engine
-                    .ingest_batch(batch)
-                    .map_err(|e| format!("ingest rejected by engine: {e}"))?,
-                Backend::Tcp { client, .. } => client
-                    .ingest_batch(batch)
-                    .map_err(|e| format!("ingest failed over tcp: {e}"))?,
-                Backend::Cluster { .. } => unreachable!("cluster ingest handled above"),
-            }
+        // One WAL record per acknowledged batch (single shard, FIFO):
+        // its length, taken before the batch moves into the request.
+        let rec_len = self
+            .cfg
+            .persist
+            .then(|| wal::frame_record(&wal::encode_batch_payload(&words)).len() as u64);
+        match self.backend() {
+            Backend::Direct(engine) => engine
+                .ingest(IngestRequest::batch(words))
+                .map_err(|e| format!("ingest rejected by engine: {e}"))?,
+            Backend::Tcp { client, .. } => client
+                .ingest(IngestRequest::batch(words))
+                .map_err(|e| format!("ingest failed over tcp: {e}"))?,
+            Backend::Cluster { .. } => unreachable!("cluster ingest handled above"),
         }
-        if self.cfg.persist {
-            // One WAL record per acknowledged batch (single shard, FIFO):
-            // track its end offset so a crash cut classifies survivors.
-            let rec_len = wal::frame_record(&wal::encode_batch_payload(&words)).len() as u64;
+        if let Some(rec_len) = rec_len {
+            // Track the record's end offset so a crash cut classifies
+            // survivors.
             let end = self
                 .seg_ends
                 .last()
@@ -364,10 +350,8 @@ impl Sim {
         }
         self.oracles.apply(batch);
         let items: usize = batch.iter().map(|(_, bits)| bits.len()).sum();
-        self.trace.push(format!(
-            "ingest events={} items={items} packed={packed}",
-            batch.len()
-        ));
+        self.trace
+            .push(format!("ingest events={} items={items}", batch.len()));
         Ok(())
     }
 

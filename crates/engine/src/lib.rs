@@ -76,9 +76,7 @@ pub type Key = u64;
 pub type KeyedBits = (Key, Bits);
 
 /// The single ingest entry point's request: keyed word-packed batches
-/// plus delivery options. Replaces the old
-/// `ingest`/`ingest_batch`/`ingest_blocking`/`ingest_batch_traced`
-/// matrix — every combination is one builder chain:
+/// plus delivery options — every combination is one builder chain:
 ///
 /// ```
 /// use waves_engine::IngestRequest;
@@ -671,34 +669,6 @@ where
         first_err
     }
 
-    /// Deprecated shim for the pre-[`IngestRequest`] API.
-    #[deprecated(note = "use `ingest(IngestRequest::of(key, bits).blocking(true))`")]
-    pub fn ingest_blocking(&self, key: Key, bits: &[bool]) {
-        let _ = self.ingest(IngestRequest::of(key, bits).blocking(true));
-    }
-
-    /// Deprecated shim for the pre-[`IngestRequest`] API.
-    #[deprecated(note = "use `ingest(IngestRequest::batch(entries))`")]
-    pub fn ingest_batch(&self, batch: &[(Key, Vec<bool>)]) -> Result<(), WaveError> {
-        self.ingest(IngestRequest::batch(repack(batch)))
-    }
-
-    /// Deprecated shim for the pre-[`IngestRequest`] API.
-    #[deprecated(note = "use `ingest(IngestRequest::batch(entries).traced(ctx))`")]
-    pub fn ingest_batch_traced(
-        &self,
-        batch: &[(Key, Vec<bool>)],
-        ctx: TraceCtx,
-    ) -> Result<(), WaveError> {
-        self.ingest(IngestRequest::batch(repack(batch)).traced(ctx))
-    }
-
-    /// Deprecated shim for the pre-[`IngestRequest`] API.
-    #[deprecated(note = "use `ingest(IngestRequest::batch(entries).blocking(true))`")]
-    pub fn ingest_batch_blocking(&self, batch: &[(Key, Vec<bool>)]) {
-        let _ = self.ingest(IngestRequest::batch(repack(batch)).blocking(true));
-    }
-
     /// Group events into per-shard sub-batches, preserving order within
     /// each shard (per-key order is what correctness needs, and a key
     /// always maps to one shard). Takes the batch by value: packed
@@ -906,15 +876,6 @@ impl<S> ShardPersist<S> {
         self.applied_since_checkpoint = 0;
         Ok(())
     }
-}
-
-/// Pack bool-slice batches from the deprecated shims into the word
-/// currency the rest of the stack speaks.
-fn repack(batch: &[(Key, Vec<bool>)]) -> Vec<KeyedBits> {
-    batch
-        .iter()
-        .map(|(key, bits)| (*key, Bits::from_bools(bits)))
-        .collect()
 }
 
 /// Key-family fingerprint for the registry's load-skew dimension: the
@@ -1603,32 +1564,6 @@ mod tests {
         assert_eq!(engine.snapshot().keys(), 21);
         assert_eq!(engine.query(99, 64).unwrap(), Estimate::exact(3));
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// The deprecated bool-slice shims still deliver: each forwards to
-    /// the [`IngestRequest`] entry point, repacking into words.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_ingest() {
-        use waves_obs::trace::{TraceCtx, TraceId};
-        let engine = Engine::new(small_cfg(2)).unwrap();
-        engine.ingest_blocking(1, &[true, false, true]);
-        engine.ingest_batch(&[(2, vec![true; 4])]).unwrap();
-        engine.ingest_batch_blocking(&[(3, vec![true; 5])]);
-        engine
-            .ingest_batch_traced(
-                &[(4, vec![true; 6])],
-                TraceCtx {
-                    trace: TraceId(9),
-                    parent: 0,
-                },
-            )
-            .unwrap();
-        engine.flush();
-        assert_eq!(engine.query(1, 64).unwrap(), Estimate::exact(2));
-        assert_eq!(engine.query(2, 64).unwrap(), Estimate::exact(4));
-        assert_eq!(engine.query(3, 64).unwrap(), Estimate::exact(5));
-        assert_eq!(engine.query(4, 64).unwrap(), Estimate::exact(6));
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use waves_core::{Bits, Estimate, WaveError};
+use waves_core::{Estimate, WaveError};
 use waves_engine::{EngineSnapshot, IngestRequest};
 use waves_obs::trace::{next_span_id, now_ns, Span, Stage, TraceId, ROOT_SPAN_ID};
 use waves_obs::{HistId, MetricId, MetricsSnapshot, NoopRecorder, Recorder};
@@ -199,7 +199,7 @@ impl<R: Recorder + Send + Sync + 'static> Client<R> {
                     "address resolved to nothing",
                 ))
             })?;
-        let stream = connect_with_retries(addr, &cfg)?;
+        let stream = cfg.retry.run(|_| dial(addr, &cfg))?;
         Ok(Client {
             stream,
             addr,
@@ -226,7 +226,7 @@ impl<R: Recorder + Send + Sync + 'static> Client<R> {
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), WaveError> {
-        match self.request_idempotent(&Frame::Ping)? {
+        match self.request(&Frame::Ping, self.cfg.retry)? {
             Frame::Pong => Ok(()),
             other => Err(unexpected(other)),
         }
@@ -243,25 +243,13 @@ impl<R: Recorder + Send + Sync + 'static> Client<R> {
     /// superseded by the client's own per-request tracing (the header
     /// trace id).
     pub fn ingest(&mut self, req: IngestRequest) -> Result<(), WaveError> {
-        match self.request_once(&Frame::Ingest(req.entries))? {
-            Frame::Ok => Ok(()),
-            other => Err(unexpected(other)),
-        }
-    }
-
-    /// Deprecated shim for the pre-[`IngestRequest`] API.
-    #[deprecated(note = "use `ingest(IngestRequest::batch(entries))`")]
-    pub fn ingest_batch(&mut self, batch: &[(u64, Vec<bool>)]) -> Result<(), WaveError> {
-        let entries = batch
-            .iter()
-            .map(|(key, bits)| (*key, Bits::from_bools(bits)))
-            .collect();
-        self.ingest(IngestRequest::batch(entries))
+        self.request(&Frame::Ingest(req.entries), RetryPolicy::none())
+            .and_then(expect_ok)
     }
 
     /// Window query against one key's synopsis on the server.
     pub fn query(&mut self, key: u64, window: u64) -> Result<Estimate, WaveError> {
-        match self.request_idempotent(&Frame::Query { key, window })? {
+        match self.request(&Frame::Query { key, window }, self.cfg.retry)? {
             Frame::EstimateResp(est) => Ok(est),
             other => Err(unexpected(other)),
         }
@@ -269,15 +257,13 @@ impl<R: Recorder + Send + Sync + 'static> Client<R> {
 
     /// Barrier: returns once the server has drained all shard queues.
     pub fn flush(&mut self) -> Result<(), WaveError> {
-        match self.request_idempotent(&Frame::Flush)? {
-            Frame::Ok => Ok(()),
-            other => Err(unexpected(other)),
-        }
+        self.request(&Frame::Flush, self.cfg.retry)
+            .and_then(expect_ok)
     }
 
     /// Fetch the server engine's point-in-time snapshot.
     pub fn snapshot(&mut self) -> Result<EngineSnapshot, WaveError> {
-        match self.request_idempotent(&Frame::Snapshot)? {
+        match self.request(&Frame::Snapshot, self.cfg.retry)? {
             Frame::SnapshotResp(s) => Ok(s),
             other => Err(unexpected(other)),
         }
@@ -289,7 +275,7 @@ impl<R: Recorder + Send + Sync + 'static> Client<R> {
     /// server was started without a metrics registry. Idempotent, so it
     /// is retried.
     pub fn stats(&mut self) -> Result<MetricsSnapshot, WaveError> {
-        match self.request_idempotent(&Frame::Stats)? {
+        match self.request(&Frame::Stats, self.cfg.retry)? {
             Frame::StatsResp(json) => MetricsSnapshot::from_json(&json).map_err(|e| {
                 WaveError::io(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
@@ -309,10 +295,8 @@ impl<R: Recorder + Send + Sync + 'static> Client<R> {
         kind: SynopsisKind,
         bytes: Vec<u8>,
     ) -> Result<(), WaveError> {
-        match self.request_idempotent(&Frame::PushSynopsis { party, kind, bytes })? {
-            Frame::Ok => Ok(()),
-            other => Err(unexpected(other)),
-        }
+        self.request(&Frame::PushSynopsis { party, kind, bytes }, self.cfg.retry)
+            .and_then(expect_ok)
     }
 
     /// Push a deterministic wave's encode for `party`.
@@ -357,16 +341,17 @@ impl<R: Recorder + Send + Sync + 'static> Client<R> {
         kind: SynopsisKind,
         bytes: Vec<u8>,
     ) -> Result<(), WaveError> {
-        match self.request_idempotent(&Frame::PushDelta {
-            party,
-            seq,
-            slack,
-            kind,
-            bytes,
-        })? {
-            Frame::Ok => Ok(()),
-            other => Err(unexpected(other)),
-        }
+        self.request(
+            &Frame::PushDelta {
+                party,
+                seq,
+                slack,
+                kind,
+                bytes,
+            },
+            self.cfg.retry,
+        )
+        .and_then(expect_ok)
     }
 
     /// Ship one key's synopsis encode to this server, which installs it
@@ -380,15 +365,13 @@ impl<R: Recorder + Send + Sync + 'static> Client<R> {
         kind: SynopsisKind,
         bytes: Vec<u8>,
     ) -> Result<(), WaveError> {
-        match self.request_idempotent(&Frame::Replicate { key, kind, bytes })? {
-            Frame::Ok => Ok(()),
-            other => Err(unexpected(other)),
-        }
+        self.request(&Frame::Replicate { key, kind, bytes }, self.cfg.retry)
+            .and_then(expect_ok)
     }
 
     /// Referee combine across every pushed party at `window`.
     pub fn combine(&mut self, window: u64) -> Result<Estimate, WaveError> {
-        match self.request_idempotent(&Frame::Combine { window })? {
+        match self.request(&Frame::Combine { window }, self.cfg.retry)? {
             Frame::EstimateResp(est) => Ok(est),
             other => Err(unexpected(other)),
         }
@@ -396,10 +379,8 @@ impl<R: Recorder + Send + Sync + 'static> Client<R> {
 
     /// Ask the server to stop. The server acks before exiting.
     pub fn shutdown_server(&mut self) -> Result<(), WaveError> {
-        match self.request_once(&Frame::Shutdown)? {
-            Frame::Ok => Ok(()),
-            other => Err(unexpected(other)),
-        }
+        self.request(&Frame::Shutdown, RetryPolicy::none())
+            .and_then(expect_ok)
     }
 
     // ---- the pipelined surface ----
@@ -485,29 +466,16 @@ impl<R: Recorder + Send + Sync + 'static> Client<R> {
         }
     }
 
-    /// One request/response exchange, no retries.
-    fn request_once(&mut self, req: &Frame) -> Result<Frame, WaveError> {
-        let started = self.rec.enabled().then(Instant::now);
-        let opened = self.begin_trace();
-        let reply = self.exchange(req, opened.map_or(0, |(t, _)| t.0))?;
-        self.end_trace(opened);
-        if let Some(t0) = started {
-            self.rec
-                .observe(HistId::NetRequestNs, t0.elapsed().as_nanos() as u64);
-        }
-        match reply {
-            Frame::ErrorResp(e) => Err(e),
-            other => Ok(other),
-        }
-    }
-
-    /// Request/response with bounded retry-with-backoff for idempotent
-    /// requests: retried only on transport errors where the request
-    /// plausibly never executed, reconnecting first. Timeouts and
-    /// server-side errors are not retried.
-    fn request_idempotent(&mut self, req: &Frame) -> Result<Frame, WaveError> {
-        let mut attempt = 0u32;
-        loop {
+    /// One request/response exchange under `policy`: the configured
+    /// [`ClientConfig::retry`] for idempotent requests — retried only on
+    /// transport errors where the request plausibly never executed,
+    /// redialling first — and [`RetryPolicy::none`] for everything else.
+    /// Timeouts and server-side errors are never retried.
+    fn request(&mut self, req: &Frame, policy: RetryPolicy) -> Result<Frame, WaveError> {
+        let reply = policy.run(|attempt| {
+            if attempt > 0 {
+                self.stream = dial(self.addr, &self.cfg)?;
+            }
             let started = self.rec.enabled().then(Instant::now);
             // Each attempt is its own trace: a retried request's
             // attempts have distinct wire frames and server dispatches,
@@ -516,29 +484,15 @@ impl<R: Recorder + Send + Sync + 'static> Client<R> {
             let opened = self.begin_trace();
             let outcome = self.exchange(req, opened.map_or(0, |(t, _)| t.0));
             self.end_trace(opened);
-            match outcome {
-                Ok(reply) => {
-                    if let Some(t0) = started {
-                        self.rec
-                            .observe(HistId::NetRequestNs, t0.elapsed().as_nanos() as u64);
-                    }
-                    return match reply {
-                        Frame::ErrorResp(e) => Err(e),
-                        other => Ok(other),
-                    };
-                }
-                Err(e) => {
-                    attempt += 1;
-                    if attempt > self.cfg.retry.retries || !RetryPolicy::is_retryable(&e) {
-                        return Err(e);
-                    }
-                    std::thread::sleep(self.cfg.retry.delay(attempt));
-                    match connect_with_retries(self.addr, &self.cfg) {
-                        Ok(stream) => self.stream = stream,
-                        Err(_) => return Err(e),
-                    }
-                }
+            if let (Ok(_), Some(t0)) = (&outcome, started) {
+                self.rec
+                    .observe(HistId::NetRequestNs, t0.elapsed().as_nanos() as u64);
             }
+            outcome
+        })?;
+        match reply {
+            Frame::ErrorResp(e) => Err(e),
+            other => Ok(other),
         }
     }
 
@@ -622,32 +576,25 @@ impl<R: Recorder + Send + Sync + 'static> Client<R> {
     }
 }
 
-fn connect_with_retries(addr: SocketAddr, cfg: &ClientConfig) -> Result<TcpStream, WaveError> {
-    let mut attempt = 0u32;
-    loop {
-        match TcpStream::connect_timeout(&addr, cfg.connect_timeout) {
-            Ok(stream) => {
-                stream
-                    .set_read_timeout(Some(cfg.read_timeout))
-                    .map_err(WaveError::io)?;
-                stream
-                    .set_write_timeout(Some(cfg.write_timeout))
-                    .map_err(WaveError::io)?;
-                let _ = stream.set_nodelay(true);
-                return Ok(stream);
-            }
-            Err(e) => {
-                attempt += 1;
-                if attempt > cfg.retry.retries {
-                    return Err(WaveError::from_io(
-                        "connect",
-                        e,
-                        cfg.connect_timeout.as_millis() as u64,
-                    ));
-                }
-                std::thread::sleep(cfg.retry.delay(attempt));
-            }
-        }
+/// One connection attempt with the configured socket budgets; callers
+/// drive it under [`RetryPolicy::run`].
+fn dial(addr: SocketAddr, cfg: &ClientConfig) -> Result<TcpStream, WaveError> {
+    let stream = TcpStream::connect_timeout(&addr, cfg.connect_timeout)
+        .map_err(|e| WaveError::from_io("connect", e, cfg.connect_timeout.as_millis() as u64))?;
+    stream
+        .set_read_timeout(Some(cfg.read_timeout))
+        .map_err(WaveError::io)?;
+    stream
+        .set_write_timeout(Some(cfg.write_timeout))
+        .map_err(WaveError::io)?;
+    let _ = stream.set_nodelay(true);
+    Ok(stream)
+}
+
+fn expect_ok(reply: Frame) -> Result<(), WaveError> {
+    match reply {
+        Frame::Ok => Ok(()),
+        other => Err(unexpected(other)),
     }
 }
 

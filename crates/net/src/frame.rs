@@ -479,13 +479,6 @@ impl WireCodec {
         Self::encode_tagged(frame, FrameTag::default())
     }
 
-    /// Serialize a frame carrying `trace` in the header's trace-id
-    /// field and correlation id 0. Pass 0 for an untraced request
-    /// (what [`WireCodec::encode`] does).
-    pub fn encode_traced(frame: &Frame, trace: u64) -> Vec<u8> {
-        Self::encode_tagged(frame, FrameTag { trace, corr: 0 })
-    }
-
     /// Serialize a frame with the full header tag (trace id and
     /// correlation id).
     pub fn encode_tagged(frame: &Frame, tag: FrameTag) -> Vec<u8> {
@@ -601,36 +594,17 @@ impl WireCodec {
         Ok((frame, used))
     }
 
-    /// Parse one frame from the front of `buf`, also returning the
-    /// header's trace id (0 when the sender was untraced). The
-    /// correlation id is discarded.
-    pub fn decode_traced(buf: &[u8]) -> Result<(Frame, usize, u64), FrameError> {
-        let (frame, used, tag) = Self::decode_tagged(buf)?;
-        Ok((frame, used, tag.trace))
-    }
-
     /// Parse one frame from the front of `buf`, also returning the full
     /// header tag. [`FrameError::Truncated`] means "feed me more bytes"
     /// — the incremental-reassembly contract the event-loop server's
     /// read path is built on.
     pub fn decode_tagged(buf: &[u8]) -> Result<(Frame, usize, FrameTag), FrameError> {
-        if buf.len() < HEADER_LEN {
+        let Some(header) = buf.get(..HEADER_LEN) else {
             return Err(FrameError::Truncated);
-        }
-        if buf[0..2] != MAGIC {
-            return Err(FrameError::BadMagic);
-        }
-        if buf[2] != WIRE_VERSION {
-            return Err(FrameError::BadVersion(buf[2]));
-        }
-        let ty = buf[3];
-        let len = u32::from_be_bytes(buf[4..8].try_into().unwrap());
-        if len as usize > MAX_PAYLOAD_LEN {
-            return Err(FrameError::FrameTooLarge(len));
-        }
-        let trace = u64::from_be_bytes(buf[8..16].try_into().unwrap());
-        let corr = u64::from_be_bytes(buf[16..24].try_into().unwrap());
-        let body_end = HEADER_LEN + len as usize;
+        };
+        let header = header.try_into().expect("sliced to HEADER_LEN");
+        let (ty, len, tag) = Self::parse_header(header)?;
+        let body_end = HEADER_LEN + len;
         let total = body_end + CRC_LEN;
         if buf.len() < total {
             return Err(FrameError::Truncated);
@@ -641,7 +615,28 @@ impl WireCodec {
             return Err(FrameError::BadCrc { expected, got });
         }
         let frame = Self::decode_payload(ty, &buf[HEADER_LEN..body_end])?;
-        Ok((frame, total, FrameTag { trace, corr }))
+        Ok((frame, total, tag))
+    }
+
+    /// The header checks, shared by the buffer and stream decoders:
+    /// magic, version, payload length cap. Returns the frame type, the
+    /// payload length, and the tag.
+    fn parse_header(h: &[u8; HEADER_LEN]) -> Result<(u8, usize, FrameTag), FrameError> {
+        if h[0..2] != MAGIC {
+            return Err(FrameError::BadMagic);
+        }
+        if h[2] != WIRE_VERSION {
+            return Err(FrameError::BadVersion(h[2]));
+        }
+        let len = u32::from_be_bytes(h[4..8].try_into().unwrap());
+        if len as usize > MAX_PAYLOAD_LEN {
+            return Err(FrameError::FrameTooLarge(len));
+        }
+        let tag = FrameTag {
+            trace: u64::from_be_bytes(h[8..16].try_into().unwrap()),
+            corr: u64::from_be_bytes(h[16..24].try_into().unwrap()),
+        };
+        Ok((h[3], len as usize, tag))
     }
 
     fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, FrameError> {
@@ -760,25 +755,9 @@ impl WireCodec {
         Ok(frame)
     }
 
-    /// Write one untraced frame (header trace id 0) to a blocking
-    /// stream. Returns the bytes written (header + payload) so callers
-    /// can feed byte counters.
-    pub fn write_frame<W: std::io::Write>(w: &mut W, frame: &Frame) -> std::io::Result<usize> {
-        Self::write_frame_traced(w, frame, 0)
-    }
-
-    /// Write one frame carrying `trace` in the header (correlation id
-    /// 0) to a blocking stream.
-    pub fn write_frame_traced<W: std::io::Write>(
-        w: &mut W,
-        frame: &Frame,
-        trace: u64,
-    ) -> std::io::Result<usize> {
-        Self::write_frame_tagged(w, frame, FrameTag { trace, corr: 0 })
-    }
-
     /// Write one frame carrying the full header tag to a blocking
-    /// stream.
+    /// stream. Returns the bytes written (header + payload + trailer)
+    /// so callers can feed byte counters.
     pub fn write_frame_tagged<W: std::io::Write>(
         w: &mut W,
         frame: &Frame,
@@ -790,56 +769,23 @@ impl WireCodec {
         Ok(bytes.len())
     }
 
-    /// Read one frame from a blocking stream, discarding the header's
-    /// trace id. Returns the frame and the bytes consumed. Framing
-    /// violations surface as `io::ErrorKind::InvalidData` wrapping the
-    /// [`FrameError`]; a clean EOF before the first header byte
-    /// surfaces as `UnexpectedEof`.
-    pub fn read_frame<R: std::io::Read>(r: &mut R) -> std::io::Result<(Frame, usize)> {
-        let (frame, used, _tag) = Self::read_frame_tagged(r)?;
-        Ok((frame, used))
-    }
-
-    /// Read one frame from a blocking stream, also returning the
-    /// header's trace id (0 when the sender was untraced). The
-    /// correlation id is discarded.
-    pub fn read_frame_traced<R: std::io::Read>(r: &mut R) -> std::io::Result<(Frame, usize, u64)> {
-        let (frame, used, tag) = Self::read_frame_tagged(r)?;
-        Ok((frame, used, tag.trace))
-    }
-
-    /// Read one frame from a blocking stream, also returning the full
-    /// header tag.
+    /// Read one frame from a blocking stream. Returns the frame, the
+    /// bytes consumed, and the header tag. Framing violations surface
+    /// as `io::ErrorKind::InvalidData` wrapping the [`FrameError`]; a
+    /// clean EOF before the first header byte surfaces as
+    /// `UnexpectedEof`.
     pub fn read_frame_tagged<R: std::io::Read>(
         r: &mut R,
     ) -> std::io::Result<(Frame, usize, FrameTag)> {
         let mut header = [0u8; HEADER_LEN];
         r.read_exact(&mut header)?;
-        if header[0..2] != MAGIC {
-            return Err(FrameError::BadMagic.into());
-        }
-        if header[2] != WIRE_VERSION {
-            return Err(FrameError::BadVersion(header[2]).into());
-        }
-        let len = u32::from_be_bytes(header[4..8].try_into().unwrap()) as usize;
-        if len > MAX_PAYLOAD_LEN {
-            return Err(FrameError::FrameTooLarge(len as u32).into());
-        }
-        let trace = u64::from_be_bytes(header[8..16].try_into().unwrap());
-        let corr = u64::from_be_bytes(header[16..24].try_into().unwrap());
+        let (_, len, _) = Self::parse_header(&header)?;
         // One buffer holding header + payload + trailer so the CRC can
         // be computed over a contiguous byte range.
         let mut body = vec![0u8; HEADER_LEN + len + CRC_LEN];
         body[..HEADER_LEN].copy_from_slice(&header);
         r.read_exact(&mut body[HEADER_LEN..])?;
-        let body_end = HEADER_LEN + len;
-        let expected = u32::from_be_bytes(body[body_end..].try_into().unwrap());
-        let got = crc32(&body[..body_end]);
-        if got != expected {
-            return Err(FrameError::BadCrc { expected, got }.into());
-        }
-        let frame = Self::decode_payload(header[3], &body[HEADER_LEN..body_end])?;
-        Ok((frame, body.len(), FrameTag { trace, corr }))
+        Ok(Self::decode_tagged(&body)?)
     }
 }
 
@@ -862,7 +808,7 @@ mod tests {
         assert_eq!(decoded, frame);
         // Stream path agrees with the buffer path.
         let mut cursor = std::io::Cursor::new(&bytes);
-        let (streamed, n) = WireCodec::read_frame(&mut cursor).unwrap();
+        let (streamed, n, _) = WireCodec::read_frame_tagged(&mut cursor).unwrap();
         assert_eq!(n, bytes.len());
         assert_eq!(streamed, frame);
     }
@@ -1013,31 +959,28 @@ mod tests {
 
     #[test]
     fn trace_id_rides_the_header() {
-        // Traced encode puts the id at header bytes [8, 16); both
-        // decode paths hand it back alongside the frame.
+        // The tag's trace id sits at header bytes [8, 16); both decode
+        // paths hand it back alongside the frame.
         let frame = Frame::Query { key: 3, window: 64 };
-        let bytes = WireCodec::encode_traced(&frame, 0xDEAD_BEEF_CAFE_F00D);
-        assert_eq!(&bytes[8..16], &0xDEAD_BEEF_CAFE_F00Du64.to_be_bytes());
-        let (decoded, used, trace) = WireCodec::decode_traced(&bytes).unwrap();
-        assert_eq!(
-            (decoded, used, trace),
-            (frame.clone(), bytes.len(), 0xDEAD_BEEF_CAFE_F00D)
-        );
+        let tag = FrameTag {
+            trace: 0xDEAD_BEEF_CAFE_F00D,
+            corr: 0,
+        };
+        let bytes = WireCodec::encode_tagged(&frame, tag);
+        assert_eq!(&bytes[8..16], &tag.trace.to_be_bytes());
+        let (decoded, used, got) = WireCodec::decode_tagged(&bytes).unwrap();
+        assert_eq!((decoded, used, got), (frame.clone(), bytes.len(), tag));
 
-        let mut wire = Vec::new();
-        let n = WireCodec::write_frame_traced(&mut wire, &frame, 42).unwrap();
-        assert_eq!(n, wire.len());
-        let mut cursor = std::io::Cursor::new(&wire);
-        let (streamed, _, trace) = WireCodec::read_frame_traced(&mut cursor).unwrap();
-        assert_eq!((streamed, trace), (frame.clone(), 42));
+        let mut cursor = std::io::Cursor::new(&bytes);
+        let (streamed, _, got) = WireCodec::read_frame_tagged(&mut cursor).unwrap();
+        assert_eq!((streamed, got), (frame.clone(), tag));
 
-        // The untraced entry points write trace id 0 and discard it on
-        // the way in, so callers that never opt into tracing see the
-        // old API shape.
+        // The untagged entry points write a zero tag and discard it on
+        // the way in.
         let bytes = WireCodec::encode(&frame);
-        assert_eq!(&bytes[8..16], &[0u8; 8]);
-        let (_, _, trace) = WireCodec::decode_traced(&bytes).unwrap();
-        assert_eq!(trace, 0);
+        assert_eq!(&bytes[8..24], &[0u8; 16]);
+        let (_, _, got) = WireCodec::decode_tagged(&bytes).unwrap();
+        assert_eq!(got, FrameTag::default());
     }
 
     #[test]
@@ -1063,13 +1006,6 @@ mod tests {
         let mut cursor = std::io::Cursor::new(&wire);
         let (streamed, _, got) = WireCodec::read_frame_tagged(&mut cursor).unwrap();
         assert_eq!((streamed, got), (frame.clone(), tag));
-
-        // Trace-only entry points leave the correlation id zeroed: a
-        // one-shot exchange is just pipelining with a window of one.
-        let bytes = WireCodec::encode_traced(&frame, 7);
-        assert_eq!(&bytes[16..24], &[0u8; 8]);
-        let (_, _, got) = WireCodec::decode_tagged(&bytes).unwrap();
-        assert_eq!((got.trace, got.corr), (7, 0));
     }
 
     #[test]
@@ -1123,7 +1059,7 @@ mod tests {
             );
             let mut cursor = std::io::Cursor::new(&bad);
             assert!(
-                WireCodec::read_frame(&mut cursor).is_err(),
+                WireCodec::read_frame_tagged(&mut cursor).is_err(),
                 "flipped byte {i} still read from stream"
             );
         }
@@ -1134,12 +1070,12 @@ mod tests {
         let mut bytes = WireCodec::encode(&Frame::Ping);
         bytes[0] = b'X';
         let mut cursor = std::io::Cursor::new(&bytes);
-        let err = WireCodec::read_frame(&mut cursor).unwrap_err();
+        let err = WireCodec::read_frame_tagged(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         // Truncated stream: EOF mid-payload is UnexpectedEof.
         let good = WireCodec::encode(&Frame::Query { key: 1, window: 2 });
         let mut cursor = std::io::Cursor::new(&good[..good.len() - 3]);
-        let err = WireCodec::read_frame(&mut cursor).unwrap_err();
+        let err = WireCodec::read_frame_tagged(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 
@@ -1176,7 +1112,7 @@ mod tests {
             bytes: vec![0xAB, 0xCD],
         };
         let bytes = WireCodec::encode(&frame);
-        assert_eq!(bytes[2], WIRE_VERSION);
+        assert_eq!(bytes[2], 7, "PROTOCOL.md documents wire v7");
         assert_eq!(bytes[3], TYPE_PUSH_DELTA);
         let p = HEADER_LEN;
         assert_eq!(&bytes[p..p + 8], &0x0102_0304_0506_0708u64.to_be_bytes());

@@ -121,14 +121,21 @@ struct Done {
     shutdown_after: bool,
 }
 
+/// One party's slot in the networked referee.
+struct RefereeEntry {
+    /// Last installed synopsis (pull-mode push or monitoring delta).
+    syn: PartySynopsis,
+    /// Highest PUSH_DELTA sequence seen and the slack declared with
+    /// it; `None` until the party pushes a delta. A delta whose
+    /// sequence does not advance it is a no-op, so retried and late
+    /// reordered pushes cannot roll the referee back.
+    delta: Option<(u64, f64)>,
+}
+
 struct Shared<R: Recorder + Send + Sync + 'static> {
     engine: Engine<DetWave, R>,
-    /// Party id -> last pushed synopsis, queried by `Combine`.
-    referee: Mutex<HashMap<u64, PartySynopsis>>,
-    /// Party id -> (highest PUSH_DELTA sequence seen, declared slack).
-    /// A delta whose sequence does not advance the entry is a no-op, so
-    /// retried and late reordered pushes cannot roll the referee back.
-    monitor: Mutex<HashMap<u64, (u64, f64)>>,
+    /// Party id -> its referee slot, queried by `Combine`.
+    referee: Mutex<HashMap<u64, RefereeEntry>>,
     rec: Arc<R>,
     slow_request: Option<Duration>,
     stopping: AtomicBool,
@@ -180,7 +187,6 @@ impl<R: Recorder + Send + Sync + 'static> Server<R> {
         let shared = Arc::new(Shared {
             engine,
             referee: Mutex::new(HashMap::new()),
-            monitor: Mutex::new(HashMap::new()),
             rec,
             slow_request: cfg.slow_request,
             stopping: AtomicBool::new(false),
@@ -252,19 +258,15 @@ impl<R: Recorder + Send + Sync + 'static> Server<R> {
     /// Highest PUSH_DELTA sequence number seen from `party` (continuous
     /// monitoring), or `None` if the party has never pushed a delta.
     pub fn monitor_seq_of(&self, party: u64) -> Option<u64> {
-        self.shared.monitor.lock().unwrap().get(&party).map(|e| e.0)
+        let referee = self.shared.referee.lock().unwrap();
+        referee.get(&party)?.delta.map(|(seq, _)| seq)
     }
 
     /// Sum of the slack budgets declared by parties that have pushed
     /// deltas: the staleness bound on `Combine` answers over them.
     pub fn monitor_slack_total(&self) -> f64 {
-        self.shared
-            .monitor
-            .lock()
-            .unwrap()
-            .values()
-            .map(|e| e.1)
-            .sum()
+        let referee = self.shared.referee.lock().unwrap();
+        referee.values().filter_map(|e| e.delta).map(|d| d.1).sum()
     }
 
     /// The hosted engine. Lets a harness drive engine-level operations
@@ -919,7 +921,12 @@ fn dispatch<R: Recorder + Send + Sync + 'static>(
         },
         Frame::PushSynopsis { party, kind, bytes } => match PartySynopsis::decode(kind, &bytes) {
             Ok(syn) => {
-                shared.referee.lock().unwrap().insert(party, syn);
+                // A pull-mode push replaces the synopsis but keeps the
+                // party's delta high-water mark, so a replayed older
+                // PUSH_DELTA still cannot overwrite it.
+                let mut referee = shared.referee.lock().unwrap();
+                let delta = referee.get(&party).and_then(|e| e.delta);
+                referee.insert(party, RefereeEntry { syn, delta });
                 Frame::Ok
             }
             Err(e) => Frame::ErrorResp(WaveError::io(std::io::Error::new(
@@ -953,36 +960,23 @@ fn dispatch<R: Recorder + Send + Sync + 'static>(
             // Deduplicate by sequence *before* decoding: a stale or
             // replayed delta is answered Ok without touching state,
             // which is what makes PUSH_DELTA retry-safe (idempotent)
-            // and late reordering harmless.
-            {
-                let monitor = shared.monitor.lock().unwrap();
-                if let Some(&(last, _)) = monitor.get(&party) {
-                    if last >= seq {
-                        shared.rec.incr(MetricId::MonitorStaleDeltas, 1);
-                        return Frame::Ok;
-                    }
-                }
+            // and late reordering harmless. The lock is held from the
+            // check through the install, so a racing duplicate on
+            // another dispatch worker sees the new sequence.
+            let mut referee = shared.referee.lock().unwrap();
+            let last = referee.get(&party).and_then(|e| e.delta);
+            if last.is_some_and(|(last, _)| last >= seq) {
+                shared.rec.incr(MetricId::MonitorStaleDeltas, 1);
+                return Frame::Ok;
             }
             match PartySynopsis::decode(kind, &bytes) {
                 Ok(syn) => {
-                    // Lock order: referee before monitor, and re-check
-                    // the sequence under the lock so a racing duplicate
-                    // dispatched on another worker cannot double-install.
-                    let mut referee = shared.referee.lock().unwrap();
-                    let mut monitor = shared.monitor.lock().unwrap();
-                    match monitor.get(&party) {
-                        Some(&(last, _)) if last >= seq => {
-                            shared.rec.incr(MetricId::MonitorStaleDeltas, 1);
-                        }
-                        _ => {
-                            monitor.insert(party, (seq, slack));
-                            referee.insert(party, syn);
-                            shared.rec.incr(MetricId::MonitorPushes, 1);
-                            shared
-                                .rec
-                                .incr(MetricId::MonitorPushBytes, bytes.len() as u64);
-                        }
-                    }
+                    let delta = Some((seq, slack));
+                    referee.insert(party, RefereeEntry { syn, delta });
+                    shared.rec.incr(MetricId::MonitorPushes, 1);
+                    shared
+                        .rec
+                        .incr(MetricId::MonitorPushBytes, bytes.len() as u64);
                     Frame::Ok
                 }
                 Err(e) => Frame::ErrorResp(WaveError::io(std::io::Error::new(
@@ -994,15 +988,20 @@ fn dispatch<R: Recorder + Send + Sync + 'static>(
         Frame::Combine { window } => {
             let referee = shared.referee.lock().unwrap();
             let mut reports = Vec::with_capacity(referee.len());
-            for syn in referee.values() {
-                match syn.query(window) {
+            for entry in referee.values() {
+                match entry.syn.query(window) {
                     Ok(est) => reports.push(est),
                     Err(e) => return Frame::ErrorResp(e),
                 }
             }
             // The same additive combine rule the in-process scenario
-            // drivers use (waves-distributed).
-            Frame::EstimateResp(combine_estimates(reports))
+            // drivers use (waves-distributed). It saturates rather
+            // than wraps: a total past u64 is refused, not answered.
+            let total = combine_estimates(reports);
+            if total.hi == u64::MAX {
+                return Frame::ErrorResp(WaveError::TooManyItemsInWindow { bound: u64::MAX });
+            }
+            Frame::EstimateResp(total)
         }
         // A response frame arriving as a request is a protocol error.
         Frame::Ok

@@ -315,3 +315,63 @@ fn fresh_connection_after_failure_works() {
     client.flush().unwrap();
     assert_eq!(client.query(3, 64).unwrap().value, 1.0);
 }
+
+/// Referee arithmetic faces wire input: four syntactically valid
+/// `DetWave` encodes each claiming 2^62 ones sum to 2^64. The combine
+/// must answer a typed error — not wrap to `exact 0`, not panic the
+/// dispatch worker — and the connection must keep serving afterwards.
+#[test]
+fn combine_total_past_u64_is_a_typed_error_not_a_wrapped_answer() {
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            // One worker: a panicked dispatch would leave nobody to
+            // answer the PING below.
+            dispatch_threads: 1,
+            read_timeout: None,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let cfg = ClientConfig {
+        retry: RetryPolicy::none(),
+        ..fast_cfg()
+    };
+    let mut client = Client::connect_with(server.local_addr(), cfg).unwrap();
+    // DetWave::encode's layout with max_window = pos = 2^62, no expired
+    // rank and no stored entries: query_max is exact(rank).
+    let huge = 1u64 << 62;
+    let claiming = |rank: u64| {
+        let mut w = waves::codec::BitWriter::new();
+        w.write_gamma(huge); // max_window
+        w.write_gamma(4); // k
+        w.write_gamma0(huge); // pos
+        w.write_gamma0(rank);
+        w.write_gamma0(0); // r1
+        w.write_gamma0(0); // entries
+        w.finish()
+    };
+    let decoded = DetWave::decode(&claiming(huge)).unwrap();
+    assert_eq!(decoded.query_max(), waves::Estimate::exact(huge));
+    for party in 0..4 {
+        client
+            .push_synopsis(party, SynopsisKind::DetWave, claiming(huge))
+            .unwrap();
+    }
+    let t0 = Instant::now();
+    let err = client.combine(huge).unwrap_err();
+    assert!(
+        matches!(err, WaveError::TooManyItemsInWindow { .. }),
+        "{err:?}"
+    );
+    assert!(t0.elapsed() < HANG_BUDGET, "took {:?}", t0.elapsed());
+    client
+        .ping()
+        .expect("dispatch worker survived the overflow");
+    // Three parties still fit: the guard refuses only what overflows.
+    client
+        .push_synopsis(3, SynopsisKind::DetWave, claiming(1))
+        .unwrap();
+    let fits = client.combine(huge).unwrap();
+    assert_eq!(fits, waves::Estimate::exact(3 * huge + 1));
+}

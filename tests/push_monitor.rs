@@ -13,7 +13,7 @@ use std::sync::Arc;
 use waves::net::{Client, Frame, Server, ServerConfig, SynopsisKind, WireCodec};
 use waves::obs::{MetricId, MetricsRegistry};
 use waves::streamgen::KeyedWorkload;
-use waves::{combine_estimates, EngineConfig, ExactCount, MonitorConfig, PushParty};
+use waves::{combine_estimates, DetWave, EngineConfig, ExactCount, MonitorConfig, PushParty};
 
 const WINDOW: u64 = 128;
 const EPS: f64 = 0.2;
@@ -31,6 +31,9 @@ fn start_referee(registry: &Arc<MetricsRegistry>) -> Server<MetricsRegistry> {
                 .eps(EPS)
                 .build(),
             read_timeout: None,
+            // More than one dispatch worker, so concurrent frames for
+            // one party really do race on the referee.
+            dispatch_threads: 4,
             ..Default::default()
         },
         Arc::clone(registry),
@@ -165,5 +168,71 @@ fn forced_flush_restores_exact_agreement_over_tcp() {
     let push = client.combine(WINDOW).expect("combine");
     let pull = combine_estimates(parties.iter().map(|p| p.local().query_max()));
     assert_eq!(push, pull, "flushed referee still disagrees with pull");
+    server.shutdown();
+}
+
+/// The referee keeps one slot per party: the same `PUSH_DELTA{party,
+/// seq}` raced over many connections installs exactly once, and a
+/// pull-mode `PUSH_SYNOPSIS` for that party replaces the synopsis
+/// without lowering the delta high-water mark — so a replayed older
+/// delta still cannot overwrite it.
+#[test]
+fn concurrent_duplicate_deltas_install_once_and_pull_pushes_keep_the_seq() {
+    const CONNS: usize = 8;
+    let wave_with = |ones: u64| {
+        let mut w = DetWave::new(WINDOW, EPS).unwrap();
+        (0..ones).for_each(|_| w.push_bit(true));
+        w
+    };
+    let registry = Arc::new(MetricsRegistry::new());
+    let server = start_referee(&registry);
+    let addr = server.local_addr();
+    let delta_bytes = wave_with(5).encode();
+    let barrier = std::sync::Barrier::new(CONNS);
+    std::thread::scope(|scope| {
+        for _ in 0..CONNS {
+            scope.spawn(|| {
+                let mut client = Client::connect(addr).expect("client connect");
+                barrier.wait();
+                client
+                    .push_delta(7, 5, 0.0, SynopsisKind::DetWave, delta_bytes.clone())
+                    .expect("duplicate delta is answered Ok");
+            });
+        }
+    });
+    assert_eq!(registry.counter(MetricId::MonitorPushes), 1);
+    assert_eq!(
+        registry.counter(MetricId::MonitorStaleDeltas),
+        CONNS as u64 - 1
+    );
+    assert_eq!(server.monitor_seq_of(7), Some(5));
+    assert_eq!(server.referee_parties(), 1);
+
+    let mut client = Client::connect(addr).expect("client connect");
+    assert_eq!(client.combine(WINDOW).unwrap(), wave_with(5).query_max());
+    client.push_det_wave(7, &wave_with(9)).expect("pull push");
+    assert_eq!(server.monitor_seq_of(7), Some(5), "pull push reset the seq");
+    let pulled = client.combine(WINDOW).unwrap();
+    assert_eq!(pulled, wave_with(9).query_max());
+    for stale_seq in [4, 5] {
+        client
+            .push_delta(
+                7,
+                stale_seq,
+                0.0,
+                SynopsisKind::DetWave,
+                delta_bytes.clone(),
+            )
+            .expect("stale delta is answered Ok");
+        assert_eq!(client.combine(WINDOW).unwrap(), pulled, "seq {stale_seq}");
+    }
+    assert_eq!(server.monitor_seq_of(7), Some(5));
+    assert_eq!(registry.counter(MetricId::MonitorPushes), 1);
+    // A genuinely newer delta still advances the party.
+    client
+        .push_delta(7, 6, 0.0, SynopsisKind::DetWave, delta_bytes)
+        .expect("newer delta");
+    assert_eq!(server.monitor_seq_of(7), Some(6));
+    assert_eq!(client.combine(WINDOW).unwrap(), wave_with(5).query_max());
     server.shutdown();
 }
