@@ -11,8 +11,8 @@
 //!   for the maximum window, `O((1/eps) log^2(eps N))` bits;
 //! * [`SumWave`] — the sum of integers in `[0..R]` (Section 3.3,
 //!   Theorem 3), again O(1) worst case per item;
-//! * [`TimestampWave`] — sliding windows with duplicated positions
-//!   (Corollary 1);
+//! * [`TimestampWave`] / [`TimestampSumWave`] — counts and sums over
+//!   sliding windows with duplicated positions (Corollary 1);
 //! * [`NthRecentWave`] — the position of the `n`-th most recent 1
 //!   (Section 5);
 //! * [`SlidingAverage`] — the sum/count composition (Section 5);
@@ -44,6 +44,7 @@ pub mod error;
 pub mod estimate;
 pub mod exact;
 pub mod histogram;
+mod ladder;
 pub mod level;
 pub mod nth_recent;
 pub mod space;
@@ -328,6 +329,82 @@ mod proptests {
             let est = w.query(n).unwrap();
             prop_assert!(est.brackets(actual));
             prop_assert!(est.relative_error(actual) <= 0.25 + 1e-9);
+        }
+    }
+
+    /// What the mutated-valid fuzz asks of one codec: `decode` may
+    /// refuse the bytes, but whatever it accepts answers every window
+    /// with `lo <= value <= hi`, and re-encodes to bytes that decode to
+    /// the same answers. Evaluates to the accepted wave, if any. A macro
+    /// because the four types share these method names, not a trait; `k`
+    /// is the header's last field, after `$params_before_k` others.
+    macro_rules! check_mutant {
+        ($wave:ty, $params_before_k:expr, $bytes:expr) => {{
+            let bytes: Vec<u8> = $bytes;
+            // Known and left open (ROADMAP 4(a)): the decoder sizes its
+            // queues from `k` before it reads an entry, so a mutated `k`
+            // near 2^32 asks for gigabytes. Keep the fuzz's memory small.
+            let mut header = codec::BitReader::new(&bytes);
+            let k = (0..=$params_before_k).map(|_| header.read_gamma()).last();
+            let accepted = match k {
+                Some(Ok(k)) if k <= 1 << 12 => <$wave>::decode(&bytes).ok(),
+                _ => None,
+            };
+            if let Some(w) = &accepted {
+                let again = <$wave>::decode(&w.encode()).expect("an accepted wave re-encodes");
+                for n in [1, w.max_window() / 2 + 1, w.max_window()] {
+                    let est = w.query(n).expect("n <= max_window");
+                    prop_assert!(
+                        est.lo as f64 <= est.value && est.value <= est.hi as f64,
+                        "n={n}: {est:?}"
+                    );
+                    prop_assert_eq!(again.query(n).unwrap(), est, "n={}", n);
+                }
+            }
+            accepted
+        }};
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Mutated-valid fuzz of the one wave decoder through its four
+        /// wrappers: a real encoding with 1-3 bits flipped is mostly
+        /// still well-framed, so it reaches the per-entry invariant
+        /// checks that random bytes (above) almost never get to.
+        #[test]
+        fn codec_survives_mutated_valid_encodings(
+            steps in prop::collection::vec((0u64..3, 0u64..=50), 1..400),
+            inv_eps in 2u64..=8,
+            n_max in 8u64..=128,
+            flips in prop::collection::vec(any::<u64>(), 1..=3),
+        ) {
+            let eps = 1.0 / inv_eps as f64;
+            let mut det = DetWave::new(n_max, eps).unwrap();
+            let mut sum = SumWave::new(n_max, 50, eps).unwrap();
+            let mut ts = TimestampWave::new(n_max, 2_048, eps).unwrap();
+            let mut ts_sum = TimestampSumWave::new(n_max, 2_048, 50, eps).unwrap();
+            let mut t = 1u64;
+            for &(dt, v) in &steps {
+                t += dt;
+                det.push_bit(v % 2 == 1);
+                sum.push_value(v).unwrap();
+                ts.push(t, v % 2 == 1).unwrap();
+                ts_sum.push(t, v).unwrap();
+            }
+            let mutate = |mut bytes: Vec<u8>| {
+                for f in &flips {
+                    let bit = (f % (bytes.len() as u64 * 8)) as usize;
+                    bytes[bit / 8] ^= 0x80 >> (bit % 8);
+                }
+                bytes
+            };
+            if let Some(w) = check_mutant!(DetWave, 1, mutate(det.encode())) {
+                let _ = w.profile();
+            }
+            check_mutant!(SumWave, 2, mutate(sum.encode()));
+            check_mutant!(TimestampWave, 2, mutate(ts.encode()));
+            check_mutant!(TimestampSumWave, 3, mutate(ts_sum.encode()));
         }
     }
 }

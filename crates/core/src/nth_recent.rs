@@ -11,81 +11,41 @@
 //! `max_age` (the paper's `m`) bounds how far back the wave can resolve:
 //! the synopsis uses `O((1/eps) log^2(eps * m))` bits.
 
-use crate::basic_wave::wave_levels;
-use crate::chain::{Chain, Fifo};
 use crate::error::WaveError;
 use crate::estimate::{Estimate, SpaceReport};
+use crate::ladder::{k_for_eps, Ladder};
 use crate::level::rank_level;
-use crate::space::{delta_coded_bits, elias_gamma_bits};
-use crate::window::ModRing;
-
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    pos: u64,
-    /// Number of 1's in the stream prefix `[1, pos]`.
-    prefix_rank: u64,
-    level: u8,
-}
 
 /// Deterministic wave estimating the position (equivalently the age) of
 /// the `n`-th most recent 1-bit.
 #[derive(Debug, Clone)]
 pub struct NthRecentWave {
-    max_age: u64,
     eps: f64,
-    num_levels: u32,
-    ring: ModRing,
-    pos: u64,
-    rank: u64,
-    /// Prefix rank of the most recently expired stored position.
-    expired_rank: u64,
-    /// Position of the most recently expired stored position.
+    /// Position of the most recently expired stored position (its prefix
+    /// rank is the ladder's boundary).
     expired_pos: u64,
-    chain: Chain<Entry>,
-    queues: Vec<Fifo>,
+    /// Entries are `(position, number of 1's in the prefix [1, position])`;
+    /// the maximum window is `max_age`.
+    ladder: Ladder<()>,
 }
 
 impl NthRecentWave {
     /// Build a wave that can locate 1's up to `max_age` positions back.
     pub fn new(max_age: u64, eps: f64) -> Result<Self, WaveError> {
-        if !(eps > 0.0 && eps < 1.0) {
-            return Err(WaveError::InvalidEpsilon(eps));
-        }
+        let k = k_for_eps(eps)?;
         if max_age == 0 || max_age > 1 << 62 {
             return Err(WaveError::InvalidWindow(max_age));
         }
-        let k = (1.0 / eps).ceil() as u64;
-        let num_levels = wave_levels(max_age, k);
-        let lower_cap = ((k + 1).div_ceil(2)) as usize;
-        let top_cap = (k + 1) as usize;
-        let mut queues = Vec::with_capacity(num_levels as usize);
-        let mut total_cap = 0usize;
-        for lvl in 0..num_levels {
-            let cap = if lvl + 1 == num_levels {
-                top_cap
-            } else {
-                lower_cap
-            };
-            total_cap += cap;
-            queues.push(Fifo::new(cap));
-        }
         Ok(NthRecentWave {
-            max_age,
             eps,
-            num_levels,
-            ring: ModRing::for_window(max_age),
-            pos: 0,
-            rank: 0,
-            expired_rank: 0,
             expired_pos: 0,
-            chain: Chain::with_capacity(total_cap),
-            queues,
+            ladder: Ladder::new(max_age, k, max_age, (k + 1).div_ceil(2)),
         })
     }
 
     /// How far back (in positions) the wave can resolve.
     pub fn max_age(&self) -> u64 {
-        self.max_age
+        self.ladder.max_window()
     }
 
     /// The configured error bound.
@@ -95,45 +55,22 @@ impl NthRecentWave {
 
     /// Stream length so far.
     pub fn pos(&self) -> u64 {
-        self.pos
+        self.ladder.pos()
     }
 
     /// Total 1's so far.
     pub fn rank(&self) -> u64 {
-        self.rank
+        self.ladder.total()
     }
 
     /// Process the next stream bit. Every position is stored (level keyed
     /// by the position, not the 1-rank) — O(1) worst case.
     pub fn push_bit(&mut self, b: bool) {
-        self.pos += 1;
-        if b {
-            self.rank += 1;
+        let pos = self.pos() + 1;
+        if let Some(e) = self.ladder.advance(pos) {
+            self.expired_pos = e.pos;
         }
-        // Expire stored positions older than max_age.
-        while let Some(h) = self.chain.head() {
-            let e = *self.chain.get(h);
-            if e.pos + self.max_age <= self.pos {
-                self.expired_rank = e.prefix_rank;
-                self.expired_pos = e.pos;
-                let popped = self.queues[e.level as usize].pop_front();
-                debug_assert_eq!(popped, Some(h));
-                self.chain.remove(h);
-            } else {
-                break;
-            }
-        }
-        let j = rank_level(self.pos).min(self.num_levels - 1) as usize;
-        if self.queues[j].is_full() {
-            let old = self.queues[j].pop_front().expect("full queue has a front");
-            self.chain.remove(old);
-        }
-        let id = self.chain.push_back(Entry {
-            pos: self.pos,
-            prefix_rank: self.rank,
-            level: j as u8,
-        });
-        self.queues[j].push_back(id);
+        self.ladder.insert(rank_level(pos), b as u64);
     }
 
     /// Estimate the *age* of the `n`-th most recent 1 — the number of
@@ -148,16 +85,16 @@ impl NthRecentWave {
     ///   `max_age`, beyond the synopsis's resolution.
     pub fn query_age(&self, n: u64) -> Result<Option<Estimate>, WaveError> {
         assert!(n >= 1, "n must be at least 1");
-        if n > self.rank {
+        if n > self.rank() {
             return Ok(None);
         }
         // The target is the 1 with 1-rank t.
-        let t = self.rank - n + 1;
-        if t <= self.expired_rank {
+        let t = self.rank() - n + 1;
+        if t <= self.ladder.boundary() {
             // The target 1 lies at or before the last expired position.
             return Err(WaveError::WindowTooLarge {
                 requested: n,
-                max: self.max_age,
+                max: self.max_age(),
             });
         }
         // Walk oldest-to-newest for the bracketing pair: the last stored
@@ -165,8 +102,8 @@ impl NthRecentWave {
         // expired boundary) and the first with prefix_rank >= t.
         let mut pa = self.expired_pos; // target is strictly after pa
         let mut pb: Option<u64> = None;
-        for (_, e) in self.chain.iter() {
-            if e.prefix_rank < t {
+        for e in self.ladder.entries() {
+            if e.cum < t {
                 pa = e.pos;
             } else {
                 pb = Some(e.pos);
@@ -177,28 +114,15 @@ impl NthRecentWave {
         // prefix_rank equals self.rank >= t: pb always exists.
         let pb = pb.expect("newest position is always stored");
         // Target position is in (pa, pb] => age in [pos - pb, pos - pa - 1].
-        let lo = self.pos - pb;
-        let hi = self.pos - pa - 1;
+        let lo = self.pos() - pb;
+        let hi = self.pos() - pa - 1;
         Ok(Some(Estimate::midpoint(lo, hi)))
     }
 
-    /// Space accounting (see [`SpaceReport`]).
+    /// Space accounting (see [`SpaceReport`]); the expired position is
+    /// a fourth counter.
     pub fn space_report(&self) -> SpaceReport {
-        let resident_bytes = std::mem::size_of::<Self>()
-            + self.chain.heap_bytes()
-            + self.queues.iter().map(Fifo::heap_bytes).sum::<usize>();
-        let counter_bits = self.ring.counter_bits() as u64;
-        let positions = self.chain.iter().map(|(_, e)| e.pos);
-        let ranks = self.chain.iter().map(|(_, e)| e.prefix_rank);
-        let synopsis_bits = 4 * counter_bits
-            + delta_coded_bits(positions)
-            + delta_coded_bits(ranks)
-            + self.chain.len() as u64 * elias_gamma_bits(self.num_levels as u64 + 1);
-        SpaceReport {
-            resident_bytes,
-            synopsis_bits,
-            entries: self.chain.len(),
-        }
+        self.ladder.space_report(std::mem::size_of::<Self>(), 4)
     }
 }
 

@@ -11,39 +11,21 @@
 //! histogram, which splits the same item across up to
 //! `O(log N + log R)` buckets.
 
-use crate::basic_wave::wave_levels;
-use crate::chain::{Chain, Fifo};
+use crate::codec::{BitReader, BitWriter, CodecError};
 use crate::error::WaveError;
 use crate::estimate::{Estimate, SpaceReport};
+use crate::ladder::{k_for_eps, read_k, Ladder, Positions};
 use crate::level::sum_level;
-use crate::space::{delta_coded_bits, elias_gamma_bits};
-use crate::window::ModRing;
-
-/// One stored entry: position, item value, and the running total
-/// inclusive of the item (the paper's `(p, v, z)` triple).
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    pos: u64,
-    v: u64,
-    z: u64,
-    level: u8,
-}
 
 /// Deterministic wave for the sum of bounded integers in a sliding
 /// window (Theorem 3).
 #[derive(Debug, Clone)]
 pub struct SumWave {
-    max_window: u64,
     max_value: u64,
     eps: f64,
-    num_levels: u32,
-    ring: ModRing,
-    pos: u64,
-    total: u64,
-    /// Largest partial sum expired from the wave (0 if none yet).
-    z1: u64,
-    chain: Chain<Entry>,
-    queues: Vec<Fifo>,
+    /// Entries are the paper's `(p, v, z)` triples: position, item value
+    /// and the running total inclusive of the item.
+    ladder: Ladder<u64>,
 }
 
 /// Builder for [`SumWave`] — the preferred construction surface.
@@ -84,13 +66,10 @@ impl SumWaveBuilder {
 
     /// Validate the configuration and build the wave.
     pub fn build(self) -> Result<SumWave, WaveError> {
-        if !(self.eps > 0.0 && self.eps < 1.0) {
-            return Err(WaveError::InvalidEpsilon(self.eps));
-        }
         SumWave::with_k(
             self.max_window,
             self.max_value,
-            (1.0 / self.eps).ceil() as u64,
+            k_for_eps(self.eps)?,
             self.eps,
         )
     }
@@ -117,12 +96,10 @@ impl SumWave {
             .build()
     }
 
-    /// Build from the integer parameter `k = ceil(1/eps)` directly (used
-    /// by [`SumWave::decode`]; the f64 `eps -> k` map is not injective).
+    /// Build from the integer parameter `k = ceil(1/eps)` (validated by
+    /// [`k_for_eps`] or [`read_k`]). The largest window sum `N * R`
+    /// drives the level count, and every level holds `k + 1` entries.
     fn with_k(max_window: u64, max_value: u64, k: u64, eps: f64) -> Result<Self, WaveError> {
-        if k == 0 || k > 1 << 32 {
-            return Err(WaveError::InvalidEpsilon(eps));
-        }
         if max_window == 0 {
             return Err(WaveError::InvalidWindow(0));
         }
@@ -133,27 +110,16 @@ impl SumWave {
             .checked_mul(max_value)
             .filter(|&x| x <= 1 << 62)
             .ok_or(WaveError::InvalidWindow(max_window))?;
-        let num_levels = wave_levels(nr, k);
-        let cap = (k + 1) as usize;
-        let queues: Vec<Fifo> = (0..num_levels).map(|_| Fifo::new(cap)).collect();
-        let total_cap = cap * num_levels as usize;
         Ok(SumWave {
-            max_window,
             max_value,
             eps,
-            num_levels,
-            ring: ModRing::for_window(nr),
-            pos: 0,
-            total: 0,
-            z1: 0,
-            chain: Chain::with_capacity(total_cap),
-            queues,
+            ladder: Ladder::new(max_window, k, nr, k + 1),
         })
     }
 
     /// Maximum window size `N`.
     pub fn max_window(&self) -> u64 {
-        self.max_window
+        self.ladder.max_window()
     }
 
     /// Value bound `R`.
@@ -168,22 +134,22 @@ impl SumWave {
 
     /// Number of levels `ceil(log2(2 eps N R))`.
     pub fn num_levels(&self) -> u32 {
-        self.num_levels
+        self.ladder.num_levels()
     }
 
     /// Stream length so far.
     pub fn pos(&self) -> u64 {
-        self.pos
+        self.ladder.pos()
     }
 
     /// Running total of all items seen.
     pub fn total(&self) -> u64 {
-        self.total
+        self.ladder.total()
     }
 
     /// Number of entries currently stored.
     pub fn entries(&self) -> usize {
-        self.chain.len()
+        self.ladder.len()
     }
 
     /// Process the next item — O(1) worst case (Figure 5).
@@ -211,11 +177,10 @@ impl SumWave {
                 max: self.max_value,
             });
         }
-        self.pos += 1;
-        let live_before = self.chain.len();
-        self.expire();
+        let live_before = self.ladder.len();
+        self.ladder.advance(self.ladder.pos() + 1);
         rec.incr(MetricId::WavePushesTotal, 1);
-        let expired = (live_before - self.chain.len()) as u64;
+        let expired = (live_before - self.ladder.len()) as u64;
         if expired > 0 {
             rec.incr(MetricId::WaveEntriesExpired, expired);
         }
@@ -223,188 +188,75 @@ impl SumWave {
             rec.incr(MetricId::WaveOnesTotal, 1);
             rec.incr(MetricId::WaveLevelOracleCalls, 1);
             // Level from the pre-update total (step 3(a) of Figure 5).
-            let j = sum_level(self.total, v).min(self.num_levels - 1) as usize;
-            self.total += v;
-            if self.queues[j].is_full() {
-                let old = self.queues[j].pop_front().expect("full queue has a front");
-                self.chain.remove(old);
+            let level = sum_level(self.ladder.total(), v);
+            if self.ladder.insert(level, v).is_some() {
                 rec.incr(MetricId::WaveEntriesEvicted, 1);
             }
-            let id = self.chain.push_back(Entry {
-                pos: self.pos,
-                v,
-                z: self.total,
-                level: j as u8,
-            });
-            self.queues[j].push_back(id);
             rec.incr(MetricId::WaveEntriesStored, 1);
         }
         Ok(())
     }
 
-    fn expire(&mut self) {
-        while let Some(h) = self.chain.head() {
-            let e = *self.chain.get(h);
-            if e.pos + self.max_window <= self.pos {
-                self.z1 = e.z;
-                let popped = self.queues[e.level as usize].pop_front();
-                debug_assert_eq!(popped, Some(h));
-                self.chain.remove(h);
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Estimate the sum over the maximum window `N` in O(1).
+    /// Estimate the sum over the maximum window `N` in O(1): the walk of
+    /// [`SumWave::query`] stops at the list head.
     pub fn query_max(&self) -> Estimate {
-        if self.max_window >= self.pos {
-            return Estimate::exact(self.total);
-        }
-        let Some(h) = self.chain.head() else {
-            return Estimate::exact(0);
-        };
-        let e = self.chain.get(h);
-        let s = self.pos - self.max_window + 1;
-        if e.pos == s {
-            return Estimate::exact(self.total - e.z + e.v);
-        }
-        sum_estimate(self.total, self.z1, e.v, e.z)
+        self.window(self.max_window())
     }
 
     /// Estimate the sum over any window `n <= N` by walking the
     /// position-ordered list.
     pub fn query(&self, n: u64) -> Result<Estimate, WaveError> {
-        if n > self.max_window {
+        if n > self.max_window() {
             return Err(WaveError::WindowTooLarge {
                 requested: n,
-                max: self.max_window,
+                max: self.max_window(),
             });
         }
-        if n == self.max_window {
-            return Ok(self.query_max());
+        Ok(self.window(n))
+    }
+
+    /// The estimate for a window `n <= N`.
+    fn window(&self, n: u64) -> Estimate {
+        let (pos, total) = (self.pos(), self.total());
+        if n >= pos {
+            return Estimate::exact(total);
         }
-        if n >= self.pos {
-            return Ok(Estimate::exact(self.total));
+        let s = pos - n + 1;
+        match self.ladder.straddle(s) {
+            (_, None) => Estimate::exact(0),
+            // Positions never repeat: a stored item at s is the window's first.
+            (_, Some(e)) if e.pos == s => Estimate::exact(total - e.cum + e.weight),
+            (z1, Some(e)) => sum_estimate(total, z1, e.weight, e.cum),
         }
-        let s = self.pos - n + 1;
-        let mut z1 = self.z1;
-        let mut first_in: Option<Entry> = None;
-        for (_, e) in self.chain.iter() {
-            if e.pos < s {
-                z1 = e.z;
-            } else {
-                first_in = Some(*e);
-                break;
-            }
-        }
-        let Some(e) = first_in else {
-            return Ok(Estimate::exact(0));
-        };
-        if e.pos == s {
-            return Ok(Estimate::exact(self.total - e.z + e.v));
-        }
-        Ok(sum_estimate(self.total, z1, e.v, e.z))
     }
 
     /// Serialize into the compact bit encoding (see
     /// [`crate::det_wave::DetWave::encode`] for the scheme; the sum wave
     /// additionally gamma-codes each entry's value).
     pub fn encode(&self) -> Vec<u8> {
-        use crate::codec::{write_deltas, BitWriter};
         let mut w = BitWriter::new();
-        w.write_gamma(self.max_window);
+        w.write_gamma(self.max_window());
         w.write_gamma(self.max_value);
-        w.write_gamma((1.0 / self.eps).ceil() as u64);
-        w.write_gamma0(self.pos);
-        w.write_gamma0(self.total);
-        w.write_gamma0(self.z1);
-        w.write_gamma0(self.chain.len() as u64);
-        let positions: Vec<u64> = self.chain.iter().map(|(_, e)| e.pos).collect();
-        let sums: Vec<u64> = self.chain.iter().map(|(_, e)| e.z).collect();
-        write_deltas(&mut w, &positions);
-        write_deltas(&mut w, &sums);
-        for (_, e) in self.chain.iter() {
-            w.write_gamma(e.v);
-            w.write_gamma0(e.level as u64);
-        }
+        w.write_gamma(self.ladder.k());
+        self.ladder.encode_body(&mut w);
         w.finish()
     }
 
     /// Reconstruct a synopsis from [`SumWave::encode`] output.
-    pub fn decode(bytes: &[u8]) -> Result<Self, crate::codec::CodecError> {
-        use crate::codec::{read_deltas, BitReader, CodecError};
+    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut r = BitReader::new(bytes);
         let max_window = r.read_gamma()?;
         let max_value = r.read_gamma()?;
-        let k = r.read_gamma()?;
-        if k == 0 || k > 1 << 32 {
-            return Err(CodecError::Corrupt("bad k"));
-        }
+        let k = read_k(&mut r)?;
         let mut wave = SumWave::with_k(max_window, max_value, k, 1.0 / k as f64)?;
-        wave.pos = r.read_gamma0()?;
-        wave.total = r.read_gamma0()?;
-        wave.z1 = r.read_gamma0()?;
-        if wave.pos > 1 << 62 || wave.total > 1 << 62 || wave.z1 > wave.total {
-            return Err(CodecError::Corrupt("counters inconsistent"));
-        }
-        let count = r.read_gamma0()? as usize;
-        let positions = read_deltas(&mut r, count)?;
-        let sums = read_deltas(&mut r, count)?;
-        let mut prev = (0u64, 0u64);
-        for i in 0..count {
-            let v = r.read_gamma()?;
-            let level = r.read_gamma0()?;
-            if level >= wave.num_levels as u64 {
-                return Err(CodecError::Corrupt("level out of range"));
-            }
-            let (p, z) = (positions[i], sums[i]);
-            if p > wave.pos || z > wave.total || v > max_value || v > z {
-                return Err(CodecError::Corrupt("entry beyond counters"));
-            }
-            // Entries must be live and consistent with the expired
-            // boundary: z1 <= z - v (the estimator's invariant).
-            if p + max_window <= wave.pos || z - v < wave.z1 {
-                return Err(CodecError::Corrupt("entry already expired"));
-            }
-            if i > 0 && (p <= prev.0 || z <= prev.1) {
-                return Err(CodecError::Corrupt("entries not increasing"));
-            }
-            prev = (p, z);
-            if wave.queues[level as usize].is_full() {
-                return Err(CodecError::Corrupt("level queue overflow"));
-            }
-            let id = wave.chain.push_back(Entry {
-                pos: p,
-                v,
-                z,
-                level: level as u8,
-            });
-            wave.queues[level as usize].push_back(id);
-        }
+        wave.ladder
+            .decode_body(&mut r, Positions::Sequence, max_value)?;
         Ok(wave)
     }
 
     /// Space accounting (see [`SpaceReport`]).
     pub fn space_report(&self) -> SpaceReport {
-        let resident_bytes = std::mem::size_of::<Self>()
-            + self.chain.heap_bytes()
-            + self.queues.iter().map(Fifo::heap_bytes).sum::<usize>();
-        let counter_bits = self.ring.counter_bits() as u64;
-        let positions = self.chain.iter().map(|(_, e)| e.pos);
-        let sums = self.chain.iter().map(|(_, e)| e.z);
-        let value_bits: u64 = self
-            .chain
-            .iter()
-            .map(|(_, e)| elias_gamma_bits(e.v + 1))
-            .sum();
-        let synopsis_bits =
-            3 * counter_bits + delta_coded_bits(positions) + delta_coded_bits(sums) + value_bits;
-        SpaceReport {
-            resident_bytes,
-            synopsis_bits,
-            entries: self.chain.len(),
-        }
+        self.ladder.space_report(std::mem::size_of::<Self>(), 3)
     }
 }
 
@@ -598,14 +450,20 @@ mod tests {
 
     #[test]
     fn roundtrip_survives_non_injective_eps_to_k() {
-        // Regression: k=49-class eps values must decode losslessly.
-        let mut w = SumWave::new(50, 1, 1.0 / 48.5).unwrap();
-        for i in 0..200u64 {
-            w.push_value(i % 2).unwrap();
+        // Regression: k=49-class eps values must decode losslessly on
+        // every hop (N * R = (k+1) * 2^4 sits on a level boundary: a k
+        // that drifted to k + 1 would lose the top level).
+        for &k in &[49u64, 98, 103, 107, 196] {
+            let mut w = SumWave::new((k + 1) * 2, 8, 1.0 / (k as f64 - 0.5)).unwrap();
+            for _ in 0..(k + 1) * 2 {
+                w.push_value(8).unwrap();
+            }
+            let w1 = SumWave::decode(&w.encode()).expect("valid encode must decode");
+            assert_eq!(w1.encode(), w.encode(), "k={k}: second hop");
+            let w2 = SumWave::decode(&w1.encode()).unwrap_or_else(|e| panic!("k={k}: {e}"));
+            assert_eq!(w.query_max(), w2.query_max());
+            assert_eq!(w.num_levels(), w2.num_levels());
         }
-        let w2 = SumWave::decode(&w.encode()).expect("valid encode must decode");
-        assert_eq!(w.query_max(), w2.query_max());
-        assert_eq!(w.num_levels(), w2.num_levels());
     }
 
     #[test]
@@ -616,6 +474,16 @@ mod tests {
         }
         let bytes = w.encode();
         assert!(SumWave::decode(&bytes[..bytes.len() / 3]).is_err());
+    }
+
+    #[test]
+    fn decode_rejects_an_entry_overlapping_its_predecessor() {
+        // max_window 100, max_value 16.
+        let bytes = crate::ladder::overlapping_sum_entries(&[100, 16]);
+        assert_eq!(
+            SumWave::decode(&bytes).unwrap_err(),
+            CodecError::Corrupt("entries not increasing")
+        );
     }
 
     #[test]

@@ -19,93 +19,52 @@
 //!   boundary position may have been capacity-evicted, so claiming
 //!   exactness from the stored smallest rank alone would be unsound.
 
-use crate::basic_wave::{wave_estimate, wave_levels};
-use crate::chain::{Chain, Fifo};
+use crate::basic_wave::wave_estimate;
+use crate::codec::{BitReader, BitWriter, CodecError};
 use crate::error::WaveError;
 use crate::estimate::{Estimate, SpaceReport};
+use crate::ladder::{k_for_eps, read_k, Ladder, Positions};
 use crate::level::rank_level;
-use crate::space::{delta_coded_bits, elias_gamma_bits};
-use crate::window::ModRing;
-
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    pos: u64,
-    rank: u64,
-    level: u8,
-}
 
 /// Deterministic wave for Basic Counting over timestamped streams
 /// (Corollary 1): windows of up to `N` positions, at most `U` items per
 /// window, relative error `eps`.
 #[derive(Debug, Clone)]
 pub struct TimestampWave {
-    max_window: u64,
     max_items: u64,
     eps: f64,
-    num_levels: u32,
-    ring: ModRing,
-    /// Latest position observed (0 before any item).
-    cur: u64,
-    rank: u64,
-    /// Largest 1-rank expired (0 if none).
-    r1: u64,
-    chain: Chain<Entry>,
-    queues: Vec<Fifo>,
+    /// Entries are `(position, 1-rank)`; the clock is the latest position
+    /// observed (0 before any item).
+    ladder: Ladder<()>,
 }
 
 impl TimestampWave {
     /// Build a wave for windows of up to `max_window` positions with at
     /// most `max_items` stream items per window.
     pub fn new(max_window: u64, max_items: u64, eps: f64) -> Result<Self, WaveError> {
-        if !(eps > 0.0 && eps < 1.0) {
-            return Err(WaveError::InvalidEpsilon(eps));
-        }
-        Self::with_k(max_window, max_items, (1.0 / eps).ceil() as u64, eps)
+        Self::with_k(max_window, max_items, k_for_eps(eps)?, eps)
     }
 
-    /// Build from `k = ceil(1/eps)` directly (used by decode; the f64
-    /// `eps -> k` map is not injective).
+    /// Build from `k = ceil(1/eps)` (validated by [`k_for_eps`] or
+    /// [`read_k`]). The item bound `U`, not the window, drives the level
+    /// count.
     fn with_k(max_window: u64, max_items: u64, k: u64, eps: f64) -> Result<Self, WaveError> {
-        if k == 0 || k > 1 << 32 {
-            return Err(WaveError::InvalidEpsilon(eps));
-        }
         if max_window == 0 || max_items == 0 {
             return Err(WaveError::InvalidWindow(max_window.min(max_items)));
         }
         if max_window > 1 << 62 || max_items > 1 << 62 {
             return Err(WaveError::InvalidWindow(max_window.max(max_items)));
         }
-        let num_levels = wave_levels(max_items, k);
-        let lower_cap = ((k + 1).div_ceil(2)) as usize;
-        let top_cap = (k + 1) as usize;
-        let mut queues = Vec::with_capacity(num_levels as usize);
-        let mut total_cap = 0usize;
-        for lvl in 0..num_levels {
-            let cap = if lvl + 1 == num_levels {
-                top_cap
-            } else {
-                lower_cap
-            };
-            total_cap += cap;
-            queues.push(Fifo::new(cap));
-        }
         Ok(TimestampWave {
-            max_window,
             max_items,
             eps,
-            num_levels,
-            ring: ModRing::for_window(max_window.max(max_items)),
-            cur: 0,
-            rank: 0,
-            r1: 0,
-            chain: Chain::with_capacity(total_cap),
-            queues,
+            ladder: Ladder::new(max_window, k, max_items, (k + 1).div_ceil(2)),
         })
     }
 
     /// Maximum window size in positions.
     pub fn max_window(&self) -> u64 {
-        self.max_window
+        self.ladder.max_window()
     }
 
     /// The per-window item bound `U`.
@@ -120,43 +79,25 @@ impl TimestampWave {
 
     /// Latest position observed.
     pub fn current_position(&self) -> u64 {
-        self.cur
+        self.ladder.pos()
     }
 
     /// Number of 1's observed so far.
     pub fn rank(&self) -> u64 {
-        self.rank
+        self.ladder.total()
     }
 
     /// Number of entries currently stored.
     pub fn entries(&self) -> usize {
-        self.chain.len()
+        self.ladder.len()
     }
 
     /// Observe an item `(position, bit)`. Positions must be
     /// nondecreasing; gaps are allowed.
     pub fn push(&mut self, position: u64, bit: bool) -> Result<(), WaveError> {
-        if position < self.cur {
-            return Err(WaveError::PositionRegressed {
-                last: self.cur,
-                got: position,
-            });
-        }
-        self.cur = position;
-        self.expire();
+        self.advance_to(position)?;
         if bit {
-            self.rank += 1;
-            let j = rank_level(self.rank).min(self.num_levels - 1) as usize;
-            if self.queues[j].is_full() {
-                let old = self.queues[j].pop_front().expect("full queue has a front");
-                self.chain.remove(old);
-            }
-            let id = self.chain.push_back(Entry {
-                pos: position,
-                rank: self.rank,
-                level: j as u8,
-            });
-            self.queues[j].push_back(id);
+            self.ladder.insert(rank_level(self.rank() + 1), 1);
         }
         Ok(())
     }
@@ -164,152 +105,63 @@ impl TimestampWave {
     /// Advance the clock to `position` without observing an item (e.g. a
     /// heartbeat in a quiet period).
     pub fn advance_to(&mut self, position: u64) -> Result<(), WaveError> {
-        if position < self.cur {
+        if position < self.current_position() {
             return Err(WaveError::PositionRegressed {
-                last: self.cur,
+                last: self.current_position(),
                 got: position,
             });
         }
-        self.cur = position;
-        self.expire();
+        self.ladder.advance(position);
         Ok(())
-    }
-
-    fn expire(&mut self) {
-        while let Some(h) = self.chain.head() {
-            let e = *self.chain.get(h);
-            if e.pos + self.max_window <= self.cur {
-                self.r1 = e.rank;
-                let popped = self.queues[e.level as usize].pop_front();
-                debug_assert_eq!(popped, Some(h));
-                self.chain.remove(h);
-            } else {
-                break;
-            }
-        }
     }
 
     /// Estimate the number of 1's among items whose position lies in the
     /// last `n <= N` positions, i.e. in `[cur - n + 1, cur]`.
     pub fn query(&self, n: u64) -> Result<Estimate, WaveError> {
-        if n > self.max_window {
+        if n > self.max_window() {
             return Err(WaveError::WindowTooLarge {
                 requested: n,
-                max: self.max_window,
+                max: self.max_window(),
             });
         }
-        if n > self.cur || self.cur == 0 {
-            return Ok(Estimate::exact(self.rank));
+        let (cur, rank) = (self.current_position(), self.rank());
+        if n > cur || cur == 0 {
+            return Ok(Estimate::exact(rank));
         }
-        let s = self.cur - n + 1;
-        let mut r1 = self.r1;
-        let mut first_in: Option<Entry> = None;
-        for (_, e) in self.chain.iter() {
-            if e.pos < s {
-                // Entries are (position, rank)-ordered; the last one
-                // before s carries the largest rank at position p1.
-                r1 = e.rank;
-            } else {
-                first_in = Some(*e);
-                break;
-            }
-        }
-        let Some(e) = first_in else {
-            return Ok(Estimate::exact(0));
-        };
-        // With duplicated positions we never claim exactness from
-        // p2 == s alone (see module docs); wave_estimate still collapses
-        // to exact when the interval is a point.
-        Ok(wave_estimate(self.rank, r1, e.rank))
+        Ok(match self.ladder.straddle(cur - n + 1) {
+            (_, None) => Estimate::exact(0),
+            // With duplicated positions we never claim exactness from
+            // p2 == s alone (see module docs); wave_estimate still
+            // collapses to exact when the interval is a point.
+            (r1, Some(e)) => wave_estimate(rank, r1, e.cum),
+        })
     }
 
     /// Serialize into the compact bit encoding (scheme as in
     /// [`crate::det_wave::DetWave::encode`], with the `U` parameter).
     pub fn encode(&self) -> Vec<u8> {
-        use crate::codec::{write_deltas, BitWriter};
         let mut w = BitWriter::new();
-        w.write_gamma(self.max_window);
+        w.write_gamma(self.max_window());
         w.write_gamma(self.max_items);
-        w.write_gamma((1.0 / self.eps).ceil() as u64);
-        w.write_gamma0(self.cur);
-        w.write_gamma0(self.rank);
-        w.write_gamma0(self.r1);
-        w.write_gamma0(self.chain.len() as u64);
-        let positions: Vec<u64> = self.chain.iter().map(|(_, e)| e.pos).collect();
-        let ranks: Vec<u64> = self.chain.iter().map(|(_, e)| e.rank).collect();
-        write_deltas(&mut w, &positions);
-        write_deltas(&mut w, &ranks);
-        for (_, e) in self.chain.iter() {
-            w.write_gamma0(e.level as u64);
-        }
+        w.write_gamma(self.ladder.k());
+        self.ladder.encode_body(&mut w);
         w.finish()
     }
 
     /// Reconstruct a synopsis from [`TimestampWave::encode`] output.
-    pub fn decode(bytes: &[u8]) -> Result<Self, crate::codec::CodecError> {
-        use crate::codec::{read_deltas, BitReader, CodecError};
+    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut r = BitReader::new(bytes);
         let max_window = r.read_gamma()?;
         let max_items = r.read_gamma()?;
-        let k = r.read_gamma()?;
-        if k == 0 || k > 1 << 32 {
-            return Err(CodecError::Corrupt("bad k"));
-        }
+        let k = read_k(&mut r)?;
         let mut wave = TimestampWave::with_k(max_window, max_items, k, 1.0 / k as f64)?;
-        wave.cur = r.read_gamma0()?;
-        wave.rank = r.read_gamma0()?;
-        wave.r1 = r.read_gamma0()?;
-        if wave.cur > 1 << 62 || wave.rank > 1 << 62 || wave.r1 > wave.rank {
-            return Err(CodecError::Corrupt("counters inconsistent"));
-        }
-        let count = r.read_gamma0()? as usize;
-        let positions = read_deltas(&mut r, count)?;
-        let ranks = read_deltas(&mut r, count)?;
-        let mut prev_rank = 0u64;
-        for i in 0..count {
-            let level = r.read_gamma0()?;
-            if level >= wave.num_levels as u64 {
-                return Err(CodecError::Corrupt("level out of range"));
-            }
-            let (p, rk) = (positions[i], ranks[i]);
-            // Positions may repeat (duplicates); ranks strictly increase.
-            if p > wave.cur || rk > wave.rank || (i > 0 && rk <= prev_rank) {
-                return Err(CodecError::Corrupt("entries inconsistent"));
-            }
-            if p + max_window <= wave.cur || rk <= wave.r1 {
-                return Err(CodecError::Corrupt("entry already expired"));
-            }
-            prev_rank = rk;
-            if wave.queues[level as usize].is_full() {
-                return Err(CodecError::Corrupt("level queue overflow"));
-            }
-            let id = wave.chain.push_back(Entry {
-                pos: p,
-                rank: rk,
-                level: level as u8,
-            });
-            wave.queues[level as usize].push_back(id);
-        }
+        wave.ladder.decode_body(&mut r, Positions::Supplied, 1)?;
         Ok(wave)
     }
 
     /// Space accounting (see [`SpaceReport`]).
     pub fn space_report(&self) -> SpaceReport {
-        let resident_bytes = std::mem::size_of::<Self>()
-            + self.chain.heap_bytes()
-            + self.queues.iter().map(Fifo::heap_bytes).sum::<usize>();
-        let counter_bits = self.ring.counter_bits() as u64;
-        let positions = self.chain.iter().map(|(_, e)| e.pos);
-        let ranks = self.chain.iter().map(|(_, e)| e.rank);
-        let synopsis_bits = 3 * counter_bits
-            + delta_coded_bits(positions)
-            + delta_coded_bits(ranks)
-            + self.chain.len() as u64 * elias_gamma_bits(self.num_levels as u64 + 1);
-        SpaceReport {
-            resident_bytes,
-            synopsis_bits,
-            entries: self.chain.len(),
-        }
+        self.ladder.space_report(std::mem::size_of::<Self>(), 3)
     }
 }
 
@@ -437,12 +289,19 @@ mod tests {
 
     #[test]
     fn roundtrip_survives_non_injective_eps_to_k() {
-        let mut w = TimestampWave::new(100, 50, 1.0 / 48.5).unwrap();
-        for t in 1..=500u64 {
-            w.push(t, t % 3 == 0).unwrap();
+        // Every hop, with U on a level boundary (2U = (k+1) * 2^5): a k
+        // that drifted to k + 1 would lose the top level.
+        for &k in &[49u64, 98, 103, 107, 196] {
+            let n = (k + 1) * 16;
+            let mut w = TimestampWave::new(n, n, 1.0 / (k as f64 - 0.5)).unwrap();
+            for t in 1..=n {
+                w.push(t, true).unwrap();
+            }
+            let w1 = TimestampWave::decode(&w.encode()).expect("valid encode must decode");
+            assert_eq!(w1.encode(), w.encode(), "k={k}: second hop");
+            let w2 = TimestampWave::decode(&w1.encode()).unwrap_or_else(|e| panic!("k={k}: {e}"));
+            assert_eq!(w.query(n).unwrap(), w2.query(n).unwrap());
         }
-        let w2 = TimestampWave::decode(&w.encode()).expect("valid encode must decode");
-        assert_eq!(w.query(100).unwrap(), w2.query(100).unwrap());
     }
 
     #[test]

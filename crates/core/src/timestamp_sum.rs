@@ -9,37 +9,22 @@
 //! is driven by the maximum window *sum* `S = U * R` (at most `U` items
 //! per window, each at most `R`), mirroring Corollary 1's use of `U`.
 
-use crate::basic_wave::wave_levels;
-use crate::chain::{Chain, Fifo};
+use crate::codec::{BitReader, BitWriter, CodecError};
 use crate::error::WaveError;
 use crate::estimate::{Estimate, SpaceReport};
+use crate::ladder::{k_for_eps, read_k, Ladder, Positions};
 use crate::level::sum_level;
-use crate::space::{delta_coded_bits, elias_gamma_bits};
-use crate::window::ModRing;
-
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    ts: u64,
-    v: u64,
-    z: u64,
-    level: u8,
-}
+use crate::sum_wave::sum_estimate;
 
 /// Deterministic sum wave over a timestamped stream.
 #[derive(Debug, Clone)]
 pub struct TimestampSumWave {
-    max_window: u64,
     max_value: u64,
     max_items: u64,
     eps: f64,
-    num_levels: u32,
-    ring: ModRing,
-    cur: u64,
-    total: u64,
-    /// Largest partial sum expired (0 if none).
-    z1: u64,
-    chain: Chain<Entry>,
-    queues: Vec<Fifo>,
+    /// Entries are `(timestamp, value, running total)`; the clock is the
+    /// latest timestamp observed.
+    ladder: Ladder<u64>,
 }
 
 impl TimestampSumWave {
@@ -51,20 +36,12 @@ impl TimestampSumWave {
         max_value: u64,
         eps: f64,
     ) -> Result<Self, WaveError> {
-        if !(eps > 0.0 && eps < 1.0) {
-            return Err(WaveError::InvalidEpsilon(eps));
-        }
-        Self::with_k(
-            max_window,
-            max_items,
-            max_value,
-            (1.0 / eps).ceil() as u64,
-            eps,
-        )
+        Self::with_k(max_window, max_items, max_value, k_for_eps(eps)?, eps)
     }
 
-    /// Build from `k = ceil(1/eps)` directly (used by decode; the f64
-    /// `eps -> k` map is not injective).
+    /// Build from `k = ceil(1/eps)` (validated by [`k_for_eps`] or
+    /// [`read_k`]). The largest window sum `U * R` drives the level
+    /// count, and every level holds `k + 1` entries.
     fn with_k(
         max_window: u64,
         max_items: u64,
@@ -72,9 +49,6 @@ impl TimestampSumWave {
         k: u64,
         eps: f64,
     ) -> Result<Self, WaveError> {
-        if k == 0 || k > 1 << 32 {
-            return Err(WaveError::InvalidEpsilon(eps));
-        }
         if max_window == 0 || max_items == 0 {
             return Err(WaveError::InvalidWindow(max_window.min(max_items)));
         }
@@ -88,27 +62,17 @@ impl TimestampSumWave {
             .checked_mul(max_value)
             .filter(|&s| s <= 1 << 62)
             .ok_or(WaveError::InvalidWindow(max_items))?;
-        let num_levels = wave_levels(max_sum, k);
-        let cap = (k + 1) as usize;
-        let queues: Vec<Fifo> = (0..num_levels).map(|_| Fifo::new(cap)).collect();
         Ok(TimestampSumWave {
-            max_window,
             max_value,
             max_items,
             eps,
-            num_levels,
-            ring: ModRing::for_window(max_window.max(max_sum)),
-            cur: 0,
-            total: 0,
-            z1: 0,
-            chain: Chain::with_capacity(cap * num_levels as usize),
-            queues,
+            ladder: Ladder::new(max_window, k, max_sum, k + 1),
         })
     }
 
     /// Maximum window in time units.
     pub fn max_window(&self) -> u64 {
-        self.max_window
+        self.ladder.max_window()
     }
 
     /// The value bound `R`.
@@ -128,210 +92,102 @@ impl TimestampSumWave {
 
     /// Latest timestamp observed.
     pub fn current_position(&self) -> u64 {
-        self.cur
+        self.ladder.pos()
     }
 
     /// Running total of all values observed.
     pub fn total(&self) -> u64 {
-        self.total
+        self.ladder.total()
     }
 
     /// Entries currently stored.
     pub fn entries(&self) -> usize {
-        self.chain.len()
+        self.ladder.len()
     }
 
     /// Observe `(timestamp, value)`; timestamps nondecreasing.
     pub fn push(&mut self, ts: u64, v: u64) -> Result<(), WaveError> {
-        if ts < self.cur {
-            return Err(WaveError::PositionRegressed {
-                last: self.cur,
-                got: ts,
-            });
-        }
+        self.check_timestamp(ts)?;
         if v > self.max_value {
             return Err(WaveError::ValueTooLarge {
                 value: v,
                 max: self.max_value,
             });
         }
-        self.cur = ts;
-        self.expire();
+        self.ladder.advance(ts);
         if v > 0 {
-            let j = sum_level(self.total, v).min(self.num_levels - 1) as usize;
-            self.total += v;
-            if self.queues[j].is_full() {
-                let old = self.queues[j].pop_front().expect("full queue has a front");
-                self.chain.remove(old);
-            }
-            let id = self.chain.push_back(Entry {
-                ts,
-                v,
-                z: self.total,
-                level: j as u8,
-            });
-            self.queues[j].push_back(id);
+            self.ladder.insert(sum_level(self.total(), v), v);
         }
         Ok(())
     }
 
     /// Advance the clock without an item.
     pub fn advance_to(&mut self, ts: u64) -> Result<(), WaveError> {
-        if ts < self.cur {
-            return Err(WaveError::PositionRegressed {
-                last: self.cur,
-                got: ts,
-            });
-        }
-        self.cur = ts;
-        self.expire();
+        self.check_timestamp(ts)?;
+        self.ladder.advance(ts);
         Ok(())
     }
 
-    fn expire(&mut self) {
-        while let Some(h) = self.chain.head() {
-            let e = *self.chain.get(h);
-            if e.ts + self.max_window <= self.cur {
-                self.z1 = e.z;
-                let popped = self.queues[e.level as usize].pop_front();
-                debug_assert_eq!(popped, Some(h));
-                self.chain.remove(h);
-            } else {
-                break;
-            }
+    fn check_timestamp(&self, ts: u64) -> Result<(), WaveError> {
+        if ts < self.current_position() {
+            return Err(WaveError::PositionRegressed {
+                last: self.current_position(),
+                got: ts,
+            });
         }
+        Ok(())
     }
 
     /// Estimate the sum of values with timestamps in the last `n <= N`
     /// time units, `[cur - n + 1, cur]`.
     pub fn query(&self, n: u64) -> Result<Estimate, WaveError> {
-        if n > self.max_window {
+        if n > self.max_window() {
             return Err(WaveError::WindowTooLarge {
                 requested: n,
-                max: self.max_window,
+                max: self.max_window(),
             });
         }
-        if n > self.cur || self.cur == 0 {
-            return Ok(Estimate::exact(self.total));
+        let (cur, total) = (self.current_position(), self.total());
+        if n > cur || cur == 0 {
+            return Ok(Estimate::exact(total));
         }
-        let s = self.cur - n + 1;
-        let mut z1 = self.z1;
-        let mut first_in: Option<Entry> = None;
-        for (_, e) in self.chain.iter() {
-            if e.ts < s {
-                z1 = e.z;
-            } else {
-                first_in = Some(*e);
-                break;
-            }
-        }
-        let Some(e) = first_in else {
-            return Ok(Estimate::exact(0));
-        };
-        // Duplicated timestamps: never claim boundary exactness from
-        // ts == s alone (cf. TimestampWave); the midpoint interval is
-        // always sound and collapses to exact when it is a point.
-        Ok(crate::sum_wave::sum_estimate(self.total, z1, e.v, e.z))
+        Ok(match self.ladder.straddle(cur - n + 1) {
+            (_, None) => Estimate::exact(0),
+            // Duplicated timestamps: never claim boundary exactness from
+            // ts == s alone (cf. TimestampWave); the midpoint interval is
+            // always sound and collapses to exact when it is a point.
+            (z1, Some(e)) => sum_estimate(total, z1, e.weight, e.cum),
+        })
     }
 
     /// Serialize into the compact bit encoding.
     pub fn encode(&self) -> Vec<u8> {
-        use crate::codec::{write_deltas, BitWriter};
         let mut w = BitWriter::new();
-        w.write_gamma(self.max_window);
+        w.write_gamma(self.max_window());
         w.write_gamma(self.max_items);
         w.write_gamma(self.max_value);
-        w.write_gamma((1.0 / self.eps).ceil() as u64);
-        w.write_gamma0(self.cur);
-        w.write_gamma0(self.total);
-        w.write_gamma0(self.z1);
-        w.write_gamma0(self.chain.len() as u64);
-        let positions: Vec<u64> = self.chain.iter().map(|(_, e)| e.ts).collect();
-        let sums: Vec<u64> = self.chain.iter().map(|(_, e)| e.z).collect();
-        write_deltas(&mut w, &positions);
-        write_deltas(&mut w, &sums);
-        for (_, e) in self.chain.iter() {
-            w.write_gamma(e.v);
-            w.write_gamma0(e.level as u64);
-        }
+        w.write_gamma(self.ladder.k());
+        self.ladder.encode_body(&mut w);
         w.finish()
     }
 
     /// Reconstruct a synopsis from [`TimestampSumWave::encode`] output.
-    pub fn decode(bytes: &[u8]) -> Result<Self, crate::codec::CodecError> {
-        use crate::codec::{read_deltas, BitReader, CodecError};
+    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut r = BitReader::new(bytes);
         let max_window = r.read_gamma()?;
         let max_items = r.read_gamma()?;
         let max_value = r.read_gamma()?;
-        let k = r.read_gamma()?;
-        if k == 0 || k > 1 << 32 {
-            return Err(CodecError::Corrupt("bad k"));
-        }
+        let k = read_k(&mut r)?;
         let mut wave =
             TimestampSumWave::with_k(max_window, max_items, max_value, k, 1.0 / k as f64)?;
-        wave.cur = r.read_gamma0()?;
-        wave.total = r.read_gamma0()?;
-        wave.z1 = r.read_gamma0()?;
-        if wave.cur > 1 << 62 || wave.total > 1 << 62 || wave.z1 > wave.total {
-            return Err(CodecError::Corrupt("counters inconsistent"));
-        }
-        let count = r.read_gamma0()? as usize;
-        let positions = read_deltas(&mut r, count)?;
-        let sums = read_deltas(&mut r, count)?;
-        let mut prev_z = 0u64;
-        for i in 0..count {
-            let v = r.read_gamma()?;
-            let level = r.read_gamma0()?;
-            if level >= wave.num_levels as u64 {
-                return Err(CodecError::Corrupt("level out of range"));
-            }
-            let (ts, z) = (positions[i], sums[i]);
-            if ts > wave.cur || z > wave.total || v > max_value || v > z {
-                return Err(CodecError::Corrupt("entry beyond counters"));
-            }
-            if ts + max_window <= wave.cur || z - v < wave.z1 {
-                return Err(CodecError::Corrupt("entry already expired"));
-            }
-            if i > 0 && z <= prev_z {
-                return Err(CodecError::Corrupt("sums not increasing"));
-            }
-            prev_z = z;
-            if wave.queues[level as usize].is_full() {
-                return Err(CodecError::Corrupt("level queue overflow"));
-            }
-            let id = wave.chain.push_back(Entry {
-                ts,
-                v,
-                z,
-                level: level as u8,
-            });
-            wave.queues[level as usize].push_back(id);
-        }
+        wave.ladder
+            .decode_body(&mut r, Positions::Supplied, max_value)?;
         Ok(wave)
     }
 
     /// Space accounting (see [`SpaceReport`]).
     pub fn space_report(&self) -> SpaceReport {
-        let resident_bytes = std::mem::size_of::<Self>()
-            + self.chain.heap_bytes()
-            + self.queues.iter().map(Fifo::heap_bytes).sum::<usize>();
-        let counter_bits = self.ring.counter_bits() as u64;
-        let positions = self.chain.iter().map(|(_, e)| e.ts);
-        let sums = self.chain.iter().map(|(_, e)| e.z);
-        let value_bits: u64 = self
-            .chain
-            .iter()
-            .map(|(_, e)| elias_gamma_bits(e.v + 1))
-            .sum();
-        SpaceReport {
-            resident_bytes,
-            synopsis_bits: 3 * counter_bits
-                + delta_coded_bits(positions)
-                + delta_coded_bits(sums)
-                + value_bits,
-            entries: self.chain.len(),
-        }
+        self.ladder.space_report(std::mem::size_of::<Self>(), 3)
     }
 }
 
@@ -402,12 +258,30 @@ mod tests {
 
     #[test]
     fn roundtrip_survives_non_injective_eps_to_k() {
-        let mut w = TimestampSumWave::new(100, 50, 1, 1.0 / 48.5).unwrap();
-        for t in 1..=500u64 {
-            w.push(t, t % 2).unwrap();
+        // Every hop, with U * R on a level boundary ((k+1) * 2^4): a k
+        // that drifted to k + 1 would lose the top level.
+        for &k in &[49u64, 98, 103, 107, 196] {
+            let n = (k + 1) * 2;
+            let mut w = TimestampSumWave::new(n, n, 8, 1.0 / (k as f64 - 0.5)).unwrap();
+            for t in 1..=n {
+                w.push(t, 8).unwrap();
+            }
+            let w1 = TimestampSumWave::decode(&w.encode()).expect("valid encode must decode");
+            assert_eq!(w1.encode(), w.encode(), "k={k}: second hop");
+            let w2 =
+                TimestampSumWave::decode(&w1.encode()).unwrap_or_else(|e| panic!("k={k}: {e}"));
+            assert_eq!(w.query(n).unwrap(), w2.query(n).unwrap());
         }
-        let w2 = TimestampSumWave::decode(&w.encode()).expect("valid encode must decode");
-        assert_eq!(w.query(100).unwrap(), w2.query(100).unwrap());
+    }
+
+    #[test]
+    fn decode_rejects_an_entry_overlapping_its_predecessor() {
+        // max_window 100, max_items 100, max_value 16.
+        let bytes = crate::ladder::overlapping_sum_entries(&[100, 100, 16]);
+        assert_eq!(
+            TimestampSumWave::decode(&bytes).unwrap_err(),
+            CodecError::Corrupt("entries not increasing")
+        );
     }
 
     #[test]
@@ -487,7 +361,7 @@ mod tests {
     fn entries_bounded_by_capacity() {
         let (eps, n, u, r) = (0.1, 1u64 << 10, 1u64 << 12, 1u64 << 8);
         let w0 = TimestampSumWave::new(n, u, r, eps).unwrap();
-        let cap = (w0.num_levels as u64) * ((1.0 / eps).ceil() as u64 + 1);
+        let cap = (w0.ladder.num_levels() as u64) * ((1.0 / eps).ceil() as u64 + 1);
         let mut w = w0;
         let mut x = 4u64;
         let mut ts = 1u64;

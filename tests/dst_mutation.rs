@@ -1,9 +1,9 @@
 //! Mutation smoke test: proves the DST harness has teeth.
 //!
 //! Built only under `RUSTFLAGS="--cfg dst_mutation"`, which arms two
-//! planted bugs at once: an off-by-one in `DetWave` expiry (entries
-//! expire one stream position early — see
-//! `crates/core/src/det_wave.rs`) and an off-by-one in the monitor's
+//! planted bugs at once: an off-by-one in wave expiry (entries expire
+//! one stream position early — see `Ladder::advance` in
+//! `crates/core/src/ladder.rs`) and an off-by-one in the monitor's
 //! slack accounting (`PushParty::settle` ships one unit of drift too
 //! late — see `crates/distributed/src/monitor.rs`). The harness must
 //! catch a mutant — the expiry one against the exact oracle, the slack

@@ -99,11 +99,19 @@ fn open_fds() -> usize {
     std::fs::read_dir("/proc/self/fd").unwrap().count()
 }
 
+/// The count is process-wide and `cargo test` runs this file's tests on
+/// sibling threads: the two tests that compare fd counts hold this for
+/// their whole body, so neither sees the other's sockets. (The other
+/// tests here open no descriptors.) A test that failed while holding it
+/// must not fail the other, hence `into_inner` on poison.
+static FD_COUNTING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// A full server lifecycle — listener, epoll fd, waker eventfd, served
 /// connections — must return every descriptor on drop. Ten cycles with
 /// live traffic land back at the baseline fd count.
 #[test]
 fn server_lifecycle_leaks_no_fds() {
+    let _alone = FD_COUNTING.lock().unwrap_or_else(|e| e.into_inner());
     let server_cfg = || ServerConfig {
         engine: cfg(2),
         read_timeout: None,
@@ -144,6 +152,7 @@ fn server_lifecycle_leaks_no_fds() {
 /// and still returns every fd.
 #[test]
 fn shutdown_drains_within_bounded_deadline() {
+    let _alone = FD_COUNTING.lock().unwrap_or_else(|e| e.into_inner());
     let baseline = {
         // One throwaway cycle so lazy one-time fds don't skew the
         // post-shutdown comparison.

@@ -375,3 +375,75 @@ fn combine_total_past_u64_is_a_typed_error_not_a_wrapped_answer() {
     let fits = client.combine(huge).unwrap();
     assert_eq!(fits, waves::Estimate::exact(3 * huge + 1));
 }
+
+/// Decoders face wire input too: a well-framed `SumWave` encoding whose
+/// second entry `(p=5, v=10, z=11)` overlaps its first `(p=1, v=10,
+/// z=10)` describes no real stream. Accepted, `COMBINE{8}` would
+/// subtract one running total from the other — a dispatch-worker panic
+/// under the referee lock (debug) or the bracket `[19, 10]` served as an
+/// answer (release). It must be refused at the door with a typed error,
+/// leave the other parties' answer intact, and cost the connection
+/// nothing.
+#[test]
+fn forged_sum_entries_are_refused_at_the_door_not_answered_inverted() {
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            // One worker: a panicked dispatch would leave nobody to
+            // answer the PING below.
+            dispatch_threads: 1,
+            read_timeout: None,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let cfg = ClientConfig {
+        retry: RetryPolicy::none(),
+        ..fast_cfg()
+    };
+    let mut client = Client::connect_with(server.local_addr(), cfg).unwrap();
+    let mut honest = waves::SumWave::new(100, 16, 0.25).unwrap();
+    for v in [3, 0, 16, 7, 1, 0, 9, 12, 4, 2] {
+        honest.push_value(v).unwrap();
+    }
+    client
+        .push_synopsis(1, SynopsisKind::SumWave, honest.encode())
+        .unwrap();
+
+    let mut w = waves::codec::BitWriter::new();
+    w.write_gamma(100); // max_window
+    w.write_gamma(16); // max_value
+    w.write_gamma(4); // k
+    w.write_gamma0(10); // pos
+    w.write_gamma0(20); // total
+    w.write_gamma0(0); // z1
+    w.write_gamma0(2); // entries
+    waves::codec::write_deltas(&mut w, &[1, 5]); // positions
+    waves::codec::write_deltas(&mut w, &[10, 11]); // running totals
+    for _ in 0..2 {
+        w.write_gamma(10); // v
+        w.write_gamma0(0); // level
+    }
+    let err = client
+        .push_synopsis(0, SynopsisKind::SumWave, w.finish())
+        .unwrap_err();
+    // The server's `Io(InvalidData)`; the wire carries an `Io` as an
+    // opaque remote error with its message.
+    assert!(
+        matches!(&err, WaveError::Io(e) if e.to_string().contains("synopsis decode failed")),
+        "{err:?}"
+    );
+
+    let t0 = Instant::now();
+    let without_forger = client.combine(8).unwrap();
+    assert_eq!(without_forger, honest.query(8).unwrap());
+    assert!(t0.elapsed() < HANG_BUDGET, "took {:?}", t0.elapsed());
+    client.ping().expect("dispatch worker is alive");
+    // The refused party can still push a real synopsis afterwards.
+    client
+        .push_synopsis(0, SynopsisKind::SumWave, honest.encode())
+        .unwrap();
+    let both = client.combine(8).unwrap();
+    assert_eq!(both.lo, 2 * without_forger.lo);
+    assert_eq!(both.hi, 2 * without_forger.hi);
+}
