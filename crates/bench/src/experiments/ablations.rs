@@ -112,6 +112,8 @@ pub fn queue_constant() {
                 ok += 1;
             }
         }
+        // Lemma 3 at the constant the analysis proves it for.
+        assert!(c < 36.0 || 3 * ok > 2 * trials, "c=36: {ok}/{trials}");
         t.row(&[
             format!("{c}"),
             format!("{cap}"),
@@ -235,6 +237,13 @@ pub fn coordinated() {
                 ok += 1;
             }
         }
+        // The wave keeps Lemma 3's per-instance 2/3 on windows; coordinated
+        // sampling, built for whole streams, does not.
+        assert_eq!(
+            3 * ok > 2 * trials,
+            method == "randomized-wave",
+            "{method}: {ok}/{trials}"
+        );
         t.row(&[
             method.into(),
             pct(median(errs)),

@@ -1,8 +1,7 @@
-//! E6: Theorem 3 — the sum wave vs the EH-sum baseline: error, space,
-//! per-item cost across value ranges R.
+//! E6: Theorem 3 — the sum wave vs the EH-sum baseline: error and space
+//! across value ranges R.
 
 use crate::table::{f, pct, Table};
-use crate::timing::per_item_latency;
 use waves_core::{ExactSum, SumWave};
 use waves_eh::EhSum;
 use waves_streamgen::{SpikeValues, UniformValues, ValueSource};
@@ -11,7 +10,6 @@ pub fn run() {
     println!("E6 — Theorem 3: sums of integers in [0..R] in a sliding window");
     println!("==============================================================\n");
 
-    // Error + space sweep.
     let mut t = Table::new(&[
         "workload",
         "eps",
@@ -64,52 +62,6 @@ pub fn run() {
     }
     t.print();
 
-    // Per-item cost: the wave stores each item once; EH fragments it.
-    println!("\nper-item cost on max-value items (N = 2^12, R = 2^16, eps = 0.05):");
-    let (n, r, eps) = (1u64 << 12, 1u64 << 16, 0.05);
-    let items: Vec<u64> = vec![r; 1 << 16];
-    let mut wave = SumWave::new(n, r, eps).unwrap();
-    for _ in 0..(1 << 13) {
-        wave.push_value(r).unwrap();
-    }
-    let ws = per_item_latency(&items, |&v| {
-        wave.push_value(v).unwrap();
-    });
-    let mut eh = EhSum::new(n, r, eps).unwrap();
-    for _ in 0..(1 << 13) {
-        eh.push_value(r).unwrap();
-    }
-    let es = per_item_latency(&items, |&v| {
-        eh.push_value(v).unwrap();
-    });
-    let mut t = Table::new(&[
-        "synopsis",
-        "mean ns",
-        "p50 ns",
-        "p99 ns",
-        "p99.9 ns",
-        "max ns",
-        "max cascade",
-    ]);
-    t.row(&[
-        "sum-wave".into(),
-        f(ws.mean_ns),
-        f(ws.p50_ns),
-        f(ws.p99_ns),
-        f(ws.p999_ns),
-        f(ws.max_ns),
-        "1 level/item".into(),
-    ]);
-    t.row(&[
-        "eh-sum".into(),
-        f(es.mean_ns),
-        f(es.p50_ns),
-        f(es.p99_ns),
-        f(es.p999_ns),
-        f(es.max_ns),
-        format!("{}", eh.max_cascade()),
-    ]);
-    t.print();
     println!("\nExpected shape: both within eps; wave stores one entry per item");
     println!("(O(1) worst case) while EH spreads large items over many classes.");
 }

@@ -174,6 +174,22 @@ mod tests {
         assert!(out.contains("== engine =="), "{out}");
     }
 
+    /// `waves engine --window 18446744073709551615`: both synopses refuse
+    /// the window with the same typed error (the EH used to accept it,
+    /// overflow in expiry, and report every key as `0 (exact)`).
+    #[test]
+    fn window_past_the_bound_is_a_typed_error_for_either_synopsis() {
+        for synopsis in [SynopsisKind::Det, SynopsisKind::Eh] {
+            let cfg = Config {
+                synopsis,
+                window: u64::MAX,
+                ..engine_cfg()
+            };
+            let err = run_engine(&cfg, &mut Vec::new()).unwrap_err();
+            assert_eq!(err, format!("window size {} is invalid", u64::MAX));
+        }
+    }
+
     #[test]
     fn persist_dir_writes_durable_state_and_recovers() {
         let dir = waves_engine::PersistConfig::new(std::env::temp_dir())

@@ -24,6 +24,7 @@ use crate::error::WaveError;
 use crate::estimate::{Estimate, SpaceReport};
 use crate::ladder::{k_for_eps, read_k, Ladder, Positions};
 use crate::level::rank_level;
+use crate::window::MAX_WINDOW;
 
 /// Which query counter an estimate belongs to.
 #[inline]
@@ -100,7 +101,7 @@ impl DetWave {
     /// validated by [`k_for_eps`] or [`read_k`]. The window `N` drives
     /// the level count.
     fn with_k(max_window: u64, k: u64, eps: f64) -> Result<Self, WaveError> {
-        if max_window == 0 || max_window > (1 << 62) {
+        if max_window == 0 || max_window > MAX_WINDOW {
             return Err(WaveError::InvalidWindow(max_window));
         }
         Ok(DetWave {

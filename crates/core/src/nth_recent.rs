@@ -15,6 +15,7 @@ use crate::error::WaveError;
 use crate::estimate::{Estimate, SpaceReport};
 use crate::ladder::{k_for_eps, Ladder};
 use crate::level::rank_level;
+use crate::window::MAX_WINDOW;
 
 /// Deterministic wave estimating the position (equivalently the age) of
 /// the `n`-th most recent 1-bit.
@@ -33,7 +34,7 @@ impl NthRecentWave {
     /// Build a wave that can locate 1's up to `max_age` positions back.
     pub fn new(max_age: u64, eps: f64) -> Result<Self, WaveError> {
         let k = k_for_eps(eps)?;
-        if max_age == 0 || max_age > 1 << 62 {
+        if max_age == 0 || max_age > MAX_WINDOW {
             return Err(WaveError::InvalidWindow(max_age));
         }
         Ok(NthRecentWave {

@@ -25,6 +25,7 @@ use crate::error::WaveError;
 use crate::estimate::{Estimate, SpaceReport};
 use crate::ladder::{k_for_eps, read_k, Ladder, Positions};
 use crate::level::rank_level;
+use crate::window::MAX_WINDOW;
 
 /// Deterministic wave for Basic Counting over timestamped streams
 /// (Corollary 1): windows of up to `N` positions, at most `U` items per
@@ -52,7 +53,7 @@ impl TimestampWave {
         if max_window == 0 || max_items == 0 {
             return Err(WaveError::InvalidWindow(max_window.min(max_items)));
         }
-        if max_window > 1 << 62 || max_items > 1 << 62 {
+        if max_window > MAX_WINDOW || max_items > MAX_WINDOW {
             return Err(WaveError::InvalidWindow(max_window.max(max_items)));
         }
         Ok(TimestampWave {

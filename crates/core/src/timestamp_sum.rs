@@ -15,6 +15,7 @@ use crate::estimate::{Estimate, SpaceReport};
 use crate::ladder::{k_for_eps, read_k, Ladder, Positions};
 use crate::level::sum_level;
 use crate::sum_wave::sum_estimate;
+use crate::window::MAX_WINDOW;
 
 /// Deterministic sum wave over a timestamped stream.
 #[derive(Debug, Clone)]
@@ -52,7 +53,7 @@ impl TimestampSumWave {
         if max_window == 0 || max_items == 0 {
             return Err(WaveError::InvalidWindow(max_window.min(max_items)));
         }
-        if max_window > 1 << 62 {
+        if max_window > MAX_WINDOW {
             return Err(WaveError::InvalidWindow(max_window));
         }
         if max_value == 0 {

@@ -10,6 +10,12 @@
 //! claim rests on verified arithmetic, and the space accounting uses its
 //! bit width.
 
+/// Largest maximum window `N` any synopsis accepts. Positions, ranks
+/// and totals are held to the same ceiling, so `pos + N` and the sum of
+/// two counters always fit a `u64`; builders refuse a larger window
+/// with [`crate::WaveError::InvalidWindow`], and so do decoders.
+pub const MAX_WINDOW: u64 = 1 << 62;
+
 /// Arithmetic modulo `N'`, the smallest power of two `>= 2N`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModRing {

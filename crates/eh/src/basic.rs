@@ -14,6 +14,7 @@ use waves_core::error::WaveError;
 use waves_core::estimate::{Estimate, SpaceReport};
 use waves_core::space::{delta_coded_bits, elias_gamma_bits};
 use waves_core::traits::BitSynopsis;
+use waves_core::window::MAX_WINDOW;
 
 /// Exponential histogram for counting 1's in a sliding window of up to
 /// `N` bits with relative error `eps`.
@@ -66,21 +67,8 @@ impl EhCountBuilder {
         if !(self.eps > 0.0 && self.eps < 1.0) {
             return Err(WaveError::InvalidEpsilon(self.eps));
         }
-        if self.max_window == 0 {
-            return Err(WaveError::InvalidWindow(0));
-        }
         let m = (1.0 / (2.0 * self.eps)).ceil() as usize;
-        Ok(EhCount {
-            max_window: self.max_window,
-            eps: self.eps,
-            m,
-            pos: 0,
-            classes: Vec::new(),
-            total: 0,
-            last_cascade: 0,
-            max_cascade: 0,
-            merges: 0,
-        })
+        EhCount::with_m(self.max_window, m, self.eps)
     }
 }
 
@@ -97,6 +85,28 @@ impl EhCount {
     /// (thin shim over [`EhCount::builder`]).
     pub fn new(max_window: u64, eps: f64) -> Result<Self, WaveError> {
         Self::builder().max_window(max_window).eps(eps).build()
+    }
+
+    /// Build from the integer bucket-count parameter `m` directly — the
+    /// only error-bound quantity the algorithm consults and the one the
+    /// codec carries. `eps -> m` is not injective in floating point
+    /// (`ceil(1 / (2 * (1 / (2 * 49))))` is 50), so the decoder must not
+    /// go back through `eps`.
+    fn with_m(max_window: u64, m: usize, eps: f64) -> Result<Self, WaveError> {
+        if max_window == 0 || max_window > MAX_WINDOW {
+            return Err(WaveError::InvalidWindow(max_window));
+        }
+        Ok(EhCount {
+            max_window,
+            eps,
+            m,
+            pos: 0,
+            classes: Vec::new(),
+            total: 0,
+            last_cascade: 0,
+            max_cascade: 0,
+            merges: 0,
+        })
     }
 
     /// Maximum window size `N`.
@@ -322,13 +332,7 @@ impl EhCount {
         if m > 1 << 32 {
             return Err(CodecError::Corrupt("bad m"));
         }
-        // eps = 1/(2m) inverts m = ceil(1/(2 eps)) exactly, so the
-        // decoded histogram merges on the same thresholds.
-        let mut eh = EhCount::builder()
-            .max_window(max_window)
-            .eps(1.0 / (2.0 * m as f64))
-            .build()?;
-        debug_assert_eq!(eh.m as u64, m);
+        let mut eh = EhCount::with_m(max_window, m as usize, 1.0 / (2.0 * m as f64))?;
         eh.pos = r.read_gamma0()?;
         if eh.pos > 1 << 62 {
             return Err(CodecError::Corrupt("counters inconsistent"));
@@ -372,6 +376,10 @@ impl EhCount {
                 .and_then(|add| eh.total.checked_add(add))
                 .ok_or(CodecError::Corrupt("total overflow"))?;
             eh.classes.push(ts.into_iter().collect());
+        }
+        // Every counted 1 sits at its own position.
+        if eh.total > eh.pos {
+            return Err(CodecError::Corrupt("counters inconsistent"));
         }
         Ok(eh)
     }
@@ -596,5 +604,56 @@ mod tests {
         }
         assert_eq!(eh.query(32).unwrap(), Estimate::exact(0));
         assert_eq!(eh.buckets(), 0);
+    }
+
+    /// The waves' window bound holds here too: past it `ts + max_window`
+    /// overflows in expiry and in the decoder.
+    #[test]
+    fn window_is_held_to_the_waves_bound() {
+        use waves_core::codec::{write_deltas, BitWriter, CodecError};
+        for n in [0, MAX_WINDOW + 1, u64::MAX] {
+            assert_eq!(
+                EhCount::new(n, 0.1).unwrap_err(),
+                WaveError::InvalidWindow(n)
+            );
+        }
+        let mut eh = EhCount::new(MAX_WINDOW, 0.1).unwrap();
+        for _ in 0..10 {
+            eh.push_bit(true);
+        }
+        assert_eq!(eh.query(10).unwrap(), Estimate::exact(10));
+        // A well-framed header claiming N = u64::MAX over one live bucket.
+        let mut w = BitWriter::new();
+        w.write_gamma(u64::MAX);
+        w.write_gamma(5); // m
+        w.write_gamma0(10); // pos
+        w.write_gamma0(1); // classes
+        w.write_gamma0(1); // buckets in class 0
+        write_deltas(&mut w, &[5]);
+        assert_eq!(
+            EhCount::decode(&w.finish()).unwrap_err(),
+            CodecError::BadParams(WaveError::InvalidWindow(u64::MAX))
+        );
+    }
+
+    /// A well-framed claim of 1024 ones in a 10-bit stream: without the
+    /// check a total forged near `u64::MAX` overflows on the next push.
+    #[test]
+    fn decode_refuses_more_ones_than_positions() {
+        use waves_core::codec::{write_deltas, BitWriter, CodecError};
+        let mut w = BitWriter::new();
+        w.write_gamma(64); // max_window
+        w.write_gamma(2); // m
+        w.write_gamma0(10); // pos
+        w.write_gamma0(11); // classes
+        for _ in 0..10 {
+            w.write_gamma0(0); // classes 0..=9 empty
+        }
+        w.write_gamma0(1); // one bucket of size 2^10
+        write_deltas(&mut w, &[5]);
+        assert_eq!(
+            EhCount::decode(&w.finish()).unwrap_err(),
+            CodecError::Corrupt("counters inconsistent")
+        );
     }
 }

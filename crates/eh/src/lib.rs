@@ -89,6 +89,118 @@ mod proptests {
         ]
     }
 
+    /// The `m` values whose own `eps = 1/(2m)` rounds back up to
+    /// `m + 1` (328 of the `m <= 5000`), which the proptests' `m <= 5`
+    /// never reach: the decoder must rebuild from the coded `m`.
+    const DRIFTING_M: [u64; 5] = [49, 98, 103, 107, 196];
+
+    #[test]
+    fn eh_count_roundtrip_survives_non_injective_eps_to_m() {
+        for m in DRIFTING_M {
+            // ceil((2m - 1) / 2) = m: this eps builds exactly `m`.
+            let mut eh = EhCount::new(4096, 1.0 / (2 * m - 1) as f64).unwrap();
+            for i in 0..20_000u64 {
+                eh.push_bit(i % 3 != 0);
+            }
+            let bytes = eh.encode();
+            let mut decoded = EhCount::decode(&bytes).unwrap();
+            assert_eq!(decoded.encode(), bytes, "m={m}");
+            for i in 0..4_000u64 {
+                eh.push_bit(i % 5 != 0);
+                decoded.push_bit(i % 5 != 0);
+            }
+            assert_eq!(decoded.query(4096), eh.query(4096), "m={m}");
+            assert_eq!(decoded.encode(), eh.encode(), "m={m}");
+        }
+    }
+
+    #[test]
+    fn eh_sum_roundtrip_survives_non_injective_eps_to_m() {
+        for m in DRIFTING_M {
+            let mut eh = EhSum::new(4096, 16, 1.0 / (2 * m - 1) as f64).unwrap();
+            for i in 0..20_000u64 {
+                eh.push_value(i % 17).unwrap();
+            }
+            let bytes = eh.encode();
+            let mut decoded = EhSum::decode(&bytes).unwrap();
+            assert_eq!(decoded.encode(), bytes, "m={m}");
+            for i in 0..4_000u64 {
+                eh.push_value(i % 13).unwrap();
+                decoded.push_value(i % 13).unwrap();
+            }
+            assert_eq!(decoded.query(4096), eh.query(4096), "m={m}");
+            assert_eq!(decoded.encode(), eh.encode(), "m={m}");
+        }
+    }
+
+    /// What every accepted mutant must still do: answer each window
+    /// with `lo <= value <= hi`, decode again from its own encoding to
+    /// the same answers, and keep ingesting. A macro because the three
+    /// types share these method names, not a trait.
+    macro_rules! check_mutant {
+        ($ty:ty, $bytes:expr, |$syn:ident, $i:ident| $push:expr) => {{
+            if let Ok(mut $syn) = <$ty>::decode(&$bytes) {
+                let again = <$ty>::decode(&$syn.encode()).expect("an accepted synopsis re-encodes");
+                let n_max = $syn.max_window();
+                for n in [1, n_max / 2 + 1, n_max] {
+                    let est = $syn.query(n).expect("n <= max_window");
+                    prop_assert!(
+                        est.lo as f64 <= est.value && est.value <= est.hi as f64,
+                        "n={n}: {est:?}"
+                    );
+                    prop_assert_eq!(again.query(n).unwrap(), est, "n={}", n);
+                }
+                for $i in 0..300u64 {
+                    $push;
+                }
+                let est = $syn.query(n_max).expect("n_max <= max_window");
+                prop_assert!(
+                    est.lo as f64 <= est.value && est.value <= est.hi as f64,
+                    "after 300 pushes: {est:?}"
+                );
+            }
+        }};
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Mutated-valid fuzz of the three codecs: a real encoding with
+        /// 1-3 bits flipped is mostly still well-framed, so it reaches
+        /// the per-bucket checks that random bytes
+        /// (`eh_decode_never_panics`) almost never get to.
+        #[test]
+        fn eh_codecs_survive_mutated_valid_encodings(
+            vals in prop::collection::vec(0u64..=50, 1..400),
+            inv_eps in 2u64..=8,
+            n_max in 8u64..=128,
+            flips in prop::collection::vec(any::<u64>(), 1..=3),
+        ) {
+            let eps = 1.0 / inv_eps as f64;
+            let mut count = EhCount::new(n_max, eps).unwrap();
+            let mut sum = EhSum::new(n_max, 50, eps).unwrap();
+            let mut xu = XuCount::new(n_max, eps).unwrap();
+            for &v in &vals {
+                count.push_bit(v % 2 == 1);
+                sum.push_value(v).unwrap();
+                xu.push_bit(v % 2 == 1);
+            }
+            let mutate = |mut bytes: Vec<u8>| {
+                for f in &flips {
+                    let bit = (f % (bytes.len() as u64 * 8)) as usize;
+                    bytes[bit / 8] ^= 0x80 >> (bit % 8);
+                }
+                bytes
+            };
+            check_mutant!(EhCount, mutate(count.encode()), |s, i| s.push_bit(i % 3 != 0));
+            check_mutant!(EhSum, mutate(sum.encode()), |s, i| {
+                let v = (i % 7).min(s.max_value());
+                s.push_value(v).expect("v <= max_value")
+            });
+            check_mutant!(XuCount, mutate(xu.encode()), |s, i| s.push_bit(i % 3 != 0));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 

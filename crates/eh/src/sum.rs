@@ -14,6 +14,7 @@ use waves_core::error::WaveError;
 use waves_core::estimate::{Estimate, SpaceReport};
 use waves_core::space::{delta_coded_bits, elias_gamma_bits};
 use waves_core::traits::SumSynopsis;
+use waves_core::window::MAX_WINDOW;
 
 /// A run of `mult` same-size buckets sharing one timestamp.
 #[derive(Debug, Clone, Copy)]
@@ -77,25 +78,8 @@ impl EhSumBuilder {
         if !(self.eps > 0.0 && self.eps < 1.0) {
             return Err(WaveError::InvalidEpsilon(self.eps));
         }
-        if self.max_window == 0 {
-            return Err(WaveError::InvalidWindow(0));
-        }
-        if self.max_value == 0 {
-            return Err(WaveError::ValueTooLarge { value: 0, max: 0 });
-        }
-        Ok(EhSum {
-            max_window: self.max_window,
-            max_value: self.max_value,
-            eps: self.eps,
-            m: (1.0 / (2.0 * self.eps)).ceil() as u64,
-            pos: 0,
-            classes: Vec::new(),
-            counts: Vec::new(),
-            total: 0,
-            last_cascade: 0,
-            max_cascade: 0,
-            merges: 0,
-        })
+        let m = (1.0 / (2.0 * self.eps)).ceil() as u64;
+        EhSum::with_m(self.max_window, self.max_value, m, self.eps)
     }
 }
 
@@ -118,6 +102,30 @@ impl EhSum {
             .max_value(max_value)
             .eps(eps)
             .build()
+    }
+
+    /// Build from the integer parameter `m` the codec carries, never
+    /// back through `eps` (see `EhCount::with_m`).
+    fn with_m(max_window: u64, max_value: u64, m: u64, eps: f64) -> Result<Self, WaveError> {
+        if max_window == 0 || max_window > MAX_WINDOW {
+            return Err(WaveError::InvalidWindow(max_window));
+        }
+        if max_value == 0 {
+            return Err(WaveError::ValueTooLarge { value: 0, max: 0 });
+        }
+        Ok(EhSum {
+            max_window,
+            max_value,
+            eps,
+            m,
+            pos: 0,
+            classes: Vec::new(),
+            counts: Vec::new(),
+            total: 0,
+            last_cascade: 0,
+            max_cascade: 0,
+            merges: 0,
+        })
     }
 
     /// Maximum window size `N`.
@@ -372,12 +380,7 @@ impl EhSum {
         if m > 1 << 32 {
             return Err(CodecError::Corrupt("bad m"));
         }
-        let mut eh = EhSum::builder()
-            .max_window(max_window)
-            .max_value(max_value)
-            .eps(1.0 / (2.0 * m as f64))
-            .build()?;
-        debug_assert_eq!(eh.m, m);
+        let mut eh = EhSum::with_m(max_window, max_value, m, 1.0 / (2.0 * m as f64))?;
         eh.pos = r.read_gamma0()?;
         if eh.pos > 1 << 62 {
             return Err(CodecError::Corrupt("counters inconsistent"));
@@ -432,6 +435,10 @@ impl EhSum {
                 .ok_or(CodecError::Corrupt("total overflow"))?;
             eh.classes.push(q);
             eh.counts.push(count);
+        }
+        // Every position contributes at most `max_value` units.
+        if eh.total > eh.pos.saturating_mul(max_value) {
+            return Err(CodecError::Corrupt("counters inconsistent"));
         }
         Ok(eh)
     }
@@ -622,5 +629,59 @@ mod tests {
         }
         assert_eq!(eh.query(16).unwrap(), Estimate::exact(0));
         assert_eq!(eh.buckets(), 0);
+    }
+
+    /// The waves' window bound holds here too (see `EhCount`'s test).
+    #[test]
+    fn window_is_held_to_the_waves_bound() {
+        use waves_core::codec::{write_deltas, BitWriter, CodecError};
+        for n in [0, MAX_WINDOW + 1, u64::MAX] {
+            assert_eq!(
+                EhSum::new(n, 16, 0.1).unwrap_err(),
+                WaveError::InvalidWindow(n)
+            );
+        }
+        let mut eh = EhSum::new(MAX_WINDOW, 16, 0.1).unwrap();
+        for _ in 0..10 {
+            eh.push_value(3).unwrap();
+        }
+        assert_eq!(eh.query(10).unwrap(), Estimate::exact(30));
+        // A well-framed header claiming N = u64::MAX over one live run.
+        let mut w = BitWriter::new();
+        w.write_gamma(u64::MAX);
+        w.write_gamma(16); // max_value
+        w.write_gamma(5); // m
+        w.write_gamma0(10); // pos
+        w.write_gamma0(1); // classes
+        w.write_gamma0(1); // runs in class 0
+        write_deltas(&mut w, &[5]);
+        w.write_gamma(1); // the run's multiplicity
+        assert_eq!(
+            EhSum::decode(&w.finish()).unwrap_err(),
+            CodecError::BadParams(WaveError::InvalidWindow(u64::MAX))
+        );
+    }
+
+    /// A well-framed claim of a 1024-unit bucket after 10 items of at
+    /// most 16 (see `EhCount`'s test).
+    #[test]
+    fn decode_refuses_more_units_than_the_stream_held() {
+        use waves_core::codec::{write_deltas, BitWriter, CodecError};
+        let mut w = BitWriter::new();
+        w.write_gamma(64); // max_window
+        w.write_gamma(16); // max_value
+        w.write_gamma(2); // m
+        w.write_gamma0(10); // pos
+        w.write_gamma0(11); // classes
+        for _ in 0..10 {
+            w.write_gamma0(0); // classes 0..=9 empty
+        }
+        w.write_gamma0(1); // one run of size 2^10
+        write_deltas(&mut w, &[5]);
+        w.write_gamma(1); // its multiplicity
+        assert_eq!(
+            EhSum::decode(&w.finish()).unwrap_err(),
+            CodecError::Corrupt("counters inconsistent")
+        );
     }
 }

@@ -23,6 +23,7 @@ use waves_core::error::WaveError;
 use waves_core::estimate::{Estimate, SpaceReport};
 use waves_core::space::{delta_coded_bits, elias_gamma_bits};
 use waves_core::traits::BitSynopsis;
+use waves_core::window::MAX_WINDOW;
 
 /// Boosted basic counting over a sliding window of up to `N` bits with
 /// relative error `eps`: O(1) worst-case update, O((1/eps) log(eps N))
@@ -54,27 +55,27 @@ impl XuCount {
         if !(eps > 0.0 && eps < 1.0) {
             return Err(WaveError::InvalidEpsilon(eps));
         }
-        if max_window == 0 {
-            return Err(WaveError::InvalidWindow(0));
-        }
         let inv = (1.0 / eps).ceil() as u64;
-        Ok(Self::with_inv(max_window, inv))
+        Self::with_inv(max_window, inv)
     }
 
-    fn with_inv(max_window: u64, inv: u64) -> Self {
+    fn with_inv(max_window: u64, inv: u64) -> Result<Self, WaveError> {
+        if max_window == 0 || max_window > MAX_WINDOW {
+            return Err(WaveError::InvalidWindow(max_window));
+        }
         // Post-compression block count is O((1/eps) log(eps N)): an
         // `inv`-long singleton prefix plus geometric growth. Compress
         // at a small multiple so updates stay O(1) amortized.
         let levels = 64 - max_window.leading_zeros() as usize;
         let compress_at = 16 + 4 * inv as usize * (1 + levels);
-        XuCount {
+        Ok(XuCount {
             max_window,
             inv,
             pos: 0,
             blocks: VecDeque::new(),
             compress_at,
             compressions: 0,
-        }
+        })
     }
 
     /// Maximum window size `N`.
@@ -240,14 +241,11 @@ impl XuCount {
         use waves_core::codec::{read_deltas, BitReader, CodecError};
         let mut r = BitReader::new(bytes);
         let max_window = r.read_gamma()?;
-        if max_window == 0 {
-            return Err(CodecError::Corrupt("bad window"));
-        }
         let inv = r.read_gamma()?;
         if inv == 0 || inv > 1 << 32 {
             return Err(CodecError::Corrupt("bad inv"));
         }
-        let mut xu = XuCount::with_inv(max_window, inv);
+        let mut xu = XuCount::with_inv(max_window, inv)?;
         xu.pos = r.read_gamma0()?;
         if xu.pos > 1 << 62 {
             return Err(CodecError::Corrupt("counters inconsistent"));
@@ -267,11 +265,16 @@ impl XuCount {
             }
             prev = t;
         }
+        // A block's 1's lie after its predecessor's newest 1, so its
+        // count fits that gap — which also keeps every sum of counts
+        // within `pos`, so `query` cannot overflow.
+        prev = 0;
         for t in ts {
             let count = r.read_gamma()?;
-            if count == 0 || count > xu.pos {
-                return Err(CodecError::Corrupt("bad block count"));
+            if count > t - prev {
+                return Err(CodecError::Corrupt("block overlaps its predecessor"));
             }
+            prev = t;
             xu.blocks.push_back((t, count));
         }
         Ok(xu)
@@ -483,5 +486,56 @@ mod tests {
         }
         assert_eq!(xu.query(32).unwrap(), Estimate::exact(0));
         assert_eq!(xu.blocks(), 0);
+    }
+
+    /// The waves' window bound holds here too (see `EhCount`'s test).
+    #[test]
+    fn window_is_held_to_the_waves_bound() {
+        use waves_core::codec::{write_deltas, BitWriter, CodecError};
+        for n in [0, MAX_WINDOW + 1, u64::MAX] {
+            assert_eq!(
+                XuCount::new(n, 0.1).unwrap_err(),
+                WaveError::InvalidWindow(n)
+            );
+        }
+        let mut xu = XuCount::new(MAX_WINDOW, 0.1).unwrap();
+        for _ in 0..10 {
+            xu.push_bit(true);
+        }
+        assert_eq!(xu.query(10).unwrap(), Estimate::exact(10));
+        // A well-framed header claiming N = u64::MAX over one live block.
+        let mut w = BitWriter::new();
+        w.write_gamma(u64::MAX);
+        w.write_gamma(10); // inv
+        w.write_gamma0(10); // pos
+        w.write_gamma0(1); // blocks
+        write_deltas(&mut w, &[5]);
+        w.write_gamma(1); // the block's count
+        assert_eq!(
+            XuCount::decode(&w.finish()).unwrap_err(),
+            CodecError::BadParams(WaveError::InvalidWindow(u64::MAX))
+        );
+    }
+
+    /// Five well-framed blocks of almost 2^62 ones each, at five
+    /// consecutive positions: once accepted, `query` summed them past
+    /// `u64` (debug panic, release a wrapped answer).
+    #[test]
+    fn decode_refuses_a_block_overlapping_its_predecessor() {
+        use waves_core::codec::{write_deltas, BitWriter, CodecError};
+        let first = MAX_WINDOW - 4;
+        let mut w = BitWriter::new();
+        w.write_gamma(MAX_WINDOW);
+        w.write_gamma(10); // inv
+        w.write_gamma0(MAX_WINDOW); // pos
+        w.write_gamma0(5); // blocks
+        write_deltas(&mut w, &[first, first + 1, first + 2, first + 3, first + 4]);
+        for _ in 0..5 {
+            w.write_gamma(first); // fits the first block only
+        }
+        assert_eq!(
+            XuCount::decode(&w.finish()).unwrap_err(),
+            CodecError::Corrupt("block overlaps its predecessor")
+        );
     }
 }

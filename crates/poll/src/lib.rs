@@ -3,12 +3,11 @@
 //! The workspace's networking layer (`waves-net`) multiplexes thousands
 //! of non-blocking connections on one event-loop thread. The usual
 //! crates for that (mio, polling) live on the registry this build
-//! environment cannot reach, so — like `rand`, `proptest`, and
-//! `criterion` here — the needed subset is vendored: a [`Poller`] you
-//! register file descriptors with, an [`Events`] buffer to drain, and a
-//! [`Waker`] for cross-thread wakeups, all over direct `epoll`
-//! syscalls ([`sys`] has the per-architecture numbers and the inline
-//! asm).
+//! environment cannot reach, so — like `rand` and `proptest` here —
+//! the needed subset is vendored: a [`Poller`] you register file
+//! descriptors with, an [`Events`] buffer to drain, and a [`Waker`] for
+//! cross-thread wakeups, all over direct `epoll` syscalls ([`sys`] has
+//! the per-architecture numbers and the inline asm).
 //!
 //! Semantics are deliberately plain:
 //!
@@ -45,8 +44,6 @@ use std::io;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::Arc;
 use std::time::Duration;
-
-pub use sys::{nofile_limit, raise_nofile_limit};
 
 /// Caller-chosen identifier attached to a registration and handed back
 /// with every readiness event for that fd.
@@ -440,14 +437,5 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 50, "every token reported");
-    }
-
-    #[test]
-    fn nofile_limit_is_sane() {
-        let (soft, hard) = nofile_limit().unwrap();
-        assert!(soft > 0 && hard >= soft);
-        // Raising to the hard cap must succeed and report it.
-        let raised = raise_nofile_limit().unwrap();
-        assert_eq!(raised, hard);
     }
 }

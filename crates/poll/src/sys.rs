@@ -1,5 +1,5 @@
 //! The thin syscall floor under the poller: `epoll_create1`,
-//! `epoll_ctl`, `epoll_wait`, `eventfd2`, and `prlimit64`, invoked
+//! `epoll_ctl`, `epoll_wait`, and `eventfd2`, invoked
 //! directly (no libc wrappers) on the architectures this workspace
 //! targets.
 //!
@@ -37,8 +37,6 @@ const EPOLL_CLOEXEC: i32 = 0o2000000;
 const EFD_CLOEXEC: i32 = 0o2000000;
 const EFD_NONBLOCK: i32 = 0o0004000;
 
-const RLIMIT_NOFILE: i32 = 7;
-
 /// One kernel `struct epoll_event`. Packed on x86_64 (the one ABI
 /// where the kernel declares it so), naturally aligned elsewhere.
 #[derive(Debug, Clone, Copy, Default)]
@@ -47,13 +45,6 @@ const RLIMIT_NOFILE: i32 = 7;
 pub struct EpollEvent {
     pub events: u32,
     pub data: u64,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-#[repr(C)]
-pub struct Rlimit {
-    pub cur: u64,
-    pub max: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -69,7 +60,6 @@ mod imp {
         pub const EPOLL_PWAIT: i64 = 281;
         pub const EPOLL_CREATE1: i64 = 291;
         pub const EVENTFD2: i64 = 290;
-        pub const PRLIMIT64: i64 = 302;
     }
 
     /// Raw 6-argument syscall. Returns the kernel's value verbatim
@@ -146,25 +136,6 @@ mod imp {
         check(unsafe { syscall6(nr::EVENTFD2, initval as i64, flags as i64, 0, 0, 0, 0) })
             .map(|v| v as i32)
     }
-
-    pub fn prlimit64(
-        resource: i32,
-        new: *const super::Rlimit,
-        old: *mut super::Rlimit,
-    ) -> io::Result<()> {
-        check(unsafe {
-            syscall6(
-                nr::PRLIMIT64,
-                0, // pid 0: this process
-                resource as i64,
-                new as i64,
-                old as i64,
-                0,
-                0,
-            )
-        })
-        .map(|_| ())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -180,7 +151,6 @@ mod imp {
         pub const EPOLL_PWAIT: i64 = 22;
         pub const EPOLL_CREATE1: i64 = 20;
         pub const EVENTFD2: i64 = 19;
-        pub const PRLIMIT64: i64 = 261;
     }
 
     unsafe fn syscall6(n: i64, a: i64, b: i64, c: i64, d: i64, e: i64, f: i64) -> i64 {
@@ -250,25 +220,6 @@ mod imp {
         check(unsafe { syscall6(nr::EVENTFD2, initval as i64, flags as i64, 0, 0, 0, 0) })
             .map(|v| v as i32)
     }
-
-    pub fn prlimit64(
-        resource: i32,
-        new: *const super::Rlimit,
-        old: *mut super::Rlimit,
-    ) -> io::Result<()> {
-        check(unsafe {
-            syscall6(
-                nr::PRLIMIT64,
-                0,
-                resource as i64,
-                new as i64,
-                old as i64,
-                0,
-                0,
-            )
-        })
-        .map(|_| ())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -301,12 +252,6 @@ mod imp {
                 timeout: c_int,
             ) -> c_int;
             pub fn eventfd(initval: c_uint, flags: c_int) -> c_int;
-            pub fn prlimit64(
-                pid: c_int,
-                resource: c_int,
-                new_limit: *const crate::sys::Rlimit,
-                old_limit: *mut crate::sys::Rlimit,
-            ) -> c_int;
         }
     }
 
@@ -338,14 +283,6 @@ mod imp {
     pub fn eventfd2(initval: u32, flags: i32) -> io::Result<i32> {
         check(unsafe { c::eventfd(initval, flags) })
     }
-
-    pub fn prlimit64(
-        resource: i32,
-        new: *const super::Rlimit,
-        old: *mut super::Rlimit,
-    ) -> io::Result<()> {
-        check(unsafe { c::prlimit64(0, resource, new, old) }).map(|_| ())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -373,25 +310,4 @@ pub fn epoll_wait(epfd: i32, events: &mut [EpollEvent], timeout_ms: i32) -> io::
 
 pub fn eventfd() -> io::Result<i32> {
     imp::eventfd2(0, EFD_CLOEXEC | EFD_NONBLOCK)
-}
-
-/// Read the process's `RLIMIT_NOFILE` as `(soft, hard)`.
-pub fn nofile_limit() -> io::Result<(u64, u64)> {
-    let mut old = Rlimit::default();
-    imp::prlimit64(RLIMIT_NOFILE, std::ptr::null(), &mut old)?;
-    Ok((old.cur, old.max))
-}
-
-/// Raise the soft `RLIMIT_NOFILE` to the hard limit and return the new
-/// soft value. Needed before opening tens of thousands of loopback
-/// sockets (the `net-concurrency` experiment); a no-op when soft
-/// already equals hard.
-pub fn raise_nofile_limit() -> io::Result<u64> {
-    let (cur, max) = nofile_limit()?;
-    if cur >= max {
-        return Ok(cur);
-    }
-    let new = Rlimit { cur: max, max };
-    imp::prlimit64(RLIMIT_NOFILE, &new, std::ptr::null_mut())?;
-    Ok(max)
 }

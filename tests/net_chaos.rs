@@ -447,3 +447,39 @@ fn forged_sum_entries_are_refused_at_the_door_not_answered_inverted() {
     assert_eq!(both.lo, 2 * without_forger.lo);
     assert_eq!(both.hi, 2 * without_forger.hi);
 }
+
+/// An honest party's *valid* encoding must not be refused either:
+/// `m = 49` is one of the bucket parameters whose own `eps = 1/(2m)`
+/// rounds back up to `m + 1`, and a decoder that rebuilt through `eps`
+/// tripped its own consistency assert — a dead dispatch worker (debug)
+/// or a referee merging on thresholds the party never used (release).
+/// The push is accepted, the referee answers what the party would, and
+/// the connection lives on.
+#[test]
+fn valid_eh_encoding_with_a_drifting_m_is_served_not_refused() {
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            // One worker: a panicked dispatch would leave nobody to
+            // answer the COMBINE and PING below.
+            dispatch_threads: 1,
+            read_timeout: None,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let cfg = ClientConfig {
+        retry: RetryPolicy::none(),
+        ..fast_cfg()
+    };
+    let mut client = Client::connect_with(server.local_addr(), cfg).unwrap();
+    let mut eh = waves::EhCount::new(4096, 0.0103).unwrap();
+    for i in 0..20_000u64 {
+        eh.push_bit(i % 3 != 0);
+    }
+    client.push_eh_count(0, &eh).expect("a valid encoding");
+    let t0 = Instant::now();
+    assert_eq!(client.combine(4096).unwrap(), eh.query(4096).unwrap());
+    assert!(t0.elapsed() < HANG_BUDGET, "took {:?}", t0.elapsed());
+    client.ping().expect("dispatch worker is alive");
+}
