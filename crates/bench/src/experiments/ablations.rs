@@ -93,7 +93,7 @@ pub fn queue_constant() {
                 (0..t_parties).map(|_| UnionParty::new(&cfg)).collect();
             for i in 0..len {
                 for (j, p) in parties.iter_mut().enumerate() {
-                    p.push_bit(streams[j][i]);
+                    p.push(streams[j][i]);
                 }
             }
             let s = len as u64 + 1 - n;
@@ -105,7 +105,7 @@ pub fn queue_constant() {
                 })
                 .collect();
             let refs: Vec<&_> = reports.iter().collect();
-            let est = combine_instance(&cfg, 0, &refs, s);
+            let est = combine_instance(cfg.hash(0), &refs, s, |_| true);
             let rel = (est - actual).abs() / actual;
             errs.push(rel);
             if rel <= eps {
@@ -216,7 +216,7 @@ pub fn coordinated() {
                     (0..t_parties).map(|_| UnionParty::new(&cfg)).collect();
                 for i in 0..len {
                     for (j, p) in parties.iter_mut().enumerate() {
-                        p.push_bit(streams[j][i]);
+                        p.push(streams[j][i]);
                     }
                 }
                 state = parties[0].stored();
@@ -229,7 +229,7 @@ pub fn coordinated() {
                     })
                     .collect();
                 let refs: Vec<&_> = reports.iter().collect();
-                combine_instance(&cfg, 0, &refs, s)
+                combine_instance(cfg.hash(0), &refs, s, |_| true)
             };
             let rel = (est - actual).abs() / actual;
             errs.push(rel);

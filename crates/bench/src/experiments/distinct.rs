@@ -5,7 +5,7 @@ use crate::table::{f, pct, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use waves_rand::{estimate_distinct, DistinctParty, DistinctReferee, RandConfig};
+use waves_rand::{estimate, DistinctParty, RandConfig, Referee};
 use waves_streamgen::{overlapping_value_streams, ValueSource, ZipfValues};
 
 fn exact_distinct(streams: &[Vec<u64>], n: u64) -> u64 {
@@ -60,12 +60,12 @@ pub fn run() {
                     (0..tp).map(|_| DistinctParty::new(&cfg)).collect();
                 for i in 0..len {
                     for (j, p) in parties.iter_mut().enumerate() {
-                        p.push_value(streams[j][i]);
+                        p.push(streams[j][i]);
                     }
                 }
                 let stored = parties[0].stored();
-                let referee = DistinctReferee::new(cfg);
-                let est = estimate_distinct(&referee, &parties, n).unwrap();
+                let referee = Referee::new(cfg);
+                let est = estimate(&referee, &parties, n).unwrap();
                 let rel = (est - actual).abs() / actual;
                 assert!(rel <= eps, "{name} t={tp} eps={eps}: {est} vs {actual}");
                 t.row(&[
@@ -98,14 +98,14 @@ pub fn predicates() {
     let mut g = ZipfValues::new(domain as usize, 0.3, 3);
     let stream: Vec<u64> = (0..len).map(|_| g.next_value()).collect();
     for &v in &stream {
-        party.push_value(v);
+        party.push(v);
     }
     let mut last: HashMap<u64, u64> = HashMap::new();
     for (i, &v) in stream.iter().enumerate() {
         last.insert(v, i as u64 + 1);
     }
     let s = len as u64 + 1 - n;
-    let referee = DistinctReferee::new(cfg);
+    let referee = Referee::new(cfg);
     let msg = vec![party.message(n).unwrap()];
 
     let preds: Vec<(&str, f64, Box<dyn Fn(u64) -> bool>)> = vec![
@@ -127,7 +127,7 @@ pub fn predicates() {
     ]);
     for (name, alpha, pred) in &preds {
         let actual = last.iter().filter(|&(&v, &p)| p >= s && pred(v)).count() as f64;
-        let est = referee.estimate_predicate(&msg, s, Some(pred.as_ref()));
+        let est = referee.estimate_predicate(&msg, s, pred.as_ref());
         let rel = (est - actual).abs() / actual.max(1.0);
         // Section 5: guarantee costs a 1/alpha factor in sample size, so
         // at fixed space the error budget scales like eps/sqrt(alpha).

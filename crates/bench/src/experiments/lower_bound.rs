@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use waves_core::DetWave;
 use waves_distributed::{det_combine, DetCombine};
-use waves_rand::{estimate_union, RandConfig, Referee, UnionParty};
+use waves_rand::{estimate, RandConfig, Referee, UnionParty};
 use waves_streamgen::hamming_pair;
 
 fn wave_state(bits: &[bool], n: u64, eps: f64) -> Vec<(u64, u64)> {
@@ -105,11 +105,11 @@ pub fn run() {
         let mut pa = UnionParty::new(&cfg);
         let mut pb = UnionParty::new(&cfg);
         for i in 0..len {
-            pa.push_bit(x[i]);
-            pb.push_bit(y[i]);
+            pa.push(x[i]);
+            pb.push(y[i]);
         }
         let referee = Referee::new(cfg);
-        let rand_est = estimate_union(&referee, &[pa, pb], len as u64).unwrap();
+        let rand_est = estimate(&referee, &[pa, pb], len as u64).unwrap();
         worst_rand = worst_rand.max((rand_est - actual).abs() / actual);
         t.row(&[
             format!("{dist}"),

@@ -24,7 +24,7 @@ pub fn run() {
         let mut parties: Vec<UnionParty> = (0..tp).map(|_| UnionParty::new(&cfg)).collect();
         for i in 0..len {
             for (j, p) in parties.iter_mut().enumerate() {
-                p.push_bit(streams[j][i]);
+                p.push(streams[j][i]);
             }
         }
         let bytes: usize = parties
@@ -56,7 +56,7 @@ pub fn run() {
         let mut parties: Vec<UnionParty> = (0..tp).map(|_| UnionParty::new(&cfg)).collect();
         for i in 0..blen {
             for (j, p) in parties.iter_mut().enumerate() {
-                p.push_bit(streams[j][i]);
+                p.push(streams[j][i]);
             }
         }
         let bytes = parties[0].message(bn).unwrap().wire_bytes(&cfg);
@@ -90,7 +90,7 @@ pub fn run() {
         let mut p = UnionParty::new(&cfg);
         let mut src = correlated_streams(1, len, 0.5, 0.0, 7).remove(0);
         for b in src.drain(..) {
-            p.push_bit(b);
+            p.push(b);
         }
         instances_match &= cfg.instances() == instances_for(delta);
         t.row(&[

@@ -6,9 +6,7 @@
 use crate::table::{f, pct, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use waves_rand::{
-    combine_instance, estimate_union, instances_for, RandConfig, Referee, UnionParty,
-};
+use waves_rand::{combine_instance, estimate, instances_for, RandConfig, Referee, UnionParty};
 use waves_streamgen::{correlated_streams, positionwise_union};
 
 fn exact_window_union(streams: &[Vec<bool>], n: u64) -> u64 {
@@ -40,7 +38,7 @@ pub fn run() {
                 let mut parties: Vec<UnionParty> = (0..tp).map(|_| UnionParty::new(&cfg)).collect();
                 for i in 0..len {
                     for (j, p) in parties.iter_mut().enumerate() {
-                        p.push_bit(streams[j][i]);
+                        p.push(streams[j][i]);
                     }
                 }
                 let s = len as u64 + 1 - n;
@@ -52,7 +50,7 @@ pub fn run() {
                     })
                     .collect();
                 let refs: Vec<&_> = reports.iter().collect();
-                let est = combine_instance(&cfg, 0, &refs, s);
+                let est = combine_instance(cfg.hash(0), &refs, s, |_| true);
                 if (est - actual).abs() / actual <= eps {
                     ok += 1;
                 }
@@ -92,12 +90,12 @@ pub fn run() {
             let mut parties: Vec<UnionParty> = (0..tp).map(|_| UnionParty::new(&cfg)).collect();
             for i in 0..len {
                 for (j, p) in parties.iter_mut().enumerate() {
-                    p.push_bit(streams[j][i]);
+                    p.push(streams[j][i]);
                 }
             }
             space = parties[0].synopsis_bits(&cfg);
             let referee = Referee::new(cfg);
-            let est = estimate_union(&referee, &parties, n).unwrap();
+            let est = estimate(&referee, &parties, n).unwrap();
             errs.push((est - actual).abs() / actual);
         }
         let failures = errs.iter().filter(|&&e| e > eps).count();
@@ -126,11 +124,11 @@ pub fn run() {
         let mut parties: Vec<UnionParty> = (0..tp).map(|_| UnionParty::new(&cfg)).collect();
         for i in 0..len {
             for (j, p) in parties.iter_mut().enumerate() {
-                p.push_bit(streams[j][i]);
+                p.push(streams[j][i]);
             }
         }
         let referee = Referee::new(cfg);
-        let est = estimate_union(&referee, &parties, n).unwrap();
+        let est = estimate(&referee, &parties, n).unwrap();
         let rel = (est - actual).abs() / actual;
         assert!(rel <= 0.2, "t={tp}");
         t.row(&[format!("{tp}"), f(actual), f(est), pct(rel)]);
@@ -148,13 +146,13 @@ pub fn run() {
         let mut parties: Vec<UnionParty> = (0..tp).map(|_| UnionParty::new(&cfg)).collect();
         for i in 0..len {
             for (j, p) in parties.iter_mut().enumerate() {
-                p.push_bit(streams[j][i]);
+                p.push(streams[j][i]);
             }
         }
         let referee = Referee::new(cfg);
         for nq in [n / 16, n / 4, n / 2, n] {
             let actual = exact_window_union(&streams, nq) as f64;
-            let est = estimate_union(&referee, &parties, nq).unwrap();
+            let est = estimate(&referee, &parties, nq).unwrap();
             let rel = (est - actual).abs() / actual.max(1.0);
             assert!(rel <= 0.2, "n={nq}");
             t.row(&[format!("{nq}"), f(actual), f(est), pct(rel)]);

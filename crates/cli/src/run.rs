@@ -7,7 +7,7 @@ use std::io::Write;
 use std::time::Instant;
 use waves_core::{DetWave, Estimate, SlidingAverage, SumWave};
 use waves_obs::{HistId, JsonWriter, MetricId, MetricsRegistry, NoopRecorder, Recorder};
-use waves_rand::{DistinctParty, DistinctReferee, RandConfig};
+use waves_rand::{DistinctParty, RandConfig, Referee};
 
 /// One synopsis, dispatched by mode.
 enum Synopsis {
@@ -15,7 +15,7 @@ enum Synopsis {
     Sum(SumWave),
     Distinct {
         party: DistinctParty,
-        referee: DistinctReferee,
+        referee: Referee,
     },
     Average(SlidingAverage),
 }
@@ -57,7 +57,7 @@ impl Synopsis {
                         .map_err(|e| e.to_string())?;
                 Ok(Synopsis::Distinct {
                     party: DistinctParty::new(&rc),
-                    referee: DistinctReferee::new(rc),
+                    referee: Referee::new(rc),
                 })
             }
         }
@@ -74,7 +74,7 @@ impl Synopsis {
             }
             Synopsis::Sum(w) => w.push_value_recorded(v, rec).map_err(|e| e.to_string()),
             Synopsis::Distinct { party, .. } => {
-                party.push_value(v);
+                party.push(v);
                 Ok(())
             }
             Synopsis::Average(_) => unreachable!("average uses push_record"),

@@ -13,7 +13,7 @@
 
 use std::collections::HashSet;
 use waves_gf2::LevelHash;
-use waves_rand::median;
+use waves_rand::{combine_instance, InstanceReport};
 
 /// One coordinated-sampling instance over 1-positions (Union Counting,
 /// whole stream).
@@ -21,8 +21,9 @@ use waves_rand::median;
 pub struct CoordSampleParty {
     hash: LevelHash,
     cap: usize,
-    level: u32,
-    sample: Vec<u64>,
+    /// The current sampling level and the positions held at it: what
+    /// a wave party would report, were this its only level.
+    sample: InstanceReport,
     pos: u64,
 }
 
@@ -34,8 +35,10 @@ impl CoordSampleParty {
         CoordSampleParty {
             hash,
             cap,
-            level: 0,
-            sample: Vec::with_capacity(cap + 1),
+            sample: InstanceReport {
+                level: 0,
+                elements: Vec::with_capacity(cap + 1),
+            },
             pos: 0,
         }
     }
@@ -46,22 +49,22 @@ impl CoordSampleParty {
 
     /// Current sampling level.
     pub fn level(&self) -> u32 {
-        self.level
+        self.sample.level
     }
 
     /// Positions currently held.
     pub fn sample(&self) -> &[u64] {
-        &self.sample
+        &self.sample.elements
     }
 
     pub fn push_bit(&mut self, b: bool) {
         self.pos += 1;
-        if b && self.hash.level(self.pos) >= self.level {
-            self.sample.push(self.pos);
-            while self.sample.len() > self.cap {
-                self.level += 1;
-                let (hash, level) = (&self.hash, self.level);
-                self.sample.retain(|&p| hash.level(p) >= level);
+        let InstanceReport { level, elements } = &mut self.sample;
+        if b && self.hash.level(self.pos) >= *level {
+            elements.push(self.pos);
+            while elements.len() > self.cap {
+                *level += 1;
+                elements.retain(|&p| self.hash.level(p) >= *level);
             }
         }
     }
@@ -69,17 +72,11 @@ impl CoordSampleParty {
 
 /// Referee combine for coordinated sampling: estimate the number of 1's
 /// in the positionwise union restricted to positions `>= s` (`s = 0` for
-/// the whole stream — the only regime with a guarantee).
+/// the whole stream — the only regime with a guarantee). The step is the
+/// wave Referee's, on one-level reports.
 pub fn coord_union_estimate(parties: &[&CoordSampleParty], s: u64) -> f64 {
-    assert!(!parties.is_empty());
-    let l_star = parties.iter().map(|p| p.level).max().expect("nonempty");
-    let hash = &parties[0].hash;
-    let union: HashSet<u64> = parties
-        .iter()
-        .flat_map(|p| p.sample.iter().copied())
-        .filter(|&p| p >= s && hash.level(p) >= l_star)
-        .collect();
-    (1u64 << l_star) as f64 * union.len() as f64
+    let reports: Vec<&InstanceReport> = parties.iter().map(|p| &p.sample).collect();
+    combine_instance(&parties[0].hash, &reports, s, |_| true)
 }
 
 /// One coordinated-sampling instance over values (distinct counting,
@@ -119,27 +116,18 @@ impl CoordDistinctParty {
     }
 }
 
-/// Referee combine for distinct values over the union of whole streams.
+/// Referee combine for distinct values over the union of whole streams:
+/// a value is the element whose key is itself, and `s = 0` keeps all.
 pub fn coord_distinct_estimate(parties: &[&CoordDistinctParty]) -> f64 {
-    assert!(!parties.is_empty());
-    let l_star = parties.iter().map(|p| p.level).max().expect("nonempty");
-    let hash = &parties[0].hash;
-    let union: HashSet<u64> = parties
+    let reports: Vec<InstanceReport> = parties
         .iter()
-        .flat_map(|p| p.sample.iter().copied())
-        .filter(|&v| hash.level(v) >= l_star)
+        .map(|p| InstanceReport {
+            level: p.level,
+            elements: p.sample.iter().copied().collect(),
+        })
         .collect();
-    (1u64 << l_star) as f64 * union.len() as f64
-}
-
-/// Median of independent instances (convenience mirroring `waves-rand`).
-pub fn coord_union_median(instances: &[Vec<&CoordSampleParty>], s: u64) -> f64 {
-    median(
-        instances
-            .iter()
-            .map(|parties| coord_union_estimate(parties, s))
-            .collect(),
-    )
+    let reports: Vec<&InstanceReport> = reports.iter().collect();
+    combine_instance(&parties[0].hash, &reports, 0, |_| true)
 }
 
 #[cfg(test)]
@@ -187,7 +175,7 @@ mod tests {
         }
         // Union = multiples of 3 or 4: len/2 exactly.
         let actual = (len / 2) as f64;
-        let est = median(ests);
+        let est = waves_rand::median(ests);
         assert!(
             (est - actual).abs() / actual <= 0.2,
             "est {est} actual {actual}"

@@ -10,8 +10,8 @@
 //!   (per-stream windows; a split logical stream; the positionwise
 //!   union) with the deterministic waves driving Scenarios 1–2 and the
 //!   strawman combine rules that Theorem 4 dooms for Scenario 3;
-//! * [`runtime`] — a one-thread-per-party driver (std mpsc channels)
-//!   for the randomized Union Counting / distinct-values estimators;
+//! * [`runtime`] — the one-thread-per-party driver (std mpsc channels)
+//!   for the randomized waves, Union Counting and distinct values alike;
 //! * [`comm`] — query-time communication accounting;
 //! * [`coordinated`] — the SPAA 2001 coordinated-sampling baseline
 //!   (whole-stream union/distinct, no windows), kept for comparison
@@ -30,14 +30,10 @@ pub mod sim;
 
 pub use comm::{combine_estimates, CommStats, PartyComm, ScalarReport};
 pub use coordinated::{
-    coord_distinct_estimate, coord_union_estimate, coord_union_median, CoordDistinctParty,
-    CoordSampleParty,
+    coord_distinct_estimate, coord_union_estimate, CoordDistinctParty, CoordSampleParty,
 };
 pub use monitor::{MonitorConfig, MonitorDelta, MonitorReferee, PushParty};
-pub use runtime::{
-    run_distinct_threaded, run_distinct_threaded_recorded, run_union_threaded,
-    run_union_threaded_recorded, ThreadedRun,
-};
+pub use runtime::{run_threaded, ThreadedRun};
 pub use scenario::{
     det_combine, DetCombine, Scenario1Count, Scenario1Sum, Scenario2Count, Scenario3PositionwiseSum,
 };

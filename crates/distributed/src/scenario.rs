@@ -17,23 +17,33 @@
 use crate::comm::{CommStats, ScalarReport};
 use waves_core::{DetWave, Estimate, SumWave, WaveError};
 
-/// Scenario 1 for Basic Counting: `t` parties, each with its own
-/// deterministic wave; the query answer is the sum of per-party counts
-/// over their own last-`N` windows.
+/// Scenario 1: `t` parties, each with its own deterministic wave `W`
+/// over its own stream; the query answer is the sum of the per-party
+/// answers over their own last-`N` windows.
 #[derive(Debug)]
-pub struct Scenario1Count {
-    parties: Vec<DetWave>,
+pub struct Scenario1<W> {
+    parties: Vec<W>,
+    /// `W`'s window query: all the body needs of the wave type.
+    query: fn(&W, u64) -> Result<Estimate, WaveError>,
     comm: CommStats,
 }
 
-impl Scenario1Count {
-    pub fn new(t: usize, max_window: u64, eps: f64) -> Result<Self, WaveError> {
+/// Scenario 1 for Basic Counting.
+pub type Scenario1Count = Scenario1<DetWave>;
+
+/// Scenario 1 for sums of bounded integers.
+pub type Scenario1Sum = Scenario1<SumWave>;
+
+impl<W> Scenario1<W> {
+    fn with_parties(
+        t: usize,
+        party: impl Fn() -> Result<W, WaveError>,
+        query: fn(&W, u64) -> Result<Estimate, WaveError>,
+    ) -> Result<Self, WaveError> {
         assert!(t >= 1);
-        let parties = (0..t)
-            .map(|_| DetWave::new(max_window, eps))
-            .collect::<Result<_, _>>()?;
-        Ok(Scenario1Count {
-            parties,
+        Ok(Scenario1 {
+            parties: (0..t).map(|_| party()).collect::<Result<_, _>>()?,
+            query,
             comm: CommStats::default(),
         })
     }
@@ -42,18 +52,13 @@ impl Scenario1Count {
         self.parties.len()
     }
 
-    /// Feed a bit to party `j`.
-    pub fn push_bit(&mut self, j: usize, b: bool) {
-        self.parties[j].push_bit(b);
-    }
-
     /// Query: every party sends a scalar report; the Referee sums. The
     /// summed interval is a valid bracket, and each addend is within
     /// `eps`, so the total is too.
     pub fn query(&mut self, n: u64) -> Result<Estimate, WaveError> {
         let mut reports = Vec::with_capacity(self.parties.len());
         for (j, p) in self.parties.iter().enumerate() {
-            reports.push(p.query(n)?);
+            reports.push((self.query)(p, n)?);
             self.comm.record_party(j, ScalarReport::WIRE_BYTES);
         }
         Ok(crate::comm::combine_estimates(reports))
@@ -64,40 +69,38 @@ impl Scenario1Count {
     }
 }
 
-/// Scenario 1 for sums of bounded integers.
-#[derive(Debug)]
-pub struct Scenario1Sum {
-    parties: Vec<SumWave>,
-    comm: CommStats,
-}
-
-impl Scenario1Sum {
-    pub fn new(t: usize, max_window: u64, max_value: u64, eps: f64) -> Result<Self, WaveError> {
-        assert!(t >= 1);
-        let parties = (0..t)
-            .map(|_| SumWave::new(max_window, max_value, eps))
-            .collect::<Result<_, _>>()?;
-        Ok(Scenario1Sum {
-            parties,
-            comm: CommStats::default(),
-        })
+impl Scenario1<DetWave> {
+    pub fn new(t: usize, max_window: u64, eps: f64) -> Result<Self, WaveError> {
+        Self::with_parties(t, || DetWave::new(max_window, eps), DetWave::query)
     }
 
+    /// Feed a bit to party `j`.
+    pub fn push_bit(&mut self, j: usize, b: bool) {
+        self.parties[j].push_bit(b);
+    }
+}
+
+impl Scenario1<SumWave> {
+    pub fn new(t: usize, max_window: u64, max_value: u64, eps: f64) -> Result<Self, WaveError> {
+        Self::with_parties(
+            t,
+            || SumWave::new(max_window, max_value, eps),
+            SumWave::query,
+        )
+    }
+
+    /// Feed a value to party `j`.
     pub fn push_value(&mut self, j: usize, v: u64) -> Result<(), WaveError> {
         self.parties[j].push_value(v)
     }
 
-    pub fn query(&mut self, n: u64) -> Result<Estimate, WaveError> {
-        let mut reports = Vec::with_capacity(self.parties.len());
-        for (j, p) in self.parties.iter().enumerate() {
-            reports.push(p.query(n)?);
-            self.comm.record_party(j, ScalarReport::WIRE_BYTES);
+    /// All parties observe one item each at the same (implicit, shared)
+    /// position — the positionwise model.
+    pub fn push_position(&mut self, values: &[u64]) -> Result<(), WaveError> {
+        for (j, &v) in values.iter().enumerate() {
+            self.push_value(j, v)?;
         }
-        Ok(crate::comm::combine_estimates(reports))
-    }
-
-    pub fn comm(&self) -> &CommStats {
-        &self.comm
+        Ok(())
     }
 }
 
@@ -181,37 +184,7 @@ impl Scenario2Count {
 /// summed stream equals the sum of the per-party window sums. (With
 /// "union" meaning the positionwise *maximum*, the Theorem 4 lower
 /// bound applies instead — counting 1's in the OR is the special case.)
-#[derive(Debug)]
-pub struct Scenario3PositionwiseSum {
-    inner: Scenario1Sum,
-}
-
-impl Scenario3PositionwiseSum {
-    pub fn new(t: usize, max_window: u64, max_value: u64, eps: f64) -> Result<Self, WaveError> {
-        Ok(Scenario3PositionwiseSum {
-            inner: Scenario1Sum::new(t, max_window, max_value, eps)?,
-        })
-    }
-
-    /// All parties observe one item each at the same (implicit, shared)
-    /// position — the positionwise model.
-    pub fn push_position(&mut self, values: &[u64]) -> Result<(), WaveError> {
-        for (j, &v) in values.iter().enumerate() {
-            self.inner.push_value(j, v)?;
-        }
-        Ok(())
-    }
-
-    /// Estimate the sum of the positionwise-summed stream over the last
-    /// `n` positions (each addend within eps, hence the total too).
-    pub fn query(&mut self, n: u64) -> Result<Estimate, WaveError> {
-        self.inner.query(n)
-    }
-
-    pub fn comm(&self) -> &CommStats {
-        self.inner.comm()
-    }
-}
+pub type Scenario3PositionwiseSum = Scenario1Sum;
 
 /// Deterministic combine rules for Scenario 3 — the strawmen Theorem 4
 /// dooms. Each takes the per-party count estimates over the same window

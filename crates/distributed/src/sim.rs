@@ -72,7 +72,7 @@ pub fn simulate_async_union(
     let mut messages: Vec<Vec<Option<PartyMessage>>> = vec![vec![None; t]; query_ticks.len()];
     for tick in 1..=len {
         for (j, p) in parties.iter_mut().enumerate() {
-            p.push_bit(streams[j][(tick - 1) as usize]);
+            p.push(streams[j][(tick - 1) as usize]);
         }
         if let Some(items) = due.get(&tick) {
             for &(qi, j) in items {
@@ -130,7 +130,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use waves_rand::estimate_union;
+    use waves_rand::estimate;
     use waves_streamgen::correlated_streams;
 
     fn config(window: u64, seed: u64, instances: usize) -> RandConfig {
@@ -151,11 +151,11 @@ mod tests {
             let mut parties: Vec<UnionParty> = (0..t).map(|_| UnionParty::new(&cfg)).collect();
             for i in 0..tick as usize {
                 for j in 0..t {
-                    parties[j].push_bit(streams[j][i]);
+                    parties[j].push(streams[j][i]);
                 }
             }
             let referee = Referee::new(cfg.clone());
-            let want = estimate_union(&referee, &parties, window).unwrap();
+            let want = estimate(&referee, &parties, window).unwrap();
             assert_eq!(outcomes[idx].estimate, want, "tick {tick}");
         }
     }
@@ -178,11 +178,11 @@ mod tests {
             let mut parties: Vec<UnionParty> = (0..t).map(|_| UnionParty::new(&cfg)).collect();
             for i in 0..(q + d) as usize {
                 for j in 0..t {
-                    parties[j].push_bit(streams[j][i]);
+                    parties[j].push(streams[j][i]);
                 }
             }
             let referee = Referee::new(cfg.clone());
-            let want = estimate_union(&referee, &parties, window).unwrap();
+            let want = estimate(&referee, &parties, window).unwrap();
             assert_eq!(outcomes[idx].estimate, want, "query at {q}, latency {d}");
         }
     }

@@ -10,6 +10,7 @@
 
 use rand::Rng;
 use waves_core::error::WaveError;
+use waves_core::window::MAX_WINDOW;
 use waves_gf2::LevelHash;
 
 /// Paper's queue-size constant (`c = 36`, from Lemma 2's analysis).
@@ -29,13 +30,28 @@ pub fn instances_for(delta: f64) -> usize {
     }
 }
 
+/// Largest per-level capacity a configuration holds: the level samples
+/// index their elements with `u32` links.
+const MAX_CAPACITY: u64 = 1 << 31;
+
+/// The per-level capacity `ceil(c / eps^2)` of Lemma 2, for `eps` in
+/// (0, 1). It is computed from `eps` here and nowhere else: the f64 map
+/// is not injective under the codec's ppm rounding (`eps = 1/3`: 324,
+/// but 325 from 0.333333), so the configuration stores the integer and
+/// the codec carries it.
+fn capacity(c: f64, eps: f64) -> Option<usize> {
+    let cap = (c / (eps * eps)).ceil();
+    (eps > 0.0 && eps < 1.0 && cap >= 1.0 && cap <= MAX_CAPACITY as f64).then_some(cap as usize)
+}
+
 /// Shared configuration for a family of randomized-wave instances.
 #[derive(Debug, Clone)]
 pub struct RandConfig {
     max_window: u64,
     eps: f64,
     delta: f64,
-    c: f64,
+    /// Per-level capacity, from `capacity` at build time.
+    cap: usize,
     /// Field degree: hash domain is `[0, 2^degree)`.
     degree: u32,
     hashes: Vec<LevelHash>,
@@ -44,18 +60,15 @@ pub struct RandConfig {
 impl RandConfig {
     /// Sample a configuration for Union Counting: the hash domain is the
     /// position ring `[0, N')`, `N'` the smallest power of two at least
-    /// `2 * max_window`.
+    /// `2 * max_window` — the value space `[0..=2N - 1]`, rounded up.
     pub fn for_positions<R: Rng + ?Sized>(
         max_window: u64,
         eps: f64,
         delta: f64,
         rng: &mut R,
     ) -> Result<Self, WaveError> {
-        if max_window == 0 {
-            return Err(WaveError::InvalidWindow(0));
-        }
-        let degree = waves_core::ModRing::for_window(max_window).counter_bits();
-        Self::build(max_window, eps, delta, PAPER_C, degree, rng)
+        let ring_top = max_window.saturating_mul(2).saturating_sub(1);
+        Self::for_values(max_window, ring_top, eps, delta, rng)
     }
 
     /// Sample a configuration for distinct-values counting: the hash
@@ -67,8 +80,8 @@ impl RandConfig {
         delta: f64,
         rng: &mut R,
     ) -> Result<Self, WaveError> {
-        if max_window == 0 {
-            return Err(WaveError::InvalidWindow(0));
+        if max_window == 0 || max_window > MAX_WINDOW {
+            return Err(WaveError::InvalidWindow(max_window));
         }
         if max_value >= 1 << 63 {
             return Err(WaveError::ValueTooLarge {
@@ -76,42 +89,28 @@ impl RandConfig {
                 max: (1 << 63) - 1,
             });
         }
-        let degree = (64 - max_value.leading_zeros()).max(1);
-        Self::build(max_window, eps, delta, PAPER_C, degree, rng)
-    }
-
-    fn build<R: Rng + ?Sized>(
-        max_window: u64,
-        eps: f64,
-        delta: f64,
-        c: f64,
-        degree: u32,
-        rng: &mut R,
-    ) -> Result<Self, WaveError> {
-        if !(eps > 0.0 && eps < 1.0) {
-            return Err(WaveError::InvalidEpsilon(eps));
-        }
         if !(delta > 0.0 && delta < 1.0) {
             return Err(WaveError::InvalidDelta(delta));
         }
+        let cap = capacity(PAPER_C, eps).ok_or(WaveError::InvalidEpsilon(eps))?;
+        let degree = (64 - max_value.leading_zeros()).max(1);
         let m = instances_for(delta);
-        let hashes = (0..m).map(|_| LevelHash::random(degree, rng)).collect();
         Ok(RandConfig {
             max_window,
             eps,
             delta,
-            c,
+            cap,
             degree,
-            hashes,
+            hashes: (0..m).map(|_| LevelHash::random(degree, rng)).collect(),
         })
     }
 
     /// Override the queue constant `c` (default 36, the paper's analysis
     /// constant; the A2 ablation shows smaller values suffice
-    /// empirically). Re-derives nothing else.
+    /// empirically): the capacity becomes `ceil(c / eps^2)`. Re-derives
+    /// nothing else.
     pub fn with_c(mut self, c: f64) -> Self {
-        assert!(c > 0.0);
-        self.c = c;
+        self.cap = capacity(c, self.eps).expect("c / eps^2 is a queue capacity");
         self
     }
 
@@ -141,9 +140,10 @@ impl RandConfig {
         self.delta
     }
 
-    /// Per-level queue capacity `ceil(c / eps^2)`.
+    /// Per-level queue capacity `ceil(c / eps^2)`, fixed when the
+    /// configuration was built.
     pub fn queue_capacity(&self) -> usize {
-        (self.c / (self.eps * self.eps)).ceil() as usize
+        self.cap
     }
 
     /// Number of levels minus one (levels run `0..=degree`).
@@ -174,14 +174,14 @@ impl RandConfig {
         use waves_core::codec::BitWriter;
         let mut w = BitWriter::new();
         w.write_gamma(self.max_window);
-        // eps/delta as parts-per-million (exact enough to reconstruct
-        // every derived integer parameter; the raw coins are explicit).
-        // Parameters below the encoding quantum round up to it, so the
-        // gamma codes stay positive (the coins, the exact quantities,
-        // are written verbatim below).
+        // eps/delta as parts-per-million: descriptive only, nothing is
+        // derived from them again. Parameters below the encoding quantum
+        // round up to it, so the gamma codes stay positive. What the
+        // waves compute with — the capacity, the degree, the coins — is
+        // written as the integers it is.
         w.write_gamma(((self.eps * 1e6).round() as u64).max(1));
         w.write_gamma(((self.delta * 1e6).round() as u64).max(1));
-        w.write_gamma(((self.c * 1e3).round() as u64).max(1));
+        w.write_gamma(self.cap as u64);
         w.write_gamma(self.degree as u64);
         w.write_gamma(self.hashes.len() as u64);
         for h in &self.hashes {
@@ -201,12 +201,13 @@ impl RandConfig {
         let max_window = r.read_gamma()?;
         let eps = r.read_gamma()? as f64 / 1e6;
         let delta = r.read_gamma()? as f64 / 1e6;
-        let c = r.read_gamma()? as f64 / 1e3;
-        let degree = r.read_gamma()? as u32;
+        let cap = r.read_gamma()?;
+        let degree = r.read_gamma()?;
         if !(1..=63).contains(&degree) {
             return Err(CodecError::Corrupt("degree out of range"));
         }
-        if eps <= 0.0 || eps >= 1.0 || delta <= 0.0 || delta >= 1.0 || c <= 0.0 {
+        let degree = degree as u32;
+        if max_window > MAX_WINDOW || eps >= 1.0 || delta >= 1.0 || cap > MAX_CAPACITY {
             return Err(CodecError::Corrupt("parameters out of range"));
         }
         let m = r.read_gamma()? as usize;
@@ -223,7 +224,7 @@ impl RandConfig {
             max_window,
             eps,
             delta,
-            c,
+            cap: cap as usize,
             degree,
             hashes,
         })
@@ -287,20 +288,33 @@ mod tests {
 
     #[test]
     fn config_encode_decode_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let cfg = RandConfig::for_positions(10_000, 0.15, 0.01, &mut rng)
-            .unwrap()
-            .with_c(12.0);
-        let bytes = cfg.encode();
-        let back = RandConfig::decode(&bytes).unwrap();
-        assert_eq!(back.max_window(), cfg.max_window());
-        assert_eq!(back.degree(), cfg.degree());
-        assert_eq!(back.instances(), cfg.instances());
-        assert_eq!(back.queue_capacity(), cfg.queue_capacity());
-        // The coins — and therefore every hash value — are identical.
-        for i in 0..cfg.instances() {
-            for p in (0..50_000u64).step_by(991) {
-                assert_eq!(back.hash(i).level(p), cfg.hash(i).level(p));
+        // 1/3 and the two long decimals are where a capacity re-derived
+        // from the ppm-rounded eps lands one off (324 -> 325, 42 438 ->
+        // 42 437, 29 561 -> 29 560): the codec carries the integer.
+        for (eps, c) in [
+            (0.15, 12.0),
+            (1.0 / 3.0, PAPER_C),
+            (0.029125837686658898, PAPER_C),
+            (0.0348977358346197, PAPER_C),
+        ] {
+            let mut rng = StdRng::seed_from_u64(11);
+            let cfg = RandConfig::for_positions(10_000, eps, 0.01, &mut rng)
+                .unwrap()
+                .with_c(c);
+            assert_eq!(cfg.queue_capacity(), (c / (eps * eps)).ceil() as usize);
+            let bytes = cfg.encode();
+            let back = RandConfig::decode(&bytes).unwrap();
+            assert_eq!(back.max_window(), cfg.max_window());
+            assert_eq!(back.degree(), cfg.degree());
+            assert_eq!(back.instances(), cfg.instances());
+            assert_eq!(back.queue_capacity(), cfg.queue_capacity(), "eps {eps}");
+            assert_eq!(back.encode(), bytes, "eps {eps}");
+            // The coins — and therefore every hash value — are identical.
+            for i in 0..cfg.instances() {
+                assert_eq!(back.hash(i), cfg.hash(i));
+                for p in (0..50_000u64).step_by(991) {
+                    assert_eq!(back.hash(i).level(p), cfg.hash(i).level(p));
+                }
             }
         }
     }

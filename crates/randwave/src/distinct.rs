@@ -5,355 +5,134 @@
 //! shared hash is applied to the value, each element is the pair
 //! `(value, most recent position)`, and re-occurrences move the element
 //! to the recent end of every level it belongs to. A value counts as
-//! "in the window" when its most recent occurrence is.
+//! "in the window" when its most recent occurrence is. The structure is
+//! the shared skeleton's; this file keeps the recency list that makes
+//! "move to the recent end" O(1), and the global one that finds the
+//! values leaving the window.
 //!
 //! Because the sample at the chosen level is a uniform (pairwise
 //! independent) sample of the distinct values in the window, it also
 //! answers *predicate* queries — "how many distinct values satisfy P?" —
 //! for any predicate supplied at query time (the paper's "Handling
-//! Predicates" extension).
+//! Predicates" extension, [`crate::Referee::estimate_predicate`]).
 
-use crate::config::{median, RandConfig};
+use crate::config::RandConfig;
+use crate::referee::Party;
+use crate::sample::{Queue, Sampler};
+use crate::wave::{Report, Wave};
 use std::collections::HashMap;
 use waves_core::chain::Chain;
 use waves_core::error::WaveError;
-use waves_gf2::LevelHash;
 
+/// `(value, last position)` pairs in order of last position, head =
+/// least recent, with the value -> chain node index that lets a
+/// re-occurrence find its pair.
 #[derive(Debug, Clone)]
-struct LevelSample {
-    /// value -> chain node.
+struct Recency {
     map: HashMap<u64, u32>,
-    /// Recency list of (value, last position); head = least recent.
     chain: Chain<(u64, u64)>,
-    /// The sample provably contains every selected value whose last
-    /// occurrence is in `[range_start, pos]`.
-    range_start: u64,
 }
 
-impl LevelSample {
-    fn new(cap: usize) -> Self {
-        LevelSample {
+impl Recency {
+    fn remove(&mut self, v: u64) {
+        if let Some(id) = self.map.remove(&v) {
+            self.chain.remove(id);
+        }
+    }
+}
+
+impl Queue for Recency {
+    type Element = (u64, u64);
+
+    fn with_capacity(cap: usize) -> Self {
+        Recency {
             map: HashMap::with_capacity(cap + 1),
             chain: Chain::with_capacity(cap + 1),
-            range_start: 0,
         }
+    }
+    fn len(&self) -> usize {
+        self.chain.len()
+    }
+    fn oldest(&self) -> Option<(u64, u64)> {
+        self.chain.head().map(|id| *self.chain.get(id))
+    }
+    fn pop_oldest(&mut self) -> Option<(u64, u64)> {
+        let e = self.oldest()?;
+        self.remove(e.0);
+        Some(e)
+    }
+    fn arrive(&mut self, e: (u64, u64)) -> bool {
+        let stale = self.map.insert(e.0, self.chain.push_back(e));
+        if let Some(id) = stale {
+            self.chain.remove(id);
+        }
+        stale.is_none()
+    }
+    fn elements(&self) -> Vec<(u64, u64)> {
+        self.chain.iter().map(|(_, &e)| e).collect()
     }
 }
 
-/// One distinct-values wave instance for one party's stream.
+/// One distinct-values wave instance for one party's stream (see
+/// [`RandConfig::for_values`]).
 #[derive(Debug, Clone)]
 pub struct DistinctWave {
-    max_window: u64,
-    hash: LevelHash,
-    cap: usize,
-    pos: u64,
-    levels: Vec<LevelSample>,
-    /// Recency list over values present in any level, for O(1) expiry.
-    global_chain: Chain<(u64, u64)>,
-    global_map: HashMap<u64, u32>,
-}
-
-/// A party's report for one instance: the chosen level and its sample.
-#[derive(Debug, Clone)]
-pub struct DistinctReport {
-    pub level: u32,
-    /// `(value, last position)` pairs.
-    pub elements: Vec<(u64, u64)>,
-}
-
-impl DistinctReport {
-    /// Wire size with values at `value_bits` and positions at
-    /// `position_bits`.
-    pub fn wire_bytes(&self, value_bits: u32, position_bits: u32) -> usize {
-        4 + (self.elements.len() * (value_bits + position_bits) as usize).div_ceil(8)
-    }
-}
-
-impl DistinctWave {
-    /// Build an instance from shared configuration (see
-    /// [`RandConfig::for_values`]).
-    pub fn new(config: &RandConfig, instance: usize) -> Self {
-        let hash = config.hash(instance).clone();
-        let d = config.degree();
-        let cap = config.queue_capacity();
-        DistinctWave {
-            max_window: config.max_window(),
-            cap,
-            pos: 0,
-            levels: (0..=d).map(|_| LevelSample::new(cap)).collect(),
-            global_chain: Chain::with_capacity(16),
-            global_map: HashMap::new(),
-            hash,
-        }
-    }
-
-    /// Stream length so far.
-    pub fn pos(&self) -> u64 {
-        self.pos
-    }
-
-    /// Total elements stored across levels.
-    pub fn stored(&self) -> usize {
-        self.levels.iter().map(|l| l.chain.len()).sum()
-    }
-
-    /// Observe the next value. Expected O(1) hash-and-touch work per
-    /// item: the value belongs to an expected two levels.
-    pub fn push_value(&mut self, v: u64) {
-        self.pos += 1;
-        self.expire();
-        let top = self.hash.level(v);
-        for l in 0..=top as usize {
-            let mut gone_global: Option<u64> = None;
-            {
-                let level = &mut self.levels[l];
-                if let Some(&id) = level.map.get(&v) {
-                    // Re-occurrence: move to the recent end, new pos.
-                    level.chain.remove(id);
-                    let nid = level.chain.push_back((v, self.pos));
-                    level.map.insert(v, nid);
-                } else {
-                    if level.chain.len() == self.cap {
-                        let head = level.chain.head().expect("cap >= 1");
-                        let (v_old, p_old) = *level.chain.get(head);
-                        level.chain.remove(head);
-                        level.map.remove(&v_old);
-                        level.range_start = level.range_start.max(p_old + 1);
-                        // Values survive longest at their own top level;
-                        // once evicted there, they are gone everywhere.
-                        if l as u32 == self.hash.level(v_old) {
-                            gone_global = Some(v_old);
-                        }
-                    }
-                    let nid = level.chain.push_back((v, self.pos));
-                    level.map.insert(v, nid);
-                }
-            }
-            if let Some(v_old) = gone_global {
-                self.global_remove(v_old);
-            }
-        }
-        // Touch the global recency list.
-        if let Some(&gid) = self.global_map.get(&v) {
-            self.global_chain.remove(gid);
-        }
-        let gid = self.global_chain.push_back((v, self.pos));
-        self.global_map.insert(v, gid);
-    }
-
-    fn global_remove(&mut self, v: u64) {
-        if let Some(gid) = self.global_map.remove(&v) {
-            self.global_chain.remove(gid);
-        }
-    }
-
-    fn expire(&mut self) {
-        while let Some(gid) = self.global_chain.head() {
-            let (v, p) = *self.global_chain.get(gid);
-            if p + self.max_window <= self.pos {
-                for l in 0..=self.hash.level(v) as usize {
-                    if let Some(id) = self.levels[l].map.remove(&v) {
-                        self.levels[l].chain.remove(id);
-                        self.levels[l].range_start = self.levels[l].range_start.max(p + 1);
-                    }
-                }
-                self.global_chain.remove(gid);
-                self.global_map.remove(&v);
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Smallest level whose sample covers `[s, pos]`.
-    pub fn local_level(&self, s: u64) -> u32 {
-        let mut lo = 0usize;
-        let mut hi = self.levels.len();
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.levels[mid].range_start <= s {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        lo.min(self.levels.len() - 1) as u32
-    }
-
-    /// Build the message for a query over `[s, pos]`.
-    pub fn report(&self, s: u64) -> DistinctReport {
-        let l = self.local_level(s);
-        DistinctReport {
-            level: l,
-            elements: self.levels[l as usize]
-                .chain
-                .iter()
-                .map(|(_, &e)| e)
-                .collect(),
-        }
-    }
-
-    /// Window-start helper (validates `n <= N`).
-    pub fn window_start(&self, n: u64) -> Result<u64, WaveError> {
-        if n > self.max_window {
-            return Err(WaveError::WindowTooLarge {
-                requested: n,
-                max: self.max_window,
-            });
-        }
-        Ok((self.pos + 1).saturating_sub(n))
-    }
-}
-
-/// Combine one instance's reports from every party: levelwise union
-/// (Section 5) followed by the Figure 6 estimate on values.
-pub fn combine_distinct_instance(
-    config: &RandConfig,
-    instance: usize,
-    reports: &[&DistinctReport],
-    s: u64,
-    predicate: Option<&dyn Fn(u64) -> bool>,
-) -> f64 {
-    assert!(!reports.is_empty());
-    let hash = config.hash(instance);
-    let l_star = reports.iter().map(|r| r.level).max().expect("nonempty");
-    // A value's window membership is decided by its most recent
-    // occurrence across ALL parties: take the max position per value.
-    let mut last: HashMap<u64, u64> = HashMap::new();
-    for r in reports {
-        for &(v, p) in &r.elements {
-            if hash.level(v) >= l_star {
-                let e = last.entry(v).or_insert(0);
-                *e = (*e).max(p);
-            }
-        }
-    }
-    let count = last
-        .iter()
-        .filter(|&(&v, &p)| p >= s && predicate.is_none_or(|f| f(v)))
-        .count();
-    (1u64 << l_star) as f64 * count as f64
+    sample: Sampler<Recency>,
+    /// Every value present in any level, for O(1) expiry.
+    global: Recency,
 }
 
 /// A party for distinct counting: one [`DistinctWave`] per instance.
-#[derive(Debug, Clone)]
-pub struct DistinctParty {
-    waves: Vec<DistinctWave>,
-}
+pub type DistinctParty = Party<DistinctWave>;
 
-/// A party's full message: one report per instance.
-#[derive(Debug, Clone)]
-pub struct DistinctMessage {
-    pub reports: Vec<DistinctReport>,
-}
+impl Wave for DistinctWave {
+    type Item = u64;
+    type Element = (u64, u64);
 
-impl DistinctParty {
-    pub fn new(config: &RandConfig) -> Self {
-        DistinctParty {
-            waves: (0..config.instances())
-                .map(|i| DistinctWave::new(config, i))
-                .collect(),
+    fn new(config: &RandConfig, instance: usize) -> Self {
+        DistinctWave {
+            sample: Sampler::new(config, instance),
+            global: Recency::with_capacity(16),
         }
     }
-
-    /// Stream length observed so far.
-    pub fn pos(&self) -> u64 {
-        self.waves[0].pos()
+    /// Observe the next value.
+    fn push(&mut self, v: u64) {
+        self.advance();
+        let e = (v, self.sample.pos());
+        self.sample.insert(e, |hash, l, (v_old, _)| {
+            // Values survive longest at their own top level; once
+            // evicted there, they are gone everywhere.
+            if l as u32 == hash.level(v_old) {
+                self.global.remove(v_old);
+            }
+        });
+        self.global.arrive(e);
     }
-
-    /// Observe the next value in every instance.
-    pub fn push_value(&mut self, v: u64) {
-        for w in self.waves.iter_mut() {
-            w.push_value(v);
-        }
-    }
-
-    /// Advance the clock without a value (positionwise alignment with
-    /// other parties that did observe an item).
-    pub fn push_absent(&mut self) {
-        for w in self.waves.iter_mut() {
-            w.pos += 1;
-            w.expire();
-        }
-    }
-
-    /// Build the query message for the last `n` positions.
-    pub fn message(&self, n: u64) -> Result<DistinctMessage, WaveError> {
-        let s = self.waves[0].window_start(n)?;
-        Ok(DistinctMessage {
-            reports: self.waves.iter().map(|w| w.report(s)).collect(),
-        })
-    }
-
-    /// Total stored elements (for space accounting).
-    pub fn stored(&self) -> usize {
-        self.waves.iter().map(DistinctWave::stored).sum()
-    }
-}
-
-/// Referee for distinct counting.
-#[derive(Debug, Clone)]
-pub struct DistinctReferee {
-    config: RandConfig,
-}
-
-impl DistinctReferee {
-    pub fn new(config: RandConfig) -> Self {
-        DistinctReferee { config }
-    }
-
-    pub fn config(&self) -> &RandConfig {
-        &self.config
-    }
-
-    /// Median-of-instances estimate of the number of distinct values in
-    /// the window `[s, pos]` across all parties.
-    pub fn estimate(&self, messages: &[DistinctMessage], s: u64) -> f64 {
-        self.estimate_predicate(messages, s, None)
-    }
-
-    /// As [`DistinctReferee::estimate`], restricted to values satisfying
-    /// a predicate supplied at query time.
-    pub fn estimate_predicate(
-        &self,
-        messages: &[DistinctMessage],
-        s: u64,
-        predicate: Option<&dyn Fn(u64) -> bool>,
-    ) -> f64 {
-        assert!(!messages.is_empty());
-        let m = self.config.instances();
-        assert!(messages.iter().all(|msg| msg.reports.len() == m));
-        let per_instance: Vec<f64> = (0..m)
-            .map(|i| {
-                let reports: Vec<&DistinctReport> =
-                    messages.iter().map(|msg| &msg.reports[i]).collect();
-                combine_distinct_instance(&self.config, i, &reports, s, predicate)
+    fn advance(&mut self) {
+        let global = &mut self.global;
+        self.sample.advance(|left| {
+            std::iter::from_fn(move || {
+                global.oldest().filter(|e| e.1 <= left)?;
+                global.pop_oldest()
             })
-            .collect();
-        median(per_instance)
+        });
     }
-}
-
-/// Convenience driver: estimate distinct values over the last `n`
-/// positions.
-pub fn estimate_distinct(
-    referee: &DistinctReferee,
-    parties: &[DistinctParty],
-    n: u64,
-) -> Result<f64, WaveError> {
-    assert!(!parties.is_empty());
-    let messages: Vec<DistinctMessage> = parties
-        .iter()
-        .map(|p| p.message(n))
-        .collect::<Result<_, _>>()?;
-    let s = (parties[0].pos() + 1).saturating_sub(n);
-    Ok(referee.estimate(&messages, s))
+    fn pos(&self) -> u64 {
+        self.sample.pos()
+    }
+    fn stored(&self) -> usize {
+        self.sample.stored()
+    }
+    fn report(&self, n: u64) -> Result<Report<(u64, u64)>, WaveError> {
+        self.sample.report(n)
+    }
 }
 
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)]
 mod tests {
     use super::*;
+    use crate::{estimate, Referee};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use waves_core::exact::ExactDistinct;
@@ -373,10 +152,10 @@ mod tests {
         let c = cfg(128, 1 << 10, 0.5, 1, 1);
         let mut p = DistinctParty::new(&c);
         for i in 0..128u64 {
-            p.push_value(i % 10);
+            p.push(i % 10);
         }
-        let referee = DistinctReferee::new(c);
-        let est = estimate_distinct(&referee, &[p], 128).unwrap();
+        let referee = Referee::new(c);
+        let est = estimate(&referee, &[p], 128).unwrap();
         assert_eq!(est, 10.0);
     }
 
@@ -385,11 +164,11 @@ mod tests {
         let c = cfg(4, 1 << 8, 0.5, 1, 2);
         let mut p = DistinctParty::new(&c);
         for v in [1u64, 2, 3, 9, 9, 9, 9] {
-            p.push_value(v);
+            p.push(v);
         }
         // Window of last 4: only value 9 has a recent-enough occurrence.
-        let referee = DistinctReferee::new(c);
-        let est = estimate_distinct(&referee, &[p], 4).unwrap();
+        let referee = Referee::new(c);
+        let est = estimate(&referee, &[p], 4).unwrap();
         assert_eq!(est, 1.0);
     }
 
@@ -402,11 +181,11 @@ mod tests {
         let mut gen = ZipfValues::new(r as usize + 1, 1.0, 99);
         for _ in 0..4000 {
             let v = gen.next_value();
-            p.push_value(v);
+            p.push(v);
             oracle.push_value(v);
         }
-        let referee = DistinctReferee::new(c);
-        let est = estimate_distinct(&referee, &[p], n).unwrap();
+        let referee = Referee::new(c);
+        let est = estimate(&referee, &[p], n).unwrap();
         let actual = oracle.query(n);
         let rel = (est - actual as f64).abs() / actual as f64;
         assert!(rel <= eps, "est {est} actual {actual}");
@@ -420,7 +199,7 @@ mod tests {
         let mut parties: Vec<DistinctParty> = (0..t).map(|_| DistinctParty::new(&c)).collect();
         for i in 0..2000 {
             for (j, p) in parties.iter_mut().enumerate() {
-                p.push_value(streams[j][i]);
+                p.push(streams[j][i]);
             }
         }
         // Truth: a value is in the window if its most recent occurrence
@@ -433,10 +212,42 @@ mod tests {
             }
         }
         let actual = last.values().filter(|&&i| i >= s_start).count() as u64;
-        let referee = DistinctReferee::new(c);
-        let est = estimate_distinct(&referee, &parties, n).unwrap();
+        let referee = Referee::new(c);
+        let est = estimate(&referee, &parties, n).unwrap();
         let rel = (est - actual as f64).abs() / actual as f64;
         assert!(rel <= eps, "est {est} actual {actual}");
+    }
+
+    #[test]
+    fn clock_only_advance_keeps_parties_on_one_axis() {
+        // Party b observes a value at one position in three and only
+        // advances its clock at the others. Few enough distinct values
+        // that level 0 never evicts, so every answer is exact — against
+        // an oracle that sees the same merged axis.
+        let (n, c) = (64u64, cfg(64, 1023, 0.5, 3, 8));
+        let (mut a, mut b) = (DistinctParty::new(&c), DistinctParty::new(&c));
+        let (mut oracle_a, mut oracle_b) = (ExactDistinct::new(n), ExactDistinct::new(n));
+        let referee = Referee::new(c);
+        for i in 0..600u64 {
+            a.push(i % 23);
+            oracle_a.push_value(i % 23);
+            if i % 3 == 0 {
+                b.push(100 + (i / 3) % 31);
+                oracle_b.push_value(100 + (i / 3) % 31);
+            } else {
+                b.advance();
+                oracle_b.push_absent();
+            }
+            assert_eq!(b.pos(), a.pos());
+            if i % 37 == 0 || i == 599 {
+                for w in [n, 10] {
+                    // The two parties' value sets are disjoint.
+                    let actual = oracle_a.query(w) + oracle_b.query(w);
+                    let est = estimate(&referee, &[a.clone(), b.clone()], w).unwrap();
+                    assert_eq!(est, actual as f64, "pos {} window {w}", a.pos());
+                }
+            }
+        }
     }
 
     #[test]
@@ -448,14 +259,14 @@ mod tests {
         let mut gen = ZipfValues::new(r as usize + 1, 0.5, 7);
         for _ in 0..3000 {
             let v = gen.next_value();
-            p.push_value(v);
+            p.push(v);
             oracle.push_value(v);
         }
-        let referee = DistinctReferee::new(c);
+        let referee = Referee::new(c);
         let msg = vec![p.message(n).unwrap()];
         let s = (p.pos() + 1).saturating_sub(n);
         let even = |v: u64| v.is_multiple_of(2);
-        let est = referee.estimate_predicate(&msg, s, Some(&even));
+        let est = referee.estimate_predicate(&msg, s, even);
         let actual = oracle.query_predicate(n, even);
         let rel = (est - actual as f64).abs() / actual as f64;
         // Selectivity ~1/2: guarantee degrades by ~1/alpha; allow 2*eps.
@@ -468,11 +279,11 @@ mod tests {
         let cap = c.queue_capacity();
         let mut w = DistinctWave::new(&c, 0);
         for i in 0..50_000u64 {
-            w.push_value(i % 7919);
+            w.push(i % 7919);
         }
         assert!(w.stored() <= (c.degree() as usize + 1) * cap);
         // Global list only holds values still sampled somewhere.
-        assert!(w.global_chain.len() <= w.stored());
+        assert!(w.global.len() <= w.stored());
     }
 
     #[test]
@@ -487,13 +298,13 @@ mod tests {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            w.push_value((x >> 33) % 797);
+            w.push((x >> 33) % 797);
             if step % 977 == 0 {
-                let global: std::collections::HashSet<u64> = w.global_map.keys().copied().collect();
+                let global: std::collections::HashSet<u64> = w.global.map.keys().copied().collect();
                 let mut in_levels: std::collections::HashSet<u64> =
                     std::collections::HashSet::new();
-                for l in &w.levels {
-                    in_levels.extend(l.map.keys().copied());
+                for l in &w.sample.levels {
+                    in_levels.extend(l.queue.map.keys().copied());
                 }
                 assert_eq!(global, in_levels, "step {step}");
             }
@@ -504,17 +315,17 @@ mod tests {
     fn reoccurrence_updates_position_in_all_levels() {
         let c = cfg(64, 255, 0.5, 1, 7);
         let mut w = DistinctWave::new(&c, 0);
-        w.push_value(42);
+        w.push(42);
         for _ in 0..60 {
-            w.push_value(7);
+            w.push(7);
         }
-        w.push_value(42); // refresh before expiry
+        w.push(42); // refresh before expiry
         for _ in 0..30 {
-            w.push_value(7);
+            w.push(7);
         }
         // 42's most recent occurrence is within the window of 64.
-        let s = w.window_start(64).unwrap();
-        let rep = w.report(s);
+        let s = w.sample.window_start(64).unwrap();
+        let rep = w.report(64).unwrap();
         assert!(
             rep.elements.iter().any(|&(v, p)| v == 42 && p >= s),
             "{rep:?}"

@@ -1,66 +1,99 @@
-//! Referee-side combine for Union Counting (Figure 6, bottom) and the
-//! median-of-instances estimator of Theorem 5.
+//! The party, its message, and the Referee (Figure 6, bottom; Theorem
+//! 5's median of instances) — written once over [`Wave`], for Union
+//! Counting and distinct values alike.
 
 use crate::config::{median, RandConfig};
-use crate::union_wave::{InstanceReport, UnionWave};
+use crate::wave::{Element, Report, Wave};
 use std::collections::HashSet;
+use waves_core::codec::{read_deltas, write_deltas, BitReader, BitWriter, CodecError};
 use waves_core::error::WaveError;
+use waves_gf2::LevelHash;
 
 /// A party's full message for one query: one report per instance.
 #[derive(Debug, Clone)]
-pub struct PartyMessage {
-    pub reports: Vec<InstanceReport>,
+pub struct Message<E> {
+    pub reports: Vec<Report<E>>,
 }
 
-impl PartyMessage {
-    /// Total wire size in bytes (position width from the config ring).
+/// A Union Counting party's message: 1-positions.
+pub type PartyMessage = Message<u64>;
+
+impl<E: Element> Message<E> {
+    /// Total wire size in bytes at the paper's widths: per report a
+    /// level tag and its elements at [`Element::wire_bits`] each.
     pub fn wire_bytes(&self, config: &RandConfig) -> usize {
+        let bits = E::wire_bits(config) as usize;
         self.reports
             .iter()
-            .map(|r| r.wire_bytes(config.degree()))
+            .map(|r| 4 + (r.elements.len() * bits).div_ceil(8))
             .sum()
     }
+}
 
-    /// Serialize the whole message with the compact bit codec.
+impl Message<u64> {
+    /// Serialize the whole message with the compact bit codec (per
+    /// report: level, count, delta-coded positions) — an actual wire
+    /// format, typically smaller than the fixed-width
+    /// [`Message::wire_bytes`] estimate.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = waves_core::codec::BitWriter::new();
+        let mut w = BitWriter::new();
         w.write_gamma0(self.reports.len() as u64);
         for r in &self.reports {
-            r.encode_into(&mut w);
+            w.write_gamma0(r.level as u64);
+            w.write_gamma0(r.elements.len() as u64);
+            write_deltas(&mut w, &r.elements);
         }
         w.finish()
     }
 
-    /// Decode a message produced by [`PartyMessage::encode`].
-    pub fn decode(bytes: &[u8]) -> Result<Self, waves_core::codec::CodecError> {
-        let mut r = waves_core::codec::BitReader::new(bytes);
+    /// Decode a message produced by [`Message::encode`].
+    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
+        let mut r = BitReader::new(bytes);
         let count = r.read_gamma0()? as usize;
         if count > 1 << 20 {
-            return Err(waves_core::codec::CodecError::Corrupt("too many reports"));
+            return Err(CodecError::Corrupt("too many reports"));
         }
-        let reports = (0..count)
-            .map(|_| InstanceReport::decode_from(&mut r))
-            .collect::<Result<_, _>>()?;
-        Ok(PartyMessage { reports })
+        let mut reports = Vec::with_capacity(count.min(1 << 8));
+        for _ in 0..count {
+            let level = r.read_gamma0()?;
+            if level > 63 {
+                return Err(CodecError::Corrupt("level out of range"));
+            }
+            let len = r.read_gamma0()? as usize;
+            if len > 1 << 24 {
+                return Err(CodecError::Corrupt("report too large"));
+            }
+            reports.push(Report {
+                level: level as u32,
+                elements: read_deltas(&mut r, len)?,
+            });
+        }
+        Ok(Message { reports })
     }
 }
 
-/// Combine one instance's reports from all parties: pick
-/// `l* = max_j l_j`, keep positions that hash to at least `l*` and lie
-/// in the window, count the distinct union, scale by `2^l*`.
-pub fn combine_instance(
-    config: &RandConfig,
-    instance: usize,
-    reports: &[&InstanceReport],
+/// The Referee step for one instance (Figure 6, bottom; Section 5's
+/// levelwise union): pick `l* = max_j l_j`, keep the elements that lie
+/// in the window `[s, pos]`, whose key hashes to at least `l*` and
+/// passes `keep`, count their distinct keys — a key is in the window
+/// when *any* party saw it there — and scale by `2^l*`. `hash` is the
+/// instance's shared hash.
+pub fn combine_instance<E: Element>(
+    hash: &LevelHash,
+    reports: &[&Report<E>],
     s: u64,
+    keep: impl Fn(u64) -> bool,
 ) -> f64 {
-    assert!(!reports.is_empty());
-    let hash = config.hash(instance);
-    let l_star = reports.iter().map(|r| r.level).max().expect("nonempty");
+    let l_star = reports
+        .iter()
+        .map(|r| r.level)
+        .max()
+        .expect("at least one party required");
     let union: HashSet<u64> = reports
         .iter()
-        .flat_map(|r| r.positions.iter().copied())
-        .filter(|&p| p >= s && hash.level(p) >= l_star)
+        .flat_map(|r| &r.elements)
+        .filter(|e| e.pos() >= s && hash.level(e.key()) >= l_star && keep(e.key()))
+        .map(|e| e.key())
         .collect();
     (1u64 << l_star) as f64 * union.len() as f64
 }
@@ -81,39 +114,46 @@ impl Referee {
         &self.config
     }
 
-    /// Median-of-instances estimate for the number of 1's in `[s, pos]`
-    /// of the positionwise union, given every party's message.
-    pub fn estimate(&self, messages: &[PartyMessage], s: u64) -> f64 {
-        assert!(!messages.is_empty(), "at least one party required");
+    /// Median-of-instances estimate for the window `[s, pos]` across all
+    /// parties, given every party's message: the number of 1's of the
+    /// positionwise union, or of distinct values.
+    pub fn estimate<E: Element>(&self, messages: &[Message<E>], s: u64) -> f64 {
+        self.estimate_predicate(messages, s, |_| true)
+    }
+
+    /// As [`Referee::estimate`], restricted to keys satisfying a
+    /// predicate supplied at query time.
+    pub fn estimate_predicate<E: Element>(
+        &self,
+        messages: &[Message<E>],
+        s: u64,
+        keep: impl Fn(u64) -> bool,
+    ) -> f64 {
         let m = self.config.instances();
         assert!(
             messages.iter().all(|msg| msg.reports.len() == m),
             "every message must carry one report per instance"
         );
-        let per_instance: Vec<f64> = (0..m)
+        let per_instance = (0..m)
             .map(|i| {
-                let reports: Vec<&InstanceReport> =
-                    messages.iter().map(|msg| &msg.reports[i]).collect();
-                combine_instance(&self.config, i, &reports, s)
+                let reports: Vec<&Report<E>> = messages.iter().map(|msg| &msg.reports[i]).collect();
+                combine_instance(self.config.hash(i), &reports, s, &keep)
             })
             .collect();
         median(per_instance)
     }
 }
 
-/// A party for Union Counting: one [`UnionWave`] per instance, fed the
-/// same stream.
+/// A party: one wave per instance, all fed the same stream.
 #[derive(Debug, Clone)]
-pub struct UnionParty {
-    waves: Vec<UnionWave>,
+pub struct Party<W> {
+    waves: Vec<W>,
 }
 
-impl UnionParty {
+impl<W: Wave> Party<W> {
     pub fn new(config: &RandConfig) -> Self {
-        UnionParty {
-            waves: (0..config.instances())
-                .map(|i| UnionWave::new(config, i))
-                .collect(),
+        Party {
+            waves: (0..config.instances()).map(|i| W::new(config, i)).collect(),
         }
     }
 
@@ -122,70 +162,66 @@ impl UnionParty {
         self.waves[0].pos()
     }
 
-    /// Process the next stream bit in every instance.
-    pub fn push_bit(&mut self, b: bool) {
+    /// Observe the next stream item in every instance.
+    pub fn push(&mut self, item: W::Item) {
         for w in self.waves.iter_mut() {
-            w.push_bit(b);
+            w.push(item);
+        }
+    }
+
+    /// Advance the clock without an arrival (positionwise alignment with
+    /// other parties that did observe an item).
+    pub fn advance(&mut self) {
+        for w in self.waves.iter_mut() {
+            w.advance();
         }
     }
 
     /// Build the query message for a window of the last `n` positions.
-    pub fn message(&self, n: u64) -> Result<PartyMessage, WaveError> {
-        let s = self.waves[0].window_start(n)?;
-        Ok(PartyMessage {
-            reports: self.waves.iter().map(|w| w.report(s)).collect(),
+    pub fn message(&self, n: u64) -> Result<Message<W::Element>, WaveError> {
+        let reports = self.waves.iter().map(|w| w.report(n));
+        Ok(Message {
+            reports: reports.collect::<Result<_, _>>()?,
         })
     }
 
-    /// Total stored positions across instances and levels (for space
+    /// Total stored elements across instances and levels (for space
     /// accounting).
     pub fn stored(&self) -> usize {
-        self.waves.iter().map(UnionWave::stored).sum()
+        self.waves.iter().map(W::stored).sum()
     }
 
-    /// Theoretical synopsis bits: stored positions at mod-N' width plus
-    /// the stored coins.
+    /// Theoretical synopsis bits: stored elements at their wire width
+    /// plus the stored coins.
     pub fn synopsis_bits(&self, config: &RandConfig) -> u64 {
-        self.stored() as u64 * config.degree() as u64 + config.stored_coin_bits()
-    }
-
-    /// Space accounting in the same shape as the deterministic waves.
-    pub fn space_report(&self, config: &RandConfig) -> waves_core::SpaceReport {
-        waves_core::SpaceReport {
-            resident_bytes: std::mem::size_of::<Self>()
-                + self.stored() * std::mem::size_of::<u64>()
-                + self.waves.len() * std::mem::size_of::<UnionWave>(),
-            synopsis_bits: self.synopsis_bits(config),
-            entries: self.stored(),
-        }
+        self.stored() as u64 * W::Element::wire_bits(config) as u64 + config.stored_coin_bits()
     }
 }
 
-/// Convenience driver: estimate the union count over the last `n`
-/// positions given all parties and a referee.
-pub fn estimate_union(referee: &Referee, parties: &[UnionParty], n: u64) -> Result<f64, WaveError> {
-    assert!(!parties.is_empty());
+/// Convenience driver: the estimate over the last `n` positions given
+/// all parties and a referee.
+pub fn estimate<W: Wave>(
+    referee: &Referee,
+    parties: &[Party<W>],
+    n: u64,
+) -> Result<f64, WaveError> {
     // All parties must have observed the same stream length in the
     // positionwise model; a silent mismatch would make the shared
     // window start `s` wrong for the lagging parties.
-    if let Some(p) = parties.iter().find(|p| p.pos() != parties[0].pos()) {
-        return Err(WaveError::PositionRegressed {
-            last: parties[0].pos(),
-            got: p.pos(),
-        });
+    let last = parties[0].pos();
+    if let Some(got) = parties.iter().map(Party::pos).find(|&p| p != last) {
+        return Err(WaveError::PositionRegressed { last, got });
     }
-    let messages: Vec<PartyMessage> = parties
-        .iter()
-        .map(|p| p.message(n))
-        .collect::<Result<_, _>>()?;
-    let s = (parties[0].pos() + 1).saturating_sub(n);
-    Ok(referee.estimate(&messages, s))
+    let messages = parties.iter().map(|p| p.message(n));
+    let messages: Vec<_> = messages.collect::<Result<_, _>>()?;
+    Ok(referee.estimate(&messages, (last + 1).saturating_sub(n)))
 }
 
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)]
 mod tests {
     use super::*;
+    use crate::{DistinctParty, UnionParty};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use waves_streamgen::{correlated_streams, positionwise_union};
@@ -209,11 +245,11 @@ mod tests {
         let mut parties: Vec<UnionParty> = (0..t).map(|_| UnionParty::new(&cfg)).collect();
         for i in 0..len {
             for (j, p) in parties.iter_mut().enumerate() {
-                p.push_bit(streams[j][i]);
+                p.push(streams[j][i]);
             }
         }
         let referee = Referee::new(cfg);
-        let est = estimate_union(&referee, &parties, n).unwrap();
+        let est = estimate(&referee, &parties, n).unwrap();
         (est, exact_window_union(&streams, n))
     }
 
@@ -228,13 +264,37 @@ mod tests {
         let mut a = UnionParty::new(&cfg);
         let mut b = UnionParty::new(&cfg);
         for i in 1..=256u64 {
-            a.push_bit(i % 37 == 0);
-            b.push_bit(i % 41 == 0);
+            a.push(i % 37 == 0);
+            b.push(i % 41 == 0);
         }
         let referee = Referee::new(cfg);
-        let est = estimate_union(&referee, &[a, b], 256).unwrap();
+        let est = estimate(&referee, &[a, b], 256).unwrap();
         // ones: multiples of 37 (6) + multiples of 41 (6), no overlap.
         assert_eq!(est, 12.0);
+    }
+
+    #[test]
+    fn out_of_step_parties_are_a_typed_error() {
+        // In the positionwise model every party answers from the same
+        // stream length: 200 against 100 is refused, whatever the
+        // element, rather than answered from the first party's clock.
+        let want = Err(WaveError::PositionRegressed {
+            last: 200,
+            got: 100,
+        });
+        let mut rng = StdRng::seed_from_u64(7);
+        let cfg = RandConfig::for_positions(64, 0.5, 0.3, &mut rng).unwrap();
+        let (mut a, mut b) = (UnionParty::new(&cfg), UnionParty::new(&cfg));
+        (0..200).for_each(|_| a.push(true));
+        (0..100).for_each(|_| b.push(true));
+        assert_eq!(estimate(&Referee::new(cfg), &[a, b], 64), want);
+
+        let mut rng = StdRng::seed_from_u64(7);
+        let cfg = RandConfig::for_values(64, 1023, 0.5, 0.3, &mut rng).unwrap();
+        let (mut a, mut b) = (DistinctParty::new(&cfg), DistinctParty::new(&cfg));
+        (0..200u64).for_each(|i| a.push(i % 50));
+        (0..100u64).for_each(|i| b.push(500 + i % 50));
+        assert_eq!(estimate(&Referee::new(cfg), &[a, b], 64), want);
     }
 
     #[test]
@@ -278,7 +338,7 @@ mod tests {
             .with_instances(5, &mut rng);
         let mut p = UnionParty::new(&cfg);
         for i in 0..2_000u64 {
-            p.push_bit(i % 3 != 0);
+            p.push(i % 3 != 0);
         }
         let msg = p.message(512).unwrap();
         let bytes = msg.encode();
@@ -286,7 +346,7 @@ mod tests {
         assert_eq!(back.reports.len(), msg.reports.len());
         for (a, b) in msg.reports.iter().zip(&back.reports) {
             assert_eq!(a.level, b.level);
-            assert_eq!(a.positions, b.positions);
+            assert_eq!(a.elements, b.elements);
         }
         // The referee answers identically from the decoded message.
         let referee = Referee::new(cfg);
@@ -313,8 +373,8 @@ mod tests {
         let mut p1 = UnionParty::new(&cfg1);
         let mut p9 = UnionParty::new(&cfg9);
         for i in 0..256u64 {
-            p1.push_bit(i % 2 == 0);
-            p9.push_bit(i % 2 == 0);
+            p1.push(i % 2 == 0);
+            p9.push(i % 2 == 0);
         }
         let m1 = p1.message(256).unwrap().wire_bytes(&cfg1);
         let m9 = p9.message(256).unwrap().wire_bytes(&cfg9);

@@ -1,192 +1,88 @@
-//! The randomized wave for Union Counting (Section 4, Figure 6) —
-//! per-party state and party-side query logic.
+//! The randomized wave for Union Counting (Section 4, Figure 6).
 //!
 //! One `UnionWave` is a single instance: `d + 1` level queues, each
 //! holding the `c/eps^2` most recent 1-positions hashed to that level or
-//! above. A position is selected into levels `0..=h(pos)`, so level `l`
-//! holds an expected `2^-l` fraction of the 1's. Each queue tracks its
-//! *range start* — the position just after the last element it lost —
-//! so a query can pick the smallest level whose sample still covers the
-//! window.
+//! above, so level `l` holds an expected `2^-l` fraction of the 1's. The
+//! structure is the shared skeleton's; this file keeps what Union
+//! Counting decides: the element is the position itself, in a plain
+//! deque (8 bytes an element, no index by key: positions never recur),
+//! and the one position that leaves the window at each step is `pos - N`.
 
 use crate::config::RandConfig;
+use crate::referee::Party;
+use crate::sample::{Queue, Sampler};
+use crate::wave::{Report, Wave};
 use std::collections::VecDeque;
 use waves_core::error::WaveError;
-use waves_gf2::LevelHash;
 
+/// Front = oldest position.
+impl Queue for VecDeque<u64> {
+    type Element = u64;
+
+    fn with_capacity(cap: usize) -> Self {
+        VecDeque::with_capacity(cap + 1)
+    }
+    fn len(&self) -> usize {
+        VecDeque::len(self)
+    }
+    fn oldest(&self) -> Option<u64> {
+        self.front().copied()
+    }
+    fn pop_oldest(&mut self) -> Option<u64> {
+        self.pop_front()
+    }
+    fn arrive(&mut self, p: u64) -> bool {
+        self.push_back(p);
+        true
+    }
+    fn elements(&self) -> Vec<u64> {
+        self.iter().copied().collect()
+    }
+}
+
+/// One randomized-wave instance for one party's bit stream.
 #[derive(Debug, Clone)]
-struct LevelQueue {
-    /// Front = oldest position.
-    buf: VecDeque<u64>,
-    /// The queue provably contains every selected position in
-    /// `[range_start, pos]`.
-    range_start: u64,
-}
+pub struct UnionWave(Sampler<VecDeque<u64>>);
 
-/// One randomized-wave instance for one party's stream.
-#[derive(Debug, Clone)]
-pub struct UnionWave {
-    max_window: u64,
-    hash: LevelHash,
-    cap: usize,
-    pos: u64,
-    levels: Vec<LevelQueue>,
-}
+/// A party for Union Counting: one [`UnionWave`] per instance.
+pub type UnionParty = Party<UnionWave>;
 
-/// What a party sends the Referee for one instance: its selected level
-/// and that level's queue contents.
-#[derive(Debug, Clone)]
-pub struct InstanceReport {
-    pub level: u32,
-    pub positions: Vec<u64>,
-}
+/// A Union Counting party's report for one instance: 1-positions.
+pub type InstanceReport = Report<u64>;
 
-impl InstanceReport {
-    /// Bytes this report would occupy on the wire (level tag + one
-    /// mod-N' position per element, counted at the paper's width).
-    pub fn wire_bytes(&self, position_bits: u32) -> usize {
-        4 + (self.positions.len() * position_bits as usize).div_ceil(8)
+impl Wave for UnionWave {
+    type Item = bool;
+    type Element = u64;
+
+    fn new(config: &RandConfig, instance: usize) -> Self {
+        UnionWave(Sampler::new(config, instance))
     }
-
-    /// Serialize with the compact bit codec (level, count, delta-coded
-    /// positions) — an actual wire format, typically smaller than the
-    /// fixed-width [`InstanceReport::wire_bytes`] estimate.
-    pub fn encode_into(&self, w: &mut waves_core::codec::BitWriter) {
-        w.write_gamma0(self.level as u64);
-        w.write_gamma0(self.positions.len() as u64);
-        waves_core::codec::write_deltas(w, &self.positions);
-    }
-
-    /// Decode one report from a bit reader.
-    pub fn decode_from(
-        r: &mut waves_core::codec::BitReader<'_>,
-    ) -> Result<Self, waves_core::codec::CodecError> {
-        let level = r.read_gamma0()? as u32;
-        if level > 63 {
-            return Err(waves_core::codec::CodecError::Corrupt("level out of range"));
-        }
-        let count = r.read_gamma0()? as usize;
-        if count > 1 << 24 {
-            return Err(waves_core::codec::CodecError::Corrupt("report too large"));
-        }
-        let positions = waves_core::codec::read_deltas(r, count)?;
-        Ok(InstanceReport { level, positions })
-    }
-}
-
-impl UnionWave {
-    /// Build an instance from shared configuration (instance index `i`).
-    pub fn new(config: &RandConfig, instance: usize) -> Self {
-        let hash = config.hash(instance).clone();
-        let d = config.degree();
-        UnionWave {
-            max_window: config.max_window(),
-            cap: config.queue_capacity(),
-            pos: 0,
-            levels: (0..=d)
-                .map(|_| LevelQueue {
-                    buf: VecDeque::with_capacity(config.queue_capacity()),
-                    range_start: 0,
-                })
-                .collect(),
-            hash,
-        }
-    }
-
-    /// Stream length so far.
-    pub fn pos(&self) -> u64 {
-        self.pos
-    }
-
-    /// Maximum window size `N`.
-    pub fn max_window(&self) -> u64 {
-        self.max_window
-    }
-
-    /// Total positions stored across levels.
-    pub fn stored(&self) -> usize {
-        self.levels.iter().map(|q| q.buf.len()).sum()
-    }
-
-    /// Process the next stream bit (Figure 6, top): expected O(1) work —
-    /// the arriving position goes into an expected two levels, and the
-    /// position leaving the window is checked in its expected two levels.
-    pub fn push_bit(&mut self, b: bool) {
-        self.pos += 1;
-        // Expire: the only position that leaves the window this step is
-        // pos - N; it can only sit at the tails of levels 0..=h(pos - N).
-        if self.pos > self.max_window {
-            let p_exp = self.pos - self.max_window;
-            let top = self.hash.level(p_exp);
-            for q in self.levels.iter_mut().take(top as usize + 1) {
-                if q.buf.front() == Some(&p_exp) {
-                    q.buf.pop_front();
-                    q.range_start = q.range_start.max(p_exp + 1);
-                }
-            }
-        }
+    /// Process the next stream bit (Figure 6, top).
+    fn push(&mut self, b: bool) {
+        self.advance();
         if b {
-            let top = self.hash.level(self.pos);
-            for q in self.levels.iter_mut().take(top as usize + 1) {
-                if q.buf.len() == self.cap {
-                    let old = q.buf.pop_front().expect("cap >= 1");
-                    q.range_start = q.range_start.max(old + 1);
-                }
-                q.buf.push_back(self.pos);
-            }
+            self.0.insert(self.0.pos(), |_, _, _| {});
         }
     }
-
-    /// The party-side query step: the smallest level whose sample covers
-    /// the window `[s, pos]`, found by binary search over the
-    /// monotonically shrinking range starts (the `O(log log N')` step in
-    /// Theorem 5's query bound).
-    pub fn local_level(&self, s: u64) -> u32 {
-        // range_start is nonincreasing in the level index, so partition.
-        let mut lo = 0usize;
-        let mut hi = self.levels.len(); // first level with range_start <= s
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.levels[mid].range_start <= s {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        debug_assert!(
-            lo < self.levels.len(),
-            "top level always covers (expired only)"
-        );
-        lo.min(self.levels.len() - 1) as u32
+    fn advance(&mut self) {
+        self.0.advance(std::iter::once);
     }
-
-    /// Build the message for a query over `[s, pos]`.
-    pub fn report(&self, s: u64) -> InstanceReport {
-        let l = self.local_level(s);
-        InstanceReport {
-            level: l,
-            positions: self.levels[l as usize].buf.iter().copied().collect(),
-        }
+    fn pos(&self) -> u64 {
+        self.0.pos()
     }
-
-    /// Validate the window size and derive the window start `s` for a
-    /// query over the last `n` positions.
-    pub fn window_start(&self, n: u64) -> Result<u64, WaveError> {
-        if n > self.max_window {
-            return Err(WaveError::WindowTooLarge {
-                requested: n,
-                max: self.max_window,
-            });
-        }
-        Ok((self.pos + 1).saturating_sub(n))
+    fn stored(&self) -> usize {
+        self.0.stored()
     }
+    fn report(&self, n: u64) -> Result<InstanceReport, WaveError> {
+        self.0.report(n)
+    }
+}
 
-    #[cfg(test)]
-    pub(crate) fn level_contents(&self, l: usize) -> (u64, Vec<u64>) {
-        (
-            self.levels[l].range_start,
-            self.levels[l].buf.iter().copied().collect(),
-        )
+#[cfg(test)]
+impl UnionWave {
+    fn level_contents(&self, l: usize) -> (u64, Vec<u64>) {
+        let level = &self.0.levels[l];
+        (level.range_start, level.queue.elements())
     }
 }
 
@@ -210,7 +106,7 @@ mod tests {
         let mut ones = Vec::new();
         for i in 1..=500u64 {
             let b = i % 3 == 0;
-            w.push_bit(b);
+            w.push(b);
             if b {
                 ones.push(i);
             }
@@ -225,7 +121,7 @@ mod tests {
         let cfg = config(256, 0.4, 2);
         let mut w = UnionWave::new(&cfg, 0);
         for i in 0..5000u64 {
-            w.push_bit(i % 2 == 0);
+            w.push(i % 2 == 0);
         }
         let starts: Vec<u64> = (0..=cfg.degree() as usize)
             .map(|l| w.level_contents(l).0)
@@ -243,7 +139,7 @@ mod tests {
         let mut ones: Vec<u64> = Vec::new();
         for i in 1..=4000u64 {
             let b = (i * 2654435761) % 5 < 2;
-            w.push_bit(b);
+            w.push(b);
             if b {
                 ones.push(i);
             }
@@ -266,10 +162,10 @@ mod tests {
         let cfg = config(64, 0.5, 4);
         let mut w = UnionWave::new(&cfg, 0);
         for _ in 0..64 {
-            w.push_bit(true);
+            w.push(true);
         }
         for _ in 0..64 {
-            w.push_bit(false);
+            w.push(false);
         }
         // All ones expired: every queue's remaining entries (if any)
         // would be out of window; tails must have been dropped.
@@ -284,10 +180,10 @@ mod tests {
         let cfg = config(1 << 12, 0.3, 5);
         let mut w = UnionWave::new(&cfg, 0);
         for _ in 0..20_000u64 {
-            w.push_bit(true);
+            w.push(true);
         }
         let s = w.pos() - 1000;
-        let l = w.local_level(s);
+        let l = w.0.local_level(s);
         let (start, _) = w.level_contents(l as usize);
         assert!(start <= s);
         if l > 0 {
@@ -301,10 +197,11 @@ mod tests {
         let cfg = config(128, 0.5, 6);
         let mut w = UnionWave::new(&cfg, 0);
         for _ in 0..50 {
-            w.push_bit(true);
+            w.push(true);
         }
-        assert_eq!(w.window_start(10).unwrap(), 41);
-        assert_eq!(w.window_start(128).unwrap(), 0);
-        assert!(w.window_start(129).is_err());
+        assert_eq!(w.0.window_start(10).unwrap(), 41);
+        assert_eq!(w.0.window_start(128).unwrap(), 0);
+        assert!(w.0.window_start(129).is_err());
+        assert!(w.report(129).is_err());
     }
 }

@@ -19,7 +19,7 @@
 //! | Position of the n-th most recent 1 | [`NthRecentWave`] | `eps` on the age |
 //! | Sliding average | [`SlidingAverage`] | `eps` via sum/count composition |
 //! | 1's in a window of a **union of distributed streams** | [`UnionParty`] + [`Referee`] | `(eps, delta)`, space independent of `t` |
-//! | Distinct values in a window of distributed streams | [`DistinctParty`] + [`DistinctReferee`] | `(eps, delta)` |
+//! | Distinct values in a window of distributed streams | [`DistinctParty`] + [`Referee`] | `(eps, delta)` |
 //! | Exponential-histogram baselines (Datar et al.) | [`EhCount`], [`EhSum`] | `eps`, O(1) *amortized*/item |
 //! | Boosted basic counting baseline (Xu et al.) | [`XuCount`] | `eps`, O(1) worst-case/item |
 //! | Continuously valid monitoring over distributed streams | [`PushParty`] + [`MonitorReferee`] | ε-split push deltas, bounded staleness |
@@ -56,7 +56,7 @@
 //!
 //! ```
 //! use rand::SeedableRng;
-//! use waves::{estimate_union, RandConfig, Referee, UnionParty};
+//! use waves::{estimate, RandConfig, Referee, UnionParty};
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! // Stored coins: sample once, share with every party and the referee.
@@ -64,11 +64,11 @@
 //! let mut site_a = UnionParty::new(&cfg);
 //! let mut site_b = UnionParty::new(&cfg);
 //! for i in 0..5_000u64 {
-//!     site_a.push_bit(i % 4 == 0);
-//!     site_b.push_bit(i % 6 == 0);
+//!     site_a.push(i % 4 == 0);
+//!     site_b.push(i % 6 == 0);
 //! }
 //! let referee = Referee::new(cfg);
-//! let est = estimate_union(&referee, &[site_a, site_b], 1_000).unwrap();
+//! let est = estimate(&referee, &[site_a, site_b], 1_000).unwrap();
 //! let actual = 333.0; // |{i : 4|i or 6|i}| in any 1000-aligned window
 //! assert!((est - actual).abs() / actual < 0.2);
 //! ```
@@ -94,18 +94,16 @@ pub use waves_engine::{
 pub use waves_gf2::{Gf2Field, LevelHash};
 
 pub use waves_rand::{
-    combine_distinct_instance, combine_instance, estimate_distinct, estimate_union, instances_for,
-    median, DistinctMessage, DistinctParty, DistinctReferee, DistinctReport, DistinctWave,
-    InstanceReport, PartyMessage, RandConfig, Referee, UnionParty, UnionWave, PAPER_C,
+    combine_instance, estimate, instances_for, median, DistinctParty, DistinctWave, Element,
+    InstanceReport, Message, Party, PartyMessage, RandConfig, Referee, Report, UnionParty,
+    UnionWave, Wave, PAPER_C,
 };
 
 pub use waves_distributed::{
-    combine_estimates, coord_distinct_estimate, coord_union_estimate, det_combine,
-    run_distinct_threaded, run_distinct_threaded_recorded, run_union_threaded,
-    run_union_threaded_recorded, simulate_async_union, AsyncQueryOutcome, CommStats,
-    CoordDistinctParty, CoordSampleParty, DetCombine, MonitorConfig, MonitorDelta, MonitorReferee,
-    PartyComm, PushParty, Scenario1Count, Scenario1Sum, Scenario2Count, Scenario3PositionwiseSum,
-    ThreadedRun,
+    combine_estimates, coord_distinct_estimate, coord_union_estimate, det_combine, run_threaded,
+    simulate_async_union, AsyncQueryOutcome, CommStats, CoordDistinctParty, CoordSampleParty,
+    DetCombine, MonitorConfig, MonitorDelta, MonitorReferee, PartyComm, PushParty, Scenario1Count,
+    Scenario1Sum, Scenario2Count, Scenario3PositionwiseSum, ThreadedRun,
 };
 
 /// Networked transport: wire protocol, TCP server/client, networked

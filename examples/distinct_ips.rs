@@ -8,13 +8,15 @@
 //! Demonstrates Theorem 6 (distinct-values counting in a sliding window
 //! over the union of distributed streams) and the predicate extension
 //! ("how many of those were from the 10.x.x.x block?") — the predicate
-//! is supplied at query time, after the streams were observed.
+//! is supplied at query time, after the streams were observed. The
+//! party and the Referee are the ones Union Counting uses
+//! (`network_monitor`), over values instead of positions.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use waves::streamgen::{ValueSource, ZipfValues};
-use waves::{DistinctParty, DistinctReferee, RandConfig};
+use waves::{DistinctParty, RandConfig, Referee};
 
 fn main() {
     let servers = 4usize;
@@ -50,12 +52,12 @@ fn main() {
     for pos in 1..=steps {
         for (j, p) in parties.iter_mut().enumerate() {
             let ip = gens[j].next_value();
-            p.push_value(ip);
+            p.push(ip);
             last.insert(ip, pos);
         }
     }
 
-    let referee = DistinctReferee::new(cfg);
+    let referee = Referee::new(cfg);
     let s = steps - window + 1;
     let messages: Vec<_> = parties
         .iter()
@@ -79,7 +81,7 @@ fn main() {
         .iter()
         .filter(|&(&ip, &p)| p >= s && low_block(ip))
         .count() as f64;
-    let est_p = referee.estimate_predicate(&messages, s, Some(&low_block));
+    let est_p = referee.estimate_predicate(&messages, s, low_block);
     println!(
         "low-block clients: actual {:>8}  est {:>10.1}  (err {:.3}%)",
         actual_p,

@@ -8,7 +8,8 @@
 //! cargo run --release -p waves --example network_monitor
 //! ```
 //!
-//! Runs one OS thread per monitor, queries at checkpoints, and reports
+//! Runs one OS thread per monitor (`run_threaded` over `UnionWave`; the
+//! same driver runs `DistinctWave`), queries at checkpoints, and reports
 //! estimate vs. truth, the communication spent (total and per monitor),
 //! referee combine latency, and a metrics snapshot from the
 //! observability layer.
@@ -17,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use waves::obs::MetricsRegistry;
 use waves::streamgen::{correlated_streams, positionwise_union};
-use waves::{run_union_threaded_recorded, RandConfig};
+use waves::{run_threaded, RandConfig, UnionWave};
 
 fn main() {
     let monitors = 8usize;
@@ -45,7 +46,7 @@ fn main() {
 
     let checkpoints: Vec<u64> = (1..=4).map(|i| (intervals as u64 / 4) * i).collect();
     let registry = MetricsRegistry::new();
-    let run = run_union_threaded_recorded(&cfg, &streams, &checkpoints, window, &registry);
+    let run = run_threaded::<UnionWave, _>(&cfg, &streams, &checkpoints, window, &registry);
 
     println!(
         "\n{:>10} {:>10} {:>12} {:>10} {:>12}",

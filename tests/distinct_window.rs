@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use waves::streamgen::{overlapping_value_streams, ValueSource, ZipfValues};
-use waves::{estimate_distinct, DistinctParty, DistinctReferee, RandConfig};
+use waves::{estimate, DistinctParty, RandConfig, Referee};
 
 /// Exact distinct count on the shared axis: a value is in the window if
 /// its most recent occurrence (across parties) is.
@@ -34,11 +34,11 @@ fn single_stream_zipf_within_eps() {
     let mut gen = ZipfValues::new(domain as usize, 1.0, 17);
     let stream: Vec<u64> = (0..10_000).map(|_| gen.next_value()).collect();
     for &v in &stream {
-        p.push_value(v);
+        p.push(v);
     }
     let actual = exact_distinct(&[stream], n) as f64;
-    let referee = DistinctReferee::new(cfg);
-    let est = estimate_distinct(&referee, &[p], n).unwrap();
+    let referee = Referee::new(cfg);
+    let est = estimate(&referee, &[p], n).unwrap();
     assert!(
         (est - actual).abs() / actual <= eps,
         "est {est} actual {actual}"
@@ -55,12 +55,12 @@ fn distributed_union_of_values_within_eps() {
     let mut parties: Vec<DistinctParty> = (0..t).map(|_| DistinctParty::new(&cfg)).collect();
     for i in 0..6_000 {
         for (j, p) in parties.iter_mut().enumerate() {
-            p.push_value(streams[j][i]);
+            p.push(streams[j][i]);
         }
     }
     let actual = exact_distinct(&streams, n) as f64;
-    let referee = DistinctReferee::new(cfg);
-    let est = estimate_distinct(&referee, &parties, n).unwrap();
+    let referee = Referee::new(cfg);
+    let est = estimate(&referee, &parties, n).unwrap();
     assert!(
         (est - actual).abs() / actual <= eps,
         "est {est} actual {actual}"
@@ -77,9 +77,9 @@ fn predicates_at_query_time() {
     let mut gen = ZipfValues::new(domain as usize, 0.8, 19);
     let stream: Vec<u64> = (0..15_000).map(|_| gen.next_value()).collect();
     for &v in &stream {
-        p.push_value(v);
+        p.push(v);
     }
-    let referee = DistinctReferee::new(cfg);
+    let referee = Referee::new(cfg);
     let msg = vec![p.message(n).unwrap()];
     let s = (p.pos() + 1) - n;
 
@@ -95,7 +95,7 @@ fn predicates_at_query_time() {
     ];
     for (name, pred) in &preds {
         let actual = last.iter().filter(|&(&v, &p)| p >= s && pred(v)).count() as f64;
-        let est = referee.estimate_predicate(&msg, s, Some(pred.as_ref()));
+        let est = referee.estimate_predicate(&msg, s, pred.as_ref());
         let rel = (est - actual).abs() / actual.max(1.0);
         // Selectivity >= 1/4 here; allow the 1/alpha-degraded bound.
         assert!(rel <= 4.0 * eps, "{name}: est {est} actual {actual}");
@@ -110,14 +110,14 @@ fn window_tracks_value_recency_not_first_seen() {
     let mut p = DistinctParty::new(&cfg);
     // Values 0..8 early, then only value 9 for 32 steps, then 0 again.
     for v in 0..8u64 {
-        p.push_value(v);
+        p.push(v);
     }
     for _ in 0..32 {
-        p.push_value(9);
+        p.push(9);
     }
-    p.push_value(0);
-    let referee = DistinctReferee::new(cfg);
-    let est = estimate_distinct(&referee, &[p], n).unwrap();
+    p.push(0);
+    let referee = Referee::new(cfg);
+    let est = estimate(&referee, &[p], n).unwrap();
     // In the last 16 positions: 9 and the refreshed 0.
     assert_eq!(est, 2.0);
 }

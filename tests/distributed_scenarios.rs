@@ -6,8 +6,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use waves::obs::NoopRecorder;
 use waves::streamgen::{correlated_streams, positionwise_union, split_logical_stream};
-use waves::{run_union_threaded, RandConfig, Scenario1Count, Scenario1Sum, Scenario2Count};
+use waves::{run_threaded, RandConfig, Scenario1Count, Scenario1Sum, Scenario2Count, UnionWave};
 
 #[test]
 fn scenario1_counts_within_eps() {
@@ -86,7 +87,7 @@ fn scenario3_threaded_union_within_eps() {
     let cfg = RandConfig::for_positions(window, eps, delta, &mut rng).unwrap();
     let streams = correlated_streams(t, len, 0.1, 0.05, 3);
     let checkpoints = vec![10_000u64, 20_000, 30_000];
-    let run = run_union_threaded(&cfg, &streams, &checkpoints, window);
+    let run = run_threaded::<UnionWave, _>(&cfg, &streams, &checkpoints, window, &NoopRecorder);
     let union = positionwise_union(&streams);
     for &(pos, est) in &run.estimates {
         let w = window.min(pos) as usize;

@@ -16,7 +16,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use waves::streamgen::hamming_pair;
-use waves::{det_combine, estimate_union, DetCombine, DetWave, RandConfig, Referee, UnionParty};
+use waves::{det_combine, estimate, DetCombine, DetWave, RandConfig, Referee, UnionParty};
 
 /// Feed a bit vector to a fresh deterministic wave and return a compact
 /// fingerprint of its full state (levels + counters) — everything a
@@ -117,11 +117,11 @@ fn deterministic_combines_fail_where_randomized_waves_succeed() {
         let mut pa = UnionParty::new(&cfg);
         let mut pb = UnionParty::new(&cfg);
         for i in 0..n {
-            pa.push_bit(x[i]);
-            pb.push_bit(y[i]);
+            pa.push(x[i]);
+            pb.push(y[i]);
         }
         let referee = Referee::new(cfg);
-        let est = estimate_union(&referee, &[pa, pb], n as u64).unwrap();
+        let est = estimate(&referee, &[pa, pb], n as u64).unwrap();
         assert!(
             (est - actual).abs() / actual <= eps,
             "dist={dist}: randomized est {est} vs {actual}"
@@ -152,11 +152,11 @@ fn randomized_wave_distinguishes_what_synopses_cannot() {
         let mut pa = UnionParty::new(cfg);
         let mut pb = UnionParty::new(cfg);
         for i in 0..x.len() {
-            pa.push_bit(x[i]);
-            pb.push_bit(y[i]);
+            pa.push(x[i]);
+            pb.push(y[i]);
         }
         let referee = Referee::new(cfg.clone());
-        estimate_union(&referee, &[pa, pb], x.len() as u64).unwrap()
+        estimate(&referee, &[pa, pb], x.len() as u64).unwrap()
     };
     let near = run(&x_near, &y_near, &cfg);
     let far = run(&x_far, &y_far, &cfg);

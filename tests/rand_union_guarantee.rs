@@ -8,7 +8,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use waves::streamgen::{correlated_streams, disjoint_streams, positionwise_union};
-use waves::{combine_instance, estimate_union, RandConfig, Referee, UnionParty};
+use waves::{combine_instance, estimate, RandConfig, Referee, UnionParty};
 
 fn exact_window_union(streams: &[Vec<bool>], n: u64) -> u64 {
     let u = positionwise_union(streams);
@@ -33,7 +33,7 @@ fn per_instance_success_rate_above_two_thirds() {
         let mut parties: Vec<UnionParty> = (0..t).map(|_| UnionParty::new(&cfg)).collect();
         for i in 0..len {
             for (j, p) in parties.iter_mut().enumerate() {
-                p.push_bit(streams[j][i]);
+                p.push(streams[j][i]);
             }
         }
         let s = (len as u64 + 1) - n;
@@ -45,7 +45,7 @@ fn per_instance_success_rate_above_two_thirds() {
             })
             .collect();
         let refs: Vec<&_> = reports.iter().collect();
-        let est = combine_instance(&cfg, 0, &refs, s);
+        let est = combine_instance(cfg.hash(0), &refs, s, |_| true);
         if (est - actual).abs() / actual <= eps {
             ok += 1;
         }
@@ -70,11 +70,11 @@ fn median_estimator_beats_delta() {
         let mut parties: Vec<UnionParty> = (0..t).map(|_| UnionParty::new(&cfg)).collect();
         for i in 0..len {
             for (j, p) in parties.iter_mut().enumerate() {
-                p.push_bit(streams[j][i]);
+                p.push(streams[j][i]);
             }
         }
         let referee = Referee::new(cfg);
-        let est = estimate_union(&referee, &parties, n).unwrap();
+        let est = estimate(&referee, &parties, n).unwrap();
         if (est - actual).abs() / actual > eps {
             failures += 1;
         }
@@ -93,11 +93,11 @@ fn guarantee_independent_of_party_count() {
         let mut parties: Vec<UnionParty> = (0..t).map(|_| UnionParty::new(&cfg)).collect();
         for i in 0..len {
             for (j, p) in parties.iter_mut().enumerate() {
-                p.push_bit(streams[j][i]);
+                p.push(streams[j][i]);
             }
         }
         let referee = Referee::new(cfg);
-        let est = estimate_union(&referee, &parties, n).unwrap();
+        let est = estimate(&referee, &parties, n).unwrap();
         assert!(
             (est - actual).abs() / actual.max(1.0) <= eps,
             "t={t}: est {est} actual {actual}"
@@ -114,18 +114,18 @@ fn window_sizes_smaller_than_max() {
     let mut parties: Vec<UnionParty> = (0..t).map(|_| UnionParty::new(&cfg)).collect();
     for i in 0..len {
         for (j, p) in parties.iter_mut().enumerate() {
-            p.push_bit(streams[j][i]);
+            p.push(streams[j][i]);
         }
     }
     let referee = Referee::new(cfg);
     for n in [64u64, 333, 1_024] {
         let actual = exact_window_union(&streams, n) as f64;
-        let est = estimate_union(&referee, &parties, n).unwrap();
+        let est = estimate(&referee, &parties, n).unwrap();
         assert!(
             (est - actual).abs() / actual.max(1.0) <= eps,
             "n={n}: est {est} actual {actual}"
         );
     }
     // Windows beyond N are rejected.
-    assert!(estimate_union(&referee, &parties, 1_025).is_err());
+    assert!(estimate(&referee, &parties, 1_025).is_err());
 }
