@@ -5,6 +5,17 @@
 //! tagged requests in flight and accepts replies out of order. The
 //! one-shot request methods are a pipeline of length one.
 //!
+//! One transport core sits under every call: the requests a window
+//! admits are encoded into one buffer and leave in one `write`; replies
+//! land in a read buffer that belongs to the connection, and every
+//! complete reply already in it is decoded before the socket is read
+//! again. A one-shot call is a `write` and a `read`; a full window of
+//! small frames is about three system calls, not three per frame. A
+//! redial starts from an empty read buffer — a fragment the dead
+//! connection left behind is never decoded — and a reply that arrives
+//! whole but fails its checks is stepped over, so it costs the request
+//! it answered and the next call starts at a frame boundary.
+//!
 //! Every socket operation runs under a deadline from [`ClientConfig`];
 //! a fired deadline surfaces as [`WaveError::Timeout`] naming the
 //! operation and its budget, other transport failures as
@@ -26,6 +37,7 @@
 //! server applied the batch would double-count on replay.
 
 use std::collections::HashMap;
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -35,7 +47,11 @@ use waves_engine::{EngineSnapshot, IngestRequest};
 use waves_obs::trace::{next_span_id, now_ns, Span, Stage, TraceId, ROOT_SPAN_ID};
 use waves_obs::{HistId, MetricId, MetricsSnapshot, NoopRecorder, Recorder};
 
-use crate::frame::{Frame, FrameTag, SynopsisKind, WireCodec};
+use crate::frame::{Frame, FrameError, FrameTag, SynopsisKind, WireCodec};
+
+/// Bytes asked of the socket per `read`: a full reply window of small
+/// frames, or a slice of one large reply.
+const READ_CHUNK: usize = 16 << 10;
 
 /// The retry discipline shared by everything that re-sends requests:
 /// the client's idempotent request loop, its connect loop, and the
@@ -167,6 +183,13 @@ pub struct Client<R: Recorder + Send + Sync + 'static = NoopRecorder> {
     /// Next wire v6 correlation id. Starts at 1 and never repeats on
     /// this connection (0 is reserved for frames outside a pipeline).
     next_corr: u64,
+    /// The current window's requests, encoded back to back for one
+    /// `write`.
+    wbuf: Vec<u8>,
+    /// Reply bytes read off this connection and not yet decoded.
+    rbuf: Vec<u8>,
+    /// Landing area for socket reads, allocated once.
+    chunk: Vec<u8>,
 }
 
 impl Client<NoopRecorder> {
@@ -207,6 +230,9 @@ impl<R: Recorder + Send + Sync + 'static> Client<R> {
             rec,
             last_trace: None,
             next_corr: 1,
+            wbuf: Vec::new(),
+            rbuf: Vec::new(),
+            chunk: vec![0; READ_CHUNK],
         })
     }
 
@@ -474,7 +500,7 @@ impl<R: Recorder + Send + Sync + 'static> Client<R> {
     fn request(&mut self, req: &Frame, policy: RetryPolicy) -> Result<Frame, WaveError> {
         let reply = policy.run(|attempt| {
             if attempt > 0 {
-                self.stream = dial(self.addr, &self.cfg)?;
+                self.redial()?;
             }
             let started = self.rec.enabled().then(Instant::now);
             // Each attempt is its own trace: a retried request's
@@ -518,10 +544,12 @@ impl<R: Recorder + Send + Sync + 'static> Client<R> {
             .expect("pipeline returns one reply per request"))
     }
 
-    /// The pipelined transport core: write requests keeping up to
-    /// `window` in flight, read replies as they arrive (possibly out
-    /// of order), slot each into its request's position by correlation
-    /// id. All frames in one call share `trace` (0 = untraced).
+    /// The pipelined transport core under every request: encode every
+    /// request the window admits into one buffer and write it once,
+    /// decode every complete reply already buffered (possibly out of
+    /// order) before reading again, slot each into its request's
+    /// position by correlation id. All frames in one call share `trace`
+    /// (0 = untraced).
     fn pipeline(
         &mut self,
         reqs: &[Frame],
@@ -535,44 +563,109 @@ impl<R: Recorder + Send + Sync + 'static> Client<R> {
         let mut next = 0usize;
         let mut received = 0usize;
         let enabled = self.rec.enabled();
+        let read_ms = self.cfg.read_timeout.as_millis() as u64;
         while received < n {
+            self.wbuf.clear();
+            let admitted = next;
             while next < n && inflight.len() < window {
                 let corr = self.next_corr;
                 self.next_corr += 1;
-                let tag = FrameTag { trace, corr };
-                let wrote = WireCodec::write_frame_tagged(&mut self.stream, &reqs[next], tag)
-                    .map_err(|e| {
-                        WaveError::from_io("write", e, self.cfg.write_timeout.as_millis() as u64)
-                    })?;
+                let at = self.wbuf.len();
+                WireCodec::encode_tagged_into(
+                    &reqs[next],
+                    FrameTag { trace, corr },
+                    &mut self.wbuf,
+                );
                 if enabled {
-                    self.rec.incr(MetricId::NetFramesSent, 1);
-                    self.rec.incr(MetricId::NetBytesSent, wrote as u64);
-                    self.rec.observe(HistId::NetFrameBytes, wrote as u64);
+                    self.rec
+                        .observe(HistId::NetFrameBytes, (self.wbuf.len() - at) as u64);
                 }
                 inflight.insert(corr, next);
                 next += 1;
             }
-            let (reply, nread, tag) =
-                WireCodec::read_frame_tagged(&mut self.stream).map_err(|e| {
-                    WaveError::from_io("read", e, self.cfg.read_timeout.as_millis() as u64)
+            if next > admitted {
+                self.stream.write_all(&self.wbuf).map_err(|e| {
+                    WaveError::from_io("write", e, self.cfg.write_timeout.as_millis() as u64)
                 })?;
-            if enabled {
-                self.rec.incr(MetricId::NetFramesReceived, 1);
-                self.rec.incr(MetricId::NetBytesReceived, nread as u64);
+                if enabled {
+                    self.rec
+                        .incr(MetricId::NetFramesSent, (next - admitted) as u64);
+                    self.rec
+                        .incr(MetricId::NetBytesSent, self.wbuf.len() as u64);
+                }
             }
-            let Some(idx) = inflight.remove(&tag.corr) else {
-                return Err(WaveError::io(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("reply with unknown correlation id {}", tag.corr),
-                )));
+            let mut consumed = 0;
+            let decoded = loop {
+                let rest = &self.rbuf[consumed..];
+                let (reply, used, tag) = match WireCodec::decode_tagged(rest) {
+                    Ok(decoded) => decoded,
+                    Err(FrameError::Truncated) => break Ok(()),
+                    Err(e) => {
+                        // A reply that fails its checks is spent with
+                        // the request it answered: step over it, so the
+                        // call after this one starts at a frame
+                        // boundary — or over everything buffered, when
+                        // the header itself cannot be trusted for a
+                        // length.
+                        consumed += match e {
+                            FrameError::BadMagic
+                            | FrameError::BadVersion(_)
+                            | FrameError::FrameTooLarge(_) => rest.len(),
+                            _ => WireCodec::encoded_len(rest),
+                        };
+                        break Err(WaveError::from_io("read", e.into(), read_ms));
+                    }
+                };
+                consumed += used;
+                if enabled {
+                    self.rec.incr(MetricId::NetFramesReceived, 1);
+                    self.rec.incr(MetricId::NetBytesReceived, used as u64);
+                }
+                let Some(idx) = inflight.remove(&tag.corr) else {
+                    break Err(WaveError::io(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("reply with unknown correlation id {}", tag.corr),
+                    )));
+                };
+                replies[idx] = Some(reply);
+                received += 1;
             };
-            replies[idx] = Some(reply);
-            received += 1;
+            self.rbuf.drain(..consumed);
+            decoded?;
+            if consumed == 0 {
+                self.fill_rbuf()
+                    .map_err(|e| WaveError::from_io("read", e, read_ms))?;
+            }
         }
         Ok(replies
             .into_iter()
             .map(|r| r.expect("every slot filled once received == n"))
             .collect())
+    }
+
+    /// One `read` into the reply buffer, under the socket's read
+    /// timeout. EOF with replies outstanding is `UnexpectedEof` — the
+    /// retryable "peer went away" kind.
+    fn fill_rbuf(&mut self) -> std::io::Result<()> {
+        loop {
+            match self.stream.read(&mut self.chunk) {
+                Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => {
+                    self.rbuf.extend_from_slice(&self.chunk[..n]);
+                    return Ok(());
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Replace a dead connection. Whatever reply fragment it left in
+    /// the read buffer belongs to it, not to its successor.
+    fn redial(&mut self) -> Result<(), WaveError> {
+        self.stream = dial(self.addr, &self.cfg)?;
+        self.rbuf.clear();
+        Ok(())
     }
 }
 

@@ -467,8 +467,10 @@ pub struct FrameTag {
     pub corr: u64,
 }
 
-/// Stateless encoder/decoder between [`Frame`]s and wire bytes, plus
-/// blocking stream helpers used by the client and server.
+/// Stateless encoder/decoder between [`Frame`]s and wire bytes. Client
+/// and server both reassemble with [`WireCodec::decode_tagged`] over a
+/// read buffer; [`WireCodec::read_frame_tagged`] is the blocking
+/// one-frame convenience raw-socket tests read replies with.
 pub struct WireCodec;
 
 impl WireCodec {
@@ -482,23 +484,38 @@ impl WireCodec {
     /// Serialize a frame with the full header tag (trace id and
     /// correlation id).
     pub fn encode_tagged(frame: &Frame, tag: FrameTag) -> Vec<u8> {
-        let (ty, payload) = Self::encode_payload(frame);
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CRC_LEN);
-        out.extend_from_slice(&MAGIC);
-        out.push(WIRE_VERSION);
-        out.push(ty);
-        put_u32(&mut out, payload.len() as u32);
-        put_u64(&mut out, tag.trace);
-        put_u64(&mut out, tag.corr);
-        out.extend_from_slice(&payload);
-        let sum = crc32(&out);
-        put_u32(&mut out, sum);
+        let mut out = Vec::new();
+        Self::encode_tagged_into(frame, tag, &mut out);
         out
     }
 
-    fn encode_payload(frame: &Frame) -> (u8, Vec<u8>) {
-        let mut p = Vec::new();
-        let ty = match frame {
+    /// [`WireCodec::encode_tagged`] appending to `out`, so a batch of
+    /// frames can share one buffer (and one `write`). The payload is
+    /// encoded in place behind a header whose type and length are
+    /// patched in once known; the CRC covers exactly this frame.
+    pub fn encode_tagged_into(frame: &Frame, tag: FrameTag, out: &mut Vec<u8>) {
+        // From an empty `out`, one allocation holds the header, the
+        // trailer and a small payload: every fixed-size reply and a
+        // single-word INGEST.
+        out.reserve(64);
+        let start = out.len();
+        out.extend_from_slice(&MAGIC);
+        out.push(WIRE_VERSION);
+        out.push(0); // type, patched below
+        put_u32(out, 0); // payload length, patched below
+        put_u64(out, tag.trace);
+        put_u64(out, tag.corr);
+        let ty = Self::encode_payload(frame, out);
+        let len = (out.len() - start - HEADER_LEN) as u32;
+        out[start + 3] = ty;
+        out[start + 4..start + 8].copy_from_slice(&len.to_be_bytes());
+        let sum = crc32(&out[start..]);
+        put_u32(out, sum);
+    }
+
+    /// Append `frame`'s payload to `p`; returns its type byte.
+    fn encode_payload(frame: &Frame, p: &mut Vec<u8>) -> u8 {
+        match frame {
             Frame::Ping => TYPE_PING,
             Frame::Flush => TYPE_FLUSH,
             Frame::Snapshot => TYPE_SNAPSHOT,
@@ -511,30 +528,30 @@ impl WireCodec {
                 TYPE_STATS_RESP
             }
             Frame::Ingest(batch) => {
-                put_u32(&mut p, batch.len() as u32);
+                put_u32(p, batch.len() as u32);
                 for (key, bits) in batch {
-                    put_u64(&mut p, *key);
-                    put_u64(&mut p, bits.len());
-                    bits.write_le_bytes(&mut p);
+                    put_u64(p, *key);
+                    put_u64(p, bits.len());
+                    bits.write_le_bytes(p);
                 }
                 TYPE_INGEST
             }
             Frame::Query { key, window } => {
-                put_u64(&mut p, *key);
-                put_u64(&mut p, *window);
+                put_u64(p, *key);
+                put_u64(p, *window);
                 TYPE_QUERY
             }
             Frame::PushSynopsis { party, kind, bytes } => {
-                put_u64(&mut p, *party);
+                put_u64(p, *party);
                 p.push(*kind as u8);
-                put_u32(&mut p, bytes.len() as u32);
+                put_u32(p, bytes.len() as u32);
                 p.extend_from_slice(bytes);
                 TYPE_PUSH_SYNOPSIS
             }
             Frame::Replicate { key, kind, bytes } => {
-                put_u64(&mut p, *key);
+                put_u64(p, *key);
                 p.push(*kind as u8);
-                put_u32(&mut p, bytes.len() as u32);
+                put_u32(p, bytes.len() as u32);
                 p.extend_from_slice(bytes);
                 TYPE_REPLICATE
             }
@@ -545,44 +562,43 @@ impl WireCodec {
                 kind,
                 bytes,
             } => {
-                put_u64(&mut p, *party);
-                put_u64(&mut p, *seq);
-                put_u64(&mut p, slack.to_bits());
+                put_u64(p, *party);
+                put_u64(p, *seq);
+                put_u64(p, slack.to_bits());
                 p.push(*kind as u8);
-                put_u32(&mut p, bytes.len() as u32);
+                put_u32(p, bytes.len() as u32);
                 p.extend_from_slice(bytes);
                 TYPE_PUSH_DELTA
             }
             Frame::Combine { window } => {
-                put_u64(&mut p, *window);
+                put_u64(p, *window);
                 TYPE_COMBINE
             }
             Frame::EstimateResp(e) => {
-                put_u64(&mut p, e.value.to_bits());
-                put_u64(&mut p, e.lo);
-                put_u64(&mut p, e.hi);
+                put_u64(p, e.value.to_bits());
+                put_u64(p, e.lo);
+                put_u64(p, e.hi);
                 p.push(e.exact as u8);
                 TYPE_ESTIMATE
             }
             Frame::SnapshotResp(s) => {
-                put_u64(&mut p, s.dropped_items);
-                put_u64(&mut p, s.backpressure_events);
-                put_u32(&mut p, s.shards.len() as u32);
+                put_u64(p, s.dropped_items);
+                put_u64(p, s.backpressure_events);
+                put_u32(p, s.shards.len() as u32);
                 for sh in &s.shards {
-                    put_u64(&mut p, sh.keys as u64);
-                    put_u64(&mut p, sh.resident_bytes as u64);
-                    put_u64(&mut p, sh.synopsis_bits);
-                    put_u64(&mut p, sh.entries as u64);
-                    put_u64(&mut p, sh.queue_depth as u64);
+                    put_u64(p, sh.keys as u64);
+                    put_u64(p, sh.resident_bytes as u64);
+                    put_u64(p, sh.synopsis_bits);
+                    put_u64(p, sh.entries as u64);
+                    put_u64(p, sh.queue_depth as u64);
                 }
                 TYPE_SNAPSHOT_RESP
             }
             Frame::ErrorResp(e) => {
-                encode_error(e, &mut p);
+                encode_error(e, p);
                 TYPE_ERROR
             }
-        };
-        (ty, p)
+        }
     }
 
     /// Parse one frame from the front of `buf`. Returns the frame and
@@ -616,6 +632,15 @@ impl WireCodec {
         }
         let frame = Self::decode_payload(ty, &buf[HEADER_LEN..body_end])?;
         Ok((frame, total, tag))
+    }
+
+    /// Wire length of the frame whose header starts `buf`, read from
+    /// the length field alone. For walking frames this codec encoded,
+    /// or stepping over one whose header passed [`Self::parse_header`]
+    /// and whose body did not.
+    pub(crate) fn encoded_len(buf: &[u8]) -> usize {
+        let len = u32::from_be_bytes(buf[4..8].try_into().unwrap());
+        HEADER_LEN + len as usize + CRC_LEN
     }
 
     /// The header checks, shared by the buffer and stream decoders:
@@ -753,20 +778,6 @@ impl WireCodec {
         };
         r.finish()?;
         Ok(frame)
-    }
-
-    /// Write one frame carrying the full header tag to a blocking
-    /// stream. Returns the bytes written (header + payload + trailer)
-    /// so callers can feed byte counters.
-    pub fn write_frame_tagged<W: std::io::Write>(
-        w: &mut W,
-        frame: &Frame,
-        tag: FrameTag,
-    ) -> std::io::Result<usize> {
-        let bytes = Self::encode_tagged(frame, tag);
-        w.write_all(&bytes)?;
-        w.flush()?;
-        Ok(bytes.len())
     }
 
     /// Read one frame from a blocking stream. Returns the frame, the
@@ -1000,10 +1011,14 @@ mod tests {
         let (decoded, used, got) = WireCodec::decode_tagged(&bytes).unwrap();
         assert_eq!((decoded, used, got), (frame.clone(), bytes.len(), tag));
 
-        let mut wire = Vec::new();
-        let n = WireCodec::write_frame_tagged(&mut wire, &frame, tag).unwrap();
-        assert_eq!(n, wire.len());
+        // Appending to a shared buffer lays down the same bytes, frame
+        // after frame, whatever already sits in front.
+        let mut wire = WireCodec::encode(&Frame::Ping);
+        WireCodec::encode_tagged_into(&frame, tag, &mut wire);
+        assert_eq!(wire, [WireCodec::encode(&Frame::Ping), bytes].concat());
         let mut cursor = std::io::Cursor::new(&wire);
+        let (first, n, _) = WireCodec::read_frame_tagged(&mut cursor).unwrap();
+        assert_eq!((first, n), (Frame::Ping, wire.len() - used));
         let (streamed, _, got) = WireCodec::read_frame_tagged(&mut cursor).unwrap();
         assert_eq!((streamed, got), (frame.clone(), tag));
     }

@@ -17,22 +17,27 @@
 //!   verbatim, so the compact codecs of `waves-core` / `waves-eh`
 //!   round-trip the network byte-for-byte (property-tested below).
 //! * [`server`] — [`Server`]: a single epoll event-loop thread (the
-//!   vendored `poll` crate) owning every socket non-blockingly, with a
-//!   small dispatch-worker pool running requests against a
-//!   [`waves_engine::Engine`], plus a referee map for
-//!   [`Frame::PushSynopsis`] / [`Frame::Combine`] that reuses the
-//!   in-process combine rule ([`waves_distributed::combine_estimates`]).
-//!   Wire v7's [`Frame::PushDelta`] feeds the same map in continuous-
-//!   monitoring push mode, deduplicated by per-party sequence numbers
-//!   so retries and late reordered deltas cannot roll the referee back.
-//!   Requests pipeline per connection (bounded in-flight window,
-//!   bounded write queues, out-of-order completion by correlation id).
+//!   vendored `poll` crate) owning every socket non-blockingly. A
+//!   request that cannot block — ingest, ping, the referee's pushes
+//!   and combines, shutdown — is served on that thread the moment it
+//!   is decoded; only requests that wait on a shard worker's reply
+//!   (query, flush, snapshot, stats, replicate) cross to a small
+//!   dispatch pool. Everything a readiness cycle produced leaves in
+//!   one `write` per connection. The referee map behind
+//!   [`Frame::PushSynopsis`] / [`Frame::Combine`] reuses the in-process
+//!   combine rule ([`waves_distributed::combine_estimates`]); wire v7's
+//!   [`Frame::PushDelta`] feeds the same map in continuous-monitoring
+//!   push mode, deduplicated by per-party sequence numbers so retries
+//!   and late reordered deltas cannot roll the referee back. Requests
+//!   pipeline per connection (bounded in-flight window, bounded
+//!   out-buffers, out-of-order completion by correlation id).
 //! * [`client`] — [`Client`]: blocking request/response with connect/
 //!   read/write deadlines, typed [`WaveError::Io`] /
 //!   [`WaveError::Timeout`] failures, and bounded retry-with-backoff
 //!   restricted to idempotent requests; [`Client::send_many`] /
 //!   [`Client::ingest_many`] pipeline a window of requests over the
-//!   same connection.
+//!   same connection — one `write` per window, one `read` per batch
+//!   of replies.
 //! * [`chaos`] — [`ChaosProxy`]: drops, delays, truncates, or corrupts
 //!   server->client traffic so tests can assert the client degrades to
 //!   clean typed errors instead of hanging.

@@ -7,31 +7,51 @@
 //! reads and writes happen non-blockingly on that thread. Connections
 //! are state machines: bytes accumulate in a read buffer until
 //! [`WireCodec::decode_tagged`] can peel a whole frame off the front
-//! (wire v6 carries a correlation id, so many requests can be in
-//! flight per connection), and responses queue in a per-connection
-//! bounded write queue until the socket accepts them — possibly out of
-//! request order.
+//! (the header carries a correlation id, so many requests can be in
+//! flight per connection), and encoded replies accumulate back to back
+//! in a bounded per-connection out-buffer until the socket accepts
+//! them — possibly out of request order.
 //!
-//! Frame *handling* runs on a small pool of dispatch workers, so a
-//! slow engine operation never stalls the loop. The loop hands each
-//! decoded frame to the pool over a channel; workers run
-//! `dispatch`, encode the reply under the request's header tag, and
-//! hand the bytes back over a completion channel, poking the loop's
-//! waker. Backpressure is explicit at both ends: a connection with
-//! [`ServerConfig::max_inflight`] requests outstanding has its read
-//! interest dropped until replies drain, and one whose write queue
-//! exceeds [`ServerConfig::max_write_queue`] bytes (a slow or stalled
-//! reader) is evicted rather than buffered without bound.
+//! The rule for where a request runs is one sentence: *work that cannot
+//! block is done where the bytes are, and everything a cycle produced
+//! leaves in one piece.* INGEST (a non-blocking enqueue on the shard),
+//! PING, PUSH_SYNOPSIS, PUSH_DELTA, COMBINE and SHUTDOWN run to
+//! completion on the loop thread the moment they are decoded, in
+//! arrival order. QUERY, FLUSH, SNAPSHOT, STATS and REPLICATE wait on a
+//! shard worker's reply, so they cross to a small pool of dispatch
+//! workers and a slow engine operation never stalls the loop; a worker
+//! hands the encoded reply back over a completion channel and pokes the
+//! loop's waker once per drain, not once per reply. Both threads serve
+//! through the same `serve`, so a request's telemetry does not depend
+//! on where it ran. One cycle of the loop is: read one chunk from each
+//! readable connection and serve what it completes, absorb what the
+//! pool finished, then `write` each connection that gained replies
+//! once — a pipelined window of 32 requests costs `epoll_wait` + `read`
+//! + `write`, not 32 of each.
+//!
+//! Because a connection's frames are decoded in order and an INGEST is
+//! on its shard's queue before the loop looks at the next frame, a
+//! request sent behind an INGEST on the same connection observes it.
+//! Replies carry no such order: a loop-served reply may overtake a
+//! pool-served one, and the correlation id pairs them.
+//!
+//! Backpressure is explicit at both ends: a connection with
+//! [`ServerConfig::max_inflight`] requests handed to the pool and not
+//! yet answered has its read interest dropped until replies drain, and
+//! one whose out-buffer would exceed [`ServerConfig::max_write_queue`]
+//! bytes (a slow or stalled reader) is evicted rather than buffered
+//! without bound — every reply, wherever it was produced, passes that
+//! one check.
 //!
 //! Shutdown ([`Server::shutdown`], a client [`Frame::Shutdown`], or
 //! [`Drop`]) flips the stop flag and wakes the loop, which stops
-//! reading, lets in-flight dispatches complete, and flushes write
-//! queues under a bounded [`ServerConfig::drain_deadline`] before
-//! closing every socket — so dropping a `Server` cannot leak threads,
-//! file descriptors, or the bound port, and a replied shutdown frame
+//! reading, lets in-flight dispatches complete, and flushes out-buffers
+//! under a bounded [`ServerConfig::drain_deadline`] before closing
+//! every socket — so dropping a `Server` cannot leak threads, file
+//! descriptors, or the bound port, and a replied shutdown frame
 //! actually reaches its sender.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -71,21 +91,25 @@ pub struct ServerConfig {
     /// and immediately closed (the kernel backlog would otherwise hold
     /// them in limbo). Sized under the process fd limit by default.
     pub max_connections: usize,
-    /// Pipelining depth: requests a single connection may have in
-    /// flight (decoded but not yet replied). At the cap the loop stops
-    /// reading from that connection until replies drain.
+    /// Pipelining depth: requests a single connection may have handed
+    /// to the dispatch pool and not yet answered (requests served on
+    /// the loop thread are answered as they are decoded and never
+    /// count). At the cap the loop stops reading from that connection
+    /// until replies drain.
     pub max_inflight: usize,
-    /// Write-queue byte cap per connection. A peer that stops reading
+    /// Out-buffer byte cap per connection. A peer that stops reading
     /// while responses accumulate past this is evicted
     /// (`net_connections_evicted_total`) instead of buffered without
     /// bound.
     pub max_write_queue: usize,
-    /// Dispatch worker threads. `0` (the default) sizes from available
-    /// parallelism, capped at 4 — frame handling is cheap; the engine
-    /// has its own shard workers.
+    /// Dispatch worker threads, for the requests that wait on a shard
+    /// (QUERY, FLUSH, SNAPSHOT, STATS, REPLICATE). `0` (the default)
+    /// sizes from available parallelism, capped at 4 — the workers
+    /// mostly sleep on a shard's reply; the engine has its own shard
+    /// workers.
     pub dispatch_threads: usize,
     /// Shutdown flush budget: how long the event loop keeps flushing
-    /// queued responses (and letting in-flight dispatches finish)
+    /// buffered responses (and letting in-flight dispatches finish)
     /// after stop is requested, before force-closing sockets.
     pub drain_deadline: Duration,
 }
@@ -105,7 +129,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// A decoded request travelling loop -> worker.
+/// A decoded request that parks on a shard, travelling loop -> worker.
 struct Job {
     conn: usize,
     frame: Frame,
@@ -116,9 +140,6 @@ struct Job {
 struct Done {
     conn: usize,
     bytes: Vec<u8>,
-    /// The request was [`Frame::Shutdown`]: stop the server once this
-    /// reply is flushed to its sender.
-    shutdown_after: bool,
 }
 
 /// One party's slot in the networked referee.
@@ -142,6 +163,10 @@ struct Shared<R: Recorder + Send + Sync + 'static> {
     /// Wakes the event loop out of `Poller::wait` — for completions
     /// and for external shutdown.
     waker: Arc<Waker>,
+    /// Raised by the first dispatch worker to finish a reply since the
+    /// loop last drained completions, lowered by that drain: workers
+    /// that find it up skip the eventfd write.
+    wake_pending: AtomicBool,
 }
 
 /// A running server. Bind with [`Server::start`] (or
@@ -191,6 +216,7 @@ impl<R: Recorder + Send + Sync + 'static> Server<R> {
             slow_request: cfg.slow_request,
             stopping: AtomicBool::new(false),
             waker,
+            wake_pending: AtomicBool::new(false),
         });
 
         let (job_tx, job_rx) = std::sync::mpsc::channel::<Job>();
@@ -226,6 +252,8 @@ impl<R: Recorder + Send + Sync + 'static> Server<R> {
                 done_rx,
                 conns: HashMap::new(),
                 next_conn: 0,
+                dirty: Vec::new(),
+                chunk: vec![0; READ_CHUNK],
                 read_timeout: cfg.read_timeout,
                 max_connections: cfg.max_connections,
                 max_inflight: cfg.max_inflight.max(1),
@@ -312,8 +340,80 @@ impl<R: Recorder + Send + Sync + 'static> Drop for Server<R> {
 const LISTENER: Token = Token(usize::MAX);
 /// Poll token for the loop waker's eventfd.
 const WAKER: Token = Token(usize::MAX - 1);
-/// Read chunk size; also the initial write burst granularity.
+/// Bytes read from one connection per readiness event. Level
+/// triggering re-reports whatever is left, so a firehose connection
+/// holds the loop for one chunk's worth of requests before its
+/// neighbours are served.
 const READ_CHUNK: usize = 64 << 10;
+
+/// Requests that wait on a shard worker's reply cross to the dispatch
+/// pool; every other request cannot block and runs to completion on
+/// the loop thread the moment it is decoded. The split is by request
+/// type alone.
+fn parks_on_shard(frame: &Frame) -> bool {
+    matches!(
+        frame,
+        Frame::Query { .. }
+            | Frame::Flush
+            | Frame::Snapshot
+            | Frame::Stats
+            | Frame::Replicate { .. }
+    )
+}
+
+/// A connection's encoded replies, back to back in the order they
+/// completed. Replies are appended whole at the tail; the socket takes
+/// bytes from the front in whatever pieces the kernel accepts.
+#[derive(Default)]
+struct OutBuf {
+    bytes: Vec<u8>,
+    /// The socket has accepted `bytes[..wpos]`.
+    wpos: usize,
+    /// Start of the first frame the socket has not accepted whole.
+    fpos: usize,
+}
+
+impl OutBuf {
+    /// Bytes the socket has yet to accept: what the write-queue cap
+    /// bounds.
+    fn queued(&self) -> usize {
+        self.bytes.len() - self.wpos
+    }
+
+    fn is_empty(&self) -> bool {
+        self.queued() == 0
+    }
+
+    /// The socket accepted `n` more bytes. Returns how many frames that
+    /// completed, and gives back the space of the frames already sent
+    /// once it is at least what remains — so a peer that reads steadily
+    /// but never catches up holds a buffer within a small multiple of
+    /// its backlog (itself under the cap), not one that grows with
+    /// every byte ever sent, and each byte is moved at most once on
+    /// average.
+    fn advance(&mut self, n: usize) -> u64 {
+        self.wpos += n;
+        let mut frames = 0;
+        while self.fpos < self.wpos {
+            let end = self.fpos + WireCodec::encoded_len(&self.bytes[self.fpos..]);
+            if end > self.wpos {
+                break;
+            }
+            self.fpos = end;
+            frames += 1;
+        }
+        if self.is_empty() {
+            self.bytes.clear();
+            self.wpos = 0;
+            self.fpos = 0;
+        } else if self.fpos >= self.bytes.len() - self.fpos {
+            self.bytes.drain(..self.fpos);
+            self.wpos -= self.fpos;
+            self.fpos = 0;
+        }
+        frames
+    }
+}
 
 /// One connection's state machine. All I/O on it is non-blocking and
 /// happens on the event-loop thread; dispatch workers only ever see
@@ -323,13 +423,12 @@ struct Conn {
     /// Unparsed inbound bytes: a partial frame's prefix, or complete
     /// frames beyond the in-flight cap waiting for replies to drain.
     rbuf: Vec<u8>,
-    /// Outbound frames not yet accepted by the socket, front first.
-    wq: VecDeque<Vec<u8>>,
-    /// Bytes across `wq` (minus `woff`), checked against the cap.
-    wq_bytes: usize,
-    /// Bytes of `wq.front()` already written.
-    woff: usize,
-    /// Requests decoded but not yet replied.
+    /// Replies not yet on the socket. Checked against the write-queue
+    /// cap on every append, written once per loop cycle.
+    out: OutBuf,
+    /// On the loop's flush list for this cycle.
+    dirty: bool,
+    /// Requests handed to the dispatch pool and not yet replied.
     inflight: usize,
     /// Read interest dropped: at the in-flight cap, after a framing
     /// violation, or while stopping.
@@ -337,14 +436,47 @@ struct Conn {
     /// Peer closed its write half (clean EOF); no more requests, but
     /// queued replies still flush.
     read_closed: bool,
-    /// Close once the write queue drains and nothing is in flight.
+    /// Close once the out-buffer drains and nothing is in flight.
     closing: bool,
-    /// This connection replied to [`Frame::Shutdown`]: once its write
-    /// queue drains, stop the whole server.
+    /// This connection replied to [`Frame::Shutdown`]: once its
+    /// out-buffer drains, stop the whole server.
     shutdown_after: bool,
     /// Last byte read or reply enqueued, for the idle timeout.
     last_activity: Instant,
     interest: Interest,
+}
+
+impl Conn {
+    /// Admit the reply just appended at `out.bytes[start..]`. Every
+    /// reply, encoded in place by the loop or copied in from the pool,
+    /// passes this one check: `false` means it took the backlog past
+    /// the write-queue cap — it is taken back out and the caller must
+    /// evict the peer.
+    fn admit_reply<R: Recorder>(&mut self, start: usize, cap: usize, rec: &R) -> bool {
+        let queued = self.out.queued();
+        if queued > cap {
+            self.out.bytes.truncate(start);
+            rec.incr(MetricId::NetConnectionsEvicted, 1);
+            rec.event(Event {
+                name: "net.conn_evicted",
+                fields: &[("queued_bytes", self.out.queued() as u64)],
+            });
+            return false;
+        }
+        self.last_activity = Instant::now();
+        if rec.enabled() {
+            rec.observe(HistId::NetWriteQueueBytes, queued as u64);
+        }
+        true
+    }
+
+    /// Put the connection on this cycle's flush list, once.
+    fn mark_dirty(&mut self, id: usize, flush_list: &mut Vec<usize>) {
+        if !self.dirty {
+            self.dirty = true;
+            flush_list.push(id);
+        }
+    }
 }
 
 struct EventLoop<R: Recorder + Send + Sync + 'static> {
@@ -355,6 +487,11 @@ struct EventLoop<R: Recorder + Send + Sync + 'static> {
     done_rx: Receiver<Done>,
     conns: HashMap<usize, Conn>,
     next_conn: usize,
+    /// Connections with replies appended (or a writable event) this
+    /// cycle; each gets one `write` at the end of it.
+    dirty: Vec<usize>,
+    /// Landing area for socket reads, allocated once.
+    chunk: Vec<u8>,
     read_timeout: Option<Duration>,
     max_connections: usize,
     max_inflight: usize,
@@ -394,14 +531,25 @@ impl<R: Recorder + Send + Sync + 'static> EventLoop<R> {
             if self.shared.stopping.load(Ordering::SeqCst) {
                 break;
             }
+            // One cycle: read and serve everything that is ready,
+            // absorb what the pool finished, then write each touched
+            // connection once.
             for ev in events.iter() {
                 match ev.token {
                     LISTENER => self.accept_ready(),
                     WAKER => self.shared.waker.ack(),
-                    Token(id) => self.conn_ready(id, ev.readable, ev.writable || ev.error),
+                    Token(id) => {
+                        if ev.readable {
+                            self.read_ready(id);
+                        }
+                        if ev.writable || ev.error {
+                            self.mark_dirty(id);
+                        }
+                    }
                 }
             }
             self.drain_completions();
+            self.flush_dirty();
             self.sweep_idle();
         }
         self.drain_and_close();
@@ -445,9 +593,8 @@ impl<R: Recorder + Send + Sync + 'static> EventLoop<R> {
                 Conn {
                     sock,
                     rbuf: Vec::new(),
-                    wq: VecDeque::new(),
-                    wq_bytes: 0,
-                    woff: 0,
+                    out: OutBuf::default(),
+                    dirty: false,
                     inflight: 0,
                     paused: false,
                     read_closed: false,
@@ -460,264 +607,217 @@ impl<R: Recorder + Send + Sync + 'static> EventLoop<R> {
         }
     }
 
-    fn conn_ready(&mut self, id: usize, readable: bool, writable: bool) {
-        if readable && self.read_ready(id) {
-            return; // connection closed
+    /// Pull one chunk off the socket and serve the frames it completes.
+    fn read_ready(&mut self, id: usize) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        if conn.paused || conn.read_closed || conn.closing {
+            return;
         }
-        if writable {
-            self.write_ready(id);
-        }
-    }
-
-    /// Pull bytes and parse frames. Returns true if the connection was
-    /// closed.
-    fn read_ready(&mut self, id: usize) -> bool {
-        let mut failed = false;
-        {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return true;
-            };
-            if conn.paused || conn.read_closed || conn.closing {
-                return false;
-            }
-            let mut chunk = [0u8; READ_CHUNK];
-            loop {
-                match conn.sock.read(&mut chunk) {
-                    Ok(0) => {
-                        conn.read_closed = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.rbuf.extend_from_slice(&chunk[..n]);
-                        conn.last_activity = Instant::now();
-                        if n < chunk.len() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        failed = true;
-                        break;
-                    }
-                }
-            }
-        }
-        if failed {
-            self.close(id);
-            return true;
-        }
-        self.parse_frames(id);
-        self.finish_if_drained(id)
-    }
-
-    /// Peel complete frames off the connection's read buffer and hand
-    /// them to the dispatch pool, stopping at the in-flight cap (the
-    /// remainder stays buffered; [`EventLoop::drain_completions`]
-    /// re-parses when replies free slots).
-    fn parse_frames(&mut self, id: usize) {
-        let mut error_reply = None;
-        {
-            let max_inflight = self.max_inflight;
-            let poller = &self.poller;
-            let job_tx = &self.job_tx;
-            let rec = &self.shared.rec;
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return;
-            };
-            let mut consumed = 0;
-            while !conn.closing {
-                if conn.inflight >= max_inflight {
-                    if !conn.paused {
-                        conn.paused = true;
-                        set_interest(poller, conn, Token(id), false);
-                    }
-                    break;
-                }
-                match WireCodec::decode_tagged(&conn.rbuf[consumed..]) {
-                    Ok((frame, used, tag)) => {
-                        consumed += used;
-                        conn.inflight += 1;
-                        if rec.enabled() {
-                            rec.incr(MetricId::NetFramesReceived, 1);
-                            rec.incr(MetricId::NetBytesReceived, used as u64);
-                            rec.observe(HistId::NetFrameBytes, used as u64);
-                            rec.observe(HistId::NetInflightPerConn, conn.inflight as u64);
-                        }
-                        let _ = job_tx.send(Job {
-                            conn: id,
-                            frame,
-                            tag,
-                        });
-                    }
-                    Err(FrameError::Truncated) => break,
-                    Err(e) => {
-                        // Framing violation: a best-effort error reply,
-                        // then close once it (and any in-flight
-                        // replies) flush. The rest of the buffer is
-                        // garbage.
-                        rec.incr(MetricId::NetRequestErrors, 1);
-                        let reply = Frame::ErrorResp(WaveError::io(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!("bad frame: {e}"),
-                        )));
-                        error_reply = Some(WireCodec::encode_tagged(&reply, FrameTag::default()));
-                        conn.rbuf.clear();
-                        consumed = 0;
-                        conn.closing = true;
-                        if !conn.paused {
-                            conn.paused = true;
-                            set_interest(poller, conn, Token(id), false);
-                        }
-                        break;
-                    }
-                }
-            }
-            if consumed > 0 {
-                conn.rbuf.drain(..consumed);
-            }
-        }
-        if let Some(bytes) = error_reply {
-            self.enqueue_reply(id, bytes);
-        }
-    }
-
-    /// Queue an encoded reply on a connection, evicting the peer if
-    /// its write queue is past the cap, then push bytes opportunistically.
-    fn enqueue_reply(&mut self, id: usize, bytes: Vec<u8>) {
-        let evict = {
-            let rec = &self.shared.rec;
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return;
-            };
-            if conn.wq_bytes + bytes.len() > self.max_write_queue {
-                rec.incr(MetricId::NetConnectionsEvicted, 1);
-                rec.event(Event {
-                    name: "net.conn_evicted",
-                    fields: &[("queued_bytes", conn.wq_bytes as u64)],
-                });
-                true
-            } else {
-                conn.wq_bytes += bytes.len();
-                conn.last_activity = Instant::now();
-                if rec.enabled() {
-                    rec.observe(HistId::NetWriteQueueBytes, conn.wq_bytes as u64);
-                }
-                conn.wq.push_back(bytes);
-                false
+        let got = loop {
+            match conn.sock.read(&mut self.chunk) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                other => break other,
             }
         };
-        if evict {
-            self.close(id);
-        } else {
-            self.write_ready(id);
-        }
-    }
-
-    /// Flush the write queue as far as the socket allows, keep write
-    /// interest only while bytes remain, and finish close/shutdown
-    /// transitions once drained.
-    fn write_ready(&mut self, id: usize) {
-        let mut failed = false;
-        {
-            let rec = &self.shared.rec;
-            let poller = &self.poller;
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return;
-            };
-            while let Some(front) = conn.wq.front() {
-                match conn.sock.write(&front[conn.woff..]) {
-                    Ok(n) => {
-                        conn.woff += n;
-                        conn.wq_bytes -= n;
-                        if rec.enabled() {
-                            rec.incr(MetricId::NetBytesSent, n as u64);
-                        }
-                        if conn.woff == front.len() {
-                            conn.wq.pop_front();
-                            conn.woff = 0;
-                            rec.incr(MetricId::NetFramesSent, 1);
-                        }
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        failed = true;
-                        break;
-                    }
-                }
+        match got {
+            Ok(0) => {
+                conn.read_closed = true;
+                set_interest(&self.poller, conn, Token(id), false);
             }
-            if !failed {
-                set_interest(poller, conn, Token(id), !conn.paused && !conn.read_closed);
+            Ok(n) => {
+                conn.rbuf.extend_from_slice(&self.chunk[..n]);
+                conn.last_activity = Instant::now();
+                self.parse_frames(id);
             }
-        }
-        if failed {
-            self.close(id);
-            return;
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+            Err(_) => return self.close(id),
         }
         self.finish_if_drained(id);
     }
 
-    /// Apply end-of-life transitions for a connection whose queues may
-    /// have just emptied. Returns true if it was closed.
-    fn finish_if_drained(&mut self, id: usize) -> bool {
-        let should_close = {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return true;
-            };
-            if !conn.wq.is_empty() || conn.inflight > 0 {
-                return false;
+    /// Peel complete frames off the connection's read buffer in arrival
+    /// order. A request that cannot block is served here and now; one
+    /// that parks on a shard goes to the dispatch pool, and at the
+    /// in-flight cap parsing stops (the remainder stays buffered;
+    /// [`EventLoop::drain_completions`] re-parses when replies free
+    /// slots).
+    fn parse_frames(&mut self, id: usize) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        let rec = &*self.shared.rec;
+        let mut consumed = 0;
+        let mut evict = false;
+        while !conn.closing {
+            if conn.inflight >= self.max_inflight {
+                if !conn.paused {
+                    conn.paused = true;
+                    set_interest(&self.poller, conn, Token(id), false);
+                }
+                break;
             }
-            if conn.shutdown_after {
-                // The shutdown reply reached the kernel; now stop the
-                // server. The drain phase closes this connection.
-                self.shared.stopping.store(true, Ordering::SeqCst);
-                conn.shutdown_after = false;
-                conn.closing = true;
-                return false;
+            match WireCodec::decode_tagged(&conn.rbuf[consumed..]) {
+                Ok((frame, used, tag)) => {
+                    consumed += used;
+                    if rec.enabled() {
+                        rec.incr(MetricId::NetFramesReceived, 1);
+                        rec.incr(MetricId::NetBytesReceived, used as u64);
+                        rec.observe(HistId::NetFrameBytes, used as u64);
+                    }
+                    if parks_on_shard(&frame) {
+                        conn.inflight += 1;
+                        if rec.enabled() {
+                            rec.observe(HistId::NetInflightPerConn, conn.inflight as u64);
+                        }
+                        let _ = self.job_tx.send(Job {
+                            conn: id,
+                            frame,
+                            tag,
+                        });
+                    } else {
+                        conn.shutdown_after |= matches!(frame, Frame::Shutdown);
+                        let start = conn.out.bytes.len();
+                        serve(frame, tag, &self.shared, &mut conn.out.bytes);
+                        evict = !conn.admit_reply(start, self.max_write_queue, rec);
+                    }
+                }
+                Err(FrameError::Truncated) => break,
+                Err(e) => {
+                    // Framing violation: a best-effort error reply,
+                    // then close once it (and any in-flight replies)
+                    // flush. The rest of the buffer is garbage.
+                    rec.incr(MetricId::NetRequestErrors, 1);
+                    conn.rbuf.clear();
+                    consumed = 0;
+                    conn.closing = true;
+                    if !conn.paused {
+                        conn.paused = true;
+                        set_interest(&self.poller, conn, Token(id), false);
+                    }
+                    let refusal = Frame::ErrorResp(WaveError::io(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("bad frame: {e}"),
+                    )));
+                    let start = conn.out.bytes.len();
+                    WireCodec::encode_tagged_into(
+                        &refusal,
+                        FrameTag::default(),
+                        &mut conn.out.bytes,
+                    );
+                    evict = !conn.admit_reply(start, self.max_write_queue, rec);
+                }
             }
+            if evict {
+                return self.close(id);
+            }
+        }
+        conn.rbuf.drain(..consumed);
+        if !conn.out.is_empty() {
+            conn.mark_dirty(id, &mut self.dirty);
+        }
+    }
+
+    /// A writable (or error) event: give the connection its `write`
+    /// at the end of this cycle.
+    fn mark_dirty(&mut self, id: usize) {
+        if let Some(conn) = self.conns.get_mut(&id) {
+            conn.mark_dirty(id, &mut self.dirty);
+        }
+    }
+
+    /// The end of a cycle: one `write` per connection that gained
+    /// replies (or became writable) during it.
+    fn flush_dirty(&mut self) {
+        let mut ids = std::mem::take(&mut self.dirty);
+        for id in ids.drain(..) {
+            self.write_ready(id);
+        }
+        self.dirty = ids;
+    }
+
+    /// Offer the out-buffer to the socket once, keep write interest
+    /// only while bytes remain, and finish close/shutdown transitions
+    /// once drained. A short write means the kernel's buffer is full;
+    /// the writable event resumes from `wpos`.
+    fn write_ready(&mut self, id: usize) {
+        let rec = &self.shared.rec;
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        conn.dirty = false;
+        while !conn.out.is_empty() {
+            match conn.sock.write(&conn.out.bytes[conn.out.wpos..]) {
+                Ok(n) => {
+                    let frames = conn.out.advance(n);
+                    if rec.enabled() {
+                        rec.incr(MetricId::NetBytesSent, n as u64);
+                        rec.incr(MetricId::NetFramesSent, frames);
+                    }
+                    break;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return self.close(id),
+            }
+        }
+        set_interest(
+            &self.poller,
+            conn,
+            Token(id),
+            !conn.paused && !conn.read_closed,
+        );
+        self.finish_if_drained(id);
+    }
+
+    /// Apply end-of-life transitions for a connection whose buffers
+    /// may have just emptied.
+    fn finish_if_drained(&mut self, id: usize) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        if !conn.out.is_empty() || conn.inflight > 0 {
+            return;
+        }
+        if conn.shutdown_after {
+            // The shutdown reply reached the kernel; now stop the
+            // server. The drain phase closes this connection.
+            self.shared.stopping.store(true, Ordering::SeqCst);
+            conn.shutdown_after = false;
+            conn.closing = true;
+        } else if conn.closing || conn.read_closed {
             // With the peer's write half closed, leftover buffered
             // bytes can never complete into a frame.
-            conn.closing || conn.read_closed
-        };
-        if should_close {
             self.close(id);
-            return true;
         }
-        false
     }
 
     /// Absorb finished dispatches: enqueue replies, release in-flight
     /// slots, resume reading on connections that were at the cap.
     fn drain_completions(&mut self) {
+        // Cleared before the drain: a worker that finishes after this
+        // line either has its reply picked up below or finds the flag
+        // down and wakes the loop again.
+        self.shared.wake_pending.swap(false, Ordering::SeqCst);
         while let Ok(done) = self.done_rx.try_recv() {
             let id = done.conn;
-            {
-                let Some(conn) = self.conns.get_mut(&id) else {
-                    continue; // connection already gone; drop the reply
-                };
-                conn.inflight -= 1;
-                if done.shutdown_after {
-                    conn.shutdown_after = true;
-                }
-            }
-            self.enqueue_reply(id, done.bytes);
-            let resumed = {
-                let poller = &self.poller;
-                let Some(conn) = self.conns.get_mut(&id) else {
-                    continue; // evicted by the enqueue
-                };
-                if conn.paused && !conn.closing && conn.inflight < self.max_inflight {
-                    conn.paused = false;
-                    if !conn.read_closed {
-                        set_interest(poller, conn, Token(id), true);
-                    }
-                    true
-                } else {
-                    false
-                }
+            let Some(conn) = self.conns.get_mut(&id) else {
+                continue; // connection already gone; drop the reply
             };
-            if resumed {
+            conn.inflight -= 1;
+            let start = conn.out.bytes.len();
+            conn.out.bytes.extend_from_slice(&done.bytes);
+            if !conn.admit_reply(start, self.max_write_queue, &*self.shared.rec) {
+                self.close(id);
+                continue;
+            }
+            conn.mark_dirty(id, &mut self.dirty);
+            if conn.paused && !conn.closing && conn.inflight < self.max_inflight {
+                conn.paused = false;
+                if !conn.read_closed {
+                    set_interest(&self.poller, conn, Token(id), true);
+                }
                 // Frames may be sitting whole in the read buffer from
                 // before the pause; the socket won't re-signal for them.
                 self.parse_frames(id);
@@ -737,7 +837,7 @@ impl<R: Recorder + Send + Sync + 'static> EventLoop<R> {
             .conns
             .iter()
             .filter(|(_, c)| {
-                c.inflight == 0 && c.wq.is_empty() && now.duration_since(c.last_activity) > limit
+                c.inflight == 0 && c.out.is_empty() && now.duration_since(c.last_activity) > limit
             })
             .map(|(id, _)| *id)
             .collect();
@@ -753,7 +853,7 @@ impl<R: Recorder + Send + Sync + 'static> EventLoop<R> {
     }
 
     /// The stop sequence: refuse new work, let in-flight dispatches
-    /// finish, flush write queues under the drain deadline, then close
+    /// finish, flush out-buffers under the drain deadline, then close
     /// everything. Dropping `job_tx` (when `self` drops) ends the
     /// dispatch workers.
     fn drain_and_close(&mut self) {
@@ -786,12 +886,13 @@ impl<R: Recorder + Send + Sync + 'static> EventLoop<R> {
                     WAKER => self.shared.waker.ack(),
                     Token(id) => {
                         if ev.writable || ev.error {
-                            self.write_ready(id);
+                            self.mark_dirty(id);
                         }
                     }
                 }
             }
             self.drain_completions();
+            self.flush_dirty();
         }
         let ids: Vec<usize> = self.conns.keys().copied().collect();
         for id in ids {
@@ -800,12 +901,12 @@ impl<R: Recorder + Send + Sync + 'static> EventLoop<R> {
     }
 }
 
-/// Reconcile a connection's epoll interest with its queue state:
-/// writable while the queue holds bytes, readable per `want_read`.
+/// Reconcile a connection's epoll interest with its buffer state:
+/// writable while the out-buffer holds bytes, readable per `want_read`.
 fn set_interest(poller: &Poller, conn: &mut Conn, token: Token, want_read: bool) {
     let want = Interest {
         readable: want_read,
-        writable: !conn.wq.is_empty(),
+        writable: !conn.out.is_empty(),
     };
     if want != conn.interest {
         conn.interest = want;
@@ -813,9 +914,9 @@ fn set_interest(poller: &Poller, conn: &mut Conn, token: Token, want_read: bool)
     }
 }
 
-/// A dispatch worker: decoded request in, encoded reply out. All the
-/// per-request telemetry the threaded server kept inline lives here —
-/// dispatch spans, slow-request accounting, server-side frame latency.
+/// A dispatch worker: a request that parks on a shard in, its encoded
+/// reply out. The loop is woken once per drain, not once per reply:
+/// only the worker that raises `wake_pending` writes the eventfd.
 fn dispatch_worker<R: Recorder + Send + Sync + 'static>(
     shared: Arc<Shared<R>>,
     jobs: Arc<Mutex<Receiver<Job>>>,
@@ -826,62 +927,74 @@ fn dispatch_worker<R: Recorder + Send + Sync + 'static>(
             Ok(j) => j,
             Err(_) => return, // loop exited; no more work
         };
-        let rec = &shared.rec;
-        let enabled = rec.enabled();
-        let started = enabled.then(Instant::now);
-        let shutdown_after = matches!(job.frame, Frame::Shutdown);
-        let trace = job.tag.trace;
-        // A nonzero header trace id opts this request into tracing: the
-        // dispatch span parents to the client's root span (by the
-        // ROOT_SPAN_ID convention — only the trace id crossed the wire)
-        // and the engine layers below parent to the dispatch span.
-        let dispatch_span = (trace != 0 && rec.trace_enabled()).then(|| (next_span_id(), now_ns()));
-        let ctx = match dispatch_span {
-            Some((id, _)) => TraceCtx {
-                trace: TraceId(trace),
-                parent: ROOT_SPAN_ID,
-            }
-            .child(id),
-            None => TraceCtx::NONE,
-        };
-        let reply = dispatch(job.frame, &shared, ctx);
-        if let Some((id, t0)) = dispatch_span {
-            rec.span(Span {
-                trace: TraceId(trace),
-                id,
-                parent: ROOT_SPAN_ID,
-                stage: Stage::Dispatch,
-                start_ns: t0,
-                dur_ns: now_ns().saturating_sub(t0),
-            });
-        }
-        if let Some(t0) = started {
-            let elapsed = t0.elapsed();
-            rec.observe(HistId::NetServerFrameNs, elapsed.as_nanos() as u64);
-            if shared.slow_request.is_some_and(|limit| elapsed > limit) {
-                rec.incr(MetricId::NetSlowRequests, 1);
-                rec.event(Event {
-                    name: "net.slow_request",
-                    fields: &[("trace", trace), ("dur_ns", elapsed.as_nanos() as u64)],
-                });
-            }
-        }
-        if matches!(reply, Frame::ErrorResp(_)) {
-            rec.incr(MetricId::NetRequestErrors, 1);
-        }
-        let bytes = WireCodec::encode_tagged(&reply, job.tag);
-        if done
-            .send(Done {
-                conn: job.conn,
-                bytes,
-                shutdown_after,
-            })
-            .is_err()
-        {
+        let mut bytes = Vec::new();
+        serve(job.frame, job.tag, &shared, &mut bytes);
+        let done = done.send(Done {
+            conn: job.conn,
+            bytes,
+        });
+        if done.is_err() {
             return;
         }
-        shared.waker.wake();
+        if !shared.wake_pending.swap(true, Ordering::SeqCst) {
+            shared.waker.wake();
+        }
     }
+}
+
+/// Serve one request: run its handler and append the reply, encoded
+/// under the request's header tag, to `out`. The loop thread and the
+/// dispatch workers both come through here, so the per-request
+/// telemetry — dispatch span, server-side frame latency, slow-request
+/// and error accounting — exists once.
+fn serve<R: Recorder + Send + Sync + 'static>(
+    frame: Frame,
+    tag: FrameTag,
+    shared: &Shared<R>,
+    out: &mut Vec<u8>,
+) {
+    let rec = &shared.rec;
+    let started = rec.enabled().then(Instant::now);
+    let trace = tag.trace;
+    // A nonzero header trace id opts this request into tracing: the
+    // dispatch span parents to the client's root span (by the
+    // ROOT_SPAN_ID convention — only the trace id crossed the wire)
+    // and the engine layers below parent to the dispatch span.
+    let dispatch_span = (trace != 0 && rec.trace_enabled()).then(|| (next_span_id(), now_ns()));
+    let ctx = match dispatch_span {
+        Some((id, _)) => TraceCtx {
+            trace: TraceId(trace),
+            parent: ROOT_SPAN_ID,
+        }
+        .child(id),
+        None => TraceCtx::NONE,
+    };
+    let reply = dispatch(frame, shared, ctx);
+    if let Some((id, t0)) = dispatch_span {
+        rec.span(Span {
+            trace: TraceId(trace),
+            id,
+            parent: ROOT_SPAN_ID,
+            stage: Stage::Dispatch,
+            start_ns: t0,
+            dur_ns: now_ns().saturating_sub(t0),
+        });
+    }
+    if let Some(t0) = started {
+        let elapsed = t0.elapsed();
+        rec.observe(HistId::NetServerFrameNs, elapsed.as_nanos() as u64);
+        if shared.slow_request.is_some_and(|limit| elapsed > limit) {
+            rec.incr(MetricId::NetSlowRequests, 1);
+            rec.event(Event {
+                name: "net.slow_request",
+                fields: &[("trace", trace), ("dur_ns", elapsed.as_nanos() as u64)],
+            });
+        }
+    }
+    if matches!(reply, Frame::ErrorResp(_)) {
+        rec.incr(MetricId::NetRequestErrors, 1);
+    }
+    WireCodec::encode_tagged_into(&reply, tag, out);
 }
 
 fn dispatch<R: Recorder + Send + Sync + 'static>(
@@ -1013,5 +1126,50 @@ fn dispatch<R: Recorder + Send + Sync + 'static>(
             std::io::ErrorKind::InvalidData,
             "response frame sent as request",
         ))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A peer that reads steadily but never catches up keeps its
+    /// backlog above zero and under the cap while many times the cap
+    /// passes through. The buffer must stay within a small multiple of
+    /// the backlog — not grow with every byte ever sent — and frames
+    /// must count as their last byte goes, not at a drain that never
+    /// comes.
+    #[test]
+    fn out_buffer_of_a_peer_that_never_catches_up_stays_bounded() {
+        const CAP: usize = 4 << 10;
+        let pong = WireCodec::encode(&Frame::Pong);
+        let mut out = OutBuf::default();
+        let (mut pushed, mut sent, mut accepted) = (0u64, 0u64, 0usize);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        while accepted < 64 * CAP {
+            while out.queued() + pong.len() <= CAP {
+                out.bytes.extend_from_slice(&pong);
+                pushed += 1;
+            }
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // The socket takes a piece, never all of it.
+            let n = 1 + state as usize % (out.queued() - 1);
+            sent += out.advance(n);
+            accepted += n;
+            assert_eq!(sent, (accepted / pong.len()) as u64);
+            assert!(out.bytes[out.wpos..].starts_with(&pong[accepted % pong.len()..]));
+            assert!(
+                out.bytes.len() <= 2 * (CAP + pong.len()),
+                "{} bytes held for a backlog of {}",
+                out.bytes.len(),
+                out.queued()
+            );
+        }
+        assert!(out.bytes.capacity() <= 8 * CAP, "{}", out.bytes.capacity());
+        sent += out.advance(out.queued());
+        assert_eq!(sent, pushed);
+        assert!(out.bytes.is_empty() && out.wpos == 0 && out.fpos == 0);
     }
 }

@@ -175,6 +175,38 @@ fn corrupted_reply_surfaces_invalid_data() {
     assert!(t0.elapsed() < HANG_BUDGET, "took {:?}", t0.elapsed());
 }
 
+/// A reply that arrives whole but fails its CRC costs the request it
+/// answered and nothing else: its bytes are stepped over, so the next
+/// call on the same client — no retry, no redial — reads its own reply
+/// from a frame boundary instead of tripping over the bad frame again.
+#[test]
+fn a_reply_corrupted_inside_its_payload_costs_one_request_not_the_connection() {
+    let server = start_server();
+    // The ingest's Ok reply is stream offsets 0..28 and the query
+    // reply's header 28..52, so offset 54 is inside its payload.
+    let proxy = ChaosProxy::start(server.local_addr(), Fault::CorruptByteAt(54)).unwrap();
+    let mut client = Client::connect_with(
+        proxy.local_addr(),
+        ClientConfig {
+            retry: RetryPolicy::none(),
+            ..fast_cfg()
+        },
+    )
+    .unwrap();
+    client
+        .ingest(IngestRequest::of(5, [true, true, true]))
+        .unwrap();
+    match client.query(5, 64).unwrap_err() {
+        WaveError::Io(io) => {
+            assert_eq!(io.kind(), std::io::ErrorKind::InvalidData, "{io}");
+            assert!(io.to_string().contains("checksum"), "{io}");
+        }
+        other => panic!("expected Io(InvalidData), got {other:?}"),
+    }
+    assert_eq!(client.query(5, 64).unwrap().value, 3.0);
+    client.ping().unwrap();
+}
+
 /// The retry machinery must actually recover when the network heals:
 /// kill the first connection mid-session, and the idempotent query
 /// reconnects (straight to the server this time) and succeeds.
@@ -198,6 +230,29 @@ fn idempotent_requests_retry_after_reset() {
         "{err:?}"
     );
     assert!(t0.elapsed() < HANG_BUDGET, "took {:?}", t0.elapsed());
+}
+
+/// A reply cut mid-frame leaves its first bytes in the client's read
+/// buffer when the connection dies. The retry dials a new connection,
+/// and that fragment must die with the old one: decoded in front of the
+/// new connection's first reply it would be a header glued to another
+/// frame's tail — a CRC failure where a healthy answer was on offer.
+#[test]
+fn retry_after_a_reply_cut_mid_frame_starts_from_an_empty_read_buffer() {
+    let server = start_server();
+    // A PONG is 28 bytes on the wire: every proxied connection forwards
+    // one whole reply and the first 10 bytes of the next, then closes.
+    let proxy = ChaosProxy::start(server.local_addr(), Fault::TruncateAfter(28 + 10)).unwrap();
+    let mut client = Client::connect_with(proxy.local_addr(), fast_cfg()).unwrap();
+    client.ping().unwrap();
+    // Cut 10 bytes in, then EOF (retryable); the single retry redials
+    // through the proxy and its 28-byte reply arrives whole.
+    let t0 = Instant::now();
+    client.ping().unwrap();
+    assert!(t0.elapsed() < HANG_BUDGET, "took {:?}", t0.elapsed());
+    // The fragment really was delivered: 38 bytes on the dead
+    // connection, 28 on its successor.
+    assert_eq!(proxy.bytes_forwarded(), 38 + 28);
 }
 
 /// A `DetWave` holding `ones` distinct 1-bits, for hand-rolled

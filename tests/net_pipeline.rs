@@ -10,9 +10,9 @@ use std::time::{Duration, Instant};
 
 use waves::net::{
     ChaosProxy, Client, ClientConfig, Fault, Frame, FrameTag, RetryPolicy, Server, ServerConfig,
-    WireCodec,
+    SynopsisKind, WireCodec,
 };
-use waves::obs::{MetricsRegistry, Recorder};
+use waves::obs::{MetricsRegistry, MetricsSnapshot, Recorder};
 use waves::{EngineConfig, IngestRequest, WaveError};
 
 fn server_cfg() -> ServerConfig {
@@ -226,7 +226,10 @@ fn pipelined_corruption_is_never_a_wrong_answer() {
 
 /// Past the in-flight window cap the server pauses reading instead of
 /// dispatching unboundedly — and resumes losslessly: a burst far wider
-/// than `max_inflight` still gets every reply.
+/// than `max_inflight` still gets every reply. The cap counts requests
+/// handed to the dispatch pool, so the burst is made of those (QUERY
+/// and FLUSH park on a shard; PING would complete on the loop and never
+/// touch the cap).
 #[test]
 fn burst_wider_than_inflight_cap_is_lossless() {
     let cfg = ServerConfig {
@@ -235,10 +238,170 @@ fn burst_wider_than_inflight_cap_is_lossless() {
     };
     let server = Server::start("127.0.0.1:0", cfg).unwrap();
     let mut client = Client::connect_with(server.local_addr(), fast_cfg()).unwrap();
-    let pings: Vec<Frame> = (0..64).map(|_| Frame::Ping).collect();
+    for k in 0..8u64 {
+        let bits: Vec<bool> = (0..=k).map(|_| true).collect();
+        client.ingest(IngestRequest::of(k, bits)).unwrap();
+    }
+    client.flush().unwrap();
+    let burst: Vec<Frame> = (0..64u64)
+        .map(|i| match i % 2 {
+            0 => Frame::Query {
+                key: i % 8,
+                window: 256,
+            },
+            _ => Frame::Flush,
+        })
+        .collect();
     // Window 64 on the client side: all 64 requests go out before any
     // reply is read, so the server's cap (4) is what throttles.
-    let replies = client.send_many(&pings, 64).unwrap();
+    let replies = client.send_many(&burst, 64).unwrap();
     assert_eq!(replies.len(), 64);
-    assert!(replies.iter().all(|r| matches!(r, Frame::Pong)));
+    for (i, reply) in replies.iter().enumerate() {
+        match (&burst[i], reply) {
+            (Frame::Query { key, .. }, Frame::EstimateResp(est)) => {
+                assert_eq!(est.value, (key + 1) as f64, "slot {i}")
+            }
+            (Frame::Flush, Frame::Ok) => {}
+            (req, other) => panic!("slot {i}: {req:?} answered {other:?}"),
+        }
+    }
+}
+
+/// The loop/pool split under the cap: INGEST and PING complete on the
+/// loop thread, QUERY crosses to the pool (cap 4, so the connection
+/// pauses and resumes mid-burst with loop-served frames still buffered
+/// behind the pause). Every reply lands in its own request's slot, and
+/// every INGEST decoded ahead of a QUERY is visible to it — the INGEST
+/// is on its shard's queue before the QUERY is handed to the pool.
+#[test]
+fn mixed_burst_pairs_replies_and_queries_see_earlier_ingests() {
+    let cfg = ServerConfig {
+        max_inflight: 4,
+        ..server_cfg()
+    };
+    let server = Server::start("127.0.0.1:0", cfg).unwrap();
+    let mut client = Client::connect_with(server.local_addr(), fast_cfg()).unwrap();
+    // Group i adds one 1-bit to key i % 8 and immediately asks for that
+    // key's count: i / 8 + 1 exactly, with no flush in between.
+    let mut burst = Vec::new();
+    for i in 0..24u64 {
+        burst.push(Frame::Ingest(IngestRequest::of(i % 8, [true]).entries));
+        burst.push(Frame::Ping);
+        burst.push(Frame::Query {
+            key: i % 8,
+            window: 256,
+        });
+    }
+    let replies = client.send_many(&burst, 64).unwrap();
+    assert_eq!(replies.len(), burst.len());
+    for (i, group) in replies.chunks(3).enumerate() {
+        assert_eq!(group[0], Frame::Ok, "group {i}");
+        assert_eq!(group[1], Frame::Pong, "group {i}");
+        match &group[2] {
+            Frame::EstimateResp(est) => assert_eq!(
+                est.value,
+                (i / 8 + 1) as f64,
+                "group {i}: the query overtook an ingest sent ahead of it"
+            ),
+            other => panic!("group {i}: expected an estimate, got {other:?}"),
+        }
+    }
+}
+
+/// Read a server counter once it has stopped at `want` (the loop bumps
+/// its counters just after the `write` that lets the client see the
+/// reply, so the client can get here first), or whatever it reads
+/// after two seconds.
+fn settled(rec: &MetricsRegistry, name: &str, want: u64) -> u64 {
+    let t0 = Instant::now();
+    loop {
+        let got = rec.metrics_snapshot().unwrap().counter(name).unwrap();
+        if got == want || t0.elapsed() > Duration::from_secs(2) {
+            return got;
+        }
+        std::thread::yield_now();
+    }
+}
+
+/// Requests the loop has handed to the dispatch pool so far
+/// (`net_inflight_per_conn` is observed once per hand-off).
+fn handed_off(snap: &MetricsSnapshot) -> u64 {
+    snap.hist("net_inflight_per_conn").unwrap().count
+}
+
+fn wakeups(snap: &MetricsSnapshot) -> u64 {
+    snap.counter("poll_wakeups_total").unwrap()
+}
+
+/// The batching, asserted by counts: a pipelined INGEST window costs
+/// the server one readiness cycle — `epoll_wait`, `read`, `write` —
+/// not one per frame, and no INGEST is handed to the dispatch pool.
+/// 512 frames at window 32 are 16 windows, so the design predicts
+/// 16–32 loop wake-ups and this test reads exactly 16, pinned to one
+/// CPU or not; the bound is a quarter of the frame count. The parent
+/// commit hands all 512 to the pool and reads 87–125 wake-ups pinned
+/// to one CPU (42–83 unpinned): it writes the eventfd once per reply,
+/// and how many of those writes land while the loop is off the CPU is
+/// up to the scheduler.
+#[test]
+fn ingest_window_costs_the_server_one_cycle_not_one_per_frame() {
+    let rec = Arc::new(MetricsRegistry::new());
+    let server = Server::start_recorded("127.0.0.1:0", server_cfg(), Arc::clone(&rec)).unwrap();
+    let mut client = Client::connect_with(server.local_addr(), fast_cfg()).unwrap();
+    client.ping().unwrap();
+    let sent0 = settled(&rec, "net_frames_sent_total", 1);
+    let before = rec.metrics_snapshot().unwrap();
+
+    let frames: Vec<Frame> = (0..512u64)
+        .map(|i| Frame::Ingest(IngestRequest::of(i % 64, [true]).entries))
+        .collect();
+    let replies = client.send_many(&frames, 32).unwrap();
+    assert!(replies.iter().all(|r| *r == Frame::Ok), "{replies:?}");
+
+    // A frame count, not a write count: coalescing 32 replies into one
+    // `write` still counts 32 frames.
+    assert_eq!(
+        settled(&rec, "net_frames_sent_total", sent0 + 512),
+        sent0 + 512
+    );
+    let after = rec.metrics_snapshot().unwrap();
+    assert_eq!(handed_off(&after), handed_off(&before));
+    let wakes = wakeups(&after) - wakeups(&before);
+    assert!(
+        wakes <= 128,
+        "{wakes} loop wake-ups for 512 pipelined frames"
+    );
+}
+
+/// Push-mode monitoring one message at a time: PUSH_DELTA and COMBINE
+/// never wait on a shard, so neither is handed to the dispatch pool
+/// and each costs the loop one wake-up — the request's readiness —
+/// with no second one for a completion. This test reads exactly 512
+/// wake-ups for its 512 requests; the parent hands off all 512 and
+/// reads 961–988.
+#[test]
+fn unpipelined_pushes_and_combines_never_cross_to_the_pool() {
+    let rec = Arc::new(MetricsRegistry::new());
+    let server = Server::start_recorded("127.0.0.1:0", server_cfg(), Arc::clone(&rec)).unwrap();
+    let mut client = Client::connect_with(server.local_addr(), fast_cfg()).unwrap();
+    client.ping().unwrap();
+    let before = rec.metrics_snapshot().unwrap();
+
+    let mut wave = waves::DetWave::new(256, 0.2).unwrap();
+    for seq in 1..=256u64 {
+        wave.push_bit(true);
+        client
+            .push_delta(seq % 4, seq, 0.0, SynopsisKind::DetWave, wave.encode())
+            .unwrap();
+        assert!(client.combine(256).unwrap().value >= 1.0);
+    }
+
+    let after = rec.metrics_snapshot().unwrap();
+    assert_eq!(handed_off(&after), handed_off(&before));
+    let wakes = wakeups(&after) - wakeups(&before);
+    let requests = 512;
+    assert!(
+        wakes <= requests + requests / 4,
+        "{wakes} loop wake-ups for {requests} loop-served requests"
+    );
 }
