@@ -290,31 +290,40 @@ impl<'a> BitsRef<'a> {
         }
     }
 
-    /// Decompose the stream into maximal runs: `Run::Zeros(n)` for each
-    /// maximal run of `n > 0` zeros (merged across word boundaries) and
-    /// `Run::One` per 1-bit, in stream order. One `trailing_zeros` per
-    /// 1-bit, O(1) per all-zero word — the shared scan loop behind every
-    /// `push_words` fast path.
-    pub fn scan_runs(&self, mut f: impl FnMut(Run)) {
+    /// Call `f(gap)` once per 1-bit, in stream order, with the number of
+    /// zeros since the previous 1 (or the start), and return the zeros
+    /// after the last 1. One `trailing_zeros` per 1-bit, O(1) per
+    /// all-zero word — the one scan loop behind every `push_words`.
+    #[inline]
+    pub fn scan_ones(&self, mut f: impl FnMut(u64)) -> u64 {
         let mut zeros = 0u64;
         for (word, n) in self.chunks() {
             let mut rest = word;
             let mut next = 0u32;
             while rest != 0 {
                 let tz = rest.trailing_zeros();
-                zeros += (tz - next) as u64;
-                if zeros > 0 {
-                    f(Run::Zeros(zeros));
-                    zeros = 0;
-                }
-                f(Run::One);
+                f(zeros + (tz - next) as u64);
+                zeros = 0;
                 next = tz + 1;
                 rest &= rest - 1;
             }
             zeros += (n - next) as u64;
         }
-        if zeros > 0 {
-            f(Run::Zeros(zeros));
+        zeros
+    }
+
+    /// [`BitsRef::scan_ones`] as maximal runs: `Run::Zeros(n)` for each
+    /// maximal run of `n > 0` zeros (merged across word boundaries) and
+    /// `Run::One` per 1-bit, in stream order.
+    pub fn scan_runs(&self, mut f: impl FnMut(Run)) {
+        let tail = self.scan_ones(|gap| {
+            if gap > 0 {
+                f(Run::Zeros(gap));
+            }
+            f(Run::One);
+        });
+        if tail > 0 {
+            f(Run::Zeros(tail));
         }
     }
 

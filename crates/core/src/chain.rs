@@ -1,14 +1,14 @@
-//! Pointer-free intrusive storage for wave entries.
+//! Pointer-free intrusive storage: a doubly linked list over a
+//! preallocated slab, its links `u32` offsets — the paper's observation
+//! that "the linked list pointers are offsets into this block and not
+//! full-sized pointers" — so the streaming hot path never allocates.
 //!
-//! A wave stores a bounded number of entries threaded onto (a) one global
-//! doubly linked list ordered by position (the paper's list `L`) and (b)
-//! one fixed-length FIFO per level (the paper's "level queues",
-//! implemented as circular buffers). Because the total number of entries
-//! is fixed at construction, all of this lives in preallocated slabs and
-//! the links are `u32` offsets, matching the paper's observation that
-//! "the linked list pointers are offsets into this block and not
-//! full-sized pointers" — and keeping the streaming hot path free of heap
-//! allocation.
+//! [`Chain`] now serves only `waves-rand`'s `DistinctWave`, whose
+//! entries leave from the middle of the list in no level's order. The
+//! deterministic waves keep the paper's list `L` and its level queues in
+//! one slab of their own (`ladder.rs`), where a slot's index gives its
+//! level and its place in that level's queue; they share [`NIL`], and
+//! the level ring's tests sit beside the chain's below.
 
 /// Sentinel index meaning "no node".
 pub const NIL: u32 = u32::MAX;
@@ -179,84 +179,45 @@ impl<'a, T> Iterator for ChainIter<'a, T> {
     }
 }
 
-/// A fixed-capacity FIFO of node ids (one per wave level), as a circular
-/// buffer. The *front* is the oldest id, matching the paper's "tail of
-/// the queue" that gets discarded.
-#[derive(Debug, Clone)]
-pub struct Fifo {
-    slots: Box<[u32]>,
-    start: usize,
-    len: usize,
-}
-
-impl Fifo {
-    /// A FIFO holding at most `cap >= 1` ids.
-    pub fn new(cap: usize) -> Self {
-        assert!(cap >= 1);
-        Fifo {
-            slots: vec![NIL; cap].into_boxed_slice(),
-            start: 0,
-            len: 0,
-        }
-    }
-
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.len == self.slots.len()
-    }
-
-    /// Bytes of heap memory held by the ring.
-    pub fn heap_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<u32>()
-    }
-
-    /// Oldest id, if any.
-    #[inline]
-    pub fn front(&self) -> Option<u32> {
-        (self.len > 0).then(|| self.slots[self.start])
-    }
-
-    /// Append the newest id. The queue must not be full (the caller pops
-    /// first, mirroring step 3(b) of Figure 4).
-    #[inline]
-    pub fn push_back(&mut self, id: u32) {
-        assert!(!self.is_full(), "level queue overflow");
-        let i = (self.start + self.len) % self.slots.len();
-        self.slots[i] = id;
-        self.len += 1;
-    }
-
-    /// Remove and return the oldest id.
-    #[inline]
-    pub fn pop_front(&mut self) -> Option<u32> {
-        if self.len == 0 {
-            return None;
-        }
-        let id = self.slots[self.start];
-        self.start = (self.start + 1) % self.slots.len();
-        self.len -= 1;
-        Some(id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ladder::Ring;
+
+    /// A level queue as the ladder keeps one: a [`Ring`] of offsets into
+    /// `cap` cells of the level's own.
+    struct LevelQueue {
+        ring: Ring,
+        cells: Vec<u32>,
+    }
+
+    impl LevelQueue {
+        fn new(cap: usize) -> Self {
+            LevelQueue {
+                ring: Ring::default(),
+                cells: vec![NIL; cap],
+            }
+        }
+        fn cap(&self) -> u32 {
+            self.cells.len() as u32
+        }
+        fn is_full(&self) -> bool {
+            self.ring.is_full(self.cap())
+        }
+        fn front(&self) -> Option<u32> {
+            let mut peek = self.ring; // a copy: the queue keeps its front
+            let at = peek.pop_front(self.cap())?;
+            Some(self.cells[at as usize])
+        }
+        fn push_back(&mut self, id: u32) {
+            let at = self.ring.push_back(self.cap());
+            self.cells[at as usize] = id;
+        }
+        fn pop_front(&mut self) -> Option<u32> {
+            let at = self.ring.pop_front(self.cap())?;
+            Some(self.cells[at as usize])
+        }
+    }
 
     #[test]
     fn chain_push_and_iterate() {
@@ -315,7 +276,7 @@ mod tests {
 
     #[test]
     fn fifo_ordering_and_wraparound() {
-        let mut q = Fifo::new(3);
+        let mut q = LevelQueue::new(3);
         q.push_back(1);
         q.push_back(2);
         q.push_back(3);
@@ -330,7 +291,7 @@ mod tests {
 
     #[test]
     fn fifo_front_peeks_oldest() {
-        let mut q = Fifo::new(2);
+        let mut q = LevelQueue::new(2);
         assert_eq!(q.front(), None);
         q.push_back(7);
         q.push_back(8);
@@ -340,7 +301,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "level queue overflow")]
     fn fifo_overflow_panics() {
-        let mut q = Fifo::new(1);
+        let mut q = LevelQueue::new(1);
         q.push_back(1);
         q.push_back(2);
     }
@@ -396,7 +357,7 @@ mod tests {
     #[test]
     fn fifo_matches_vecdeque_model() {
         use std::collections::VecDeque;
-        let mut fifo = Fifo::new(7);
+        let mut fifo = LevelQueue::new(7);
         let mut model: VecDeque<u32> = VecDeque::new();
         let mut x = 5u64;
         for step in 0..10_000u64 {
@@ -410,9 +371,8 @@ mod tests {
             } else {
                 assert_eq!(fifo.pop_front(), model.pop_front(), "step {step}");
             }
-            assert_eq!(fifo.len(), model.len());
             assert_eq!(fifo.front(), model.front().copied());
-            assert_eq!(fifo.is_empty(), model.is_empty());
+            assert_eq!(fifo.is_full(), model.len() == 7);
         }
     }
 }

@@ -106,7 +106,13 @@ impl DetWave {
         }
         Ok(DetWave {
             eps,
-            ladder: Ladder::new(max_window, k, max_window, (k + 1).div_ceil(2)),
+            ladder: Ladder::new(
+                max_window,
+                k,
+                max_window,
+                (k + 1).div_ceil(2),
+                Positions::Sequence,
+            ),
         })
     }
 
@@ -150,8 +156,8 @@ impl DetWave {
     /// (for printing Figure 3).
     pub fn level_contents(&self) -> Vec<Vec<(u64, u64)>> {
         let mut out = vec![Vec::new(); self.num_levels() as usize];
-        for e in self.ladder.entries() {
-            out[e.level as usize].push((e.pos, e.cum));
+        for (level, e) in self.ladder.leveled() {
+            out[level as usize].push((e.pos, e.cum));
         }
         out
     }
@@ -180,11 +186,12 @@ impl DetWave {
             rec.incr(MetricId::WaveOnesTotal, 1);
             rec.incr(MetricId::WaveLevelOracleCalls, 1);
             let level = rank_level(self.ladder.total() + 1);
-            if let Some(old) = self.ladder.insert(level, 1) {
+            if self.ladder.insert(level, 1).is_some() {
                 rec.incr(MetricId::WaveEntriesEvicted, 1);
+                let level = level.min(self.num_levels() - 1) as u64;
                 rec.event(waves_obs::Event {
                     name: "wave_evict",
-                    fields: &[("level", old.level as u64), ("pos", self.ladder.pos())],
+                    fields: &[("level", level), ("pos", self.ladder.pos())],
                 });
             }
             rec.incr(MetricId::WaveEntriesStored, 1);
@@ -215,17 +222,14 @@ impl DetWave {
 
     /// Packed-word counterpart of [`DetWave::push_bits`]: ingest `bits`
     /// oldest first, 64 bits per word. 1-bits are located with
-    /// `trailing_zeros`, and runs of 0s — including whole zero words —
-    /// collapse into a single [`DetWave::skip_zeros`] call, so a sparse
-    /// stream costs O(ones) rather than O(len). State-identical to
-    /// pushing every bit through [`DetWave::push_bit`] (the
-    /// `push_words_matches_single_pushes` property test pins the
-    /// encoding byte-for-byte).
+    /// `trailing_zeros`, and the 0s before each — including whole zero
+    /// words — are one addition to the clock, which advances once per
+    /// stored 1: a sparse stream costs O(ones) rather than O(len).
+    /// State-identical to pushing every bit through
+    /// [`DetWave::push_bit`] (the `push_words_matches_single_pushes`
+    /// property test pins the encoding byte-for-byte).
     pub fn push_words(&mut self, bits: crate::bits::BitsRef<'_>) {
-        bits.scan_runs(|run| match run {
-            crate::bits::Run::Zeros(n) => self.skip_zeros(n),
-            crate::bits::Run::One => self.push_bit(true),
-        });
+        self.ladder.push_ones(bits, |rank| rank_level(rank + 1));
     }
 
     /// Advance the stream by `count` 0-bits at once (used when a party
@@ -346,7 +350,7 @@ impl DetWave {
         let max_window = r.read_gamma()?;
         let k = read_k(&mut r)?;
         let mut wave = DetWave::with_k(max_window, k, 1.0 / k as f64)?;
-        wave.ladder.decode_body(&mut r, Positions::Sequence, 1)?;
+        wave.ladder.decode_body(&mut r, 1)?;
         Ok(wave)
     }
 
@@ -554,6 +558,56 @@ mod tests {
         }
     }
 
+    /// A jump of a window or more expires everything, however its
+    /// length reads mod 2^32; one just short of a window keeps exactly
+    /// what is left. Then three 1s, each checked at every window size
+    /// and through the codec.
+    #[test]
+    fn jumps_cannot_alias_dead_entries_back_to_life() {
+        let (n, eps) = (100u64, 0.25);
+        let gaps = [
+            n - 1,
+            n,
+            n + 1,
+            (1 << 32) - 1,
+            1 << 32,
+            (1 << 32) + 5,
+            (1 << 33) + n - 6,
+            1 << 40,
+        ];
+        for gap in gaps {
+            let mut w = DetWave::new(n, eps).unwrap();
+            let mut oracle = ExactCount::new(n);
+            for b in lcg_bits(gap, 700, 2, 1) {
+                w.push_bit(b);
+                oracle.push_bit(b);
+            }
+            w.skip_zeros(gap);
+            // The last N bits are what the oracle answers from: N zeros
+            // and 2^40 zeros leave it the same window.
+            for _ in 0..gap.min(2 * n) {
+                oracle.push_bit(false);
+            }
+            for ones in 0..=3 {
+                if ones > 0 {
+                    w.push_bit(true);
+                    oracle.push_bit(true);
+                }
+                let decoded = DetWave::decode(&w.encode()).expect("own encoding");
+                assert_eq!(decoded.encode(), w.encode(), "gap={gap} ones={ones}");
+                for m in 1..=n {
+                    let (actual, est) = (oracle.query(m), w.query(m).unwrap());
+                    assert!(
+                        est.brackets(actual) && est.relative_error(actual) <= eps + 1e-9,
+                        "gap={gap} ones={ones} window={m}: {est:?} vs {actual}"
+                    );
+                    assert_eq!(decoded.query(m).unwrap(), est);
+                }
+            }
+            assert_eq!(w.pos(), 700 + gap + 3);
+        }
+    }
+
     #[test]
     fn space_report_sane() {
         let mut w = DetWave::new(1 << 12, 0.1).unwrap();
@@ -676,6 +730,30 @@ mod tests {
             w.write_gamma(1 << 63); // adversarial deltas
         }
         assert!(DetWave::decode(&w.finish()).is_err());
+    }
+
+    /// One item a position: an entry `d` positions old has at most `d`
+    /// ones after it. Bytes that say otherwise are refused — on 32-bit
+    /// slots a rank `2^40` behind the total would read back as another.
+    #[test]
+    fn decode_rejects_a_rank_too_far_behind_for_its_position() {
+        use crate::codec::{write_deltas, BitWriter};
+        let forged = |rank_of_entry: u64| {
+            let mut w = BitWriter::new();
+            w.write_gamma(1 << 20); // max_window
+            w.write_gamma(4); // k
+            w.write_gamma0(1 << 40); // pos
+            w.write_gamma0(1 << 40); // rank
+            w.write_gamma0(0); // r1
+            w.write_gamma0(1); // count
+            write_deltas(&mut w, &[(1 << 40) - 9]); // 9 positions old
+            write_deltas(&mut w, &[rank_of_entry]);
+            w.write_gamma0(0); // level
+            DetWave::decode(&w.finish())
+        };
+        assert!(forged((1 << 40) - 9).is_ok());
+        assert!(forged((1 << 40) - 10).is_err());
+        assert!(forged(1).is_err());
     }
 
     #[test]

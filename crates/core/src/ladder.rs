@@ -17,9 +17,20 @@
 //! The entry shape is chosen by the weight parameter `W`: `()` for the
 //! bit waves (every entry weighs 1, so nothing is stored or coded for
 //! it) and `u64` for the sum waves (the item value `v`).
+//!
+//! Storage is one slab and one small slice of [`Ring`]s. Level `j` owns
+//! the slots from `j * lower_cap`, so a slot's index says its level and
+//! its place in that level's queue: no id arrays, no free list, and a
+//! full queue's discarded slot *is* the new entry's. A slot keeps `pos`
+//! and `cum` whole, or — on a [`Positions::Sequence`] ladder whose
+//! mod-N' counters fit 32 bits, where no live entry is `N' / 2`
+//! positions or `N' / 2` of total behind the clock — as their low 32
+//! bits ([`Stamp`]). [`Ladder::new`] picks the width from `N'`; it is
+//! not an option, and both are the one body on [`Core`].
 
 use crate::basic_wave::wave_levels;
-use crate::chain::{Chain, Fifo};
+use crate::bits::BitsRef;
+use crate::chain::NIL;
 use crate::codec::{read_deltas, write_deltas, BitReader, BitWriter, CodecError};
 use crate::error::WaveError;
 use crate::estimate::SpaceReport;
@@ -27,7 +38,7 @@ use crate::space::{delta_coded_bits, elias_gamma_bits};
 use crate::window::ModRing;
 
 /// One stored entry — the paper's `(p, r)` pair or `(p, v, z)` triple —
-/// plus the level whose queue owns it.
+/// as every caller sees it: at full width, whatever its slot keeps.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Entry<W> {
     pub(crate) pos: u64,
@@ -35,11 +46,10 @@ pub(crate) struct Entry<W> {
     /// Running total through this entry, inclusive: the 1-rank `r` or
     /// the partial sum `z`.
     pub(crate) cum: u64,
-    pub(crate) level: u8,
 }
 
 /// What an entry stores for its item's value.
-pub(crate) trait Weight: Copy {
+pub(crate) trait Weight: Copy + Default {
     fn of(v: u64) -> Self;
     fn get(self) -> u64;
     fn write(self, w: &mut BitWriter);
@@ -82,6 +92,95 @@ impl Weight for u64 {
     }
 }
 
+/// A position or running total as a slot keeps it: whole, or its low 32
+/// bits — [`ModRing`]'s argument with the modulus rounded up to the
+/// machine word. A stored counter is never ahead of the current one, so
+/// while it is less than `2^32` behind it is recovered exactly.
+pub(crate) trait Stamp: Copy + Default {
+    fn pack(full: u64) -> Self;
+    /// The counter this was packed from, given the current one `now`.
+    fn full(self, now: u64) -> u64;
+}
+
+impl Stamp for u64 {
+    fn pack(full: u64) -> u64 {
+        full
+    }
+    fn full(self, _: u64) -> u64 {
+        self
+    }
+}
+
+impl Stamp for u32 {
+    fn pack(full: u64) -> u32 {
+        full as u32
+    }
+    fn full(self, now: u64) -> u64 {
+        now - (now as u32).wrapping_sub(self) as u64
+    }
+}
+
+/// One slab cell: an entry and its links on the position-ordered list.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot<P, W> {
+    pos: P,
+    cum: P,
+    weight: W,
+    prev: u32,
+    next: u32,
+}
+
+#[derive(Debug, Clone)]
+enum Slab<W> {
+    Narrow(Box<[Slot<u32, W>]>),
+    Wide(Box<[Slot<u64, W>]>),
+}
+
+/// `$body` with `$slots` bound to the slots of `$slab`, at its width. A
+/// batch wraps its whole loop ([`Ladder::push_ones`]): matched per 1-bit
+/// instead, `engine_dense` runs 8 % slower (278 -> 257 Mbit/s).
+macro_rules! at_width {
+    ($slab:expr, $slots:ident => $body:expr) => {
+        match $slab {
+            Slab::Narrow($slots) => $body,
+            Slab::Wide($slots) => $body,
+        }
+    };
+}
+
+/// One level queue: a circular window over the level's own slots, as
+/// offsets from its first, of a capacity the ladder derives from the
+/// level. The *front* is the oldest entry, the paper's "tail of the
+/// queue" that gets discarded.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Ring {
+    start: u32,
+    len: u32,
+}
+
+impl Ring {
+    pub(crate) fn is_full(&self, cap: u32) -> bool {
+        self.len == cap
+    }
+
+    /// Claim the offset after the newest entry. The ring must not be
+    /// full (the caller pops first, mirroring step 3(b) of Figure 4).
+    pub(crate) fn push_back(&mut self, cap: u32) -> u32 {
+        assert!(!self.is_full(cap), "level queue overflow");
+        let at = self.start + self.len;
+        self.len += 1;
+        at - if at >= cap { cap } else { 0 }
+    }
+
+    /// Release and return the offset of the oldest entry.
+    pub(crate) fn pop_front(&mut self, cap: u32) -> Option<u32> {
+        let at = (self.len > 0).then_some(self.start)?;
+        self.start = if at + 1 == cap { 0 } else { at + 1 };
+        self.len -= 1;
+        Some(at)
+    }
+}
+
 /// The integer `k = ceil(1/eps)` every queue capacity derives from. It
 /// is computed from `eps` here and nowhere else: the f64 `eps -> k` map
 /// is not injective (`ceil(1/(1/49)) = 50`), so the codecs carry `k`.
@@ -113,14 +212,11 @@ pub(crate) enum Positions {
     Supplied,
 }
 
-/// Level queues on a chain: see the module docs.
+/// A ladder but for its slots, which its methods take at either width.
 #[derive(Debug, Clone)]
-pub(crate) struct Ladder<W> {
+struct Core {
     max_window: u64,
     k: u64,
-    num_levels: u32,
-    /// Width of one of the paper's mod-N' counters, for the accounting.
-    counter_bits: u32,
     /// The clock: the latest position observed.
     pos: u64,
     /// Running total of every weight inserted (the rank, or the sum).
@@ -128,8 +224,160 @@ pub(crate) struct Ladder<W> {
     /// `cum` of the newest expired entry (0 if none yet): the paper's
     /// `r1` / `z1`.
     boundary: u64,
-    chain: Chain<Entry<W>>,
-    queues: Vec<Fifo>,
+    num_levels: u32,
+    /// Slots of each level below the top one, which has `k + 1`: level
+    /// `j` owns the slots from `j * lower_cap`.
+    lower_cap: u32,
+    /// The position-ordered list: oldest slot, newest slot, length.
+    head: u32,
+    tail: u32,
+    len: u32,
+    /// Width of one of the paper's mod-N' counters, for the accounting.
+    counter_bits: u8,
+    positions: Positions,
+    rings: Box<[Ring]>,
+}
+
+/// Level queues on a chain: see the module docs.
+#[derive(Debug, Clone)]
+pub(crate) struct Ladder<W> {
+    core: Core,
+    slab: Slab<W>,
+}
+
+impl Core {
+    fn cap(&self, level: u32) -> u32 {
+        if level + 1 == self.num_levels {
+            self.k as u32 + 1
+        } else {
+            self.lower_cap
+        }
+    }
+
+    /// The level owning `slot`: a division, for expiry and iteration only.
+    fn level_of(&self, slot: u32) -> u32 {
+        (slot / self.lower_cap).min(self.num_levels - 1)
+    }
+
+    fn entry<P: Stamp, W: Weight>(&self, s: &Slot<P, W>) -> Entry<W> {
+        Entry {
+            pos: s.pos.full(self.pos),
+            weight: s.weight,
+            cum: s.cum.full(self.total),
+        }
+    }
+
+    /// Take the oldest entry of `level` off its queue and the list.
+    #[inline(always)]
+    fn pop<P: Stamp, W: Weight>(&mut self, s: &mut [Slot<P, W>], level: u32) -> Entry<W> {
+        let at = self.rings[level as usize].pop_front(self.cap(level));
+        let cell = s[(level * self.lower_cap + at.expect("level holds an entry")) as usize];
+        match cell.prev {
+            NIL => self.head = cell.next,
+            p => s[p as usize].next = cell.next,
+        }
+        match cell.next {
+            NIL => self.tail = cell.prev,
+            n => s[n as usize].prev = cell.prev,
+        }
+        self.len -= 1;
+        self.entry(&cell)
+    }
+
+    /// Append `e` to the queue of `level`, which has room, and the list.
+    #[inline(always)]
+    fn place<P: Stamp, W: Weight>(&mut self, s: &mut [Slot<P, W>], level: u32, e: Entry<W>) {
+        let slot = level * self.lower_cap + self.rings[level as usize].push_back(self.cap(level));
+        s[slot as usize] = Slot {
+            pos: P::pack(e.pos),
+            cum: P::pack(e.cum),
+            weight: e.weight,
+            prev: self.tail,
+            next: NIL,
+        };
+        match self.tail {
+            NIL => self.head = slot,
+            t => s[t as usize].next = slot,
+        }
+        self.tail = slot;
+        self.len += 1;
+    }
+
+    /// [`Ladder::advance`] at one width.
+    #[inline(always)]
+    fn advance<P: Stamp, W: Weight>(&mut self, s: &mut [Slot<P, W>], to: u64) -> Option<Entry<W>> {
+        // Planted off-by-one for the DST mutation smoke test
+        // (tests/dst_mutation.rs): under `--cfg dst_mutation` entries
+        // expire one stream position early, which the harness must
+        // catch against the exact oracle. Never enabled in real builds.
+        #[cfg(dst_mutation)]
+        let horizon = to + 1;
+        #[cfg(not(dst_mutation))]
+        let horizon = to;
+        if horizon - self.pos >= self.max_window {
+            return self.expire_all(s, to);
+        }
+        // Every entry was under a window old and is now under two: a
+        // narrow slot still reads true against the new clock.
+        self.pos = to;
+        let mut expired = None;
+        while self.head != NIL {
+            let (head, e) = (self.head, self.entry(&s[self.head as usize]));
+            if e.pos + self.max_window > horizon {
+                break;
+            }
+            self.boundary = e.cum;
+            let level = self.level_of(head);
+            let front = level * self.lower_cap + self.rings[level as usize].start;
+            debug_assert_eq!(head, front, "the expiring head is its queue's front");
+            self.pop(s, level);
+            expired = Some(e);
+        }
+        expired
+    }
+
+    /// The clock jumps a window or more: every entry expires. Out of
+    /// line, and before the clock moves: a narrow slot reads true only
+    /// against a clock less than `2^32` past it — after a jump of
+    /// `2^32 + 5` an entry 5 positions old would read as live again — so
+    /// the newest entry, the new boundary, is read against the old one.
+    #[cold]
+    #[inline(never)]
+    fn expire_all<P: Stamp, W: Weight>(
+        &mut self,
+        s: &mut [Slot<P, W>],
+        to: u64,
+    ) -> Option<Entry<W>> {
+        let newest = (self.tail != NIL).then(|| self.entry(&s[self.tail as usize]));
+        self.pos = to;
+        if let Some(e) = newest {
+            self.boundary = e.cum;
+            self.rings.fill(Ring::default());
+            (self.head, self.tail, self.len) = (NIL, NIL, 0);
+        }
+        newest
+    }
+
+    /// [`Ladder::insert`] at one width.
+    #[inline(always)]
+    fn insert<P: Stamp, W: Weight>(
+        &mut self,
+        s: &mut [Slot<P, W>],
+        level: u32,
+        v: u64,
+    ) -> Option<Entry<W>> {
+        let level = level.min(self.num_levels - 1);
+        let full = self.rings[level as usize].is_full(self.cap(level));
+        let evicted = full.then(|| self.pop(s, level));
+        self.total += v;
+        let e = Entry {
+            pos: self.pos,
+            weight: W::of(v),
+            cum: self.total,
+        };
+        self.place(s, level, e);
+        evicted
+    }
 }
 
 impl<W: Weight> Ladder<W> {
@@ -138,121 +386,114 @@ impl<W: Weight> Ladder<W> {
     /// can total — of `lower_cap` entries each and `k + 1` at the top.
     /// The caller has validated `1 <= k <= 2^32` and
     /// `1 <= max_window, span <= 2^62`.
-    pub(crate) fn new(max_window: u64, k: u64, span: u64, lower_cap: u64) -> Self {
+    pub(crate) fn new(
+        max_window: u64,
+        k: u64,
+        span: u64,
+        lower_cap: u64,
+        positions: Positions,
+    ) -> Self {
         let num_levels = wave_levels(span, k);
-        let queues: Vec<Fifo> = (1..=num_levels)
-            .map(|l| if l == num_levels { k + 1 } else { lower_cap })
-            .map(|cap| Fifo::new(cap as usize))
-            .collect();
+        let slots = (num_levels as u64 - 1) * lower_cap + k + 1;
+        assert!(slots < 1 << 31, "capacity too large for u32 links");
+        let counter_bits = ModRing::for_window(max_window.max(span)).counter_bits();
         Ladder {
-            max_window,
-            k,
-            num_levels,
-            counter_bits: ModRing::for_window(max_window.max(span)).counter_bits(),
-            pos: 0,
-            total: 0,
-            boundary: 0,
-            chain: Chain::with_capacity(queues.iter().map(Fifo::capacity).sum()),
-            queues,
+            core: Core {
+                max_window,
+                k,
+                pos: 0,
+                total: 0,
+                boundary: 0,
+                num_levels,
+                lower_cap: lower_cap as u32,
+                head: NIL,
+                tail: NIL,
+                len: 0,
+                counter_bits: counter_bits as u8,
+                positions,
+                rings: vec![Ring::default(); num_levels as usize].into_boxed_slice(),
+            },
+            slab: if positions == Positions::Sequence && counter_bits <= 32 {
+                Slab::Narrow(vec![Slot::default(); slots as usize].into())
+            } else {
+                Slab::Wide(vec![Slot::default(); slots as usize].into())
+            },
         }
     }
 
     pub(crate) fn max_window(&self) -> u64 {
-        self.max_window
+        self.core.max_window
     }
 
     pub(crate) fn k(&self) -> u64 {
-        self.k
+        self.core.k
     }
 
     pub(crate) fn num_levels(&self) -> u32 {
-        self.num_levels
+        self.core.num_levels
     }
 
     #[inline]
     pub(crate) fn pos(&self) -> u64 {
-        self.pos
+        self.core.pos
     }
 
     #[inline]
     pub(crate) fn total(&self) -> u64 {
-        self.total
+        self.core.total
     }
 
     pub(crate) fn boundary(&self) -> u64 {
-        self.boundary
+        self.core.boundary
     }
 
     /// Number of entries currently stored.
     #[inline]
     pub(crate) fn len(&self) -> usize {
-        self.chain.len()
+        self.core.len as usize
+    }
+
+    /// Stored entries with the level that holds each, oldest first.
+    pub(crate) fn leveled(&self) -> impl Iterator<Item = (u32, Entry<W>)> + '_ {
+        let mut next = self.core.head;
+        std::iter::from_fn(move || {
+            let slot = (next != NIL).then_some(next)?;
+            let e = at_width!(&self.slab, s => {
+                next = s[slot as usize].next;
+                self.core.entry(&s[slot as usize])
+            });
+            Some((self.core.level_of(slot), e))
+        })
     }
 
     /// Stored entries, oldest first.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = &Entry<W>> {
-        self.chain.iter().map(|(_, e)| e)
+    pub(crate) fn entries(&self) -> impl Iterator<Item = Entry<W>> + '_ {
+        self.leveled().map(|(_, e)| e)
     }
 
-    /// Move the clock to `to` and expire every entry that has left the
-    /// maximum window. Returns the newest entry expired, now the
-    /// boundary.
+    /// Move the clock to `to >= pos` and expire every entry that has
+    /// left the maximum window. Returns the newest entry expired, now
+    /// the boundary.
     ///
-    /// `inline(always)`, with [`Ladder::insert`]: the two are one push
-    /// body per wave. Left to the inliner's judgement they stay out of
-    /// line, and `DetWave::push_words` runs a third slower (measured:
-    /// `benchmark/`'s `engine_dense`, 150 -> 90 Mbit/s).
+    /// `inline(always)`, as are [`Ladder::insert`] and the four [`Core`]
+    /// methods under them: together they are one push body per wave. Left
+    /// to the inliner's judgement they stay out of line, and
+    /// `DetWave::push_words` runs a quarter slower (measured:
+    /// `benchmark/`'s `engine_dense`, 278 -> 208 Mbit/s).
     #[inline(always)]
     pub(crate) fn advance(&mut self, to: u64) -> Option<Entry<W>> {
-        self.pos = to;
-        // Planted off-by-one for the DST mutation smoke test
-        // (tests/dst_mutation.rs): under `--cfg dst_mutation` entries
-        // expire one stream position early, which the harness must
-        // catch against the exact oracle. Never enabled in real builds.
-        #[cfg(dst_mutation)]
-        let horizon = self.pos + 1;
-        #[cfg(not(dst_mutation))]
-        let horizon = self.pos;
-        let mut expired = None;
-        while let Some(h) = self.chain.head() {
-            let e = *self.chain.get(h);
-            if e.pos + self.max_window > horizon {
-                break;
-            }
-            self.boundary = e.cum;
-            let popped = self.queues[e.level as usize].pop_front();
-            debug_assert_eq!(popped, Some(h), "expiring head must be its queue's front");
-            self.chain.remove(h);
-            expired = Some(e);
-        }
-        expired
+        at_width!(&mut self.slab, s => self.core.advance(s, to))
     }
 
     /// Store the item at the clock: add `v` to the running total and
     /// append an entry to the queue of `level` (clamped to the top one),
     /// first discarding that queue's oldest entry if it is full — steps
-    /// 3(b)–(c) of Figures 4 and 5, O(1) worst case. Returns the entry
-    /// discarded, if any.
+    /// 3(b)–(c) of Figures 4 and 5, O(1) worst case: the discarded
+    /// entry's slot is the new entry's. Returns the entry discarded, if
+    /// any.
     #[inline(always)]
     pub(crate) fn insert(&mut self, level: u32, v: u64) -> Option<Entry<W>> {
-        let j = level.min(self.num_levels - 1) as usize;
-        self.total += v;
-        let evicted = if self.queues[j].is_full() {
-            let old = self.queues[j].pop_front().expect("full queue has a front");
-            let e = *self.chain.get(old);
-            self.chain.remove(old);
-            Some(e)
-        } else {
-            None
-        };
-        let id = self.chain.push_back(Entry {
-            pos: self.pos,
-            weight: W::of(v),
-            cum: self.total,
-            level: j as u8,
-        });
-        self.queues[j].push_back(id);
-        evicted
+        at_width!(&mut self.slab, s => self.core.insert(s, level, v))
     }
 
     /// The walk behind every window query. For a window starting at
@@ -262,10 +503,10 @@ impl<W: Weight> Ladder<W> {
     /// `O((1/eps) log(eps N))` in general and O(1) when `s` starts the
     /// maximum window, where expiry has left no older entry.
     pub(crate) fn straddle(&self, s: u64) -> (u64, Option<Entry<W>>) {
-        let mut before = self.boundary;
+        let mut before = self.core.boundary;
         for e in self.entries() {
             if e.pos >= s {
-                return (before, Some(*e));
+                return (before, Some(e));
             }
             before = e.cum;
         }
@@ -276,15 +517,15 @@ impl<W: Weight> Ladder<W> {
     /// counters, delta-coded positions and running totals, then each
     /// entry's weight and level.
     pub(crate) fn encode_body(&self, w: &mut BitWriter) {
-        w.write_gamma0(self.pos);
-        w.write_gamma0(self.total);
-        w.write_gamma0(self.boundary);
-        w.write_gamma0(self.chain.len() as u64);
+        w.write_gamma0(self.core.pos);
+        w.write_gamma0(self.core.total);
+        w.write_gamma0(self.core.boundary);
+        w.write_gamma0(self.len() as u64);
         write_deltas(w, &self.entries().map(|e| e.pos).collect::<Vec<_>>());
         write_deltas(w, &self.entries().map(|e| e.cum).collect::<Vec<_>>());
-        for e in self.entries() {
+        for (level, e) in self.leveled() {
             e.weight.write(w);
-            w.write_gamma0(e.level as u64);
+            w.write_gamma0(level as u64);
         }
     }
 
@@ -295,37 +536,39 @@ impl<W: Weight> Ladder<W> {
     pub(crate) fn decode_body(
         &mut self,
         r: &mut BitReader<'_>,
-        positions: Positions,
         max_weight: u64,
     ) -> Result<(), CodecError> {
-        let sequence = positions == Positions::Sequence;
-        self.pos = r.read_gamma0()?;
-        self.total = r.read_gamma0()?;
-        self.boundary = r.read_gamma0()?;
+        let sequence = self.core.positions == Positions::Sequence;
+        let (now, total) = (r.read_gamma0()?, r.read_gamma0()?);
+        self.core.boundary = r.read_gamma0()?;
         let reachable = if sequence {
-            self.pos.saturating_mul(max_weight).min(1 << 62)
+            now.saturating_mul(max_weight).min(1 << 62)
         } else {
             1 << 62
         };
-        if self.pos > 1 << 62 || self.total > reachable || self.boundary > self.total {
+        if now > 1 << 62 || total > reachable || self.core.boundary > total {
             return Err(CodecError::Corrupt("counters inconsistent"));
         }
+        (self.core.pos, self.core.total) = (now, total);
         let count = r.read_gamma0()? as usize;
         let entry_pos = read_deltas(r, count)?;
         let entry_cum = read_deltas(r, count)?;
-        let mut prev = (0, self.boundary);
+        let mut prev = (0, self.core.boundary);
         for (&pos, &cum) in entry_pos.iter().zip(&entry_cum) {
             let weight = W::read(r)?;
             let level = r.read_gamma0()?;
-            if level >= self.num_levels as u64 {
+            if level >= self.core.num_levels as u64 {
                 return Err(CodecError::Corrupt("level out of range"));
             }
             let v = weight.get();
-            if pos > self.pos || cum > self.total || v > max_weight || v > cum {
+            // One item a position, so at most `max_weight` a position
+            // arrived after an entry: what the narrow slots rest on.
+            let after = |since: u64| sequence && total - cum > since.saturating_mul(max_weight);
+            if pos > now || cum > total || v > max_weight || v > cum || after(now - pos) {
                 return Err(CodecError::Corrupt("entry beyond counters"));
             }
             // A real wave expires on every push.
-            if pos + self.max_window <= self.pos {
+            if pos + self.core.max_window <= now {
                 return Err(CodecError::Corrupt("entry already expired"));
             }
             // The total before an entry is at least the total through
@@ -335,36 +578,49 @@ impl<W: Weight> Ladder<W> {
                 return Err(CodecError::Corrupt("entries not increasing"));
             }
             prev = (pos, cum);
-            let queue = &mut self.queues[level as usize];
-            if queue.is_full() {
+            let level = level as u32;
+            if self.core.rings[level as usize].is_full(self.core.cap(level)) {
                 return Err(CodecError::Corrupt("level queue overflow"));
             }
-            queue.push_back(self.chain.push_back(Entry {
-                pos,
-                weight,
-                cum,
-                level: level as u8,
-            }));
+            at_width!(&mut self.slab, s => self.core.place(s, level, Entry { pos, weight, cum }));
         }
         Ok(())
     }
 
     /// Space accounting for a wave of `inline_bytes` (its `size_of`)
-    /// whose paper encoding keeps `counters` mod-N' counters.
+    /// whose paper encoding keeps `counters` mod-N' counters; the slab
+    /// and the rings are all a ladder allocates.
     pub(crate) fn space_report(&self, inline_bytes: usize, counters: u64) -> SpaceReport {
+        let slab_bytes = at_width!(&self.slab, s => std::mem::size_of_val(&**s));
         SpaceReport {
-            resident_bytes: inline_bytes
-                + self.chain.heap_bytes()
-                + self.queues.iter().map(Fifo::heap_bytes).sum::<usize>(),
-            synopsis_bits: counters * self.counter_bits as u64
+            resident_bytes: inline_bytes + slab_bytes + std::mem::size_of_val(&*self.core.rings),
+            synopsis_bits: counters * self.core.counter_bits as u64
                 + delta_coded_bits(self.entries().map(|e| e.pos))
                 + delta_coded_bits(self.entries().map(|e| e.cum))
                 + self
                     .entries()
-                    .map(|e| e.weight.extra_bits(self.num_levels))
+                    .map(|e| e.weight.extra_bits(self.core.num_levels))
                     .sum::<u64>(),
-            entries: self.chain.len(),
+            entries: self.len(),
         }
+    }
+}
+
+impl Ladder<()> {
+    /// The bit waves' batch push: each 1 of `bits`, oldest first, goes
+    /// to the level `level_of` gives the total before it. The clock moves
+    /// — and expiry is checked — once per 1, over the zeros before it and
+    /// the 1 together, then once over the trailing zeros; the slot width
+    /// is matched once, outside the loop.
+    pub(crate) fn push_ones(&mut self, bits: BitsRef<'_>, level_of: impl Fn(u64) -> u32) {
+        let c = &mut self.core;
+        at_width!(&mut self.slab, s => {
+            let trailing = bits.scan_ones(|gap| {
+                c.advance(s, c.pos + gap + 1);
+                c.insert(s, level_of(c.total), 1);
+            });
+            c.advance(s, c.pos + trailing);
+        })
     }
 }
 
@@ -394,19 +650,25 @@ pub(crate) fn overlapping_sum_entries(params: &[u64]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::level::{rank_level, sum_level};
+    use proptest::prelude::*;
 
     #[test]
     fn entry_shapes_keep_their_sizes() {
-        // The bit entry is what every served key pays per stored 1.
-        assert_eq!(std::mem::size_of::<Entry<()>>(), 24);
-        assert_eq!(std::mem::size_of::<Entry<u64>>(), 32);
-        assert!(std::mem::size_of::<crate::DetWave>() <= 160);
+        use std::mem::size_of;
+        // The narrow bit slot is what every served key pays per stored 1.
+        assert_eq!(size_of::<Slot<u32, ()>>(), 16);
+        assert_eq!(size_of::<Slot<u64, ()>>(), 24);
+        assert_eq!(size_of::<Slot<u32, u64>>(), 24);
+        assert_eq!(size_of::<Slot<u64, u64>>(), 32);
+        assert_eq!(size_of::<Ring>(), 8);
+        assert!(size_of::<crate::DetWave>() <= 144);
     }
 
     #[test]
     fn straddle_splits_the_chain_at_a_position() {
         // k = 2, span 8: 3 levels of capacity 2, 2, 3.
-        let mut l: Ladder<u64> = Ladder::new(8, 2, 8, 2);
+        let mut l: Ladder<u64> = Ladder::new(8, 2, 8, 2, Positions::Sequence);
         let evicted = [(1, 5), (3, 2), (4, 1)].map(|(pos, v)| {
             l.advance(pos);
             l.insert(0, v).map(|e| e.pos)
@@ -424,5 +686,121 @@ mod tests {
         // Expiry moves the boundary to the newest entry that left.
         assert_eq!(l.advance(11).map(|e| e.pos), Some(3));
         assert_eq!((l.boundary(), l.len()), (7, 1));
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// One item of this value (a bit ladder takes its low bit).
+        Push(u64),
+        /// This many valueless positions at once.
+        Skip(u64),
+        /// Continue on the ladder's decoded encoding.
+        Recode,
+    }
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        const JUMPS: [u64; 6] = [(1 << 32) - 1, 1 << 32, (1 << 32) + 5, 1 << 33, 1 << 40, 63];
+        prop::collection::vec(
+            prop_oneof![
+                12 => (0u64..=9).prop_map(Op::Push),
+                3 => (0u64..80).prop_map(Op::Skip),
+                1 => (0usize..6).prop_map(|i: usize| Op::Skip(JUMPS[i])),
+                1 => Just(Op::Recode),
+            ],
+            1..400,
+        )
+    }
+
+    /// An empty ladder on wide slots whatever its `N'`: the reference
+    /// the narrow arithmetic is held to.
+    fn widened<W: Weight>(mut l: Ladder<W>) -> Ladder<W> {
+        assert_eq!(l.len(), 0);
+        l.slab = Slab::Wide(vec![Slot::default(); at_width!(&l.slab, s => s.len())].into());
+        l
+    }
+
+    fn body<W: Weight>(l: &Ladder<W>) -> Vec<u8> {
+        let mut w = BitWriter::new();
+        l.encode_body(&mut w);
+        w.finish()
+    }
+
+    /// Run `ops` on a narrow ladder and on the same ladder widened: one
+    /// encoding and one answer to every walk, at every step.
+    fn narrow_matches_wide<W: Weight + PartialEq + std::fmt::Debug>(
+        fresh: impl Fn() -> Ladder<W>,
+        max_weight: u64,
+        level: impl Fn(u64, u64) -> u32,
+        ops: &[Op],
+    ) {
+        let (mut narrow, mut wide) = (fresh(), widened(fresh()));
+        assert!(matches!(narrow.slab, Slab::Narrow(_)) && matches!(wide.slab, Slab::Wide(_)));
+        for (step, op) in ops.iter().enumerate() {
+            for l in [&mut narrow, &mut wide] {
+                match *op {
+                    Op::Push(v) => {
+                        let v = v % (max_weight + 1);
+                        l.advance(l.pos() + 1);
+                        if v > 0 {
+                            l.insert(level(l.total(), v), v);
+                        }
+                    }
+                    Op::Skip(n) => {
+                        l.advance(l.pos() + n);
+                    }
+                    Op::Recode => {
+                        let bytes = body(l);
+                        let mut again = fresh();
+                        if matches!(l.slab, Slab::Wide(_)) {
+                            again = widened(again);
+                        }
+                        again
+                            .decode_body(&mut BitReader::new(&bytes), max_weight)
+                            .unwrap_or_else(|e| panic!("step {step}: {e}"));
+                        *l = again;
+                    }
+                }
+            }
+            assert_eq!(body(&narrow), body(&wide), "step {step}: {op:?}");
+            let view = |(before, e): (u64, Option<Entry<W>>)| {
+                (before, e.map(|e| (e.pos, e.weight, e.cum)))
+            };
+            for back in [0, 1, narrow.max_window() / 2, narrow.max_window() - 1] {
+                let s = narrow.pos().saturating_sub(back);
+                assert_eq!(
+                    view(narrow.straddle(s)),
+                    view(wide.straddle(s)),
+                    "step {step}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Narrow and wide slots are the same ladder, for both entry
+        /// shapes, across expiry, eviction, whole-window jumps past
+        /// `2^32` and the codec.
+        #[test]
+        fn narrow_and_wide_slots_are_one_ladder(
+            ops in ops(),
+            k in 1u64..=6,
+            n in 1u64..=70,
+            r in 1u64..=9,
+        ) {
+            narrow_matches_wide(
+                || Ladder::<()>::new(n, k, n, (k + 1).div_ceil(2), Positions::Sequence),
+                1,
+                |rank, _| rank_level(rank + 1),
+                &ops,
+            );
+            narrow_matches_wide(
+                || Ladder::<u64>::new(n, k, n * r, k + 1, Positions::Sequence),
+                r,
+                sum_level,
+                &ops,
+            );
+        }
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::error::WaveError;
 use crate::estimate::{Estimate, SpaceReport};
-use crate::ladder::{k_for_eps, Ladder};
+use crate::ladder::{k_for_eps, Ladder, Positions};
 use crate::level::rank_level;
 use crate::window::MAX_WINDOW;
 
@@ -40,7 +40,13 @@ impl NthRecentWave {
         Ok(NthRecentWave {
             eps,
             expired_pos: 0,
-            ladder: Ladder::new(max_age, k, max_age, (k + 1).div_ceil(2)),
+            ladder: Ladder::new(
+                max_age,
+                k,
+                max_age,
+                (k + 1).div_ceil(2),
+                Positions::Sequence,
+            ),
         })
     }
 

@@ -113,7 +113,7 @@ impl SumWave {
         Ok(SumWave {
             max_value,
             eps,
-            ladder: Ladder::new(max_window, k, nr, k + 1),
+            ladder: Ladder::new(max_window, k, nr, k + 1, Positions::Sequence),
         })
     }
 
@@ -249,8 +249,7 @@ impl SumWave {
         let max_value = r.read_gamma()?;
         let k = read_k(&mut r)?;
         let mut wave = SumWave::with_k(max_window, max_value, k, 1.0 / k as f64)?;
-        wave.ladder
-            .decode_body(&mut r, Positions::Sequence, max_value)?;
+        wave.ladder.decode_body(&mut r, max_value)?;
         Ok(wave)
     }
 

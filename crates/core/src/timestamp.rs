@@ -59,7 +59,16 @@ impl TimestampWave {
         Ok(TimestampWave {
             max_items,
             eps,
-            ladder: Ladder::new(max_window, k, max_items, (k + 1).div_ceil(2)),
+            // Wide slots: a caller may put more than `U` items in one
+            // window (the bracket still holds), so nothing bounds how far
+            // a live entry's rank trails the total.
+            ladder: Ladder::new(
+                max_window,
+                k,
+                max_items,
+                (k + 1).div_ceil(2),
+                Positions::Supplied,
+            ),
         })
     }
 
@@ -156,7 +165,7 @@ impl TimestampWave {
         let max_items = r.read_gamma()?;
         let k = read_k(&mut r)?;
         let mut wave = TimestampWave::with_k(max_window, max_items, k, 1.0 / k as f64)?;
-        wave.ladder.decode_body(&mut r, Positions::Supplied, 1)?;
+        wave.ladder.decode_body(&mut r, 1)?;
         Ok(wave)
     }
 
@@ -226,6 +235,32 @@ mod tests {
         }
         let e = w.query(10).unwrap();
         assert!(e.brackets(5));
+    }
+
+    /// `U` is the caller's promise, not something the wave enforces:
+    /// three times `U` items in one window cost the `eps` guarantee but
+    /// never the bracket. It is why these ladders keep wide slots — no
+    /// structural bound holds a live entry's rank near the total.
+    #[test]
+    fn more_than_max_items_in_a_window_still_brackets() {
+        let (n, u) = (8u64, 64u64);
+        let mut w = TimestampWave::new(n, u, 0.25).unwrap();
+        let mut oracle = Oracle::new(n);
+        for ts in [5u64, 9] {
+            for i in 0..3 * u {
+                w.push(ts, i % 3 != 0).unwrap();
+                oracle.push(ts, i % 3 != 0);
+                for m in [1, 4, n] {
+                    let (est, actual) = (w.query(m).unwrap(), oracle.query(m));
+                    assert!(
+                        est.brackets(actual),
+                        "ts={ts} i={i} m={m}: {est:?} vs {actual}"
+                    );
+                }
+            }
+        }
+        let again = TimestampWave::decode(&w.encode()).unwrap();
+        assert_eq!(again.query(n).unwrap(), w.query(n).unwrap());
     }
 
     #[test]

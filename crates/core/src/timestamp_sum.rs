@@ -67,7 +67,8 @@ impl TimestampSumWave {
             max_value,
             max_items,
             eps,
-            ladder: Ladder::new(max_window, k, max_sum, k + 1),
+            // Wide slots, as in `TimestampWave`: `U` is the caller's promise.
+            ladder: Ladder::new(max_window, k, max_sum, k + 1, Positions::Supplied),
         })
     }
 
@@ -181,8 +182,7 @@ impl TimestampSumWave {
         let k = read_k(&mut r)?;
         let mut wave =
             TimestampSumWave::with_k(max_window, max_items, max_value, k, 1.0 / k as f64)?;
-        wave.ladder
-            .decode_body(&mut r, Positions::Supplied, max_value)?;
+        wave.ladder.decode_body(&mut r, max_value)?;
         Ok(wave)
     }
 

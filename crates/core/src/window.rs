@@ -4,11 +4,13 @@
 //! `N' = 2^ceil(log2(2N))`, the smallest power of two at least `2N`. As
 //! long as every live position is within `N` of the current position,
 //! differences taken modulo `N'` are unambiguous, so expiry comparisons
-//! and window arithmetic still work. The runtime implementation in this
-//! crate keeps full `u64` counters (free on modern machines), but this
-//! module implements and tests the modular scheme so the paper's space
-//! claim rests on verified arithmetic, and the space accounting uses its
-//! bit width.
+//! and window arithmetic still work. This module implements and tests
+//! that scheme at its exact width, which the space accounting charges.
+//! At run time the wave slots (`ladder.rs`) use the same argument with
+//! the modulus rounded up to the machine word: where `N' <= 2^32` and
+//! positions count the items, a stored position and rank are their low
+//! 32 bits, read back against the `u64` clock and total, which stay
+//! whole; everywhere else a slot keeps the full `u64`.
 
 /// Largest maximum window `N` any synopsis accepts. Positions, ranks
 /// and totals are held to the same ceiling, so `pos + N` and the sum of
