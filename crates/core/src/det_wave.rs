@@ -19,7 +19,7 @@
 //! skeleton in `ladder.rs`; this file is Figure 4's parameters.
 
 use crate::basic_wave::wave_estimate;
-use crate::codec::{BitReader, BitWriter, CodecError};
+use crate::codec::{BitReader, CodecError};
 use crate::error::WaveError;
 use crate::estimate::{Estimate, SpaceReport};
 use crate::ladder::{k_for_eps, read_k, Ladder, Positions};
@@ -39,11 +39,28 @@ pub(crate) fn classify_query(est: &Estimate) -> waves_obs::MetricId {
 /// Deterministic wave for Basic Counting (Theorem 1): relative error at
 /// most `eps` for any window `n <= N`, `O((1/eps) log^2(eps N))` bits,
 /// O(1) worst-case per-item time, O(1) query time for the max window.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DetWave {
     eps: f64,
     /// Entries are `(position, 1-rank)`; the clock is the stream length.
     ladder: Ladder<()>,
+}
+
+impl Clone for DetWave {
+    fn clone(&self) -> Self {
+        DetWave {
+            eps: self.eps,
+            ladder: self.ladder.clone(),
+        }
+    }
+
+    /// Into the storage already here, allocating nothing, when `source`
+    /// has this wave's `N` and `k` — a push-mode party's shadow of its
+    /// live wave, refreshed on every ship.
+    fn clone_from(&mut self, source: &Self) {
+        self.eps = source.eps;
+        self.ladder.clone_from(&source.ladder);
+    }
 }
 
 /// Builder for [`DetWave`] — the preferred construction surface.
@@ -336,11 +353,7 @@ impl DetWave {
     /// ranks, per-entry levels. The result can be shipped to a Referee
     /// and reconstructed with [`DetWave::decode`].
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        w.write_gamma(self.max_window());
-        w.write_gamma(self.k());
-        self.ladder.encode_body(&mut w);
-        w.finish()
+        self.ladder.encode(&[self.max_window(), self.k()])
     }
 
     /// Reconstruct a synopsis from [`DetWave::encode`] output. The

@@ -31,7 +31,7 @@
 use crate::basic_wave::wave_levels;
 use crate::bits::BitsRef;
 use crate::chain::NIL;
-use crate::codec::{read_deltas, write_deltas, BitReader, BitWriter, CodecError};
+use crate::codec::{read_deltas_into, BitReader, BitWriter, CodecError};
 use crate::error::WaveError;
 use crate::estimate::SpaceReport;
 use crate::space::{delta_coded_bits, elias_gamma_bits};
@@ -130,10 +130,29 @@ struct Slot<P, W> {
     next: u32,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Slab<W> {
     Narrow(Box<[Slot<u32, W>]>),
     Wide(Box<[Slot<u64, W>]>),
+}
+
+impl<W: Copy> Clone for Slab<W> {
+    fn clone(&self) -> Self {
+        match self {
+            Slab::Narrow(s) => Slab::Narrow(s.clone()),
+            Slab::Wide(s) => Slab::Wide(s.clone()),
+        }
+    }
+
+    /// Into the slots already here, when `source` has as many at the
+    /// same width (a boxed slice's `clone_from` is then one `memcpy`).
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Slab::Narrow(to), Slab::Narrow(from)) => to.clone_from(from),
+            (Slab::Wide(to), Slab::Wide(from)) => to.clone_from(from),
+            (to, from) => *to = from.clone(),
+        }
+    }
 }
 
 /// `$body` with `$slots` bound to the slots of `$slab`, at its width. A
@@ -213,7 +232,7 @@ pub(crate) enum Positions {
 }
 
 /// A ladder but for its slots, which its methods take at either width.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Core {
     max_window: u64,
     k: u64,
@@ -238,11 +257,42 @@ struct Core {
     rings: Box<[Ring]>,
 }
 
+impl Clone for Core {
+    fn clone(&self) -> Self {
+        Core {
+            rings: self.rings.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let mut rings = std::mem::take(&mut self.rings);
+        rings.clone_from(&source.rings);
+        *self = Core { rings, ..*source };
+    }
+}
+
 /// Level queues on a chain: see the module docs.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Ladder<W> {
     core: Core,
     slab: Slab<W>,
+}
+
+impl<W: Copy> Clone for Ladder<W> {
+    fn clone(&self) -> Self {
+        Ladder {
+            core: self.core.clone(),
+            slab: self.slab.clone(),
+        }
+    }
+
+    /// Allocates nothing when `source` has this ladder's parameters: the
+    /// copy lands in the slab and the rings already here.
+    fn clone_from(&mut self, source: &Self) {
+        self.core.clone_from(&source.core);
+        self.slab.clone_from(&source.slab);
+    }
 }
 
 impl Core {
@@ -513,20 +563,47 @@ impl<W: Weight> Ladder<W> {
         (before, None)
     }
 
+    /// The wave's whole encoding: each of `params` gamma-coded, then
+    /// [`Ladder::encode_body`], in a buffer sized once at a word an
+    /// entry — twice what the served bit waves take; a hint, not a bound:
+    /// a sum wave of large values outgrows it and the buffer grows.
+    pub(crate) fn encode(&self, params: &[u64]) -> Vec<u8> {
+        let mut w = BitWriter::with_capacity(64 + 8 * self.len());
+        for &p in params {
+            w.write_gamma(p);
+        }
+        self.encode_body(&mut w);
+        w.finish()
+    }
+
     /// Append everything after the parameter header to `w`: gamma-coded
     /// counters, delta-coded positions and running totals, then each
-    /// entry's weight and level.
+    /// entry's weight and level. The three runs are written in one walk
+    /// of the chain — positions straight to `w`, the other two to side
+    /// writers appended a word at a time after it — with the slot width
+    /// matched once.
     pub(crate) fn encode_body(&self, w: &mut BitWriter) {
-        w.write_gamma0(self.core.pos);
-        w.write_gamma0(self.core.total);
-        w.write_gamma0(self.core.boundary);
-        w.write_gamma0(self.len() as u64);
-        write_deltas(w, &self.entries().map(|e| e.pos).collect::<Vec<_>>());
-        write_deltas(w, &self.entries().map(|e| e.cum).collect::<Vec<_>>());
-        for (level, e) in self.leveled() {
-            e.weight.write(w);
-            w.write_gamma0(level as u64);
-        }
+        let c = &self.core;
+        w.write_gamma0(c.pos);
+        w.write_gamma0(c.total);
+        w.write_gamma0(c.boundary);
+        w.write_gamma0(c.len as u64);
+        let mut cums = BitWriter::with_capacity(4 * self.len());
+        let mut rest = BitWriter::with_capacity(2 * self.len());
+        at_width!(&self.slab, s => {
+            let (mut at, mut prev) = (c.head, (0, 0));
+            while at != NIL {
+                let slot = &s[at as usize];
+                let e = c.entry(slot);
+                w.write_gamma(e.pos - prev.0 + 1);
+                cums.write_gamma(e.cum - prev.1 + 1);
+                e.weight.write(&mut rest);
+                rest.write_gamma0(c.level_of(at) as u64);
+                (at, prev) = (slot.next, (e.pos, e.cum));
+            }
+        });
+        w.append(&cums);
+        w.append(&rest);
     }
 
     /// Fill an empty ladder from [`Ladder::encode_body`] output, holding
@@ -538,52 +615,65 @@ impl<W: Weight> Ladder<W> {
         r: &mut BitReader<'_>,
         max_weight: u64,
     ) -> Result<(), CodecError> {
-        let sequence = self.core.positions == Positions::Sequence;
+        let c = &mut self.core;
+        let sequence = c.positions == Positions::Sequence;
         let (now, total) = (r.read_gamma0()?, r.read_gamma0()?);
-        self.core.boundary = r.read_gamma0()?;
+        c.boundary = r.read_gamma0()?;
         let reachable = if sequence {
             now.saturating_mul(max_weight).min(1 << 62)
         } else {
             1 << 62
         };
-        if now > 1 << 62 || total > reachable || self.core.boundary > total {
+        if now > 1 << 62 || total > reachable || c.boundary > total {
             return Err(CodecError::Corrupt("counters inconsistent"));
         }
-        (self.core.pos, self.core.total) = (now, total);
-        let count = r.read_gamma0()? as usize;
-        let entry_pos = read_deltas(r, count)?;
-        let entry_cum = read_deltas(r, count)?;
-        let mut prev = (0, self.core.boundary);
-        for (&pos, &cum) in entry_pos.iter().zip(&entry_cum) {
-            let weight = W::read(r)?;
-            let level = r.read_gamma0()?;
-            if level >= self.core.num_levels as u64 {
-                return Err(CodecError::Corrupt("level out of range"));
+        (c.pos, c.total) = (now, total);
+        let count = r.read_gamma0()?;
+        at_width!(&mut self.slab, s => {
+            // Before anything is reserved on the header's word.
+            if count > s.len() as u64 {
+                return Err(CodecError::Corrupt("more entries than slots"));
             }
-            let v = weight.get();
-            // One item a position, so at most `max_weight` a position
-            // arrived after an entry: what the narrow slots rest on.
-            let after = |since: u64| sequence && total - cum > since.saturating_mul(max_weight);
-            if pos > now || cum > total || v > max_weight || v > cum || after(now - pos) {
-                return Err(CodecError::Corrupt("entry beyond counters"));
+            // One scratch for both delta runs: the positions, then the
+            // running totals after them.
+            let count = count as usize;
+            let mut runs = Vec::with_capacity(2 * count);
+            read_deltas_into(r, count, &mut runs)?;
+            read_deltas_into(r, count, &mut runs)?;
+            let (entry_pos, entry_cum) = runs.split_at(count);
+            let mut prev = (0, c.boundary);
+            for (&pos, &cum) in entry_pos.iter().zip(entry_cum) {
+                let weight = W::read(r)?;
+                let level = r.read_gamma0()?;
+                if level >= c.num_levels as u64 {
+                    return Err(CodecError::Corrupt("level out of range"));
+                }
+                let v = weight.get();
+                // One item a position, so at most `max_weight` a position
+                // arrived after an entry: what the narrow slots rest on.
+                let after =
+                    |since: u64| sequence && total - cum > since.saturating_mul(max_weight);
+                if pos > now || cum > total || v > max_weight || v > cum || after(now - pos) {
+                    return Err(CodecError::Corrupt("entry beyond counters"));
+                }
+                // A real wave expires on every push.
+                if pos + c.max_window <= now {
+                    return Err(CodecError::Corrupt("entry already expired"));
+                }
+                // The total before an entry is at least the total through
+                // its predecessor (the expired boundary, for the first):
+                // the estimators subtract one from the other.
+                if cum - v < prev.1 || (sequence && pos == prev.0) {
+                    return Err(CodecError::Corrupt("entries not increasing"));
+                }
+                prev = (pos, cum);
+                let level = level as u32;
+                if c.rings[level as usize].is_full(c.cap(level)) {
+                    return Err(CodecError::Corrupt("level queue overflow"));
+                }
+                c.place(s, level, Entry { pos, weight, cum });
             }
-            // A real wave expires on every push.
-            if pos + self.core.max_window <= now {
-                return Err(CodecError::Corrupt("entry already expired"));
-            }
-            // The total before an entry is at least the total through
-            // its predecessor (the expired boundary, for the first):
-            // the estimators subtract one from the other.
-            if cum - v < prev.1 || (sequence && pos == prev.0) {
-                return Err(CodecError::Corrupt("entries not increasing"));
-            }
-            prev = (pos, cum);
-            let level = level as u32;
-            if self.core.rings[level as usize].is_full(self.core.cap(level)) {
-                return Err(CodecError::Corrupt("level queue overflow"));
-            }
-            at_width!(&mut self.slab, s => self.core.place(s, level, Entry { pos, weight, cum }));
-        }
+        });
         Ok(())
     }
 
@@ -631,6 +721,7 @@ impl Ladder<()> {
 /// `[19, 10]`.
 #[cfg(test)]
 pub(crate) fn overlapping_sum_entries(params: &[u64]) -> Vec<u8> {
+    use crate::codec::write_deltas;
     let mut w = BitWriter::new();
     for &p in params.iter().chain(&[4]) {
         w.write_gamma(p);
@@ -686,6 +777,34 @@ mod tests {
         // Expiry moves the boundary to the newest entry that left.
         assert_eq!(l.advance(11).map(|e| e.pos), Some(3));
         assert_eq!((l.boundary(), l.len()), (7, 1));
+    }
+
+    #[test]
+    fn a_count_above_the_slots_is_refused_before_it_is_reserved() {
+        // k = 2, span 8: 7 slots. Counters, a count, then 1-bits enough
+        // that the reader alone would read on (`gamma(1)` deltas).
+        let body = |count: u64| {
+            let mut w = BitWriter::new();
+            for counter in [10, 10, 0, count] {
+                w.write_gamma0(counter); // pos, total, r1, entries
+            }
+            let mut bytes = w.finish();
+            bytes.extend([0xFF; 64]);
+            bytes
+        };
+        let decode = |count: u64| {
+            let mut l: Ladder<()> = Ladder::new(8, 2, 8, 2, Positions::Sequence);
+            l.decode_body(&mut BitReader::new(&body(count)), 1)
+        };
+        for count in [8, 1 << 16, 1 << 40, u64::MAX - 1] {
+            assert_eq!(
+                decode(count),
+                Err(CodecError::Corrupt("more entries than slots")),
+                "{count}"
+            );
+        }
+        // Seven fit the slab and are refused for what they say instead.
+        assert_eq!(decode(7), Err(CodecError::Corrupt("entry beyond counters")));
     }
 
     #[derive(Debug, Clone)]

@@ -11,7 +11,7 @@
 //! histogram, which splits the same item across up to
 //! `O(log N + log R)` buckets.
 
-use crate::codec::{BitReader, BitWriter, CodecError};
+use crate::codec::{BitReader, CodecError};
 use crate::error::WaveError;
 use crate::estimate::{Estimate, SpaceReport};
 use crate::ladder::{k_for_eps, read_k, Ladder, Positions};
@@ -234,12 +234,8 @@ impl SumWave {
     /// [`crate::det_wave::DetWave::encode`] for the scheme; the sum wave
     /// additionally gamma-codes each entry's value).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        w.write_gamma(self.max_window());
-        w.write_gamma(self.max_value);
-        w.write_gamma(self.ladder.k());
-        self.ladder.encode_body(&mut w);
-        w.finish()
+        self.ladder
+            .encode(&[self.max_window(), self.max_value, self.ladder.k()])
     }
 
     /// Reconstruct a synopsis from [`SumWave::encode`] output.

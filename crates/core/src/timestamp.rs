@@ -20,7 +20,7 @@
 //!   exactness from the stored smallest rank alone would be unsound.
 
 use crate::basic_wave::wave_estimate;
-use crate::codec::{BitReader, BitWriter, CodecError};
+use crate::codec::{BitReader, CodecError};
 use crate::error::WaveError;
 use crate::estimate::{Estimate, SpaceReport};
 use crate::ladder::{k_for_eps, read_k, Ladder, Positions};
@@ -150,12 +150,8 @@ impl TimestampWave {
     /// Serialize into the compact bit encoding (scheme as in
     /// [`crate::det_wave::DetWave::encode`], with the `U` parameter).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        w.write_gamma(self.max_window());
-        w.write_gamma(self.max_items);
-        w.write_gamma(self.ladder.k());
-        self.ladder.encode_body(&mut w);
-        w.finish()
+        self.ladder
+            .encode(&[self.max_window(), self.max_items, self.ladder.k()])
     }
 
     /// Reconstruct a synopsis from [`TimestampWave::encode`] output.

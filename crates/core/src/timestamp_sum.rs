@@ -9,7 +9,7 @@
 //! is driven by the maximum window *sum* `S = U * R` (at most `U` items
 //! per window, each at most `R`), mirroring Corollary 1's use of `U`.
 
-use crate::codec::{BitReader, BitWriter, CodecError};
+use crate::codec::{BitReader, CodecError};
 use crate::error::WaveError;
 use crate::estimate::{Estimate, SpaceReport};
 use crate::ladder::{k_for_eps, read_k, Ladder, Positions};
@@ -164,13 +164,9 @@ impl TimestampSumWave {
 
     /// Serialize into the compact bit encoding.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = BitWriter::new();
-        w.write_gamma(self.max_window());
-        w.write_gamma(self.max_items);
-        w.write_gamma(self.max_value);
-        w.write_gamma(self.ladder.k());
-        self.ladder.encode_body(&mut w);
-        w.finish()
+        let k = self.ladder.k();
+        self.ladder
+            .encode(&[self.max_window(), self.max_items, self.max_value, k])
     }
 
     /// Reconstruct a synopsis from [`TimestampSumWave::encode`] output.

@@ -187,3 +187,32 @@ fn the_served_wave_costs_what_the_capacity_table_says() {
     }
     assert_eq!(2_664, 153 * 16 + 13 * 8 + std::mem::size_of::<DetWave>());
 }
+
+/// What a push-mode ship costs the allocator: refreshing the shadow
+/// (`clone_from`) nothing at all, the encoding its buffer and the two
+/// side writers of the one-walk body, each sized before its first write.
+#[test]
+fn a_ship_copies_into_the_shadow_and_sizes_its_buffers_once() {
+    for (n, eps) in [
+        (100u64, 0.25),
+        (65_536, 0.05),
+        (65_536, 0.004),
+        (1 << 40, 0.05),
+    ] {
+        let mut live = DetWave::new(n, eps).unwrap();
+        let mut shadow = live.clone();
+        for density in [2, 7, 200] {
+            drive(50_000, |x| live.push_bit(x % density == 0));
+            let (_, grown, calls) = measured(|| shadow.clone_from(&live));
+            assert_eq!((grown, calls), (0, 0), "N={n} eps={eps}");
+            let (bytes, _, calls) = measured(|| live.encode());
+            // Three allocations and the side writers' two frees: no buffer grew.
+            assert!(
+                calls <= 5,
+                "N={n} eps={eps}: {calls} calls, {} B",
+                bytes.len()
+            );
+            assert_eq!(shadow.encode(), bytes);
+        }
+    }
+}

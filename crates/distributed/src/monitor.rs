@@ -213,7 +213,8 @@ impl PushParty {
     }
 
     fn ship(&mut self) -> MonitorDelta {
-        self.shipped = self.local.clone();
+        // Into the shadow's own slab: a ship allocates its bytes only.
+        self.shipped.clone_from(&self.local);
         self.seq += 1;
         MonitorDelta {
             party: self.party,
@@ -360,6 +361,28 @@ mod tests {
             );
         }
         assert!(shipped > 0, "an all-ones stream must cross the budget");
+    }
+
+    #[test]
+    fn reused_shadow_is_the_shipped_state_and_nothing_after_it() {
+        let mut p = PushParty::new(&cfg(2), 0).unwrap();
+        let mut bits = lcg_bits(9, 16_000, 5, 2).into_iter();
+        for ship in 1..=1000u64 {
+            for b in bits.by_ref().take(ship as usize % 16) {
+                p.push_bit(b);
+            }
+            let d = p.force_flush();
+            assert!(d.seq >= ship);
+            assert_eq!(d.bytes, p.local().encode());
+            assert_eq!(p.shipped().encode(), d.bytes, "ship {ship}");
+            assert_eq!(p.unshipped_drift(), 0.0, "ship {ship}");
+            // The shadow is a copy: what the live wave takes in next is
+            // not in it.
+            let before = p.local().pos();
+            p.local.push_bit(true);
+            assert_eq!(p.shipped().encode(), d.bytes, "ship {ship}");
+            assert_eq!((p.shipped().pos(), p.local().pos()), (before, before + 1));
+        }
     }
 
     #[test]
