@@ -293,7 +293,8 @@ impl<'a> BitsRef<'a> {
     /// Call `f(gap)` once per 1-bit, in stream order, with the number of
     /// zeros since the previous 1 (or the start), and return the zeros
     /// after the last 1. One `trailing_zeros` per 1-bit, O(1) per
-    /// all-zero word — the one scan loop behind every `push_words`.
+    /// all-zero word — the scan loop under [`BitsRef::scan_runs`], which
+    /// every `push_words` but `DetWave`'s is written on.
     #[inline]
     pub fn scan_ones(&self, mut f: impl FnMut(u64)) -> u64 {
         let mut zeros = 0u64;

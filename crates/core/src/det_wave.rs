@@ -220,7 +220,8 @@ impl DetWave {
     /// `push_bits_matches_single_pushes` property test pins the encoded
     /// state byte-for-byte), but runs of 0s advance the position counter
     /// in one step and pay for expiry once per run instead of once per
-    /// bit. This is the engine shard workers' ingest path.
+    /// bit. The bool-slice counterpart of [`DetWave::push_words`], which
+    /// is what the engine's shard workers apply.
     pub fn push_bits(&mut self, bits: &[bool]) {
         let mut i = 0;
         while i < bits.len() {
@@ -238,15 +239,20 @@ impl DetWave {
     }
 
     /// Packed-word counterpart of [`DetWave::push_bits`]: ingest `bits`
-    /// oldest first, 64 bits per word. 1-bits are located with
-    /// `trailing_zeros`, and the 0s before each — including whole zero
-    /// words — are one addition to the clock, which advances once per
-    /// stored 1: a sparse stream costs O(ones) rather than O(len).
-    /// State-identical to pushing every bit through
-    /// [`DetWave::push_bit`] (the `push_words_matches_single_pushes`
-    /// property test pins the encoding byte-for-byte).
+    /// oldest first, 64 bits per word — the path the engine's shard
+    /// workers, WAL replay and the push-mode parties apply. 1-bits are
+    /// located with `trailing_zeros`, and the 0s before each — including
+    /// whole zero words — are one addition to the clock. Only the 1s the
+    /// wave could still hold when the call returns go through Figure 4's
+    /// step 3, a queue's worth at each end of each level's arrivals:
+    /// `O(min(ones, (1/eps) log(eps ones)))` of them when the call is no
+    /// longer than the window (a longer one stores every 1). The 1s
+    /// between are counted, at a bit-clear each or a popcount for a word
+    /// that holds no others. State-identical to pushing every bit
+    /// through [`DetWave::push_bit`]: `push_words_matches_single_pushes`
+    /// and `tests/batch_equivalence.rs` pin the encoding byte-for-byte.
     pub fn push_words(&mut self, bits: crate::bits::BitsRef<'_>) {
-        self.ladder.push_ones(bits, |rank| rank_level(rank + 1));
+        self.ladder.push_ones(bits);
     }
 
     /// Advance the stream by `count` 0-bits at once (used when a party

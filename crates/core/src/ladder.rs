@@ -34,6 +34,7 @@ use crate::chain::NIL;
 use crate::codec::{read_deltas_into, BitReader, BitWriter, CodecError};
 use crate::error::WaveError;
 use crate::estimate::SpaceReport;
+use crate::level::rank_level;
 use crate::space::{delta_coded_bits, elias_gamma_bits};
 use crate::window::ModRing;
 
@@ -156,8 +157,8 @@ impl<W: Copy> Clone for Slab<W> {
 }
 
 /// `$body` with `$slots` bound to the slots of `$slab`, at its width. A
-/// batch wraps its whole loop ([`Ladder::push_ones`]): matched per 1-bit
-/// instead, `engine_dense` runs 8 % slower (278 -> 257 Mbit/s).
+/// batch wraps its whole loop ([`Ladder::push_ones`]), so the width is
+/// matched once a batch and not once a stored 1.
 macro_rules! at_width {
     ($slab:expr, $slots:ident => $body:expr) => {
         match $slab {
@@ -527,9 +528,11 @@ impl<W: Weight> Ladder<W> {
     ///
     /// `inline(always)`, as are [`Ladder::insert`] and the four [`Core`]
     /// methods under them: together they are one push body per wave. Left
-    /// to the inliner's judgement they stay out of line, and
-    /// `DetWave::push_words` runs a quarter slower (measured:
-    /// `benchmark/`'s `engine_dense`, 278 -> 208 Mbit/s).
+    /// to the inliner's judgement they stay out of line, and a batch that
+    /// stores every 1 runs a sixth slower (measured: `DetWave::push_words`
+    /// alone, 64 to 1024 bits a call, 2 100 -> 2 540 and 198 -> 246 ns
+    /// per 1 000 bits; `benchmark/`'s `engine_dense`, whose batches store
+    /// one 1 in twelve, 1 040 -> 970 Mbit/s).
     #[inline(always)]
     pub(crate) fn advance(&mut self, to: u64) -> Option<Entry<W>> {
         at_width!(&mut self.slab, s => self.core.advance(s, to))
@@ -696,21 +699,126 @@ impl<W: Weight> Ladder<W> {
     }
 }
 
+impl Core {
+    /// Where [`Ladder::push_ones`] stands at `rank`, one of a batch's
+    /// ranks `(first, end]`: the mask a rank of this zone must clear to
+    /// be stored, and the zone's last rank.
+    ///
+    /// A level below the top sees a rank every `2^(level + 1)`. So with
+    /// `m` ranks of the batch to the nearer end of the range, an entry
+    /// of level `l` has `lower_cap` later arrivals of its level to evict
+    /// it, after `lower_cap` earlier ones that evicted everything older,
+    /// exactly when `lower_cap << (l + 1) <= m`. With `j` the largest
+    /// shift that `lower_cap << j <= m` allows, that is every rank but
+    /// the multiples of `2^j`. The top level, of another spacing and
+    /// capacity, is never strided: `j` stops at it.
+    fn stride_zone(&self, first: u64, rank: u64, end: u64) -> (u64, u64) {
+        let lower = self.lower_cap as u64;
+        let m = (rank - first - 1).min(end - rank);
+        let j = if m < 2 * lower {
+            0
+        } else {
+            // `lower << j` is within a factor of two of `m`.
+            let j = m.ilog2() - lower.ilog2();
+            (j - (lower << j > m) as u32).min(self.num_levels - 1)
+        };
+        // The zone ends where the next stride up starts, if it starts
+        // ahead and has a rank to cover; else where this one runs out of
+        // later arrivals.
+        let (rise, fall) = (
+            first + 1 + (lower << (j + 1)),
+            end.saturating_sub(lower << (j + 1)),
+        );
+        let zone_end = if j + 1 < self.num_levels && rank < rise && rise <= fall {
+            rise - 1
+        } else if j == 0 {
+            end
+        } else {
+            end - (lower << j)
+        };
+        ((1 << j) - 1, zone_end)
+    }
+}
+
 impl Ladder<()> {
-    /// The bit waves' batch push: each 1 of `bits`, oldest first, goes
-    /// to the level `level_of` gives the total before it. The clock moves
-    /// — and expiry is checked — once per 1, over the zeros before it and
-    /// the 1 together, then once over the trailing zeros; the slot width
-    /// is matched once, outside the loop.
-    pub(crate) fn push_ones(&mut self, bits: BitsRef<'_>, level_of: impl Fn(u64) -> u32) {
+    /// The bit waves' batch push: the 1s of `bits`, oldest first, each
+    /// at the level of its rank ([`rank_level`]) — but only those Figure
+    /// 4 could still hold when the batch ends, or could have evicted an
+    /// older entry with. A 1 with a queue's worth of its level's
+    /// arrivals on both sides inside the batch is neither: it is counted
+    /// and passed over ([`Core::stride_zone`]), a whole word of them on
+    /// one popcount. Every other 1 moves the clock — over everything
+    /// since the last stored 1 — and is inserted, so what was stored
+    /// before the batch is evicted and expired in per-bit order and the
+    /// state is the one per-bit pushes leave, boundary included. Returns
+    /// the number of entries stored.
+    ///
+    /// Passing over rests on no entry of the batch expiring inside it:
+    /// a batch longer than the window stores every 1.
+    ///
+    /// The loop is the per-1 `advance` and `insert` under a countdown,
+    /// with the slot width matched once; where the batch stands is asked
+    /// out of line, when the countdown runs out. A batch of up to four
+    /// queues of 1s, which has none to pass over, never asks and is not
+    /// so much as counted: it costs the per-1 loop and a decrement.
+    pub(crate) fn push_ones(&mut self, bits: BitsRef<'_>) -> u64 {
         let c = &mut self.core;
+        let (first, start) = (c.total, c.pos);
+        // Four queues of 1s are stored before anything is asked: fewer
+        // have none to pass over, and storing more than need be is sound.
+        let (mut mask, mut zone_end) = (0, first + 4 * c.lower_cap as u64);
+        // 1s to store before asking what to pass over.
+        let mut run = if bits.len() <= c.max_window {
+            zone_end - first
+        } else {
+            u64::MAX
+        };
+        let (mut end, mut passed) = (None, 0);
+        // Count the 1s at the front of `rest` that are not to be stored:
+        // what is left of `rest`, and how many 1s to store from there.
+        let mut pass_over = |c: &mut Core, mut rest: u64| {
+            if c.total == zone_end {
+                let end = *end.get_or_insert_with(|| first + bits.count_ones());
+                (mask, zone_end) = c.stride_zone(first, c.total + 1, end);
+                debug_assert!(c.total < zone_end && zone_end <= end);
+            }
+            // The zone's 1s before its next multiple of the stride.
+            let pass = (mask - (c.total & mask)).min(zone_end - c.total);
+            let left = rest.count_ones() as u64;
+            if pass >= left {
+                c.total += left;
+                passed += left;
+                return (0, 0);
+            }
+            c.total += pass;
+            passed += pass;
+            for _ in 0..pass {
+                rest &= rest - 1;
+            }
+            // At stride 1 the zone is stored to its end; else one 1 is,
+            // or none, where the zone ends first.
+            let run = zone_end - c.total;
+            (rest, if mask == 0 { run } else { run.min(1) })
+        };
         at_width!(&mut self.slab, s => {
-            let trailing = bits.scan_ones(|gap| {
-                c.advance(s, c.pos + gap + 1);
-                c.insert(s, level_of(c.total), 1);
-            });
-            c.advance(s, c.pos + trailing);
-        })
+            for (i, (word, _)) in bits.chunks().enumerate() {
+                let (mut rest, at) = (word, start + 64 * i as u64);
+                while rest != 0 {
+                    if run == 0 {
+                        (rest, run) = pass_over(c, rest);
+                        if run == 0 {
+                            continue;
+                        }
+                    }
+                    run -= 1;
+                    c.advance(s, at + rest.trailing_zeros() as u64 + 1);
+                    c.insert(s, rank_level(c.total + 1), 1);
+                    rest &= rest - 1;
+                }
+            }
+            c.advance(s, start + bits.len());
+        });
+        c.total - first - passed
     }
 }
 
@@ -805,6 +913,38 @@ mod tests {
         }
         // Seven fit the slab and are refused for what they say instead.
         assert_eq!(decode(7), Err(CodecError::Corrupt("entry beyond counters")));
+    }
+
+    /// A batch's work, counted beside the stopwatch: the entries it
+    /// stored.
+    #[test]
+    fn a_batch_stores_what_could_outlast_it_and_no_more() {
+        use crate::bits::Bits;
+        let (n, k) = (1u64 << 14, 20u64);
+        let lower = (k + 1).div_ceil(2);
+        let fresh = || Ladder::<()>::new(n, k, n, lower, Positions::Sequence);
+        // Under four queues of 1s, none has a queue's worth of its level
+        // on both sides: every one is stored, wherever the ranks start.
+        for ones in [0, 1, lower, 4 * lower - 1] {
+            let batch = Bits::from_bools(&[true, false, false].repeat(ones as usize));
+            let mut l = fresh();
+            for _ in 0..5 {
+                assert_eq!(l.push_ones(batch.as_ref()), ones);
+            }
+        }
+        // A window of 1s leaves at most a queue at each end of each
+        // level's arrivals — the same count on every run, for it is a
+        // function of the ranks alone.
+        let window = Bits::from_bools(&vec![true; n as usize]);
+        let slots = (fresh().num_levels() as u64 - 1) * lower + k + 1;
+        let runs = [(); 2].map(|()| {
+            let mut l = fresh();
+            [(); 3].map(|()| l.push_ones(window.as_ref()))
+        });
+        assert_eq!(runs[0], runs[1]);
+        for stored in runs[0] {
+            assert!(stored <= 2 * slots, "{stored} stored in {slots} slots");
+        }
     }
 
     #[derive(Debug, Clone)]

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use waves::streamgen::{Bernoulli, BitSource};
 use waves::{
-    DetWave, EhCount, EhSum, ExactCount, ExactSum, SumWave, TimestampSumWave, TimestampWave,
+    Bits, DetWave, EhCount, EhSum, ExactCount, ExactSum, SumWave, TimestampSumWave, TimestampWave,
 };
 
 /// One scripted operation for the bit-stream machines.
@@ -24,6 +24,20 @@ enum BitOp {
     /// Skip a run of zeros (deterministic wave only; mirrored to the
     /// oracle as individual zero pushes).
     SkipZeros(u8),
+    /// One `push_words` batch of this many bits at this density (of
+    /// 255), mirrored to the oracle bit by bit. Long and dense enough,
+    /// against windows of 8 to 128, to pass over 1s, and to outlast the
+    /// window, where nothing may be passed over.
+    PushWords {
+        len: u16,
+        density: u8,
+    },
+}
+
+/// The bits of a [`BitOp::PushWords`].
+fn batch_bits(len: u16, density: u8) -> Vec<bool> {
+    let seed = (len as u64) << 8 | density as u64;
+    Bernoulli::new(density as f64 / 255.0, seed).take_bits(len as usize)
 }
 
 fn bit_ops() -> impl Strategy<Value = Vec<BitOp>> {
@@ -33,6 +47,8 @@ fn bit_ops() -> impl Strategy<Value = Vec<BitOp>> {
             2 => (0u8..=255).prop_map(BitOp::Query),
             1 => Just(BitOp::Roundtrip),
             1 => (1u8..=40).prop_map(BitOp::SkipZeros),
+            1 => (1u16..=300, 0u8..=255)
+                .prop_map(|(len, density)| BitOp::PushWords { len, density }),
         ],
         1..400,
     )
@@ -42,17 +58,31 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// DetWave under arbitrary op interleavings, with codec round-trips
-    /// spliced into the middle of the stream.
+    /// spliced into the middle of the stream — a decoded wave's level
+    /// rings start at offset 0, a live wave's wherever eviction left
+    /// them — and batches meeting single pushes, gaps and queries. A
+    /// twin fed one bit at a time holds the batches to its bytes.
     #[test]
     fn det_wave_differential(ops in bit_ops(), inv_eps in 2u64..=10, n_max in 8u64..=128) {
         let eps = 1.0 / inv_eps as f64;
         let mut wave = DetWave::new(n_max, eps).unwrap();
+        let mut per_bit = DetWave::new(n_max, eps).unwrap();
         let mut oracle = ExactCount::new(n_max);
         for op in &ops {
             match op {
                 BitOp::Push(b) => {
                     wave.push_bit(*b);
+                    per_bit.push_bit(*b);
                     oracle.push_bit(*b);
+                }
+                BitOp::PushWords { len, density } => {
+                    let bits = batch_bits(*len, *density);
+                    wave.push_words(Bits::from_bools(&bits).as_ref());
+                    for &b in &bits {
+                        per_bit.push_bit(b);
+                        oracle.push_bit(b);
+                    }
+                    prop_assert_eq!(wave.encode(), per_bit.encode(), "{:?}", op);
                 }
                 BitOp::Query(frac) => {
                     let n = 1 + (*frac as u64 * (n_max - 1)) / 255;
@@ -67,6 +97,7 @@ proptest! {
                 BitOp::SkipZeros(k) => {
                     wave.skip_zeros(*k as u64);
                     for _ in 0..*k {
+                        per_bit.push_bit(false);
                         oracle.push_bit(false);
                     }
                 }
@@ -98,6 +129,12 @@ proptest! {
                     for _ in 0..*k {
                         eh.push_bit(false);
                         oracle.push_bit(false);
+                    }
+                }
+                BitOp::PushWords { len, density } => {
+                    for b in batch_bits(*len, *density) {
+                        eh.push_bit(b);
+                        oracle.push_bit(b);
                     }
                 }
             }

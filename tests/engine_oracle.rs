@@ -50,6 +50,37 @@ fn engine_matches_per_key_oracles_under_skewed_multishard_workload() {
 }
 
 #[test]
+fn engine_matches_its_per_bit_shadow_on_dense_half_window_batches() {
+    // 2048-bit batches at density 0.5 into a 4096-bit window at k = 20:
+    // the shard workers' `push_words` passes over most of each batch's
+    // 1s, while the simulator's shadow wave takes the same bits one
+    // `push_bit` or zero run at a time. Four windows of them, so every
+    // batch after the second evicts and expires its predecessors'
+    // entries; queried between batches, not only at the end.
+    use waves::streamgen::{Bernoulli, BitSource};
+    let (keys, window) = (6u64, 4096u64);
+    let mut src = Bernoulli::new(0.5, 2048);
+    let mut b = Schedule::builder(2048)
+        .num_keys(keys)
+        .num_shards(3)
+        .max_window(window)
+        .eps(0.05);
+    for round in 0..8u64 {
+        let len = 2048 + 64 * round as usize + round as usize % 3;
+        b = b.ingest((0..keys).map(|key| (key, src.take_bits(len))).collect());
+        for key in 0..keys {
+            b = b.query(key, window).query(key, window / 3 + round);
+        }
+    }
+    let report = check(&b.flush().query_all().build());
+    assert!(
+        report.checks >= 100,
+        "only {} oracle checks ran",
+        report.checks
+    );
+}
+
+#[test]
 fn engine_survives_interleaved_operations_from_seed_derived_steps() {
     // Seed-derived step soup (ingests, queries, flushes, snapshots,
     // restarts) over 3 shards: the generator's weights exercise the
