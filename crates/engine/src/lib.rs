@@ -568,10 +568,12 @@ where
         self.crashed.store(true, Ordering::Relaxed);
     }
 
-    /// Fibonacci-hash the key onto a shard: multiplicative mixing spreads
-    /// sequential user ids evenly, and the high bits drive the modulo so
-    /// low-entropy keys don't alias.
-    fn shard_of(&self, key: Key) -> usize {
+    /// The shard that owns `key`, in `0..num_shards()`: a Fibonacci hash
+    /// — multiplicative mixing spreads sequential user ids evenly, and
+    /// the high bits drive the modulo so low-entropy keys don't alias.
+    /// A key always lives on the same shard, so a caller that groups
+    /// entries by this before [`Engine::ingest`] keeps per-key order.
+    pub fn shard_of(&self, key: Key) -> usize {
         let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         ((mixed >> 32) as usize) % self.shards.len()
     }

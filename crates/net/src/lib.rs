@@ -19,11 +19,12 @@
 //! * [`server`] — [`Server`]: a single epoll event-loop thread (the
 //!   vendored `poll` crate) owning every socket non-blockingly. A
 //!   request that cannot block — ingest, ping, the referee's pushes
-//!   and combines, shutdown — is served on that thread the moment it
-//!   is decoded; only requests that wait on a shard worker's reply
-//!   (query, flush, snapshot, stats, replicate) cross to a small
-//!   dispatch pool. Everything a readiness cycle produced leaves in
-//!   one `write` per connection. The referee map behind
+//!   and combines, shutdown — is served on that thread; the ingests
+//!   one pass over a connection's buffered bytes decodes reach each
+//!   shard as one engine batch. Only requests that wait on a shard
+//!   worker's reply (query, flush, snapshot, stats, replicate) cross
+//!   to a small dispatch pool. Everything a readiness cycle produced
+//!   leaves in one `write` per connection. The referee map behind
 //!   [`Frame::PushSynopsis`] / [`Frame::Combine`] reuses the in-process
 //!   combine rule ([`waves_distributed::combine_estimates`]); wire v7's
 //!   [`Frame::PushDelta`] feeds the same map in continuous-monitoring

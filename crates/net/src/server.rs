@@ -13,27 +13,43 @@
 //! them — possibly out of request order.
 //!
 //! The rule for where a request runs is one sentence: *work that cannot
-//! block is done where the bytes are, and everything a cycle produced
-//! leaves in one piece.* INGEST (a non-blocking enqueue on the shard),
-//! PING, PUSH_SYNOPSIS, PUSH_DELTA, COMBINE and SHUTDOWN run to
-//! completion on the loop thread the moment they are decoded, in
+//! block is done where the bytes are, and everything a pass produced
+//! leaves in one piece.* INGEST, PING, PUSH_SYNOPSIS, PUSH_DELTA,
+//! COMBINE and SHUTDOWN run to completion on the loop thread, in
 //! arrival order. QUERY, FLUSH, SNAPSHOT, STATS and REPLICATE wait on a
 //! shard worker's reply, so they cross to a small pool of dispatch
 //! workers and a slow engine operation never stalls the loop; a worker
 //! hands the encoded reply back over a completion channel and pokes the
-//! loop's waker once per drain, not once per reply. Both threads serve
-//! through the same `serve`, so a request's telemetry does not depend
-//! on where it ran. One cycle of the loop is: read one chunk from each
-//! readable connection and serve what it completes, absorb what the
-//! pool finished, then `write` each connection that gained replies
-//! once — a pipelined window of 32 requests costs `epoll_wait` + `read`
-//! + `write`, not 32 of each.
+//! loop's waker once per drain, not once per reply. Every reply, served
+//! or gathered, is encoded through the same `answer`, so a request's
+//! telemetry does not depend on where it ran.
 //!
-//! Because a connection's frames are decoded in order and an INGEST is
-//! on its shard's queue before the loop looks at the next frame, a
-//! request sent behind an INGEST on the same connection observes it.
-//! Replies carry no such order: a loop-served reply may overtake a
-//! pool-served one, and the correlation id pairs them.
+//! INGEST is gathered rather than served one by one: the INGEST frames
+//! one pass over a connection's read buffer decodes are grouped into
+//! one sub-batch per shard, and each sub-batch goes to the engine once,
+//! through the non-blocking [`Engine::ingest`] — a shard worker sees
+//! one batch per pass, not one per frame. Each frame still gets its own
+//! reply: `Ok`, or BACKPRESSURE naming the lowest shard among its own
+//! that refused its sub-batch (`ingest_reply`). The gathered
+//! sub-batches are submitted before any other frame of that connection
+//! is served or handed to the pool, before parsing stops at the
+//! in-flight cap, before a framing-violation refusal, and at the end of
+//! the pass. A traced INGEST (nonzero trace id, on a recorder that
+//! keeps traces) submits what is gathered and then goes alone, so its
+//! span tree stays its own.
+//!
+//! One cycle of the loop is: read one chunk from each readable
+//! connection and serve what it completes, absorb what the pool
+//! finished, then `write` each connection that gained replies once — a
+//! pipelined window of 32 INGESTs costs `epoll_wait` + `read` + one
+//! queue send per shard + `write`, not 32 of each.
+//!
+//! Because a connection's frames are decoded in order and every INGEST
+//! decoded ahead of a non-INGEST frame is on its shard's queue before
+//! that frame starts, a request sent behind an INGEST on the same
+//! connection observes it. Replies carry no such order: a loop-served
+//! reply may overtake a pool-served one, and the correlation id pairs
+//! them.
 //!
 //! Backpressure is explicit at both ends: a connection with
 //! [`ServerConfig::max_inflight`] requests handed to the pool and not
@@ -63,7 +79,7 @@ use std::time::{Duration, Instant};
 use poll::{Events, Interest, Poller, Token, Waker};
 use waves_core::{DetWave, WaveError};
 use waves_distributed::combine_estimates;
-use waves_engine::{Engine, EngineConfig};
+use waves_engine::{Engine, EngineConfig, IngestRequest, KeyedBits};
 use waves_obs::trace::{next_span_id, now_ns, Span, Stage, TraceCtx, TraceId, ROOT_SPAN_ID};
 use waves_obs::{Event, HistId, MetricId, NoopRecorder, Recorder};
 
@@ -93,9 +109,9 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// Pipelining depth: requests a single connection may have handed
     /// to the dispatch pool and not yet answered (requests served on
-    /// the loop thread are answered as they are decoded and never
-    /// count). At the cap the loop stops reading from that connection
-    /// until replies drain.
+    /// the loop thread are answered within the pass that decodes them
+    /// and never count). At the cap the loop stops reading from that
+    /// connection until replies drain.
     pub max_inflight: usize,
     /// Out-buffer byte cap per connection. A peer that stops reading
     /// while responses accumulate past this is evicted
@@ -243,6 +259,7 @@ impl<R: Recorder + Send + Sync + 'static> Server<R> {
         drop(done_tx);
 
         let event_loop = {
+            let engine_shards = shared.engine.num_shards();
             let shared = Arc::clone(&shared);
             let el = EventLoop {
                 listener,
@@ -253,6 +270,7 @@ impl<R: Recorder + Send + Sync + 'static> Server<R> {
                 conns: HashMap::new(),
                 next_conn: 0,
                 dirty: Vec::new(),
+                gather: Gather::new(engine_shards),
                 chunk: vec![0; READ_CHUNK],
                 read_timeout: cfg.read_timeout,
                 max_connections: cfg.max_connections,
@@ -348,8 +366,8 @@ const READ_CHUNK: usize = 64 << 10;
 
 /// Requests that wait on a shard worker's reply cross to the dispatch
 /// pool; every other request cannot block and runs to completion on
-/// the loop thread the moment it is decoded. The split is by request
-/// type alone.
+/// the loop thread within the pass that decodes it. The split is by
+/// request type alone.
 fn parks_on_shard(frame: &Frame) -> bool {
     matches!(
         frame,
@@ -479,6 +497,101 @@ impl Conn {
     }
 }
 
+/// The reply to one gathered INGEST frame: `Ok` unless a shard it
+/// touched refused its sub-batch, else BACKPRESSURE naming the lowest
+/// such shard — [`Engine::ingest`]'s "first failing shard" rule, applied
+/// to the frame's own shards.
+fn ingest_reply(touched: &[usize], refused: &[bool]) -> Frame {
+    match touched
+        .iter()
+        .copied()
+        .filter(|&shard| refused[shard])
+        .min()
+    {
+        Some(shard) => Frame::ErrorResp(WaveError::Backpressure { shard }),
+        None => Frame::Ok,
+    }
+}
+
+/// The INGEST frames one pass over a connection's read buffer has
+/// decoded and not yet put on a shard queue. The loop owns one and
+/// empties it before a pass returns, so it carries no connection.
+struct Gather {
+    /// Per shard: the gathered entries, in arrival order.
+    subs: Vec<Vec<KeyedBits>>,
+    /// Per gathered frame, in arrival order: its tag, the end of its
+    /// shards in `touched`, and when it was decoded (recorders only).
+    frames: Vec<(FrameTag, usize, Option<Instant>)>,
+    /// Each gathered frame's shards, without repeats, back to back.
+    touched: Vec<usize>,
+    /// Per shard: refused its sub-batch at the last submit.
+    refused: Vec<bool>,
+}
+
+impl Gather {
+    fn new(shards: usize) -> Self {
+        Gather {
+            subs: vec![Vec::new(); shards],
+            frames: Vec::new(),
+            touched: Vec::new(),
+            refused: vec![false; shards],
+        }
+    }
+
+    /// Add one frame's entries to their shards' sub-batches.
+    fn push<R: Recorder + Send + Sync + 'static>(
+        &mut self,
+        engine: &Engine<DetWave, R>,
+        entries: Vec<KeyedBits>,
+        tag: FrameTag,
+        started: Option<Instant>,
+    ) {
+        let start = self.touched.len();
+        for (key, bits) in entries {
+            let shard = engine.shard_of(key);
+            if !self.touched[start..].contains(&shard) {
+                self.touched.push(shard);
+            }
+            self.subs[shard].push((key, bits));
+        }
+        self.frames.push((tag, self.touched.len(), started));
+    }
+
+    /// Enqueue each non-empty sub-batch on its shard, one non-blocking
+    /// [`Engine::ingest`] apiece, then answer the gathered frames in
+    /// arrival order. Leaves the gather empty; `false` means a reply
+    /// took the connection past the write-queue cap and the caller must
+    /// evict it.
+    fn submit<R: Recorder + Send + Sync + 'static>(
+        &mut self,
+        shared: &Shared<R>,
+        conn: &mut Conn,
+        cap: usize,
+    ) -> bool {
+        if self.frames.is_empty() {
+            return true;
+        }
+        for (sub, refused) in self.subs.iter_mut().zip(&mut self.refused) {
+            let batch = std::mem::take(sub);
+            *refused =
+                !batch.is_empty() && shared.engine.ingest(IngestRequest::batch(batch)).is_err();
+        }
+        let mut admitted = true;
+        let mut start = 0;
+        for (tag, end, started) in self.frames.drain(..) {
+            if admitted {
+                let reply = ingest_reply(&self.touched[start..end], &self.refused);
+                let at = conn.out.bytes.len();
+                answer(&reply, tag, started, shared, &mut conn.out.bytes);
+                admitted = conn.admit_reply(at, cap, &*shared.rec);
+            }
+            start = end;
+        }
+        self.touched.clear();
+        admitted
+    }
+}
+
 struct EventLoop<R: Recorder + Send + Sync + 'static> {
     listener: TcpListener,
     poller: Poller,
@@ -490,6 +603,8 @@ struct EventLoop<R: Recorder + Send + Sync + 'static> {
     /// Connections with replies appended (or a writable event) this
     /// cycle; each gets one `write` at the end of it.
     dirty: Vec<usize>,
+    /// The INGEST frames of the pass in progress; empty between passes.
+    gather: Gather,
     /// Landing area for socket reads, allocated once.
     chunk: Vec<u8>,
     read_timeout: Option<Duration>,
@@ -638,20 +753,25 @@ impl<R: Recorder + Send + Sync + 'static> EventLoop<R> {
     }
 
     /// Peel complete frames off the connection's read buffer in arrival
-    /// order. A request that cannot block is served here and now; one
-    /// that parks on a shard goes to the dispatch pool, and at the
-    /// in-flight cap parsing stops (the remainder stays buffered;
-    /// [`EventLoop::drain_completions`] re-parses when replies free
-    /// slots).
+    /// order. An untraced INGEST joins the pass's gather; before any
+    /// other frame, the gather is submitted. A request that cannot block
+    /// is then served here and now; one that parks on a shard goes to
+    /// the dispatch pool, and at the in-flight cap parsing stops (the
+    /// remainder stays buffered; [`EventLoop::drain_completions`]
+    /// re-parses when replies free slots).
     fn parse_frames(&mut self, id: usize) {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        let rec = &*self.shared.rec;
+        let shared = &*self.shared;
+        let rec = &*shared.rec;
+        let gather = &mut self.gather;
+        let cap = self.max_write_queue;
         let mut consumed = 0;
         let mut evict = false;
         while !conn.closing {
             if conn.inflight >= self.max_inflight {
+                // The pass ends here, and its gather with it (below).
                 if !conn.paused {
                     conn.paused = true;
                     set_interest(&self.poller, conn, Token(id), false);
@@ -666,6 +786,18 @@ impl<R: Recorder + Send + Sync + 'static> EventLoop<R> {
                         rec.incr(MetricId::NetBytesReceived, used as u64);
                         rec.observe(HistId::NetFrameBytes, used as u64);
                     }
+                    let traced = tag.trace != 0 && rec.trace_enabled();
+                    let frame = match frame {
+                        Frame::Ingest(entries) if !traced => {
+                            let started = rec.enabled().then(Instant::now);
+                            gather.push(&shared.engine, entries, tag, started);
+                            continue;
+                        }
+                        frame => frame,
+                    };
+                    if !gather.submit(shared, conn, cap) {
+                        return self.close(id);
+                    }
                     if parks_on_shard(&frame) {
                         conn.inflight += 1;
                         if rec.enabled() {
@@ -679,15 +811,19 @@ impl<R: Recorder + Send + Sync + 'static> EventLoop<R> {
                     } else {
                         conn.shutdown_after |= matches!(frame, Frame::Shutdown);
                         let start = conn.out.bytes.len();
-                        serve(frame, tag, &self.shared, &mut conn.out.bytes);
-                        evict = !conn.admit_reply(start, self.max_write_queue, rec);
+                        serve(frame, tag, shared, &mut conn.out.bytes);
+                        evict = !conn.admit_reply(start, cap, rec);
                     }
                 }
                 Err(FrameError::Truncated) => break,
                 Err(e) => {
-                    // Framing violation: a best-effort error reply,
-                    // then close once it (and any in-flight replies)
-                    // flush. The rest of the buffer is garbage.
+                    // Framing violation: the frames before it are
+                    // answered, then a best-effort error reply, then
+                    // close once it (and any in-flight replies) flush.
+                    // The rest of the buffer is garbage.
+                    if !gather.submit(shared, conn, cap) {
+                        return self.close(id);
+                    }
                     rec.incr(MetricId::NetRequestErrors, 1);
                     conn.rbuf.clear();
                     consumed = 0;
@@ -706,12 +842,15 @@ impl<R: Recorder + Send + Sync + 'static> EventLoop<R> {
                         FrameTag::default(),
                         &mut conn.out.bytes,
                     );
-                    evict = !conn.admit_reply(start, self.max_write_queue, rec);
+                    evict = !conn.admit_reply(start, cap, rec);
                 }
             }
             if evict {
                 return self.close(id);
             }
+        }
+        if !gather.submit(shared, conn, cap) {
+            return self.close(id);
         }
         conn.rbuf.drain(..consumed);
         if !conn.out.is_empty() {
@@ -944,9 +1083,9 @@ fn dispatch_worker<R: Recorder + Send + Sync + 'static>(
 
 /// Serve one request: run its handler and append the reply, encoded
 /// under the request's header tag, to `out`. The loop thread and the
-/// dispatch workers both come through here, so the per-request
-/// telemetry — dispatch span, server-side frame latency, slow-request
-/// and error accounting — exists once.
+/// dispatch workers both come through here. So does a traced INGEST,
+/// which is not gathered, so the engine's spans hang off its own
+/// dispatch span.
 fn serve<R: Recorder + Send + Sync + 'static>(
     frame: Frame,
     tag: FrameTag,
@@ -980,6 +1119,21 @@ fn serve<R: Recorder + Send + Sync + 'static>(
             dur_ns: now_ns().saturating_sub(t0),
         });
     }
+    answer(&reply, tag, started, shared, out);
+}
+
+/// Append `reply`, encoded under the request's tag, to `out`, with the
+/// per-request telemetry every reply gets wherever it was produced —
+/// server-side frame latency since `started`, slow-request and error
+/// accounting — written once.
+fn answer<R: Recorder + Send + Sync + 'static>(
+    reply: &Frame,
+    tag: FrameTag,
+    started: Option<Instant>,
+    shared: &Shared<R>,
+    out: &mut Vec<u8>,
+) {
+    let rec = &shared.rec;
     if let Some(t0) = started {
         let elapsed = t0.elapsed();
         rec.observe(HistId::NetServerFrameNs, elapsed.as_nanos() as u64);
@@ -987,14 +1141,14 @@ fn serve<R: Recorder + Send + Sync + 'static>(
             rec.incr(MetricId::NetSlowRequests, 1);
             rec.event(Event {
                 name: "net.slow_request",
-                fields: &[("trace", trace), ("dur_ns", elapsed.as_nanos() as u64)],
+                fields: &[("trace", tag.trace), ("dur_ns", elapsed.as_nanos() as u64)],
             });
         }
     }
     if matches!(reply, Frame::ErrorResp(_)) {
         rec.incr(MetricId::NetRequestErrors, 1);
     }
-    WireCodec::encode_tagged_into(&reply, tag, out);
+    WireCodec::encode_tagged_into(reply, tag, out);
 }
 
 fn dispatch<R: Recorder + Send + Sync + 'static>(
@@ -1019,15 +1173,14 @@ fn dispatch<R: Recorder + Send + Sync + 'static>(
                 "server was started without a metrics registry",
             ))),
         },
-        Frame::Ingest(batch) => {
-            match shared
-                .engine
-                .ingest(waves_engine::IngestRequest::batch(batch).traced(ctx))
-            {
-                Ok(()) => Frame::Ok,
-                Err(e) => Frame::ErrorResp(e),
-            }
-        }
+        // Only a traced INGEST arrives here; the pass gathers the rest.
+        Frame::Ingest(batch) => match shared
+            .engine
+            .ingest(IngestRequest::batch(batch).traced(ctx))
+        {
+            Ok(()) => Frame::Ok,
+            Err(e) => Frame::ErrorResp(e),
+        },
         Frame::Query { key, window } => match shared.engine.query_traced(key, window, ctx) {
             Ok(est) => Frame::EstimateResp(est),
             Err(e) => Frame::ErrorResp(e),
@@ -1132,6 +1285,38 @@ fn dispatch<R: Recorder + Send + Sync + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every subset of touched shards against every subset of refused
+    /// ones, on three shards, in both listing orders: `Ok` exactly when
+    /// the two sets are disjoint, else BACKPRESSURE naming the lowest
+    /// shard in both.
+    #[test]
+    fn a_gathered_frame_is_refused_by_its_lowest_refused_shard() {
+        for touched_set in 0u32..8 {
+            for refused_set in 0u32..8 {
+                let refused: Vec<bool> = (0..3).map(|s| refused_set >> s & 1 == 1).collect();
+                let mut touched: Vec<usize> =
+                    (0..3).filter(|s| touched_set >> s & 1 == 1).collect();
+                let want = match touched_set & refused_set {
+                    0 => Frame::Ok,
+                    both => Frame::ErrorResp(WaveError::Backpressure {
+                        shard: both.trailing_zeros() as usize,
+                    }),
+                };
+                assert_eq!(
+                    ingest_reply(&touched, &refused),
+                    want,
+                    "{touched:?} {refused:?}"
+                );
+                touched.reverse();
+                assert_eq!(
+                    ingest_reply(&touched, &refused),
+                    want,
+                    "{touched:?} {refused:?}"
+                );
+            }
+        }
+    }
 
     /// A peer that reads steadily but never catches up keeps its
     /// backlog above zero and under the cap while many times the cap

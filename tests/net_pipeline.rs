@@ -1,19 +1,23 @@
 //! Wire v6 pipelining against the event-loop server: correlation ids
 //! pair out-of-order responses with their requests, the in-flight
-//! window and write-queue caps bound both directions, and a slow
-//! reader is evicted instead of buffered without bound.
+//! window and write-queue caps bound both directions, a slow reader is
+//! evicted instead of buffered without bound, and the INGESTs of one
+//! pass reach each shard as one batch with every frame answered as a
+//! frame-by-frame shadow would be.
 
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use waves::net::{
     ChaosProxy, Client, ClientConfig, Fault, Frame, FrameTag, RetryPolicy, Server, ServerConfig,
     SynopsisKind, WireCodec,
 };
 use waves::obs::{MetricsRegistry, MetricsSnapshot, Recorder};
-use waves::{EngineConfig, IngestRequest, WaveError};
+use waves::{Bits, Engine, EngineConfig, IngestRequest, KeyedBits, WaveError};
 
 fn server_cfg() -> ServerConfig {
     ServerConfig {
@@ -343,34 +347,225 @@ fn wakeups(snap: &MetricsSnapshot) -> u64 {
 /// to one CPU (42–83 unpinned): it writes the eventfd once per reply,
 /// and how many of those writes land while the loop is off the CPU is
 /// up to the scheduler.
+///
+/// The engine side is counted too: the INGEST frames one pass decodes
+/// reach each shard as one engine batch, so batches are at most one per
+/// shard per wake-up (each wake-up is at most one pass over the one
+/// connection). On one shard that predicts 16 and the bound is 32; the
+/// parent commit enqueues one batch per frame, 512.
 #[test]
 fn ingest_window_costs_the_server_one_cycle_not_one_per_frame() {
-    let rec = Arc::new(MetricsRegistry::new());
-    let server = Server::start_recorded("127.0.0.1:0", server_cfg(), Arc::clone(&rec)).unwrap();
+    for shards in [1, 4] {
+        let mut cfg = server_cfg();
+        cfg.engine.num_shards = shards;
+        let rec = Arc::new(MetricsRegistry::new());
+        let server = Server::start_recorded("127.0.0.1:0", cfg, Arc::clone(&rec)).unwrap();
+        let mut client = Client::connect_with(server.local_addr(), fast_cfg()).unwrap();
+        client.ping().unwrap();
+        let sent0 = settled(&rec, "net_frames_sent_total", 1);
+        let before = rec.metrics_snapshot().unwrap();
+
+        let frames: Vec<Frame> = (0..512u64)
+            .map(|i| Frame::Ingest(IngestRequest::of(i % 64, [true]).entries))
+            .collect();
+        let replies = client.send_many(&frames, 32).unwrap();
+        assert!(replies.iter().all(|r| *r == Frame::Ok), "{replies:?}");
+
+        // A frame count, not a write count: coalescing 32 replies into
+        // one `write` still counts 32 frames.
+        assert_eq!(
+            settled(&rec, "net_frames_sent_total", sent0 + 512),
+            sent0 + 512
+        );
+        let after = rec.metrics_snapshot().unwrap();
+        assert_eq!(handed_off(&after), handed_off(&before));
+        let wakes = wakeups(&after) - wakeups(&before);
+        assert!(
+            wakes <= 128,
+            "{shards} shards: {wakes} loop wake-ups for 512 pipelined frames"
+        );
+
+        // The barrier: every batch is applied, and counted, before the
+        // flush's Ok.
+        client.flush().unwrap();
+        let flushed = rec.metrics_snapshot().unwrap();
+        let grew = |name| flushed.counter(name).unwrap() - before.counter(name).unwrap();
+        assert_eq!(grew("engine_items_ingested_total"), 512, "{shards} shards");
+        let batches = grew("engine_batches_ingested_total");
+        assert!(
+            batches <= shards as u64 * wakes,
+            "{shards} shards: {batches} engine batches over {wakes} loop wake-ups"
+        );
+        if shards == 1 {
+            assert!(batches <= 32, "{batches} engine batches for 512 frames");
+        }
+    }
+}
+
+/// A server of `shards` shards over `max_window` bits at ε = 0.1, with
+/// `server_cfg`'s transport settings.
+fn sharded_cfg(shards: usize, max_window: u64) -> ServerConfig {
+    ServerConfig {
+        engine: EngineConfig::builder()
+            .num_shards(shards)
+            .max_window(max_window)
+            .eps(0.1)
+            .build(),
+        ..server_cfg()
+    }
+}
+
+/// The gathered path against a shadow engine fed frame by frame: a
+/// 4-shard server takes seeded multi-entry INGESTs mixed with QUERY,
+/// PING and FLUSH at window 64. Every key's whole stream fits the
+/// window, so a QUERY at the full window is exact and only grows: it
+/// must count at least the 1s sent ahead of it (and at most all of
+/// them). After the closing FLUSH every key equals the shadow at three
+/// windows.
+#[test]
+fn gathered_ingests_answer_like_a_frame_by_frame_shadow() {
+    const KEYS: u64 = 24;
+    const N: u64 = 4096;
+    let cfg = sharded_cfg(4, N);
+    let shadow = Engine::new(cfg.engine.clone()).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg).unwrap();
     let mut client = Client::connect_with(server.local_addr(), fast_cfg()).unwrap();
-    client.ping().unwrap();
-    let sent0 = settled(&rec, "net_frames_sent_total", 1);
-    let before = rec.metrics_snapshot().unwrap();
 
-    let frames: Vec<Frame> = (0..512u64)
-        .map(|i| Frame::Ingest(IngestRequest::of(i % 64, [true]).entries))
-        .collect();
-    let replies = client.send_many(&frames, 32).unwrap();
-    assert!(replies.iter().all(|r| *r == Frame::Ok), "{replies:?}");
+    let mut rng = StdRng::seed_from_u64(25);
+    // Per key: bits and 1s sent so far.
+    let mut sent = [(0u64, 0u64); KEYS as usize];
+    // Per burst slot: for a QUERY, its key's (bits, 1s) sent ahead of it.
+    let mut ahead = Vec::new();
+    let mut burst = Vec::new();
+    for _ in 0..600 {
+        ahead.push(None);
+        let slot = match rng.gen_range(0..10u32) {
+            0..=5 => {
+                let entries: Vec<KeyedBits> = (0..rng.gen_range(1..=5usize))
+                    .map(|_| {
+                        let key = rng.gen_range(0..KEYS);
+                        let bits: Vec<bool> = (0..rng.gen_range(1..=40usize))
+                            .map(|_| rng.gen_bool(0.4))
+                            .collect();
+                        let s = &mut sent[key as usize];
+                        s.0 += bits.len() as u64;
+                        s.1 += bits.iter().filter(|&&b| b).count() as u64;
+                        (key, Bits::from(bits))
+                    })
+                    .collect();
+                let req = IngestRequest::batch(entries.clone()).blocking(true);
+                shadow.ingest(req).unwrap();
+                Frame::Ingest(entries)
+            }
+            6..=7 => {
+                let key = rng.gen_range(0..KEYS);
+                *ahead.last_mut().unwrap() = Some(sent[key as usize]);
+                Frame::Query { key, window: N }
+            }
+            8 => Frame::Ping,
+            _ => Frame::Flush,
+        };
+        burst.push(slot);
+    }
+    burst.push(Frame::Flush);
+    ahead.push(None);
+    assert!(sent.iter().all(|&(bits, _)| bits <= N), "{sent:?}");
 
-    // A frame count, not a write count: coalescing 32 replies into one
-    // `write` still counts 32 frames.
-    assert_eq!(
-        settled(&rec, "net_frames_sent_total", sent0 + 512),
-        sent0 + 512
-    );
-    let after = rec.metrics_snapshot().unwrap();
-    assert_eq!(handed_off(&after), handed_off(&before));
-    let wakes = wakeups(&after) - wakeups(&before);
-    assert!(
-        wakes <= 128,
-        "{wakes} loop wake-ups for 512 pipelined frames"
-    );
+    let replies = client.send_many(&burst, 64).unwrap();
+    assert_eq!(replies.len(), burst.len());
+    for (i, ((req, reply), ahead)) in burst.iter().zip(&replies).zip(&ahead).enumerate() {
+        match (req, reply, *ahead) {
+            (Frame::Ingest(_) | Frame::Flush, Frame::Ok, _) | (Frame::Ping, Frame::Pong, _) => {}
+            (Frame::Query { key, .. }, Frame::EstimateResp(est), Some((_, ones))) => {
+                let total = sent[*key as usize].1;
+                assert!(
+                    est.exact && est.value >= ones as f64 && est.value <= total as f64,
+                    "slot {i}: key {key} read {est:?} with {ones} 1s sent ahead, {total} in all"
+                );
+            }
+            // Nothing of the key was sent ahead, and nothing behind had
+            // landed yet.
+            (Frame::Query { .. }, Frame::ErrorResp(WaveError::UnknownKey { .. }), Some((0, _))) => {
+            }
+            (req, other, _) => panic!("slot {i}: {req:?} answered {other:?}"),
+        }
+    }
+
+    shadow.flush();
+    for key in 0..KEYS {
+        for window in [N, 300, 37] {
+            assert_eq!(
+                client.query(key, window),
+                shadow.query(key, window),
+                "key {key} window {window}"
+            );
+        }
+    }
+}
+
+/// Shed bits are never acknowledged. With one queue slot per shard, a
+/// pass's sub-batch is refused whenever its shard still holds the last
+/// one, and every frame it carried must be answered BACKPRESSURE naming
+/// that shard. One key per frame, so a frame's bits are either applied
+/// whole or shed whole: the server ends equal to a shadow fed exactly
+/// the frames answered `Ok`, and its dropped-item count equals the bits
+/// of the frames refused. Every eighth frame is four windows long, which
+/// keeps its worker busy for a while (a batch past the window stores
+/// every 1), so refusals happen; rounds repeat until some have.
+#[test]
+fn a_refused_sub_batch_sheds_exactly_the_frames_answered_backpressure() {
+    const KEYS: u64 = 16;
+    const N: u64 = 1 << 16;
+    let mut cfg = sharded_cfg(4, N);
+    cfg.engine.queue_capacity = 1;
+    let shadow = Engine::new(sharded_cfg(4, N).engine).unwrap();
+    let server = Server::start("127.0.0.1:0", cfg).unwrap();
+    let mut client = Client::connect_with(server.local_addr(), fast_cfg()).unwrap();
+
+    let mut rng = StdRng::seed_from_u64(26);
+    let (mut refused_frames, mut refused_bits, mut rounds) = (0u64, 0u64, 0);
+    while refused_frames == 0 && rounds < 20 {
+        rounds += 1;
+        let burst: Vec<(u64, Vec<bool>)> = (0..512)
+            .map(|i| {
+                let len = if i % 8 == 0 { 1 << 18 } else { 64 };
+                let key = rng.gen_range(0..KEYS);
+                (key, (0..len).map(|_| rng.gen_bool(0.5)).collect())
+            })
+            .collect();
+        let frames: Vec<Frame> = burst
+            .iter()
+            .map(|(key, bits)| Frame::Ingest(IngestRequest::of(*key, bits.clone()).entries))
+            .collect();
+        let replies = client.send_many(&frames, 64).unwrap();
+        for ((key, bits), reply) in burst.into_iter().zip(&replies) {
+            match reply {
+                Frame::Ok => shadow
+                    .ingest(IngestRequest::of(key, bits).blocking(true))
+                    .unwrap(),
+                Frame::ErrorResp(WaveError::Backpressure { shard }) => {
+                    assert_eq!(*shard, server.engine().shard_of(key), "key {key}");
+                    refused_frames += 1;
+                    refused_bits += bits.len() as u64;
+                }
+                other => panic!("key {key}: {other:?}"),
+            }
+        }
+    }
+    assert!(refused_frames > 0, "no refusal in {rounds} rounds");
+
+    client.flush().unwrap();
+    shadow.flush();
+    assert_eq!(server.engine().dropped_items(), refused_bits);
+    for key in 0..KEYS {
+        for window in [N, 5_000, 300] {
+            assert_eq!(
+                client.query(key, window),
+                shadow.query(key, window),
+                "key {key} window {window}"
+            );
+        }
+    }
 }
 
 /// Push-mode monitoring one message at a time: PUSH_DELTA and COMBINE
