@@ -14,8 +14,7 @@
 //! Both modes replay identical streams and count exact bytes-on-wire
 //! (`WireCodec::encode` of the real `PUSH_DELTA` / `PUSH_SYNOPSIS`
 //! frames, header and CRC included). The accounting is deterministic —
-//! no timing on the clock — so the verdict is core-count-independent
-//! and never SKIPs.
+//! no timing on the clock — so the verdict is core-count-independent.
 //!
 //! Acceptance lines, on a bursty keyed workload and an adversarial
 //! drift-oscillating one:

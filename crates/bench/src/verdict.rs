@@ -1,11 +1,9 @@
 //! Machine-checkable experiment verdicts.
 //!
-//! Experiments print `PASS` / `FAIL` / `SKIP (...)` lines for humans;
-//! this module additionally records every FAIL in a process-wide flag
-//! so the `experiments` binary can exit nonzero — and CI can gate on
-//! the exit code instead of scraping stdout. SKIP never affects the
-//! exit code: it reports an environment that cannot support the claim
-//! (e.g. too few cores for a speedup comparison), not a refutation.
+//! Experiments print `PASS` / `FAIL` lines for humans; this module
+//! additionally records every FAIL in a process-wide flag so the
+//! `experiments` binary can exit nonzero — and CI can gate on the exit
+//! code instead of scraping stdout.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -20,11 +18,6 @@ pub fn word(pass: bool) -> &'static str {
         FAILED.store(true, Ordering::Relaxed);
         "FAIL"
     }
-}
-
-/// A SKIP verdict with a reason. Never affects the exit code.
-pub fn skip(reason: impl std::fmt::Display) -> String {
-    format!("SKIP ({reason})")
 }
 
 /// True if any verdict since the last [`reset`] was FAIL.
@@ -44,13 +37,10 @@ mod tests {
     // One test owns the whole lifecycle: the flag is process-global, so
     // splitting these assertions across parallel tests would race.
     #[test]
-    fn fail_sets_the_flag_and_skip_does_not() {
+    fn fail_sets_the_flag_and_pass_does_not() {
         reset();
         assert!(!any_failed());
         assert_eq!(word(true), "PASS");
-        assert!(!any_failed());
-        let s = skip("only 1 core");
-        assert_eq!(s, "SKIP (only 1 core)");
         assert!(!any_failed());
         assert_eq!(word(false), "FAIL");
         assert!(any_failed());

@@ -247,8 +247,9 @@ impl DetWave {
     /// step 3, a queue's worth at each end of each level's arrivals:
     /// `O(min(ones, (1/eps) log(eps ones)))` of them when the call is no
     /// longer than the window (a longer one stores every 1). The 1s
-    /// between are counted, at a bit-clear each or a popcount for a word
-    /// that holds no others. State-identical to pushing every bit
+    /// between are counted, not visited: a popcount passes a word that
+    /// holds no others, and one broadword select the run of them that
+    /// ends inside a word. State-identical to pushing every bit
     /// through [`DetWave::push_bit`]: `push_words_matches_single_pushes`
     /// and `tests/batch_equivalence.rs` pin the encoding byte-for-byte.
     pub fn push_words(&mut self, bits: crate::bits::BitsRef<'_>) {

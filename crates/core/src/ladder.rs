@@ -740,6 +740,51 @@ impl Core {
     }
 }
 
+/// `SELECT_IN_BYTE[r][b]`: the bit index of the 1 of rank `r` (from 0,
+/// lowest first) in the byte `b`, or 8 if `b` has no more than `r` 1s.
+const SELECT_IN_BYTE: [[u8; 256]; 8] = {
+    let mut table = [[8; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let (mut bit, mut rank) = (0, 0);
+        while bit < 8 {
+            if b >> bit & 1 == 1 {
+                table[rank][b] = bit as u8;
+                rank += 1;
+            }
+            bit += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
+/// `x` with its `n` lowest 1s cleared, for `n < x.count_ones()`: a
+/// broadword select of the 1 of rank `n`, branch-free. Byte popcounts,
+/// summed up the word by one multiply, give the 1s through each byte;
+/// the bytes whose 1s all fall among the `n` are counted by a compare
+/// of every byte at once and a second multiply; the 1 itself is looked
+/// up in its byte.
+#[inline]
+fn clear_lowest_ones(x: u64, n: u64) -> u64 {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    debug_assert!(n < x.count_ones() as u64);
+    let pairs = x - (x >> 1 & 0x5555_5555_5555_5555);
+    let nibbles = (pairs & 0x3333_3333_3333_3333) + (pairs >> 2 & 0x3333_3333_3333_3333);
+    let bytes = (nibbles + (nibbles >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    // Byte `i`: the 1s in bytes `0..=i`, at most 64, so no byte carries.
+    let ranks = bytes.wrapping_mul(ONES);
+    // Byte `i`'s high bit: its running count is at most `n` (< 64).
+    let cleared = (((n * ONES) | HIGHS) - ranks) & HIGHS;
+    let shift = ((cleared >> 7).wrapping_mul(ONES) >> 56) * 8;
+    // The 1s below byte `shift / 8`, and the rank of ours inside it.
+    let below = ranks << 8 >> shift & 0xFF;
+    let byte = x >> shift & 0xFF;
+    let at = shift + SELECT_IN_BYTE[(n - below) as usize][byte as usize] as u64;
+    x & u64::MAX << at
+}
+
 impl Ladder<()> {
     /// The bit waves' batch push: the 1s of `bits`, oldest first, each
     /// at the level of its rank ([`rank_level`]) — but only those Figure
@@ -747,20 +792,23 @@ impl Ladder<()> {
     /// older entry with. A 1 with a queue's worth of its level's
     /// arrivals on both sides inside the batch is neither: it is counted
     /// and passed over ([`Core::stride_zone`]), a whole word of them on
-    /// one popcount. Every other 1 moves the clock — over everything
-    /// since the last stored 1 — and is inserted, so what was stored
-    /// before the batch is evicted and expired in per-bit order and the
-    /// state is the one per-bit pushes leave, boundary included. Returns
-    /// the number of entries stored.
+    /// one popcount, fewer on one select ([`clear_lowest_ones`]): the
+    /// 1s passed over cost nothing each. Every other 1 moves the clock —
+    /// over everything since the last stored 1 — and is inserted, so
+    /// what was stored before the batch is evicted and expired in
+    /// per-bit order and the state is the one per-bit pushes leave,
+    /// boundary included. Returns the number of entries stored.
     ///
     /// Passing over rests on no entry of the batch expiring inside it:
     /// a batch longer than the window stores every 1.
     ///
     /// The loop is the per-1 `advance` and `insert` under a countdown,
     /// with the slot width matched once; where the batch stands is asked
-    /// out of line, when the countdown runs out. A batch of up to four
-    /// queues of 1s, which has none to pass over, never asks and is not
-    /// so much as counted: it costs the per-1 loop and a decrement.
+    /// out of line, when the countdown runs out, and each ask is O(1):
+    /// a popcount or a select, never a walk over the 1s it passes. A
+    /// batch of up to four queues of 1s, which has none to pass over,
+    /// never asks and is not so much as counted: it costs the per-1 loop
+    /// and a decrement.
     pub(crate) fn push_ones(&mut self, bits: BitsRef<'_>) -> u64 {
         let c = &mut self.core;
         let (first, start) = (c.total, c.pos);
@@ -776,7 +824,7 @@ impl Ladder<()> {
         let (mut end, mut passed) = (None, 0);
         // Count the 1s at the front of `rest` that are not to be stored:
         // what is left of `rest`, and how many 1s to store from there.
-        let mut pass_over = |c: &mut Core, mut rest: u64| {
+        let mut pass_over = |c: &mut Core, rest: u64| {
             if c.total == zone_end {
                 let end = *end.get_or_insert_with(|| first + bits.count_ones());
                 (mask, zone_end) = c.stride_zone(first, c.total + 1, end);
@@ -792,9 +840,7 @@ impl Ladder<()> {
             }
             c.total += pass;
             passed += pass;
-            for _ in 0..pass {
-                rest &= rest - 1;
-            }
+            let rest = clear_lowest_ones(rest, pass);
             // At stride 1 the zone is stored to its end; else one 1 is,
             // or none, where the zone ends first.
             let run = zone_end - c.total;
@@ -944,6 +990,58 @@ mod tests {
         assert_eq!(runs[0], runs[1]);
         for stored in runs[0] {
             assert!(stored <= 2 * slots, "{stored} stored in {slots} slots");
+        }
+    }
+
+    #[test]
+    fn select_in_byte_is_a_bit_scan() {
+        for (rank, row) in SELECT_IN_BYTE.iter().enumerate() {
+            for (b, &at) in row.iter().enumerate() {
+                let ones: Vec<u8> = (0..8).filter(|&i| b >> i & 1 == 1).collect();
+                let want = ones.get(rank).copied().unwrap_or(8);
+                assert_eq!(at, want, "byte {b:#04x}, rank {rank}");
+            }
+        }
+    }
+
+    /// The reference [`clear_lowest_ones`] replaced: one 1 a step.
+    fn clear_lowest_ones_stepwise(mut x: u64, n: u64) -> u64 {
+        for _ in 0..n {
+            x &= x - 1;
+        }
+        x
+    }
+
+    fn select_matches_stepwise(x: u64) {
+        for n in 0..x.count_ones() as u64 {
+            let want = clear_lowest_ones_stepwise(x, n);
+            assert_eq!(clear_lowest_ones(x, n), want, "x = {x:#018x}, n = {n}");
+        }
+    }
+
+    #[test]
+    fn select_clears_the_edge_words_like_the_stepwise_loop() {
+        let edges = [1 << 63, u64::MAX, 0xAAAA_AAAA_AAAA_AAAA, 1 | 1 << 63];
+        // A full byte at each byte position, on its own.
+        let bytes = (0..8).map(|i| 0xFF << (8 * i));
+        for x in edges.into_iter().chain(bytes) {
+            select_matches_stepwise(x);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Words of every density: about 8, 32 and 56 1s of 64.
+        #[test]
+        fn select_clears_random_words_like_the_stepwise_loop(
+            a in any::<u64>(),
+            b in any::<u64>(),
+            c in any::<u64>(),
+        ) {
+            for x in [a & b & c, a, a | b | c] {
+                select_matches_stepwise(x);
+            }
         }
     }
 

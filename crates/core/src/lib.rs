@@ -33,6 +33,9 @@
 //! assert!(est.relative_error(actual) <= 0.1);
 //! ```
 
+// One portable path for every kernel: no architecture-gated fast path.
+#![forbid(unsafe_code)]
+
 pub mod average;
 pub mod basic_wave;
 pub mod bits;

@@ -73,7 +73,9 @@ impl EhSumBuilder {
         self
     }
 
-    /// Validate the configuration and build the histogram.
+    /// Validate the configuration and build the histogram. A window sum
+    /// `N * R` above `2^62` is refused as `InvalidWindow(N)`, as
+    /// `SumWave` refuses it.
     pub fn build(self) -> Result<EhSum, WaveError> {
         if !(self.eps > 0.0 && self.eps < 1.0) {
             return Err(WaveError::InvalidEpsilon(self.eps));
@@ -112,6 +114,11 @@ impl EhSum {
         }
         if max_value == 0 {
             return Err(WaveError::ValueTooLarge { value: 0, max: 0 });
+        }
+        // The largest window sum `N * R`, held to `SumWave`'s bound so
+        // the running total cannot leave a `u64`.
+        if !matches!(max_window.checked_mul(max_value), Some(nr) if nr <= 1 << 62) {
+            return Err(WaveError::InvalidWindow(max_window));
         }
         Ok(EhSum {
             max_window,
@@ -631,35 +638,55 @@ mod tests {
         assert_eq!(eh.buckets(), 0);
     }
 
-    /// The waves' window bound holds here too (see `EhCount`'s test).
+    /// The waves' window bound holds here too (see `EhCount`'s test),
+    /// and `SumWave`'s bound on the largest window sum `N * R`.
     #[test]
     fn window_is_held_to_the_waves_bound() {
         use waves_core::codec::{write_deltas, BitWriter, CodecError};
-        for n in [0, MAX_WINDOW + 1, u64::MAX] {
+        let refused = [
+            (0, 16),
+            (MAX_WINDOW + 1, 16),
+            (u64::MAX, 16),
+            (MAX_WINDOW, 16),
+            ((1 << 58) + 1, 16),
+            (2, u64::MAX),
+        ];
+        for (n, r) in refused {
             assert_eq!(
-                EhSum::new(n, 16, 0.1).unwrap_err(),
-                WaveError::InvalidWindow(n)
+                EhSum::new(n, r, 0.1).unwrap_err(),
+                WaveError::InvalidWindow(n),
+                "N = {n}, R = {r}"
             );
         }
-        let mut eh = EhSum::new(MAX_WINDOW, 16, 0.1).unwrap();
-        for _ in 0..10 {
-            eh.push_value(3).unwrap();
+        for (n, r) in [(MAX_WINDOW, 1), (1 << 58, 16), (1, 1 << 62)] {
+            assert!(EhSum::new(n, r, 0.1).is_ok(), "N = {n}, R = {r}");
         }
-        assert_eq!(eh.query(10).unwrap(), Estimate::exact(30));
-        // A well-framed header claiming N = u64::MAX over one live run.
-        let mut w = BitWriter::new();
-        w.write_gamma(u64::MAX);
-        w.write_gamma(16); // max_value
-        w.write_gamma(5); // m
-        w.write_gamma0(10); // pos
-        w.write_gamma0(1); // classes
-        w.write_gamma0(1); // runs in class 0
-        write_deltas(&mut w, &[5]);
-        w.write_gamma(1); // the run's multiplicity
-        assert_eq!(
-            EhSum::decode(&w.finish()).unwrap_err(),
-            CodecError::BadParams(WaveError::InvalidWindow(u64::MAX))
-        );
+        let mut eh = EhSum::new(MAX_WINDOW, 1, 0.1).unwrap();
+        for _ in 0..10 {
+            eh.push_value(1).unwrap();
+        }
+        assert_eq!(eh.query(10).unwrap(), Estimate::exact(10));
+        // Well-framed headers over one live run: N = u64::MAX, then
+        // N = 2^62 with values up to 16 (N * R = 2^66).
+        let header = |n: u64, r: u64| {
+            let mut w = BitWriter::new();
+            w.write_gamma(n);
+            w.write_gamma(r); // max_value
+            w.write_gamma(5); // m
+            w.write_gamma0(10); // pos
+            w.write_gamma0(1); // classes
+            w.write_gamma0(1); // runs in class 0
+            write_deltas(&mut w, &[5]);
+            w.write_gamma(1); // the run's multiplicity
+            w.finish()
+        };
+        for n in [u64::MAX, MAX_WINDOW] {
+            assert_eq!(
+                EhSum::decode(&header(n, 16)).unwrap_err(),
+                CodecError::BadParams(WaveError::InvalidWindow(n))
+            );
+        }
+        assert_eq!(EhSum::decode(&header(MAX_WINDOW, 1)).unwrap().buckets(), 1);
     }
 
     /// A well-framed claim of a 1024-unit bucket after 10 items of at

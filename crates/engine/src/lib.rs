@@ -53,7 +53,7 @@
 //! assert_eq!(est.value, 2.0);
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{hash_map, HashMap};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -438,9 +438,11 @@ where
     /// every key's synopsis via [`SynopsisCodec`]) and replays the
     /// acknowledged WAL tail through [`BitSynopsis::push_words`] before
     /// the shard accepts new work. A corrupt persist directory (META
-    /// mismatch, undecodable checkpoint entry) fails construction; a
-    /// torn WAL tail is truncated silently — that is the crash-recovery
-    /// contract, not an error.
+    /// mismatch, undecodable checkpoint entry, a checkpoint naming a key
+    /// twice, a checkpoint or WAL entry for a key another shard owns)
+    /// fails construction with a typed error naming the key; a torn WAL
+    /// tail is truncated silently — that is the crash-recovery contract,
+    /// not an error.
     pub fn with_factory_recorded<F>(
         cfg: EngineConfig,
         factory: F,
@@ -475,18 +477,32 @@ where
                         rec.as_ref(),
                     )
                     .map_err(WaveError::io)?;
+                    // What a checkpoint may hold (PROTOCOL.md §2.4): each
+                    // key at most once, and only keys this shard owns —
+                    // a key routed elsewhere is one no query reaches.
+                    let owned = |key: Key, what: &str| {
+                        match shard_for(key, num_shards) {
+                        owner if owner == shard => Ok(()),
+                        owner => Err(invalid_data(format!(
+                            "{what} for key {key} in shard {shard}: the key belongs to shard {owner}"
+                        ))),
+                    }
+                    };
                     let mut keys: HashMap<Key, S> = HashMap::new();
                     for (key, bytes) in &recovered.entries {
-                        let synopsis = S::decode_synopsis(bytes).map_err(|e| {
-                            WaveError::io(std::io::Error::new(
-                                std::io::ErrorKind::InvalidData,
-                                format!("checkpoint entry for key {key}: {e}"),
-                            ))
-                        })?;
-                        keys.insert(*key, synopsis);
+                        owned(*key, "checkpoint entry")?;
+                        let hash_map::Entry::Vacant(slot) = keys.entry(*key) else {
+                            return Err(invalid_data(format!(
+                                "checkpoint of shard {shard} names key {key} twice"
+                            )));
+                        };
+                        slot.insert(S::decode_synopsis(bytes).map_err(|e| {
+                            invalid_data(format!("checkpoint entry for key {key}: {e}"))
+                        })?);
                     }
                     for batch in &recovered.batches {
                         for (key, bits) in batch {
+                            owned(*key, "WAL entry")?;
                             keys.entry(*key)
                                 .or_insert_with(|| {
                                     factory().expect("factory validated at construction")
@@ -574,8 +590,7 @@ where
     /// A key always lives on the same shard, so a caller that groups
     /// entries by this before [`Engine::ingest`] keeps per-key order.
     pub fn shard_of(&self, key: Key) -> usize {
-        let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((mixed >> 32) as usize) % self.shards.len()
+        shard_for(key, self.shards.len())
     }
 
     /// Timestamp for the queue-wait span, or 0 when this command is
@@ -880,6 +895,18 @@ impl<S> ShardPersist<S> {
     }
 }
 
+/// [`Engine::shard_of`] for an engine of `num_shards` shards.
+#[inline]
+fn shard_for(key: Key, num_shards: usize) -> usize {
+    let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    ((mixed >> 32) as usize) % num_shards
+}
+
+/// Refused bytes: an `InvalidData` [`WaveError::Io`] naming them.
+fn invalid_data(what: String) -> WaveError {
+    WaveError::io(std::io::Error::new(std::io::ErrorKind::InvalidData, what))
+}
+
 /// Key-family fingerprint for the registry's load-skew dimension: the
 /// top 4 bits of the same Fibonacci mix [`Engine::shard_of`] uses, so
 /// it costs one multiply-shift already paid for routing.
@@ -1066,10 +1093,7 @@ fn shard_worker<S, R, F>(
                         rec.incr(MetricId::EngineSynopsesInstalled, 1);
                         Ok(())
                     }
-                    Err(e) => Err(WaveError::io(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("synopsis install for key {key}: {e}"),
-                    ))),
+                    Err(e) => Err(invalid_data(format!("synopsis install for key {key}: {e}"))),
                 };
                 let _ = reply.send(res);
             }
@@ -1583,6 +1607,65 @@ mod tests {
         drop(Engine::new(persist_cfg(&dir, 2)).unwrap());
         let err = Engine::new(persist_cfg(&dir, 3)).err().expect("must fail");
         assert!(matches!(err, WaveError::Io(_)), "got {err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What a checkpoint may hold (PROTOCOL.md §2.4) is enforced where
+    /// it is read: in a 2-shard directory, hand-written checkpoints that
+    /// name a key twice or a key of the other shard, and a WAL record
+    /// for a key of the other shard, are each refused by key.
+    #[test]
+    fn recovery_refuses_a_repeated_key_and_a_key_of_another_shard() {
+        use waves_store::checkpoint::{write_checkpoint, Checkpoint};
+        let dir = waves_store::scratch_dir("engine-ckpt-keys");
+        let cfg = persist_cfg(&dir, 2);
+        let (mine, theirs) = {
+            let engine = Engine::new(cfg.clone()).unwrap();
+            let first_of = |shard| (0..).find(|&k| engine.shard_of(k) == shard).unwrap();
+            (first_of(0), first_of(1))
+        };
+        let shard0 = dir.join("shard-0");
+        let mut wave = DetWave::new(64, 0.25).unwrap();
+        wave.push_bits(&[true, false, true]);
+        let refusal = || match Engine::new(cfg.clone()).err().expect("recovery refuses") {
+            WaveError::Io(io) => {
+                assert_eq!(io.kind(), std::io::ErrorKind::InvalidData);
+                io.to_string()
+            }
+            other => panic!("expected Io(InvalidData), got {other:?}"),
+        };
+        // Each checkpoint is newer than the last, so recovery loads it.
+        let checkpoint = |wal_seq, keys: &[Key]| {
+            let entries = keys.iter().map(|&k| (k, wave.encode())).collect();
+            write_checkpoint(&shard0, &Checkpoint { wal_seq, entries }).unwrap();
+        };
+        checkpoint(100, &[mine, mine]);
+        assert!(refusal().contains(&format!("names key {mine} twice")));
+        checkpoint(101, &[mine, theirs]);
+        let refused = refusal();
+        assert!(
+            refused.contains(&format!("key {theirs} in shard 0")),
+            "{refused}"
+        );
+        assert!(refused.contains("belongs to shard 1"), "{refused}");
+        // Held to the rule, the same checkpoint recovers.
+        checkpoint(102, &[mine]);
+        {
+            let engine = Engine::new(cfg.clone()).unwrap();
+            assert_eq!(engine.query(mine, 64).unwrap(), wave.query(64).unwrap());
+        }
+        // A WAL record in shard 0 for the other shard's key.
+        let mut log =
+            ShardStore::recover(&shard0, SyncPolicy::EveryBatch, 1 << 20, &NoopRecorder).unwrap();
+        log.store
+            .append_batch(&[(theirs, Bits::from_bools(&[true]))], &NoopRecorder)
+            .unwrap();
+        drop(log);
+        let refused = refusal();
+        assert!(
+            refused.starts_with(&format!("WAL entry for key {theirs}")),
+            "{refused}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

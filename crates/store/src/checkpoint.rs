@@ -6,7 +6,7 @@
 //! | offset  | width | field                                   |
 //! |---------|-------|-----------------------------------------|
 //! | 0       | 4     | magic `b"WCKP"`                         |
-//! | 4       | 2     | format version, u16 BE (currently 1)    |
+//! | 4       | 2     | format version, u16 BE ([`STORE_VERSION`]) |
 //! | 6       | 2     | reserved, zero                          |
 //! | 8       | 8     | `wal_seq`, u64 BE — replay starts here  |
 //! | 16      | 4     | key count `C`, u32 BE                   |
@@ -15,7 +15,10 @@
 //!
 //! Each entry: key u64 BE, synopsis byte length `L` u32 BE, then `L`
 //! bytes — exactly the synopsis's `encode()` output, the same payload
-//! the wire protocol's `PUSH_SYNOPSIS` frame carries.
+//! the wire protocol's `PUSH_SYNOPSIS` frame carries. Their order is
+//! unspecified; a key appears at most once, and only keys the shard
+//! owns appear. This module frames bytes and checks none of that: the
+//! engine refuses a checkpoint that breaks it when it recovers.
 //!
 //! A checkpoint is written to a `.tmp` file, synced, and renamed into
 //! place, so a crash mid-write can never shadow a good checkpoint with a
@@ -56,7 +59,8 @@ pub fn parse_checkpoint_file_name(name: &str) -> Option<u64> {
 pub struct Checkpoint {
     /// Replay WAL segments with sequence number `>= wal_seq`.
     pub wal_seq: u64,
-    /// `(key, synopsis encode() bytes)`, sorted by key.
+    /// `(key, synopsis encode() bytes)`, in no particular order, each
+    /// key at most once.
     pub entries: Vec<(u64, Vec<u8>)>,
 }
 

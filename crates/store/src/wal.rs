@@ -3,13 +3,13 @@
 //!
 //! # Segment file layout (`wal-<seq:016x>.log`)
 //!
-//! | offset | width | field                              |
-//! |--------|-------|------------------------------------|
-//! | 0      | 4     | magic `b"WLOG"`                    |
-//! | 4      | 2     | format version, u16 BE (currently 1) |
-//! | 6      | 2     | reserved, zero                     |
-//! | 8      | 8     | segment sequence number, u64 BE    |
-//! | 16     | ...   | records, back to back              |
+//! | offset | width | field                                |
+//! |--------|-------|--------------------------------------|
+//! | 0      | 4     | magic `b"WLOG"`                      |
+//! | 4      | 2     | format version, u16 BE ([`STORE_VERSION`]) |
+//! | 6      | 2     | reserved, zero                       |
+//! | 8      | 8     | segment sequence number, u64 BE      |
+//! | 16     | ...   | records, back to back                |
 //!
 //! # Record layout
 //!
