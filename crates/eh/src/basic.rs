@@ -1,84 +1,30 @@
-//! Exponential histogram for Basic Counting (Datar et al. \[9\]).
-//!
-//! The baseline the paper improves upon. Buckets of power-of-two sizes
-//! partition the recent 1's; for each size there are `m` or `m + 1`
-//! buckets (`m = ceil(1/(2 eps))`), enforced by merging the two oldest
-//! buckets of a size whenever a size accumulates `m + 2` — which can
-//! cascade through all `O(log(eps N))` sizes on a single arrival. That
-//! cascade is exactly the worst-case-latency gap the deterministic wave
-//! closes (Theorem 1 vs. the EH's O(1) *amortized* / O(log N) worst
-//! case), so this implementation records cascade statistics.
+//! Basic Counting with an exponential histogram (Datar et al. \[9\]):
+//! the baseline the paper improves upon. [`EhCount`] is the one
+//! histogram skeleton (`crate::histogram`) with unit buckets — every 1
+//! has its own position, so nothing is stored per bucket but its
+//! timestamp. What is here is what only bits have: the bit push and the
+//! packed-word push.
 
+use crate::histogram::{Builder, Histogram};
 use std::collections::VecDeque;
+use waves_core::bits::BitsRef;
 use waves_core::error::WaveError;
-use waves_core::estimate::{Estimate, SpaceReport};
-use waves_core::space::{delta_coded_bits, elias_gamma_bits};
+use waves_core::estimate::Estimate;
 use waves_core::traits::BitSynopsis;
-use waves_core::window::MAX_WINDOW;
 
 /// Exponential histogram for counting 1's in a sliding window of up to
 /// `N` bits with relative error `eps`.
-#[derive(Debug, Clone)]
-pub struct EhCount {
-    max_window: u64,
-    eps: f64,
-    /// Bucket-count parameter `m = ceil(1/(2 eps))`.
-    m: usize,
-    pos: u64,
-    /// Per-size-class deques of bucket timestamps (position of each
-    /// bucket's most recent 1), oldest at the front. `classes[j]` holds
-    /// buckets of size `2^j`.
-    classes: Vec<VecDeque<u64>>,
-    /// Sum of all bucket sizes.
-    total: u64,
-    /// Cascade statistics: classes touched by merges on the last 1-bit,
-    /// the maximum over the stream, and total merges.
-    last_cascade: u32,
-    max_cascade: u32,
-    merges: u64,
-}
+pub type EhCount = Histogram<()>;
 
-/// Builder for [`EhCount`] — mirrors `DetWave::builder()` so switching
-/// between the wave and the EH baseline is a one-word change.
-///
-/// Defaults: `max_window = 1024`, `eps = 0.1`; validation happens in
-/// [`EhCountBuilder::build`].
-#[derive(Debug, Clone)]
-pub struct EhCountBuilder {
-    max_window: u64,
-    eps: f64,
-}
-
-impl EhCountBuilder {
-    /// Maximum queryable window `N` (default 1024).
-    pub fn max_window(mut self, n: u64) -> Self {
-        self.max_window = n;
-        self
-    }
-
-    /// Relative error bound, `0 < eps < 1` (default 0.1).
-    pub fn eps(mut self, eps: f64) -> Self {
-        self.eps = eps;
-        self
-    }
-
-    /// Validate the configuration and build the histogram.
-    pub fn build(self) -> Result<EhCount, WaveError> {
-        if !(self.eps > 0.0 && self.eps < 1.0) {
-            return Err(WaveError::InvalidEpsilon(self.eps));
-        }
-        let m = (1.0 / (2.0 * self.eps)).ceil() as usize;
-        EhCount::with_m(self.max_window, m, self.eps)
-    }
-}
+/// Builder for [`EhCount`] — mirrors `DetWave::builder()`, so switching
+/// between the wave and the EH baseline is a one-word change. Defaults:
+/// `max_window = 1024`, `eps = 0.1`.
+pub type EhCountBuilder = Builder<()>;
 
 impl EhCount {
     /// Start building: `EhCount::builder().max_window(n).eps(e).build()`.
     pub fn builder() -> EhCountBuilder {
-        EhCountBuilder {
-            max_window: 1024,
-            eps: 0.1,
-        }
+        Builder::with_max_value(())
     }
 
     /// Build an EH with error bound `eps` for windows up to `max_window`
@@ -87,343 +33,39 @@ impl EhCount {
         Self::builder().max_window(max_window).eps(eps).build()
     }
 
-    /// Build from the integer bucket-count parameter `m` directly — the
-    /// only error-bound quantity the algorithm consults and the one the
-    /// codec carries. `eps -> m` is not injective in floating point
-    /// (`ceil(1 / (2 * (1 / (2 * 49))))` is 50), so the decoder must not
-    /// go back through `eps`.
-    fn with_m(max_window: u64, m: usize, eps: f64) -> Result<Self, WaveError> {
-        if max_window == 0 || max_window > MAX_WINDOW {
-            return Err(WaveError::InvalidWindow(max_window));
-        }
-        Ok(EhCount {
-            max_window,
-            eps,
-            m,
-            pos: 0,
-            classes: Vec::new(),
-            total: 0,
-            last_cascade: 0,
-            max_cascade: 0,
-            merges: 0,
-        })
-    }
-
-    /// Maximum window size `N`.
-    pub fn max_window(&self) -> u64 {
-        self.max_window
-    }
-
-    /// The configured error bound.
-    pub fn eps(&self) -> f64 {
-        self.eps
-    }
-
-    /// Stream length so far.
-    pub fn pos(&self) -> u64 {
-        self.pos
-    }
-
     /// Number of buckets currently held.
     pub fn buckets(&self) -> usize {
         self.classes.iter().map(VecDeque::len).sum()
     }
 
-    /// Number of size classes with merges on the most recent 1-bit.
-    pub fn last_cascade(&self) -> u32 {
-        self.last_cascade
-    }
-
-    /// Longest merge cascade observed so far.
-    pub fn max_cascade(&self) -> u32 {
-        self.max_cascade
-    }
-
-    /// Total merges performed.
-    pub fn merges(&self) -> u64 {
-        self.merges
-    }
-
     /// Process the next stream bit: O(1) amortized, O(log(eps N)) worst
     /// case due to cascading merges.
     pub fn push_bit(&mut self, b: bool) {
-        self.pos += 1;
-        self.expire();
-        if !b {
-            self.last_cascade = 0;
-            return;
-        }
-        self.insert_one();
+        self.push_bit_recorded(b, &waves_obs::NoopRecorder);
     }
 
-    /// Insert a 1-bit at the current position (`pos` already advanced
-    /// and expiry already run) and cascade merges.
-    fn insert_one(&mut self) {
-        // New singleton bucket.
-        if self.classes.is_empty() {
-            self.classes.push(VecDeque::new());
-        }
-        self.classes[0].push_back(self.pos);
-        self.total += 1;
-        // Cascade merges upward.
-        let mut cascade = 0u32;
-        let mut j = 0usize;
-        loop {
-            if self.classes[j].len() <= self.m + 1 {
-                break;
-            }
-            // Merge the two oldest buckets of size 2^j: the merged bucket
-            // keeps the newer timestamp.
-            let _older = self.classes[j].pop_front().expect("len > m+1 >= 1");
-            let newer = self.classes[j].pop_front().expect("len >= 2");
-            if self.classes.len() == j + 1 {
-                self.classes.push(VecDeque::new());
-            }
-            self.classes[j + 1].push_back(newer);
-            // A push_back would break front-is-oldest ordering only if a
-            // newer bucket already sat in class j+1 — impossible: class
-            // j+1 buckets are strictly older than all class-j buckets.
-            debug_assert!(is_front_oldest(&self.classes[j + 1]));
-            self.merges += 1;
-            cascade += 1;
-            j += 1;
-        }
-        self.last_cascade = cascade;
-        self.max_cascade = self.max_cascade.max(cascade);
+    /// [`EhCount::push_bit`] with instrumentation reported into `rec` —
+    /// the one push body: counts pushes, cascade episodes and merged
+    /// bucket pairs, and feeds each 1-bit's cascade length into the
+    /// `eh_cascade_len` histogram.
+    pub fn push_bit_recorded<R: waves_obs::Recorder + ?Sized>(&mut self, b: bool, rec: &R) {
+        self.push_recorded(b as u64, rec);
     }
 
     /// Ingest a packed batch, oldest first (the word-level counterpart
-    /// of [`EhCount::push_bit`]). Zero runs — merged across whole words
-    /// by `trailing_zeros` scanning — advance `pos` in one addition;
-    /// expiry runs once per 1-bit (immediately before its insertion, so
-    /// an expired bucket can never participate in a cascade merge) and
-    /// once at the end of the batch. Expiry only pops the globally
-    /// oldest bucket while it is out of window, a monotone operation,
-    /// so deferring it across a zero run is state-identical to per-bit
-    /// pushes.
-    pub fn push_words(&mut self, bits: waves_core::bits::BitsRef<'_>) {
+    /// of [`EhCount::push_bit`], state-identical to it). Zero runs —
+    /// merged across whole words by `trailing_zeros` scanning — advance
+    /// the clock in one addition; expiry runs once per 1-bit
+    /// (immediately before its insertion, so an expired bucket can never
+    /// take part in a cascade merge) and once at the end of the batch.
+    /// It reports no metrics.
+    pub fn push_words(&mut self, bits: BitsRef<'_>) {
         use waves_core::bits::Run;
         bits.scan_runs(|run| match run {
-            Run::Zeros(n) => {
-                self.pos += n;
-                self.last_cascade = 0;
-            }
-            Run::One => {
-                self.pos += 1;
-                self.expire();
-                self.insert_one();
-            }
+            Run::Zeros(n) => self.skip_zeros(n),
+            Run::One => self.push_bit(true),
         });
         self.expire();
-    }
-
-    /// [`EhCount::push_bit`] with instrumentation reported into `rec`:
-    /// counts pushes, cascade episodes, and total merged bucket pairs,
-    /// and feeds each 1-bit's cascade length into the `eh_cascade_len`
-    /// histogram — the worst-case-latency distribution the wave's O(1)
-    /// bound eliminates.
-    pub fn push_bit_recorded<R: waves_obs::Recorder + ?Sized>(&mut self, b: bool, rec: &R) {
-        use waves_obs::{HistId, MetricId};
-        let merges_before = self.merges;
-        self.push_bit(b);
-        rec.incr(MetricId::EhPushes, 1);
-        if b {
-            let cascade = self.last_cascade as u64;
-            rec.observe(HistId::EhCascadeLen, cascade);
-            if cascade > 0 {
-                rec.incr(MetricId::EhCascades, 1);
-                rec.incr(MetricId::EhBucketsMerged, self.merges - merges_before);
-            }
-        }
-    }
-
-    fn expire(&mut self) {
-        // The globally oldest bucket is at the front of the highest
-        // nonempty class (sizes are nondecreasing with age).
-        while let Some(j) = self.highest_nonempty() {
-            let &ts = self.classes[j].front().expect("nonempty");
-            if ts + self.max_window <= self.pos {
-                self.classes[j].pop_front();
-                self.total -= 1u64 << j;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn highest_nonempty(&self) -> Option<usize> {
-        (0..self.classes.len())
-            .rev()
-            .find(|&j| !self.classes[j].is_empty())
-    }
-
-    /// Estimate the number of 1's among the last `n <= N` bits: total
-    /// size of buckets with timestamp in the window, minus half the
-    /// oldest such bucket (which may straddle the window boundary).
-    pub fn query(&self, n: u64) -> Result<Estimate, WaveError> {
-        if n > self.max_window {
-            return Err(WaveError::WindowTooLarge {
-                requested: n,
-                max: self.max_window,
-            });
-        }
-        let s = if n >= self.pos { 1 } else { self.pos - n + 1 };
-        let mut total_in = 0u64;
-        let mut oldest: Option<(u64, u64)> = None; // (ts, size)
-        for (j, q) in self.classes.iter().enumerate() {
-            let size = 1u64 << j;
-            for &ts in q {
-                if ts >= s {
-                    total_in += size;
-                    match oldest {
-                        Some((ots, _)) if ots <= ts => {}
-                        _ => oldest = Some((ts, size)),
-                    }
-                }
-            }
-        }
-        let Some((_, oldest_size)) = oldest else {
-            return Ok(Estimate::exact(0));
-        };
-        if n >= self.pos || oldest_size == 1 {
-            // Either the window covers the whole stream (buckets are
-            // complete) or the straddling bucket is a singleton whose
-            // timestamp is in the window: exact.
-            return Ok(Estimate::exact(total_in));
-        }
-        // The straddling bucket contributes between 1 and its size;
-        // returning the midpoint caps the absolute error at
-        // (size - 1)/2, which the m = ceil(1/(2 eps)) invariant turns
-        // into a relative error below eps.
-        Ok(Estimate::midpoint(total_in - oldest_size + 1, total_in))
-    }
-
-    /// Serialize into a compact bit encoding, mirroring the wave
-    /// codecs: gamma-coded parameters (`m` stands in for `eps` — it is
-    /// the only error-bound quantity the algorithm consults), then per
-    /// size class the bucket count and delta-coded timestamps. Cascade
-    /// telemetry (`last_cascade` and friends) is *not* state and is not
-    /// encoded. Reconstruct with [`EhCount::decode`].
-    pub fn encode(&self) -> Vec<u8> {
-        use waves_core::codec::{write_deltas, BitWriter};
-        let mut w = BitWriter::new();
-        w.write_gamma(self.max_window);
-        w.write_gamma(self.m as u64);
-        w.write_gamma0(self.pos);
-        w.write_gamma0(self.classes.len() as u64);
-        for q in &self.classes {
-            w.write_gamma0(q.len() as u64);
-            let ts: Vec<u64> = q.iter().copied().collect();
-            write_deltas(&mut w, &ts);
-        }
-        w.finish()
-    }
-
-    /// Reconstruct a histogram from [`EhCount::encode`] output. The
-    /// reconstruction answers queries identically to the original and
-    /// re-encodes to the same bytes; cascade telemetry restarts at 0.
-    /// Corrupt input yields `Err`, never a panic or an inconsistent
-    /// structure.
-    pub fn decode(bytes: &[u8]) -> Result<Self, waves_core::codec::CodecError> {
-        use waves_core::codec::{read_deltas, BitReader, CodecError};
-        let mut r = BitReader::new(bytes);
-        let max_window = r.read_gamma()?;
-        let m = r.read_gamma()?;
-        if m > 1 << 32 {
-            return Err(CodecError::Corrupt("bad m"));
-        }
-        let mut eh = EhCount::with_m(max_window, m as usize, 1.0 / (2.0 * m as f64))?;
-        eh.pos = r.read_gamma0()?;
-        if eh.pos > 1 << 62 {
-            return Err(CodecError::Corrupt("counters inconsistent"));
-        }
-        let num_classes = r.read_gamma0()? as usize;
-        if num_classes > 64 {
-            return Err(CodecError::Corrupt("too many classes"));
-        }
-        // Buckets age with class index: everything in class j + 1 is
-        // strictly older than everything in class j.
-        let mut newest_allowed = eh.pos;
-        for j in 0..num_classes {
-            let len = r.read_gamma0()? as usize;
-            if len > eh.m + 1 {
-                return Err(CodecError::Corrupt("class overfull"));
-            }
-            let ts = read_deltas(&mut r, len)?;
-            let mut prev = 0u64;
-            for &t in &ts {
-                if t == 0 || t > eh.pos || t <= prev {
-                    return Err(CodecError::Corrupt("timestamps not increasing"));
-                }
-                if t + max_window <= eh.pos {
-                    return Err(CodecError::Corrupt("bucket already expired"));
-                }
-                prev = t;
-            }
-            if let (Some(&newest), true) = (ts.last(), j > 0) {
-                if newest >= newest_allowed {
-                    return Err(CodecError::Corrupt("classes out of age order"));
-                }
-            }
-            if let Some(&oldest) = ts.first() {
-                newest_allowed = oldest;
-            }
-            let size = 1u64
-                .checked_shl(j as u32)
-                .ok_or(CodecError::Corrupt("class overflow"))?;
-            eh.total = (len as u64)
-                .checked_mul(size)
-                .and_then(|add| eh.total.checked_add(add))
-                .ok_or(CodecError::Corrupt("total overflow"))?;
-            eh.classes.push(ts.into_iter().collect());
-        }
-        // Every counted 1 sits at its own position.
-        if eh.total > eh.pos {
-            return Err(CodecError::Corrupt("counters inconsistent"));
-        }
-        Ok(eh)
-    }
-
-    /// Space accounting under the same conventions as the waves.
-    pub fn space_report(&self) -> SpaceReport {
-        let entries = self.buckets();
-        let resident_bytes = std::mem::size_of::<Self>()
-            + self
-                .classes
-                .iter()
-                .map(|q| q.capacity() * std::mem::size_of::<u64>())
-                .sum::<usize>();
-        let mut all_ts: Vec<u64> = self
-            .classes
-            .iter()
-            .flat_map(|q| q.iter().copied())
-            .collect();
-        all_ts.sort_unstable();
-        let counter_bits = 64 - (2 * self.max_window - 1).leading_zeros() as u64;
-        let synopsis_bits = 2 * counter_bits
-            + delta_coded_bits(all_ts)
-            + entries as u64 * elias_gamma_bits(self.classes.len() as u64 + 1);
-        SpaceReport {
-            resident_bytes,
-            synopsis_bits,
-            entries,
-        }
-    }
-}
-
-fn is_front_oldest(q: &VecDeque<u64>) -> bool {
-    q.iter().zip(q.iter().skip(1)).all(|(a, b)| a <= b)
-}
-
-impl waves_core::traits::Synopsis for EhCount {
-    fn name(&self) -> &'static str {
-        "eh"
-    }
-    fn max_window(&self) -> u64 {
-        self.max_window
-    }
-    fn space_report(&self) -> SpaceReport {
-        EhCount::space_report(self)
     }
 }
 
@@ -431,7 +73,7 @@ impl BitSynopsis for EhCount {
     fn push_bit(&mut self, b: bool) {
         EhCount::push_bit(self, b)
     }
-    fn push_words(&mut self, bits: waves_core::bits::BitsRef<'_>) {
+    fn push_words(&mut self, bits: BitsRef<'_>) {
         EhCount::push_words(self, bits)
     }
     fn query_window(&self, n: u64) -> Result<Estimate, WaveError> {
@@ -443,6 +85,7 @@ impl BitSynopsis for EhCount {
 mod tests {
     use super::*;
     use waves_core::exact::ExactCount;
+    use waves_core::window::MAX_WINDOW;
 
     fn lcg_bits(seed: u64, len: usize, m: u64, lt: u64) -> Vec<bool> {
         let mut x = seed;

@@ -10,8 +10,11 @@
 //! * [`EhSum`] — sums of integers in `[0..R]` (an item may spread across
 //!   `O(log N + log R)` buckets).
 //!
-//! Both record merge-cascade statistics so experiments can show the
-//! worst-case per-item gap that the deterministic wave closes.
+//! Both are one histogram, written once and generic over what a bucket
+//! run stores for its multiplicity: Basic Counting is the sums' `R = 1`
+//! case with nothing stored. Both record merge-cascade statistics so
+//! experiments can show the worst-case per-item gap that the
+//! deterministic wave closes.
 //!
 //! [`XuCount`] adds Xu's boosted basic counting (arXiv:1312.0042) as a
 //! second baseline: O(1) worst-case updates with deferred batch
@@ -30,6 +33,7 @@
 //! ```
 
 pub mod basic;
+mod histogram;
 pub mod sum;
 pub mod xu;
 
@@ -38,23 +42,21 @@ pub use sum::{EhSum, EhSumBuilder};
 pub use xu::XuCount;
 
 use waves_core::codec::CodecError;
+use waves_core::error::WaveError;
 use waves_core::SynopsisCodec;
 
-impl SynopsisCodec for EhCount {
-    fn encode_synopsis(&self) -> Vec<u8> {
-        self.encode()
-    }
-    fn decode_synopsis(bytes: &[u8]) -> Result<Self, CodecError> {
-        EhCount::decode(bytes)
-    }
-}
-
-impl SynopsisCodec for EhSum {
-    fn encode_synopsis(&self) -> Vec<u8> {
-        self.encode()
-    }
-    fn decode_synopsis(bytes: &[u8]) -> Result<Self, CodecError> {
-        EhSum::decode(bytes)
+/// The integer every error bound in this crate is quantized to,
+/// `ceil(1 / (scale * eps))`: the histograms' `m` (`scale = 2`) and Xu's
+/// `inv` (`scale = 1`). It is computed from `eps` here and nowhere else,
+/// and the codecs carry it. Like `waves_core`'s `k`, it is held to
+/// `2^32`, the most the decoders accept: past it a synopsis would encode
+/// bytes its own decoder refuses.
+pub(crate) fn quantize_eps(eps: f64, scale: f64) -> Result<u64, WaveError> {
+    let q = (1.0 / (scale * eps)).ceil() as u64;
+    if eps > 0.0 && eps < 1.0 && q <= 1 << 32 {
+        Ok(q)
+    } else {
+        Err(WaveError::InvalidEpsilon(eps))
     }
 }
 
@@ -131,6 +133,42 @@ mod proptests {
             assert_eq!(decoded.query(4096), eh.query(4096), "m={m}");
             assert_eq!(decoded.encode(), eh.encode(), "m={m}");
         }
+    }
+
+    /// A builder accepts an `eps` only if the decoder accepts its `m`
+    /// (Xu: `inv`) back, `<= 2^32`. Past it the bytes an engine
+    /// checkpoints were bytes its own decoder refused, and at `1e-20`
+    /// the saturated `m` overflowed on the first 1. The boundary is
+    /// `eps = 2^-33` for `m = ceil(1/(2 eps))` and `2^-32` for
+    /// `inv = ceil(1/eps)`: the next float below is refused, and the
+    /// boundary itself round-trips.
+    #[test]
+    fn eps_is_held_to_what_the_decoders_accept() {
+        let below = |eps: f64| f64::from_bits(eps.to_bits() - 1);
+        let (eh_min, xu_min) = (2f64.powi(-33), 2f64.powi(-32));
+        for eps in [1e-10, 1e-20, below(eh_min)] {
+            let refused = Err(WaveError::InvalidEpsilon(eps));
+            assert_eq!(EhCount::new(1024, eps).map(|_| ()), refused);
+            assert_eq!(EhSum::new(1024, 16, eps).map(|_| ()), refused);
+        }
+        for eps in [1e-10, 1e-20, below(xu_min)] {
+            let refused = Err(WaveError::InvalidEpsilon(eps));
+            assert_eq!(XuCount::new(1024, eps).map(|_| ()), refused);
+        }
+        let mut count = EhCount::new(1024, eh_min).unwrap();
+        let mut sum = EhSum::new(1024, 16, eh_min).unwrap();
+        let mut xu = XuCount::new(1024, xu_min).unwrap();
+        for i in 0..3000u64 {
+            count.push_bit(i % 3 != 0);
+            sum.push_value(i % 17).unwrap();
+            xu.push_bit(i % 3 != 0);
+        }
+        let bytes = count.encode();
+        assert_eq!(EhCount::decode(&bytes).unwrap().encode(), bytes);
+        let bytes = sum.encode();
+        assert_eq!(EhSum::decode(&bytes).unwrap().encode(), bytes);
+        let bytes = xu.encode();
+        assert_eq!(XuCount::decode(&bytes).unwrap().encode(), bytes);
     }
 
     /// What every accepted mutant must still do: answer each window
@@ -306,6 +344,9 @@ mod proptests {
             }
             if let Ok(eh) = EhSum::decode(&bytes) {
                 let _ = eh.query(eh.max_window());
+            }
+            if let Ok(xu) = XuCount::decode(&bytes) {
+                let _ = xu.query(xu.max_window());
             }
         }
 

@@ -52,11 +52,7 @@ impl XuCount {
     /// Build a counter with error bound `eps` for windows up to
     /// `max_window`.
     pub fn new(max_window: u64, eps: f64) -> Result<Self, WaveError> {
-        if !(eps > 0.0 && eps < 1.0) {
-            return Err(WaveError::InvalidEpsilon(eps));
-        }
-        let inv = (1.0 / eps).ceil() as u64;
-        Self::with_inv(max_window, inv)
+        Self::with_inv(max_window, crate::quantize_eps(eps, 1.0)?)
     }
 
     fn with_inv(max_window: u64, inv: u64) -> Result<Self, WaveError> {
