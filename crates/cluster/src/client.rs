@@ -26,7 +26,7 @@
 //!   successful connection to it re-ships them before anything else
 //!   (`cluster_anti_entropy_merges_total` counts the catch-ups).
 //!
-//! Cross-key aggregates use [`waves_distributed::combine_estimates`]:
+//! Cross-key aggregates use [`waves_distributed::combine_checked`]:
 //! distinct keys are disjoint substreams, so their estimates combine
 //! additively ([`ClusterClient::combined_total`]). Replica *copies* of
 //! one key never combine — an install replaces, because summing two
@@ -38,7 +38,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use waves_core::{Bits, DetWave, Estimate, WaveError};
-use waves_distributed::combine_estimates;
+use waves_distributed::combine_checked;
 use waves_engine::IngestRequest;
 use waves_net::{Client, ClientConfig, RetryPolicy, SynopsisKind};
 use waves_obs::{HistId, MetricId, NoopRecorder, Recorder};
@@ -386,18 +386,15 @@ impl<R: Recorder + Send + Sync + 'static> ClusterClient<R> {
     /// Cluster-wide total over every key this client owns: each key is
     /// queried with failover and the per-key estimates — disjoint
     /// substreams — combine additively through
-    /// [`waves_distributed::combine_estimates`].
+    /// [`waves_distributed::combine_checked`], which refuses a total
+    /// past `u64`.
     pub fn combined_total(&mut self, window: u64) -> Result<Estimate, WaveError> {
         let keys: Vec<u64> = self.shadows.keys().copied().collect();
         let mut parts = Vec::with_capacity(keys.len());
         for key in keys {
             parts.push(self.query(key, window)?);
         }
-        let total = combine_estimates(parts);
-        if total.hi == u64::MAX {
-            return Err(WaveError::TooManyItemsInWindow { bound: u64::MAX });
-        }
-        Ok(total)
+        combine_checked(parts)
     }
 
     /// The client-side shadow's own answer — the oracle the servers are

@@ -12,6 +12,8 @@
 //! driver knows the sender: [`CommStats::worst_party`] is the right
 //! number to compare against the paper's per-query scalar bound.
 
+use waves_core::WaveError;
+
 /// One party's share of the query-time communication.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PartyComm {
@@ -105,12 +107,13 @@ impl ScalarReport {
 /// truth intervals. Each addend's interval brackets its true value, so
 /// the summed interval brackets the true total, and each addend being
 /// within `eps` of its truth keeps the total within `eps` too. Shared
-/// by the in-process scenario drivers and the networked referee in
-/// `waves-net`.
+/// by the in-process scenario drivers and the referee
+/// ([`crate::MonitorReferee`]).
 ///
 /// Addends can come off the wire, so the interval sums saturate
-/// instead of wrapping: `hi == u64::MAX` means the total did not fit
-/// (never reported as exact), and callers that can refuse do.
+/// instead of wrapping: a saturated `hi` means the total did not fit
+/// (never reported as exact), and callers that can refuse go through
+/// [`combine_checked`].
 pub fn combine_estimates<I>(parts: I) -> waves_core::Estimate
 where
     I: IntoIterator<Item = waves_core::Estimate>,
@@ -127,6 +130,19 @@ where
         hi,
         exact: lo == hi && hi != u64::MAX,
     }
+}
+
+/// [`combine_estimates`] for a caller that can refuse: a total past
+/// `u64` is [`WaveError::TooManyItemsInWindow`], never an answer.
+pub fn combine_checked<I>(parts: I) -> Result<waves_core::Estimate, WaveError>
+where
+    I: IntoIterator<Item = waves_core::Estimate>,
+{
+    let total = combine_estimates(parts);
+    if total.hi == u64::MAX {
+        return Err(WaveError::TooManyItemsInWindow { bound: u64::MAX });
+    }
+    Ok(total)
 }
 
 #[cfg(test)]
@@ -207,6 +223,15 @@ mod tests {
         // A total past u64 saturates and is never called exact.
         let huge = combine_estimates([Estimate::exact(1 << 63), Estimate::exact(1 << 63)]);
         assert_eq!((huge.lo, huge.hi, huge.exact), (u64::MAX, u64::MAX, false));
+        // ... which the checked fold refuses.
+        assert_eq!(
+            combine_checked([Estimate::exact(1 << 63), Estimate::exact(1 << 63)]),
+            Err(WaveError::TooManyItemsInWindow { bound: u64::MAX })
+        );
+        assert_eq!(
+            combine_checked([Estimate::exact(1)]),
+            Ok(Estimate::exact(1))
+        );
     }
 
     #[test]

@@ -16,25 +16,30 @@
 //! * [`coordinated`] — the SPAA 2001 coordinated-sampling baseline
 //!   (whole-stream union/distinct, no windows), kept for comparison
 //!   experiments;
-//! * [`monitor`] — the continuous-monitoring push mode
-//!   (Chan–Lam–Lee–Ting): parties ship deltas only when local drift
-//!   crosses an ε-slack budget and the referee stays continuously
-//!   valid within a staleness bound derived from the slack split.
+//! * [`monitor`] — the one count-path referee, [`MonitorReferee`]:
+//!   a slot per party holding any of the four deterministic synopses
+//!   ([`PartySynopsis`]), filled by pull-mode pushes and by the
+//!   continuous-monitoring push mode (Chan–Lam–Lee–Ting), where parties
+//!   ship deltas only when local drift crosses an ε-slack budget and
+//!   the referee stays continuously valid within a staleness bound
+//!   derived from the slack split. The `waves-net` server hosts this
+//!   same referee behind its PUSH_SYNOPSIS, PUSH_DELTA and COMBINE
+//!   frames.
 
 pub mod comm;
 pub mod coordinated;
 pub mod monitor;
 pub mod runtime;
 pub mod scenario;
-pub mod sim;
 
-pub use comm::{combine_estimates, CommStats, PartyComm, ScalarReport};
+pub use comm::{combine_checked, combine_estimates, CommStats, PartyComm, ScalarReport};
 pub use coordinated::{
     coord_distinct_estimate, coord_union_estimate, CoordDistinctParty, CoordSampleParty,
 };
-pub use monitor::{MonitorConfig, MonitorDelta, MonitorReferee, PushParty};
+pub use monitor::{
+    MonitorConfig, MonitorDelta, MonitorReferee, PartySynopsis, PushParty, SynopsisKind,
+};
 pub use runtime::{run_threaded, ThreadedRun};
 pub use scenario::{
     det_combine, DetCombine, Scenario1Count, Scenario1Sum, Scenario2Count, Scenario3PositionwiseSum,
 };
-pub use sim::{simulate_async_union, AsyncQueryOutcome};

@@ -14,10 +14,11 @@
 //! * [`PushParty`] — a party's live wave plus a frozen shadow of the
 //!   last shipped state; drift is the gap between the two full-window
 //!   estimates, and crossing the budget emits a [`MonitorDelta`].
-//! * [`MonitorReferee`] — folds deltas (deduplicated by per-party
-//!   sequence number, so late or replayed deltas are harmless) into a
-//!   combined always-valid answer with a staleness bound derived from
-//!   the slack split.
+//! * [`MonitorReferee`] — the one referee, in process and behind the
+//!   wire server alike: a [`PartySynopsis`] slot per party, deltas
+//!   deduplicated by per-party sequence number (late or replayed deltas
+//!   are harmless), and an always-valid fold with a staleness bound
+//!   derived from the slack split.
 //!
 //! Monitoring tracks the *full-window* count: drift is measured at
 //! `max_window`, so the contract above is stated for `query_max`-style
@@ -28,9 +29,83 @@ use std::collections::HashMap;
 use waves_core::codec::CodecError;
 use waves_core::det_wave::DetWave;
 use waves_core::error::WaveError;
-use waves_core::Estimate;
+use waves_core::{Estimate, SumWave};
+use waves_eh::{EhCount, EhSum};
 
-use crate::comm::combine_estimates;
+use crate::comm::{combine_checked, combine_estimates};
+
+/// Which synopsis a party ships. The wire byte (`kind as u8`) is part
+/// of the protocol; the payload is the synopsis's own `encode()`
+/// output, untouched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
+pub enum SynopsisKind {
+    /// [`waves_core::DetWave`] (deterministic wave, Basic Counting).
+    DetWave = 0,
+    /// [`waves_core::SumWave`] (deterministic wave over sums).
+    SumWave = 1,
+    /// [`waves_eh::EhCount`] (exponential histogram, Basic Counting).
+    EhCount = 2,
+    /// [`waves_eh::EhSum`] (exponential histogram over sums).
+    EhSum = 3,
+}
+
+/// A decoded party synopsis held by the referee. Wraps the four
+/// concrete synopsis types behind one query interface so the referee
+/// can mix parties running different synopses.
+#[derive(Debug, Clone)]
+pub enum PartySynopsis {
+    Det(DetWave),
+    Sum(SumWave),
+    EhCount(EhCount),
+    EhSum(EhSum),
+}
+
+impl PartySynopsis {
+    /// Decode `bytes` for `kind` through the synopsis's own codec.
+    /// Errors mean the payload did not survive transport (or the
+    /// sender lied about the kind).
+    pub fn decode(kind: SynopsisKind, bytes: &[u8]) -> Result<Self, CodecError> {
+        Ok(match kind {
+            SynopsisKind::DetWave => PartySynopsis::Det(DetWave::decode(bytes)?),
+            SynopsisKind::SumWave => PartySynopsis::Sum(SumWave::decode(bytes)?),
+            SynopsisKind::EhCount => PartySynopsis::EhCount(EhCount::decode(bytes)?),
+            SynopsisKind::EhSum => PartySynopsis::EhSum(EhSum::decode(bytes)?),
+        })
+    }
+
+    /// The synopsis's own `encode()` bytes: what [`PartySynopsis::decode`]
+    /// took, byte for byte.
+    pub fn encode(&self) -> Vec<u8> {
+        match self {
+            PartySynopsis::Det(w) => w.encode(),
+            PartySynopsis::Sum(w) => w.encode(),
+            PartySynopsis::EhCount(e) => e.encode(),
+            PartySynopsis::EhSum(e) => e.encode(),
+        }
+    }
+
+    /// Answer a window query against whichever synopsis this is.
+    pub fn query(&self, window: u64) -> Result<Estimate, WaveError> {
+        match self {
+            PartySynopsis::Det(w) => w.query(window),
+            PartySynopsis::Sum(w) => w.query(window),
+            PartySynopsis::EhCount(e) => e.query(window),
+            PartySynopsis::EhSum(e) => e.query(window),
+        }
+    }
+
+    /// Answer over the synopsis's own maximum window.
+    pub fn query_max(&self) -> Estimate {
+        const IN_RANGE: &str = "a histogram answers its maximum window";
+        match self {
+            PartySynopsis::Det(w) => w.query_max(),
+            PartySynopsis::Sum(w) => w.query_max(),
+            PartySynopsis::EhCount(e) => e.query(e.max_window()).expect(IN_RANGE),
+            PartySynopsis::EhSum(e) => e.query(e.max_window()).expect(IN_RANGE),
+        }
+    }
+}
 
 /// Error-budget split for continuous monitoring: how much of the total
 /// `eps` each party's synopsis consumes, and how much is pooled as
@@ -92,7 +167,8 @@ impl MonitorConfig {
 
 /// One shipped state change: the party's full synopsis bytes
 /// (`SynopsisCodec` encoding, the same bytes `PUSH_SYNOPSIS` carries)
-/// plus the metadata the referee needs to fold it in order.
+/// plus the metadata the referee needs to fold it in order — field for
+/// field a wire `PUSH_DELTA`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorDelta {
     /// Originating party id.
@@ -104,7 +180,9 @@ pub struct MonitorDelta {
     /// The party's slack budget, carried so the referee can report a
     /// staleness bound without out-of-band configuration.
     pub slack: f64,
-    /// `DetWave::encode` bytes of the shipped state.
+    /// Which synopsis `bytes` encodes ([`PushParty`] ships `DetWave`).
+    pub kind: SynopsisKind,
+    /// `encode()` bytes of the shipped state.
     pub bytes: Vec<u8>,
 }
 
@@ -220,20 +298,27 @@ impl PushParty {
             party: self.party,
             seq: self.seq,
             slack: self.budget,
+            kind: SynopsisKind::DetWave,
             bytes: self.local.encode(),
         }
     }
 }
 
+/// One party's slot in the referee.
 #[derive(Debug, Clone)]
 struct RefereeEntry {
-    seq: u64,
-    slack: f64,
-    wave: DetWave,
+    /// Last installed synopsis (pull-mode push or monitoring delta).
+    syn: PartySynopsis,
+    /// Highest delta sequence seen and the slack declared with it;
+    /// `None` until the party ships a delta. A delta whose sequence
+    /// does not advance it is a no-op, so retried and late reordered
+    /// deltas cannot roll the referee back.
+    delta: Option<(u64, f64)>,
 }
 
-/// The referee's side of push mode: folds [`MonitorDelta`]s into a
-/// continuously valid full-window answer.
+/// The referee: one slot per party, filled by pull-mode pushes
+/// ([`MonitorReferee::install_synopsis`]) and monitoring deltas
+/// ([`MonitorReferee::install`]), folded by one combine rule.
 #[derive(Debug, Clone, Default)]
 pub struct MonitorReferee {
     entries: HashMap<u64, RefereeEntry>,
@@ -250,39 +335,65 @@ impl MonitorReferee {
     /// Fold one delta. Returns `Ok(false)` — a harmless no-op — when
     /// `delta.seq` does not advance the party's highest seen sequence
     /// number, which makes replayed retries and late reordered deltas
-    /// safe. Corrupt bytes are rejected without touching state.
+    /// safe. The check runs *before* decoding, so a stale delta costs
+    /// no decode. Corrupt bytes are rejected without touching state.
     pub fn install(&mut self, delta: &MonitorDelta) -> Result<bool, CodecError> {
-        if let Some(entry) = self.entries.get(&delta.party) {
-            if entry.seq >= delta.seq {
-                return Ok(false);
-            }
+        if self.seq_of(delta.party).is_some_and(|seq| seq >= delta.seq) {
+            return Ok(false);
         }
-        let wave = DetWave::decode(&delta.bytes)?;
-        self.entries.insert(
-            delta.party,
-            RefereeEntry {
-                seq: delta.seq,
-                slack: delta.slack,
-                wave,
-            },
-        );
+        let syn = PartySynopsis::decode(delta.kind, &delta.bytes)?;
+        let mark = Some((delta.seq, delta.slack));
+        self.entries
+            .insert(delta.party, RefereeEntry { syn, delta: mark });
         Ok(true)
     }
 
-    /// The continuously valid full-window answer: the combined
-    /// estimate over every party's last shipped state. Off from a
-    /// fresh pull fan-out by at most [`MonitorReferee::staleness_bound`].
-    pub fn combined(&self) -> Estimate {
-        combine_estimates(self.entries.values().map(|e| e.wave.query_max()))
+    /// A pull-mode push: replace `party`'s synopsis but keep its delta
+    /// high-water mark, so a replayed older delta still cannot
+    /// overwrite it. Corrupt bytes are rejected without touching state.
+    pub fn install_synopsis(
+        &mut self,
+        party: u64,
+        kind: SynopsisKind,
+        bytes: &[u8],
+    ) -> Result<(), CodecError> {
+        let syn = PartySynopsis::decode(kind, bytes)?;
+        let delta = self.entries.get(&party).and_then(|e| e.delta);
+        self.entries.insert(party, RefereeEntry { syn, delta });
+        Ok(())
     }
 
-    /// Sum of the slack budgets the installed parties declared: how
-    /// stale [`MonitorReferee::combined`] may be relative to a fresh
-    /// pull of the same parties. Parties that have never shipped are
-    /// not counted — callers comparing against ground truth should add
-    /// the budgets of silent parties.
+    /// The continuously valid full-window answer: the combined
+    /// estimate over every party's last shipped state, each at its own
+    /// maximum window. Off from a fresh pull fan-out by at most
+    /// [`MonitorReferee::staleness_bound`].
+    pub fn combined(&self) -> Estimate {
+        combine_estimates(self.entries.values().map(|e| e.syn.query_max()))
+    }
+
+    /// Query every slot at `window` and fold the answers. A slot that
+    /// refuses the window refuses the combine, and so does a total past
+    /// `u64` ([`combine_checked`]).
+    pub fn combine(&self, window: u64) -> Result<Estimate, WaveError> {
+        let reports = self
+            .entries
+            .values()
+            .map(|e| e.syn.query(window))
+            .collect::<Result<Vec<_>, _>>()?;
+        combine_checked(reports)
+    }
+
+    /// Sum of the slack budgets the parties that shipped deltas
+    /// declared: how stale [`MonitorReferee::combined`] may be relative
+    /// to a fresh pull of the same parties. Parties that have never
+    /// shipped are not counted — callers comparing against ground truth
+    /// should add the budgets of silent parties.
     pub fn staleness_bound(&self) -> f64 {
-        self.entries.values().map(|e| e.slack).sum()
+        self.entries
+            .values()
+            .filter_map(|e| e.delta)
+            .map(|d| d.1)
+            .sum()
     }
 
     /// Number of parties heard from.
@@ -290,16 +401,16 @@ impl MonitorReferee {
         self.entries.len()
     }
 
-    /// Highest sequence number seen from `party`.
+    /// Highest delta sequence number seen from `party`, or `None` if it
+    /// has never shipped a delta.
     pub fn seq_of(&self, party: u64) -> Option<u64> {
-        self.entries.get(&party).map(|e| e.seq)
+        self.entries.get(&party)?.delta.map(|(seq, _)| seq)
     }
 
     /// Re-encoded bytes of `party`'s installed state (byte-identical
-    /// to the shipped `MonitorDelta::bytes` by the codec's re-encode
-    /// convention).
+    /// to the shipped bytes by the codec's re-encode convention).
     pub fn encoded(&self, party: u64) -> Option<Vec<u8>> {
-        self.entries.get(&party).map(|e| e.wave.encode())
+        self.entries.get(&party).map(|e| e.syn.encode())
     }
 }
 
@@ -441,6 +552,105 @@ mod tests {
         }
         assert_eq!(referee.combined(), settled);
         assert_eq!(referee.seq_of(7), Some(last.seq));
+
+        // A pull push replaces the synopsis and keeps the seq: the
+        // older deltas stay no-ops against the pulled state.
+        let mut pulled = DetWave::new(c.max_window, c.eps_synopsis()).unwrap();
+        (0..9).for_each(|_| pulled.push_bit(true));
+        referee
+            .install_synopsis(7, SynopsisKind::DetWave, &pulled.encode())
+            .unwrap();
+        assert_eq!(referee.seq_of(7), Some(last.seq), "pull push reset the seq");
+        assert_eq!(referee.combined(), pulled.query_max());
+        for d in &deltas {
+            assert!(!referee.install(d).unwrap());
+        }
+        assert_eq!(referee.combined(), pulled.query_max());
+        assert_eq!(referee.parties(), 1);
+
+        // One referee over all four kinds, each answering as itself.
+        let mut sum = SumWave::new(100, 16, 0.25).unwrap();
+        let mut eh_count = EhCount::new(100, 0.25).unwrap();
+        let mut eh_sum = EhSum::new(100, 16, 0.25).unwrap();
+        for i in 0..300u64 {
+            let v = (i * 7 + 3) % 17;
+            sum.push_value(v).unwrap();
+            eh_count.push_bit(v % 3 == 0);
+            eh_sum.push_value(v).unwrap();
+        }
+        let parts = [
+            (8, SynopsisKind::SumWave, sum.encode()),
+            (9, SynopsisKind::EhCount, eh_count.encode()),
+            (10, SynopsisKind::EhSum, eh_sum.encode()),
+        ];
+        for (party, kind, bytes) in &parts[..2] {
+            referee.install_synopsis(*party, *kind, bytes).unwrap();
+        }
+        let (party, kind, bytes) = parts[2].clone();
+        let eh_delta = MonitorDelta {
+            party,
+            seq: 1,
+            slack: 0.5,
+            kind,
+            bytes,
+        };
+        assert!(referee.install(&eh_delta).unwrap());
+        for (party, _, bytes) in &parts {
+            assert_eq!(referee.encoded(*party).as_ref(), Some(bytes));
+        }
+        assert_eq!(referee.seq_of(8), None);
+        assert_eq!(referee.seq_of(10), Some(1));
+        assert_eq!(referee.staleness_bound(), last.slack + 0.5);
+        for window in [1, 40, 100] {
+            let want = combine_estimates([
+                pulled.query(window).unwrap(),
+                sum.query(window).unwrap(),
+                eh_count.query(window).unwrap(),
+                eh_sum.query(window).unwrap(),
+            ]);
+            assert_eq!(referee.combine(window).unwrap(), want, "window {window}");
+        }
+        // A window past one party's maximum refuses the combine; it is
+        // not answered without that party.
+        assert!(matches!(
+            referee.combine(101),
+            Err(WaveError::WindowTooLarge { max: 100, .. })
+        ));
+    }
+
+    /// In-process twin of the wire's forged-`2^62` case: four valid
+    /// `DetWave` encodes each claiming 2^62 ones sum past `u64`, and the
+    /// combine refuses rather than wraps; three of them plus a rank-1
+    /// party still fit, exactly.
+    #[test]
+    fn a_saturated_combine_is_refused_and_one_that_fits_is_exact() {
+        let huge = 1u64 << 62;
+        // DetWave::encode's layout with max_window = pos = 2^62, no
+        // expired rank and no stored entries: query_max is exact(rank).
+        let claiming = |rank: u64| {
+            let mut w = waves_core::codec::BitWriter::new();
+            w.write_gamma(huge); // max_window
+            w.write_gamma(4); // k
+            w.write_gamma0(huge); // pos
+            w.write_gamma0(rank);
+            w.write_gamma0(0); // r1
+            w.write_gamma0(0); // entries
+            w.finish()
+        };
+        let mut referee = MonitorReferee::new();
+        for party in 0..4 {
+            referee
+                .install_synopsis(party, SynopsisKind::DetWave, &claiming(huge))
+                .unwrap();
+        }
+        assert_eq!(
+            referee.combine(huge),
+            Err(WaveError::TooManyItemsInWindow { bound: u64::MAX })
+        );
+        referee
+            .install_synopsis(3, SynopsisKind::DetWave, &claiming(1))
+            .unwrap();
+        assert_eq!(referee.combine(huge), Ok(Estimate::exact(3 * huge + 1)));
     }
 
     #[test]

@@ -49,9 +49,8 @@
 //! (property-tested in this crate for all four synopsis types).
 
 use waves_core::bits::{byte_count, Bits};
-use waves_core::codec::CodecError;
-use waves_core::{DetWave, Estimate, SumWave, WaveError};
-use waves_eh::{EhCount, EhSum};
+use waves_core::{Estimate, WaveError};
+pub use waves_distributed::SynopsisKind;
 use waves_engine::{EngineSnapshot, KeyedBits, ShardSnapshot};
 use waves_store::crc::crc32;
 
@@ -114,76 +113,14 @@ const TYPE_SNAPSHOT_RESP: u8 = 0x83;
 const TYPE_STATS_RESP: u8 = 0x84;
 const TYPE_ERROR: u8 = 0x8F;
 
-/// Which synopsis a [`Frame::PushSynopsis`] payload contains. The wire
-/// byte is stable (part of the protocol); the payload bytes are the
-/// synopsis's own `encode()` output, untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum SynopsisKind {
-    /// [`waves_core::DetWave`] (deterministic wave, Basic Counting).
-    DetWave = 0,
-    /// [`waves_core::SumWave`] (deterministic wave over sums).
-    SumWave = 1,
-    /// [`waves_eh::EhCount`] (exponential histogram, Basic Counting).
-    EhCount = 2,
-    /// [`waves_eh::EhSum`] (exponential histogram over sums).
-    EhSum = 3,
-}
-
-impl SynopsisKind {
-    fn from_wire(b: u8) -> Result<Self, FrameError> {
-        match b {
-            0 => Ok(SynopsisKind::DetWave),
-            1 => Ok(SynopsisKind::SumWave),
-            2 => Ok(SynopsisKind::EhCount),
-            3 => Ok(SynopsisKind::EhSum),
-            _ => Err(FrameError::Malformed("unknown synopsis kind")),
-        }
-    }
-}
-
-/// A decoded party synopsis held by the networked referee. Wraps the
-/// four concrete synopsis types behind one query interface so the
-/// referee can mix parties running different synopses.
-#[derive(Debug, Clone)]
-pub enum PartySynopsis {
-    Det(DetWave),
-    Sum(SumWave),
-    EhCount(EhCount),
-    EhSum(EhSum),
-}
-
-impl PartySynopsis {
-    /// Decode the wire bytes for `kind` through the synopsis's own
-    /// codec. Errors mean the payload did not survive transport (or the
-    /// sender lied about the kind).
-    pub fn decode(kind: SynopsisKind, bytes: &[u8]) -> Result<Self, CodecError> {
-        Ok(match kind {
-            SynopsisKind::DetWave => PartySynopsis::Det(DetWave::decode(bytes)?),
-            SynopsisKind::SumWave => PartySynopsis::Sum(SumWave::decode(bytes)?),
-            SynopsisKind::EhCount => PartySynopsis::EhCount(EhCount::decode(bytes)?),
-            SynopsisKind::EhSum => PartySynopsis::EhSum(EhSum::decode(bytes)?),
-        })
-    }
-
-    /// Answer a window query against whichever synopsis this is.
-    pub fn query(&self, window: u64) -> Result<Estimate, WaveError> {
-        match self {
-            PartySynopsis::Det(w) => w.query(window),
-            PartySynopsis::Sum(w) => w.query(window),
-            PartySynopsis::EhCount(e) => e.query(window),
-            PartySynopsis::EhSum(e) => e.query(window),
-        }
-    }
-
-    /// The wire kind byte this synopsis travels under.
-    pub fn kind(&self) -> SynopsisKind {
-        match self {
-            PartySynopsis::Det(_) => SynopsisKind::DetWave,
-            PartySynopsis::Sum(_) => SynopsisKind::SumWave,
-            PartySynopsis::EhCount(_) => SynopsisKind::EhCount,
-            PartySynopsis::EhSum(_) => SynopsisKind::EhSum,
-        }
+/// The [`SynopsisKind`] a wire byte names (the byte is `kind as u8`).
+fn kind_from_wire(b: u8) -> Result<SynopsisKind, FrameError> {
+    match b {
+        0 => Ok(SynopsisKind::DetWave),
+        1 => Ok(SynopsisKind::SumWave),
+        2 => Ok(SynopsisKind::EhCount),
+        3 => Ok(SynopsisKind::EhSum),
+        _ => Err(FrameError::Malformed("unknown synopsis kind")),
     }
 }
 
@@ -702,14 +639,14 @@ impl WireCodec {
             },
             TYPE_PUSH_SYNOPSIS => {
                 let party = r.u64()?;
-                let kind = SynopsisKind::from_wire(r.u8()?)?;
+                let kind = kind_from_wire(r.u8()?)?;
                 let len = r.u32()? as usize;
                 let bytes = r.take(len)?.to_vec();
                 Frame::PushSynopsis { party, kind, bytes }
             }
             TYPE_REPLICATE => {
                 let key = r.u64()?;
-                let kind = SynopsisKind::from_wire(r.u8()?)?;
+                let kind = kind_from_wire(r.u8()?)?;
                 let len = r.u32()? as usize;
                 let bytes = r.take(len)?.to_vec();
                 Frame::Replicate { key, kind, bytes }
@@ -721,7 +658,7 @@ impl WireCodec {
                 if !slack.is_finite() || slack < 0.0 {
                     return Err(FrameError::Malformed("push delta slack"));
                 }
-                let kind = SynopsisKind::from_wire(r.u8()?)?;
+                let kind = kind_from_wire(r.u8()?)?;
                 let len = r.u32()? as usize;
                 let bytes = r.take(len)?.to_vec();
                 Frame::PushDelta {
@@ -1156,8 +1093,8 @@ mod tests {
             (SynopsisKind::EhSum, 3),
         ] {
             assert_eq!(kind as u8, byte);
-            assert_eq!(SynopsisKind::from_wire(byte).unwrap(), kind);
+            assert_eq!(kind_from_wire(byte).unwrap(), kind);
         }
-        assert!(SynopsisKind::from_wire(4).is_err());
+        assert!(kind_from_wire(4).is_err());
     }
 }

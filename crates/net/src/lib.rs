@@ -1,7 +1,7 @@
 //! `waves-net`: the networked transport for waves — a versioned binary
-//! wire protocol, a TCP server hosting the serving engine plus a
-//! networked referee, a blocking client with real timeout/retry
-//! behavior, and a fault-injection proxy to prove the failure paths.
+//! wire protocol, a TCP server hosting the serving engine plus the
+//! referee, a blocking client with real timeout/retry behavior, and a
+//! fault-injection proxy to prove the failure paths.
 //!
 //! The paper's distributed-streams model has parties ship synopses to a
 //! referee at query time; everywhere else in this workspace that happens
@@ -24,12 +24,11 @@
 //!   shard as one engine batch. Only requests that wait on a shard
 //!   worker's reply (query, flush, snapshot, stats, replicate) cross
 //!   to a small dispatch pool. Everything a readiness cycle produced
-//!   leaves in one `write` per connection. The referee map behind
-//!   [`Frame::PushSynopsis`] / [`Frame::Combine`] reuses the in-process
-//!   combine rule ([`waves_distributed::combine_estimates`]); wire v7's
-//!   [`Frame::PushDelta`] feeds the same map in continuous-monitoring
-//!   push mode, deduplicated by per-party sequence numbers so retries
-//!   and late reordered deltas cannot roll the referee back. Requests
+//!   leaves in one `write` per connection. [`Frame::PushSynopsis`],
+//!   [`Frame::PushDelta`] and [`Frame::Combine`] are one call each on
+//!   the one referee, [`waves_distributed::MonitorReferee`], so its
+//!   sequence dedupe (retries and late reordered deltas cannot roll it
+//!   back) and its saturating combine are written once. Requests
 //!   pipeline per connection (bounded in-flight window, bounded
 //!   out-buffers, out-of-order completion by correlation id).
 //! * [`client`] — [`Client`]: blocking request/response with connect/
@@ -66,12 +65,14 @@ pub mod server;
 
 pub use chaos::{ChaosProxy, Fault};
 pub use client::{Client, ClientConfig, RetryPolicy};
-pub use frame::{Frame, FrameError, FrameTag, PartySynopsis, SynopsisKind, WireCodec};
+pub use frame::{Frame, FrameError, FrameTag, SynopsisKind, WireCodec};
 pub use server::{Server, ServerConfig};
+pub use waves_distributed::PartySynopsis;
 
 #[cfg(test)]
 mod proptests {
     use super::frame::*;
+    use super::PartySynopsis;
     use proptest::prelude::*;
     use waves_core::{DetWave, SumWave};
     use waves_eh::{EhCount, EhSum};
@@ -99,13 +100,7 @@ mod proptests {
                 assert_eq!(k, kind);
                 assert_eq!(bytes, encoded, "synopsis bytes mutated in transit");
                 let syn = PartySynopsis::decode(k, &bytes).unwrap();
-                let reencoded = match syn {
-                    PartySynopsis::Det(w) => w.encode(),
-                    PartySynopsis::Sum(w) => w.encode(),
-                    PartySynopsis::EhCount(e) => e.encode(),
-                    PartySynopsis::EhSum(e) => e.encode(),
-                };
-                assert_eq!(reencoded, encoded, "re-encode not byte-identical");
+                assert_eq!(syn.encode(), encoded, "re-encode not byte-identical");
             }
             other => panic!("wrong frame came back: {other:?}"),
         }

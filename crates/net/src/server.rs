@@ -1,5 +1,5 @@
-//! The TCP server: a [`waves_engine::Engine`] plus a networked referee
-//! behind the frame protocol.
+//! The TCP server: a [`waves_engine::Engine`] plus the referee
+//! ([`MonitorReferee`]) behind the frame protocol.
 //!
 //! One event-loop thread owns every socket: a [`poll::Poller`]
 //! (vendored epoll shim — the workspace is std-only) watches the
@@ -78,12 +78,12 @@ use std::time::{Duration, Instant};
 
 use poll::{Events, Interest, Poller, Token, Waker};
 use waves_core::{DetWave, WaveError};
-use waves_distributed::combine_estimates;
+use waves_distributed::{MonitorDelta, MonitorReferee};
 use waves_engine::{Engine, EngineConfig, IngestRequest, KeyedBits};
 use waves_obs::trace::{next_span_id, now_ns, Span, Stage, TraceCtx, TraceId, ROOT_SPAN_ID};
 use waves_obs::{Event, HistId, MetricId, NoopRecorder, Recorder};
 
-use crate::frame::{Frame, FrameError, FrameTag, PartySynopsis, SynopsisKind, WireCodec};
+use crate::frame::{Frame, FrameError, FrameTag, SynopsisKind, WireCodec};
 
 /// Server configuration: the embedded engine's config plus transport
 /// knobs.
@@ -158,21 +158,12 @@ struct Done {
     bytes: Vec<u8>,
 }
 
-/// One party's slot in the networked referee.
-struct RefereeEntry {
-    /// Last installed synopsis (pull-mode push or monitoring delta).
-    syn: PartySynopsis,
-    /// Highest PUSH_DELTA sequence seen and the slack declared with
-    /// it; `None` until the party pushes a delta. A delta whose
-    /// sequence does not advance it is a no-op, so retried and late
-    /// reordered pushes cannot roll the referee back.
-    delta: Option<(u64, f64)>,
-}
-
 struct Shared<R: Recorder + Send + Sync + 'static> {
     engine: Engine<DetWave, R>,
-    /// Party id -> its referee slot, queried by `Combine`.
-    referee: Mutex<HashMap<u64, RefereeEntry>>,
+    /// The referee behind PUSH_SYNOPSIS, PUSH_DELTA and COMBINE. Held
+    /// from a delta's sequence check through its install, so a racing
+    /// duplicate on another dispatch worker sees the new sequence.
+    referee: Mutex<MonitorReferee>,
     rec: Arc<R>,
     slow_request: Option<Duration>,
     stopping: AtomicBool,
@@ -227,7 +218,7 @@ impl<R: Recorder + Send + Sync + 'static> Server<R> {
         let waker = Waker::new(&poller, WAKER).map_err(WaveError::io)?;
         let shared = Arc::new(Shared {
             engine,
-            referee: Mutex::new(HashMap::new()),
+            referee: Mutex::new(MonitorReferee::new()),
             rec,
             slow_request: cfg.slow_request,
             stopping: AtomicBool::new(false),
@@ -296,23 +287,15 @@ impl<R: Recorder + Send + Sync + 'static> Server<R> {
         self.local_addr
     }
 
-    /// Parties currently registered with the networked referee.
+    /// Parties currently registered with the referee.
     pub fn referee_parties(&self) -> usize {
-        self.shared.referee.lock().unwrap().len()
+        self.shared.referee.lock().unwrap().parties()
     }
 
     /// Highest PUSH_DELTA sequence number seen from `party` (continuous
     /// monitoring), or `None` if the party has never pushed a delta.
     pub fn monitor_seq_of(&self, party: u64) -> Option<u64> {
-        let referee = self.shared.referee.lock().unwrap();
-        referee.get(&party)?.delta.map(|(seq, _)| seq)
-    }
-
-    /// Sum of the slack budgets declared by parties that have pushed
-    /// deltas: the staleness bound on `Combine` answers over them.
-    pub fn monitor_slack_total(&self) -> f64 {
-        let referee = self.shared.referee.lock().unwrap();
-        referee.values().filter_map(|e| e.delta).map(|d| d.1).sum()
+        self.shared.referee.lock().unwrap().seq_of(party)
     }
 
     /// The hosted engine. Lets a harness drive engine-level operations
@@ -832,10 +815,7 @@ impl<R: Recorder + Send + Sync + 'static> EventLoop<R> {
                         conn.paused = true;
                         set_interest(&self.poller, conn, Token(id), false);
                     }
-                    let refusal = Frame::ErrorResp(WaveError::io(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("bad frame: {e}"),
-                    )));
+                    let refusal = invalid_data(format!("bad frame: {e}"));
                     let start = conn.out.bytes.len();
                     WireCodec::encode_tagged_into(
                         &refusal,
@@ -1185,30 +1165,19 @@ fn dispatch<R: Recorder + Send + Sync + 'static>(
             Ok(est) => Frame::EstimateResp(est),
             Err(e) => Frame::ErrorResp(e),
         },
-        Frame::PushSynopsis { party, kind, bytes } => match PartySynopsis::decode(kind, &bytes) {
-            Ok(syn) => {
-                // A pull-mode push replaces the synopsis but keeps the
-                // party's delta high-water mark, so a replayed older
-                // PUSH_DELTA still cannot overwrite it.
-                let mut referee = shared.referee.lock().unwrap();
-                let delta = referee.get(&party).and_then(|e| e.delta);
-                referee.insert(party, RefereeEntry { syn, delta });
-                Frame::Ok
+        Frame::PushSynopsis { party, kind, bytes } => {
+            let mut referee = shared.referee.lock().unwrap();
+            match referee.install_synopsis(party, kind, &bytes) {
+                Ok(()) => Frame::Ok,
+                Err(e) => invalid_data(format!("synopsis decode failed: {e}")),
             }
-            Err(e) => Frame::ErrorResp(WaveError::io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("synopsis decode failed: {e}"),
-            ))),
-        },
+        }
         Frame::Replicate { key, kind, bytes } => {
             // This server hosts a DetWave engine; a primary shipping any
             // other synopsis kind is misconfigured, and installing its
             // bytes would corrupt the key silently.
             if kind != SynopsisKind::DetWave {
-                Frame::ErrorResp(WaveError::io(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("replicate kind {kind:?} not hosted by this server"),
-                )))
+                invalid_data(format!("replicate kind {kind:?} not hosted by this server"))
             } else {
                 match shared.engine.install_synopsis(key, bytes) {
                     Ok(()) => Frame::Ok,
@@ -1223,63 +1192,51 @@ fn dispatch<R: Recorder + Send + Sync + 'static>(
             kind,
             bytes,
         } => {
-            // Deduplicate by sequence *before* decoding: a stale or
-            // replayed delta is answered Ok without touching state,
-            // which is what makes PUSH_DELTA retry-safe (idempotent)
-            // and late reordering harmless. The lock is held from the
-            // check through the install, so a racing duplicate on
-            // another dispatch worker sees the new sequence.
-            let mut referee = shared.referee.lock().unwrap();
-            let last = referee.get(&party).and_then(|e| e.delta);
-            if last.is_some_and(|(last, _)| last >= seq) {
-                shared.rec.incr(MetricId::MonitorStaleDeltas, 1);
-                return Frame::Ok;
-            }
-            match PartySynopsis::decode(kind, &bytes) {
-                Ok(syn) => {
-                    let delta = Some((seq, slack));
-                    referee.insert(party, RefereeEntry { syn, delta });
+            // A stale or replayed delta is answered Ok without touching
+            // state, which is what makes PUSH_DELTA retry-safe
+            // (idempotent) and late reordering harmless.
+            let delta = MonitorDelta {
+                party,
+                seq,
+                slack,
+                kind,
+                bytes,
+            };
+            let installed = shared.referee.lock().unwrap().install(&delta);
+            match installed {
+                Ok(true) => {
                     shared.rec.incr(MetricId::MonitorPushes, 1);
-                    shared
-                        .rec
-                        .incr(MetricId::MonitorPushBytes, bytes.len() as u64);
+                    let len = delta.bytes.len() as u64;
+                    shared.rec.incr(MetricId::MonitorPushBytes, len);
                     Frame::Ok
                 }
-                Err(e) => Frame::ErrorResp(WaveError::io(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("push delta decode failed: {e}"),
-                ))),
-            }
-        }
-        Frame::Combine { window } => {
-            let referee = shared.referee.lock().unwrap();
-            let mut reports = Vec::with_capacity(referee.len());
-            for entry in referee.values() {
-                match entry.syn.query(window) {
-                    Ok(est) => reports.push(est),
-                    Err(e) => return Frame::ErrorResp(e),
+                Ok(false) => {
+                    shared.rec.incr(MetricId::MonitorStaleDeltas, 1);
+                    Frame::Ok
                 }
+                Err(e) => invalid_data(format!("push delta decode failed: {e}")),
             }
-            // The same additive combine rule the in-process scenario
-            // drivers use (waves-distributed). It saturates rather
-            // than wraps: a total past u64 is refused, not answered.
-            let total = combine_estimates(reports);
-            if total.hi == u64::MAX {
-                return Frame::ErrorResp(WaveError::TooManyItemsInWindow { bound: u64::MAX });
-            }
-            Frame::EstimateResp(total)
         }
+        Frame::Combine { window } => match shared.referee.lock().unwrap().combine(window) {
+            Ok(total) => Frame::EstimateResp(total),
+            Err(e) => Frame::ErrorResp(e),
+        },
         // A response frame arriving as a request is a protocol error.
         Frame::Ok
         | Frame::Pong
         | Frame::EstimateResp(_)
         | Frame::SnapshotResp(_)
         | Frame::StatsResp(_)
-        | Frame::ErrorResp(_) => Frame::ErrorResp(WaveError::io(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "response frame sent as request",
-        ))),
+        | Frame::ErrorResp(_) => invalid_data("response frame sent as request"),
     }
+}
+
+/// A refusal of malformed input: an `Io(InvalidData)` carrying `msg`.
+fn invalid_data(msg: impl Into<String>) -> Frame {
+    Frame::ErrorResp(WaveError::io(std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        msg.into(),
+    )))
 }
 
 #[cfg(test)]

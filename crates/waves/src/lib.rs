@@ -101,9 +101,9 @@ pub use waves_rand::{
 
 pub use waves_distributed::{
     combine_estimates, coord_distinct_estimate, coord_union_estimate, det_combine, run_threaded,
-    simulate_async_union, AsyncQueryOutcome, CommStats, CoordDistinctParty, CoordSampleParty,
-    DetCombine, MonitorConfig, MonitorDelta, MonitorReferee, PartyComm, PushParty, Scenario1Count,
-    Scenario1Sum, Scenario2Count, Scenario3PositionwiseSum, ThreadedRun,
+    CommStats, CoordDistinctParty, CoordSampleParty, DetCombine, MonitorConfig, MonitorDelta,
+    MonitorReferee, PartyComm, PushParty, Scenario1Count, Scenario1Sum, Scenario2Count,
+    Scenario3PositionwiseSum, ThreadedRun,
 };
 
 /// Networked transport: wire protocol, TCP server/client, networked
