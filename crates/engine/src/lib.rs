@@ -8,9 +8,11 @@
 //! maintaining *millions* of window synopses under sustained ingest.
 //! This crate is that missing layer:
 //!
-//! * keys hash to one of `num_shards` worker threads (std threads +
-//!   mpsc — the workspace is std-only), each owning a private
-//!   `HashMap<Key, S>` so the hot path takes **no cross-shard locks**;
+//! * keys hash to one of `num_shards` worker threads (std threads, each
+//!   fed by its own bounded FIFO — the workspace is std-only), each
+//!   owning a private `HashMap<Key, S>` so the hot path takes **no
+//!   cross-shard locks**; the FIFO wakes a blocked producer once per
+//!   half queue drained, not once per command (`queue.rs`);
 //! * ingestion flows through **one** entry point, [`Engine::ingest`],
 //!   taking an [`IngestRequest`]: keyed **word-packed** bit batches
 //!   ([`waves_core::Bits`] — 64 bits per queue/WAL/apply step), an
@@ -56,7 +58,7 @@
 use std::collections::{hash_map, HashMap};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::TrySendError;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -67,6 +69,8 @@ use waves_obs::{Event, HistId, MetricId, NoopRecorder, Recorder, ShardStat};
 use waves_store::{ShardStore, Store};
 
 pub use waves_store::{PersistConfig, SyncPolicy};
+
+mod queue;
 
 /// Stream identity: every key owns an independent synopsis.
 pub type Key = u64;
@@ -165,7 +169,11 @@ pub struct EngineConfig {
     /// Worker threads; keys hash across them. At least 1.
     pub num_shards: usize,
     /// Bounded per-shard command-queue capacity (ingest batches plus
-    /// in-flight queries). At least 1.
+    /// in-flight queries). At least 1. It also sets the queue's wake
+    /// rule: a caller blocked on a full queue (blocking ingest, query,
+    /// flush, …) is woken once the worker has drained it to
+    /// `queue_capacity / 2`, and while one is blocked, non-blocking
+    /// ingest into that shard is refused rather than let past it.
     pub queue_capacity: usize,
     /// Maximum queryable window `N` for every per-key synopsis.
     pub max_window: u64,
@@ -358,14 +366,14 @@ impl EngineSnapshot {
 }
 
 struct ShardHandle {
-    tx: Option<SyncSender<Cmd>>,
+    tx: Option<queue::Sender<Cmd>>,
     /// Ingest batches enqueued but not yet applied by the worker.
     depth: Arc<AtomicUsize>,
     worker: Option<JoinHandle<()>>,
 }
 
 impl ShardHandle {
-    fn tx(&self) -> &SyncSender<Cmd> {
+    fn tx(&self) -> &queue::Sender<Cmd> {
         self.tx.as_ref().expect("sender live until Drop")
     }
 }
@@ -520,7 +528,7 @@ where
                 }
                 _ => (HashMap::new(), None),
             };
-            let (tx, rx) = std::sync::mpsc::sync_channel::<Cmd>(capacity);
+            let (tx, rx) = queue::bounded::<Cmd>(capacity);
             let depth = Arc::new(AtomicUsize::new(0));
             let worker_depth = Arc::clone(&depth);
             let worker_factory = Arc::clone(&factory);
@@ -649,18 +657,19 @@ where
     }
 
     /// The single ingest entry point: deliver every entry of `req`,
-    /// grouped into one sub-batch per shard (one channel round-trip per
+    /// grouped into one sub-batch per shard (one queue slot per
     /// shard, not per event).
     ///
     /// Non-blocking (the default): a full shard queue sheds that shard's
     /// entire sub-batch — the shed item count lands in
     /// [`Engine::dropped_items`] and the first failing shard's
     /// [`WaveError::Backpressure`] is returned — while sub-batches for
-    /// healthy shards are still delivered.
+    /// healthy shards are still delivered. A queue that a blocked caller
+    /// is waiting on counts as full until it has drained to half.
     ///
     /// With [`IngestRequest::blocking`], waits for queue space instead
     /// (the lossless replay path used by the CLI and benches) and always
-    /// returns `Ok`.
+    /// returns `Ok`; a full queue wakes it once it has drained to half.
     ///
     /// With [`IngestRequest::traced`], each shard's worker records
     /// queue-wait, apply, and WAL spans parented to `ctx.parent` under
@@ -860,7 +869,7 @@ where
 {
     fn drop(&mut self) {
         for shard in &mut self.shards {
-            shard.tx = None; // close the channel; the worker drains and exits
+            shard.tx = None; // close the queue; the worker drains and exits
         }
         for shard in &mut self.shards {
             if let Some(worker) = shard.worker.take() {
@@ -921,13 +930,13 @@ fn family_of(key: Key) -> usize {
 /// an unrecoverable WAL io error disables durability for this shard
 /// (serving continues from memory) and is surfaced as a
 /// `store.wal.disabled` event plus a failed reply to the next explicit
-/// checkpoint. Clean shutdown (channel closed) writes a final
+/// checkpoint. Clean shutdown (queue closed) writes a final
 /// checkpoint so `OnCheckpoint` deployments lose nothing across a
 /// graceful restart.
 #[allow(clippy::too_many_arguments)]
 fn shard_worker<S, R, F>(
     shard: usize,
-    rx: Receiver<Cmd>,
+    rx: queue::Receiver<Cmd>,
     depth: Arc<AtomicUsize>,
     factory: Arc<F>,
     rec: Arc<R>,

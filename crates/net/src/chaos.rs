@@ -223,10 +223,13 @@ fn pump(from: &mut TcpStream, to: &mut TcpStream, fault: Fault, forwarded: &Atom
                 chunk.truncate(limit - offset);
             }
         }
+        // Counted before the write, so a client that has read these bytes
+        // always finds them counted.
+        forwarded.fetch_add(chunk.len() as u64, Ordering::Relaxed);
         if to.write_all(&chunk).is_err() {
+            forwarded.fetch_sub(chunk.len() as u64, Ordering::Relaxed);
             break;
         }
-        forwarded.fetch_add(chunk.len() as u64, Ordering::Relaxed);
         offset += n;
         if let Fault::TruncateAfter(limit) = fault {
             if offset >= limit {

@@ -594,6 +594,47 @@ mod tests {
         }
     }
 
+    /// OPERATIONS.md §4.2 is the operator's metrics reference: every
+    /// registry id has a row in the table for its kind, and every row
+    /// names a registry id.
+    #[test]
+    fn operations_metrics_reference_matches_the_registry() {
+        let doc = include_str!("../../../OPERATIONS.md");
+        let section = doc
+            .split("### 4.2 Metrics reference")
+            .nth(1)
+            .and_then(|rest| rest.split("\n### ").next())
+            .expect("OPERATIONS.md has a §4.2");
+        // The backticked name in the first cell of each table row.
+        let mut rows: [Vec<&str>; 2] = [Vec::new(), Vec::new()];
+        let mut table = None;
+        for line in section.lines() {
+            if line.starts_with("| counter ") {
+                table = Some(0);
+            } else if line.starts_with("| histogram ") {
+                table = Some(1);
+            } else if let (Some(t), Some(cell)) = (table, line.strip_prefix("| `")) {
+                rows[t].push(cell.split('`').next().expect("split yields one piece"));
+            }
+        }
+        let registry: [Vec<&str>; 2] = [
+            MetricId::ALL.iter().map(|id| id.name()).collect(),
+            HistId::ALL.iter().map(|id| id.name()).collect(),
+        ];
+        for ((kind, rows), ids) in ["counter", "histogram"].iter().zip(&rows).zip(&registry) {
+            let missing: Vec<_> = ids.iter().filter(|name| !rows.contains(name)).collect();
+            let unknown: Vec<_> = rows.iter().filter(|name| !ids.contains(name)).collect();
+            assert!(
+                missing.is_empty(),
+                "{kind}s with no row in OPERATIONS.md §4.2: {missing:?}"
+            );
+            assert!(
+                unknown.is_empty(),
+                "OPERATIONS.md §4.2 {kind} rows that name no registry id: {unknown:?}"
+            );
+        }
+    }
+
     #[test]
     fn noop_is_disabled() {
         let r = NoopRecorder;
