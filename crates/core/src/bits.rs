@@ -256,9 +256,20 @@ impl<'a> BitsRef<'a> {
         self.words
     }
 
-    /// Number of 1-bits among the first `len` bits.
+    /// Number of 1-bits among the first `len` bits: the whole words in
+    /// one branch-free sum, which the compiler vectorizes, and the final
+    /// word masked.
     pub fn count_ones(&self) -> u64 {
-        self.chunks().map(|(w, _)| w.count_ones() as u64).sum()
+        let whole = (self.len / 64) as usize;
+        let tail = match self.len % 64 {
+            0 => 0,
+            r => (self.words[whole] & ((1 << r) - 1)).count_ones() as u64,
+        };
+        self.words[..whole]
+            .iter()
+            .map(|w| w.count_ones() as u64)
+            .sum::<u64>()
+            + tail
     }
 
     /// Bit `i` (panics when `i >= len`).
@@ -524,6 +535,12 @@ mod tests {
         assert_eq!(view.count_ones(), 3);
         assert_eq!(view.iter().collect::<Vec<bool>>(), vec![true; 3]);
         assert_eq!(view.to_owned_bits().words(), &[0b111]);
+        // Past whole words too, and at a word's end.
+        let dirty = [u64::MAX; 3];
+        for len in [65, 128, 190] {
+            let view = BitsRef::new(&dirty[..word_count(len)], len);
+            assert_eq!(view.count_ones(), len);
+        }
     }
 
     #[test]

@@ -244,7 +244,9 @@ impl DetWave {
     /// located with `trailing_zeros`, and the 0s before each — including
     /// whole zero words — are one addition to the clock. Only the 1s the
     /// wave could still hold when the call returns go through Figure 4's
-    /// step 3, a queue's worth at each end of each level's arrivals:
+    /// step 3: at a level whose stored entries the call evicts whole,
+    /// which are removed up front, the last queue's worth of its
+    /// arrivals; at the others, a queue's worth at each end.
     /// `O(min(ones, (1/eps) log(eps ones)))` of them when the call is no
     /// longer than the window (a longer one stores every 1). The 1s
     /// between are counted, not visited: a popcount passes a word that

@@ -318,19 +318,26 @@ impl Core {
         }
     }
 
+    /// Make `next` follow `prev` on the list; `NIL` on either side is
+    /// the list's end there.
+    #[inline(always)]
+    fn link<P, W>(&mut self, s: &mut [Slot<P, W>], prev: u32, next: u32) {
+        match prev {
+            NIL => self.head = next,
+            p => s[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => s[n as usize].prev = prev,
+        }
+    }
+
     /// Take the oldest entry of `level` off its queue and the list.
     #[inline(always)]
     fn pop<P: Stamp, W: Weight>(&mut self, s: &mut [Slot<P, W>], level: u32) -> Entry<W> {
         let at = self.rings[level as usize].pop_front(self.cap(level));
         let cell = s[(level * self.lower_cap + at.expect("level holds an entry")) as usize];
-        match cell.prev {
-            NIL => self.head = cell.next,
-            p => s[p as usize].next = cell.next,
-        }
-        match cell.next {
-            NIL => self.tail = cell.prev,
-            n => s[n as usize].prev = cell.prev,
-        }
+        self.link(s, cell.prev, cell.next);
         self.len -= 1;
         self.entry(&cell)
     }
@@ -700,21 +707,68 @@ impl<W: Weight> Ladder<W> {
 }
 
 impl Core {
-    /// Where [`Ladder::push_ones`] stands at `rank`, one of a batch's
-    /// ranks `(first, end]`: the mask a rank of this zone must clear to
-    /// be stored, and the zone's last rank.
+    /// Empty, before a batch of `ones` 1s that ends at position `until`,
+    /// the levels that batch evicts whole, and return how many: a prefix
+    /// `0..eager`. Level `l` is one when the batch brings a queue's worth
+    /// of its arrivals (`lower_cap << (l + 1) <= ones`) and its oldest
+    /// entry outlives the batch; the top level, of another capacity, never
+    /// is. An entry removed here would have been evicted before it could
+    /// expire, so it never moves the boundary, and each level of the
+    /// prefix goes on to hold exactly its last `lower_cap` arrivals: the
+    /// state per-bit pushes leave.
     ///
-    /// A level below the top sees a rank every `2^(level + 1)`. So with
-    /// `m` ranks of the batch to the nearer end of the range, an entry
-    /// of level `l` has `lower_cap` later arrivals of its level to evict
-    /// it, after `lower_cap` earlier ones that evicted everything older,
-    /// exactly when `lower_cap << (l + 1) <= m`. With `j` the largest
-    /// shift that `lower_cap << j <= m` allows, that is every rank but
-    /// the multiples of `2^j`. The top level, of another spacing and
-    /// capacity, is never strided: `j` stops at it.
-    fn stride_zone(&self, first: u64, rank: u64, end: u64) -> (u64, u64) {
+    /// The removal is one walk back from the newest entry. The slab is
+    /// partitioned by level, so a slot below `eager * lower_cap` is a
+    /// removed one; each kept slot is relinked to the kept one after it,
+    /// and the walk stops at the last removed slot. Out of line: only a
+    /// batch of more than four queues of 1s asks.
+    #[inline(never)]
+    fn evict_ahead<P: Stamp, W>(&mut self, s: &mut [Slot<P, W>], ones: u64, until: u64) -> u32 {
+        let (mut eager, mut removed) = (0, 0);
+        while eager + 1 < self.num_levels && (self.lower_cap as u64) << (eager + 1) <= ones {
+            let ring = self.rings[eager as usize];
+            let oldest = &s[(eager * self.lower_cap + ring.start) as usize];
+            if ring.len > 0 && oldest.pos.full(self.pos) + self.max_window <= until {
+                break;
+            }
+            (eager, removed) = (eager + 1, removed + ring.len);
+        }
+        self.rings[..eager as usize].fill(Ring::default());
+        self.len -= removed;
+        let (mut at, mut after) = (self.tail, NIL);
+        while removed > 0 {
+            let prev = s[at as usize].prev;
+            if at < eager * self.lower_cap {
+                removed -= 1;
+            } else {
+                self.link(s, at, after);
+                after = at;
+            }
+            at = prev;
+        }
+        self.link(s, at, after);
+        eager
+    }
+
+    /// Where [`Ladder::push_ones`] stands at `rank`, one of a batch's
+    /// ranks `(first, end]`, with levels `0..eager` emptied before it
+    /// ([`Core::evict_ahead`]): the mask a rank of this zone must clear
+    /// to be stored, and the zone's last rank.
+    ///
+    /// A level below the top sees a rank every `2^(level + 1)`. So an
+    /// entry of level `l` with `b` ranks of the batch after it has
+    /// `lower_cap` later arrivals of its level to evict it exactly when
+    /// `lower_cap << (l + 1) <= b`. It is passed over when it is also
+    /// evicting nothing: its level was emptied, or it has `a` ranks of
+    /// the batch before it with `lower_cap << (l + 1) <= a`, whose
+    /// arrivals evicted everything older. With `j` the largest shift that
+    /// `lower_cap << j <= m` allows, for `m = min(b, max(a, lower_cap <<
+    /// eager))`, that is every rank but the multiples of `2^j`. The top
+    /// level, of another spacing and capacity, is never strided: `j`
+    /// stops at it.
+    fn stride_zone(&self, first: u64, rank: u64, end: u64, eager: u32) -> (u64, u64) {
         let lower = self.lower_cap as u64;
-        let m = (rank - first - 1).min(end - rank);
+        let m = (rank - first - 1).max(lower << eager).min(end - rank);
         let j = if m < 2 * lower {
             0
         } else {
@@ -789,15 +843,18 @@ impl Ladder<()> {
     /// The bit waves' batch push: the 1s of `bits`, oldest first, each
     /// at the level of its rank ([`rank_level`]) — but only those Figure
     /// 4 could still hold when the batch ends, or could have evicted an
-    /// older entry with. A 1 with a queue's worth of its level's
-    /// arrivals on both sides inside the batch is neither: it is counted
-    /// and passed over ([`Core::stride_zone`]), a whole word of them on
-    /// one popcount, fewer on one select ([`clear_lowest_ones`]): the
-    /// 1s passed over cost nothing each. Every other 1 moves the clock —
-    /// over everything since the last stored 1 — and is inserted, so
-    /// what was stored before the batch is evicted and expired in
-    /// per-bit order and the state is the one per-bit pushes leave,
-    /// boundary included. Returns the number of entries stored.
+    /// older entry with. First, the levels the batch evicts whole are
+    /// emptied up front ([`Core::evict_ahead`]), so at those levels only
+    /// the last queue's worth of arrivals is stored. A 1 with a queue's
+    /// worth of its level's arrivals after it inside the batch, and
+    /// either an emptied level or a queue's worth before it too, is
+    /// counted and passed over ([`Core::stride_zone`]), a whole word of
+    /// them on one popcount, fewer on one select ([`clear_lowest_ones`]):
+    /// the 1s passed over cost nothing each. Every other 1 moves the
+    /// clock — over everything since the last stored 1 — and is
+    /// inserted, so what is left from before the batch is evicted and
+    /// expired in per-bit order and the state is the one per-bit pushes
+    /// leave, boundary included. Returns the number of entries stored.
     ///
     /// Passing over rests on no entry of the batch expiring inside it:
     /// a batch longer than the window stores every 1.
@@ -806,28 +863,33 @@ impl Ladder<()> {
     /// with the slot width matched once; where the batch stands is asked
     /// out of line, when the countdown runs out, and each ask is O(1):
     /// a popcount or a select, never a walk over the 1s it passes. A
-    /// batch of up to four queues of 1s, which has none to pass over,
-    /// never asks and is not so much as counted: it costs the per-1 loop
-    /// and a decrement.
+    /// batch of up to four queues of 1s never asks and empties nothing;
+    /// it is counted only when it has more bits than that, and otherwise
+    /// costs the per-1 loop and a decrement.
     pub(crate) fn push_ones(&mut self, bits: BitsRef<'_>) -> u64 {
-        let c = &mut self.core;
-        let (first, start) = (c.total, c.pos);
-        // Four queues of 1s are stored before anything is asked: fewer
-        // have none to pass over, and storing more than need be is sound.
-        let (mut mask, mut zone_end) = (0, first + 4 * c.lower_cap as u64);
-        // 1s to store before asking what to pass over.
-        let mut run = if bits.len() <= c.max_window {
-            zone_end - first
-        } else {
-            u64::MAX
+        let (first, start) = (self.core.total, self.core.pos);
+        let four = 4 * self.core.lower_cap as u64;
+        let ones = (four < bits.len() && bits.len() <= self.core.max_window)
+            .then(|| bits.count_ones())
+            .filter(|&ones| ones > four);
+        // Levels emptied, the batch's last rank, and 1s to store before
+        // asking what to pass over: all of them, in a short batch.
+        let (eager, end, mut run) = match ones {
+            Some(ones) => {
+                let until = start + bits.len();
+                let eager = at_width!(&mut self.slab, s => self.core.evict_ahead(s, ones, until));
+                (eager, first + ones, 0)
+            }
+            None => (0, first, u64::MAX),
         };
-        let (mut end, mut passed) = (None, 0);
+        let c = &mut self.core;
+        // The first ask opens a zone at the batch's first rank.
+        let (mut mask, mut zone_end, mut passed) = (0, first, 0);
         // Count the 1s at the front of `rest` that are not to be stored:
         // what is left of `rest`, and how many 1s to store from there.
         let mut pass_over = |c: &mut Core, rest: u64| {
             if c.total == zone_end {
-                let end = *end.get_or_insert_with(|| first + bits.count_ones());
-                (mask, zone_end) = c.stride_zone(first, c.total + 1, end);
+                (mask, zone_end) = c.stride_zone(first, c.total + 1, end, eager);
                 debug_assert!(c.total < zone_end && zone_end <= end);
             }
             // The zone's 1s before its next multiple of the stride.
@@ -969,8 +1031,8 @@ mod tests {
         let (n, k) = (1u64 << 14, 20u64);
         let lower = (k + 1).div_ceil(2);
         let fresh = || Ladder::<()>::new(n, k, n, lower, Positions::Sequence);
-        // Under four queues of 1s, none has a queue's worth of its level
-        // on both sides: every one is stored, wherever the ranks start.
+        // A batch of under four queues of 1s is never asked what to pass
+        // over: every one is stored, wherever the ranks start.
         for ones in [0, 1, lower, 4 * lower - 1] {
             let batch = Bits::from_bools(&[true, false, false].repeat(ones as usize));
             let mut l = fresh();
@@ -990,6 +1052,34 @@ mod tests {
         assert_eq!(runs[0], runs[1]);
         for stored in runs[0] {
             assert!(stored <= 2 * slots, "{stored} stored in {slots} slots");
+        }
+    }
+
+    /// A long batch stores exactly the entries it leaves behind: with
+    /// the levels it evicts whole emptied first, nothing it stores is
+    /// evicted before it ends. Waves filled past one window at the
+    /// served shapes, then, after every batch, the count `push_ones`
+    /// returns against the entries newer than the batch's start.
+    #[test]
+    fn a_long_batch_stores_what_it_leaves_behind() {
+        use crate::bits::Bits;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        // `engine_dense` and `referee_push`: (N, k, bits a batch, density).
+        for (n, k, len, density) in [(65_536, 20, 4_096, 0.5), (65_536, 10, 256, 0.3)] {
+            let mut l = Ladder::<()>::new(n, k, n, (k + 1).div_ceil(2), Positions::Sequence);
+            let mut rng = StdRng::seed_from_u64(len);
+            let mut batch = || (0..len).map(|_| rng.gen_bool(density)).collect::<Bits>();
+            while l.pos() <= n {
+                l.push_ones(batch().as_ref());
+            }
+            let (mut batches, mut differed) = (0, 0);
+            while l.pos() <= 3 * n {
+                let start = l.pos();
+                let stored = l.push_ones(batch().as_ref());
+                let left = l.entries().filter(|e| e.pos > start).count() as u64;
+                (batches, differed) = (batches + 1, differed + (stored != left) as u32);
+            }
+            assert_eq!(differed, 0, "N={n} k={k}: {differed} of {batches} batches");
         }
     }
 

@@ -43,6 +43,20 @@ impl Pair {
         }
     }
 
+    /// `n` 0s at once: one `skip_zeros` on the batched side.
+    fn skip(&mut self, n: u64, what: &str) {
+        self.batched.skip_zeros(n);
+        for _ in 0..n {
+            self.single.push_bit(false);
+            self.exact.push_bit(false);
+        }
+        assert_eq!(
+            self.batched.encode(),
+            self.single.encode(),
+            "{what}: skip {n}"
+        );
+    }
+
     fn push(&mut self, batch: &[bool], what: &str) {
         self.batched.push_words(Bits::from_bools(batch).as_ref());
         for &b in batch {
@@ -158,6 +172,83 @@ fn old_entries_are_evicted_before_they_can_expire() {
                 pair.push(&vec![false; gap as usize], &what);
                 pair.push(&bits(&mut rng, n, density), &what);
             }
+        }
+    }
+}
+
+/// ε = 0.05: `k = 20`, queues of `lower` at every level below the top.
+const LOWER: usize = 11;
+
+/// A batch empties up front only a prefix of levels whose oldest entries
+/// outlive it. Here levels below `l` hold only fresh entries while level
+/// `l` still holds old ones, which expire inside the next batch: where
+/// that is before its arrivals evict them, they move the boundary, and
+/// emptying level `l` up front would lose it.
+#[test]
+fn the_emptied_prefix_stops_below_a_level_about_to_expire() {
+    let n = 2048;
+    for l in 0..=4 {
+        let (old, fresh) = (LOWER << (l + 2), LOWER << l);
+        // Every gap from one where the old entries would expire only
+        // after the last batch's arrivals evict them, to one where all
+        // have expired before it starts.
+        let last = n as usize / 2 - fresh;
+        for gap in last - old..=last {
+            let what = format!("level {l}, gap {gap}");
+            let mut pair = Pair::new(n, 0.05);
+            // Every level full of old entries; then a queue's worth of
+            // fresh ones at each level below `l`.
+            pair.push(&vec![true; old], &what);
+            pair.skip(n / 2, &what);
+            pair.push(&vec![true; fresh], &what);
+            pair.skip(gap as u64, &what);
+            pair.push(&[true; 512], &what);
+            pair.check_estimate(&what);
+        }
+    }
+}
+
+/// A level is emptied when the batch brings `lower << (l + 1)` 1s, a
+/// queue's worth of its arrivals, and not with one fewer, wherever the
+/// batch's ranks start.
+#[test]
+fn a_queue_of_arrivals_and_one_fewer_match_per_bit_pushes() {
+    let n = 16_384;
+    for l in 0..=4 {
+        for ones in [(LOWER << (l + 1)) - 1, LOWER << (l + 1)] {
+            for spread in [1, 2, 5] {
+                let what = format!("level {l}, {ones} ones, one in {spread}");
+                let mut rng = seeded(ones as u64 ^ spread as u64, 0.5);
+                let mut pair = Pair::new(n, 0.05);
+                pair.push(&bits(&mut rng, n + 100, 0.5), &what);
+                let batch: Vec<bool> = (0..ones * spread).map(|i| i % spread == 0).collect();
+                // Consecutive batches start their ranks `ones` apart.
+                for _ in 0..2 * (l + 1) {
+                    pair.push(&batch, &what);
+                }
+                pair.check_estimate(&what);
+            }
+        }
+    }
+}
+
+/// After a whole window of 0s every queue is empty: the first long batch
+/// has nothing to remove and still stores only what it leaves behind.
+#[test]
+fn a_batch_after_a_whole_window_skip_matches_per_bit_pushes() {
+    let n = 4_096;
+    for density in DENSITIES {
+        let what = format!("density={density}");
+        let mut rng = seeded(n, density);
+        let mut pair = Pair::new(n, 0.05);
+        pair.push(&bits(&mut rng, n, density), &what);
+        for skip in [n, n + 1, 3 * n] {
+            pair.skip(skip, &what);
+            assert_eq!(pair.batched.space_report().entries, 0, "{what}");
+            for len in [n / 2, 1_000, 64] {
+                pair.push(&bits(&mut rng, len, density), &what);
+            }
+            pair.check_estimate(&what);
         }
     }
 }

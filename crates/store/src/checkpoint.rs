@@ -108,8 +108,10 @@ pub fn decode_checkpoint(bytes: &[u8]) -> io::Result<Checkpoint> {
     }
     let wal_seq = u64::from_be_bytes(body[8..16].try_into().unwrap());
     let count = u32::from_be_bytes(body[16..20].try_into().unwrap());
-    let mut entries = Vec::with_capacity((count as usize).min(1 << 16));
     let mut at = CHECKPOINT_HEADER_LEN;
+    // No more than the bytes left can hold: an entry is at least its key
+    // and length, 12 bytes.
+    let mut entries = Vec::with_capacity((count as usize).min((body.len() - at) / 12));
     for _ in 0..count {
         if body.len() - at < 12 {
             return Err(bad("checkpoint entry truncated"));

@@ -117,7 +117,9 @@ pub fn decode_batch_payload(payload: &[u8]) -> io::Result<Vec<(u64, Bits)>> {
         return Err(bad("unknown record type"));
     }
     let count = u32::from_be_bytes(take(&mut at, 4)?.try_into().unwrap());
-    let mut batch = Vec::with_capacity((count as usize).min(1 << 16));
+    // No more than the bytes left can hold: an entry is at least its key
+    // and bit count, 16 bytes.
+    let mut batch = Vec::with_capacity((count as usize).min((payload.len() - at) / 16));
     for _ in 0..count {
         let key = u64::from_be_bytes(take(&mut at, 8)?.try_into().unwrap());
         let nbits = u64::from_be_bytes(take(&mut at, 8)?.try_into().unwrap());
