@@ -41,8 +41,7 @@ pub fn levels() {
                 eo = eo.max(opt.query(n).unwrap().relative_error(actual));
             }
         }
-        use waves_core::Synopsis;
-        let br = Synopsis::space_report(&basic);
+        let br = basic.space_report();
         let or = opt.space_report();
         assert!(eb <= eps + 1e-9 && eo <= eps + 1e-9);
         t.row(&[

@@ -23,7 +23,7 @@
 //!   answer honors `eps·truth` (correctness rows, never skipped).
 
 use crate::table::{f, Table};
-use waves_core::{DetWave, ExactCount};
+use waves_core::{Bits, DetWave, ExactCount};
 use waves_distributed::{combine_estimates, MonitorConfig, MonitorReferee, PushParty};
 use waves_net::{Frame, SynopsisKind, WireCodec};
 use waves_streamgen::KeyedWorkload;
@@ -116,8 +116,9 @@ fn replay(events: &[(u64, Vec<bool>)]) -> (ModeStats, ModeStats) {
         for &b in bits {
             exact[idx].push_bit(b);
         }
-        pull_waves[idx].push_bits(bits);
-        if let Some(delta) = parties[idx].push_bits(bits) {
+        let bits = Bits::from_bools(bits);
+        pull_waves[idx].push_words(bits.as_ref());
+        if let Some(delta) = parties[idx].push_words(bits.as_ref()) {
             let frame = Frame::PushDelta {
                 party: delta.party,
                 seq: delta.seq,

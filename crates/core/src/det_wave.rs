@@ -22,7 +22,7 @@ use crate::basic_wave::wave_estimate;
 use crate::codec::{BitReader, CodecError};
 use crate::error::WaveError;
 use crate::estimate::{Estimate, SpaceReport};
-use crate::ladder::{k_for_eps, read_k, Ladder, Positions};
+use crate::ladder::{k_for_eps, read_k, refused_k, Ladder, Positions};
 use crate::level::rank_level;
 use crate::window::MAX_WINDOW;
 
@@ -121,16 +121,10 @@ impl DetWave {
         if max_window == 0 || max_window > MAX_WINDOW {
             return Err(WaveError::InvalidWindow(max_window));
         }
-        Ok(DetWave {
-            eps,
-            ladder: Ladder::new(
-                max_window,
-                k,
-                max_window,
-                (k + 1).div_ceil(2),
-                Positions::Sequence,
-            ),
-        })
+        let lower_cap = (k + 1).div_ceil(2);
+        let ladder = Ladder::new(max_window, k, max_window, lower_cap, Positions::Sequence)
+            .ok_or(WaveError::InvalidEpsilon(eps))?;
+        Ok(DetWave { eps, ladder })
     }
 
     /// Maximum window size `N`.
@@ -215,34 +209,11 @@ impl DetWave {
         }
     }
 
-    /// Process a batch of stream bits, oldest first — observationally
-    /// identical to pushing each bit with [`DetWave::push_bit`] (the
-    /// `push_bits_matches_single_pushes` property test pins the encoded
-    /// state byte-for-byte), but runs of 0s advance the position counter
-    /// in one step and pay for expiry once per run instead of once per
-    /// bit. The bool-slice counterpart of [`DetWave::push_words`], which
-    /// is what the engine's shard workers apply.
-    pub fn push_bits(&mut self, bits: &[bool]) {
-        let mut i = 0;
-        while i < bits.len() {
-            if bits[i] {
-                self.push_bit(true);
-                i += 1;
-            } else {
-                let start = i;
-                while i < bits.len() && !bits[i] {
-                    i += 1;
-                }
-                self.skip_zeros((i - start) as u64);
-            }
-        }
-    }
-
-    /// Packed-word counterpart of [`DetWave::push_bits`]: ingest `bits`
-    /// oldest first, 64 bits per word — the path the engine's shard
-    /// workers, WAL replay and the push-mode parties apply. 1-bits are
-    /// located with `trailing_zeros`, and the 0s before each — including
-    /// whole zero words — are one addition to the clock. Only the 1s the
+    /// Ingest a packed batch of stream bits, oldest first, 64 bits per
+    /// word — the path the engine's shard workers, WAL replay and the
+    /// push-mode parties apply. 1-bits are located with
+    /// `trailing_zeros`, and the 0s before each — including whole zero
+    /// words — are one addition to the clock. Only the 1s the
     /// wave could still hold when the call returns go through Figure 4's
     /// step 3: at a level whose stored entries the call evicts whole,
     /// which are removed up front, the last queue's worth of its
@@ -371,7 +342,7 @@ impl DetWave {
         let mut r = BitReader::new(bytes);
         let max_window = r.read_gamma()?;
         let k = read_k(&mut r)?;
-        let mut wave = DetWave::with_k(max_window, k, 1.0 / k as f64)?;
+        let mut wave = DetWave::with_k(max_window, k, 1.0 / k as f64).map_err(refused_k)?;
         wave.ladder.decode_body(&mut r, 1)?;
         Ok(wave)
     }
@@ -544,21 +515,6 @@ mod tests {
             DetWave::builder().max_window(0).build().unwrap_err(),
             WaveError::InvalidWindow(0)
         );
-    }
-
-    #[test]
-    fn push_bits_batches_match_single_pushes() {
-        let mut single = DetWave::new(64, 0.25).unwrap();
-        let mut batched = DetWave::new(64, 0.25).unwrap();
-        let bits = lcg_bits(11, 3000, 5, 1); // sparse: long zero runs
-        for &b in &bits {
-            single.push_bit(b);
-        }
-        for chunk in bits.chunks(37) {
-            batched.push_bits(chunk);
-        }
-        assert_eq!(single.encode(), batched.encode());
-        assert_eq!(single.query_max(), batched.query_max());
     }
 
     #[test]

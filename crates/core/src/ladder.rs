@@ -222,6 +222,16 @@ pub(crate) fn read_k(r: &mut BitReader<'_>) -> Result<u64, CodecError> {
     Ok(k)
 }
 
+/// A decoder's view of a constructor's refusal: an `eps` refused for a
+/// decoded `k` means [`Ladder::new`] found the `k` too large for its
+/// slab, so the header is corrupt; any other refusal is bad parameters.
+pub(crate) fn refused_k(e: WaveError) -> CodecError {
+    match e {
+        WaveError::InvalidEpsilon(_) => CodecError::Corrupt("bad k"),
+        e => CodecError::BadParams(e),
+    }
+}
+
 /// Where a wave's positions come from — what its decoder may assume.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Positions {
@@ -443,19 +453,23 @@ impl<W: Weight> Ladder<W> {
     /// `ceil(log2(2 * span / k))` levels — `span` bounds what one window
     /// can total — of `lower_cap` entries each and `k + 1` at the top.
     /// The caller has validated `1 <= k <= 2^32` and
-    /// `1 <= max_window, span <= 2^62`.
+    /// `1 <= max_window, span <= 2^62`. `None`, before anything is
+    /// allocated, when the `u32` links cannot address that many slots:
+    /// the constructors refuse the `eps`, the decoders the `k`.
     pub(crate) fn new(
         max_window: u64,
         k: u64,
         span: u64,
         lower_cap: u64,
         positions: Positions,
-    ) -> Self {
+    ) -> Option<Self> {
         let num_levels = wave_levels(span, k);
         let slots = (num_levels as u64 - 1) * lower_cap + k + 1;
-        assert!(slots < 1 << 31, "capacity too large for u32 links");
+        if slots >= 1 << 31 {
+            return None;
+        }
         let counter_bits = ModRing::for_window(max_window.max(span)).counter_bits();
-        Ladder {
+        Some(Ladder {
             core: Core {
                 max_window,
                 k,
@@ -476,7 +490,7 @@ impl<W: Weight> Ladder<W> {
             } else {
                 Slab::Wide(vec![Slot::default(); slots as usize].into())
             },
-        }
+        })
     }
 
     pub(crate) fn max_window(&self) -> u64 {
@@ -972,10 +986,45 @@ mod tests {
         assert!(size_of::<crate::DetWave>() <= 144);
     }
 
+    /// `k = 2^32` passes `k_for_eps` and `read_k` but asks for more
+    /// slots than the `u32` links address: every ladder wave refuses it
+    /// with a typed error — its constructor the `eps`, its decoder the
+    /// header `γ(params) γ(2^32)` and four `γ0(0)` — instead of
+    /// panicking in `Ladder::new`. Still open: a `k` between about 2^20
+    /// and 2^31 passes and reserves gigabytes up front; the lazy slab of
+    /// ROADMAP item 8 is what bounds that, so no `k` here is in it.
+    #[test]
+    fn a_k_the_links_cannot_address_is_refused() {
+        use crate::codec::BitWriter;
+        use crate::{DetWave, NthRecentWave, SumWave, TimestampSumWave, TimestampWave};
+        let forged = |params: &[u64]| {
+            let mut w = BitWriter::new();
+            for &p in params.iter().chain(&[1 << 32]) {
+                w.write_gamma(p);
+            }
+            (0..4).for_each(|_| w.write_gamma0(0));
+            w.finish()
+        };
+        let bad_k = Err(CodecError::Corrupt("bad k"));
+        assert_eq!(DetWave::decode(&forged(&[16])).map(|_| ()), bad_k);
+        assert_eq!(SumWave::decode(&forged(&[16, 1])).map(|_| ()), bad_k);
+        assert_eq!(TimestampWave::decode(&forged(&[16, 16])).map(|_| ()), bad_k);
+        let bytes = forged(&[16, 16, 1]);
+        assert_eq!(TimestampSumWave::decode(&bytes).map(|_| ()), bad_k);
+
+        let eps = 2f64.powi(-32);
+        let refused = Err(WaveError::InvalidEpsilon(eps));
+        assert_eq!(DetWave::new(16, eps).map(|_| ()), refused);
+        assert_eq!(SumWave::new(16, 1, eps).map(|_| ()), refused);
+        assert_eq!(TimestampWave::new(16, 16, eps).map(|_| ()), refused);
+        assert_eq!(TimestampSumWave::new(16, 16, 1, eps).map(|_| ()), refused);
+        assert_eq!(NthRecentWave::new(16, eps).map(|_| ()), refused);
+    }
+
     #[test]
     fn straddle_splits_the_chain_at_a_position() {
         // k = 2, span 8: 3 levels of capacity 2, 2, 3.
-        let mut l: Ladder<u64> = Ladder::new(8, 2, 8, 2, Positions::Sequence);
+        let mut l: Ladder<u64> = Ladder::new(8, 2, 8, 2, Positions::Sequence).unwrap();
         let evicted = [(1, 5), (3, 2), (4, 1)].map(|(pos, v)| {
             l.advance(pos);
             l.insert(0, v).map(|e| e.pos)
@@ -1009,7 +1058,7 @@ mod tests {
             bytes
         };
         let decode = |count: u64| {
-            let mut l: Ladder<()> = Ladder::new(8, 2, 8, 2, Positions::Sequence);
+            let mut l: Ladder<()> = Ladder::new(8, 2, 8, 2, Positions::Sequence).unwrap();
             l.decode_body(&mut BitReader::new(&body(count)), 1)
         };
         for count in [8, 1 << 16, 1 << 40, u64::MAX - 1] {
@@ -1030,7 +1079,7 @@ mod tests {
         use crate::bits::Bits;
         let (n, k) = (1u64 << 14, 20u64);
         let lower = (k + 1).div_ceil(2);
-        let fresh = || Ladder::<()>::new(n, k, n, lower, Positions::Sequence);
+        let fresh = || Ladder::<()>::new(n, k, n, lower, Positions::Sequence).unwrap();
         // A batch of under four queues of 1s is never asked what to pass
         // over: every one is stored, wherever the ranks start.
         for ones in [0, 1, lower, 4 * lower - 1] {
@@ -1066,7 +1115,8 @@ mod tests {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         // `engine_dense` and `referee_push`: (N, k, bits a batch, density).
         for (n, k, len, density) in [(65_536, 20, 4_096, 0.5), (65_536, 10, 256, 0.3)] {
-            let mut l = Ladder::<()>::new(n, k, n, (k + 1).div_ceil(2), Positions::Sequence);
+            let mut l =
+                Ladder::<()>::new(n, k, n, (k + 1).div_ceil(2), Positions::Sequence).unwrap();
             let mut rng = StdRng::seed_from_u64(len);
             let mut batch = || (0..len).map(|_| rng.gen_bool(density)).collect::<Bits>();
             while l.pos() <= n {
@@ -1237,13 +1287,13 @@ mod tests {
             r in 1u64..=9,
         ) {
             narrow_matches_wide(
-                || Ladder::<()>::new(n, k, n, (k + 1).div_ceil(2), Positions::Sequence),
+                || Ladder::<()>::new(n, k, n, (k + 1).div_ceil(2), Positions::Sequence).unwrap(),
                 1,
                 |rank, _| rank_level(rank + 1),
                 &ops,
             );
             narrow_matches_wide(
-                || Ladder::<u64>::new(n, k, n * r, k + 1, Positions::Sequence),
+                || Ladder::<u64>::new(n, k, n * r, k + 1, Positions::Sequence).unwrap(),
                 r,
                 sum_level,
                 &ops,

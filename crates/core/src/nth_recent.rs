@@ -37,16 +37,13 @@ impl NthRecentWave {
         if max_age == 0 || max_age > MAX_WINDOW {
             return Err(WaveError::InvalidWindow(max_age));
         }
+        let lower_cap = (k + 1).div_ceil(2);
+        let ladder = Ladder::new(max_age, k, max_age, lower_cap, Positions::Sequence)
+            .ok_or(WaveError::InvalidEpsilon(eps))?;
         Ok(NthRecentWave {
             eps,
             expired_pos: 0,
-            ladder: Ladder::new(
-                max_age,
-                k,
-                max_age,
-                (k + 1).div_ceil(2),
-                Positions::Sequence,
-            ),
+            ladder,
         })
     }
 

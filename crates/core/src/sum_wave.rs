@@ -14,7 +14,7 @@
 use crate::codec::{BitReader, CodecError};
 use crate::error::WaveError;
 use crate::estimate::{Estimate, SpaceReport};
-use crate::ladder::{k_for_eps, read_k, Ladder, Positions};
+use crate::ladder::{k_for_eps, read_k, refused_k, Ladder, Positions};
 use crate::level::sum_level;
 
 /// Deterministic wave for the sum of bounded integers in a sliding
@@ -110,10 +110,12 @@ impl SumWave {
             .checked_mul(max_value)
             .filter(|&x| x <= 1 << 62)
             .ok_or(WaveError::InvalidWindow(max_window))?;
+        let ladder = Ladder::new(max_window, k, nr, k + 1, Positions::Sequence)
+            .ok_or(WaveError::InvalidEpsilon(eps))?;
         Ok(SumWave {
             max_value,
             eps,
-            ladder: Ladder::new(max_window, k, nr, k + 1, Positions::Sequence),
+            ladder,
         })
     }
 
@@ -244,7 +246,8 @@ impl SumWave {
         let max_window = r.read_gamma()?;
         let max_value = r.read_gamma()?;
         let k = read_k(&mut r)?;
-        let mut wave = SumWave::with_k(max_window, max_value, k, 1.0 / k as f64)?;
+        let mut wave =
+            SumWave::with_k(max_window, max_value, k, 1.0 / k as f64).map_err(refused_k)?;
         wave.ladder.decode_body(&mut r, max_value)?;
         Ok(wave)
     }

@@ -23,7 +23,7 @@ use crate::basic_wave::wave_estimate;
 use crate::codec::{BitReader, CodecError};
 use crate::error::WaveError;
 use crate::estimate::{Estimate, SpaceReport};
-use crate::ladder::{k_for_eps, read_k, Ladder, Positions};
+use crate::ladder::{k_for_eps, read_k, refused_k, Ladder, Positions};
 use crate::level::rank_level;
 use crate::window::MAX_WINDOW;
 
@@ -56,19 +56,16 @@ impl TimestampWave {
         if max_window > MAX_WINDOW || max_items > MAX_WINDOW {
             return Err(WaveError::InvalidWindow(max_window.max(max_items)));
         }
+        // Wide slots: a caller may put more than `U` items in one
+        // window (the bracket still holds), so nothing bounds how far a
+        // live entry's rank trails the total.
+        let lower_cap = (k + 1).div_ceil(2);
+        let ladder = Ladder::new(max_window, k, max_items, lower_cap, Positions::Supplied)
+            .ok_or(WaveError::InvalidEpsilon(eps))?;
         Ok(TimestampWave {
             max_items,
             eps,
-            // Wide slots: a caller may put more than `U` items in one
-            // window (the bracket still holds), so nothing bounds how far
-            // a live entry's rank trails the total.
-            ladder: Ladder::new(
-                max_window,
-                k,
-                max_items,
-                (k + 1).div_ceil(2),
-                Positions::Supplied,
-            ),
+            ladder,
         })
     }
 
@@ -160,7 +157,8 @@ impl TimestampWave {
         let max_window = r.read_gamma()?;
         let max_items = r.read_gamma()?;
         let k = read_k(&mut r)?;
-        let mut wave = TimestampWave::with_k(max_window, max_items, k, 1.0 / k as f64)?;
+        let mut wave =
+            TimestampWave::with_k(max_window, max_items, k, 1.0 / k as f64).map_err(refused_k)?;
         wave.ladder.decode_body(&mut r, 1)?;
         Ok(wave)
     }

@@ -12,7 +12,7 @@
 use crate::codec::{BitReader, CodecError};
 use crate::error::WaveError;
 use crate::estimate::{Estimate, SpaceReport};
-use crate::ladder::{k_for_eps, read_k, Ladder, Positions};
+use crate::ladder::{k_for_eps, read_k, refused_k, Ladder, Positions};
 use crate::level::sum_level;
 use crate::sum_wave::sum_estimate;
 use crate::window::MAX_WINDOW;
@@ -63,12 +63,14 @@ impl TimestampSumWave {
             .checked_mul(max_value)
             .filter(|&s| s <= 1 << 62)
             .ok_or(WaveError::InvalidWindow(max_items))?;
+        // Wide slots, as in `TimestampWave`: `U` is the caller's promise.
+        let ladder = Ladder::new(max_window, k, max_sum, k + 1, Positions::Supplied)
+            .ok_or(WaveError::InvalidEpsilon(eps))?;
         Ok(TimestampSumWave {
             max_value,
             max_items,
             eps,
-            // Wide slots, as in `TimestampWave`: `U` is the caller's promise.
-            ladder: Ladder::new(max_window, k, max_sum, k + 1, Positions::Supplied),
+            ladder,
         })
     }
 
@@ -177,7 +179,8 @@ impl TimestampSumWave {
         let max_value = r.read_gamma()?;
         let k = read_k(&mut r)?;
         let mut wave =
-            TimestampSumWave::with_k(max_window, max_items, max_value, k, 1.0 / k as f64)?;
+            TimestampSumWave::with_k(max_window, max_items, max_value, k, 1.0 / k as f64)
+                .map_err(refused_k)?;
         wave.ladder.decode_body(&mut r, max_value)?;
         Ok(wave)
     }

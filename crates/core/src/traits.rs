@@ -1,23 +1,25 @@
-//! Common interfaces implemented by every sliding-window synopsis, so
-//! experiments, benchmarks, and the serving engine can be written once
-//! and run over waves, exponential histograms, and exact baselines
-//! alike.
+//! The one interface every served sliding-window synopsis implements,
+//! so the serving engine, the referee and the experiments are written
+//! once over the waves and their exponential-histogram baselines alike.
 //!
-//! The hierarchy is two-level: [`Synopsis`] carries everything common
-//! to all synopses (identity, window bound, space accounting) and the
-//! two item-type traits [`BitSynopsis`] / [`SumSynopsis`] add the
-//! push/query surface. All three are object-safe, so heterogeneous
-//! collections (`Vec<Box<dyn BitSynopsis>>`) work.
+//! The paper's model has one shape: a party runs a synopsis, ships its
+//! encoding, and a referee queries it. [`Synopsis`] is that shape —
+//! identity, window bound, space accounting, the window query and the
+//! self-describing codec — and is object-safe, so a referee can hold
+//! parties running different synopses behind `&dyn Synopsis`.
+//! [`BitSynopsis`] adds the one push generic code makes on a bit
+//! stream: the engine's word-packed batch, which WAL replay also
+//! applies. Pushes of single bits or values stay inherent methods of
+//! each type.
 
 use crate::bits::BitsRef;
 use crate::codec::CodecError;
 use crate::error::WaveError;
 use crate::estimate::{Estimate, SpaceReport};
 
-/// Everything common to a sliding-window synopsis, independent of the
-/// item type it ingests.
+/// A sliding-window synopsis a referee can query and a party can ship.
 pub trait Synopsis {
-    /// A short stable identifier ("det-wave", "eh", "exact", ...).
+    /// A short stable identifier ("det-wave", "eh", "xu", ...).
     fn name(&self) -> &'static str;
 
     /// The maximum queryable window `N`.
@@ -25,87 +27,36 @@ pub trait Synopsis {
 
     /// Space accounting.
     fn space_report(&self) -> SpaceReport;
-}
 
-/// A synopsis for counting 1's in a sliding window of a bit stream.
-pub trait BitSynopsis: Synopsis {
-    /// Process the next stream bit.
-    fn push_bit(&mut self, b: bool);
-
-    /// Process a batch of stream bits, oldest first. Must be
-    /// observationally identical to pushing each bit individually;
-    /// implementations may override it to amortize per-item work (the
-    /// deterministic wave collapses runs of 0s into one expiry pass).
-    fn push_bits(&mut self, bits: &[bool]) {
-        for &b in bits {
-            self.push_bit(b);
-        }
-    }
-
-    /// Process a packed batch of stream bits, oldest first (see
-    /// [`crate::bits`]). Must be observationally identical to pushing
-    /// each bit individually. The default unpacks one bit at a time;
-    /// the wave and histogram synopses override it to locate 1-bits
-    /// with `trailing_zeros` and batch-advance their positions so a
-    /// whole word of 0s costs O(1), not O(64).
-    fn push_words(&mut self, bits: BitsRef<'_>) {
-        for b in bits.iter() {
-            self.push_bit(b);
-        }
-    }
-
-    /// Estimate the number of 1's among the last `n` bits.
+    /// Estimate the count (or sum) over the last `n` items.
     fn query_window(&self, n: u64) -> Result<Estimate, WaveError>;
-}
 
-/// A synopsis with a self-describing byte encoding, suitable for wire
-/// transfer and durable checkpoints.
-///
-/// Implementations forward to the concrete `encode()`/`decode()` pairs
-/// (which carry their own parameters — `max_window`, `eps`, counters —
-/// in the byte stream), so the bytes written by a checkpoint are exactly
-/// the bytes the wire protocol already round-trips. The contract is
-/// lossless with respect to queries: for every window `n`,
-/// `decode(encode(s)).query_window(n) == s.query_window(n)`.
-///
-/// Unlike [`BitSynopsis`], this trait is *not* object-safe (decoding
-/// constructs `Self`); the serving engine requires it of its synopsis
-/// type only when persistence is enabled at the type level.
-pub trait SynopsisCodec: Sized {
-    /// Serialize the complete synopsis state.
+    /// Estimate over the maximum window. The waves answer it in O(1).
+    fn query_max(&self) -> Estimate {
+        self.query_window(self.max_window())
+            .expect("a synopsis answers its maximum window")
+    }
+
+    /// Serialize the complete synopsis state: the type's own `encode()`
+    /// bytes, which carry its parameters, so a checkpoint writes exactly
+    /// the bytes the wire protocol round-trips. Lossless for queries:
+    /// `decode(encode(s)).query_window(n) == s.query_window(n)`.
     fn encode_synopsis(&self) -> Vec<u8>;
 
-    /// Reconstruct a synopsis from [`SynopsisCodec::encode_synopsis`]
-    /// bytes. Arbitrary input must never panic: corrupt or truncated
-    /// bytes yield a [`CodecError`].
-    fn decode_synopsis(bytes: &[u8]) -> Result<Self, CodecError>;
+    /// Reconstruct a synopsis from [`Synopsis::encode_synopsis`] bytes.
+    /// Arbitrary input must never panic: corrupt or truncated bytes
+    /// yield a [`CodecError`].
+    fn decode_synopsis(bytes: &[u8]) -> Result<Self, CodecError>
+    where
+        Self: Sized;
 }
 
-impl SynopsisCodec for crate::det_wave::DetWave {
-    fn encode_synopsis(&self) -> Vec<u8> {
-        self.encode()
-    }
-    fn decode_synopsis(bytes: &[u8]) -> Result<Self, CodecError> {
-        crate::det_wave::DetWave::decode(bytes)
-    }
-}
-
-impl SynopsisCodec for crate::sum_wave::SumWave {
-    fn encode_synopsis(&self) -> Vec<u8> {
-        self.encode()
-    }
-    fn decode_synopsis(bytes: &[u8]) -> Result<Self, CodecError> {
-        crate::sum_wave::SumWave::decode(bytes)
-    }
-}
-
-/// A synopsis for the sum of bounded integers in a sliding window.
-pub trait SumSynopsis: Synopsis {
-    /// Process the next item (an integer in `[0..R]`).
-    fn push_value(&mut self, v: u64) -> Result<(), WaveError>;
-
-    /// Estimate the sum of the last `n` items.
-    fn query_window(&self, n: u64) -> Result<Estimate, WaveError>;
+/// A synopsis of a bit stream, counting the 1's in a sliding window.
+pub trait BitSynopsis: Synopsis {
+    /// Process a packed batch of stream bits, oldest first (see
+    /// [`crate::bits`]). Must be observationally identical to pushing
+    /// each bit individually.
+    fn push_words(&mut self, bits: BitsRef<'_>);
 }
 
 impl Synopsis for crate::det_wave::DetWave {
@@ -113,83 +64,28 @@ impl Synopsis for crate::det_wave::DetWave {
         "det-wave"
     }
     fn max_window(&self) -> u64 {
-        crate::det_wave::DetWave::max_window(self)
+        self.max_window()
     }
     fn space_report(&self) -> SpaceReport {
-        crate::det_wave::DetWave::space_report(self)
+        self.space_report()
+    }
+    fn query_window(&self, n: u64) -> Result<Estimate, WaveError> {
+        self.query(n)
+    }
+    fn query_max(&self) -> Estimate {
+        self.query_max()
+    }
+    fn encode_synopsis(&self) -> Vec<u8> {
+        self.encode()
+    }
+    fn decode_synopsis(bytes: &[u8]) -> Result<Self, CodecError> {
+        Self::decode(bytes)
     }
 }
 
 impl BitSynopsis for crate::det_wave::DetWave {
-    fn push_bit(&mut self, b: bool) {
-        crate::det_wave::DetWave::push_bit(self, b)
-    }
-    fn push_bits(&mut self, bits: &[bool]) {
-        crate::det_wave::DetWave::push_bits(self, bits)
-    }
     fn push_words(&mut self, bits: BitsRef<'_>) {
-        crate::det_wave::DetWave::push_words(self, bits)
-    }
-    fn query_window(&self, n: u64) -> Result<Estimate, WaveError> {
-        self.query(n)
-    }
-}
-
-impl Synopsis for crate::basic_wave::BasicWave {
-    fn name(&self) -> &'static str {
-        "basic-wave"
-    }
-    fn max_window(&self) -> u64 {
-        self.max_window()
-    }
-    fn space_report(&self) -> SpaceReport {
-        crate::basic_wave::BasicWave::space_report(self)
-    }
-}
-
-impl BitSynopsis for crate::basic_wave::BasicWave {
-    fn push_bit(&mut self, b: bool) {
-        crate::basic_wave::BasicWave::push_bit(self, b)
-    }
-    fn push_words(&mut self, bits: BitsRef<'_>) {
-        crate::basic_wave::BasicWave::push_words(self, bits)
-    }
-    fn query_window(&self, n: u64) -> Result<Estimate, WaveError> {
-        self.query(n)
-    }
-}
-
-impl Synopsis for crate::exact::ExactCount {
-    fn name(&self) -> &'static str {
-        "exact"
-    }
-    fn max_window(&self) -> u64 {
-        crate::exact::ExactCount::max_window(self)
-    }
-    fn space_report(&self) -> SpaceReport {
-        SpaceReport {
-            resident_bytes: std::mem::size_of_val(self),
-            synopsis_bits: 0,
-            entries: 0,
-        }
-    }
-}
-
-impl BitSynopsis for crate::exact::ExactCount {
-    fn push_bit(&mut self, b: bool) {
-        crate::exact::ExactCount::push_bit(self, b)
-    }
-    fn push_words(&mut self, bits: BitsRef<'_>) {
-        crate::exact::ExactCount::push_words(self, bits)
-    }
-    fn query_window(&self, n: u64) -> Result<Estimate, WaveError> {
-        if n > Synopsis::max_window(self) {
-            return Err(WaveError::WindowTooLarge {
-                requested: n,
-                max: Synopsis::max_window(self),
-            });
-        }
-        Ok(Estimate::exact(self.query(n)))
+        self.push_words(bits)
     }
 }
 
@@ -203,92 +99,40 @@ impl Synopsis for crate::sum_wave::SumWave {
     fn space_report(&self) -> SpaceReport {
         self.space_report()
     }
-}
-
-impl SumSynopsis for crate::sum_wave::SumWave {
-    fn push_value(&mut self, v: u64) -> Result<(), WaveError> {
-        crate::sum_wave::SumWave::push_value(self, v)
-    }
     fn query_window(&self, n: u64) -> Result<Estimate, WaveError> {
         self.query(n)
+    }
+    fn query_max(&self) -> Estimate {
+        self.query_max()
+    }
+    fn encode_synopsis(&self) -> Vec<u8> {
+        self.encode()
+    }
+    fn decode_synopsis(bytes: &[u8]) -> Result<Self, CodecError> {
+        Self::decode(bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bits::Bits;
     use crate::det_wave::DetWave;
-
-    #[test]
-    fn exact_count_window_bound_is_live() {
-        let mut s = crate::exact::ExactCount::new(32);
-        for i in 0..100 {
-            BitSynopsis::push_bit(&mut s, i % 2 == 0);
-        }
-        assert_eq!(Synopsis::max_window(&s), 32);
-        match s.query_window(33) {
-            Err(WaveError::WindowTooLarge { requested, max }) => {
-                assert_eq!((requested, max), (33, 32));
-            }
-            other => panic!("expected WindowTooLarge, got {other:?}"),
-        }
-        assert_eq!(s.query_window(32).unwrap(), Estimate::exact(16));
-    }
-
-    /// A deliberately override-free impl, so the trait's default
-    /// `push_words` body itself stays under test.
-    struct Recorder(Vec<bool>);
-
-    impl Synopsis for Recorder {
-        fn name(&self) -> &'static str {
-            "recorder"
-        }
-        fn max_window(&self) -> u64 {
-            u64::MAX
-        }
-        fn space_report(&self) -> SpaceReport {
-            SpaceReport {
-                resident_bytes: 0,
-                synopsis_bits: 0,
-                entries: 0,
-            }
-        }
-    }
-
-    impl BitSynopsis for Recorder {
-        fn push_bit(&mut self, b: bool) {
-            self.0.push(b);
-        }
-        fn query_window(&self, _n: u64) -> Result<Estimate, WaveError> {
-            Ok(Estimate::exact(self.0.iter().filter(|&&b| b).count() as u64))
-        }
-    }
-
-    #[test]
-    fn default_push_words_unpacks_in_stream_order() {
-        let bools: Vec<bool> = (0..131).map(|i| i % 3 == 0).collect();
-        let packed = Bits::from_bools(&bools);
-        let mut r = Recorder(Vec::new());
-        r.push_words(packed.as_ref());
-        assert_eq!(r.0, bools);
-    }
+    use crate::sum_wave::SumWave;
 
     #[test]
     fn trait_objects_work() {
-        let mut synopses: Vec<Box<dyn BitSynopsis>> = vec![
-            Box::new(DetWave::new(32, 0.25).unwrap()),
-            Box::new(crate::basic_wave::BasicWave::new(32, 0.25).unwrap()),
-        ];
-        for s in synopses.iter_mut() {
-            for i in 0..100 {
-                s.push_bit(i % 3 == 0);
-            }
-            // Ones among bits 68..=99 (i % 3 == 0): 69, 72, ..., 99 -> 11.
-            let e = s.query_window(32).unwrap();
-            assert!(e.brackets(11));
-            // Supertrait methods are reachable through the object.
-            assert!(!s.name().is_empty());
+        let mut count = DetWave::new(32, 0.25).unwrap();
+        let mut sum = SumWave::new(32, 4, 0.25).unwrap();
+        for i in 0..100u64 {
+            count.push_bit(i % 3 == 0);
+            sum.push_value(i % 3).unwrap();
+        }
+        // Ones among bits 68..=99 (i % 3 == 0): 69, 72, ..., 99 -> 11;
+        // the values over the same positions sum to 32.
+        let parties: [(&dyn Synopsis, u64); 2] = [(&count, 11), (&sum, 32)];
+        for (s, truth) in parties {
+            assert!(s.query_window(32).unwrap().brackets(truth), "{}", s.name());
+            assert_eq!(s.query_max(), s.query_window(32).unwrap(), "{}", s.name());
             assert_eq!(s.max_window(), 32);
         }
     }
@@ -302,24 +146,6 @@ mod tests {
         let back = DetWave::decode_synopsis(&w.encode_synopsis()).unwrap();
         for n in [1u64, 17, 64] {
             assert_eq!(w.query(n).unwrap(), back.query(n).unwrap(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn default_push_bits_matches_loop() {
-        let bits: Vec<bool> = (0..300).map(|i| i % 5 == 0 || i % 7 == 0).collect();
-        let mut one_at_a_time = crate::basic_wave::BasicWave::new(64, 0.25).unwrap();
-        let mut batched = crate::basic_wave::BasicWave::new(64, 0.25).unwrap();
-        for &b in &bits {
-            one_at_a_time.push_bit(b);
-        }
-        BitSynopsis::push_bits(&mut batched, &bits);
-        for n in [1u64, 17, 64] {
-            assert_eq!(
-                one_at_a_time.query(n).unwrap(),
-                batched.query(n).unwrap(),
-                "n={n}"
-            );
         }
     }
 }

@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use waves_core::codec::CodecError;
 use waves_core::det_wave::DetWave;
 use waves_core::error::WaveError;
-use waves_core::{Estimate, SumWave};
+use waves_core::{Estimate, SumWave, Synopsis};
 use waves_eh::{EhCount, EhSum};
 
 use crate::comm::{combine_checked, combine_estimates};
@@ -74,35 +74,15 @@ impl PartySynopsis {
         })
     }
 
-    /// The synopsis's own `encode()` bytes: what [`PartySynopsis::decode`]
-    /// took, byte for byte.
-    pub fn encode(&self) -> Vec<u8> {
+    /// The synopsis, whichever it is: its `encode_synopsis()` is the
+    /// byte string [`PartySynopsis::decode`] took, and its window
+    /// queries are what the referee folds.
+    pub fn synopsis(&self) -> &dyn Synopsis {
         match self {
-            PartySynopsis::Det(w) => w.encode(),
-            PartySynopsis::Sum(w) => w.encode(),
-            PartySynopsis::EhCount(e) => e.encode(),
-            PartySynopsis::EhSum(e) => e.encode(),
-        }
-    }
-
-    /// Answer a window query against whichever synopsis this is.
-    pub fn query(&self, window: u64) -> Result<Estimate, WaveError> {
-        match self {
-            PartySynopsis::Det(w) => w.query(window),
-            PartySynopsis::Sum(w) => w.query(window),
-            PartySynopsis::EhCount(e) => e.query(window),
-            PartySynopsis::EhSum(e) => e.query(window),
-        }
-    }
-
-    /// Answer over the synopsis's own maximum window.
-    pub fn query_max(&self) -> Estimate {
-        const IN_RANGE: &str = "a histogram answers its maximum window";
-        match self {
-            PartySynopsis::Det(w) => w.query_max(),
-            PartySynopsis::Sum(w) => w.query_max(),
-            PartySynopsis::EhCount(e) => e.query(e.max_window()).expect(IN_RANGE),
-            PartySynopsis::EhSum(e) => e.query(e.max_window()).expect(IN_RANGE),
+            PartySynopsis::Det(w) => w,
+            PartySynopsis::Sum(w) => w,
+            PartySynopsis::EhCount(e) => e,
+            PartySynopsis::EhSum(e) => e,
         }
     }
 }
@@ -166,7 +146,7 @@ impl MonitorConfig {
 }
 
 /// One shipped state change: the party's full synopsis bytes
-/// (`SynopsisCodec` encoding, the same bytes `PUSH_SYNOPSIS` carries)
+/// (its `encode()` output, the same bytes `PUSH_SYNOPSIS` carries)
 /// plus the metadata the referee needs to fold it in order — field for
 /// field a wire `PUSH_DELTA`.
 #[derive(Debug, Clone, PartialEq)]
@@ -249,13 +229,6 @@ impl PushParty {
     /// budget.
     pub fn push_bit(&mut self, b: bool) -> Option<MonitorDelta> {
         self.local.push_bit(b);
-        self.settle()
-    }
-
-    /// Ingest a batch of bits, oldest first; the drift check runs once
-    /// after the batch.
-    pub fn push_bits(&mut self, bits: &[bool]) -> Option<MonitorDelta> {
-        self.local.push_bits(bits);
         self.settle()
     }
 
@@ -368,7 +341,7 @@ impl MonitorReferee {
     /// maximum window. Off from a fresh pull fan-out by at most
     /// [`MonitorReferee::staleness_bound`].
     pub fn combined(&self) -> Estimate {
-        combine_estimates(self.entries.values().map(|e| e.syn.query_max()))
+        combine_estimates(self.entries.values().map(|e| e.syn.synopsis().query_max()))
     }
 
     /// Query every slot at `window` and fold the answers. A slot that
@@ -378,7 +351,7 @@ impl MonitorReferee {
         let reports = self
             .entries
             .values()
-            .map(|e| e.syn.query(window))
+            .map(|e| e.syn.synopsis().query_window(window))
             .collect::<Result<Vec<_>, _>>()?;
         combine_checked(reports)
     }
@@ -410,7 +383,9 @@ impl MonitorReferee {
     /// Re-encoded bytes of `party`'s installed state (byte-identical
     /// to the shipped bytes by the codec's re-encode convention).
     pub fn encoded(&self, party: u64) -> Option<Vec<u8>> {
-        self.entries.get(&party).map(|e| e.syn.encode())
+        self.entries
+            .get(&party)
+            .map(|e| e.syn.synopsis().encode_synopsis())
     }
 }
 
@@ -738,7 +713,8 @@ mod proptests {
                 (0..3).map(|i| PushParty::new(&c, i).unwrap()).collect();
             let mut referee = MonitorReferee::new();
             for (who, bits) in &steps {
-                if let Some(d) = parties[*who as usize].push_bits(bits) {
+                let bits = waves_core::Bits::from_bools(bits);
+                if let Some(d) = parties[*who as usize].push_words(bits.as_ref()) {
                     prop_assert!(referee.install(&d).unwrap());
                 }
                 let total: f64 = parties.iter().map(PushParty::unshipped_drift).sum();

@@ -682,7 +682,7 @@ impl Sim {
         for &b in bits {
             m.exact[idx].push_bit(b);
         }
-        let delta = m.parties[idx].push_bits(bits);
+        let delta = m.parties[idx].push_words(Bits::from_bools(bits).as_ref());
         let shipped = delta.is_some();
         if let Some(delta) = &delta {
             m.referee
@@ -948,8 +948,8 @@ impl Oracles {
             for &bit in bits {
                 exact.push_bit(bit);
                 eh.push_bit(bit);
+                shadow.push_bit(bit);
             }
-            shadow.push_bits(bits);
         }
     }
 

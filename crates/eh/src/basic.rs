@@ -9,7 +9,6 @@ use crate::histogram::{Builder, Histogram};
 use std::collections::VecDeque;
 use waves_core::bits::BitsRef;
 use waves_core::error::WaveError;
-use waves_core::estimate::Estimate;
 use waves_core::traits::BitSynopsis;
 
 /// Exponential histogram for counting 1's in a sliding window of up to
@@ -70,20 +69,15 @@ impl EhCount {
 }
 
 impl BitSynopsis for EhCount {
-    fn push_bit(&mut self, b: bool) {
-        EhCount::push_bit(self, b)
-    }
     fn push_words(&mut self, bits: BitsRef<'_>) {
-        EhCount::push_words(self, bits)
-    }
-    fn query_window(&self, n: u64) -> Result<Estimate, WaveError> {
-        self.query(n)
+        self.push_words(bits)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use waves_core::estimate::Estimate;
     use waves_core::exact::ExactCount;
     use waves_core::window::MAX_WINDOW;
 

@@ -533,7 +533,7 @@ impl<M: Multiplicity> Histogram<M> {
     }
 }
 
-impl<M: Multiplicity> waves_core::traits::Synopsis for Histogram<M> {
+impl<M: Multiplicity> waves_core::Synopsis for Histogram<M> {
     fn name(&self) -> &'static str {
         M::NAME
     }
@@ -541,11 +541,11 @@ impl<M: Multiplicity> waves_core::traits::Synopsis for Histogram<M> {
         self.max_window
     }
     fn space_report(&self) -> SpaceReport {
-        Histogram::space_report(self)
+        self.space_report()
     }
-}
-
-impl<M: Multiplicity> waves_core::SynopsisCodec for Histogram<M> {
+    fn query_window(&self, n: u64) -> Result<Estimate, WaveError> {
+        self.query(n)
+    }
     fn encode_synopsis(&self) -> Vec<u8> {
         self.encode()
     }

@@ -41,9 +41,7 @@ pub use basic::{EhCount, EhCountBuilder};
 pub use sum::{EhSum, EhSumBuilder};
 pub use xu::XuCount;
 
-use waves_core::codec::CodecError;
 use waves_core::error::WaveError;
-use waves_core::SynopsisCodec;
 
 /// The integer every error bound in this crate is quantized to,
 /// `ceil(1 / (scale * eps))`: the histograms' `m` (`scale = 2`) and Xu's
@@ -57,15 +55,6 @@ pub(crate) fn quantize_eps(eps: f64, scale: f64) -> Result<u64, WaveError> {
         Ok(q)
     } else {
         Err(WaveError::InvalidEpsilon(eps))
-    }
-}
-
-impl SynopsisCodec for XuCount {
-    fn encode_synopsis(&self) -> Vec<u8> {
-        self.encode()
-    }
-    fn decode_synopsis(bytes: &[u8]) -> Result<Self, CodecError> {
-        XuCount::decode(bytes)
     }
 }
 

@@ -7,8 +7,6 @@
 
 use crate::histogram::{Builder, Histogram};
 use waves_core::error::WaveError;
-use waves_core::estimate::Estimate;
-use waves_core::traits::SumSynopsis;
 
 /// Exponential histogram for the sum of the last `N` integers in
 /// `[0..R]`, relative error `eps`.
@@ -69,18 +67,10 @@ impl EhSum {
     }
 }
 
-impl SumSynopsis for EhSum {
-    fn push_value(&mut self, v: u64) -> Result<(), WaveError> {
-        EhSum::push_value(self, v)
-    }
-    fn query_window(&self, n: u64) -> Result<Estimate, WaveError> {
-        self.query(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use waves_core::estimate::Estimate;
     use waves_core::exact::ExactSum;
     use waves_core::window::MAX_WINDOW;
 

@@ -19,11 +19,12 @@
 //! which is what makes deferred compression sound.
 
 use std::collections::VecDeque;
+use waves_core::codec::CodecError;
 use waves_core::error::WaveError;
 use waves_core::estimate::{Estimate, SpaceReport};
 use waves_core::space::{delta_coded_bits, elias_gamma_bits};
-use waves_core::traits::BitSynopsis;
 use waves_core::window::MAX_WINDOW;
+use waves_core::{BitSynopsis, Synopsis};
 
 /// Boosted basic counting over a sliding window of up to `N` bits with
 /// relative error `eps`: O(1) worst-case update, O((1/eps) log(eps N))
@@ -233,8 +234,8 @@ impl XuCount {
     /// Reconstruct from [`XuCount::encode`] output: answers queries
     /// identically and re-encodes to the same bytes. Corrupt input
     /// yields `Err`, never a panic.
-    pub fn decode(bytes: &[u8]) -> Result<Self, waves_core::codec::CodecError> {
-        use waves_core::codec::{read_deltas, BitReader, CodecError};
+    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
+        use waves_core::codec::{read_deltas, BitReader};
         let mut r = BitReader::new(bytes);
         let max_window = r.read_gamma()?;
         let inv = r.read_gamma()?;
@@ -299,7 +300,7 @@ impl XuCount {
     }
 }
 
-impl waves_core::traits::Synopsis for XuCount {
+impl Synopsis for XuCount {
     fn name(&self) -> &'static str {
         "xu"
     }
@@ -307,19 +308,22 @@ impl waves_core::traits::Synopsis for XuCount {
         self.max_window
     }
     fn space_report(&self) -> SpaceReport {
-        XuCount::space_report(self)
+        self.space_report()
+    }
+    fn query_window(&self, n: u64) -> Result<Estimate, WaveError> {
+        self.query(n)
+    }
+    fn encode_synopsis(&self) -> Vec<u8> {
+        self.encode()
+    }
+    fn decode_synopsis(bytes: &[u8]) -> Result<Self, CodecError> {
+        Self::decode(bytes)
     }
 }
 
 impl BitSynopsis for XuCount {
-    fn push_bit(&mut self, b: bool) {
-        XuCount::push_bit(self, b)
-    }
     fn push_words(&mut self, bits: waves_core::bits::BitsRef<'_>) {
-        XuCount::push_words(self, bits)
-    }
-    fn query_window(&self, n: u64) -> Result<Estimate, WaveError> {
-        self.query(n)
+        self.push_words(bits)
     }
 }
 

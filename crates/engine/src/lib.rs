@@ -41,7 +41,10 @@
 //! deterministic wave by default, the exponential-histogram baseline
 //! via [`Engine::with_factory`]) and over the recorder, so the disabled
 //! observability path monomorphizes to nothing, like the rest of the
-//! workspace.
+//! workspace. That one bound covers everything a shard does with a
+//! synopsis: ingest and WAL replay (`push_words`), queries, snapshots,
+//! and the checkpoint and install codec (`encode_synopsis` /
+//! `decode_synopsis` of [`waves_core::Synopsis`]).
 //!
 //! ```
 //! use waves_core::DetWave;
@@ -63,7 +66,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use waves_core::{BitSynopsis, Bits, DetWave, Estimate, SynopsisCodec, WaveError};
+use waves_core::{BitSynopsis, Bits, DetWave, Estimate, WaveError};
 use waves_obs::trace::{next_span_id, now_ns, Span, Stage, TraceCtx};
 use waves_obs::{Event, HistId, MetricId, NoopRecorder, Recorder, ShardStat};
 use waves_store::{ShardStore, Store};
@@ -421,7 +424,7 @@ impl Engine<DetWave, waves_obs::MetricsRegistry> {
     }
 }
 
-impl<S: BitSynopsis + SynopsisCodec + Send + 'static> Engine<S, NoopRecorder> {
+impl<S: BitSynopsis + Send + 'static> Engine<S, NoopRecorder> {
     /// Serve an arbitrary synopsis per key: the factory builds one fresh
     /// synopsis per newly-seen key. It is called once eagerly so a
     /// misconfigured factory fails at construction, not mid-stream.
@@ -443,7 +446,8 @@ where
     ///
     /// With [`EngineConfig::persist`] set, this is also the recovery
     /// path: each shard loads its newest valid checkpoint (decoding
-    /// every key's synopsis via [`SynopsisCodec`]) and replays the
+    /// every key's synopsis via
+    /// [`waves_core::Synopsis::decode_synopsis`]) and replays the
     /// acknowledged WAL tail through [`BitSynopsis::push_words`] before
     /// the shard accepts new work. A corrupt persist directory (META
     /// mismatch, undecodable checkpoint entry, a checkpoint naming a key
@@ -458,7 +462,6 @@ where
     ) -> Result<Self, WaveError>
     where
         F: Fn() -> Result<S, WaveError> + Send + Sync + 'static,
-        S: SynopsisCodec,
     {
         // Surface synopsis-parameter errors now rather than inside a
         // worker thread on first ingest.
@@ -520,7 +523,6 @@ where
                     }
                     let persist = ShardPersist {
                         store: recovered.store,
-                        encode: S::encode_synopsis,
                         checkpoint_every: pc.checkpoint_every_batches,
                         applied_since_checkpoint: 0,
                     };
@@ -546,7 +548,6 @@ where
                         initial_keys,
                         persist,
                         worker_crashed,
-                        S::decode_synopsis,
                     )
                 })
                 .expect("spawn shard worker");
@@ -879,25 +880,24 @@ where
     }
 }
 
-/// A shard worker's durability state. The synopsis encoder is a plain
-/// fn pointer captured at construction (where the [`SynopsisCodec`]
-/// bound lives), so the worker loop itself needs no codec bound.
-struct ShardPersist<S> {
+/// A shard worker's durability state.
+struct ShardPersist {
     store: ShardStore,
-    encode: fn(&S) -> Vec<u8>,
     /// Auto-checkpoint after this many applied batches; 0 disables.
     checkpoint_every: u64,
     applied_since_checkpoint: u64,
 }
 
-impl<S> ShardPersist<S> {
-    fn write_checkpoint<R: Recorder + ?Sized>(
+impl ShardPersist {
+    fn write_checkpoint<S: BitSynopsis + Send + 'static, R: Recorder + ?Sized>(
         &mut self,
         keys: &HashMap<Key, S>,
         rec: &R,
     ) -> std::io::Result<()> {
-        let entries: Vec<(u64, Vec<u8>)> =
-            keys.iter().map(|(k, s)| (*k, (self.encode)(s))).collect();
+        let entries: Vec<(u64, Vec<u8>)> = keys
+            .iter()
+            .map(|(k, s)| (*k, s.encode_synopsis()))
+            .collect();
         self.store.checkpoint(entries, rec)?;
         self.applied_since_checkpoint = 0;
         Ok(())
@@ -941,11 +941,8 @@ fn shard_worker<S, R, F>(
     factory: Arc<F>,
     rec: Arc<R>,
     initial_keys: HashMap<Key, S>,
-    mut persist: Option<ShardPersist<S>>,
+    mut persist: Option<ShardPersist>,
     crashed: Arc<AtomicBool>,
-    // Captured at construction (where the `SynopsisCodec` bound lives),
-    // like `ShardPersist::encode`, so the loop needs no codec bound.
-    decode: fn(&[u8]) -> Result<S, waves_core::codec::CodecError>,
 ) where
     S: BitSynopsis + Send + 'static,
     R: Recorder + Send + Sync + 'static,
@@ -1096,7 +1093,7 @@ fn shard_worker<S, R, F>(
                 let _ = reply.send(res);
             }
             Cmd::Install { key, bytes, reply } => {
-                let res = match decode(&bytes) {
+                let res = match S::decode_synopsis(&bytes) {
                     Ok(synopsis) => {
                         keys.insert(key, synopsis);
                         rec.incr(MetricId::EngineSynopsesInstalled, 1);
@@ -1198,10 +1195,10 @@ mod tests {
             let mut batch: Vec<KeyedBits> = Vec::new();
             for key in 0..num_keys {
                 let bits = lcg_bits(round * 1_000 + key, 37, 3, 1);
-                oracles
+                let oracle = oracles
                     .entry(key)
-                    .or_insert_with(|| DetWave::new(64, 0.25).unwrap())
-                    .push_bits(&bits);
+                    .or_insert_with(|| DetWave::new(64, 0.25).unwrap());
+                bits.iter().for_each(|&b| oracle.push_bit(b));
                 batch.push((key, Bits::from(bits)));
             }
             engine
@@ -1232,14 +1229,14 @@ mod tests {
         // Build a replacement synopsis elsewhere (a "primary") and ship
         // its encode() bytes; the install replaces the local state.
         let mut primary = DetWave::new(64, 0.25).unwrap();
-        primary.push_bits(&[true, false, false, true, true, false]);
+        primary.push_words(Bits::from_bools(&[true, false, false, true, true, false]).as_ref());
         engine.install_synopsis(9, primary.encode()).unwrap();
         engine.flush();
         assert_eq!(engine.query(9, 64).unwrap(), primary.query(64).unwrap());
 
         // Installing under a fresh key creates it.
         let mut other = DetWave::new(64, 0.25).unwrap();
-        other.push_bits(&[true]);
+        other.push_bit(true);
         engine.install_synopsis(77, other.encode()).unwrap();
         assert_eq!(engine.query(77, 64).unwrap().value, 1.0);
     }
@@ -1509,10 +1506,10 @@ mod tests {
                 let mut batch: Vec<KeyedBits> = Vec::new();
                 for key in 0..60u64 {
                     let bits = lcg_bits(round * 777 + key, 29, 3, 1);
-                    oracles
+                    let oracle = oracles
                         .entry(key)
-                        .or_insert_with(|| DetWave::new(64, 0.25).unwrap())
-                        .push_bits(&bits);
+                        .or_insert_with(|| DetWave::new(64, 0.25).unwrap());
+                    bits.iter().for_each(|&b| oracle.push_bit(b));
                     batch.push((key, Bits::from(bits)));
                 }
                 engine
@@ -1651,7 +1648,7 @@ mod tests {
         };
         let shard0 = dir.join("shard-0");
         let mut wave = DetWave::new(64, 0.25).unwrap();
-        wave.push_bits(&[true, false, true]);
+        wave.push_words(Bits::from_bools(&[true, false, true]).as_ref());
         let refusal = || match Engine::new(cfg.clone()).err().expect("recovery refuses") {
             WaveError::Io(io) => {
                 assert_eq!(io.kind(), std::io::ErrorKind::InvalidData);

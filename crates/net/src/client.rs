@@ -312,8 +312,8 @@ impl<R: Recorder + Send + Sync + 'static> Client<R> {
         }
     }
 
-    /// Push a party's synopsis encode to the networked referee.
-    /// Idempotent (a re-push overwrites the same party slot), so it is
+    /// Push a party's synopsis to the networked referee: `bytes` are its
+    /// own `encode()` output, `kind` names its type. Idempotent (a re-push overwrites the same party slot), so it is
     /// retried.
     pub fn push_synopsis(
         &mut self,
@@ -323,34 +323,6 @@ impl<R: Recorder + Send + Sync + 'static> Client<R> {
     ) -> Result<(), WaveError> {
         self.request(&Frame::PushSynopsis { party, kind, bytes }, self.cfg.retry)
             .and_then(expect_ok)
-    }
-
-    /// Push a deterministic wave's encode for `party`.
-    pub fn push_det_wave(
-        &mut self,
-        party: u64,
-        wave: &waves_core::DetWave,
-    ) -> Result<(), WaveError> {
-        self.push_synopsis(party, SynopsisKind::DetWave, wave.encode())
-    }
-
-    /// Push a sum wave's encode for `party`.
-    pub fn push_sum_wave(
-        &mut self,
-        party: u64,
-        wave: &waves_core::SumWave,
-    ) -> Result<(), WaveError> {
-        self.push_synopsis(party, SynopsisKind::SumWave, wave.encode())
-    }
-
-    /// Push an exponential-histogram counter's encode for `party`.
-    pub fn push_eh_count(&mut self, party: u64, eh: &waves_eh::EhCount) -> Result<(), WaveError> {
-        self.push_synopsis(party, SynopsisKind::EhCount, eh.encode())
-    }
-
-    /// Push an exponential-histogram summer's encode for `party`.
-    pub fn push_eh_sum(&mut self, party: u64, eh: &waves_eh::EhSum) -> Result<(), WaveError> {
-        self.push_synopsis(party, SynopsisKind::EhSum, eh.encode())
     }
 
     /// Continuous-monitoring push (wire v7): ship a party's synopsis

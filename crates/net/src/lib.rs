@@ -100,9 +100,152 @@ mod proptests {
                 assert_eq!(k, kind);
                 assert_eq!(bytes, encoded, "synopsis bytes mutated in transit");
                 let syn = PartySynopsis::decode(k, &bytes).unwrap();
-                assert_eq!(syn.encode(), encoded, "re-encode not byte-identical");
+                assert_eq!(
+                    syn.synopsis().encode_synopsis(),
+                    encoded,
+                    "re-encode not byte-identical"
+                );
             }
             other => panic!("wrong frame came back: {other:?}"),
+        }
+    }
+
+    /// How many [`Frame`] variants [`sample_frame`] builds.
+    const FRAME_VARIANTS: usize = 17;
+
+    /// Frame `variant` (every request and response shape), its fields
+    /// and synopsis bytes drawn from `seed`.
+    fn sample_frame(variant: usize, seed: u64) -> Frame {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use waves_core::{Bits, Estimate, WaveError};
+        use waves_engine::{EngineSnapshot, ShardSnapshot};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut wave = DetWave::new(256, 0.25).unwrap();
+        for _ in 0..rng.gen_range(0..400) {
+            wave.push_bit(rng.gen_bool(0.4));
+        }
+        let kind = [
+            SynopsisKind::DetWave,
+            SynopsisKind::SumWave,
+            SynopsisKind::EhCount,
+            SynopsisKind::EhSum,
+        ][rng.gen_range(0..4usize)];
+        let (a, b): (u64, u64) = (rng.gen(), rng.gen());
+        match variant {
+            0 => Frame::Ping,
+            1 => Frame::Ingest(
+                (0..rng.gen_range(0..4))
+                    .map(|_| {
+                        let len = rng.gen_range(0..200);
+                        let bits: Bits = (0..len).map(|_| rng.gen_bool(0.5)).collect();
+                        (rng.gen(), bits)
+                    })
+                    .collect(),
+            ),
+            2 => Frame::Query { key: a, window: b },
+            3 => Frame::Flush,
+            4 => Frame::Snapshot,
+            5 => Frame::PushSynopsis {
+                party: a,
+                kind,
+                bytes: wave.encode(),
+            },
+            6 => Frame::Combine { window: b },
+            7 => Frame::Shutdown,
+            8 => Frame::Stats,
+            9 => Frame::Replicate {
+                key: a,
+                kind,
+                bytes: wave.encode(),
+            },
+            10 => Frame::PushDelta {
+                party: a,
+                seq: b,
+                slack: rng.gen_range(0.0..16.0),
+                kind,
+                bytes: wave.encode(),
+            },
+            11 => Frame::Ok,
+            12 => Frame::Pong,
+            13 => Frame::EstimateResp(Estimate {
+                value: (a % 1000) as f64 / 2.0,
+                lo: a % 500,
+                hi: a % 500 + b % 500,
+                exact: rng.gen_bool(0.5),
+            }),
+            14 => Frame::SnapshotResp(EngineSnapshot {
+                shards: (0..rng.gen_range(0..4))
+                    .map(|shard| ShardSnapshot {
+                        shard,
+                        keys: rng.gen_range(0..1000),
+                        resident_bytes: rng.gen_range(0..1 << 20),
+                        synopsis_bits: rng.gen(),
+                        entries: rng.gen_range(0..1000),
+                        queue_depth: rng.gen_range(0..64),
+                    })
+                    .collect(),
+                dropped_items: a,
+                backpressure_events: b,
+            }),
+            15 => Frame::StatsResp(format!(
+                "{{\"counters\":{{\"net_frames_sent_total\":{a}}}}}"
+            )),
+            _ => Frame::ErrorResp(WaveError::WindowTooLarge {
+                requested: a,
+                max: b,
+            }),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Mutated-valid fuzz of the frame decoder: a real frame of any
+        /// variant with 1-3 payload bits flipped and its CRC re-sealed
+        /// reaches `decode_payload`, which random bytes (see
+        /// `decode_never_panics`) almost never do. The decoder returns a
+        /// typed error or a frame, never panics, and a frame it accepts
+        /// re-encodes to the mutated bytes — save an error reply, whose
+        /// unknown codes decode to an opaque remote error, and an ingest
+        /// entry's bits past its length, which `Bits::from_le_bytes`
+        /// masks: a flip there may be undone, and nothing else may move.
+        #[test]
+        fn decode_survives_mutated_valid_frames(
+            variant in 0usize..FRAME_VARIANTS,
+            seed in any::<u64>(),
+            flips in prop::collection::vec(any::<u64>(), 1..=3),
+        ) {
+            let tag = FrameTag { trace: seed, corr: seed.rotate_left(17) };
+            let mut wire = WireCodec::encode_tagged(&sample_frame(variant, seed), tag);
+            let body_end = wire.len() - CRC_LEN;
+            let payload_bits = (body_end - HEADER_LEN) as u64 * 8;
+            let flipped: Vec<usize> = if payload_bits == 0 {
+                Vec::new()
+            } else {
+                flips.iter().map(|f| HEADER_LEN * 8 + (f % payload_bits) as usize).collect()
+            };
+            for &bit in &flipped {
+                wire[bit / 8] ^= 1 << (bit % 8);
+            }
+            wire.truncate(body_end);
+            let sum = waves_store::crc::crc32(&wire);
+            wire.extend_from_slice(&sum.to_be_bytes());
+            if let Ok((frame, used, got)) = WireCodec::decode_tagged(&wire) {
+                prop_assert_eq!(used, wire.len());
+                prop_assert_eq!(got, tag);
+                if !matches!(frame, Frame::ErrorResp(_)) {
+                    let again = WireCodec::encode_tagged(&frame, tag);
+                    prop_assert_eq!(again.len(), wire.len());
+                    let ingest = matches!(frame, Frame::Ingest(_));
+                    for bit in 0..body_end * 8 {
+                        let moved = (again[bit / 8] ^ wire[bit / 8]) >> (bit % 8) & 1 == 1;
+                        prop_assert!(
+                            !moved || (ingest && flipped.contains(&bit)),
+                            "{:?} re-encodes with bit {} moved", frame, bit
+                        );
+                    }
+                }
+            }
         }
     }
 

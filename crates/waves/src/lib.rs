@@ -80,8 +80,8 @@ pub use waves_core::{
 pub use waves_core::{
     decayed_sum, ratio_error_target, ratio_estimate, BasicWave, BitSynopsis, Bits, Decay,
     DecayedEstimate, DetWave, DetWaveBuilder, Estimate, ExactCount, ExactDistinct, ExactSum,
-    ModRing, NthRecentWave, RatioEstimate, SlidingAverage, SpaceReport, SumSynopsis, SumWave,
-    SumWaveBuilder, Synopsis, TimestampSumWave, TimestampWave, WaveError, WindowedHistogram,
+    ModRing, NthRecentWave, RatioEstimate, SlidingAverage, SpaceReport, SumWave, SumWaveBuilder,
+    Synopsis, TimestampSumWave, TimestampWave, WaveError, WindowedHistogram,
 };
 
 pub use waves_eh::{EhCount, EhCountBuilder, EhSum, EhSumBuilder, XuCount};

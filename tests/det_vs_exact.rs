@@ -5,10 +5,13 @@
 //! oracle, across workload families (Theorem 1 end-to-end).
 
 use waves::streamgen::{AlternatingRuns, Bernoulli, BitSource, Bursty, Periodic};
-use waves::{BitSynopsis, DetWave, EhCount, ExactCount, XuCount};
+use waves::{DetWave, EhCount, ExactCount, Synopsis, XuCount};
 
-fn check_synopsis<S: BitSynopsis>(
+/// Push through `push` (the type's own per-bit push) and query
+/// through [`Synopsis`], against the exact oracle.
+fn check_synopsis<S: Synopsis>(
     synopsis: &mut S,
+    push: fn(&mut S, bool),
     source: &mut dyn FnMut() -> bool,
     eps: f64,
     n_max: u64,
@@ -18,7 +21,7 @@ fn check_synopsis<S: BitSynopsis>(
     let mut oracle = ExactCount::new(n_max);
     for step in 1..=steps {
         let b = source();
-        synopsis.push_bit(b);
+        push(synopsis, b);
         oracle.push_bit(b);
         if step % 101 == 0 || step == steps {
             for &n in windows {
@@ -62,6 +65,7 @@ fn det_wave_all_workloads() {
         let mut wave = DetWave::new(n_max, eps).unwrap();
         check_synopsis(
             &mut wave,
+            DetWave::push_bit,
             &mut source,
             eps,
             n_max,
@@ -79,6 +83,7 @@ fn eh_all_workloads() {
         let mut eh = EhCount::new(n_max, eps).unwrap();
         check_synopsis(
             &mut eh,
+            EhCount::push_bit,
             &mut source,
             eps,
             n_max,
@@ -100,6 +105,7 @@ fn xu_all_workloads() {
         let mut xu = XuCount::new(n_max, eps).unwrap();
         check_synopsis(
             &mut xu,
+            XuCount::push_bit,
             &mut source,
             eps,
             n_max,

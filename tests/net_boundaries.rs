@@ -9,11 +9,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use waves::codec::BitWriter;
 use waves::net::{
     Client, Frame, FrameError, FrameTag, Server, ServerConfig, SynopsisKind, WireCodec,
 };
 use waves::obs::{MetricsRegistry, Recorder};
-use waves::{DetWave, EngineConfig, IngestRequest};
+use waves::{DetWave, EngineConfig, IngestRequest, WaveError};
 
 fn server_cfg() -> ServerConfig {
     ServerConfig {
@@ -273,4 +274,28 @@ fn backed_up_replies_resume_mid_buffer_and_neighbours_stay_served() {
         std::thread::sleep(Duration::from_millis(1));
     }
     assert_eq!(frames_sent(&rec), every_reply);
+}
+
+/// A PUSH_SYNOPSIS whose wave header forges `k = 2^32` — more slots
+/// than the ladder's `u32` links address — is answered with an error
+/// frame, and the same server, on the same connection, still answers
+/// PING. The bytes are decoded on the event-loop thread under the
+/// referee lock, where the constructor's panic on that `k` used to
+/// land. A `k` between about 2^20 and 2^31 is still accepted and
+/// reserves gigabytes up front (ROADMAP item 8, the lazy slab), so none
+/// is sent here.
+#[test]
+fn a_forged_wave_header_is_an_error_frame_and_the_server_stays_up() {
+    let server = Server::start("127.0.0.1:0", server_cfg()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut header = BitWriter::new();
+    header.write_gamma(16);
+    header.write_gamma(1 << 32);
+    (0..4).for_each(|_| header.write_gamma0(0));
+    match client.push_synopsis(0, SynopsisKind::DetWave, header.finish()) {
+        Err(WaveError::Io(e)) => assert!(e.to_string().contains("bad k"), "{e}"),
+        other => panic!("a forged k was answered {other:?}"),
+    }
+    client.ping().unwrap();
+    assert_eq!(server.referee_parties(), 0);
 }

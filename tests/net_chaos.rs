@@ -532,7 +532,9 @@ fn valid_eh_encoding_with_a_drifting_m_is_served_not_refused() {
     for i in 0..20_000u64 {
         eh.push_bit(i % 3 != 0);
     }
-    client.push_eh_count(0, &eh).expect("a valid encoding");
+    client
+        .push_synopsis(0, SynopsisKind::EhCount, eh.encode())
+        .expect("a valid encoding");
     let t0 = Instant::now();
     assert_eq!(client.combine(4096).unwrap(), eh.query(4096).unwrap());
     assert!(t0.elapsed() < HANG_BUDGET, "took {:?}", t0.elapsed());

@@ -120,7 +120,9 @@ fn networked_referee_matches_in_process_combine() {
 
     // Networked: each party ships its encode; the referee combines.
     for (p, wave) in waves.iter().enumerate() {
-        client.push_det_wave(p as u64, wave).unwrap();
+        client
+            .push_synopsis(p as u64, SynopsisKind::DetWave, wave.encode())
+            .unwrap();
     }
     let combined = client.combine(window).unwrap();
     assert_eq!(combined, expected);
@@ -128,7 +130,9 @@ fn networked_referee_matches_in_process_combine() {
 
     // Re-pushing a party overwrites its slot rather than double
     // counting.
-    client.push_det_wave(0, &waves[0]).unwrap();
+    client
+        .push_synopsis(0, SynopsisKind::DetWave, waves[0].encode())
+        .unwrap();
     assert_eq!(server.referee_parties(), parties);
     assert_eq!(client.combine(window).unwrap(), expected);
 
@@ -162,10 +166,18 @@ fn referee_mixes_synopsis_families() {
         ehs.push_value(i % 7).unwrap();
     }
 
-    client.push_det_wave(0, &det).unwrap();
-    client.push_sum_wave(1, &sum).unwrap();
-    client.push_eh_count(2, &ehc).unwrap();
-    client.push_eh_sum(3, &ehs).unwrap();
+    client
+        .push_synopsis(0, SynopsisKind::DetWave, det.encode())
+        .unwrap();
+    client
+        .push_synopsis(1, SynopsisKind::SumWave, sum.encode())
+        .unwrap();
+    client
+        .push_synopsis(2, SynopsisKind::EhCount, ehc.encode())
+        .unwrap();
+    client
+        .push_synopsis(3, SynopsisKind::EhSum, ehs.encode())
+        .unwrap();
     assert_eq!(server.referee_parties(), 4);
 
     let expected = waves::combine_estimates([

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use waves::net::{Client, Frame, Server, ServerConfig, SynopsisKind, WireCodec};
 use waves::obs::{MetricId, MetricsRegistry};
 use waves::streamgen::KeyedWorkload;
-use waves::{combine_estimates, DetWave, EngineConfig, ExactCount, MonitorConfig, PushParty};
+use waves::{combine_estimates, Bits, DetWave, EngineConfig, ExactCount, MonitorConfig, PushParty};
 
 const WINDOW: u64 = 128;
 const EPS: f64 = 0.2;
@@ -79,7 +79,7 @@ fn push_over_tcp_tracks_the_pull_referee_within_slack() {
         for &b in &bits {
             exact[idx].push_bit(b);
         }
-        if let Some(delta) = parties[idx].push_bits(&bits) {
+        if let Some(delta) = parties[idx].push_words(Bits::from_bools(&bits).as_ref()) {
             client
                 .push_delta(
                     delta.party,
@@ -120,7 +120,7 @@ fn push_over_tcp_tracks_the_pull_referee_within_slack() {
         // the synopses' ε alone.
         for p in &parties {
             pull_client
-                .push_det_wave(p.party(), p.local())
+                .push_synopsis(p.party(), SynopsisKind::DetWave, p.local().encode())
                 .expect("pull push");
         }
         let pulled = pull_client.combine(WINDOW).expect("combine");
@@ -163,7 +163,7 @@ fn forced_flush_restores_exact_agreement_over_tcp() {
         .map(|p| PushParty::new(&mcfg, p).expect("validated config"))
         .collect();
     for (party, bits) in events().into_iter().take(300) {
-        if let Some(delta) = parties[party as usize].push_bits(&bits) {
+        if let Some(delta) = parties[party as usize].push_words(Bits::from_bools(&bits).as_ref()) {
             client
                 .push_delta(
                     delta.party,
@@ -233,7 +233,10 @@ fn concurrent_duplicate_deltas_install_once_and_pull_pushes_keep_the_seq() {
 
     let mut client = Client::connect(addr).expect("client connect");
     assert_eq!(client.combine(WINDOW).unwrap(), wave_with(5).query_max());
-    client.push_det_wave(7, &wave_with(9)).expect("pull push");
+    let pull = wave_with(9).encode();
+    client
+        .push_synopsis(7, SynopsisKind::DetWave, pull)
+        .expect("pull push");
     assert_eq!(server.monitor_seq_of(7), Some(5), "pull push reset the seq");
     let pulled = client.combine(WINDOW).unwrap();
     assert_eq!(pulled, wave_with(9).query_max());

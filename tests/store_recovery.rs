@@ -73,7 +73,7 @@ fn oracle(all: &[Vec<(u64, Vec<bool>)>], acked: usize) -> HashMap<u64, DetWave> 
         for (key, bits) in batch {
             keys.entry(*key)
                 .or_insert_with(|| DetWave::new(WINDOW, EPS).unwrap())
-                .push_bits(bits);
+                .push_words(Bits::from_bools(bits).as_ref());
         }
     }
     keys

@@ -2,10 +2,13 @@
 //! (Theorem 3 end-to-end), including the value-range extremes.
 
 use waves::streamgen::{CallDurations, SpikeValues, UniformValues, ValueSource};
-use waves::{EhSum, ExactSum, SumSynopsis, SumWave};
+use waves::{EhSum, ExactSum, SumWave, Synopsis, WaveError};
 
-fn check_sum<S: SumSynopsis>(
+/// Push through `push` (the type's own value push) and query through
+/// [`Synopsis`], against the exact oracle.
+fn check_sum<S: Synopsis>(
     synopsis: &mut S,
+    push: fn(&mut S, u64) -> Result<(), WaveError>,
     source: &mut dyn FnMut() -> u64,
     eps: f64,
     n_max: u64,
@@ -14,7 +17,7 @@ fn check_sum<S: SumSynopsis>(
     let mut oracle = ExactSum::new(n_max);
     for step in 1..=steps {
         let v = source();
-        synopsis.push_value(v).expect("value within bound");
+        push(synopsis, v).expect("value within bound");
         oracle.push_value(v);
         if step % 97 == 0 || step == steps {
             let actual = oracle.query(n_max);
@@ -41,7 +44,14 @@ fn sum_wave_uniform_values() {
     let (eps, n_max, r) = (0.1, 1_024u64, 1u64 << 10);
     let mut g = UniformValues::new(r, 5);
     let mut w = SumWave::new(n_max, r, eps).unwrap();
-    check_sum(&mut w, &mut || g.next_value(), eps, n_max, 20_000);
+    check_sum(
+        &mut w,
+        SumWave::push_value,
+        &mut || g.next_value(),
+        eps,
+        n_max,
+        20_000,
+    );
 }
 
 #[test]
@@ -49,7 +59,14 @@ fn sum_wave_spiky_values() {
     let (eps, n_max, r) = (0.1, 512u64, 1u64 << 18);
     let mut g = SpikeValues::new(r, 0.01, 6);
     let mut w = SumWave::new(n_max, r, eps).unwrap();
-    check_sum(&mut w, &mut || g.next_value(), eps, n_max, 20_000);
+    check_sum(
+        &mut w,
+        SumWave::push_value,
+        &mut || g.next_value(),
+        eps,
+        n_max,
+        20_000,
+    );
 }
 
 #[test]
@@ -57,7 +74,14 @@ fn sum_wave_call_durations() {
     let (eps, n_max, r) = (0.05, 2_048u64, 7_200u64);
     let mut g = CallDurations::new(r, 7);
     let mut w = SumWave::new(n_max, r, eps).unwrap();
-    check_sum(&mut w, &mut || g.next_value(), eps, n_max, 20_000);
+    check_sum(
+        &mut w,
+        SumWave::push_value,
+        &mut || g.next_value(),
+        eps,
+        n_max,
+        20_000,
+    );
 }
 
 #[test]
@@ -65,7 +89,14 @@ fn eh_sum_same_workloads() {
     let (eps, n_max, r) = (0.1, 512u64, 1u64 << 10);
     let mut g = UniformValues::new(r, 8);
     let mut eh = EhSum::new(n_max, r, eps).unwrap();
-    check_sum(&mut eh, &mut || g.next_value(), eps, n_max, 15_000);
+    check_sum(
+        &mut eh,
+        EhSum::push_value,
+        &mut || g.next_value(),
+        eps,
+        n_max,
+        15_000,
+    );
 }
 
 #[test]
@@ -78,7 +109,7 @@ fn wave_and_eh_agree_on_truth_interval_validity() {
     for _ in 0..10_000 {
         let v = g.next_value();
         w.push_value(v).unwrap();
-        EhSum::push_value(&mut eh, v).unwrap();
+        eh.push_value(v).unwrap();
         oracle.push_value(v);
         let actual = oracle.query(n_max);
         assert!(w.query_max().brackets(actual));
