@@ -13,7 +13,7 @@ use crate::run::write_metrics;
 use std::io::Write;
 use std::sync::Arc;
 use waves_net::{Client, ClientConfig, Server, ServerConfig};
-use waves_obs::MetricsRegistry;
+use waves_obs::{MetricsRegistry, NoopRecorder, Recorder};
 
 use waves_engine::{EngineConfig, IngestRequest};
 
@@ -33,67 +33,38 @@ pub fn run_serve<W: Write>(cfg: &Config, out: &mut W) -> Result<(), String> {
     let ecfg = builder.build();
     let scfg = ServerConfig {
         engine: ecfg,
-        read_timeout: None,
         ..Default::default()
     };
     let registry = cfg.stats.then(|| Arc::new(MetricsRegistry::new()));
-    match &registry {
-        Some(reg) => {
-            let server = Server::start_recorded(&cfg.addr as &str, scfg, Arc::clone(reg))
-                .map_err(|e| e.to_string())?;
-            announce_and_wait(server, out)?;
-        }
-        None => {
-            let server = Server::start(&cfg.addr as &str, scfg).map_err(|e| e.to_string())?;
-            announce_and_wait(server, out)?;
-        }
-    }
+    let server = Server::start_recorded(&cfg.addr as &str, scfg, recorder(&registry))
+        .map_err(|e| e.to_string())?;
+    writeln!(out, "listening on {}", server.local_addr()).map_err(|e| e.to_string())?;
+    out.flush().map_err(|e| e.to_string())?;
+    server.wait();
+    writeln!(out, "server stopped").map_err(|e| e.to_string())?;
     match &registry {
         Some(reg) => write_metrics(reg, cfg.json, out),
         None => Ok(()),
     }
 }
 
-fn announce_and_wait<R, W>(server: Server<R>, out: &mut W) -> Result<(), String>
-where
-    R: waves_obs::Recorder + Send + Sync + 'static,
-    W: Write,
-{
-    writeln!(out, "listening on {}", server.local_addr()).map_err(|e| e.to_string())?;
-    out.flush().map_err(|e| e.to_string())?;
-    server.wait();
-    writeln!(out, "server stopped").map_err(|e| e.to_string())?;
-    Ok(())
+/// The `--stats` registry as the one recorder, or [`NoopRecorder`].
+fn recorder(registry: &Option<Arc<MetricsRegistry>>) -> Arc<dyn Recorder + Send + Sync> {
+    match registry {
+        Some(reg) => Arc::clone(reg) as _,
+        None => Arc::new(NoopRecorder),
+    }
 }
 
 /// Run the `client` subcommand against a running server.
 pub fn run_client<W: Write>(cfg: &Config, out: &mut W) -> Result<(), String> {
     let registry = cfg.stats.then(|| Arc::new(MetricsRegistry::new()));
-    let ccfg = ClientConfig::default();
-    let res = match &registry {
-        Some(reg) => {
-            let client = Client::connect_recorded(&cfg.addr as &str, ccfg, Arc::clone(reg))
-                .map_err(|e| e.to_string())?;
-            drive_client(client, cfg, out)
-        }
-        None => {
-            let client =
-                Client::connect_with(&cfg.addr as &str, ccfg).map_err(|e| e.to_string())?;
-            drive_client(client, cfg, out)
-        }
-    };
-    res?;
-    match &registry {
-        Some(reg) => write_metrics(reg, cfg.json, out),
-        None => Ok(()),
-    }
-}
-
-fn drive_client<R, W>(mut client: Client<R>, cfg: &Config, out: &mut W) -> Result<(), String>
-where
-    R: waves_obs::Recorder + Send + Sync + 'static,
-    W: Write,
-{
+    let mut client = Client::connect_with(
+        &cfg.addr as &str,
+        ClientConfig::default(),
+        recorder(&registry),
+    )
+    .map_err(|e| e.to_string())?;
     if cfg.ping {
         client.ping().map_err(|e| e.to_string())?;
         writeln!(out, "pong").map_err(|e| e.to_string())?;
@@ -144,7 +115,10 @@ where
         client.shutdown_server().map_err(|e| e.to_string())?;
         writeln!(out, "server shutdown requested").map_err(|e| e.to_string())?;
     }
-    Ok(())
+    match &registry {
+        Some(reg) => write_metrics(reg, cfg.json, out),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]

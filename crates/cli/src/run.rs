@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Write;
 use std::time::Instant;
-use waves_core::{DetWave, Estimate, SlidingAverage, SumWave};
+use waves_core::{DetWave, Estimate, SlidingAverage, SumWave, WaveError};
 use waves_obs::{HistId, JsonWriter, MetricId, MetricsRegistry, NoopRecorder, Recorder};
 use waves_rand::{DistinctParty, RandConfig, Referee};
 
@@ -84,10 +84,8 @@ impl Synopsis {
 
     fn query(&self, n: u64, rec: &dyn Recorder) -> Result<String, String> {
         match self {
-            Synopsis::Count(w) => Ok(render(
-                &w.query_recorded(n, rec).map_err(|e| e.to_string())?,
-            )),
-            Synopsis::Sum(w) => Ok(render(&w.query(n).map_err(|e| e.to_string())?)),
+            Synopsis::Count(w) => classified(w.query(n), rec),
+            Synopsis::Sum(w) => classified(w.query(n), rec),
             Synopsis::Distinct { party, referee } => {
                 let msg = party.message(n).map_err(|e| e.to_string())?;
                 let s = (party.pos() + 1).saturating_sub(n);
@@ -188,6 +186,22 @@ impl Synopsis {
             Synopsis::Average(a) => format!("window {} eps {}", a.window(), a.eps()),
         }
     }
+}
+
+/// Render a count or sum answer, counting it in `wave_queries_exact`
+/// or `wave_queries_approx`: how often the synopsis answers with zero
+/// error.
+fn classified(est: Result<Estimate, WaveError>, rec: &dyn Recorder) -> Result<String, String> {
+    let est = est.map_err(|e| e.to_string())?;
+    rec.incr(
+        if est.exact {
+            MetricId::WaveQueriesExact
+        } else {
+            MetricId::WaveQueriesApprox
+        },
+        1,
+    );
+    Ok(render(&est))
 }
 
 fn render(e: &Estimate) -> String {
@@ -384,9 +398,22 @@ mod tests {
             seed: 1,
             ..Config::default()
         };
-        let out = run_lines(cfg, "10\n20\n30\n40\n50\n?\n").unwrap();
+        let out = run_lines(cfg.clone(), "10\n20\n30\n40\n50\n?\n").unwrap();
         // Window of 4: 20+30+40+50 = 140.
         assert!(out.contains("140"), "{out}");
+        // Under --stats each answer is classified, as in count mode.
+        let stats = Config {
+            stats: true,
+            json: true,
+            ..cfg
+        };
+        let out = run_lines(stats, "10\n20\n30\n?\n? 2\n? 1\n").unwrap();
+        let snap = waves_obs::MetricsSnapshot::from_json(out.lines().last().unwrap()).unwrap();
+        let answered = ["wave_queries_exact", "wave_queries_approx"]
+            .map(|name| snap.counter(name).unwrap())
+            .iter()
+            .sum::<u64>();
+        assert_eq!(answered, 3, "{out}");
     }
 
     #[test]

@@ -263,7 +263,7 @@ mod tests {
                     .build(),
                 ..Default::default()
             },
-            Arc::clone(&reg),
+            reg.clone(),
         )
         .unwrap();
         let mut client = Client::connect(server.local_addr()).unwrap();

@@ -41,7 +41,7 @@ use waves_core::{Bits, DetWave, Estimate, WaveError};
 use waves_distributed::combine_checked;
 use waves_engine::IngestRequest;
 use waves_net::{Client, ClientConfig, RetryPolicy, SynopsisKind};
-use waves_obs::{HistId, MetricId, NoopRecorder, Recorder};
+use waves_obs::{HistId, MetricId, Recorder};
 
 use crate::ring::Ring;
 
@@ -81,13 +81,13 @@ impl Default for ClusterConfig {
 
 /// A client over a fixed set of `waves-net` servers, routing keys by
 /// consistent hash with primary/follower replication and failover.
-pub struct ClusterClient<R: Recorder + Send + Sync + 'static = NoopRecorder> {
+pub struct ClusterClient {
     nodes: Vec<SocketAddr>,
     ring: Ring,
     cfg: ClusterConfig,
     /// One lazy connection per node; `None` means down or not yet
     /// dialed. A transport failure drops the slot back to `None`.
-    conns: Vec<Option<Client<R>>>,
+    conns: Vec<Option<Client>>,
     /// Per-key shadow synopses — the replication source of truth.
     shadows: HashMap<u64, DetWave>,
     /// Validated prototype the shadows clone from.
@@ -95,25 +95,18 @@ pub struct ClusterClient<R: Recorder + Send + Sync + 'static = NoopRecorder> {
     /// Per-node keys whose last replication to that node failed; the
     /// next successful connection re-ships them (anti-entropy).
     pending: Vec<BTreeSet<u64>>,
-    rec: Arc<R>,
+    rec: Arc<dyn Recorder + Send + Sync>,
 }
 
-impl ClusterClient<NoopRecorder> {
-    /// Build a client over `nodes` with observability disabled. No
-    /// connection is dialed until the first request needs it.
-    pub fn new(nodes: Vec<SocketAddr>, cfg: ClusterConfig) -> Result<Self, WaveError> {
-        Self::new_recorded(nodes, cfg, Arc::new(NoopRecorder))
-    }
-}
-
-impl<R: Recorder + Send + Sync + 'static> ClusterClient<R> {
-    /// Build a client recording Cluster* counters and replica-lag
-    /// observations into `rec` (also shared with every per-node
-    /// [`Client`]).
-    pub fn new_recorded(
+impl ClusterClient {
+    /// Build a client over `nodes`, recording Cluster* counters and
+    /// replica-lag observations into `rec` (also shared with every
+    /// per-node [`Client`]; `Arc::new(NoopRecorder)` records nothing).
+    /// No connection is dialed until the first request needs it.
+    pub fn new(
         nodes: Vec<SocketAddr>,
         cfg: ClusterConfig,
-        rec: Arc<R>,
+        rec: Arc<dyn Recorder + Send + Sync>,
     ) -> Result<Self, WaveError> {
         if nodes.is_empty() {
             return Err(WaveError::io(std::io::Error::new(
@@ -200,7 +193,7 @@ impl<R: Recorder + Send + Sync + 'static> ClusterClient<R> {
         if self.conns[node].is_some() {
             return Ok(());
         }
-        let mut conn = Client::connect_recorded(
+        let mut conn = Client::connect_with(
             self.nodes[node],
             self.cfg.client.clone(),
             Arc::clone(&self.rec),

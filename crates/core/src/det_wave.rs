@@ -26,16 +26,6 @@ use crate::ladder::{k_for_eps, read_k, refused_k, Ladder, Positions};
 use crate::level::rank_level;
 use crate::window::MAX_WINDOW;
 
-/// Which query counter an estimate belongs to.
-#[inline]
-pub(crate) fn classify_query(est: &Estimate) -> waves_obs::MetricId {
-    if est.exact {
-        waves_obs::MetricId::WaveQueriesExact
-    } else {
-        waves_obs::MetricId::WaveQueriesApprox
-    }
-}
-
 /// Deterministic wave for Basic Counting (Theorem 1): relative error at
 /// most `eps` for any window `n <= N`, `O((1/eps) log^2(eps N))` bits,
 /// O(1) worst-case per-item time, O(1) query time for the max window.
@@ -241,26 +231,6 @@ impl DetWave {
     /// head, since nothing older than the window is kept.
     pub fn query_max(&self) -> Estimate {
         self.window(self.max_window())
-    }
-
-    /// [`DetWave::query_max`] plus exact-vs-approx classification: the
-    /// recorder's `wave_queries_exact` / `wave_queries_approx` counters
-    /// measure how often the synopsis answers with zero error.
-    pub fn query_max_recorded<R: waves_obs::Recorder + ?Sized>(&self, rec: &R) -> Estimate {
-        let est = self.query_max();
-        rec.incr(classify_query(&est), 1);
-        est
-    }
-
-    /// [`DetWave::query`] plus exact-vs-approx classification.
-    pub fn query_recorded<R: waves_obs::Recorder + ?Sized>(
-        &self,
-        n: u64,
-        rec: &R,
-    ) -> Result<Estimate, WaveError> {
-        let est = self.query(n)?;
-        rec.incr(classify_query(&est), 1);
-        Ok(est)
     }
 
     /// Estimate the count over any window `n <= N`, by walking the
@@ -775,25 +745,6 @@ mod tests {
             reg.counter(M::WaveEntriesEvicted) > 0,
             "dense stream evicts"
         );
-    }
-
-    #[test]
-    fn recorded_queries_classified() {
-        let reg = waves_obs::MetricsRegistry::new();
-        let mut w = DetWave::new(32, 0.5).unwrap();
-        for i in 0..500u64 {
-            w.push_bit_recorded(i % 2 == 0, &reg);
-        }
-        let n_queries = 40u64;
-        for n in 1..=n_queries {
-            w.query_recorded(n % 32 + 1, &reg).unwrap();
-        }
-        w.query_max_recorded(&reg);
-        use waves_obs::MetricId as M;
-        let exact = reg.counter(M::WaveQueriesExact);
-        let approx = reg.counter(M::WaveQueriesApprox);
-        assert_eq!(exact + approx, n_queries + 1);
-        assert!(approx > 0, "eps=0.5 over a dense stream must approximate");
     }
 
     #[test]

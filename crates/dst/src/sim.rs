@@ -34,7 +34,7 @@ use waves_distributed::{combine_estimates, MonitorConfig, MonitorReferee, PushPa
 use waves_eh::EhCount;
 use waves_engine::{Engine, EngineConfig, IngestRequest};
 use waves_net::{ChaosProxy, Client, ClientConfig, RetryPolicy, Server, ServerConfig};
-use waves_obs::{Fanout, MetricsRegistry, SpanRecorder};
+use waves_obs::{Fanout, MetricsRegistry, NoopRecorder, Recorder, SpanRecorder};
 use waves_store::{scratch_dir, wal, PersistConfig, SyncPolicy};
 
 use crate::schedule::{FaultSpec, Schedule, SimConfig, Step};
@@ -184,25 +184,33 @@ fn run_in(schedule: &Schedule, root: Option<&Path>) -> Result<RunReport, Violati
 /// Running the sim with tracing *live* is deliberate — it proves the
 /// telemetry plane is invisible to replay identity, because the trace
 /// hash covers only engine/store observables and never span timings.
-type Telemetry = Fanout<MetricsRegistry, SpanRecorder>;
-
-fn telemetry() -> Arc<Telemetry> {
+fn telemetry() -> Arc<dyn Recorder + Send + Sync> {
     Arc::new(Fanout(MetricsRegistry::new(), SpanRecorder::new()))
+}
+
+/// A loopback server on an ephemeral port hosting `engine`, with its
+/// own telemetry.
+fn start_server(engine: EngineConfig) -> Result<Server, WaveError> {
+    let cfg = ServerConfig {
+        engine,
+        ..Default::default()
+    };
+    Server::start_recorded("127.0.0.1:0", cfg, telemetry())
 }
 
 /// The execution surface: in-process engine, loopback server+client, or
 /// a multi-node cluster behind a `waves-cluster` routing client.
 enum Backend {
-    Direct(Engine<DetWave, Telemetry>),
+    Direct(Engine<DetWave, dyn Recorder + Send + Sync>),
     Tcp {
-        server: Server<Telemetry>,
-        client: Client<Telemetry>,
+        server: Server,
+        client: Client,
     },
     Cluster {
         /// `None` while a node is killed; its slot keeps the index ↔
         /// ring identity stable.
-        servers: Vec<Option<Server<Telemetry>>>,
-        client: Box<ClusterClient<Telemetry>>,
+        servers: Vec<Option<Server>>,
+        client: Box<ClusterClient>,
         /// Real listening address per node, restored on rejoin after a
         /// partition (a killed node rejoins on a fresh port).
         addrs: Vec<SocketAddr>,
@@ -509,7 +517,7 @@ impl Sim {
             retry: RetryPolicy::none(),
         };
         let t0 = Instant::now();
-        let outcome = Client::connect_with(proxy.local_addr(), chaos_cfg)
+        let outcome = Client::connect_with(proxy.local_addr(), chaos_cfg, Arc::new(NoopRecorder))
             .and_then(|mut c| c.query(key, window));
         drop(proxy);
         let elapsed = t0.elapsed();
@@ -641,16 +649,8 @@ impl Sim {
             // empty on a fresh port and declare every key routed there
             // stale, so the next connection re-seeds it key by key
             // through anti-entropy.
-            let server = Server::start_recorded(
-                "127.0.0.1:0",
-                ServerConfig {
-                    engine: ecfg,
-                    read_timeout: None,
-                    ..Default::default()
-                },
-                telemetry(),
-            )
-            .map_err(|e| format!("harness: rejoin server start: {e}"))?;
+            let server =
+                start_server(ecfg).map_err(|e| format!("harness: rejoin server start: {e}"))?;
             addrs[node] = server.local_addr();
             servers[node] = Some(server);
             client.set_node_addr(node, addrs[node]);
@@ -808,16 +808,8 @@ fn start_backend(cfg: &SimConfig, root: Option<&Path>) -> Result<Backend, String
         let mut servers = Vec::with_capacity(cfg.cluster_nodes);
         let mut addrs = Vec::with_capacity(cfg.cluster_nodes);
         for _ in 0..cfg.cluster_nodes {
-            let server = Server::start_recorded(
-                "127.0.0.1:0",
-                ServerConfig {
-                    engine: ecfg.clone(),
-                    read_timeout: None,
-                    ..Default::default()
-                },
-                telemetry(),
-            )
-            .map_err(|e| format!("harness: cluster server start: {e}"))?;
+            let server = start_server(ecfg.clone())
+                .map_err(|e| format!("harness: cluster server start: {e}"))?;
             addrs.push(server.local_addr());
             servers.push(Some(server));
         }
@@ -835,7 +827,7 @@ fn start_backend(cfg: &SimConfig, root: Option<&Path>) -> Result<Backend, String
             ..Default::default()
         };
         let client = Box::new(
-            ClusterClient::new_recorded(addrs.clone(), ccfg, telemetry())
+            ClusterClient::new(addrs.clone(), ccfg, telemetry())
                 .map_err(|e| format!("harness: cluster client: {e}"))?,
         );
         let n = cfg.cluster_nodes;
@@ -848,24 +840,15 @@ fn start_backend(cfg: &SimConfig, root: Option<&Path>) -> Result<Backend, String
         });
     }
     if cfg.tcp {
-        let server = Server::start_recorded(
-            "127.0.0.1:0",
-            ServerConfig {
-                engine: ecfg,
-                read_timeout: None,
-                ..Default::default()
-            },
-            telemetry(),
-        )
-        .map_err(|e| format!("harness: server start: {e}"))?;
+        let server = start_server(ecfg).map_err(|e| format!("harness: server start: {e}"))?;
         let client =
-            Client::connect_recorded(server.local_addr(), ClientConfig::default(), telemetry())
+            Client::connect_with(server.local_addr(), ClientConfig::default(), telemetry())
                 .map_err(|e| format!("harness: client connect: {e}"))?;
         Ok(Backend::Tcp { server, client })
     } else {
         let (n, eps) = (ecfg.max_window, ecfg.eps);
         Ok(Backend::Direct(
-            Engine::with_factory_recorded(ecfg, move || DetWave::new(n, eps), telemetry())
+            Engine::with_factory(ecfg, move || DetWave::new(n, eps), telemetry())
                 .map_err(|e| format!("harness: engine start: {e}"))?,
         ))
     }

@@ -387,10 +387,11 @@ impl ShardHandle {
 ///
 /// `S` is the per-key synopsis type, `R` the observability sink
 /// ([`NoopRecorder`] by default — zero-cost when disabled, as
-/// everywhere in this workspace).
+/// everywhere in this workspace). `R` may be unsized: the TCP server
+/// hosts an `Engine<DetWave, dyn Recorder + Send + Sync>`.
 pub struct Engine<
     S: BitSynopsis + Send + 'static,
-    R: Recorder + Send + Sync + 'static = NoopRecorder,
+    R: Recorder + Send + Sync + ?Sized + 'static = NoopRecorder,
 > {
     cfg: EngineConfig,
     shards: Vec<ShardHandle>,
@@ -409,7 +410,7 @@ impl Engine<DetWave> {
     /// up front.
     pub fn new(cfg: EngineConfig) -> Result<Self, WaveError> {
         let (n, eps) = (cfg.max_window, cfg.eps);
-        Self::with_factory(cfg, move || DetWave::new(n, eps))
+        Self::with_factory(cfg, move || DetWave::new(n, eps), Arc::new(NoopRecorder))
     }
 }
 
@@ -420,29 +421,21 @@ impl Engine<DetWave, waves_obs::MetricsRegistry> {
         rec: Arc<waves_obs::MetricsRegistry>,
     ) -> Result<Self, WaveError> {
         let (n, eps) = (cfg.max_window, cfg.eps);
-        Self::with_factory_recorded(cfg, move || DetWave::new(n, eps), rec)
-    }
-}
-
-impl<S: BitSynopsis + Send + 'static> Engine<S, NoopRecorder> {
-    /// Serve an arbitrary synopsis per key: the factory builds one fresh
-    /// synopsis per newly-seen key. It is called once eagerly so a
-    /// misconfigured factory fails at construction, not mid-stream.
-    pub fn with_factory<F>(cfg: EngineConfig, factory: F) -> Result<Self, WaveError>
-    where
-        F: Fn() -> Result<S, WaveError> + Send + Sync + 'static,
-    {
-        Self::with_factory_recorded(cfg, factory, Arc::new(NoopRecorder))
+        Self::with_factory(cfg, move || DetWave::new(n, eps), rec)
     }
 }
 
 impl<S, R> Engine<S, R>
 where
     S: BitSynopsis + Send + 'static,
-    R: Recorder + Send + Sync + 'static,
+    R: Recorder + Send + Sync + ?Sized + 'static,
 {
-    /// Fully general constructor: custom synopsis factory plus a shared
-    /// recorder (e.g. an `Arc<MetricsRegistry>`).
+    /// The general constructor: serve an arbitrary synopsis per key,
+    /// reporting into a shared recorder (`Arc::new(NoopRecorder)`, an
+    /// `Arc<MetricsRegistry>`, or an `Arc<dyn Recorder + Send + Sync>`).
+    /// The factory builds one fresh synopsis per newly-seen key. It is
+    /// called once eagerly so a misconfigured factory fails at
+    /// construction, not mid-stream.
     ///
     /// With [`EngineConfig::persist`] set, this is also the recovery
     /// path: each shard loads its newest valid checkpoint (decoding
@@ -455,11 +448,7 @@ where
     /// fails construction with a typed error naming the key; a torn WAL
     /// tail is truncated silently — that is the crash-recovery contract,
     /// not an error.
-    pub fn with_factory_recorded<F>(
-        cfg: EngineConfig,
-        factory: F,
-        rec: Arc<R>,
-    ) -> Result<Self, WaveError>
+    pub fn with_factory<F>(cfg: EngineConfig, factory: F, rec: Arc<R>) -> Result<Self, WaveError>
     where
         F: Fn() -> Result<S, WaveError> + Send + Sync + 'static,
     {
@@ -866,7 +855,7 @@ where
 impl<S, R> Drop for Engine<S, R>
 where
     S: BitSynopsis + Send + 'static,
-    R: Recorder + Send + Sync + 'static,
+    R: Recorder + Send + Sync + ?Sized + 'static,
 {
     fn drop(&mut self) {
         for shard in &mut self.shards {
@@ -945,7 +934,7 @@ fn shard_worker<S, R, F>(
     crashed: Arc<AtomicBool>,
 ) where
     S: BitSynopsis + Send + 'static,
-    R: Recorder + Send + Sync + 'static,
+    R: Recorder + Send + Sync + ?Sized + 'static,
     F: Fn() -> Result<S, WaveError> + Send + Sync + 'static,
 {
     // Record the queue-wait span for a traced dequeued command and open
@@ -1031,6 +1020,7 @@ fn shard_worker<S, R, F>(
                         && p.applied_since_checkpoint >= p.checkpoint_every
                         && p.write_checkpoint(&keys, rec.as_ref()).is_err()
                     {
+                        rec.incr(MetricId::StoreCheckpointFailures, 1);
                         rec.event(Event {
                             name: "store.checkpoint.failed",
                             fields: &[],
@@ -1113,6 +1103,7 @@ fn shard_worker<S, R, F>(
     }
     if let Some(p) = persist.as_mut() {
         if p.write_checkpoint(&keys, rec.as_ref()).is_err() {
+            rec.incr(MetricId::StoreCheckpointFailures, 1);
             rec.event(Event {
                 name: "store.shutdown_checkpoint.failed",
                 fields: &[],
@@ -1181,7 +1172,11 @@ mod tests {
             .build();
         let want = Some(WaveError::InvalidWindow(u64::MAX));
         assert_eq!(Engine::new(cfg.clone()).err(), want);
-        let eh = Engine::with_factory(cfg, || waves_eh::EhCount::new(u64::MAX, 0.25));
+        let eh = Engine::with_factory(
+            cfg,
+            || waves_eh::EhCount::new(u64::MAX, 0.25),
+            Arc::new(NoopRecorder),
+        );
         assert_eq!(eh.err(), want);
     }
 
@@ -1350,7 +1345,12 @@ mod tests {
     #[test]
     fn generic_over_eh_synopsis() {
         let cfg = small_cfg(2);
-        let engine = Engine::with_factory(cfg, || waves_eh::EhCount::new(64, 0.25)).unwrap();
+        let engine = Engine::with_factory(
+            cfg,
+            || waves_eh::EhCount::new(64, 0.25),
+            Arc::new(NoopRecorder),
+        )
+        .unwrap();
         engine
             .ingest(IngestRequest::of(3, [true; 10]).blocking(true))
             .unwrap();
@@ -1423,8 +1423,7 @@ mod tests {
         let dir = cfg.persist.as_ref().unwrap().dir.clone();
         let (n, eps) = (cfg.max_window, cfg.eps);
         let engine =
-            Engine::with_factory_recorded(cfg, move || DetWave::new(n, eps), Arc::clone(&rec))
-                .unwrap();
+            Engine::with_factory(cfg, move || DetWave::new(n, eps), Arc::clone(&rec)).unwrap();
         let ctx = TraceCtx {
             trace: TraceId(42),
             parent: 1,
@@ -1623,6 +1622,35 @@ mod tests {
         engine.checkpoint().unwrap();
     }
 
+    /// An automatic checkpoint that cannot be written (its shard
+    /// directory is gone) is counted, and the key keeps serving from
+    /// memory.
+    #[test]
+    fn a_failed_auto_checkpoint_is_counted_and_the_key_still_answers() {
+        let dir = waves_store::scratch_dir("engine-ckpt-fail");
+        let cfg = EngineConfig::builder()
+            .num_shards(1)
+            .max_window(64)
+            .eps(0.25)
+            .persist_config(
+                PersistConfig::new(&dir)
+                    .sync_policy(SyncPolicy::EveryBatch)
+                    .checkpoint_every(1),
+            )
+            .build();
+        let reg = Arc::new(MetricsRegistry::new());
+        let engine = Engine::new_recorded(cfg, Arc::clone(&reg)).unwrap();
+        std::fs::remove_dir_all(dir.join("shard-0")).unwrap();
+        engine
+            .ingest(IngestRequest::of(5, [true; 4]).blocking(true))
+            .unwrap();
+        engine.flush();
+        assert!(reg.counter(MetricId::StoreCheckpointFailures) >= 1);
+        assert_eq!(engine.query(5, 64).unwrap(), Estimate::exact(4));
+        drop(engine);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn shard_count_mismatch_fails_construction() {
         let dir = waves_store::scratch_dir("engine-shards");
@@ -1696,14 +1724,23 @@ mod tests {
         let dir = waves_store::scratch_dir("engine-eh");
         let cfg = persist_cfg(&dir, 2);
         {
-            let engine =
-                Engine::with_factory(cfg.clone(), || waves_eh::EhCount::new(64, 0.25)).unwrap();
+            let engine = Engine::with_factory(
+                cfg.clone(),
+                || waves_eh::EhCount::new(64, 0.25),
+                Arc::new(NoopRecorder),
+            )
+            .unwrap();
             engine
                 .ingest(IngestRequest::of(3, [true; 10]).blocking(true))
                 .unwrap();
             engine.flush();
         }
-        let engine = Engine::with_factory(cfg, || waves_eh::EhCount::new(64, 0.25)).unwrap();
+        let engine = Engine::with_factory(
+            cfg,
+            || waves_eh::EhCount::new(64, 0.25),
+            Arc::new(NoopRecorder),
+        )
+        .unwrap();
         assert!(engine.query(3, 64).unwrap().brackets(10));
         std::fs::remove_dir_all(&dir).unwrap();
     }

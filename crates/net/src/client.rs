@@ -172,11 +172,11 @@ impl Default for ClientConfig {
 /// client.shutdown_server().unwrap();
 /// server.wait();
 /// ```
-pub struct Client<R: Recorder + Send + Sync + 'static = NoopRecorder> {
+pub struct Client {
     stream: TcpStream,
     addr: SocketAddr,
     cfg: ClientConfig,
-    rec: Arc<R>,
+    rec: Arc<dyn Recorder + Send + Sync>,
     /// Trace id allocated for the most recent traced request, so a
     /// caller holding the span sink can look the request's tree up.
     last_trace: Option<TraceId>,
@@ -192,25 +192,19 @@ pub struct Client<R: Recorder + Send + Sync + 'static = NoopRecorder> {
     chunk: Vec<u8>,
 }
 
-impl Client<NoopRecorder> {
+impl Client {
     /// Connect with default timeouts and observability disabled.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, WaveError> {
-        Self::connect_with(addr, ClientConfig::default())
+        Self::connect_with(addr, ClientConfig::default(), Arc::new(NoopRecorder))
     }
 
-    /// Connect with explicit transport knobs.
-    pub fn connect_with<A: ToSocketAddrs>(addr: A, cfg: ClientConfig) -> Result<Self, WaveError> {
-        Self::connect_recorded(addr, cfg, Arc::new(NoopRecorder))
-    }
-}
-
-impl<R: Recorder + Send + Sync + 'static> Client<R> {
-    /// Connect, recording request latency and frame/byte counters into
-    /// `rec`.
-    pub fn connect_recorded<A: ToSocketAddrs>(
+    /// Connect with explicit transport knobs, recording request latency
+    /// and frame/byte counters into `rec` (`Arc::new(NoopRecorder)` to
+    /// record nothing).
+    pub fn connect_with<A: ToSocketAddrs>(
         addr: A,
         cfg: ClientConfig,
-        rec: Arc<R>,
+        rec: Arc<dyn Recorder + Send + Sync>,
     ) -> Result<Self, WaveError> {
         let addr = addr
             .to_socket_addrs()

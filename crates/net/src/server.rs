@@ -158,13 +158,13 @@ struct Done {
     bytes: Vec<u8>,
 }
 
-struct Shared<R: Recorder + Send + Sync + 'static> {
-    engine: Engine<DetWave, R>,
+struct Shared {
+    engine: Engine<DetWave, dyn Recorder + Send + Sync>,
     /// The referee behind PUSH_SYNOPSIS, PUSH_DELTA and COMBINE. Held
     /// from a delta's sequence check through its install, so a racing
     /// duplicate on another dispatch worker sees the new sequence.
     referee: Mutex<MonitorReferee>,
-    rec: Arc<R>,
+    rec: Arc<dyn Recorder + Send + Sync>,
     slow_request: Option<Duration>,
     stopping: AtomicBool,
     /// Wakes the event loop out of `Poller::wait` — for completions
@@ -177,39 +177,37 @@ struct Shared<R: Recorder + Send + Sync + 'static> {
 }
 
 /// A running server. Bind with [`Server::start`] (or
-/// [`Server::start_recorded`] to wire `waves-obs` in), query
-/// [`Server::local_addr`] for the actual port when binding port 0, and
-/// either [`Server::wait`] for a client-driven [`Frame::Shutdown`] or
-/// drop the handle to stop.
-pub struct Server<R: Recorder + Send + Sync + 'static = NoopRecorder> {
-    shared: Arc<Shared<R>>,
+/// [`Server::start_recorded`] to report into a recorder such as a
+/// shared `MetricsRegistry`), query [`Server::local_addr`] for the
+/// actual port when binding port 0, and either [`Server::wait`] for a
+/// client-driven [`Frame::Shutdown`] or drop the handle to stop.
+pub struct Server {
+    shared: Arc<Shared>,
     local_addr: SocketAddr,
     event_loop: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
-impl Server<NoopRecorder> {
+impl Server {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
     /// start serving with observability disabled.
     pub fn start<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<Self, WaveError> {
         Self::start_recorded(addr, cfg, Arc::new(NoopRecorder))
     }
-}
 
-impl<R: Recorder + Send + Sync + 'static> Server<R> {
     /// Bind `addr` and start serving, recording per-connection frame /
     /// byte / latency telemetry into `rec` (and threading it through to
     /// the hosted engine).
     pub fn start_recorded<A: ToSocketAddrs>(
         addr: A,
         cfg: ServerConfig,
-        rec: Arc<R>,
+        rec: Arc<dyn Recorder + Send + Sync>,
     ) -> Result<Self, WaveError> {
         let listener = TcpListener::bind(addr).map_err(WaveError::io)?;
         listener.set_nonblocking(true).map_err(WaveError::io)?;
         let local_addr = listener.local_addr().map_err(WaveError::io)?;
         let (n, eps) = (cfg.engine.max_window, cfg.engine.eps);
-        let engine = Engine::with_factory_recorded(
+        let engine = Engine::with_factory(
             cfg.engine.clone(),
             move || DetWave::new(n, eps),
             Arc::clone(&rec),
@@ -301,7 +299,7 @@ impl<R: Recorder + Send + Sync + 'static> Server<R> {
     /// The hosted engine. Lets a harness drive engine-level operations
     /// that have no wire frame — durable checkpoints and crash
     /// simulation (`Engine::crash_on_drop`) in `waves-dst`.
-    pub fn engine(&self) -> &Engine<DetWave, R> {
+    pub fn engine(&self) -> &Engine<DetWave, dyn Recorder + Send + Sync> {
         &self.shared.engine
     }
 
@@ -330,7 +328,7 @@ impl<R: Recorder + Send + Sync + 'static> Server<R> {
     }
 }
 
-impl<R: Recorder + Send + Sync + 'static> Drop for Server<R> {
+impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
         self.join_all();
@@ -453,7 +451,7 @@ impl Conn {
     /// passes this one check: `false` means it took the backlog past
     /// the write-queue cap — it is taken back out and the caller must
     /// evict the peer.
-    fn admit_reply<R: Recorder>(&mut self, start: usize, cap: usize, rec: &R) -> bool {
+    fn admit_reply(&mut self, start: usize, cap: usize, rec: &dyn Recorder) -> bool {
         let queued = self.out.queued();
         if queued > cap {
             self.out.bytes.truncate(start);
@@ -522,9 +520,9 @@ impl Gather {
     }
 
     /// Add one frame's entries to their shards' sub-batches.
-    fn push<R: Recorder + Send + Sync + 'static>(
+    fn push(
         &mut self,
-        engine: &Engine<DetWave, R>,
+        engine: &Engine<DetWave, dyn Recorder + Send + Sync>,
         entries: Vec<KeyedBits>,
         tag: FrameTag,
         started: Option<Instant>,
@@ -545,12 +543,7 @@ impl Gather {
     /// arrival order. Leaves the gather empty; `false` means a reply
     /// took the connection past the write-queue cap and the caller must
     /// evict it.
-    fn submit<R: Recorder + Send + Sync + 'static>(
-        &mut self,
-        shared: &Shared<R>,
-        conn: &mut Conn,
-        cap: usize,
-    ) -> bool {
+    fn submit(&mut self, shared: &Shared, conn: &mut Conn, cap: usize) -> bool {
         if self.frames.is_empty() {
             return true;
         }
@@ -575,10 +568,10 @@ impl Gather {
     }
 }
 
-struct EventLoop<R: Recorder + Send + Sync + 'static> {
+struct EventLoop {
     listener: TcpListener,
     poller: Poller,
-    shared: Arc<Shared<R>>,
+    shared: Arc<Shared>,
     job_tx: Sender<Job>,
     done_rx: Receiver<Done>,
     conns: HashMap<usize, Conn>,
@@ -597,7 +590,7 @@ struct EventLoop<R: Recorder + Send + Sync + 'static> {
     drain_deadline: Duration,
 }
 
-impl<R: Recorder + Send + Sync + 'static> EventLoop<R> {
+impl EventLoop {
     fn run(mut self) {
         let rec = Arc::clone(&self.shared.rec);
         if self
@@ -1036,11 +1029,7 @@ fn set_interest(poller: &Poller, conn: &mut Conn, token: Token, want_read: bool)
 /// A dispatch worker: a request that parks on a shard in, its encoded
 /// reply out. The loop is woken once per drain, not once per reply:
 /// only the worker that raises `wake_pending` writes the eventfd.
-fn dispatch_worker<R: Recorder + Send + Sync + 'static>(
-    shared: Arc<Shared<R>>,
-    jobs: Arc<Mutex<Receiver<Job>>>,
-    done: Sender<Done>,
-) {
+fn dispatch_worker(shared: Arc<Shared>, jobs: Arc<Mutex<Receiver<Job>>>, done: Sender<Done>) {
     loop {
         let job = match jobs.lock().unwrap().recv() {
             Ok(j) => j,
@@ -1066,12 +1055,7 @@ fn dispatch_worker<R: Recorder + Send + Sync + 'static>(
 /// dispatch workers both come through here. So does a traced INGEST,
 /// which is not gathered, so the engine's spans hang off its own
 /// dispatch span.
-fn serve<R: Recorder + Send + Sync + 'static>(
-    frame: Frame,
-    tag: FrameTag,
-    shared: &Shared<R>,
-    out: &mut Vec<u8>,
-) {
+fn serve(frame: Frame, tag: FrameTag, shared: &Shared, out: &mut Vec<u8>) {
     let rec = &shared.rec;
     let started = rec.enabled().then(Instant::now);
     let trace = tag.trace;
@@ -1106,11 +1090,11 @@ fn serve<R: Recorder + Send + Sync + 'static>(
 /// per-request telemetry every reply gets wherever it was produced —
 /// server-side frame latency since `started`, slow-request and error
 /// accounting — written once.
-fn answer<R: Recorder + Send + Sync + 'static>(
+fn answer(
     reply: &Frame,
     tag: FrameTag,
     started: Option<Instant>,
-    shared: &Shared<R>,
+    shared: &Shared,
     out: &mut Vec<u8>,
 ) {
     let rec = &shared.rec;
@@ -1131,11 +1115,7 @@ fn answer<R: Recorder + Send + Sync + 'static>(
     WireCodec::encode_tagged_into(reply, tag, out);
 }
 
-fn dispatch<R: Recorder + Send + Sync + 'static>(
-    frame: Frame,
-    shared: &Shared<R>,
-    ctx: TraceCtx,
-) -> Frame {
+fn dispatch(frame: Frame, shared: &Shared, ctx: TraceCtx) -> Frame {
     match frame {
         Frame::Ping => Frame::Pong,
         Frame::Shutdown => Frame::Ok,

@@ -11,11 +11,14 @@
 //!   and live `--stats` runs so both agree on one definition of tail
 //!   latency;
 //! * [`Recorder`] — the structural-event sink instrumented code reports
-//!   into. The hot paths are generic over `R: Recorder`, and
-//!   [`NoopRecorder`]'s methods are empty `#[inline(always)]` bodies, so
-//!   the monomorphized disabled path compiles to exactly the
-//!   uninstrumented code (verified by the `obs-overhead` experiment in
-//!   `waves-bench`);
+//!   into. The synopsis kernels and the engine are generic over
+//!   `R: Recorder + ?Sized`, and [`NoopRecorder`]'s methods are empty
+//!   `#[inline(always)]` bodies, so the monomorphized disabled path
+//!   compiles to exactly the uninstrumented code (verified by the
+//!   `obs-overhead` experiment in `waves-bench`). Behind a socket the
+//!   server and clients hold one `Arc<dyn Recorder + Send + Sync>`
+//!   instead: a vtable call per counter there is noise beside a system
+//!   call;
 //! * [`MetricsRegistry`] — a fixed set of well-known counters and
 //!   histograms ([`MetricId`], [`HistId`]) that itself implements
 //!   [`Recorder`], snapshots to a plain [`MetricsSnapshot`] struct, and

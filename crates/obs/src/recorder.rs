@@ -113,10 +113,15 @@ pub enum MetricId {
     /// PUSH_DELTA frames rejected as stale: the sequence number did not
     /// advance the party's highest seen (retries, late reordering).
     MonitorStaleDeltas,
+    /// Checkpoints a shard worker failed to write — automatic or at
+    /// clean shutdown (each also emits a `store.checkpoint.failed` or
+    /// `store.shutdown_checkpoint.failed` event). The WAL is intact and
+    /// the next interval retries.
+    StoreCheckpointFailures,
 }
 
 /// Number of [`MetricId`] variants (length of the registry's array).
-pub const NUM_METRICS: usize = 44;
+pub const NUM_METRICS: usize = 45;
 
 impl MetricId {
     pub const ALL: [MetricId; NUM_METRICS] = [
@@ -164,6 +169,7 @@ impl MetricId {
         MetricId::MonitorPushes,
         MetricId::MonitorPushBytes,
         MetricId::MonitorStaleDeltas,
+        MetricId::StoreCheckpointFailures,
     ];
 
     /// Stable snake_case name used in text and JSON output.
@@ -213,6 +219,7 @@ impl MetricId {
             MetricId::MonitorPushes => "monitor_pushes_total",
             MetricId::MonitorPushBytes => "monitor_push_bytes_total",
             MetricId::MonitorStaleDeltas => "monitor_stale_deltas_total",
+            MetricId::StoreCheckpointFailures => "store_checkpoint_failures_total",
         }
     }
 }
@@ -421,8 +428,9 @@ pub trait Recorder {
     }
 
     /// A live metrics snapshot, if this recorder (or one it fans out
-    /// to) is backed by a registry. Lets generic servers answer remote
-    /// STATS requests without naming a concrete recorder type.
+    /// to) is backed by a registry. Lets a server holding a
+    /// `dyn Recorder` answer remote STATS requests without naming a
+    /// concrete recorder type.
     fn metrics_snapshot(&self) -> Option<crate::registry::MetricsSnapshot> {
         None
     }
@@ -437,52 +445,6 @@ impl Recorder for NoopRecorder {
     #[inline(always)]
     fn enabled(&self) -> bool {
         false
-    }
-}
-
-impl<T: Recorder + ?Sized> Recorder for &T {
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        (**self).enabled()
-    }
-
-    #[inline(always)]
-    fn incr(&self, id: MetricId, by: u64) {
-        (**self).incr(id, by)
-    }
-
-    #[inline(always)]
-    fn observe(&self, id: HistId, value: u64) {
-        (**self).observe(id, value)
-    }
-
-    #[inline(always)]
-    fn event(&self, event: Event<'_>) {
-        (**self).event(event)
-    }
-
-    #[inline(always)]
-    fn trace_enabled(&self) -> bool {
-        (**self).trace_enabled()
-    }
-
-    #[inline(always)]
-    fn span(&self, span: crate::trace::Span) {
-        (**self).span(span)
-    }
-
-    #[inline(always)]
-    fn incr_shard(&self, shard: usize, stat: ShardStat, by: u64) {
-        (**self).incr_shard(shard, stat, by)
-    }
-
-    #[inline(always)]
-    fn incr_family(&self, family: usize, by: u64) {
-        (**self).incr_family(family, by)
-    }
-
-    fn metrics_snapshot(&self) -> Option<crate::registry::MetricsSnapshot> {
-        (**self).metrics_snapshot()
     }
 }
 
@@ -711,15 +673,13 @@ mod tests {
 
     #[test]
     fn fanout_reaches_both() {
-        let a = BufferSink::new();
-        let b = BufferSink::new();
-        let f = Fanout(&a, &b);
+        let f = Fanout(BufferSink::new(), BufferSink::new());
         assert!(f.enabled());
         f.event(Event {
             name: "e",
             fields: &[],
         });
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
+        assert_eq!(f.0.len(), 1);
+        assert_eq!(f.1.len(), 1);
     }
 }

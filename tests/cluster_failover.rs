@@ -16,7 +16,7 @@
 
 use waves::cluster::{ClusterClient, ClusterConfig};
 use waves::net::{ClientConfig, RetryPolicy, Server, ServerConfig};
-use waves::obs::{MetricId, MetricsRegistry};
+use waves::obs::{MetricId, MetricsRegistry, NoopRecorder};
 use waves::{EngineConfig, ExactCount};
 
 const MAX_WINDOW: u64 = 256;
@@ -53,12 +53,7 @@ fn start_servers(n: usize) -> Vec<Server> {
 
 /// Stream `items` workload items through the client, one bit per item,
 /// mirroring every bit into the exact oracles.
-fn stream(
-    client: &mut ClusterClient<MetricsRegistry>,
-    oracles: &mut [ExactCount],
-    rng: &mut u64,
-    items: usize,
-) {
+fn stream(client: &mut ClusterClient, oracles: &mut [ExactCount], rng: &mut u64, items: usize) {
     for _ in 0..items {
         let key = lcg(rng) % KEYS;
         let bit = !lcg(rng).is_multiple_of(3);
@@ -73,7 +68,7 @@ fn stream(
 
 /// Every key, several windows: cluster answer == shadow, brackets
 /// truth, within ε of truth.
-fn check_all(client: &mut ClusterClient<MetricsRegistry>, oracles: &[ExactCount], ctx: &str) {
+fn check_all(client: &mut ClusterClient, oracles: &[ExactCount], ctx: &str) {
     for key in 0..KEYS {
         for window in [MAX_WINDOW, MAX_WINDOW / 2, MAX_WINDOW / 7, 1] {
             let got = client
@@ -107,7 +102,7 @@ fn kill_primary_mid_stream_keeps_every_answer_in_bracket() {
     let mut servers = start_servers(3);
     let addrs = servers.iter().map(|s| s.local_addr()).collect();
     let registry = std::sync::Arc::new(MetricsRegistry::new());
-    let mut client = ClusterClient::new_recorded(
+    let mut client = ClusterClient::new(
         addrs,
         ClusterConfig {
             replication: 2,
@@ -123,7 +118,7 @@ fn kill_primary_mid_stream_keeps_every_answer_in_bracket() {
             },
             ..Default::default()
         },
-        std::sync::Arc::clone(&registry),
+        registry.clone(),
     )
     .expect("cluster client");
     let mut oracles: Vec<ExactCount> = (0..KEYS).map(|_| ExactCount::new(MAX_WINDOW)).collect();
@@ -176,6 +171,7 @@ fn replication_keeps_followers_current_between_rounds() {
             eps: EPS,
             ..Default::default()
         },
+        std::sync::Arc::new(NoopRecorder),
     )
     .expect("cluster client");
 

@@ -119,8 +119,12 @@ fn eh_engine_matches_eh_oracle_on_schedule_workload() {
         .max_window(window)
         .eps(eps)
         .build();
-    let engine =
-        waves::Engine::with_factory(cfg, move || waves::EhCount::new(window, eps)).unwrap();
+    let engine = waves::Engine::with_factory(
+        cfg,
+        move || waves::EhCount::new(window, eps),
+        std::sync::Arc::new(waves::obs::NoopRecorder),
+    )
+    .unwrap();
     let mut oracles: HashMap<u64, waves::EhCount> = HashMap::new();
     for step in &sched.steps {
         let Step::Ingest { batch, .. } = step else {

@@ -172,7 +172,7 @@ fn backed_up_replies_resume_mid_buffer_and_neighbours_stay_served() {
         max_write_queue: 64 << 20,
         ..server_cfg()
     };
-    let server = Server::start_recorded("127.0.0.1:0", cfg, Arc::clone(&rec)).unwrap();
+    let server = Server::start_recorded("127.0.0.1:0", cfg, rec.clone()).unwrap();
 
     let mut reader = TcpStream::connect(server.local_addr()).unwrap();
     reader

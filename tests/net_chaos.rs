@@ -11,11 +11,13 @@
 //! tests pin RNG-free specifics the sim deliberately leaves loose:
 //! exact timeout metadata and the retry machinery.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use waves::dst::{run, FaultSpec, Schedule};
 use waves::net::{
     ChaosProxy, Client, ClientConfig, Fault, RetryPolicy, Server, ServerConfig, SynopsisKind,
 };
+use waves::obs::NoopRecorder;
 use waves::{DetWave, EngineConfig, IngestRequest, WaveError};
 
 /// Tight budgets so the whole suite stays fast; the assertions give
@@ -66,7 +68,8 @@ fn check(sched: &Schedule) {
 fn control_passthrough_proxy_is_transparent() {
     let server = start_server();
     let proxy = ChaosProxy::start(server.local_addr(), Fault::None).unwrap();
-    let mut client = Client::connect_with(proxy.local_addr(), fast_cfg()).unwrap();
+    let mut client =
+        Client::connect_with(proxy.local_addr(), fast_cfg(), Arc::new(NoopRecorder)).unwrap();
     client
         .ingest(IngestRequest::of(1, [true, true, false]))
         .unwrap();
@@ -129,7 +132,7 @@ fn stalled_replies_surface_timeout_within_budget() {
         retry: RetryPolicy::none(),
         ..fast_cfg()
     };
-    let mut client = Client::connect_with(proxy.local_addr(), cfg).unwrap();
+    let mut client = Client::connect_with(proxy.local_addr(), cfg, Arc::new(NoopRecorder)).unwrap();
     let t0 = Instant::now();
     let err = client.ping().unwrap_err();
     match err {
@@ -154,6 +157,7 @@ fn corrupted_reply_surfaces_invalid_data() {
             retry: RetryPolicy::none(),
             ..fast_cfg()
         },
+        Arc::new(NoopRecorder),
     )
     .unwrap();
     // The ingest's Ok reply occupies stream offsets 0..28 (24-byte
@@ -191,6 +195,7 @@ fn a_reply_corrupted_inside_its_payload_costs_one_request_not_the_connection() {
             retry: RetryPolicy::none(),
             ..fast_cfg()
         },
+        Arc::new(NoopRecorder),
     )
     .unwrap();
     client
@@ -213,7 +218,8 @@ fn a_reply_corrupted_inside_its_payload_costs_one_request_not_the_connection() {
 #[test]
 fn idempotent_requests_retry_after_reset() {
     let server = start_server();
-    let mut client = Client::connect_with(server.local_addr(), fast_cfg()).unwrap();
+    let mut client =
+        Client::connect_with(server.local_addr(), fast_cfg(), Arc::new(NoopRecorder)).unwrap();
     client
         .ingest(IngestRequest::of(2, [true, false, true, true]))
         .unwrap();
@@ -243,7 +249,8 @@ fn retry_after_a_reply_cut_mid_frame_starts_from_an_empty_read_buffer() {
     // A PONG is 28 bytes on the wire: every proxied connection forwards
     // one whole reply and the first 10 bytes of the next, then closes.
     let proxy = ChaosProxy::start(server.local_addr(), Fault::TruncateAfter(28 + 10)).unwrap();
-    let mut client = Client::connect_with(proxy.local_addr(), fast_cfg()).unwrap();
+    let mut client =
+        Client::connect_with(proxy.local_addr(), fast_cfg(), Arc::new(NoopRecorder)).unwrap();
     client.ping().unwrap();
     // Cut 10 bytes in, then EOF (retryable); the single retry redials
     // through the proxy and its 28-byte reply arrives whole.
@@ -273,7 +280,8 @@ fn wave_with(ones: u64) -> DetWave {
 #[test]
 fn reordered_and_duplicate_push_deltas_never_roll_the_referee_back() {
     let server = start_server();
-    let mut client = Client::connect_with(server.local_addr(), fast_cfg()).unwrap();
+    let mut client =
+        Client::connect_with(server.local_addr(), fast_cfg(), Arc::new(NoopRecorder)).unwrap();
     let newer = wave_with(5);
     let older = wave_with(1);
     client
@@ -318,7 +326,8 @@ fn delayed_push_delta_ack_is_bounded_staleness_never_a_wrong_answer() {
     let server = start_server();
     let old = wave_with(2);
     let new = wave_with(7);
-    let mut direct = Client::connect_with(server.local_addr(), fast_cfg()).unwrap();
+    let mut direct =
+        Client::connect_with(server.local_addr(), fast_cfg(), Arc::new(NoopRecorder)).unwrap();
     direct
         .push_delta(0, 1, 0.0, SynopsisKind::DetWave, old.encode())
         .unwrap();
@@ -328,7 +337,8 @@ fn delayed_push_delta_ack_is_bounded_staleness_never_a_wrong_answer() {
     // error, inside the hang budget.
     let proxy =
         ChaosProxy::start(server.local_addr(), Fault::Delay(Duration::from_secs(2))).unwrap();
-    let mut pusher = Client::connect_with(proxy.local_addr(), fast_cfg()).unwrap();
+    let mut pusher =
+        Client::connect_with(proxy.local_addr(), fast_cfg(), Arc::new(NoopRecorder)).unwrap();
     let t0 = Instant::now();
     let err = pusher
         .push_delta(0, 2, 0.0, SynopsisKind::DetWave, new.encode())
@@ -361,10 +371,11 @@ fn fresh_connection_after_failure_works() {
     let addr = server.local_addr();
     {
         let proxy = ChaosProxy::start(addr, Fault::DropConnection).unwrap();
-        let _ = Client::connect_with(proxy.local_addr(), fast_cfg()).and_then(|mut c| c.ping());
+        let _ = Client::connect_with(proxy.local_addr(), fast_cfg(), Arc::new(NoopRecorder))
+            .and_then(|mut c| c.ping());
         // Proxy drops here; the server itself was never touched.
     }
-    let mut client = Client::connect_with(addr, fast_cfg()).unwrap();
+    let mut client = Client::connect_with(addr, fast_cfg(), Arc::new(NoopRecorder)).unwrap();
     client.ping().unwrap();
     client.ingest(IngestRequest::of(3, [true])).unwrap();
     client.flush().unwrap();
@@ -392,7 +403,8 @@ fn combine_total_past_u64_is_a_typed_error_not_a_wrapped_answer() {
         retry: RetryPolicy::none(),
         ..fast_cfg()
     };
-    let mut client = Client::connect_with(server.local_addr(), cfg).unwrap();
+    let mut client =
+        Client::connect_with(server.local_addr(), cfg, Arc::new(NoopRecorder)).unwrap();
     // DetWave::encode's layout with max_window = pos = 2^62, no expired
     // rank and no stored entries: query_max is exact(rank).
     let huge = 1u64 << 62;
@@ -456,7 +468,8 @@ fn forged_sum_entries_are_refused_at_the_door_not_answered_inverted() {
         retry: RetryPolicy::none(),
         ..fast_cfg()
     };
-    let mut client = Client::connect_with(server.local_addr(), cfg).unwrap();
+    let mut client =
+        Client::connect_with(server.local_addr(), cfg, Arc::new(NoopRecorder)).unwrap();
     let mut honest = waves::SumWave::new(100, 16, 0.25).unwrap();
     for v in [3, 0, 16, 7, 1, 0, 9, 12, 4, 2] {
         honest.push_value(v).unwrap();
@@ -527,7 +540,8 @@ fn valid_eh_encoding_with_a_drifting_m_is_served_not_refused() {
         retry: RetryPolicy::none(),
         ..fast_cfg()
     };
-    let mut client = Client::connect_with(server.local_addr(), cfg).unwrap();
+    let mut client =
+        Client::connect_with(server.local_addr(), cfg, Arc::new(NoopRecorder)).unwrap();
     let mut eh = waves::EhCount::new(4096, 0.0103).unwrap();
     for i in 0..20_000u64 {
         eh.push_bit(i % 3 != 0);

@@ -16,7 +16,7 @@ use waves::net::{
     ChaosProxy, Client, ClientConfig, Fault, Frame, FrameTag, RetryPolicy, Server, ServerConfig,
     SynopsisKind, WireCodec,
 };
-use waves::obs::{MetricsRegistry, MetricsSnapshot, Recorder};
+use waves::obs::{MetricsRegistry, MetricsSnapshot, NoopRecorder, Recorder};
 use waves::{Bits, Engine, EngineConfig, IngestRequest, KeyedBits, WaveError};
 
 fn server_cfg() -> ServerConfig {
@@ -102,7 +102,8 @@ fn shuffled_correlation_ids_pair_replies_to_requests() {
 #[test]
 fn send_many_returns_request_order_and_ingest_many_acks() {
     let server = Server::start("127.0.0.1:0", server_cfg()).unwrap();
-    let mut client = Client::connect_with(server.local_addr(), fast_cfg()).unwrap();
+    let mut client =
+        Client::connect_with(server.local_addr(), fast_cfg(), Arc::new(NoopRecorder)).unwrap();
 
     let batches: Vec<IngestRequest> = (0..20u64)
         .map(|k| IngestRequest::of(k, (0..=k).map(|_| true).collect::<Vec<bool>>()))
@@ -157,9 +158,10 @@ fn slow_reader_is_evicted_not_buffered() {
         max_write_queue: 16,
         ..server_cfg()
     };
-    let server = Server::start_recorded("127.0.0.1:0", cfg, Arc::clone(&rec)).unwrap();
+    let server = Server::start_recorded("127.0.0.1:0", cfg, rec.clone()).unwrap();
 
-    let mut client = Client::connect_with(server.local_addr(), fast_cfg()).unwrap();
+    let mut client =
+        Client::connect_with(server.local_addr(), fast_cfg(), Arc::new(NoopRecorder)).unwrap();
     let err = client.ping().unwrap_err();
     assert!(
         matches!(err, WaveError::Io(_) | WaveError::Timeout { .. }),
@@ -168,7 +170,8 @@ fn slow_reader_is_evicted_not_buffered() {
     // The loop survived the eviction: a second connection is accepted
     // and dispatched (and evicted in turn — every reply exceeds the
     // cap), rather than the server wedging.
-    let mut again = Client::connect_with(server.local_addr(), fast_cfg()).unwrap();
+    let mut again =
+        Client::connect_with(server.local_addr(), fast_cfg(), Arc::new(NoopRecorder)).unwrap();
     let _ = again.ping();
     let snap = rec.metrics_snapshot().unwrap();
     assert!(
@@ -202,7 +205,8 @@ fn pipelined_corruption_is_never_a_wrong_answer() {
     // payload, and CRC, plus later frames in the stream.
     for offset in [0usize, 2, 5, 9, 17, 21, 27, 28, 40, 77, 150] {
         let proxy = ChaosProxy::start(server.local_addr(), Fault::CorruptByteAt(offset)).unwrap();
-        let mut client = Client::connect_with(proxy.local_addr(), fast_cfg()).unwrap();
+        let mut client =
+            Client::connect_with(proxy.local_addr(), fast_cfg(), Arc::new(NoopRecorder)).unwrap();
         let t0 = Instant::now();
         match client.send_many(&queries, 4) {
             Ok(replies) => {
@@ -241,7 +245,8 @@ fn burst_wider_than_inflight_cap_is_lossless() {
         ..server_cfg()
     };
     let server = Server::start("127.0.0.1:0", cfg).unwrap();
-    let mut client = Client::connect_with(server.local_addr(), fast_cfg()).unwrap();
+    let mut client =
+        Client::connect_with(server.local_addr(), fast_cfg(), Arc::new(NoopRecorder)).unwrap();
     for k in 0..8u64 {
         let bits: Vec<bool> = (0..=k).map(|_| true).collect();
         client.ingest(IngestRequest::of(k, bits)).unwrap();
@@ -284,7 +289,8 @@ fn mixed_burst_pairs_replies_and_queries_see_earlier_ingests() {
         ..server_cfg()
     };
     let server = Server::start("127.0.0.1:0", cfg).unwrap();
-    let mut client = Client::connect_with(server.local_addr(), fast_cfg()).unwrap();
+    let mut client =
+        Client::connect_with(server.local_addr(), fast_cfg(), Arc::new(NoopRecorder)).unwrap();
     // Group i adds one 1-bit to key i % 8 and immediately asks for that
     // key's count: i / 8 + 1 exactly, with no flush in between.
     let mut burst = Vec::new();
@@ -359,8 +365,9 @@ fn ingest_window_costs_the_server_one_cycle_not_one_per_frame() {
         let mut cfg = server_cfg();
         cfg.engine.num_shards = shards;
         let rec = Arc::new(MetricsRegistry::new());
-        let server = Server::start_recorded("127.0.0.1:0", cfg, Arc::clone(&rec)).unwrap();
-        let mut client = Client::connect_with(server.local_addr(), fast_cfg()).unwrap();
+        let server = Server::start_recorded("127.0.0.1:0", cfg, rec.clone()).unwrap();
+        let mut client =
+            Client::connect_with(server.local_addr(), fast_cfg(), Arc::new(NoopRecorder)).unwrap();
         client.ping().unwrap();
         let sent0 = settled(&rec, "net_frames_sent_total", 1);
         let before = rec.metrics_snapshot().unwrap();
@@ -429,7 +436,8 @@ fn gathered_ingests_answer_like_a_frame_by_frame_shadow() {
     let cfg = sharded_cfg(4, N);
     let shadow = Engine::new(cfg.engine.clone()).unwrap();
     let server = Server::start("127.0.0.1:0", cfg).unwrap();
-    let mut client = Client::connect_with(server.local_addr(), fast_cfg()).unwrap();
+    let mut client =
+        Client::connect_with(server.local_addr(), fast_cfg(), Arc::new(NoopRecorder)).unwrap();
 
     let mut rng = StdRng::seed_from_u64(25);
     // Per key: bits and 1s sent so far.
@@ -520,7 +528,8 @@ fn a_refused_sub_batch_sheds_exactly_the_frames_answered_backpressure() {
     cfg.engine.queue_capacity = 1;
     let shadow = Engine::new(sharded_cfg(4, N).engine).unwrap();
     let server = Server::start("127.0.0.1:0", cfg).unwrap();
-    let mut client = Client::connect_with(server.local_addr(), fast_cfg()).unwrap();
+    let mut client =
+        Client::connect_with(server.local_addr(), fast_cfg(), Arc::new(NoopRecorder)).unwrap();
 
     let mut rng = StdRng::seed_from_u64(26);
     let (mut refused_frames, mut refused_bits, mut rounds) = (0u64, 0u64, 0);
@@ -577,8 +586,9 @@ fn a_refused_sub_batch_sheds_exactly_the_frames_answered_backpressure() {
 #[test]
 fn unpipelined_pushes_and_combines_never_cross_to_the_pool() {
     let rec = Arc::new(MetricsRegistry::new());
-    let server = Server::start_recorded("127.0.0.1:0", server_cfg(), Arc::clone(&rec)).unwrap();
-    let mut client = Client::connect_with(server.local_addr(), fast_cfg()).unwrap();
+    let server = Server::start_recorded("127.0.0.1:0", server_cfg(), rec.clone()).unwrap();
+    let mut client =
+        Client::connect_with(server.local_addr(), fast_cfg(), Arc::new(NoopRecorder)).unwrap();
     client.ping().unwrap();
     let before = rec.metrics_snapshot().unwrap();
 

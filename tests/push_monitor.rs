@@ -23,7 +23,7 @@ const SPLIT: f64 = 0.5;
 const PARTIES: u64 = 3;
 const EVENTS: usize = 1_200;
 
-fn start_referee(registry: &Arc<MetricsRegistry>) -> Server<MetricsRegistry> {
+fn start_referee(registry: &Arc<MetricsRegistry>) -> Server {
     Server::start_recorded(
         "127.0.0.1:0",
         ServerConfig {
@@ -38,7 +38,7 @@ fn start_referee(registry: &Arc<MetricsRegistry>) -> Server<MetricsRegistry> {
             dispatch_threads: 4,
             ..Default::default()
         },
-        Arc::clone(registry),
+        registry.clone(),
     )
     .expect("server start")
 }

@@ -61,15 +61,11 @@ fn traced_request_produces_full_span_tree_and_stats_reconcile() {
             slow_request: Some(Duration::ZERO),
             ..Default::default()
         },
-        Arc::clone(&tel),
+        tel.clone(),
     )
     .unwrap();
-    let mut client = Client::connect_recorded(
-        server.local_addr(),
-        ClientConfig::default(),
-        Arc::clone(&tel),
-    )
-    .unwrap();
+    let mut client =
+        Client::connect_with(server.local_addr(), ClientConfig::default(), tel.clone()).unwrap();
 
     // One batch across both shards: keys 0..8, 5 bits each = 40 items.
     let batch: Vec<(u64, Bits)> = (0..8u64)
@@ -214,7 +210,7 @@ fn untraced_clients_leave_no_spans() {
             slow_request: None,
             ..Default::default()
         },
-        Arc::clone(&tel),
+        tel.clone(),
     )
     .unwrap();
     // Plain connect: NoopRecorder, trace_enabled() = false.
@@ -251,15 +247,11 @@ fn consecutive_requests_get_distinct_traces() {
             slow_request: None,
             ..Default::default()
         },
-        Arc::clone(&tel),
+        tel.clone(),
     )
     .unwrap();
-    let mut client = Client::connect_recorded(
-        server.local_addr(),
-        ClientConfig::default(),
-        Arc::clone(&tel),
-    )
-    .unwrap();
+    let mut client =
+        Client::connect_with(server.local_addr(), ClientConfig::default(), tel.clone()).unwrap();
     let mut seen = HashSet::new();
     for _ in 0..5 {
         client.ping().unwrap();
