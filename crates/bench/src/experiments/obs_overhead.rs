@@ -9,9 +9,10 @@
 //! 1. `push_bit` (the baseline);
 //! 2. `push_bit_recorded(&MetricsRegistry)` (live counters + latency
 //!    histogram — the `--stats` price);
-//! 3. the span-guard pattern over a `NoopRecorder` (the tracing hook
-//!    with tracing disabled — `trace_enabled()` folds to `false`, so
-//!    the guard must compile down to the plain push);
+//! 3. the span gate every span site opens through, [`OpenSpan::open`],
+//!    over a `NoopRecorder` (the tracing hook with tracing disabled —
+//!    `trace_enabled()` folds to `false`, so the guard must compile
+//!    down to the plain push);
 //! 4. the same guard over a live [`SpanRecorder`] with an active
 //!    [`TraceCtx`] (every push records a span into the ring).
 //!
@@ -22,9 +23,9 @@
 use crate::table::{f, Table};
 use std::time::Instant;
 use waves_core::DetWave;
-use waves_obs::trace::{next_span_id, now_ns, ROOT_SPAN_ID};
+use waves_obs::trace::ROOT_SPAN_ID;
 use waves_obs::{
-    MetricsRegistry, NoopRecorder, Recorder, Span, SpanRecorder, Stage, TraceCtx, TraceId,
+    MetricsRegistry, NoopRecorder, OpenSpan, Recorder, SpanRecorder, Stage, TraceCtx, TraceId,
 };
 
 const REPS: usize = 7;
@@ -55,23 +56,15 @@ fn best_ns_per_item<F: FnMut(&mut DetWave, bool)>(
     best
 }
 
-/// The span-guard pattern from the engine hot path, verbatim: gate on
-/// `ctx.active() && rec.trace_enabled()`, read the clock only inside the
-/// guard, record the [`Span`] after the work. Over a `NoopRecorder` the
+/// One push under the span gate the hot paths run: open a `Shard` span
+/// through [`OpenSpan::open`], push, end it. Over a `NoopRecorder` the
 /// whole thing must fold away.
 #[inline]
 fn push_span_guarded<R: Recorder>(wave: &mut DetWave, bit: bool, rec: &R, ctx: TraceCtx) {
-    let guard = (ctx.active() && rec.trace_enabled()).then(|| (next_span_id(), now_ns()));
+    let span = OpenSpan::open(ctx, Stage::Shard, rec);
     wave.push_bit_recorded(bit, rec);
-    if let Some((id, t0)) = guard {
-        rec.span(Span {
-            trace: ctx.trace,
-            id,
-            parent: ctx.parent,
-            stage: Stage::Shard,
-            start_ns: t0,
-            dur_ns: now_ns() - t0,
-        });
+    if let Some(span) = span {
+        span.end(rec);
     }
 }
 

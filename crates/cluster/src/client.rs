@@ -20,7 +20,9 @@
 //!   is never blindly re-sent (a reply lost after the server applied
 //!   the batch would double-count). Instead the client re-ships the
 //!   whole shadow through `REPLICATE` — an idempotent *install* that
-//!   converges to the same state no matter how many times it lands.
+//!   converges to the same state no matter how many times it lands. A
+//!   batch the primary refuses (backpressure) never enters the shadow,
+//!   so no replica receives it and a retry counts it once.
 //! * **Anti-entropy (rejoin).** A node that was unreachable at
 //!   replication time has its stale keys remembered; the next
 //!   successful connection to it re-ships them before anything else
@@ -247,12 +249,14 @@ impl ClusterClient {
         }
     }
 
-    /// Ingest the key's next bits: the shadow applies them, then the
-    /// primary. If the primary can't take the ingest, the client
-    /// *repairs* instead of re-sending: it walks the replica set
-    /// shipping the full shadow as an idempotent install, so the bits
-    /// are durable on the first node that answers. Fails only when
-    /// every replica is unreachable.
+    /// Ingest the key's next bits: the primary applies them, and the
+    /// shadow once the primary acks. If the primary can't take the
+    /// ingest, the client *repairs* instead of re-sending: the shadow
+    /// absorbs the bits and the client walks the replica set shipping
+    /// it as an idempotent install, so the bits are durable on the
+    /// first node that answers. Fails when every replica is
+    /// unreachable, or when the primary refuses the batch — a refused
+    /// batch reaches no replica.
     pub fn ingest(&mut self, key: u64, bits: impl Into<Bits>) -> Result<(), WaveError> {
         let bits: Bits = bits.into();
         let replicas = self.replicas_of(key);
@@ -260,22 +264,17 @@ impl ClusterClient {
         // Reconnect (and run anti-entropy) *before* the shadow absorbs
         // this batch: a catch-up install that already contained these
         // bits would double-count them when the ingest below lands too.
-        let conn_res = self.ensure_conn(primary);
-        let shadow = self
-            .shadows
-            .entry(key)
-            .or_insert_with(|| self.template.clone());
-        for b in bits.iter() {
-            shadow.push_bit(b);
-        }
-        let primary_err = match conn_res {
+        let primary_err = match self.ensure_conn(primary) {
             Ok(()) => {
                 match self.conns[primary]
                     .as_mut()
                     .expect("ensure_conn just connected")
-                    .ingest(IngestRequest::of(key, bits))
+                    .ingest(IngestRequest::of(key, bits.clone()))
                 {
-                    Ok(()) => return Ok(()),
+                    Ok(()) => {
+                        self.absorb(key, &bits);
+                        return Ok(());
+                    }
                     Err(e) if Self::failover_worthy(&e) => {
                         self.drop_conn(primary);
                         e
@@ -290,6 +289,7 @@ impl ClusterClient {
         // The primary missed this batch (and possibly earlier state:
         // it may be a fresh process). Repair by installing the shadow
         // on the first reachable replica, primary included.
+        self.absorb(key, &bits);
         self.pending[primary].insert(key);
         let mut last = primary_err;
         for node in replicas {
@@ -300,6 +300,17 @@ impl ClusterClient {
             }
         }
         Err(last)
+    }
+
+    /// The key's shadow takes a batch the cluster now holds.
+    fn absorb(&mut self, key: u64, bits: &Bits) {
+        let shadow = self
+            .shadows
+            .entry(key)
+            .or_insert_with(|| self.template.clone());
+        for b in bits.iter() {
+            shadow.push_bit(b);
+        }
     }
 
     /// One replication round: every key's shadow ships to its

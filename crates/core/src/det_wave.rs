@@ -169,7 +169,7 @@ impl DetWave {
         self.push_bit_recorded(b, &waves_obs::NoopRecorder);
     }
 
-    /// [`DetWave::push_bit`] with structural instrumentation reported
+    /// [`DetWave::push_bit`] with its counters reported
     /// into `rec` — the one push body. Monomorphized over the recorder:
     /// with [`waves_obs::NoopRecorder`] every recorder call is an empty
     /// inline body, which is how [`DetWave::push_bit`] is defined.
@@ -189,11 +189,6 @@ impl DetWave {
             let level = rank_level(self.ladder.total() + 1);
             if self.ladder.insert(level, 1).is_some() {
                 rec.incr(MetricId::WaveEntriesEvicted, 1);
-                let level = level.min(self.num_levels() - 1) as u64;
-                rec.event(waves_obs::Event {
-                    name: "wave_evict",
-                    fields: &[("level", level), ("pos", self.ladder.pos())],
-                });
             }
             rec.incr(MetricId::WaveEntriesStored, 1);
         }
@@ -745,19 +740,6 @@ mod tests {
             reg.counter(M::WaveEntriesEvicted) > 0,
             "dense stream evicts"
         );
-    }
-
-    #[test]
-    fn eviction_events_reach_sink() {
-        let sink = waves_obs::BufferSink::new();
-        let mut w = DetWave::new(16, 0.5).unwrap();
-        for _ in 0..200 {
-            w.push_bit_recorded(true, &sink);
-        }
-        let events = sink.drain();
-        assert!(!events.is_empty());
-        assert!(events.iter().all(|e| e.name == "wave_evict"));
-        assert!(events[0].fields.iter().any(|&(k, _)| k == "level"));
     }
 
     #[test]

@@ -67,8 +67,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use waves_core::{BitSynopsis, Bits, DetWave, Estimate, WaveError};
-use waves_obs::trace::{next_span_id, now_ns, Span, Stage, TraceCtx};
-use waves_obs::{Event, HistId, MetricId, NoopRecorder, Recorder, ShardStat};
+use waves_obs::trace::{OpenSpan, Stage, TraceCtx};
+use waves_obs::{HistId, MetricId, NoopRecorder, Recorder, ShardStat};
 use waves_store::{ShardStore, Store};
 
 pub use waves_store::{PersistConfig, SyncPolicy};
@@ -263,22 +263,20 @@ impl EngineConfigBuilder {
     }
 }
 
-/// Commands a shard worker consumes from its bounded queue. Batches and
-/// queries carry their [`TraceCtx`] plus the enqueue timestamp (0 when
-/// untraced) so the worker can record the queue-wait span.
+/// Commands a shard worker consumes from its bounded queue. A traced
+/// batch or query carries its queue-wait span, opened at enqueue; the
+/// worker closes it as the shard span opens.
 enum Cmd {
     /// A per-shard sub-batch of ingest events.
     Batch {
         batch: Vec<KeyedBits>,
-        ctx: TraceCtx,
-        enq_ns: u64,
+        queued: Option<OpenSpan>,
     },
     Query {
         key: Key,
         window: u64,
         reply: std::sync::mpsc::Sender<Result<Estimate, WaveError>>,
-        ctx: TraceCtx,
-        enq_ns: u64,
+        queued: Option<OpenSpan>,
     },
     Snapshot {
         reply: std::sync::mpsc::Sender<ShardSnapshot>,
@@ -591,16 +589,6 @@ where
         shard_for(key, self.shards.len())
     }
 
-    /// Timestamp for the queue-wait span, or 0 when this command is
-    /// untraced (so the hot path never reads the clock).
-    fn enq_ns(&self, ctx: TraceCtx) -> u64 {
-        if ctx.active() && self.rec.trace_enabled() {
-            now_ns()
-        } else {
-            0
-        }
-    }
-
     /// Enqueue one batch on one shard, non-blocking. Counts queue depth
     /// and backpressure; the caller decides whether the shed items were
     /// clones (droppable) or the caller's own copy (retryable).
@@ -616,8 +604,7 @@ where
         let depth = self.shards[shard].depth.fetch_add(1, Ordering::Relaxed) + 1;
         let cmd = Cmd::Batch {
             batch,
-            ctx,
-            enq_ns: self.enq_ns(ctx),
+            queued: OpenSpan::open(ctx, Stage::Queue, &*self.rec),
         };
         match self.shards[shard].tx().try_send(cmd) {
             Ok(()) => {
@@ -638,10 +625,10 @@ where
 
     fn enqueue_blocking(&self, shard: usize, batch: Vec<KeyedBits>, ctx: TraceCtx) {
         let depth = self.shards[shard].depth.fetch_add(1, Ordering::Relaxed) + 1;
-        let enq_ns = self.enq_ns(ctx);
+        let queued = OpenSpan::open(ctx, Stage::Queue, &*self.rec);
         self.shards[shard]
             .tx()
-            .send(Cmd::Batch { batch, ctx, enq_ns })
+            .send(Cmd::Batch { batch, queued })
             .expect("worker lives until Drop");
         self.rec.observe(HistId::EngineQueueDepth, depth as u64);
     }
@@ -726,8 +713,7 @@ where
                 key,
                 window,
                 reply: reply_tx,
-                ctx,
-                enq_ns: self.enq_ns(ctx),
+                queued: OpenSpan::open(ctx, Stage::Queue, &*self.rec),
             })
             .expect("worker lives until Drop");
         let res = reply_rx.recv().expect("worker replies before exiting");
@@ -918,8 +904,8 @@ fn family_of(key: Key) -> usize {
 /// With persistence, every batch is WAL-appended *before* it is applied;
 /// an unrecoverable WAL io error disables durability for this shard
 /// (serving continues from memory) and is surfaced as a
-/// `store.wal.disabled` event plus a failed reply to the next explicit
-/// checkpoint. Clean shutdown (queue closed) writes a final
+/// `store_wal_disabled_total` count plus a failed reply to the next
+/// explicit checkpoint. Clean shutdown (queue closed) writes a final
 /// checkpoint so `OnCheckpoint` deployments lose nothing across a
 /// graceful restart.
 #[allow(clippy::too_many_arguments)]
@@ -937,46 +923,16 @@ fn shard_worker<S, R, F>(
     R: Recorder + Send + Sync + ?Sized + 'static,
     F: Fn() -> Result<S, WaveError> + Send + Sync + 'static,
 {
-    // Record the queue-wait span for a traced dequeued command and open
-    // the execute span: returns `(execute_span_id, execute_start_ns)`.
-    let begin_execute = |ctx: TraceCtx, enq_ns: u64| -> Option<(u64, u64)> {
-        if !(ctx.active() && rec.trace_enabled()) {
-            return None;
-        }
-        let t = now_ns();
-        rec.span(Span {
-            trace: ctx.trace,
-            id: next_span_id(),
-            parent: ctx.parent,
-            stage: Stage::Queue,
-            start_ns: enq_ns,
-            dur_ns: t.saturating_sub(enq_ns),
-        });
-        Some((next_span_id(), t))
-    };
-    let end_execute = |ctx: TraceCtx, opened: Option<(u64, u64)>| {
-        if let Some((id, t0)) = opened {
-            rec.span(Span {
-                trace: ctx.trace,
-                id,
-                parent: ctx.parent,
-                stage: Stage::Shard,
-                start_ns: t0,
-                dur_ns: now_ns().saturating_sub(t0),
-            });
-        }
-    };
+    // A traced command's queue wait ends as its shard span begins.
+    let execute = |queued: Option<OpenSpan>| queued.map(|q| q.then(Stage::Shard, rec.as_ref()));
     let mut keys = initial_keys;
     let mut wal_failed = false;
     while let Ok(cmd) = rx.recv() {
         match cmd {
-            Cmd::Batch { batch, ctx, enq_ns } => {
+            Cmd::Batch { batch, queued } => {
                 depth.fetch_sub(1, Ordering::Relaxed);
-                let execute = begin_execute(ctx, enq_ns);
-                let wal_ctx = match execute {
-                    Some((id, _)) => ctx.child(id),
-                    None => TraceCtx::NONE,
-                };
+                let span = execute(queued);
+                let wal_ctx = span.map_or(TraceCtx::NONE, OpenSpan::ctx);
                 let started = rec.enabled().then(Instant::now);
                 if let Some(p) = persist.as_mut() {
                     if p.store
@@ -987,10 +943,6 @@ fn shard_worker<S, R, F>(
                         // keep serving from memory, stop logging, and make
                         // the failure visible to operators.
                         rec.incr(MetricId::StoreWalDisabled, 1);
-                        rec.event(Event {
-                            name: "store.wal.disabled",
-                            fields: &[],
-                        });
                         persist = None;
                         wal_failed = true;
                     }
@@ -1013,7 +965,9 @@ fn shard_worker<S, R, F>(
                 rec.incr(MetricId::EngineItemsIngested, items);
                 rec.incr_shard(shard, ShardStat::Batches, 1);
                 rec.incr_shard(shard, ShardStat::Items, items);
-                end_execute(ctx, execute);
+                if let Some(span) = span {
+                    span.end(rec.as_ref());
+                }
                 if let Some(p) = persist.as_mut() {
                     p.applied_since_checkpoint += 1;
                     if p.checkpoint_every > 0
@@ -1021,10 +975,6 @@ fn shard_worker<S, R, F>(
                         && p.write_checkpoint(&keys, rec.as_ref()).is_err()
                     {
                         rec.incr(MetricId::StoreCheckpointFailures, 1);
-                        rec.event(Event {
-                            name: "store.checkpoint.failed",
-                            fields: &[],
-                        });
                         // The WAL is still intact; keep logging and
                         // retry at the next checkpoint interval.
                         p.applied_since_checkpoint = 0;
@@ -1035,10 +985,9 @@ fn shard_worker<S, R, F>(
                 key,
                 window,
                 reply,
-                ctx,
-                enq_ns,
+                queued,
             } => {
-                let execute = begin_execute(ctx, enq_ns);
+                let span = execute(queued);
                 let res = match keys.get(&key) {
                     Some(synopsis) => synopsis.query_window(window),
                     None => Err(WaveError::UnknownKey { key }),
@@ -1047,7 +996,9 @@ fn shard_worker<S, R, F>(
                 rec.incr_shard(shard, ShardStat::Queries, 1);
                 // Close the span before replying so a caller that
                 // inspects the ring right after the reply sees it.
-                end_execute(ctx, execute);
+                if let Some(span) = span {
+                    span.end(rec.as_ref());
+                }
                 let _ = reply.send(res);
             }
             Cmd::Snapshot { reply } => {
@@ -1104,10 +1055,6 @@ fn shard_worker<S, R, F>(
     if let Some(p) = persist.as_mut() {
         if p.write_checkpoint(&keys, rec.as_ref()).is_err() {
             rec.incr(MetricId::StoreCheckpointFailures, 1);
-            rec.event(Event {
-                name: "store.shutdown_checkpoint.failed",
-                fields: &[],
-            });
             // Best effort fallback: at least fsync the WAL tail.
             let _ = p.store.sync(rec.as_ref());
         }
@@ -1649,6 +1596,45 @@ mod tests {
         assert_eq!(engine.query(5, 64).unwrap(), Estimate::exact(4));
         drop(engine);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A WAL append that fails (the next segment cannot be created: the
+    /// shard directory is gone) disables durability for the shard once:
+    /// `store_wal_disabled_total` reads 1, the next checkpoint reports
+    /// why, and the key keeps serving every batch from memory.
+    #[test]
+    fn a_failed_wal_append_disables_durability_once_and_the_key_still_answers() {
+        let dir = waves_store::scratch_dir("engine-wal-fail");
+        let cfg = EngineConfig::builder()
+            .num_shards(1)
+            .max_window(64)
+            .eps(0.25)
+            .persist_config(
+                PersistConfig::new(&dir)
+                    .sync_policy(SyncPolicy::EveryBatch)
+                    .segment_bytes(1)
+                    .checkpoint_every(0),
+            )
+            .build();
+        let reg = Arc::new(MetricsRegistry::new());
+        let engine = Engine::new_recorded(cfg, Arc::clone(&reg)).unwrap();
+        std::fs::remove_dir_all(dir.join("shard-0")).unwrap();
+        for _ in 0..3 {
+            engine
+                .ingest(IngestRequest::of(5, [true; 4]).blocking(true))
+                .unwrap();
+        }
+        engine.flush();
+        assert_eq!(reg.counter(MetricId::StoreWalDisabled), 1);
+        let err = engine.checkpoint().unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("persistence disabled after WAL write failure"),
+            "{err}"
+        );
+        assert_eq!(engine.query(5, 64).unwrap(), Estimate::exact(12));
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

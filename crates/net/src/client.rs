@@ -14,7 +14,9 @@
 //! redial starts from an empty read buffer — a fragment the dead
 //! connection left behind is never decoded — and a reply that arrives
 //! whole but fails its checks is stepped over, so it costs the request
-//! it answered and the next call starts at a frame boundary.
+//! it answered and the next call starts at a frame boundary. So is the
+//! late reply to a request whose read timed out: it answers an earlier
+//! call, not this one.
 //!
 //! Every socket operation runs under a deadline from [`ClientConfig`];
 //! a fired deadline surfaces as [`WaveError::Timeout`] naming the
@@ -44,7 +46,7 @@ use std::time::{Duration, Instant};
 
 use waves_core::{Estimate, WaveError};
 use waves_engine::{EngineSnapshot, IngestRequest};
-use waves_obs::trace::{next_span_id, now_ns, Span, Stage, TraceId, ROOT_SPAN_ID};
+use waves_obs::trace::{OpenSpan, Stage, TraceCtx, TraceId};
 use waves_obs::{HistId, MetricId, MetricsSnapshot, NoopRecorder, Recorder};
 
 use crate::frame::{Frame, FrameError, FrameTag, SynopsisKind, WireCodec};
@@ -393,9 +395,9 @@ impl Client {
     /// connection.
     pub fn send_many(&mut self, reqs: &[Frame], window: usize) -> Result<Vec<Frame>, WaveError> {
         let started = self.rec.enabled().then(Instant::now);
-        let opened = self.begin_trace();
-        let replies = self.pipeline(reqs, opened.map_or(0, |(t, _)| t.0), window);
-        self.end_trace(opened);
+        let root = self.begin_trace();
+        let replies = self.pipeline(reqs, root.map_or(0, |r| r.ctx().trace.0), window);
+        self.end_trace(root);
         if let Some(t0) = started {
             self.rec
                 .observe(HistId::NetRequestNs, t0.elapsed().as_nanos() as u64);
@@ -431,30 +433,19 @@ impl Client {
 
     // ---- transport plumbing ----
 
-    /// Allocate a trace for one request if the recorder wants traces.
-    /// Returns the trace id and the root span's start time.
-    fn begin_trace(&mut self) -> Option<(TraceId, u64)> {
-        if !self.rec.trace_enabled() {
-            return None;
-        }
-        let trace = TraceId::next();
-        self.last_trace = Some(trace);
-        Some((trace, now_ns()))
+    /// Open one request's root span on a fresh trace, if the recorder
+    /// wants traces. Its id is the cross-process convention's
+    /// `ROOT_SPAN_ID`: the server parents its dispatch span there
+    /// without ever seeing this record.
+    fn begin_trace(&mut self) -> Option<OpenSpan> {
+        let root = OpenSpan::root(&*self.rec)?;
+        self.last_trace = Some(root.ctx().trace);
+        Some(root)
     }
 
-    /// Close the request's root span. Its id is [`ROOT_SPAN_ID`] by the
-    /// cross-process convention: the server parents its dispatch span
-    /// there without ever seeing this record.
-    fn end_trace(&self, opened: Option<(TraceId, u64)>) {
-        if let Some((trace, t0)) = opened {
-            self.rec.span(Span {
-                trace,
-                id: ROOT_SPAN_ID,
-                parent: 0,
-                stage: Stage::Request,
-                start_ns: t0,
-                dur_ns: now_ns().saturating_sub(t0),
-            });
+    fn end_trace(&self, root: Option<OpenSpan>) {
+        if let Some(root) = root {
+            root.end(&*self.rec);
         }
     }
 
@@ -473,9 +464,9 @@ impl Client {
             // attempts have distinct wire frames and server dispatches,
             // so merging them under one id would produce a tree with
             // two of every stage.
-            let opened = self.begin_trace();
-            let outcome = self.exchange(req, opened.map_or(0, |(t, _)| t.0));
-            self.end_trace(opened);
+            let root = self.begin_trace();
+            let outcome = self.exchange(req, root.map_or(TraceCtx::NONE, OpenSpan::ctx));
+            self.end_trace(root);
             if let (Ok(_), Some(t0)) = (&outcome, started) {
                 self.rec
                     .observe(HistId::NetRequestNs, t0.elapsed().as_nanos() as u64);
@@ -492,18 +483,11 @@ impl Client {
     /// pipeline of length one. The wire span covers socket write
     /// through reply read — the client's view of everything beyond its
     /// own process.
-    fn exchange(&mut self, req: &Frame, trace: u64) -> Result<Frame, WaveError> {
-        let wire_span = (trace != 0).then(|| (next_span_id(), now_ns()));
-        let mut replies = self.pipeline(std::slice::from_ref(req), trace, 1)?;
-        if let Some((id, t0)) = wire_span {
-            self.rec.span(Span {
-                trace: TraceId(trace),
-                id,
-                parent: ROOT_SPAN_ID,
-                stage: Stage::Wire,
-                start_ns: t0,
-                dur_ns: now_ns().saturating_sub(t0),
-            });
+    fn exchange(&mut self, req: &Frame, ctx: TraceCtx) -> Result<Frame, WaveError> {
+        let wire_span = OpenSpan::open(ctx, Stage::Wire, &*self.rec);
+        let mut replies = self.pipeline(std::slice::from_ref(req), ctx.trace.0, 1)?;
+        if let Some(span) = wire_span {
+            span.end(&*self.rec);
         }
         Ok(replies
             .pop()
@@ -516,6 +500,11 @@ impl Client {
     /// order) before reading again, slot each into its request's
     /// position by correlation id. All frames in one call share `trace`
     /// (0 = untraced).
+    ///
+    /// Correlation ids on a connection only grow, so a reply whose id is
+    /// below this call's first answers a request an earlier call gave up
+    /// on (its read timed out): it is stepped over, not counted. An
+    /// unknown id at or above the first is a transport error.
     fn pipeline(
         &mut self,
         reqs: &[Frame],
@@ -528,6 +517,7 @@ impl Client {
         let mut inflight: HashMap<u64, usize> = HashMap::with_capacity(window.min(n));
         let mut next = 0usize;
         let mut received = 0usize;
+        let first_corr = self.next_corr;
         let enabled = self.rec.enabled();
         let read_ms = self.cfg.read_timeout.as_millis() as u64;
         while received < n {
@@ -588,6 +578,9 @@ impl Client {
                     self.rec.incr(MetricId::NetBytesReceived, used as u64);
                 }
                 let Some(idx) = inflight.remove(&tag.corr) else {
+                    if tag.corr < first_corr {
+                        continue;
+                    }
                     break Err(WaveError::io(std::io::Error::new(
                         std::io::ErrorKind::InvalidData,
                         format!("reply with unknown correlation id {}", tag.corr),

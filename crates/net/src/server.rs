@@ -80,8 +80,8 @@ use poll::{Events, Interest, Poller, Token, Waker};
 use waves_core::{DetWave, WaveError};
 use waves_distributed::{MonitorDelta, MonitorReferee};
 use waves_engine::{Engine, EngineConfig, IngestRequest, KeyedBits};
-use waves_obs::trace::{next_span_id, now_ns, Span, Stage, TraceCtx, TraceId, ROOT_SPAN_ID};
-use waves_obs::{Event, HistId, MetricId, NoopRecorder, Recorder};
+use waves_obs::trace::{OpenSpan, Stage, TraceCtx, TraceId, ROOT_SPAN_ID};
+use waves_obs::{HistId, MetricId, NoopRecorder, Recorder};
 
 use crate::frame::{Frame, FrameError, FrameTag, SynopsisKind, WireCodec};
 
@@ -97,11 +97,10 @@ pub struct ServerConfig {
     /// connection that neither sends a byte nor has a request in
     /// flight for `d`.
     pub read_timeout: Option<Duration>,
-    /// Dispatch-duration threshold for the slow-request log. A request
-    /// whose handler runs longer than this bumps
-    /// `net_slow_requests_total` and emits a `net.slow_request` event
-    /// naming the trace id (0 if the request was untraced). `None`
-    /// disables the check.
+    /// Dispatch-duration threshold for the slow-request count. A
+    /// request whose handler runs longer than this bumps
+    /// `net_slow_requests_total`; a traced one's `Dispatch` span
+    /// carries the duration. `None` disables the check.
     pub slow_request: Option<Duration>,
     /// Accepted-connection cap. Connections beyond this are accepted
     /// and immediately closed (the kernel backlog would otherwise hold
@@ -456,10 +455,6 @@ impl Conn {
         if queued > cap {
             self.out.bytes.truncate(start);
             rec.incr(MetricId::NetConnectionsEvicted, 1);
-            rec.event(Event {
-                name: "net.conn_evicted",
-                fields: &[("queued_bytes", self.out.queued() as u64)],
-            });
             return false;
         }
         self.last_activity = Instant::now();
@@ -1058,30 +1053,18 @@ fn dispatch_worker(shared: Arc<Shared>, jobs: Arc<Mutex<Receiver<Job>>>, done: S
 fn serve(frame: Frame, tag: FrameTag, shared: &Shared, out: &mut Vec<u8>) {
     let rec = &shared.rec;
     let started = rec.enabled().then(Instant::now);
-    let trace = tag.trace;
     // A nonzero header trace id opts this request into tracing: the
     // dispatch span parents to the client's root span (by the
     // ROOT_SPAN_ID convention — only the trace id crossed the wire)
     // and the engine layers below parent to the dispatch span.
-    let dispatch_span = (trace != 0 && rec.trace_enabled()).then(|| (next_span_id(), now_ns()));
-    let ctx = match dispatch_span {
-        Some((id, _)) => TraceCtx {
-            trace: TraceId(trace),
-            parent: ROOT_SPAN_ID,
-        }
-        .child(id),
-        None => TraceCtx::NONE,
+    let client = TraceCtx {
+        trace: TraceId(tag.trace),
+        parent: ROOT_SPAN_ID,
     };
-    let reply = dispatch(frame, shared, ctx);
-    if let Some((id, t0)) = dispatch_span {
-        rec.span(Span {
-            trace: TraceId(trace),
-            id,
-            parent: ROOT_SPAN_ID,
-            stage: Stage::Dispatch,
-            start_ns: t0,
-            dur_ns: now_ns().saturating_sub(t0),
-        });
+    let span = OpenSpan::open(client, Stage::Dispatch, &**rec);
+    let reply = dispatch(frame, shared, span.map_or(TraceCtx::NONE, OpenSpan::ctx));
+    if let Some(span) = span {
+        span.end(&**rec);
     }
     answer(&reply, tag, started, shared, out);
 }
@@ -1103,10 +1086,6 @@ fn answer(
         rec.observe(HistId::NetServerFrameNs, elapsed.as_nanos() as u64);
         if shared.slow_request.is_some_and(|limit| elapsed > limit) {
             rec.incr(MetricId::NetSlowRequests, 1);
-            rec.event(Event {
-                name: "net.slow_request",
-                fields: &[("trace", tag.trace), ("dur_ns", elapsed.as_nanos() as u64)],
-            });
         }
     }
     if matches!(reply, Frame::ErrorResp(_)) {

@@ -1,5 +1,5 @@
-//! `waves-obs`: zero-dependency metrics and event tracing for the waves
-//! workspace.
+//! `waves-obs`: zero-dependency metrics and request tracing for the
+//! waves workspace.
 //!
 //! The paper's claims are quantitative — O(1) worst-case per-item time
 //! (Theorem 1), space within stated word bounds, `t`-scalar query-time
@@ -10,12 +10,13 @@
 //!   p50/p90/p99/p999/max summaries, shared by the offline bench harness
 //!   and live `--stats` runs so both agree on one definition of tail
 //!   latency;
-//! * [`Recorder`] — the structural-event sink instrumented code reports
-//!   into. The synopsis kernels and the engine are generic over
-//!   `R: Recorder + ?Sized`, and [`NoopRecorder`]'s methods are empty
-//!   `#[inline(always)]` bodies, so the monomorphized disabled path
-//!   compiles to exactly the uninstrumented code (verified by the
-//!   `obs-overhead` experiment in `waves-bench`). Behind a socket the
+//! * [`Recorder`] — the sink instrumented code reports counters,
+//!   histogram samples and spans into. The synopsis kernels and the
+//!   engine are generic over `R: Recorder + ?Sized`, and
+//!   [`NoopRecorder`]'s methods are empty `#[inline(always)]` bodies,
+//!   so the monomorphized disabled path compiles to exactly the
+//!   uninstrumented code (verified by the `obs-overhead` experiment in
+//!   `waves-bench`). Behind a socket the
 //!   server and clients hold one `Arc<dyn Recorder + Send + Sync>`
 //!   instead: a vtable call per counter there is noise beside a system
 //!   call;
@@ -27,8 +28,10 @@
 //!   by flat atomic arrays, so snapshots show engine load skew;
 //! * [`trace`] — request tracing: [`Span`]/[`TraceId`] records on a
 //!   monotonic process clock, retained by the ring-buffered
-//!   [`SpanRecorder`], gated behind [`Recorder::trace_enabled`] with
-//!   the same noop-monomorphization contract as metrics;
+//!   [`SpanRecorder`]. Every span opens through one gate,
+//!   [`OpenSpan::open`] (live [`TraceCtx`] and
+//!   [`Recorder::trace_enabled`]), with the same noop-monomorphization
+//!   contract as metrics;
 //! * [`JsonValue`] — a strict minimal JSON parser, enough to decode a
 //!   remote [`MetricsSnapshot`] fetched over the wire.
 //!
@@ -43,8 +46,8 @@ pub mod trace;
 pub use histogram::{HistogramSnapshot, LogHistogram};
 pub use json::{JsonValue, JsonWriter};
 pub use recorder::{
-    BufferSink, Event, Fanout, HistId, MetricId, NoopRecorder, OwnedEvent, Recorder, ShardStat,
-    MAX_TRACKED_SHARDS, NUM_KEY_FAMILIES,
+    Fanout, HistId, MetricId, NoopRecorder, Recorder, ShardStat, MAX_TRACKED_SHARDS,
+    NUM_KEY_FAMILIES,
 };
 pub use registry::{MetricsRegistry, MetricsSnapshot, ShardStats};
-pub use trace::{Span, SpanRecorder, Stage, TraceCtx, TraceId};
+pub use trace::{OpenSpan, Span, SpanRecorder, Stage, TraceCtx, TraceId};

@@ -5,9 +5,6 @@
 //! monomorphized disabled path is exactly the uninstrumented code — the
 //! `obs-overhead` experiment in `waves-bench` measures this contract.
 
-use std::fmt;
-use std::sync::Mutex;
-
 /// Well-known monotonic counters. Fixed at compile time so the registry
 /// can back them with a flat atomic array — no hashing on the hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,7 +79,8 @@ pub enum MetricId {
     /// Batch records replayed from the WAL during recovery.
     StoreBatchesRecovered,
     /// Requests whose server-side handling exceeded the slow-request
-    /// threshold (each also emits a `net.slow_request` event).
+    /// threshold. A traced one's `Dispatch` span in a
+    /// [`SpanRecorder`](crate::SpanRecorder) carries its duration.
     NetSlowRequests,
     /// Times a shard's WAL was disabled after an append error (nonzero
     /// means the engine is running degraded, without durability).
@@ -114,9 +112,7 @@ pub enum MetricId {
     /// advance the party's highest seen (retries, late reordering).
     MonitorStaleDeltas,
     /// Checkpoints a shard worker failed to write — automatic or at
-    /// clean shutdown (each also emits a `store.checkpoint.failed` or
-    /// `store.shutdown_checkpoint.failed` event). The WAL is intact and
-    /// the next interval retries.
+    /// clean shutdown. The WAL is intact and the next interval retries.
     StoreCheckpointFailures,
 }
 
@@ -347,32 +343,6 @@ impl HistId {
     }
 }
 
-/// A borrowed structural event: a name plus key/value fields. Allocation
-/// free on the emitting side; sinks that keep events copy into
-/// [`OwnedEvent`].
-#[derive(Debug, Clone, Copy)]
-pub struct Event<'a> {
-    pub name: &'static str,
-    pub fields: &'a [(&'static str, u64)],
-}
-
-/// An event copied out of the hot path by a buffering sink.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OwnedEvent {
-    pub name: &'static str,
-    pub fields: Vec<(&'static str, u64)>,
-}
-
-impl fmt::Display for OwnedEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name)?;
-        for (k, v) in &self.fields {
-            write!(f, " {k}={v}")?;
-        }
-        Ok(())
-    }
-}
-
 /// The sink instrumented code reports into. Every method has an empty
 /// default body so sinks implement only what they care about, and the
 /// noop path costs nothing.
@@ -394,14 +364,10 @@ pub trait Recorder {
         let _ = (id, value);
     }
 
-    #[inline(always)]
-    fn event(&self, event: Event<'_>) {
-        let _ = event;
-    }
-
-    /// Whether this recorder keeps completed trace spans. Span sites are
-    /// gated on this exactly like `enabled()` gates latency clock reads,
-    /// so the noop path never constructs a [`Span`](crate::trace::Span).
+    /// Whether this recorder keeps completed trace spans. The span gate,
+    /// [`OpenSpan::open`](crate::trace::OpenSpan::open), checks this
+    /// exactly like `enabled()` gates latency clock reads, so the noop
+    /// path never constructs a [`Span`](crate::trace::Span).
     #[inline(always)]
     fn trace_enabled(&self) -> bool {
         false
@@ -471,12 +437,6 @@ impl<A: Recorder, B: Recorder> Recorder for Fanout<A, B> {
     }
 
     #[inline]
-    fn event(&self, event: Event<'_>) {
-        self.0.event(event);
-        self.1.event(event);
-    }
-
-    #[inline]
     fn trace_enabled(&self) -> bool {
         self.0.trace_enabled() || self.1.trace_enabled()
     }
@@ -503,40 +463,6 @@ impl<A: Recorder, B: Recorder> Recorder for Fanout<A, B> {
         self.0
             .metrics_snapshot()
             .or_else(|| self.1.metrics_snapshot())
-    }
-}
-
-/// A sink that buffers structural events for later inspection — the
-/// test-facing replacement for a tracing subscriber.
-#[derive(Debug, Default)]
-pub struct BufferSink {
-    events: Mutex<Vec<OwnedEvent>>,
-}
-
-impl BufferSink {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn drain(&self) -> Vec<OwnedEvent> {
-        std::mem::take(&mut self.events.lock().unwrap())
-    }
-
-    pub fn len(&self) -> usize {
-        self.events.lock().unwrap().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Recorder for BufferSink {
-    fn event(&self, event: Event<'_>) {
-        self.events.lock().unwrap().push(OwnedEvent {
-            name: event.name,
-            fields: event.fields.to_vec(),
-        });
     }
 }
 
@@ -603,25 +529,6 @@ mod tests {
         assert!(!r.enabled());
         r.incr(MetricId::CliItems, 1);
         r.observe(HistId::PushLatencyNs, 1);
-        r.event(Event {
-            name: "x",
-            fields: &[],
-        });
-    }
-
-    #[test]
-    fn buffer_sink_captures_events() {
-        let sink = BufferSink::new();
-        sink.event(Event {
-            name: "wave_evict",
-            fields: &[("level", 3), ("pos", 17)],
-        });
-        assert_eq!(sink.len(), 1);
-        let evs = sink.drain();
-        assert_eq!(evs[0].name, "wave_evict");
-        assert_eq!(evs[0].fields, vec![("level", 3), ("pos", 17)]);
-        assert_eq!(evs[0].to_string(), "wave_evict level=3 pos=17");
-        assert!(sink.is_empty());
     }
 
     #[test]
@@ -643,43 +550,26 @@ mod tests {
     }
 
     #[test]
-    fn buffer_sink_concurrent_drain_sees_all() {
-        const THREADS: u64 = 8;
-        const PER_THREAD: u64 = 500;
-        let sink = BufferSink::new();
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let sink = &sink;
-                scope.spawn(move || {
-                    for i in 0..PER_THREAD {
-                        sink.event(Event {
-                            name: "smoke",
-                            fields: &[("t", t), ("i", i)],
-                        });
-                    }
-                });
-            }
-        });
-        let evs = sink.drain();
-        assert_eq!(evs.len(), (THREADS * PER_THREAD) as usize);
-        // Every (t, i) pair arrived exactly once.
-        let mut seen = std::collections::HashSet::new();
-        for ev in &evs {
-            assert_eq!(ev.name, "smoke");
-            assert!(seen.insert(ev.fields.clone()), "duplicate event {ev}");
-        }
-        assert!(sink.is_empty());
-    }
-
-    #[test]
     fn fanout_reaches_both() {
-        let f = Fanout(BufferSink::new(), BufferSink::new());
+        use crate::trace::{Span, SpanRecorder, Stage, TraceId};
+        let f = Fanout(crate::MetricsRegistry::new(), SpanRecorder::new());
         assert!(f.enabled());
-        f.event(Event {
-            name: "e",
-            fields: &[],
+        assert!(
+            f.trace_enabled(),
+            "either side keeping spans turns tracing on"
+        );
+        f.incr(MetricId::CliItems, 2);
+        f.span(Span {
+            trace: TraceId(3),
+            id: 2,
+            parent: 0,
+            stage: Stage::Request,
+            start_ns: 0,
+            dur_ns: 1,
         });
-        assert_eq!(f.0.len(), 1);
-        assert_eq!(f.1.len(), 1);
+        assert_eq!(f.0.counter(MetricId::CliItems), 2);
+        assert_eq!(f.1.trace(TraceId(3)).len(), 1);
+        let snap = f.metrics_snapshot().expect("the registry side snapshots");
+        assert_eq!(snap.counter("cli_items_total"), Some(2));
     }
 }

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::histogram::{HistogramSnapshot, LogHistogram};
 use crate::json::{JsonValue, JsonWriter};
 use crate::recorder::{
-    Event, HistId, MetricId, Recorder, ShardStat, MAX_TRACKED_SHARDS, NUM_HISTS, NUM_KEY_FAMILIES,
+    HistId, MetricId, Recorder, ShardStat, MAX_TRACKED_SHARDS, NUM_HISTS, NUM_KEY_FAMILIES,
     NUM_METRICS, NUM_SHARD_STATS,
 };
 
@@ -120,9 +120,6 @@ impl Recorder for MetricsRegistry {
     fn observe(&self, id: HistId, value: u64) {
         self.hists[id as usize].record(value);
     }
-
-    #[inline]
-    fn event(&self, _event: Event<'_>) {}
 
     #[inline]
     fn incr_shard(&self, shard: usize, stat: ShardStat, by: u64) {

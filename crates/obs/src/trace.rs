@@ -8,19 +8,21 @@
 //! wal time, and wire time as separate children of one root.
 //!
 //! The contract mirrors metrics: hot paths are generic over
-//! `R: Recorder`, [`Recorder::trace_enabled`](crate::Recorder::trace_enabled)
-//! defaults to `false`, and
-//! every span site is gated on it — so code monomorphized over
-//! `NoopRecorder` never reads the clock and never constructs a span
-//! (measured by the trace arm of the `obs-overhead` experiment).
+//! `R: Recorder`, [`Recorder::trace_enabled`] defaults to `false`, and
+//! every span opens through one gate, [`OpenSpan::open`] — so code
+//! monomorphized over `NoopRecorder` never reads the clock and never
+//! constructs a span (measured by the trace arm of the `obs-overhead`
+//! experiment).
 //!
-//! Timings use a process-wide monotonic epoch ([`now_ns`]): every span
+//! Timings use a process-wide monotonic epoch (`now_ns`): every span
 //! recorded in one process shares a clock, so offsets within a trace are
 //! directly comparable.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
+
+use crate::Recorder;
 
 /// Identifies one end-to-end request. Carried as 8 bytes in the wire v3
 /// header; `0` means "untraced" and is never allocated.
@@ -68,7 +70,7 @@ pub const ROOT_SPAN_ID: u64 = 1;
 
 /// Allocate a fresh process-unique span id (> [`ROOT_SPAN_ID`]).
 #[inline]
-pub fn next_span_id() -> u64 {
+fn next_span_id() -> u64 {
     static COUNTER: AtomicU64 = AtomicU64::new(ROOT_SPAN_ID + 1);
     COUNTER.fetch_add(1, Ordering::Relaxed)
 }
@@ -108,7 +110,7 @@ impl Stage {
 }
 
 /// One completed timed section. Plain copyable record; recorded via
-/// [`Recorder::span`](crate::Recorder::span) after the section finishes.
+/// [`Recorder::span`] after the section finishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     pub trace: TraceId,
@@ -117,7 +119,7 @@ pub struct Span {
     /// Parent span id; `0` for the root.
     pub parent: u64,
     pub stage: Stage,
-    /// Start offset from the process epoch ([`now_ns`] clock).
+    /// Start offset from the process epoch (`now_ns` clock).
     pub start_ns: u64,
     pub dur_ns: u64,
 }
@@ -158,9 +160,89 @@ impl TraceCtx {
 }
 
 /// Nanoseconds since a process-wide monotonic epoch (first call wins).
-pub fn now_ns() -> u64 {
+fn now_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
+
+/// A span opened on a live trace, waiting for [`OpenSpan::end`]. Every
+/// span site opens through [`OpenSpan::open`], the one gate: the span id
+/// and the clock are read only inside it, so an untraced path pays one
+/// integer compare.
+#[derive(Debug, Clone, Copy)]
+#[must_use = "an open span records nothing until `end`"]
+pub struct OpenSpan {
+    /// The span's trace, and the span it parents to.
+    at: TraceCtx,
+    id: u64,
+    stage: Stage,
+    start_ns: u64,
+}
+
+impl OpenSpan {
+    /// Open a `stage` span parented to `ctx.parent` — or `None`, without
+    /// reading the clock, unless `ctx` is live and `rec` keeps traces.
+    #[inline]
+    pub fn open<R: Recorder + ?Sized>(ctx: TraceCtx, stage: Stage, rec: &R) -> Option<OpenSpan> {
+        (ctx.active() && rec.trace_enabled()).then(|| OpenSpan {
+            at: ctx,
+            id: next_span_id(),
+            stage,
+            start_ns: now_ns(),
+        })
+    }
+
+    /// Open the client's `Request` span on a fresh trace, if `rec` keeps
+    /// traces: id [`ROOT_SPAN_ID`], parent 0.
+    #[inline]
+    pub fn root<R: Recorder + ?Sized>(rec: &R) -> Option<OpenSpan> {
+        rec.trace_enabled().then(|| OpenSpan {
+            at: TraceCtx {
+                trace: TraceId::next(),
+                parent: 0,
+            },
+            id: ROOT_SPAN_ID,
+            stage: Stage::Request,
+            start_ns: now_ns(),
+        })
+    }
+
+    /// The context a span nested inside this one opens under.
+    #[inline]
+    pub fn ctx(self) -> TraceCtx {
+        self.at.child(self.id)
+    }
+
+    /// Close the span now and record it.
+    #[inline]
+    pub fn end<R: Recorder + ?Sized>(self, rec: &R) {
+        self.end_at(now_ns(), rec);
+    }
+
+    /// Close the span and open its sibling `stage` at the same instant,
+    /// under the same parent: one stage hands over to the next.
+    #[inline]
+    pub fn then<R: Recorder + ?Sized>(self, stage: Stage, rec: &R) -> OpenSpan {
+        let now = now_ns();
+        self.end_at(now, rec);
+        OpenSpan {
+            id: next_span_id(),
+            stage,
+            start_ns: now,
+            ..self
+        }
+    }
+
+    fn end_at<R: Recorder + ?Sized>(self, end_ns: u64, rec: &R) {
+        rec.span(Span {
+            trace: self.at.trace,
+            id: self.id,
+            parent: self.at.parent,
+            stage: self.stage,
+            start_ns: self.start_ns,
+            dur_ns: end_ns.saturating_sub(self.start_ns),
+        });
+    }
 }
 
 #[derive(Debug)]
@@ -176,8 +258,8 @@ struct Ring {
 /// older spans are overwritten (retention, not backpressure — recording
 /// never blocks on a full ring beyond the lock).
 ///
-/// Implements [`Recorder`](crate::Recorder) with
-/// [`trace_enabled`](crate::Recorder::trace_enabled) = `true` and all
+/// Implements [`Recorder`] with
+/// [`trace_enabled`](Recorder::trace_enabled) = `true` and all
 /// metric methods as no-ops, so it composes with a `MetricsRegistry`
 /// via [`Fanout`](crate::Fanout) for a full telemetry sink.
 #[derive(Debug)]
@@ -279,7 +361,7 @@ impl SpanRecorder {
     }
 }
 
-impl crate::Recorder for SpanRecorder {
+impl Recorder for SpanRecorder {
     #[inline]
     fn enabled(&self) -> bool {
         true
@@ -328,6 +410,50 @@ mod tests {
         let b = next_span_id();
         assert!(a > ROOT_SPAN_ID);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn the_gate_opens_only_on_a_live_trace_with_a_span_sink() {
+        let ring = SpanRecorder::new();
+        let live = TraceCtx {
+            trace: TraceId(4),
+            parent: ROOT_SPAN_ID,
+        };
+        assert!(OpenSpan::open(TraceCtx::NONE, Stage::Shard, &ring).is_none());
+        assert!(OpenSpan::open(live, Stage::Shard, &crate::NoopRecorder).is_none());
+        assert!(OpenSpan::root(&crate::NoopRecorder).is_none());
+        let span = OpenSpan::open(live, Stage::Shard, &ring).expect("live trace, span sink");
+        let child = span.ctx();
+        assert_eq!(child.trace, TraceId(4));
+        span.end(&ring);
+        let recorded = ring.trace(TraceId(4));
+        assert_eq!(recorded.len(), 1);
+        assert_eq!(recorded[0].parent, ROOT_SPAN_ID);
+        assert_eq!(recorded[0].stage, Stage::Shard);
+        assert_eq!(child.parent, recorded[0].id);
+        assert!(recorded[0].id > ROOT_SPAN_ID);
+    }
+
+    #[test]
+    fn root_and_handover_spans_link_up() {
+        let ring = SpanRecorder::new();
+        let root = OpenSpan::root(&ring).expect("ring keeps traces");
+        let trace = root.ctx().trace;
+        assert!(!trace.is_none());
+        let queue = OpenSpan::open(root.ctx(), Stage::Queue, &ring).unwrap();
+        let shard = queue.then(Stage::Shard, &ring);
+        assert_eq!(shard.ctx().trace, trace);
+        shard.end(&ring);
+        root.end(&ring);
+        let spans = ring.trace(trace);
+        let find = |stage| *spans.iter().find(|s| s.stage == stage).unwrap();
+        let (root, queue, shard) = (find(Stage::Request), find(Stage::Queue), find(Stage::Shard));
+        assert_eq!((root.id, root.parent), (ROOT_SPAN_ID, 0));
+        assert_eq!(queue.parent, ROOT_SPAN_ID);
+        assert_eq!(shard.parent, ROOT_SPAN_ID, "siblings share the parent");
+        assert_ne!(shard.id, queue.id);
+        assert_eq!(queue.start_ns + queue.dur_ns, shard.start_ns, "one instant");
+        assert!(root.start_ns + root.dur_ns >= shard.start_ns + shard.dur_ns);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! environment cannot reach, so — like `rand` and `proptest` here —
 //! the needed subset is vendored: a [`Poller`] you register file
 //! descriptors with, an [`Events`] buffer to drain, and a [`Waker`] for
-//! cross-thread wakeups, all over direct `epoll` syscalls ([`sys`] has
-//! the per-architecture numbers and the inline asm).
+//! cross-thread wakeups, all over the kernel's `epoll` calls ([`sys`]
+//! reaches them through the libc symbols std already links).
 //!
 //! Semantics are deliberately plain:
 //!

@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use waves_core::bits::Bits;
-use waves_obs::trace::{next_span_id, now_ns, Span, Stage, TraceCtx};
+use waves_obs::trace::{OpenSpan, Stage, TraceCtx};
 use waves_obs::{HistId, MetricId, Recorder};
 
 use crate::checkpoint::{
@@ -218,7 +218,7 @@ impl ShardStore {
     ) -> io::Result<WalPosition> {
         let enabled = rec.enabled();
         let t0 = enabled.then(Instant::now);
-        let wal_span = (ctx.active() && rec.trace_enabled()).then(|| (next_span_id(), now_ns()));
+        let wal_span = OpenSpan::open(ctx, Stage::Wal, rec);
         let framed = frame_record(&encode_batch_payload(batch));
         if !self.writer.is_empty() && self.writer.len() + framed.len() as u64 > self.segment_bytes {
             self.rotate(rec)?;
@@ -231,17 +231,10 @@ impl ShardStore {
             SyncPolicy::OnCheckpoint => false,
         };
         if must_sync {
-            let fsync_span = wal_span.map(|(wal_id, _)| (next_span_id(), now_ns(), wal_id));
+            let fsync_span = wal_span.and_then(|wal| OpenSpan::open(wal.ctx(), Stage::Fsync, rec));
             self.sync(rec)?;
-            if let Some((id, start, wal_id)) = fsync_span {
-                rec.span(Span {
-                    trace: ctx.trace,
-                    id,
-                    parent: wal_id,
-                    stage: Stage::Fsync,
-                    start_ns: start,
-                    dur_ns: now_ns().saturating_sub(start),
-                });
+            if let Some(span) = fsync_span {
+                span.end(rec);
             }
         }
         rec.incr(MetricId::StoreWalAppends, 1);
@@ -249,15 +242,8 @@ impl ShardStore {
         if let Some(t0) = t0 {
             rec.observe(HistId::StoreWalAppendNs, t0.elapsed().as_nanos() as u64);
         }
-        if let Some((id, start)) = wal_span {
-            rec.span(Span {
-                trace: ctx.trace,
-                id,
-                parent: ctx.parent,
-                stage: Stage::Wal,
-                start_ns: start,
-                dur_ns: now_ns().saturating_sub(start),
-            });
+        if let Some(span) = wal_span {
+            span.end(rec);
         }
         Ok(WalPosition {
             seq: self.writer.seq(),

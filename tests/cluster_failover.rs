@@ -14,10 +14,15 @@
 //! 3. the answer is within ε relative error of the truth — i.e. inside
 //!    the 2ε agreement bracket any two conforming synopses share.
 
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener};
+
 use waves::cluster::{ClusterClient, ClusterConfig};
-use waves::net::{ClientConfig, RetryPolicy, Server, ServerConfig};
+use waves::net::{
+    Client, ClientConfig, Frame, FrameError, RetryPolicy, Server, ServerConfig, WireCodec,
+};
 use waves::obs::{MetricId, MetricsRegistry, NoopRecorder};
-use waves::{EngineConfig, ExactCount};
+use waves::{EngineConfig, ExactCount, WaveError};
 
 const MAX_WINDOW: u64 = 256;
 const EPS: f64 = 0.2;
@@ -197,4 +202,77 @@ fn replication_keeps_followers_current_between_rounds() {
     for s in servers {
         s.shutdown();
     }
+}
+
+/// A node that refuses every INGEST with BACKPRESSURE and answers
+/// anything else `OK`: a healthy server whose shard queue is full.
+fn refusing_node() -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for mut stream in listener.incoming().map_while(Result::ok) {
+            std::thread::spawn(move || {
+                let (mut buf, mut chunk, mut out) = (Vec::new(), [0u8; 4096], Vec::new());
+                loop {
+                    match WireCodec::decode_tagged(&buf) {
+                        Ok((frame, used, tag)) => {
+                            buf.drain(..used);
+                            let reply = match frame {
+                                Frame::Ingest(_) => {
+                                    Frame::ErrorResp(WaveError::Backpressure { shard: 0 })
+                                }
+                                _ => Frame::Ok,
+                            };
+                            out.clear();
+                            WireCodec::encode_tagged_into(&reply, tag, &mut out);
+                            if stream.write_all(&out).is_err() {
+                                return;
+                            }
+                        }
+                        Err(FrameError::Truncated) => match stream.read(&mut chunk) {
+                            Ok(n @ 1..) => buf.extend_from_slice(&chunk[..n]),
+                            _ => return,
+                        },
+                        Err(_) => return,
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+/// A batch the primary refuses never reaches a follower: the shadow
+/// takes a batch only once the primary acks it (or the repair path
+/// ships it), so the next replication round has nothing of it to
+/// install, and a caller that retries counts it once.
+#[test]
+fn a_refused_ingest_reaches_no_follower() {
+    let follower = start_servers(1).remove(0);
+    let mut client = ClusterClient::new(
+        vec![refusing_node(), follower.local_addr()],
+        ClusterConfig {
+            replication: 2,
+            max_window: MAX_WINDOW,
+            eps: EPS,
+            ..Default::default()
+        },
+        std::sync::Arc::new(NoopRecorder),
+    )
+    .expect("cluster client");
+    let key = (0..)
+        .find(|&k| client.replicas_of(k)[0] == 0)
+        .expect("some key has the refusing node as primary");
+
+    let err = client.ingest(key, &[true, true, true][..]).unwrap_err();
+    assert!(matches!(err, WaveError::Backpressure { .. }), "{err:?}");
+    client.replicate_all();
+
+    let mut direct = Client::connect(follower.local_addr()).unwrap();
+    match direct.query(key, MAX_WINDOW) {
+        Err(WaveError::UnknownKey { .. }) => {}
+        Ok(est) => assert_eq!(est.value, 0.0, "the follower holds refused bits"),
+        Err(e) => panic!("follower query: {e}"),
+    }
+    follower.shutdown();
 }

@@ -11,6 +11,8 @@
 //! tests pin RNG-free specifics the sim deliberately leaves loose:
 //! exact timeout metadata and the retry machinery.
 
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use waves::dst::{run, FaultSpec, Schedule};
@@ -143,6 +145,58 @@ fn stalled_replies_surface_timeout_within_budget() {
         other => panic!("expected Timeout, got {other:?}"),
     }
     assert!(t0.elapsed() < HANG_BUDGET, "took {:?}", t0.elapsed());
+}
+
+/// A proxy that holds back the first chunk the server sends by `delay`
+/// and forwards everything after it at once: one slow reply on an
+/// otherwise healthy connection. (`Fault::Delay` slows every chunk, so
+/// behind it no later reply could beat the read timeout either.)
+fn first_reply_delayed(upstream: SocketAddr, delay: Duration) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        let (client, _) = listener.accept().unwrap();
+        let server = TcpStream::connect(upstream).unwrap();
+        let (mut up_from, mut up_to) = (client.try_clone().unwrap(), server.try_clone().unwrap());
+        std::thread::spawn(move || std::io::copy(&mut up_from, &mut up_to));
+        let (mut from, mut to) = (server, client);
+        let mut buf = [0u8; 4096];
+        let mut first = true;
+        while let Ok(n @ 1..) = from.read(&mut buf) {
+            if std::mem::take(&mut first) {
+                std::thread::sleep(delay);
+            }
+            if to.write_all(&buf[..n]).is_err() {
+                break;
+            }
+        }
+    });
+    addr
+}
+
+/// A read timeout costs the request it gave up on, not the connection:
+/// the late reply lands while no call waits for it, and the next call
+/// on the same client — no retry, no redial — steps over it (its
+/// correlation id is below every id that call sent) and reads its own.
+#[test]
+fn a_late_reply_after_a_timeout_does_not_wedge_the_client() {
+    let server = start_server();
+    let addr = first_reply_delayed(server.local_addr(), Duration::from_millis(400));
+    let cfg = ClientConfig {
+        retry: RetryPolicy::none(),
+        ..fast_cfg()
+    };
+    let mut client = Client::connect_with(addr, cfg, Arc::new(NoopRecorder)).unwrap();
+    let err = client.ping().unwrap_err();
+    assert!(matches!(err, WaveError::Timeout { .. }), "{err:?}");
+    // The abandoned ping's reply reaches the client's socket.
+    std::thread::sleep(Duration::from_millis(300));
+    client.ping().unwrap();
+    client
+        .ingest(IngestRequest::of(9, [true, false, true]))
+        .unwrap();
+    client.flush().unwrap();
+    assert_eq!(client.query(9, 64).unwrap().value, 2.0);
 }
 
 /// A corrupt reply must be called out as data corruption, with the

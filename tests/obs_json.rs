@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use waves::obs::trace::{Span, Stage, TraceId};
-use waves::obs::{BufferSink, Event, JsonValue, JsonWriter, Recorder, SpanRecorder};
+use waves::obs::{JsonValue, JsonWriter, Recorder, SpanRecorder};
 
 /// Strings weighted toward the characters that exercise every escaping
 /// path: ASCII, raw control bytes, the two mandatory escapes, multibyte
@@ -89,26 +89,20 @@ proptest! {
     }
 }
 
-/// The sinks the telemetry plane shares across server worker threads
-/// must take concurrent traffic without loss (BufferSink) or panic, and
-/// the span ring's retention accounting must stay exact under races.
+/// The span ring the telemetry plane shares across server worker
+/// threads must take concurrent traffic without panicking, and its
+/// retention accounting must stay exact under races.
 #[test]
 fn sinks_survive_concurrent_traffic() {
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 1000;
 
-    let sink = Arc::new(BufferSink::new());
     let ring = Arc::new(SpanRecorder::with_capacity(512));
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
-            let sink = Arc::clone(&sink);
             let ring = Arc::clone(&ring);
             std::thread::spawn(move || {
                 for i in 0..PER_THREAD {
-                    sink.event(Event {
-                        name: "test.event",
-                        fields: &[("thread", t), ("i", i)],
-                    });
                     ring.span(Span {
                         trace: TraceId(t + 1),
                         id: t * PER_THREAD + i + 2,
@@ -124,10 +118,6 @@ fn sinks_survive_concurrent_traffic() {
     for h in handles {
         h.join().unwrap();
     }
-
-    let events = sink.drain();
-    assert_eq!(events.len(), (THREADS * PER_THREAD) as usize);
-    assert!(events.iter().all(|e| e.name == "test.event"));
 
     assert_eq!(ring.total_recorded(), THREADS * PER_THREAD);
     let retained = ring.spans();

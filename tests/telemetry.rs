@@ -14,24 +14,19 @@ use std::time::Duration;
 
 use waves::net::{Client, ClientConfig, Server, ServerConfig};
 use waves::obs::trace::ROOT_SPAN_ID;
-use waves::obs::{
-    BufferSink, Fanout, MetricsRegistry, Recorder, Span, SpanRecorder, Stage, TraceId,
-};
+use waves::obs::{Fanout, MetricsRegistry, Recorder, Span, SpanRecorder, Stage, TraceId};
 use waves::store::{scratch_dir, PersistConfig, SyncPolicy};
 use waves::{Bits, EngineConfig, IngestRequest};
 
-/// Metrics + span ring + event sink, fanned out as one recorder.
-type Telemetry = Fanout<Fanout<MetricsRegistry, SpanRecorder>, BufferSink>;
+/// Metrics + span ring, fanned out as one recorder.
+type Telemetry = Fanout<MetricsRegistry, SpanRecorder>;
 
 fn telemetry() -> Arc<Telemetry> {
-    Arc::new(Fanout(
-        Fanout(MetricsRegistry::new(), SpanRecorder::new()),
-        BufferSink::new(),
-    ))
+    Arc::new(Fanout(MetricsRegistry::new(), SpanRecorder::new()))
 }
 
 fn ring(tel: &Telemetry) -> &SpanRecorder {
-    &tel.0 .1
+    &tel.1
 }
 
 fn stages(spans: &[Span]) -> HashSet<Stage> {
@@ -39,7 +34,7 @@ fn stages(spans: &[Span]) -> HashSet<Stage> {
 }
 
 /// The one-big-test shape is deliberate: the traced ingest, the traced
-/// query, the remote stats reconciliation, and the slow-request event
+/// query, the remote stats reconciliation, and the slow-request count
 /// all observe the same two requests, so splitting them would just
 /// re-run the server four times.
 #[test]
@@ -56,8 +51,8 @@ fn traced_request_produces_full_span_tree_and_stats_reconcile() {
                 .persist_config(PersistConfig::new(&root).sync_policy(SyncPolicy::EveryBatch))
                 .build(),
             read_timeout: None,
-            // Zero threshold: every request is "slow", so the log-event
-            // path (which names the trace id) fires deterministically.
+            // Zero threshold: every request is "slow", so the
+            // slow-request counter moves deterministically.
             slow_request: Some(Duration::ZERO),
             ..Default::default()
         },
@@ -172,20 +167,17 @@ fn traced_request_produces_full_span_tree_and_stats_reconcile() {
     assert_eq!(per_family, global, "family dimension must sum to the total");
     assert!(snap.counter("net_slow_requests_total").unwrap() >= 2);
 
-    // The slow-request log names the trace id, so an operator can go
-    // from the log line straight to the span tree.
-    let events = tel.1.drain();
-    let slow: Vec<_> = events
+    // A slow request's trace is found from its dispatch span: filter
+    // the ring for dispatch spans over the threshold (zero here), then
+    // render their trace.
+    let slow: Vec<TraceId> = ring(&tel)
+        .spans()
         .iter()
-        .filter(|e| e.name == "net.slow_request")
+        .filter(|s| s.stage == Stage::Dispatch)
+        .map(|s| s.trace)
         .collect();
-    assert!(
-        slow.iter().any(|e| e
-            .fields
-            .iter()
-            .any(|&(k, v)| k == "trace" && v == query_trace.0)),
-        "no slow-request event names the query trace: {slow:?}"
-    );
+    assert!(slow.contains(&query_trace), "{slow:?}");
+    assert!(ring(&tel).render_trace(query_trace).contains("  dispatch "));
 
     client.shutdown_server().unwrap();
     server.wait();
