@@ -150,7 +150,6 @@ mod tests {
             &serve_cfg.addr as &str,
             ServerConfig {
                 engine: ecfg,
-                read_timeout: None,
                 ..Default::default()
             },
         )

@@ -304,13 +304,10 @@ impl ClusterClient {
 
     /// The key's shadow takes a batch the cluster now holds.
     fn absorb(&mut self, key: u64, bits: &Bits) {
-        let shadow = self
-            .shadows
+        self.shadows
             .entry(key)
-            .or_insert_with(|| self.template.clone());
-        for b in bits.iter() {
-            shadow.push_bit(b);
-        }
+            .or_insert_with(|| self.template.clone())
+            .push_words(bits.as_ref());
     }
 
     /// One replication round: every key's shadow ships to its

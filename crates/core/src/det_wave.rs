@@ -53,54 +53,11 @@ impl Clone for DetWave {
     }
 }
 
-/// Builder for [`DetWave`] — the preferred construction surface.
-///
-/// Defaults: `max_window = 1024`, `eps = 0.1`. All validation happens
-/// in [`DetWaveBuilder::build`], so setters are infallible and chain.
-///
-/// ```
-/// use waves_core::DetWave;
-/// let wave = DetWave::builder().max_window(10_000).eps(0.05).build().unwrap();
-/// assert_eq!(wave.max_window(), 10_000);
-/// ```
-#[derive(Debug, Clone)]
-pub struct DetWaveBuilder {
-    max_window: u64,
-    eps: f64,
-}
-
-impl DetWaveBuilder {
-    /// Maximum queryable window `N` (default 1024).
-    pub fn max_window(mut self, n: u64) -> Self {
-        self.max_window = n;
-        self
-    }
-
-    /// Relative error bound, `0 < eps < 1` (default 0.1).
-    pub fn eps(mut self, eps: f64) -> Self {
-        self.eps = eps;
-        self
-    }
-
-    /// Validate the configuration and build the wave.
-    pub fn build(self) -> Result<DetWave, WaveError> {
-        DetWave::with_k(self.max_window, k_for_eps(self.eps)?, self.eps)
-    }
-}
-
 impl DetWave {
-    /// Start building a wave: `DetWave::builder().max_window(n).eps(e).build()`.
-    pub fn builder() -> DetWaveBuilder {
-        DetWaveBuilder {
-            max_window: 1024,
-            eps: 0.1,
-        }
-    }
-
-    /// Build a wave with error bound `eps` for windows up to `max_window`
-    /// (thin shim over [`DetWave::builder`]).
+    /// Build a wave with error bound `0 < eps < 1` for windows up to
+    /// `max_window`.
     pub fn new(max_window: u64, eps: f64) -> Result<Self, WaveError> {
-        Self::builder().max_window(max_window).eps(eps).build()
+        Self::with_k(max_window, k_for_eps(eps)?, eps)
     }
 
     /// Build from the integer parameter `k = ceil(1/eps)` directly —
@@ -462,22 +419,17 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_new() {
+    fn new_validates_its_parameters() {
         let a = DetWave::new(500, 0.2).unwrap();
-        let b = DetWave::builder().max_window(500).eps(0.2).build().unwrap();
-        assert_eq!(a.k(), b.k());
-        assert_eq!(a.max_window(), b.max_window());
-        assert_eq!(a.num_levels(), b.num_levels());
-        // Defaults are usable as-is.
-        let d = DetWave::builder().build().unwrap();
-        assert_eq!(d.max_window(), 1024);
-        // Validation is deferred to build().
+        assert_eq!(a.k(), k_for_eps(0.2).unwrap());
+        assert_eq!(a.max_window(), 500);
+        assert_eq!(a.eps(), 0.2);
         assert_eq!(
-            DetWave::builder().eps(2.0).build().unwrap_err(),
+            DetWave::new(500, 2.0).unwrap_err(),
             WaveError::InvalidEpsilon(2.0)
         );
         assert_eq!(
-            DetWave::builder().max_window(0).build().unwrap_err(),
+            DetWave::new(0, 0.2).unwrap_err(),
             WaveError::InvalidWindow(0)
         );
     }

@@ -61,13 +61,13 @@ pub use average::{ratio_error_target, ratio_estimate, RatioEstimate, SlidingAver
 pub use basic_wave::BasicWave;
 pub use bits::{Bits, BitsRef};
 pub use decay::{decayed_sum, Decay, DecayedEstimate};
-pub use det_wave::{DetWave, DetWaveBuilder};
+pub use det_wave::DetWave;
 pub use error::WaveError;
 pub use estimate::{Estimate, SpaceReport};
 pub use exact::{ExactCount, ExactDistinct, ExactSum};
 pub use histogram::WindowedHistogram;
 pub use nth_recent::NthRecentWave;
-pub use sum_wave::{SumWave, SumWaveBuilder};
+pub use sum_wave::SumWave;
 pub use timestamp::TimestampWave;
 pub use timestamp_sum::TimestampSumWave;
 pub use traits::{BitSynopsis, Synopsis};

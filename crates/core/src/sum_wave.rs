@@ -28,72 +28,11 @@ pub struct SumWave {
     ladder: Ladder<u64>,
 }
 
-/// Builder for [`SumWave`] — the preferred construction surface.
-///
-/// Defaults: `max_window = 1024`, `max_value = 65_535`, `eps = 0.1`.
-/// All validation happens in [`SumWaveBuilder::build`].
-///
-/// ```
-/// use waves_core::SumWave;
-/// let wave = SumWave::builder().max_window(4096).max_value(1000).eps(0.05).build().unwrap();
-/// assert_eq!(wave.max_window(), 4096);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SumWaveBuilder {
-    max_window: u64,
-    max_value: u64,
-    eps: f64,
-}
-
-impl SumWaveBuilder {
-    /// Maximum queryable window `N` (default 1024).
-    pub fn max_window(mut self, n: u64) -> Self {
-        self.max_window = n;
-        self
-    }
-
-    /// Item value bound `R` (default 65_535).
-    pub fn max_value(mut self, r: u64) -> Self {
-        self.max_value = r;
-        self
-    }
-
-    /// Relative error bound, `0 < eps < 1` (default 0.1).
-    pub fn eps(mut self, eps: f64) -> Self {
-        self.eps = eps;
-        self
-    }
-
-    /// Validate the configuration and build the wave.
-    pub fn build(self) -> Result<SumWave, WaveError> {
-        SumWave::with_k(
-            self.max_window,
-            self.max_value,
-            k_for_eps(self.eps)?,
-            self.eps,
-        )
-    }
-}
-
 impl SumWave {
-    /// Start building: `SumWave::builder().max_window(n).max_value(r).eps(e).build()`.
-    pub fn builder() -> SumWaveBuilder {
-        SumWaveBuilder {
-            max_window: 1024,
-            max_value: 65_535,
-            eps: 0.1,
-        }
-    }
-
-    /// Build a sum wave with error bound `eps` for windows up to
-    /// `max_window`, item values in `[0..max_value]` (thin shim over
-    /// [`SumWave::builder`]).
+    /// Build a sum wave with error bound `0 < eps < 1` for windows up to
+    /// `max_window`, item values in `[0..max_value]`.
     pub fn new(max_window: u64, max_value: u64, eps: f64) -> Result<Self, WaveError> {
-        Self::builder()
-            .max_window(max_window)
-            .max_value(max_value)
-            .eps(eps)
-            .build()
+        Self::with_k(max_window, max_value, k_for_eps(eps)?, eps)
     }
 
     /// Build from the integer parameter `k = ceil(1/eps)` (validated by
@@ -284,20 +223,21 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_new() {
+    fn new_validates_its_parameters() {
         let a = SumWave::new(512, 100, 0.2).unwrap();
-        let b = SumWave::builder()
-            .max_window(512)
-            .max_value(100)
-            .eps(0.2)
-            .build()
-            .unwrap();
-        assert_eq!(a.max_window(), b.max_window());
-        assert!(SumWave::builder().eps(0.0).build().is_err());
-        assert!(SumWave::builder().max_window(0).build().is_err());
-        assert!(SumWave::builder().max_value(0).build().is_err());
-        // Defaults are usable as-is.
-        assert_eq!(SumWave::builder().build().unwrap().max_window(), 1024);
+        assert_eq!(a.max_window(), 512);
+        assert_eq!(
+            SumWave::new(512, 100, 0.0).unwrap_err(),
+            WaveError::InvalidEpsilon(0.0)
+        );
+        assert_eq!(
+            SumWave::new(0, 100, 0.2).unwrap_err(),
+            WaveError::InvalidWindow(0)
+        );
+        assert_eq!(
+            SumWave::new(512, 0, 0.2).unwrap_err(),
+            WaveError::ValueTooLarge { value: 0, max: 0 }
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! timestamp. What is here is what only bits have: the bit push and the
 //! packed-word push.
 
-use crate::histogram::{Builder, Histogram};
+use crate::histogram::Histogram;
 use std::collections::VecDeque;
 use waves_core::bits::BitsRef;
 use waves_core::error::WaveError;
@@ -15,21 +15,12 @@ use waves_core::traits::BitSynopsis;
 /// `N` bits with relative error `eps`.
 pub type EhCount = Histogram<()>;
 
-/// Builder for [`EhCount`] — mirrors `DetWave::builder()`, so switching
-/// between the wave and the EH baseline is a one-word change. Defaults:
-/// `max_window = 1024`, `eps = 0.1`.
-pub type EhCountBuilder = Builder<()>;
-
 impl EhCount {
-    /// Start building: `EhCount::builder().max_window(n).eps(e).build()`.
-    pub fn builder() -> EhCountBuilder {
-        Builder::with_max_value(())
-    }
-
-    /// Build an EH with error bound `eps` for windows up to `max_window`
-    /// (thin shim over [`EhCount::builder`]).
+    /// Build an EH with error bound `0 < eps < 1` for windows up to
+    /// `max_window` — the same signature as `DetWave::new`, so switching
+    /// between the wave and the EH baseline is a one-word change.
     pub fn new(max_window: u64, eps: f64) -> Result<Self, WaveError> {
-        Self::builder().max_window(max_window).eps(eps).build()
+        Self::with_eps(max_window, (), eps)
     }
 
     /// Number of buckets currently held.

@@ -101,55 +101,15 @@ pub struct Histogram<M> {
     merges: u64,
 }
 
-/// Builder for [`crate::EhCount`] and [`crate::EhSum`]; validation
-/// happens in [`Builder::build`].
-#[derive(Debug, Clone)]
-pub struct Builder<M> {
-    max_window: u64,
-    max_value: M,
-    eps: f64,
-}
-
-impl<M: Multiplicity> Builder<M> {
-    pub(crate) fn with_max_value(max_value: M) -> Self {
-        Builder {
-            max_window: 1024,
-            max_value,
-            eps: 0.1,
-        }
-    }
-
-    /// Maximum queryable window `N` (default 1024).
-    pub fn max_window(mut self, n: u64) -> Self {
-        self.max_window = n;
-        self
-    }
-
-    /// Relative error bound, `0 < eps < 1` (default 0.1).
-    pub fn eps(mut self, eps: f64) -> Self {
-        self.eps = eps;
-        self
-    }
-
+impl<M: Multiplicity> Histogram<M> {
     /// Validate the configuration and build the histogram. An `eps`
     /// whose `m` exceeds `2^32` is refused, as the decoder refuses it;
     /// a window sum `N * R` above `2^62` is refused as
     /// `InvalidWindow(N)`, as `SumWave` refuses it.
-    pub fn build(self) -> Result<Histogram<M>, WaveError> {
-        let m = crate::quantize_eps(self.eps, 2.0)?;
-        Histogram::with_m(self.max_window, self.max_value, m, self.eps)
+    pub(crate) fn with_eps(max_window: u64, max_value: M, eps: f64) -> Result<Self, WaveError> {
+        Self::with_m(max_window, max_value, crate::quantize_eps(eps, 2.0)?, eps)
     }
-}
 
-impl Builder<u64> {
-    /// Item value bound `R` (default 65_535).
-    pub fn max_value(mut self, r: u64) -> Self {
-        self.max_value = r;
-        self
-    }
-}
-
-impl<M: Multiplicity> Histogram<M> {
     /// Build from the integer parameter `m` the codec carries — the only
     /// error-bound quantity the algorithm consults. `eps -> m` is not
     /// injective in floating point (`ceil(1 / (2 * (1 / (2 * 49))))` is

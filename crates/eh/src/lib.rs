@@ -37,8 +37,8 @@ mod histogram;
 pub mod sum;
 pub mod xu;
 
-pub use basic::{EhCount, EhCountBuilder};
-pub use sum::{EhSum, EhSumBuilder};
+pub use basic::EhCount;
+pub use sum::EhSum;
 pub use xu::XuCount;
 
 use waves_core::error::WaveError;

@@ -5,32 +5,19 @@
 //! `(ts, multiplicity)` run. What is here is what only sums have: the
 //! value bound `R` and the value push.
 
-use crate::histogram::{Builder, Histogram};
+use crate::histogram::Histogram;
 use waves_core::error::WaveError;
 
 /// Exponential histogram for the sum of the last `N` integers in
 /// `[0..R]`, relative error `eps`.
 pub type EhSum = Histogram<u64>;
 
-/// Builder for [`EhSum`] — mirrors `SumWave::builder()`. Defaults:
-/// `max_window = 1024`, `max_value = 65_535`, `eps = 0.1`.
-pub type EhSumBuilder = Builder<u64>;
-
 impl EhSum {
-    /// Start building: `EhSum::builder().max_window(n).max_value(r).eps(e).build()`.
-    pub fn builder() -> EhSumBuilder {
-        Builder::with_max_value(65_535)
-    }
-
-    /// Build an EH-sum with error bound `eps` for windows up to
-    /// `max_window` and values up to `max_value` (thin shim over
-    /// [`EhSum::builder`]).
+    /// Build an EH-sum with error bound `0 < eps < 1` for windows up to
+    /// `max_window` and values up to `max_value` — the same signature as
+    /// `SumWave::new`.
     pub fn new(max_window: u64, max_value: u64, eps: f64) -> Result<Self, WaveError> {
-        Self::builder()
-            .max_window(max_window)
-            .max_value(max_value)
-            .eps(eps)
-            .build()
+        Self::with_eps(max_window, max_value, eps)
     }
 
     /// The value bound `R`.

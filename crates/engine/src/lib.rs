@@ -61,7 +61,7 @@
 use std::collections::{hash_map, HashMap};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::TrySendError;
+use std::sync::mpsc::{Sender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -275,28 +275,30 @@ enum Cmd {
     Query {
         key: Key,
         window: u64,
-        reply: std::sync::mpsc::Sender<Result<Estimate, WaveError>>,
+        reply: Sender<Result<Estimate, WaveError>>,
         queued: Option<OpenSpan>,
     },
     Snapshot {
-        reply: std::sync::mpsc::Sender<ShardSnapshot>,
+        reply: Sender<ShardSnapshot>,
     },
     /// A barrier: replied to once everything enqueued before it has
     /// been applied.
-    Flush { reply: std::sync::mpsc::Sender<()> },
+    Flush {
+        reply: Sender<()>,
+    },
     /// Durably checkpoint the shard's synopses (no-op without
     /// persistence), replying with the outcome.
     Checkpoint {
-        reply: std::sync::mpsc::Sender<Result<(), WaveError>>,
+        reply: Sender<Result<(), WaveError>>,
     },
     /// Install one key's synopsis from its encoded bytes, replacing any
     /// local state for that key — the follower half of cluster
     /// replication. The bytes stay opaque until the worker decodes them
-    /// with the fn pointer captured at construction.
+    /// with [`waves_core::Synopsis::decode_synopsis`].
     Install {
         key: Key,
         bytes: Vec<u8>,
-        reply: std::sync::mpsc::Sender<Result<(), WaveError>>,
+        reply: Sender<Result<(), WaveError>>,
     },
 }
 
@@ -589,16 +591,17 @@ where
         shard_for(key, self.shards.len())
     }
 
-    /// Enqueue one batch on one shard, non-blocking. Counts queue depth
-    /// and backpressure; the caller decides whether the shed items were
-    /// clones (droppable) or the caller's own copy (retryable).
-    fn try_enqueue(
+    /// Enqueue one batch on one shard. Blocking waits for room;
+    /// non-blocking refuses a full queue, counting the shed items as
+    /// backpressure — the caller decides whether they were clones
+    /// (droppable) or the caller's own copy (retryable).
+    fn enqueue(
         &self,
         shard: usize,
         batch: Vec<KeyedBits>,
         ctx: TraceCtx,
+        blocking: bool,
     ) -> Result<(), WaveError> {
-        let items: u64 = batch.iter().map(|(_, bits)| bits.len()).sum();
         // Count the batch in *before* sending so the worker's decrement
         // can never race ahead of the increment and wrap the counter.
         let depth = self.shards[shard].depth.fetch_add(1, Ordering::Relaxed) + 1;
@@ -606,12 +609,18 @@ where
             batch,
             queued: OpenSpan::open(ctx, Stage::Queue, &*self.rec),
         };
-        match self.shards[shard].tx().try_send(cmd) {
+        let tx = self.shards[shard].tx();
+        let sent = match blocking {
+            true => tx.send(cmd).map_err(|e| TrySendError::Disconnected(e.0)),
+            false => tx.try_send(cmd),
+        };
+        match sent {
             Ok(()) => {
                 self.rec.observe(HistId::EngineQueueDepth, depth as u64);
                 Ok(())
             }
-            Err(TrySendError::Full(_)) => {
+            Err(TrySendError::Full(Cmd::Batch { batch, .. })) => {
+                let items: u64 = batch.iter().map(|(_, bits)| bits.len()).sum();
                 self.shards[shard].depth.fetch_sub(1, Ordering::Relaxed);
                 self.backpressure_events.fetch_add(1, Ordering::Relaxed);
                 self.rec.incr(MetricId::EngineBackpressureEvents, 1);
@@ -619,18 +628,38 @@ where
                 self.dropped_items.fetch_add(items, Ordering::Relaxed);
                 Err(WaveError::Backpressure { shard })
             }
-            Err(TrySendError::Disconnected(_)) => unreachable!("worker lives until Drop"),
+            Err(_) => unreachable!("worker lives until Drop"),
         }
     }
 
-    fn enqueue_blocking(&self, shard: usize, batch: Vec<KeyedBits>, ctx: TraceCtx) {
-        let depth = self.shards[shard].depth.fetch_add(1, Ordering::Relaxed) + 1;
-        let queued = OpenSpan::open(ctx, Stage::Queue, &*self.rec);
+    /// Send `shard` the command `cmd` builds around a reply channel and
+    /// wait for the reply. The command travels the shard's FIFO behind
+    /// everything enqueued before it.
+    fn call<T>(&self, shard: usize, cmd: impl FnOnce(Sender<T>) -> Cmd) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
         self.shards[shard]
             .tx()
-            .send(Cmd::Batch { batch, queued })
+            .send(cmd(tx))
             .expect("worker lives until Drop");
-        self.rec.observe(HistId::EngineQueueDepth, depth as u64);
+        rx.recv().expect("worker replies before exiting")
+    }
+
+    /// [`Engine::call`] on every shard at once: all commands are sent
+    /// before any reply is awaited. Replies come back in shard order.
+    fn broadcast<T>(&self, cmd: impl Fn(Sender<T>) -> Cmd) -> Vec<T> {
+        let replies: Vec<_> = self
+            .shards
+            .iter()
+            .map(|shard| {
+                let (tx, rx) = std::sync::mpsc::channel();
+                shard.tx().send(cmd(tx)).expect("worker lives until Drop");
+                rx
+            })
+            .collect();
+        replies
+            .into_iter()
+            .map(|rx| rx.recv().expect("worker replies before exiting"))
+            .collect()
     }
 
     /// The single ingest entry point: deliver every entry of `req`,
@@ -661,12 +690,9 @@ where
         } = req;
         let mut first_err = Ok(());
         for (shard, sub) in self.split_by_shard(entries) {
-            if blocking {
-                self.enqueue_blocking(shard, sub, ctx);
-            } else if let Err(e) = self.try_enqueue(shard, sub, ctx) {
-                if first_err.is_ok() {
-                    first_err = Err(e);
-                }
+            let sent = self.enqueue(shard, sub, ctx, blocking);
+            if first_err.is_ok() {
+                first_err = sent;
             }
         }
         first_err
@@ -706,17 +732,12 @@ where
         ctx: TraceCtx,
     ) -> Result<Estimate, WaveError> {
         let started = self.rec.enabled().then(Instant::now);
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        self.shards[self.shard_of(key)]
-            .tx()
-            .send(Cmd::Query {
-                key,
-                window,
-                reply: reply_tx,
-                queued: OpenSpan::open(ctx, Stage::Queue, &*self.rec),
-            })
-            .expect("worker lives until Drop");
-        let res = reply_rx.recv().expect("worker replies before exiting");
+        let res = self.call(self.shard_of(key), |reply| Cmd::Query {
+            key,
+            window,
+            reply,
+            queued: OpenSpan::open(ctx, Stage::Queue, &*self.rec),
+        });
         if let Some(t0) = started {
             self.rec
                 .observe(HistId::EngineQueryNs, t0.elapsed().as_nanos() as u64);
@@ -727,21 +748,7 @@ where
     /// Barrier: returns once every shard has applied everything enqueued
     /// before this call.
     pub fn flush(&self) {
-        let replies: Vec<_> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let (tx, rx) = std::sync::mpsc::channel();
-                shard
-                    .tx()
-                    .send(Cmd::Flush { reply: tx })
-                    .expect("worker lives until Drop");
-                rx
-            })
-            .collect();
-        for rx in replies {
-            rx.recv().expect("worker replies before exiting");
-        }
+        self.broadcast(|reply| Cmd::Flush { reply });
     }
 
     /// Collect a point-in-time snapshot: per-shard key counts, resident
@@ -750,30 +757,8 @@ where
     /// key, so treat it as an operator-frequency operation, not a
     /// hot-path one.
     pub fn snapshot(&self) -> EngineSnapshot {
-        let replies: Vec<_> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let (tx, rx) = std::sync::mpsc::channel();
-                shard
-                    .tx()
-                    .send(Cmd::Snapshot { reply: tx })
-                    .expect("worker lives until Drop");
-                rx
-            })
-            .collect();
-        let mut shards: Vec<ShardSnapshot> = replies
-            .into_iter()
-            .enumerate()
-            .map(|(i, rx)| {
-                let mut snap = rx.recv().expect("worker replies before exiting");
-                snap.shard = i;
-                snap
-            })
-            .collect();
-        shards.sort_by_key(|s| s.shard);
         EngineSnapshot {
-            shards,
+            shards: self.broadcast(|reply| Cmd::Snapshot { reply }),
             dropped_items: self.dropped_items.load(Ordering::Relaxed),
             backpressure_events: self.backpressure_events.load(Ordering::Relaxed),
         }
@@ -795,16 +780,11 @@ where
     /// Undecodable bytes fail with an `InvalidData` [`WaveError::Io`]
     /// and leave the key's previous state untouched.
     pub fn install_synopsis(&self, key: Key, bytes: Vec<u8>) -> Result<(), WaveError> {
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-        self.shards[self.shard_of(key)]
-            .tx()
-            .send(Cmd::Install {
-                key,
-                bytes,
-                reply: reply_tx,
-            })
-            .expect("worker lives until Drop");
-        reply_rx.recv().expect("worker replies before exiting")
+        self.call(self.shard_of(key), |reply| Cmd::Install {
+            key,
+            bytes,
+            reply,
+        })
     }
 
     /// Durably checkpoint every shard: each worker serializes all of its
@@ -815,26 +795,9 @@ where
     /// no-op; with persistence it returns the first shard's error, e.g.
     /// after a WAL write failure disabled durability on a shard.
     pub fn checkpoint(&self) -> Result<(), WaveError> {
-        let replies: Vec<_> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let (tx, rx) = std::sync::mpsc::channel();
-                shard
-                    .tx()
-                    .send(Cmd::Checkpoint { reply: tx })
-                    .expect("worker lives until Drop");
-                rx
-            })
-            .collect();
-        let mut first_err = Ok(());
-        for rx in replies {
-            let res = rx.recv().expect("worker replies before exiting");
-            if res.is_err() && first_err.is_ok() {
-                first_err = res;
-            }
-        }
-        first_err
+        self.broadcast(|reply| Cmd::Checkpoint { reply })
+            .into_iter()
+            .collect()
     }
 }
 
@@ -1003,7 +966,7 @@ fn shard_worker<S, R, F>(
             }
             Cmd::Snapshot { reply } => {
                 let mut snap = ShardSnapshot {
-                    shard: 0, // engine-side fills the index in
+                    shard,
                     keys: keys.len(),
                     resident_bytes: 0,
                     synopsis_bits: 0,

@@ -48,11 +48,11 @@
 //! re-encodes them, so a synopsis round-trips the network byte-for-byte
 //! (property-tested in this crate for all four synopsis types).
 
-use waves_core::bits::{byte_count, Bits};
 use waves_core::{Estimate, WaveError};
 pub use waves_distributed::SynopsisKind;
 use waves_engine::{EngineSnapshot, KeyedBits, ShardSnapshot};
 use waves_store::crc::crc32;
+use waves_store::wal::{decode_entries, encode_entries};
 
 /// First two header bytes of every frame.
 pub const MAGIC: [u8; 2] = *b"WA";
@@ -87,10 +87,6 @@ pub const CRC_LEN: usize = 4;
 /// treated as corruption ([`FrameError::FrameTooLarge`]) rather than an
 /// allocation request.
 pub const MAX_PAYLOAD_LEN: usize = 64 << 20;
-
-/// Cap on bits in a single ingest entry, so a corrupt bit count cannot
-/// force a huge allocation before the byte-level bounds check.
-const MAX_ENTRY_BITS: u64 = (MAX_PAYLOAD_LEN as u64) * 8;
 
 // Request frame types (client -> server).
 const TYPE_PING: u8 = 0x01;
@@ -266,11 +262,15 @@ impl<'a> PayloadReader<'a> {
         PayloadReader { buf, pos: 0 }
     }
 
+    /// The next `n` payload bytes. Running past the payload is
+    /// [`FrameError::Malformed`]: the frame is whole (its CRC matched),
+    /// so no further read can complete it.
     fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        let end = self.pos.checked_add(n).ok_or(FrameError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(FrameError::Truncated);
-        }
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.buf.len())
+            .ok_or(FrameError::Malformed("payload ends early"))?;
         let s = &self.buf[self.pos..end];
         self.pos = end;
         Ok(s)
@@ -465,12 +465,7 @@ impl WireCodec {
                 TYPE_STATS_RESP
             }
             Frame::Ingest(batch) => {
-                put_u32(p, batch.len() as u32);
-                for (key, bits) in batch {
-                    put_u64(p, *key);
-                    put_u64(p, bits.len());
-                    bits.write_le_bytes(p);
-                }
+                encode_entries(batch, p);
                 TYPE_INGEST
             }
             Frame::Query { key, window } => {
@@ -618,20 +613,10 @@ impl WireCodec {
                 Frame::StatsResp(json.to_owned())
             }
             TYPE_INGEST => {
-                let n = r.u32()? as usize;
-                let mut batch = Vec::new();
-                for _ in 0..n {
-                    let key = r.u64()?;
-                    let nbits = r.u64()?;
-                    if nbits > MAX_ENTRY_BITS {
-                        return Err(FrameError::Malformed("ingest entry bit count"));
-                    }
-                    let packed = r.take(byte_count(nbits))?;
-                    let bits = Bits::from_le_bytes(packed, nbits)
-                        .ok_or(FrameError::Malformed("ingest entry bits"))?;
-                    batch.push((key, bits));
-                }
-                Frame::Ingest(batch)
+                let entries = r.take(r.remaining())?;
+                Frame::Ingest(
+                    decode_entries(entries).map_err(|_| FrameError::Malformed("ingest entries"))?,
+                )
             }
             TYPE_QUERY => Frame::Query {
                 key: r.u64()?,
@@ -740,6 +725,7 @@ impl WireCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use waves_core::Bits;
 
     /// Recompute the CRC trailer after deliberately mutating a frame's
     /// header or payload, so tests can probe post-checksum validation.

@@ -204,11 +204,12 @@ mod proptests {
         /// variant with 1-3 payload bits flipped and its CRC re-sealed
         /// reaches `decode_payload`, which random bytes (see
         /// `decode_never_panics`) almost never do. The decoder returns a
-        /// typed error or a frame, never panics, and a frame it accepts
-        /// re-encodes to the mutated bytes — save an error reply, whose
-        /// unknown codes decode to an opaque remote error, and an ingest
-        /// entry's bits past its length, which `Bits::from_le_bytes`
-        /// masks: a flip there may be undone, and nothing else may move.
+        /// typed error other than `Truncated` or a frame, never panics,
+        /// and a frame it accepts re-encodes to the mutated bytes — save
+        /// an error reply, whose unknown codes decode to an opaque remote
+        /// error, and an ingest entry's bits past its length, which
+        /// `Bits::from_le_bytes` masks: a flip there may be undone, and
+        /// nothing else may move.
         #[test]
         fn decode_survives_mutated_valid_frames(
             variant in 0usize..FRAME_VARIANTS,
@@ -230,7 +231,11 @@ mod proptests {
             wire.truncate(body_end);
             let sum = waves_store::crc::crc32(&wire);
             wire.extend_from_slice(&sum.to_be_bytes());
-            if let Ok((frame, used, got)) = WireCodec::decode_tagged(&wire) {
+            let decoded = WireCodec::decode_tagged(&wire);
+            // The frame is whole: an error must refuse it, never ask
+            // for more bytes that cannot complete it.
+            prop_assert_ne!(decoded.as_ref().err(), Some(&FrameError::Truncated));
+            if let Ok((frame, used, got)) = decoded {
                 prop_assert_eq!(used, wire.len());
                 prop_assert_eq!(got, tag);
                 if !matches!(frame, Frame::ErrorResp(_)) {

@@ -32,11 +32,13 @@
 //! reply: `Ok`, or BACKPRESSURE naming the lowest shard among its own
 //! that refused its sub-batch (`ingest_reply`). The gathered
 //! sub-batches are submitted before any other frame of that connection
-//! is served or handed to the pool, before parsing stops at the
-//! in-flight cap, before a framing-violation refusal, and at the end of
-//! the pass. A traced INGEST (nonzero trace id, on a recorder that
-//! keeps traces) submits what is gathered and then goes alone, so its
-//! span tree stays its own.
+//! is served or handed to the pool, and at the end of the pass. A
+//! traced INGEST (nonzero trace id, on a recorder that keeps traces)
+//! joins the gather too, which holds at most one: its Dispatch span
+//! opens when it is decoded, every sub-batch it touched carries that
+//! span's context to the engine, and a second traced INGEST submits the
+//! gather first — so each traced frame keeps its own span tree while
+//! its untraced neighbours share its batches.
 //!
 //! One cycle of the loop is: read one chunk from each readable
 //! connection and serve what it completes, absorb what the pool
@@ -60,12 +62,13 @@
 //! one check.
 //!
 //! Shutdown ([`Server::shutdown`], a client [`Frame::Shutdown`], or
-//! [`Drop`]) flips the stop flag and wakes the loop, which stops
-//! reading, lets in-flight dispatches complete, and flushes out-buffers
-//! under a bounded [`ServerConfig::drain_deadline`] before closing
-//! every socket — so dropping a `Server` cannot leak threads, file
-//! descriptors, or the bound port, and a replied shutdown frame
-//! actually reaches its sender.
+//! [`Drop`]) flips the stop flag and wakes the loop, which turns the
+//! same loop into a drain: it stops accepting and reading, lets
+//! in-flight dispatches complete, and flushes out-buffers under a
+//! bounded [`ServerConfig::drain_deadline`] before closing every socket
+//! — so dropping a `Server` cannot leak threads, file descriptors, or
+//! the bound port, and a replied shutdown frame actually reaches its
+//! sender.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -91,12 +94,6 @@ use crate::frame::{Frame, FrameError, FrameTag, SynopsisKind, WireCodec};
 pub struct ServerConfig {
     /// Configuration for the hosted serving engine.
     pub engine: EngineConfig,
-    /// Per-connection idle timeout. `None` (the default) keeps silent
-    /// connections open indefinitely — safe because shutdown closes
-    /// sockets rather than waiting on them. `Some(d)` disconnects a
-    /// connection that neither sends a byte nor has a request in
-    /// flight for `d`.
-    pub read_timeout: Option<Duration>,
     /// Dispatch-duration threshold for the slow-request count. A
     /// request whose handler runs longer than this bumps
     /// `net_slow_requests_total`; a traced one's `Dispatch` span
@@ -133,7 +130,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             engine: EngineConfig::default(),
-            read_timeout: None,
             slow_request: Some(Duration::from_millis(500)),
             max_connections: 10_240,
             max_inflight: 128,
@@ -260,7 +256,6 @@ impl Server {
                 dirty: Vec::new(),
                 gather: Gather::new(engine_shards),
                 chunk: vec![0; READ_CHUNK],
-                read_timeout: cfg.read_timeout,
                 max_connections: cfg.max_connections,
                 max_inflight: cfg.max_inflight.max(1),
                 max_write_queue: cfg.max_write_queue.max(1),
@@ -343,6 +338,9 @@ const WAKER: Token = Token(usize::MAX - 1);
 /// holds the loop for one chunk's worth of requests before its
 /// neighbours are served.
 const READ_CHUNK: usize = 64 << 10;
+/// The longest single wait while draining, so the deadline is checked
+/// at least this often.
+const DRAIN_SLICE: Duration = Duration::from_millis(20);
 
 /// Requests that wait on a shard worker's reply cross to the dispatch
 /// pool; every other request cannot block and runs to completion on
@@ -428,9 +426,6 @@ struct Conn {
     dirty: bool,
     /// Requests handed to the dispatch pool and not yet replied.
     inflight: usize,
-    /// Read interest dropped: at the in-flight cap, after a framing
-    /// violation, or while stopping.
-    paused: bool,
     /// Peer closed its write half (clean EOF); no more requests, but
     /// queued replies still flush.
     read_closed: bool,
@@ -439,8 +434,6 @@ struct Conn {
     /// This connection replied to [`Frame::Shutdown`]: once its
     /// out-buffer drains, stop the whole server.
     shutdown_after: bool,
-    /// Last byte read or reply enqueued, for the idle timeout.
-    last_activity: Instant,
     interest: Interest,
 }
 
@@ -457,11 +450,17 @@ impl Conn {
             rec.incr(MetricId::NetConnectionsEvicted, 1);
             return false;
         }
-        self.last_activity = Instant::now();
         if rec.enabled() {
             rec.observe(HistId::NetWriteQueueBytes, queued as u64);
         }
         true
+    }
+
+    /// Whether the loop reads this connection: not closing (a framing
+    /// violation or the drain), the peer's write half open, and below
+    /// the in-flight cap.
+    fn wants_read(&self, max_inflight: usize) -> bool {
+        !self.closing && !self.read_closed && self.inflight < max_inflight
     }
 
     /// Put the connection on this cycle's flush list, once.
@@ -502,6 +501,9 @@ struct Gather {
     touched: Vec<usize>,
     /// Per shard: refused its sub-batch at the last submit.
     refused: Vec<bool>,
+    /// The one traced frame gathered: its index in `frames`, where its
+    /// shards start in `touched`, and its open Dispatch span.
+    traced: Option<(usize, usize, OpenSpan)>,
 }
 
 impl Gather {
@@ -511,16 +513,20 @@ impl Gather {
             frames: Vec::new(),
             touched: Vec::new(),
             refused: vec![false; shards],
+            traced: None,
         }
     }
 
-    /// Add one frame's entries to their shards' sub-batches.
+    /// Add one frame's entries to their shards' sub-batches. A traced
+    /// frame brings its open Dispatch span; the caller submits first if
+    /// the gather already holds one.
     fn push(
         &mut self,
         engine: &Engine<DetWave, dyn Recorder + Send + Sync>,
         entries: Vec<KeyedBits>,
         tag: FrameTag,
         started: Option<Instant>,
+        span: Option<OpenSpan>,
     ) {
         let start = self.touched.len();
         for (key, bits) in entries {
@@ -530,26 +536,47 @@ impl Gather {
             }
             self.subs[shard].push((key, bits));
         }
+        if let Some(span) = span {
+            debug_assert!(self.traced.is_none(), "one traced frame per gather");
+            self.traced = Some((self.frames.len(), start, span));
+        }
         self.frames.push((tag, self.touched.len(), started));
     }
 
     /// Enqueue each non-empty sub-batch on its shard, one non-blocking
-    /// [`Engine::ingest`] apiece, then answer the gathered frames in
-    /// arrival order. Leaves the gather empty; `false` means a reply
-    /// took the connection past the write-queue cap and the caller must
-    /// evict it.
+    /// [`Engine::ingest`] apiece — a sub-batch the traced frame touched
+    /// carries its span's context — then answer the gathered frames in
+    /// arrival order, ending the traced frame's span just before its
+    /// reply. Leaves the gather empty; `false` means a reply took the
+    /// connection past the write-queue cap and the caller must evict
+    /// it.
     fn submit(&mut self, shared: &Shared, conn: &mut Conn, cap: usize) -> bool {
         if self.frames.is_empty() {
             return true;
         }
-        for (sub, refused) in self.subs.iter_mut().zip(&mut self.refused) {
+        let traced = self.traced.take();
+        let traced_shards = match traced {
+            Some((i, start, _)) => &self.touched[start..self.frames[i].1],
+            None => &[],
+        };
+        for (shard, (sub, refused)) in self.subs.iter_mut().zip(&mut self.refused).enumerate() {
             let batch = std::mem::take(sub);
-            *refused =
-                !batch.is_empty() && shared.engine.ingest(IngestRequest::batch(batch)).is_err();
+            let ctx = match traced {
+                Some((_, _, span)) if traced_shards.contains(&shard) => span.ctx(),
+                _ => TraceCtx::NONE,
+            };
+            *refused = !batch.is_empty()
+                && shared
+                    .engine
+                    .ingest(IngestRequest::batch(batch).traced(ctx))
+                    .is_err();
         }
         let mut admitted = true;
         let mut start = 0;
-        for (tag, end, started) in self.frames.drain(..) {
+        for (i, (tag, end, started)) in self.frames.drain(..).enumerate() {
+            if let Some((_, _, span)) = traced.filter(|&(at, _, _)| at == i) {
+                span.end(&*shared.rec);
+            }
             if admitted {
                 let reply = ingest_reply(&self.touched[start..end], &self.refused);
                 let at = conn.out.bytes.len();
@@ -578,7 +605,6 @@ struct EventLoop {
     gather: Gather,
     /// Landing area for socket reads, allocated once.
     chunk: Vec<u8>,
-    read_timeout: Option<Duration>,
     max_connections: usize,
     max_inflight: usize,
     max_write_queue: usize,
@@ -586,6 +612,13 @@ struct EventLoop {
 }
 
 impl EventLoop {
+    /// Serve until stop is requested, then drain in the same loop: the
+    /// listener is deregistered and every connection marked closing, so
+    /// nothing is accepted or read; waits are cut into slices of at
+    /// most [`DRAIN_SLICE`]; and the loop ends once every connection has
+    /// closed or [`ServerConfig::drain_deadline`] has passed, which
+    /// force-closes the rest. Dropping `job_tx` (when `self` drops) ends
+    /// the dispatch workers.
     fn run(mut self) {
         let rec = Arc::clone(&self.shared.rec);
         if self
@@ -596,26 +629,37 @@ impl EventLoop {
             return;
         }
         let mut events = Events::with_capacity(1024);
-        // Serving phase: until stop is requested.
-        while !self.shared.stopping.load(Ordering::SeqCst) {
-            // With an idle timeout configured the loop must wake on its
-            // own to sweep silent connections; otherwise readiness (or
-            // the waker) is the only schedule.
-            let timeout = self.read_timeout.map(|d| d.min(Duration::from_millis(100)));
+        let mut drain_until: Option<Instant> = None;
+        loop {
+            if drain_until.is_none() && self.shared.stopping.load(Ordering::SeqCst) {
+                drain_until = Some(Instant::now() + self.drain_deadline);
+                self.begin_drain();
+            }
+            let timeout = match drain_until {
+                None => None,
+                Some(_) if self.conns.is_empty() => break,
+                Some(until) => match until.checked_duration_since(Instant::now()) {
+                    Some(left) if !left.is_zero() => Some(left.min(DRAIN_SLICE)),
+                    _ => break, // force-close whatever is still queued
+                },
+            };
             let n = match self.poller.wait(&mut events, timeout) {
                 Ok(n) => n,
                 Err(_) => break,
             };
-            if rec.enabled() {
-                rec.incr(MetricId::PollWakeups, 1);
-                rec.observe(HistId::PollEventsPerWake, n as u64);
-            }
-            // Re-check before touching sockets: a stop requested while
-            // we slept must not race a request that arrived in the same
-            // readiness batch into dispatch. Level triggering re-reports
-            // anything unconsumed, so the batch isn't lost.
-            if self.shared.stopping.load(Ordering::SeqCst) {
-                break;
+            if drain_until.is_none() {
+                if rec.enabled() {
+                    rec.incr(MetricId::PollWakeups, 1);
+                    rec.observe(HistId::PollEventsPerWake, n as u64);
+                }
+                // Re-check before touching sockets: a stop requested
+                // while we slept must not race a request that arrived in
+                // the same readiness batch into dispatch. The top of the
+                // loop starts the drain; level triggering re-reports
+                // whatever the drain still needs.
+                if self.shared.stopping.load(Ordering::SeqCst) {
+                    continue;
+                }
             }
             // One cycle: read and serve everything that is ready,
             // absorb what the pool finished, then write each touched
@@ -636,9 +680,23 @@ impl EventLoop {
             }
             self.drain_completions();
             self.flush_dirty();
-            self.sweep_idle();
         }
-        self.drain_and_close();
+        let ids: Vec<usize> = self.conns.keys().copied().collect();
+        for id in ids {
+            self.close(id);
+        }
+    }
+
+    /// Enter the drain: refuse new connections and stop reading every
+    /// live one. Each gets a `write` now, which drops its read interest
+    /// and closes it if nothing is left to flush or wait for.
+    fn begin_drain(&mut self) {
+        let _ = self.poller.deregister(&self.listener);
+        for (&id, conn) in self.conns.iter_mut() {
+            conn.closing = true;
+            conn.mark_dirty(id, &mut self.dirty);
+        }
+        self.flush_dirty();
     }
 
     /// Accept until the listener would block. Beyond the connection
@@ -682,11 +740,9 @@ impl EventLoop {
                     out: OutBuf::default(),
                     dirty: false,
                     inflight: 0,
-                    paused: false,
                     read_closed: false,
                     closing: false,
                     shutdown_after: false,
-                    last_activity: Instant::now(),
                     interest: Interest::READ,
                 },
             );
@@ -698,7 +754,7 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        if conn.paused || conn.read_closed || conn.closing {
+        if !conn.wants_read(self.max_inflight) {
             return;
         }
         let got = loop {
@@ -710,11 +766,10 @@ impl EventLoop {
         match got {
             Ok(0) => {
                 conn.read_closed = true;
-                set_interest(&self.poller, conn, Token(id), false);
+                set_interest(&self.poller, conn, Token(id), self.max_inflight);
             }
             Ok(n) => {
                 conn.rbuf.extend_from_slice(&self.chunk[..n]);
-                conn.last_activity = Instant::now();
                 self.parse_frames(id);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
@@ -724,12 +779,13 @@ impl EventLoop {
     }
 
     /// Peel complete frames off the connection's read buffer in arrival
-    /// order. An untraced INGEST joins the pass's gather; before any
-    /// other frame, the gather is submitted. A request that cannot block
-    /// is then served here and now; one that parks on a shard goes to
-    /// the dispatch pool, and at the in-flight cap parsing stops (the
-    /// remainder stays buffered; [`EventLoop::drain_completions`]
-    /// re-parses when replies free slots).
+    /// order. Every INGEST joins the pass's gather; before any other
+    /// frame, and before a second traced INGEST, the gather is
+    /// submitted. A request that cannot block is then served here and
+    /// now; one that parks on a shard goes to the dispatch pool, and at
+    /// the in-flight cap parsing stops (the remainder stays buffered;
+    /// [`EventLoop::drain_completions`] re-parses when a reply takes the
+    /// connection off the cap). The pass ends with one last submit.
     fn parse_frames(&mut self, id: usize) {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
@@ -739,16 +795,8 @@ impl EventLoop {
         let gather = &mut self.gather;
         let cap = self.max_write_queue;
         let mut consumed = 0;
-        let mut evict = false;
-        while !conn.closing {
-            if conn.inflight >= self.max_inflight {
-                // The pass ends here, and its gather with it (below).
-                if !conn.paused {
-                    conn.paused = true;
-                    set_interest(&self.poller, conn, Token(id), false);
-                }
-                break;
-            }
+        let mut violation = None;
+        while !conn.closing && conn.inflight < self.max_inflight {
             match WireCodec::decode_tagged(&conn.rbuf[consumed..]) {
                 Ok((frame, used, tag)) => {
                     consumed += used;
@@ -757,11 +805,17 @@ impl EventLoop {
                         rec.incr(MetricId::NetBytesReceived, used as u64);
                         rec.observe(HistId::NetFrameBytes, used as u64);
                     }
-                    let traced = tag.trace != 0 && rec.trace_enabled();
                     let frame = match frame {
-                        Frame::Ingest(entries) if !traced => {
+                        Frame::Ingest(entries) => {
                             let started = rec.enabled().then(Instant::now);
-                            gather.push(&shared.engine, entries, tag, started);
+                            let span = OpenSpan::open(client_ctx(tag), Stage::Dispatch, rec);
+                            if span.is_some()
+                                && gather.traced.is_some()
+                                && !gather.submit(shared, conn, cap)
+                            {
+                                return self.close(id);
+                            }
+                            gather.push(&shared.engine, entries, tag, started, span);
                             continue;
                         }
                         frame => frame,
@@ -783,45 +837,40 @@ impl EventLoop {
                         conn.shutdown_after |= matches!(frame, Frame::Shutdown);
                         let start = conn.out.bytes.len();
                         serve(frame, tag, shared, &mut conn.out.bytes);
-                        evict = !conn.admit_reply(start, cap, rec);
+                        if !conn.admit_reply(start, cap, rec) {
+                            return self.close(id);
+                        }
                     }
                 }
                 Err(FrameError::Truncated) => break,
                 Err(e) => {
-                    // Framing violation: the frames before it are
-                    // answered, then a best-effort error reply, then
-                    // close once it (and any in-flight replies) flush.
-                    // The rest of the buffer is garbage.
-                    if !gather.submit(shared, conn, cap) {
-                        return self.close(id);
-                    }
-                    rec.incr(MetricId::NetRequestErrors, 1);
-                    conn.rbuf.clear();
-                    consumed = 0;
-                    conn.closing = true;
-                    if !conn.paused {
-                        conn.paused = true;
-                        set_interest(&self.poller, conn, Token(id), false);
-                    }
-                    let refusal = invalid_data(format!("bad frame: {e}"));
-                    let start = conn.out.bytes.len();
-                    WireCodec::encode_tagged_into(
-                        &refusal,
-                        FrameTag::default(),
-                        &mut conn.out.bytes,
-                    );
-                    evict = !conn.admit_reply(start, cap, rec);
+                    violation = Some(e);
+                    break;
                 }
-            }
-            if evict {
-                return self.close(id);
             }
         }
         if !gather.submit(shared, conn, cap) {
             return self.close(id);
         }
         conn.rbuf.drain(..consumed);
-        if !conn.out.is_empty() {
+        if let Some(e) = violation {
+            // Framing violation: the frames before it are answered, then
+            // a best-effort error reply, then close once it (and any
+            // in-flight replies) flush. The rest of the buffer is
+            // garbage.
+            rec.incr(MetricId::NetRequestErrors, 1);
+            conn.rbuf.clear();
+            conn.closing = true;
+            let refusal = invalid_data(format!("bad frame: {e}"));
+            let start = conn.out.bytes.len();
+            WireCodec::encode_tagged_into(&refusal, FrameTag::default(), &mut conn.out.bytes);
+            if !conn.admit_reply(start, cap, rec) {
+                return self.close(id);
+            }
+        }
+        // The cycle's `write` also reconciles read interest, so a pass
+        // that changed whether the connection is read gets one too.
+        if !conn.out.is_empty() || conn.interest.readable != conn.wants_read(self.max_inflight) {
             conn.mark_dirty(id, &mut self.dirty);
         }
     }
@@ -869,12 +918,7 @@ impl EventLoop {
                 Err(_) => return self.close(id),
             }
         }
-        set_interest(
-            &self.poller,
-            conn,
-            Token(id),
-            !conn.paused && !conn.read_closed,
-        );
+        set_interest(&self.poller, conn, Token(id), self.max_inflight);
         self.finish_if_drained(id);
     }
 
@@ -901,7 +945,7 @@ impl EventLoop {
     }
 
     /// Absorb finished dispatches: enqueue replies, release in-flight
-    /// slots, resume reading on connections that were at the cap.
+    /// slots, resume parsing on connections a reply takes off the cap.
     fn drain_completions(&mut self) {
         // Cleared before the drain: a worker that finishes after this
         // line either has its reply picked up below or finds the flag
@@ -920,36 +964,13 @@ impl EventLoop {
                 continue;
             }
             conn.mark_dirty(id, &mut self.dirty);
-            if conn.paused && !conn.closing && conn.inflight < self.max_inflight {
-                conn.paused = false;
-                if !conn.read_closed {
-                    set_interest(&self.poller, conn, Token(id), true);
-                }
+            if conn.inflight + 1 == self.max_inflight {
                 // Frames may be sitting whole in the read buffer from
-                // before the pause; the socket won't re-signal for them.
+                // when the cap stopped the pass; the socket won't
+                // re-signal for them. The pass restores read interest.
                 self.parse_frames(id);
                 self.finish_if_drained(id);
             }
-        }
-    }
-
-    /// Disconnect connections that have been silent past the idle
-    /// timeout with nothing in flight.
-    fn sweep_idle(&mut self) {
-        let Some(limit) = self.read_timeout else {
-            return;
-        };
-        let now = Instant::now();
-        let idle: Vec<usize> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| {
-                c.inflight == 0 && c.out.is_empty() && now.duration_since(c.last_activity) > limit
-            })
-            .map(|(id, _)| *id)
-            .collect();
-        for id in idle {
-            self.close(id);
         }
     }
 
@@ -958,61 +979,13 @@ impl EventLoop {
             let _ = self.poller.deregister(&conn.sock);
         }
     }
-
-    /// The stop sequence: refuse new work, let in-flight dispatches
-    /// finish, flush out-buffers under the drain deadline, then close
-    /// everything. Dropping `job_tx` (when `self` drops) ends the
-    /// dispatch workers.
-    fn drain_and_close(&mut self) {
-        let _ = self.poller.deregister(&self.listener);
-        let ids: Vec<usize> = self.conns.keys().copied().collect();
-        for id in ids {
-            if let Some(conn) = self.conns.get_mut(&id) {
-                if !conn.paused {
-                    conn.paused = true;
-                    set_interest(&self.poller, conn, Token(id), false);
-                }
-                conn.closing = true;
-            }
-            self.finish_if_drained(id);
-        }
-        let deadline = Instant::now() + self.drain_deadline;
-        let mut events = Events::with_capacity(256);
-        while !self.conns.is_empty() {
-            let now = Instant::now();
-            if now >= deadline {
-                break; // force-close whatever is still queued
-            }
-            let timeout = (deadline - now).min(Duration::from_millis(20));
-            if self.poller.wait(&mut events, Some(timeout)).is_err() {
-                break;
-            }
-            for ev in events.iter() {
-                match ev.token {
-                    LISTENER => {}
-                    WAKER => self.shared.waker.ack(),
-                    Token(id) => {
-                        if ev.writable || ev.error {
-                            self.mark_dirty(id);
-                        }
-                    }
-                }
-            }
-            self.drain_completions();
-            self.flush_dirty();
-        }
-        let ids: Vec<usize> = self.conns.keys().copied().collect();
-        for id in ids {
-            self.close(id);
-        }
-    }
 }
 
-/// Reconcile a connection's epoll interest with its buffer state:
-/// writable while the out-buffer holds bytes, readable per `want_read`.
-fn set_interest(poller: &Poller, conn: &mut Conn, token: Token, want_read: bool) {
+/// Reconcile a connection's epoll interest with its state: writable
+/// while the out-buffer holds bytes, readable per [`Conn::wants_read`].
+fn set_interest(poller: &Poller, conn: &mut Conn, token: Token, max_inflight: usize) {
     let want = Interest {
-        readable: want_read,
+        readable: conn.wants_read(max_inflight),
         writable: !conn.out.is_empty(),
     };
     if want != conn.interest {
@@ -1045,23 +1018,24 @@ fn dispatch_worker(shared: Arc<Shared>, jobs: Arc<Mutex<Receiver<Job>>>, done: S
     }
 }
 
-/// Serve one request: run its handler and append the reply, encoded
-/// under the request's header tag, to `out`. The loop thread and the
-/// dispatch workers both come through here. So does a traced INGEST,
-/// which is not gathered, so the engine's spans hang off its own
-/// dispatch span.
+/// The context a request's Dispatch span opens under. A nonzero header
+/// trace id opts the request into tracing: the span parents to the
+/// client's root span (by the ROOT_SPAN_ID convention — only the trace
+/// id crossed the wire) and the engine layers below parent to it.
+fn client_ctx(tag: FrameTag) -> TraceCtx {
+    TraceCtx {
+        trace: TraceId(tag.trace),
+        parent: ROOT_SPAN_ID,
+    }
+}
+
+/// Serve one request other than INGEST: run its handler and append the
+/// reply, encoded under the request's header tag, to `out`. The loop
+/// thread and the dispatch workers both come through here.
 fn serve(frame: Frame, tag: FrameTag, shared: &Shared, out: &mut Vec<u8>) {
     let rec = &shared.rec;
     let started = rec.enabled().then(Instant::now);
-    // A nonzero header trace id opts this request into tracing: the
-    // dispatch span parents to the client's root span (by the
-    // ROOT_SPAN_ID convention — only the trace id crossed the wire)
-    // and the engine layers below parent to the dispatch span.
-    let client = TraceCtx {
-        trace: TraceId(tag.trace),
-        parent: ROOT_SPAN_ID,
-    };
-    let span = OpenSpan::open(client, Stage::Dispatch, &**rec);
+    let span = OpenSpan::open(client_ctx(tag), Stage::Dispatch, &**rec);
     let reply = dispatch(frame, shared, span.map_or(TraceCtx::NONE, OpenSpan::ctx));
     if let Some(span) = span {
         span.end(&**rec);
@@ -1112,14 +1086,7 @@ fn dispatch(frame: Frame, shared: &Shared, ctx: TraceCtx) -> Frame {
                 "server was started without a metrics registry",
             ))),
         },
-        // Only a traced INGEST arrives here; the pass gathers the rest.
-        Frame::Ingest(batch) => match shared
-            .engine
-            .ingest(IngestRequest::batch(batch).traced(ctx))
-        {
-            Ok(()) => Frame::Ok,
-            Err(e) => Frame::ErrorResp(e),
-        },
+        Frame::Ingest(_) => unreachable!("every INGEST joins the pass's gather"),
         Frame::Query { key, window } => match shared.engine.query_traced(key, window, ctx) {
             Ok(est) => Frame::EstimateResp(est),
             Err(e) => Frame::ErrorResp(e),

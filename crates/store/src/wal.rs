@@ -65,8 +65,10 @@ pub const REC_BATCH: u8 = 1;
 /// Upper bound on a record payload; larger lengths are treated as
 /// corruption (mirrors the wire protocol's frame cap).
 pub const MAX_RECORD_PAYLOAD: u32 = 64 << 20;
-/// Upper bound on bits per entry (mirrors `waves-net`'s ingest cap).
-const MAX_ENTRY_BITS: u64 = 1 << 32;
+/// Upper bound on bits per entry: a longer entry fits neither a record
+/// nor a frame, so a corrupt bit count is refused before it can ask for
+/// a huge allocation.
+const MAX_ENTRY_BITS: u64 = MAX_RECORD_PAYLOAD as u64 * 8;
 
 /// File name for segment `seq`.
 pub fn segment_file_name(seq: u64) -> String {
@@ -86,54 +88,67 @@ fn bad(what: &'static str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
-/// Encode one ingest batch as a record payload (type byte included).
+/// Append `entries` in the keyed-batch layout record payloads and wire
+/// `INGEST` frames share: entry count u32 BE, then each entry's key u64
+/// BE, bit count u64 BE and packed little-endian words.
+pub fn encode_entries(entries: &[(u64, Bits)], out: &mut Vec<u8>) {
+    out.extend_from_slice(&(entries.len() as u32).to_be_bytes());
+    for (key, bits) in entries {
+        out.extend_from_slice(&key.to_be_bytes());
+        out.extend_from_slice(&bits.len().to_be_bytes());
+        bits.write_le_bytes(out);
+    }
+}
+
+/// Decode all of `bytes` as [`encode_entries`] wrote them. Arbitrary
+/// input never panics; malformed bytes yield `InvalidData`.
+pub fn decode_entries(bytes: &[u8]) -> io::Result<Vec<(u64, Bits)>> {
+    let mut rest = bytes;
+    let mut take = |n: usize| -> io::Result<&[u8]> {
+        if n > rest.len() {
+            return Err(bad("entries truncated"));
+        }
+        let (head, tail) = rest.split_at(n);
+        rest = tail;
+        Ok(head)
+    };
+    let count = u32::from_be_bytes(take(4)?.try_into().unwrap());
+    // No more than the bytes left can hold: an entry is at least its key
+    // and bit count, 16 bytes.
+    let mut entries = Vec::with_capacity((count as usize).min(bytes.len() / 16));
+    for _ in 0..count {
+        let key = u64::from_be_bytes(take(8)?.try_into().unwrap());
+        let nbits = u64::from_be_bytes(take(8)?.try_into().unwrap());
+        if nbits > MAX_ENTRY_BITS {
+            return Err(bad("entry bit count"));
+        }
+        let packed = take(byte_count(nbits))?;
+        let bits = Bits::from_le_bytes(packed, nbits).ok_or_else(|| bad("entry bits"))?;
+        entries.push((key, bits));
+    }
+    if !rest.is_empty() {
+        return Err(bad("trailing bytes after entries"));
+    }
+    Ok(entries)
+}
+
+/// Encode one ingest batch as a record payload: the type byte, then
+/// [`encode_entries`].
 pub fn encode_batch_payload(batch: &[(u64, Bits)]) -> Vec<u8> {
     let mut p = Vec::with_capacity(5 + batch.len() * 17);
     p.push(REC_BATCH);
-    p.extend_from_slice(&(batch.len() as u32).to_be_bytes());
-    for (key, bits) in batch {
-        p.extend_from_slice(&key.to_be_bytes());
-        p.extend_from_slice(&bits.len().to_be_bytes());
-        bits.write_le_bytes(&mut p);
-    }
+    encode_entries(batch, &mut p);
     p
 }
 
 /// Decode a record payload produced by [`encode_batch_payload`].
 /// Arbitrary input never panics; malformed bytes yield `InvalidData`.
 pub fn decode_batch_payload(payload: &[u8]) -> io::Result<Vec<(u64, Bits)>> {
-    let mut at = 0usize;
-    let take = |at: &mut usize, n: usize| -> io::Result<&[u8]> {
-        let end = at.checked_add(n).ok_or_else(|| bad("length overflow"))?;
-        if end > payload.len() {
-            return Err(bad("record payload truncated"));
-        }
-        let s = &payload[*at..end];
-        *at = end;
-        Ok(s)
-    };
-    let ty = take(&mut at, 1)?[0];
-    if ty != REC_BATCH {
-        return Err(bad("unknown record type"));
+    match payload.split_first() {
+        Some((&REC_BATCH, entries)) => decode_entries(entries),
+        Some(_) => Err(bad("unknown record type")),
+        None => Err(bad("record payload truncated")),
     }
-    let count = u32::from_be_bytes(take(&mut at, 4)?.try_into().unwrap());
-    // No more than the bytes left can hold: an entry is at least its key
-    // and bit count, 16 bytes.
-    let mut batch = Vec::with_capacity((count as usize).min((payload.len() - at) / 16));
-    for _ in 0..count {
-        let key = u64::from_be_bytes(take(&mut at, 8)?.try_into().unwrap());
-        let nbits = u64::from_be_bytes(take(&mut at, 8)?.try_into().unwrap());
-        if nbits > MAX_ENTRY_BITS {
-            return Err(bad("entry bit count"));
-        }
-        let packed = take(&mut at, byte_count(nbits))?;
-        let bits = Bits::from_le_bytes(packed, nbits).ok_or_else(|| bad("entry bits"))?;
-        batch.push((key, bits));
-    }
-    if at != payload.len() {
-        return Err(bad("trailing bytes in record payload"));
-    }
-    Ok(batch)
 }
 
 /// Wrap a payload in record framing: length, CRC-32, payload.

@@ -31,7 +31,7 @@
 //! use waves::DetWave;
 //!
 //! // Track how many of the last 10_000 requests were errors, within 5%.
-//! let mut errors = DetWave::builder().max_window(10_000).eps(0.05).build().unwrap();
+//! let mut errors = DetWave::new(10_000, 0.05).unwrap();
 //! for i in 0..100_000u64 {
 //!     errors.push_bit(i % 50 == 0); // one error every 50 requests
 //! }
@@ -79,12 +79,12 @@ pub use waves_core::{
 };
 pub use waves_core::{
     decayed_sum, ratio_error_target, ratio_estimate, BasicWave, BitSynopsis, Bits, Decay,
-    DecayedEstimate, DetWave, DetWaveBuilder, Estimate, ExactCount, ExactDistinct, ExactSum,
-    ModRing, NthRecentWave, RatioEstimate, SlidingAverage, SpaceReport, SumWave, SumWaveBuilder,
-    Synopsis, TimestampSumWave, TimestampWave, WaveError, WindowedHistogram,
+    DecayedEstimate, DetWave, Estimate, ExactCount, ExactDistinct, ExactSum, ModRing,
+    NthRecentWave, RatioEstimate, SlidingAverage, SpaceReport, SumWave, Synopsis, TimestampSumWave,
+    TimestampWave, WaveError, WindowedHistogram,
 };
 
-pub use waves_eh::{EhCount, EhCountBuilder, EhSum, EhSumBuilder, XuCount};
+pub use waves_eh::{EhCount, EhSum, XuCount};
 
 pub use waves_engine::{
     Engine, EngineConfig, EngineConfigBuilder, EngineSnapshot, IngestRequest, KeyedBits,

@@ -47,7 +47,6 @@ fn start_servers(n: usize) -> Vec<Server> {
                 "127.0.0.1:0",
                 ServerConfig {
                     engine: ecfg.clone(),
-                    read_timeout: None,
                     ..Default::default()
                 },
             )

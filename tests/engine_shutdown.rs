@@ -114,7 +114,6 @@ fn server_lifecycle_leaks_no_fds() {
     let _alone = FD_COUNTING.lock().unwrap_or_else(|e| e.into_inner());
     let server_cfg = || ServerConfig {
         engine: cfg(2),
-        read_timeout: None,
         ..Default::default()
     };
     // Warm-up rounds absorb one-time allocations (lazy stdio, DNS-free

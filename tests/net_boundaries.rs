@@ -23,7 +23,6 @@ fn server_cfg() -> ServerConfig {
             .max_window(256)
             .eps(0.2)
             .build(),
-        read_timeout: None,
         dispatch_threads: 3,
         ..Default::default()
     }
@@ -298,4 +297,36 @@ fn a_forged_wave_header_is_an_error_frame_and_the_server_stays_up() {
     }
     client.ping().unwrap();
     assert_eq!(server.referee_parties(), 0);
+}
+
+/// A whole frame whose fields run past its payload: a QUERY (type
+/// 0x03) carrying only its 8-byte key, length and CRC consistent, sent
+/// in one write with a PING behind it. The frame is complete, so no
+/// further byte can finish it: the server must refuse it and close, not
+/// wait for more input on a connection that has no idle timeout.
+#[test]
+fn a_complete_frame_with_a_short_payload_is_refused_not_awaited() {
+    let server = Server::start("127.0.0.1:0", server_cfg()).unwrap();
+    let mut short = WireCodec::encode(&Frame::Combine { window: 7 });
+    short[3] = 0x03;
+    short.truncate(short.len() - 4);
+    let sum = waves::store::crc::crc32(&short);
+    short.extend_from_slice(&sum.to_be_bytes());
+    short.extend_from_slice(&WireCodec::encode(&Frame::Ping));
+
+    let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+    let t0 = Instant::now();
+    sock.write_all(&short).unwrap();
+    match WireCodec::read_frame_tagged(&mut sock) {
+        Ok((Frame::ErrorResp(WaveError::Io(e)), _, _)) => {
+            assert!(e.to_string().contains("payload ends early"), "{e}")
+        }
+        other => panic!("a short payload was answered {other:?}"),
+    }
+    let mut rest = Vec::new();
+    sock.read_to_end(&mut rest)
+        .expect("the server closes the connection");
+    assert!(rest.is_empty(), "{} bytes after the refusal", rest.len());
+    assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
 }

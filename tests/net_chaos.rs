@@ -45,7 +45,6 @@ fn start_server() -> Server {
                 .max_window(64)
                 .eps(0.25)
                 .build(),
-            read_timeout: None,
             ..Default::default()
         },
     )
@@ -448,7 +447,6 @@ fn combine_total_past_u64_is_a_typed_error_not_a_wrapped_answer() {
             // One worker: a panicked dispatch would leave nobody to
             // answer the PING below.
             dispatch_threads: 1,
-            read_timeout: None,
             ..Default::default()
         },
     )
@@ -513,7 +511,6 @@ fn forged_sum_entries_are_refused_at_the_door_not_answered_inverted() {
             // One worker: a panicked dispatch would leave nobody to
             // answer the PING below.
             dispatch_threads: 1,
-            read_timeout: None,
             ..Default::default()
         },
     )
@@ -585,7 +582,6 @@ fn valid_eh_encoding_with_a_drifting_m_is_served_not_refused() {
             // One worker: a panicked dispatch would leave nobody to
             // answer the COMBINE and PING below.
             dispatch_threads: 1,
-            read_timeout: None,
             ..Default::default()
         },
     )

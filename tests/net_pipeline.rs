@@ -26,7 +26,6 @@ fn server_cfg() -> ServerConfig {
             .max_window(256)
             .eps(0.2)
             .build(),
-        read_timeout: None,
         // Several workers so pipelined requests genuinely can complete
         // out of request order.
         dispatch_threads: 3,

@@ -15,7 +15,6 @@ fn server_on_ephemeral(shards: usize, window: u64, eps: f64) -> Server {
             .max_window(window)
             .eps(eps)
             .build(),
-        read_timeout: None,
         ..Default::default()
     };
     Server::start("127.0.0.1:0", cfg).unwrap()
@@ -96,13 +95,7 @@ fn networked_referee_matches_in_process_combine() {
     // Build per-party waves locally (the parties' workspaces), pushing
     // deterministic but distinct streams.
     let mut waves: Vec<DetWave> = (0..parties)
-        .map(|_| {
-            DetWave::builder()
-                .max_window(window)
-                .eps(eps)
-                .build()
-                .unwrap()
-        })
+        .map(|_| DetWave::new(window, eps).unwrap())
         .collect();
     for (p, wave) in waves.iter_mut().enumerate() {
         for i in 0..400u64 {

@@ -296,7 +296,6 @@ fn server_restart_keeps_state() {
             .eps(EPS)
             .persist_config(PersistConfig::new(&root).sync_policy(SyncPolicy::EveryBatch))
             .build(),
-        read_timeout: None,
         ..Default::default()
     };
     let mut expected: HashMap<u64, f64> = HashMap::new();

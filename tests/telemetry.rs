@@ -9,14 +9,16 @@
 //! whole distributed trace lands in a single `SpanRecorder` ring.
 
 use std::collections::HashSet;
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use waves::net::{Client, ClientConfig, Server, ServerConfig};
+use waves::net::{Client, ClientConfig, Frame, FrameTag, Server, ServerConfig, WireCodec};
 use waves::obs::trace::ROOT_SPAN_ID;
 use waves::obs::{Fanout, MetricsRegistry, Recorder, Span, SpanRecorder, Stage, TraceId};
 use waves::store::{scratch_dir, PersistConfig, SyncPolicy};
-use waves::{Bits, EngineConfig, IngestRequest};
+use waves::{Bits, DetWave, EngineConfig, IngestRequest};
 
 /// Metrics + span ring, fanned out as one recorder.
 type Telemetry = Fanout<MetricsRegistry, SpanRecorder>;
@@ -50,7 +52,6 @@ fn traced_request_produces_full_span_tree_and_stats_reconcile() {
                 .eps(0.2)
                 .persist_config(PersistConfig::new(&root).sync_policy(SyncPolicy::EveryBatch))
                 .build(),
-            read_timeout: None,
             // Zero threshold: every request is "slow", so the
             // slow-request counter moves deterministically.
             slow_request: Some(Duration::ZERO),
@@ -198,7 +199,6 @@ fn untraced_clients_leave_no_spans() {
                 .max_window(64)
                 .eps(0.25)
                 .build(),
-            read_timeout: None,
             slow_request: None,
             ..Default::default()
         },
@@ -235,7 +235,6 @@ fn consecutive_requests_get_distinct_traces() {
                 .max_window(64)
                 .eps(0.25)
                 .build(),
-            read_timeout: None,
             slow_request: None,
             ..Default::default()
         },
@@ -259,4 +258,129 @@ fn consecutive_requests_get_distinct_traces() {
             "trace {id:?} has no root span"
         );
     }
+}
+
+/// Two traced INGESTs with an untraced one between them, in one write,
+/// so one pass decodes all three. A pass's gather holds at most one
+/// traced frame: the untraced frame rides in traced A's batches, B
+/// submits the gather first and goes in batches of its own. Each traced
+/// frame keeps its whole tree — Dispatch under the client's root, one
+/// Queue and Shard per shard it touched under Dispatch, WAL append under
+/// Shard, fsync under WAL — and the untraced frame records nothing.
+#[test]
+fn two_traced_ingests_in_one_pass_keep_their_own_span_trees() {
+    let root = scratch_dir("telemetry-traced-pair");
+    let tel = telemetry();
+    let server = Server::start_recorded(
+        "127.0.0.1:0",
+        ServerConfig {
+            engine: EngineConfig::builder()
+                .num_shards(2)
+                .max_window(256)
+                .eps(0.2)
+                .persist_config(PersistConfig::new(&root).sync_policy(SyncPolicy::EveryBatch))
+                .build(),
+            slow_request: None,
+            ..Default::default()
+        },
+        tel.clone(),
+    )
+    .unwrap();
+    let key = 7u64;
+    let other = (0..)
+        .find(|&k| server.engine().shard_of(k) != server.engine().shard_of(key))
+        .unwrap();
+    let (trace_a, trace_b) = (TraceId(0xA), TraceId(0xB));
+    // A touches one shard and shares its batches with the untraced
+    // frame, which touches both: only A's shard carries A's context. B
+    // touches both shards.
+    let ingests = [
+        (trace_a, vec![(key, vec![true])]),
+        (
+            TraceId::NONE,
+            vec![(key, vec![true, false]), (other, vec![true])],
+        ),
+        (
+            trace_b,
+            vec![(key, vec![true, true, true]), (other, vec![true, true])],
+        ),
+    ];
+    let mut wire = Vec::new();
+    let mut oracle = DetWave::new(256, 0.2).unwrap();
+    for (corr, (trace, entries)) in ingests.iter().enumerate() {
+        let frame = Frame::Ingest(
+            entries
+                .iter()
+                .map(|(k, bits)| (*k, Bits::from(bits.clone())))
+                .collect(),
+        );
+        let tag = FrameTag {
+            trace: trace.0,
+            corr: corr as u64 + 1,
+        };
+        WireCodec::encode_tagged_into(&frame, tag, &mut wire);
+        for (_, bits) in entries.iter().filter(|(k, _)| *k == key) {
+            bits.iter().for_each(|&b| oracle.push_bit(b));
+        }
+    }
+    let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    sock.write_all(&wire).unwrap();
+    let mut replied = HashSet::new();
+    for _ in 0..3 {
+        let (reply, _, tag) = WireCodec::read_frame_tagged(&mut sock).unwrap();
+        assert_eq!(reply, Frame::Ok, "INGEST {} was refused", tag.corr);
+        replied.insert(tag.corr);
+    }
+    assert_eq!(replied, HashSet::from([1, 2, 3]));
+
+    // Barrier, then a query that counts the bits of all three frames.
+    let mut ask = |frame: Frame, corr: u64| {
+        let tag = FrameTag { trace: 0, corr };
+        sock.write_all(&WireCodec::encode_tagged(&frame, tag))
+            .unwrap();
+        let (reply, _, got) = WireCodec::read_frame_tagged(&mut sock).unwrap();
+        assert_eq!(got, tag);
+        reply
+    };
+    assert_eq!(ask(Frame::Flush, 4), Frame::Ok);
+    let want = oracle.query(256).unwrap();
+    assert_eq!(
+        ask(Frame::Query { key, window: 256 }, 5),
+        Frame::EstimateResp(want)
+    );
+
+    for (trace, shards) in [(trace_a, 1), (trace_b, 2)] {
+        let spans = ring(&tel).trace(trace);
+        let tree = ring(&tel).render_trace(trace);
+        let of =
+            |stage: Stage| -> Vec<&Span> { spans.iter().filter(|s| s.stage == stage).collect() };
+        let dispatch = of(Stage::Dispatch);
+        assert_eq!(dispatch.len(), 1, "{tree}");
+        assert_eq!(dispatch[0].parent, ROOT_SPAN_ID, "{tree}");
+        for stage in [Stage::Queue, Stage::Shard] {
+            assert_eq!(of(stage).len(), shards, "{stage:?} in\n{tree}");
+            for s in of(stage) {
+                assert_eq!(s.parent, dispatch[0].id, "{stage:?} in\n{tree}");
+            }
+        }
+        for (stage, parent) in [(Stage::Wal, Stage::Shard), (Stage::Fsync, Stage::Wal)] {
+            let parents: HashSet<u64> = of(parent).iter().map(|s| s.id).collect();
+            assert_eq!(of(stage).len(), shards, "{stage:?} in\n{tree}");
+            for s in of(stage) {
+                assert!(parents.contains(&s.parent), "{stage:?} in\n{tree}");
+            }
+        }
+        assert_eq!(spans.len(), 1 + 4 * shards, "{tree}");
+    }
+    // The untraced frame, the flush and the query left nothing.
+    let all = ring(&tel).spans();
+    assert!(
+        all.iter().all(|s| s.trace == trace_a || s.trace == trace_b),
+        "{all:?}"
+    );
+    drop(sock);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&root);
 }
