@@ -2,31 +2,35 @@
 //! synopsis replication, anti-entropy on reconnect, and failover.
 //!
 //! A [`ClusterClient`] fronts N `waves-net` servers. Each key is routed
-//! by the seeded [`Ring`] to R replicas: the *primary*
-//! (first in ring order) receives the raw ingest stream; the followers
-//! receive the key's synopsis `encode()` bytes through the wire v5
-//! `REPLICATE` frame at [`ClusterClient::replicate_all`] time. The
-//! client keeps a local *shadow* synopsis per key — byte-identical to
-//! the primary's state, because both saw the same bits in the same
-//! order — and that shadow is the replication source. The shadow is
-//! what makes failure handling clean:
+//! by the seeded [`Ring`] to R replicas, primary first. The client
+//! holds no synopsis: a follower is brought up to date with the bytes a
+//! replica that holds the key's stream already has. One private step,
+//! `sync`, FETCHes (wire v8) the key's `encode()` bytes from its first
+//! reachable *current* replica and installs them on the others through
+//! `REPLICATE`; an install older than the receiver's state changes
+//! nothing, so racing replicators cannot roll a follower back.
 //!
-//! * **Failover (reads).** A query walks the key's replicas in ring
-//!   order and returns the first answer. A follower's answer is at
-//!   worst as stale as the last replication round — never wrong, just
-//!   behind — and the walk counts a `cluster_failovers_total` tick per
-//!   dead node it skips.
-//! * **Repair (writes).** Ingest is not idempotent, so a failed ingest
-//!   is never blindly re-sent (a reply lost after the server applied
-//!   the batch would double-count). Instead the client re-ships the
-//!   whole shadow through `REPLICATE` — an idempotent *install* that
-//!   converges to the same state no matter how many times it lands. A
-//!   batch the primary refuses (backpressure) never enters the shadow,
-//!   so no replica receives it and a retry counts it once.
-//! * **Anti-entropy (rejoin).** A node that was unreachable at
-//!   replication time has its stale keys remembered; the next
-//!   successful connection to it re-ships them before anything else
-//!   (`cluster_anti_entropy_merges_total` counts the catch-ups).
+//! Per node the client remembers which keys that node is *behind* on:
+//! an acknowledged ingest marks every other replica of the key, and a
+//! `sync` that installs on a node clears it there. That one fact
+//! decides routing:
+//!
+//! * **Reads and writes** go to the key's first reachable replica that
+//!   is not behind, in ring order. When none answers, the result is a
+//!   typed "no replica answered" error — never a stale answer that
+//!   claims writes it missed. A query walks on after any transport
+//!   failure and counts a `cluster_failovers_total` tick per node it
+//!   walks past.
+//! * **A write is not repaired.** Ingest is not idempotent, so it moves
+//!   to the next replica only when the dial failed — nothing has left
+//!   the client. An error after the INGEST was sent is returned as it
+//!   is: the outcome is unknown, and re-sending could count the batch
+//!   twice.
+//! * **Anti-entropy.** A node that missed installs stays marked; the
+//!   next successful connection to it syncs every key it is behind on
+//!   (`cluster_anti_entropy_merges_total` counts the catch-ups), and
+//!   [`ClusterClient::mark_node_stale`] marks and syncs a node that came
+//!   back empty.
 //!
 //! Cross-key aggregates use [`waves_distributed::combine_checked`]:
 //! distinct keys are disjoint substreams, so their estimates combine
@@ -34,21 +38,20 @@
 //! one key never combine — an install replaces, because summing two
 //! copies of the same stream would double-count it.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Instant;
 
-use waves_core::{Bits, DetWave, Estimate, WaveError};
+use waves_core::{Bits, Estimate, WaveError};
 use waves_distributed::combine_checked;
 use waves_engine::IngestRequest;
-use waves_net::{Client, ClientConfig, RetryPolicy, SynopsisKind};
+use waves_net::{Client, ClientConfig, RetryPolicy};
 use waves_obs::{HistId, MetricId, Recorder};
 
 use crate::ring::Ring;
 
-/// Cluster topology and synopsis knobs. The synopsis parameters must
-/// match the servers' engine config: the shadow mirrors the primary.
+/// Cluster topology and transport knobs.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Replicas per key (primary + followers), clamped to at least 1
@@ -59,10 +62,6 @@ pub struct ClusterConfig {
     /// Seed for the ring's placement hash: clients sharing a seed (and
     /// node list) route identically without coordination.
     pub ring_seed: u64,
-    /// Max window of the per-key shadow synopses (must match servers).
-    pub max_window: u64,
-    /// Accuracy of the per-key shadow synopses (must match servers).
-    pub eps: f64,
     /// Per-connection transport knobs, including the [`RetryPolicy`]
     /// that governs both same-node retries and the failover judgment.
     pub client: ClientConfig,
@@ -74,8 +73,6 @@ impl Default for ClusterConfig {
             replication: 2,
             vnodes: 16,
             ring_seed: 0,
-            max_window: 1024,
-            eps: 0.1,
             client: ClientConfig::default(),
         }
     }
@@ -90,13 +87,17 @@ pub struct ClusterClient {
     /// One lazy connection per node; `None` means down or not yet
     /// dialed. A transport failure drops the slot back to `None`.
     conns: Vec<Option<Client>>,
-    /// Per-key shadow synopses — the replication source of truth.
-    shadows: HashMap<u64, DetWave>,
-    /// Validated prototype the shadows clone from.
-    template: DetWave,
-    /// Per-node keys whose last replication to that node failed; the
-    /// next successful connection re-ships them (anti-entropy).
+    /// Keys this client has had acknowledged: what a replication round
+    /// and [`ClusterClient::mark_node_stale`] walk.
+    written: BTreeSet<u64>,
+    /// Per node, the keys it is behind this client's acknowledged
+    /// writes on. Such a node serves none of them until a sync clears
+    /// the mark.
     pending: Vec<BTreeSet<u64>>,
+    /// Set while a reconnect's anti-entropy runs. A node dialed inside
+    /// it does not start its own, so a node that accepts and then drops
+    /// every connection cannot recurse the catch-up without end.
+    catching_up: bool,
     rec: Arc<dyn Recorder + Send + Sync>,
 }
 
@@ -116,19 +117,15 @@ impl ClusterClient {
                 "cluster needs at least one node",
             )));
         }
-        // Validate the synopsis parameters once; every shadow clones
-        // this instead of re-running fallible construction.
-        let template = DetWave::new(cfg.max_window, cfg.eps)?;
         let ring = Ring::new(cfg.ring_seed, cfg.vnodes, 0..nodes.len() as u64);
-        let pending = vec![BTreeSet::new(); nodes.len()];
         Ok(ClusterClient {
             conns: (0..nodes.len()).map(|_| None).collect(),
+            pending: vec![BTreeSet::new(); nodes.len()],
             nodes,
             ring,
             cfg,
-            shadows: HashMap::new(),
-            template,
-            pending,
+            written: BTreeSet::new(),
+            catching_up: false,
             rec,
         })
     }
@@ -148,36 +145,36 @@ impl ClusterClient {
             .collect()
     }
 
-    /// Keys this client has ingested (and therefore can replicate).
+    /// Keys this client has ingested (and therefore replicates).
     pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.shadows.keys().copied()
+        self.written.iter().copied()
     }
 
     /// Repoint one node at a new address, dropping any open connection
     /// to the old one. The deterministic simulator uses this to model
     /// partitions (swap in an unreachable address) and rejoins (swap
     /// the real address back, or a restarted server's new port); an
-    /// operator would use it for node replacement. Keys the node missed
-    /// while unreachable are still remembered and re-ship through
-    /// anti-entropy on the next successful connection.
+    /// operator would use it for node replacement. Keys the node is
+    /// behind on stay marked and sync on the next successful
+    /// connection.
     pub fn set_node_addr(&mut self, node: usize, addr: SocketAddr) {
         self.conns[node] = None;
         self.nodes[node] = addr;
     }
 
-    /// Declare every key routed to `node` stale there: a node that came
-    /// back *empty* (crashed and restarted without its state) must have
-    /// its whole key set re-installed, not just the keys that failed a
-    /// replication round. The re-ship happens through the normal
-    /// anti-entropy path on the next connection.
+    /// Declare every key this client wrote that routes to `node` stale
+    /// there — a node that came back empty, or after missing writes
+    /// other clients made — and sync them now if the node answers. Until
+    /// a key's sync lands, the node serves none of it.
     pub fn mark_node_stale(&mut self, node: usize) {
         self.conns[node] = None;
-        let keys: Vec<u64> = self.shadows.keys().copied().collect();
+        let keys: Vec<u64> = self.written.iter().copied().collect();
         for key in keys {
             if self.replicas_of(key).contains(&node) {
                 self.pending[node].insert(key);
             }
         }
+        let _ = self.connect(node);
     }
 
     /// Errors worth walking to the next replica for: connection-shaped
@@ -188,223 +185,175 @@ impl ClusterClient {
         RetryPolicy::is_retryable(e) || matches!(e, WaveError::Timeout { .. })
     }
 
-    /// Connect to `node` if not already connected, running anti-entropy
-    /// (re-shipping every pending key) before the connection is handed
-    /// to any other traffic.
-    fn ensure_conn(&mut self, node: usize) -> Result<(), WaveError> {
+    /// Make sure `node` has a live connection, dialing it if needed. A
+    /// connection the server has already closed is dropped first, so a
+    /// node that died while idle fails here, before anything is sent.
+    /// After a fresh dial, every key the node is behind on is synced
+    /// (anti-entropy); until its sync lands, the node serves none of
+    /// them.
+    fn connect(&mut self, node: usize) -> Result<(), WaveError> {
+        if self.conns[node].as_ref().is_some_and(Client::peer_closed) {
+            self.conns[node] = None;
+        }
         if self.conns[node].is_some() {
             return Ok(());
         }
-        let mut conn = Client::connect_with(
+        let conn = Client::connect_with(
             self.nodes[node],
             self.cfg.client.clone(),
             Arc::clone(&self.rec),
         )?;
-        // Anti-entropy: the node missed replication rounds while it was
-        // down; catch it up before trusting it with reads.
-        while let Some(&key) = self.pending[node].iter().next() {
-            let bytes = self.shadows[&key].encode();
-            conn.replicate(key, SynopsisKind::DetWave, bytes)?;
-            self.pending[node].remove(&key);
-            self.rec.incr(MetricId::ClusterAntiEntropyMerges, 1);
-        }
         self.conns[node] = Some(conn);
+        if !std::mem::replace(&mut self.catching_up, true) {
+            let behind: Vec<u64> = self.pending[node].iter().copied().collect();
+            for key in behind {
+                if self.sync(key).is_ok() && !self.pending[node].contains(&key) {
+                    self.rec.incr(MetricId::ClusterAntiEntropyMerges, 1);
+                }
+            }
+            self.catching_up = false;
+        }
+        if self.conns[node].is_none() {
+            return Err(no_replica());
+        }
         Ok(())
     }
 
-    /// Drop `node`'s connection after a transport failure.
-    fn drop_conn(&mut self, node: usize) {
-        self.conns[node] = None;
+    /// Run `req` on `node`'s connection, dialing it first. A
+    /// failover-worthy error drops the connection.
+    fn call<T>(
+        &mut self,
+        node: usize,
+        req: impl FnOnce(&mut Client) -> Result<T, WaveError>,
+    ) -> Result<T, WaveError> {
+        self.connect(node)?;
+        let conn = self.conns[node].as_mut().ok_or_else(no_replica)?;
+        let res = req(conn);
+        if res.as_ref().is_err_and(Self::failover_worthy) {
+            self.conns[node] = None;
+        }
+        res
     }
 
-    /// Ship the key's shadow to one node as a `REPLICATE` install.
-    fn ship(&mut self, key: u64, node: usize) -> Result<(), WaveError> {
-        if let Err(e) = self.ensure_conn(node) {
-            // Unreachable at dial time still means the node missed this
-            // key's state — remember it or the rejoin reads stale.
-            self.pending[node].insert(key);
-            return Err(e);
+    /// Run `req` on the key's first reachable replica that is not
+    /// behind on it, in ring order, returning that node and the answer.
+    /// A replica whose dial fails is walked past; so is one whose `req`
+    /// fails on the transport, if `walk_after_send`. Every other
+    /// outcome is returned as it is.
+    fn first_current<T>(
+        &mut self,
+        key: u64,
+        walk_after_send: bool,
+        mut req: impl FnMut(&mut Client) -> Result<T, WaveError>,
+    ) -> Result<(usize, T), WaveError> {
+        let mut walked = false;
+        for node in self.replicas_of(key) {
+            if self.pending[node].contains(&key) {
+                continue;
+            }
+            if walked {
+                self.rec.incr(MetricId::ClusterFailovers, 1);
+            }
+            if self.connect(node).is_err() {
+                walked = true;
+                continue;
+            }
+            match self.call(node, &mut req) {
+                Err(e) if walk_after_send && Self::failover_worthy(&e) => walked = true,
+                res => return res.map(|answer| (node, answer)),
+            }
         }
-        let bytes = self.shadows[&key].encode();
-        let t0 = self.rec.enabled().then(Instant::now);
-        let res = self.conns[node]
-            .as_mut()
-            .expect("ensure_conn just connected")
-            .replicate(key, SynopsisKind::DetWave, bytes);
-        match res {
-            Ok(()) => {
+        Err(no_replica())
+    }
+
+    /// Bring the key's replicas up to the bytes its first reachable
+    /// current replica holds: FETCH them there and install them on
+    /// every other replica, clearing the mark on each that takes them.
+    /// Returns the number of installs acknowledged.
+    fn sync(&mut self, key: u64) -> Result<usize, WaveError> {
+        let (source, (kind, bytes)) = self.first_current(key, true, |c| c.fetch(key))?;
+        let mut installed = 0;
+        for node in self.replicas_of(key) {
+            if node == source {
+                continue;
+            }
+            let t0 = self.rec.enabled().then(Instant::now);
+            if self
+                .call(node, |c| c.replicate(key, kind, bytes.clone()))
+                .is_ok()
+            {
                 self.rec.incr(MetricId::ClusterReplicationsShipped, 1);
                 if let Some(t0) = t0 {
                     self.rec
                         .observe(HistId::ClusterReplicaLagNs, t0.elapsed().as_nanos() as u64);
                 }
                 self.pending[node].remove(&key);
-                Ok(())
-            }
-            Err(e) => {
-                self.drop_conn(node);
-                self.pending[node].insert(key);
-                Err(e)
+                installed += 1;
             }
         }
+        Ok(installed)
     }
 
-    /// Ingest the key's next bits: the primary applies them, and the
-    /// shadow once the primary acks. If the primary can't take the
-    /// ingest, the client *repairs* instead of re-sending: the shadow
-    /// absorbs the bits and the client walks the replica set shipping
-    /// it as an idempotent install, so the bits are durable on the
-    /// first node that answers. Fails when every replica is
-    /// unreachable, or when the primary refuses the batch — a refused
-    /// batch reaches no replica.
+    /// Ingest the key's next bits on its first reachable replica that
+    /// is not behind on it — the primary while it answers. Once that
+    /// replica acknowledges, every other replica of the key is marked
+    /// behind until a sync. Moves to the next replica only when a dial
+    /// fails; an error after the INGEST was sent (a refusal, or a
+    /// transport failure whose outcome is unknown) is returned as it
+    /// is. A refused batch reaches no replica.
     pub fn ingest(&mut self, key: u64, bits: impl Into<Bits>) -> Result<(), WaveError> {
         let bits: Bits = bits.into();
-        let replicas = self.replicas_of(key);
-        let primary = replicas[0];
-        // Reconnect (and run anti-entropy) *before* the shadow absorbs
-        // this batch: a catch-up install that already contained these
-        // bits would double-count them when the ingest below lands too.
-        let primary_err = match self.ensure_conn(primary) {
-            Ok(()) => {
-                match self.conns[primary]
-                    .as_mut()
-                    .expect("ensure_conn just connected")
-                    .ingest(IngestRequest::of(key, bits.clone()))
-                {
-                    Ok(()) => {
-                        self.absorb(key, &bits);
-                        return Ok(());
-                    }
-                    Err(e) if Self::failover_worthy(&e) => {
-                        self.drop_conn(primary);
-                        e
-                    }
-                    // Server-side rejection (backpressure, bad window):
-                    // the node is healthy, the request is the problem.
-                    Err(e) => return Err(e),
-                }
-            }
-            Err(e) => e,
-        };
-        // The primary missed this batch (and possibly earlier state:
-        // it may be a fresh process). Repair by installing the shadow
-        // on the first reachable replica, primary included.
-        self.absorb(key, &bits);
-        self.pending[primary].insert(key);
-        let mut last = primary_err;
-        for node in replicas {
-            self.rec.incr(MetricId::ClusterFailovers, 1);
-            match self.ship(key, node) {
-                Ok(()) => return Ok(()),
-                Err(e) => last = e,
-            }
-        }
-        Err(last)
-    }
-
-    /// The key's shadow takes a batch the cluster now holds.
-    fn absorb(&mut self, key: u64, bits: &Bits) {
-        self.shadows
-            .entry(key)
-            .or_insert_with(|| self.template.clone())
-            .push_words(bits.as_ref());
-    }
-
-    /// One replication round: every key's shadow ships to its
-    /// followers (the primary already holds the state — it applied the
-    /// ingest stream). Unreachable followers are remembered for
-    /// anti-entropy; the round itself never fails over them. Returns
-    /// the number of installs acknowledged.
-    pub fn replicate_all(&mut self) -> usize {
-        let keys: Vec<u64> = self.shadows.keys().copied().collect();
-        let mut shipped = 0usize;
-        for key in keys {
-            for node in self.replicas_of(key).into_iter().skip(1) {
-                if self.ship(key, node).is_ok() {
-                    shipped += 1;
-                }
-            }
-        }
-        shipped
-    }
-
-    /// Window query with failover: walk the key's replicas in ring
-    /// order, return the first answer. Counts one
-    /// `cluster_failovers_total` tick per dead node skipped. A
-    /// follower's answer reflects the last replication round.
-    pub fn query(&mut self, key: u64, window: u64) -> Result<Estimate, WaveError> {
-        let mut last: Option<WaveError> = None;
-        for node in self.replicas_of(key) {
-            if last.is_some() {
-                // We are past the primary because it failed.
-                self.rec.incr(MetricId::ClusterFailovers, 1);
-            }
-            let err = match self.ensure_conn(node) {
-                Ok(()) => {
-                    match self.conns[node]
-                        .as_mut()
-                        .expect("ensure_conn just connected")
-                        .query(key, window)
-                    {
-                        Ok(est) => return Ok(est),
-                        Err(e) => e,
-                    }
-                }
-                Err(e) => e,
-            };
-            if !Self::failover_worthy(&err) {
-                return Err(err);
-            }
-            self.drop_conn(node);
-            last = Some(err);
-        }
-        Err(last.unwrap_or_else(|| {
-            WaveError::io(std::io::Error::new(
-                std::io::ErrorKind::NotConnected,
-                "no replica answered",
-            ))
-        }))
-    }
-
-    /// Barrier on every currently connected node: primaries drain their
-    /// shard queues, so a following [`ClusterClient::replicate_all`]
-    /// ships state the primaries have already applied.
-    pub fn flush(&mut self) -> Result<(), WaveError> {
-        for node in 0..self.nodes.len() {
-            if self.conns[node].is_some() {
-                if let Err(e) = self.conns[node].as_mut().unwrap().flush() {
-                    if Self::failover_worthy(&e) {
-                        self.drop_conn(node);
-                    } else {
-                        return Err(e);
-                    }
-                }
+        let (node, ()) = self.first_current(key, false, |c| {
+            c.ingest(IngestRequest::of(key, bits.clone()))
+        })?;
+        self.written.insert(key);
+        for other in self.replicas_of(key) {
+            if other != node {
+                self.pending[other].insert(key);
             }
         }
         Ok(())
     }
 
-    /// Cluster-wide total over every key this client owns: each key is
+    /// One replication round: every key this client wrote is synced
+    /// from its first reachable current replica to the others.
+    /// Unreachable replicas stay marked for anti-entropy; the round
+    /// itself never fails. Returns the number of installs acknowledged.
+    pub fn replicate_all(&mut self) -> usize {
+        let keys: Vec<u64> = self.written.iter().copied().collect();
+        keys.into_iter()
+            .map(|key| self.sync(key).unwrap_or(0))
+            .sum()
+    }
+
+    /// Window query on the key's first reachable replica that is not
+    /// behind on it, walking on after transport failures. Counts one
+    /// `cluster_failovers_total` tick per node walked past.
+    pub fn query(&mut self, key: u64, window: u64) -> Result<Estimate, WaveError> {
+        self.first_current(key, true, |c| c.query(key, window))
+            .map(|(_, est)| est)
+    }
+
+    /// Cluster-wide total over every key this client wrote: each key is
     /// queried with failover and the per-key estimates — disjoint
     /// substreams — combine additively through
     /// [`waves_distributed::combine_checked`], which refuses a total
     /// past `u64`.
     pub fn combined_total(&mut self, window: u64) -> Result<Estimate, WaveError> {
-        let keys: Vec<u64> = self.shadows.keys().copied().collect();
+        let keys: Vec<u64> = self.written.iter().copied().collect();
         let mut parts = Vec::with_capacity(keys.len());
         for key in keys {
             parts.push(self.query(key, window)?);
         }
         combine_checked(parts)
     }
+}
 
-    /// The client-side shadow's own answer — the oracle the servers are
-    /// measured against in tests (the shadow saw every bit exactly
-    /// once, in order).
-    pub fn shadow_query(&self, key: u64, window: u64) -> Result<Estimate, WaveError> {
-        match self.shadows.get(&key) {
-            Some(w) => w.query(window),
-            None => Err(WaveError::UnknownKey { key }),
-        }
-    }
+/// The walk ended without an answer: every replica that is not behind
+/// on the key failed, or none is left.
+fn no_replica() -> WaveError {
+    WaveError::io(std::io::Error::new(
+        std::io::ErrorKind::NotConnected,
+        "no replica answered",
+    ))
 }

@@ -13,16 +13,18 @@
 //!   coordination, and the deterministic simulator can replay a whole
 //!   cluster schedule from a `u64`.
 //! * [`ClusterClient`] — routes each key to R replicas: the primary
-//!   takes the raw ingest stream, followers receive the key's synopsis
-//!   `encode()` bytes through the wire v5 `REPLICATE` frame (install =
-//!   replace, idempotent). Reads fail over through the replica set in
-//!   ring order; nodes that missed replication rounds are caught up by
-//!   anti-entropy on reconnect.
+//!   takes the raw ingest stream, and followers install the bytes a
+//!   current replica holds — FETCHed from it (wire v8) and shipped
+//!   through the wire v5 `REPLICATE` frame, where an install older than
+//!   the follower's state changes nothing. Reads and writes go to the
+//!   key's first reachable replica that is not behind this client's
+//!   acknowledged writes, or fail with a typed error; nodes that missed
+//!   installs are caught up by anti-entropy on reconnect.
 //!
 //! Everything is std-only and blocking, like the rest of the workspace:
-//! no async runtime, no consensus protocol — single-writer-per-key
-//! replication with an idempotent install is enough for synopses,
-//! because a wave's `encode()` captures its complete state.
+//! no async runtime, no consensus protocol. The client keeps no
+//! synopsis — a wave's `encode()` captures its complete state, so the
+//! bytes a replica serves are the replication source.
 
 pub mod client;
 pub mod ring;

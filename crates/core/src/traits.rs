@@ -25,6 +25,11 @@ pub trait Synopsis {
     /// The maximum queryable window `N`.
     fn max_window(&self) -> u64;
 
+    /// Stream length so far: how many items the synopsis has taken.
+    /// Two copies of one stream order by it, so an install can tell an
+    /// older copy from a newer one.
+    fn pos(&self) -> u64;
+
     /// Space accounting.
     fn space_report(&self) -> SpaceReport;
 
@@ -66,6 +71,9 @@ impl Synopsis for crate::det_wave::DetWave {
     fn max_window(&self) -> u64 {
         self.max_window()
     }
+    fn pos(&self) -> u64 {
+        self.pos()
+    }
     fn space_report(&self) -> SpaceReport {
         self.space_report()
     }
@@ -95,6 +103,9 @@ impl Synopsis for crate::sum_wave::SumWave {
     }
     fn max_window(&self) -> u64 {
         self.max_window()
+    }
+    fn pos(&self) -> u64 {
+        self.pos()
     }
     fn space_report(&self) -> SpaceReport {
         self.space_report()

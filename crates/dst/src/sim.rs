@@ -210,7 +210,13 @@ enum Backend {
         /// `None` while a node is killed; its slot keeps the index ↔
         /// ring identity stable.
         servers: Vec<Option<Server>>,
-        client: Box<ClusterClient>,
+        /// Two routing clients over the same nodes and keys: ingest
+        /// batches alternate between them, and so do queries.
+        clients: Box<[ClusterClient; 2]>,
+        /// Ingest batches and queries sent so far: each picks its
+        /// client by parity.
+        batches: usize,
+        queries: usize,
         /// Real listening address per node, restored on rejoin after a
         /// partition (a killed node rejoins on a fresh port).
         addrs: Vec<SocketAddr>,
@@ -299,25 +305,32 @@ impl Sim {
             self.trace.push("ingest events=0 items=0".to_string());
             return Ok(());
         }
-        if let Backend::Cluster { client, .. } = self.backend() {
+        if let Backend::Cluster {
+            clients, batches, ..
+        } = self.backend()
+        {
+            let writer = &mut clients[*batches % 2];
+            *batches += 1;
+            let mut acked = Vec::with_capacity(batch.len());
             let mut deferred = 0usize;
             for (key, bits) in batch {
-                match client.ingest(*key, &bits[..]) {
-                    Ok(()) => {}
-                    // Every replica of this key unreachable — possible
-                    // only in shrunk schedules that dropped a rejoin.
-                    // The bits are safe in the client's shadow and
-                    // re-ship through anti-entropy, so this is a
-                    // deferral, not a loss.
+                match writer.ingest(*key, &bits[..]) {
+                    Ok(()) => acked.push((*key, bits.clone())),
+                    // No replica of this key that is current could be
+                    // dialed — possible only in shrunk schedules that
+                    // dropped a rejoin. Refused at dial time, the entry
+                    // reached no node, so the oracle does not count it.
                     Err(WaveError::Io(_)) | Err(WaveError::Timeout { .. }) => deferred += 1,
                     Err(e) => return Err(format!("cluster ingest rejected: {e}")),
                 }
             }
-            // Ship every primary's synopsis to its followers after each
-            // batch, so any replica that answers a later query answers
-            // with current state.
-            client.replicate_all();
-            self.oracles.apply(batch);
+            // Both clients run a replication round after each batch, so
+            // any replica that answers a later query holds current
+            // state.
+            for client in clients.iter_mut() {
+                client.replicate_all();
+            }
+            self.oracles.apply(&acked);
             let items: usize = batch.iter().map(|(_, bits)| bits.len()).sum();
             self.trace.push(format!(
                 "ingest events={} items={items} deferred={deferred}",
@@ -368,18 +381,25 @@ impl Sim {
         let got = match self.backend() {
             Backend::Direct(engine) => engine.query(key, window),
             Backend::Tcp { client, .. } => client.query(key, window),
-            Backend::Cluster { client, .. } => match client.query(key, window) {
-                // Every replica of this key unreachable — possible only
-                // in shrunk schedules that dropped a rejoin. There is no
-                // answer to check; the outcome is deterministic given
-                // the schedule's down-set, so trace and move on.
-                Err(WaveError::Io(_)) | Err(WaveError::Timeout { .. }) => {
-                    self.trace
-                        .push(format!("query key={key} w={window} -> unreachable"));
-                    return Ok(());
+            Backend::Cluster {
+                clients, queries, ..
+            } => {
+                let reader = &mut clients[*queries % 2];
+                *queries += 1;
+                match reader.query(key, window) {
+                    // No current replica of this key reachable — possible
+                    // only in shrunk schedules that dropped a rejoin.
+                    // There is no answer to check; the outcome is
+                    // deterministic given the schedule's down-set, so
+                    // trace and move on.
+                    Err(WaveError::Io(_)) | Err(WaveError::Timeout { .. }) => {
+                        self.trace
+                            .push(format!("query key={key} w={window} -> unreachable"));
+                        return Ok(());
+                    }
+                    other => other,
                 }
-                other => other,
-            },
+            }
         };
         self.checks += 1;
         let line = self.oracles.check_query(key, window, &got)?;
@@ -393,13 +413,9 @@ impl Sim {
             Backend::Tcp { client, .. } => client
                 .flush()
                 .map_err(|e| format!("flush failed over tcp: {e}"))?,
-            // Downed nodes hold no open connection, so a flush failure
-            // here is a live connection breaking mid-exchange — treat
-            // it as the drop it is; anything else is a real violation.
-            Backend::Cluster { client, .. } => match client.flush() {
-                Ok(()) | Err(WaveError::Io(_)) | Err(WaveError::Timeout { .. }) => {}
-                Err(e) => return Err(format!("cluster flush: {e}")),
-            },
+            // Nothing to drain: a replica's FETCH and QUERY answer
+            // behind every INGEST sent ahead of them.
+            Backend::Cluster { .. } => {}
         }
         self.trace.push("flush".to_string());
         Ok(())
@@ -568,10 +584,10 @@ impl Sim {
                 drop(server);
             }
             Some(Backend::Cluster {
-                servers, client, ..
+                servers, clients, ..
             }) => {
                 // Clusters never persist, so crash vs clean is moot.
-                drop(client);
+                drop(clients);
                 for server in servers.into_iter().flatten() {
                     server.shutdown();
                 }
@@ -583,7 +599,7 @@ impl Sim {
     fn do_node_kill(&mut self, node: usize) -> Result<(), String> {
         let Backend::Cluster {
             servers,
-            client,
+            clients,
             killed,
             partitioned,
             ..
@@ -597,7 +613,9 @@ impl Sim {
         if let Some(server) = servers[node].take() {
             server.shutdown();
         }
-        client.set_node_addr(node, unreachable_addr());
+        for client in clients.iter_mut() {
+            client.set_node_addr(node, unreachable_addr());
+        }
         killed[node] = true;
         partitioned[node] = false;
         self.trace.push(format!("node-kill node={node}"));
@@ -607,7 +625,7 @@ impl Sim {
     fn do_partition(&mut self, node: usize) -> Result<(), String> {
         let Backend::Cluster {
             servers,
-            client,
+            clients,
             killed,
             partitioned,
             ..
@@ -621,7 +639,9 @@ impl Sim {
         // A killed node is already unreachable; partitioning it again
         // must not resurrect it as "state preserved".
         if !killed[node] && !partitioned[node] {
-            client.set_node_addr(node, unreachable_addr());
+            for client in clients.iter_mut() {
+                client.set_node_addr(node, unreachable_addr());
+            }
             partitioned[node] = true;
         }
         self.trace.push(format!("partition node={node}"));
@@ -632,10 +652,11 @@ impl Sim {
         let ecfg = engine_cfg(&self.cfg, None);
         let Backend::Cluster {
             servers,
-            client,
+            clients,
             addrs,
             killed,
             partitioned,
+            ..
         } = self.backend()
         else {
             return Err("harness: rejoin step requires a cluster schedule".into());
@@ -646,21 +667,22 @@ impl Sim {
         let fresh = killed[node];
         if killed[node] {
             // The node lost its state with its process: restart it
-            // empty on a fresh port and declare every key routed there
-            // stale, so the next connection re-seeds it key by key
-            // through anti-entropy.
+            // empty on a fresh port.
             let server =
                 start_server(ecfg).map_err(|e| format!("harness: rejoin server start: {e}"))?;
             addrs[node] = server.local_addr();
             servers[node] = Some(server);
-            client.set_node_addr(node, addrs[node]);
-            client.mark_node_stale(node);
+        }
+        if killed[node] || partitioned[node] {
+            // Empty after a kill, or behind on writes either client made
+            // during a partition: each client marks every key it wrote
+            // that routes there stale and syncs it from a current
+            // replica before the node serves it.
+            for client in clients.iter_mut() {
+                client.set_node_addr(node, addrs[node]);
+                client.mark_node_stale(node);
+            }
             killed[node] = false;
-        } else if partitioned[node] {
-            // State survived; just restore reachability. Shipments
-            // missed during the partition are pending and re-ship on
-            // the next connection.
-            client.set_node_addr(node, addrs[node]);
             partitioned[node] = false;
         }
         // Rejoining an up node is a no-op (keeps shrinking sound); the
@@ -816,8 +838,6 @@ fn start_backend(cfg: &SimConfig, root: Option<&Path>) -> Result<Backend, String
         let ccfg = ClusterConfig {
             replication: cfg.replication,
             ring_seed: cfg.ring_seed,
-            max_window: cfg.max_window,
-            eps: cfg.eps,
             // Dials to downed nodes must fail once and fail over, not
             // burn wall-clock retrying the same dead address.
             client: ClientConfig {
@@ -826,14 +846,17 @@ fn start_backend(cfg: &SimConfig, root: Option<&Path>) -> Result<Backend, String
             },
             ..Default::default()
         };
-        let client = Box::new(
-            ClusterClient::new(addrs.clone(), ccfg, telemetry())
-                .map_err(|e| format!("harness: cluster client: {e}"))?,
-        );
+        let client = || {
+            ClusterClient::new(addrs.clone(), ccfg.clone(), telemetry())
+                .map_err(|e| format!("harness: cluster client: {e}"))
+        };
+        let clients = Box::new([client()?, client()?]);
         let n = cfg.cluster_nodes;
         return Ok(Backend::Cluster {
             servers,
-            client,
+            clients,
+            batches: 0,
+            queries: 0,
             addrs,
             killed: vec![false; n],
             partitioned: vec![false; n],

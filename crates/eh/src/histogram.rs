@@ -500,6 +500,9 @@ impl<M: Multiplicity> waves_core::Synopsis for Histogram<M> {
     fn max_window(&self) -> u64 {
         self.max_window
     }
+    fn pos(&self) -> u64 {
+        self.pos
+    }
     fn space_report(&self) -> SpaceReport {
         self.space_report()
     }

@@ -307,6 +307,9 @@ impl Synopsis for XuCount {
     fn max_window(&self) -> u64 {
         self.max_window
     }
+    fn pos(&self) -> u64 {
+        self.pos
+    }
     fn space_report(&self) -> SpaceReport {
         self.space_report()
     }

@@ -292,13 +292,19 @@ enum Cmd {
         reply: Sender<Result<(), WaveError>>,
     },
     /// Install one key's synopsis from its encoded bytes, replacing any
-    /// local state for that key — the follower half of cluster
-    /// replication. The bytes stay opaque until the worker decodes them
-    /// with [`waves_core::Synopsis::decode_synopsis`].
+    /// local state for that key that is not newer — the follower half of
+    /// cluster replication. The bytes stay opaque until the worker
+    /// decodes them with [`waves_core::Synopsis::decode_synopsis`].
     Install {
         key: Key,
         bytes: Vec<u8>,
         reply: Sender<Result<(), WaveError>>,
+    },
+    /// One key's synopsis `encode()` bytes — the source half of cluster
+    /// replication.
+    Fetch {
+        key: Key,
+        reply: Sender<Result<Vec<u8>, WaveError>>,
     },
 }
 
@@ -765,17 +771,22 @@ where
     }
 
     /// Install `key`'s synopsis from its encoded bytes (a synopsis's
-    /// own `encode()` output), **replacing** whatever local state the
-    /// key had — the follower half of cluster replication, where a
-    /// primary ships its authoritative state and this engine adopts it
-    /// verbatim.
+    /// own `encode()` output), **replacing** the key's local state — the
+    /// follower half of cluster replication, where a follower adopts the
+    /// state its primary holds verbatim.
+    ///
+    /// Installs obey a high-water mark, like `PUSH_DELTA`'s: bytes whose
+    /// stream position ([`waves_core::Synopsis::pos`]) is behind the
+    /// key's current state are answered `Ok` and change nothing, so two
+    /// replicators racing cannot roll a follower back. An equal or newer
+    /// position replaces the state.
     ///
     /// The install travels the key's shard FIFO like any batch, so it
     /// is ordered against ingest: batches enqueued before it apply
-    /// first and are then overwritten; batches after it apply on top.
-    /// Installed state is *not* WAL-logged — after a crash the key
-    /// reverts to its logged history, and the cluster layer's
-    /// anti-entropy pass is what re-ships the difference.
+    /// first; batches after it apply on top. Installed state is *not*
+    /// WAL-logged — after a crash the key reverts to its logged
+    /// history, and the cluster layer's anti-entropy pass is what
+    /// re-ships the difference.
     ///
     /// Undecodable bytes fail with an `InvalidData` [`WaveError::Io`]
     /// and leave the key's previous state untouched.
@@ -785,6 +796,14 @@ where
             bytes,
             reply,
         })
+    }
+
+    /// `key`'s synopsis `encode()` bytes — what a follower installs
+    /// through [`Engine::install_synopsis`]. Travels the key's shard
+    /// FIFO, so the bytes cover every batch enqueued before the call.
+    /// Returns [`WaveError::UnknownKey`] for never-seen keys.
+    pub fn synopsis_bytes(&self, key: Key) -> Result<Vec<u8>, WaveError> {
+        self.call(self.shard_of(key), |reply| Cmd::Fetch { key, reply })
     }
 
     /// Durably checkpoint every shard: each worker serializes all of its
@@ -998,12 +1017,24 @@ fn shard_worker<S, R, F>(
             }
             Cmd::Install { key, bytes, reply } => {
                 let res = match S::decode_synopsis(&bytes) {
+                    // An older copy than the key's state: a late or
+                    // racing replicator, acknowledged and ignored.
+                    Ok(synopsis) if keys.get(&key).is_some_and(|s| s.pos() > synopsis.pos()) => {
+                        Ok(())
+                    }
                     Ok(synopsis) => {
                         keys.insert(key, synopsis);
                         rec.incr(MetricId::EngineSynopsesInstalled, 1);
                         Ok(())
                     }
                     Err(e) => Err(invalid_data(format!("synopsis install for key {key}: {e}"))),
+                };
+                let _ = reply.send(res);
+            }
+            Cmd::Fetch { key, reply } => {
+                let res = match keys.get(&key) {
+                    Some(synopsis) => Ok(synopsis.encode_synopsis()),
+                    None => Err(WaveError::UnknownKey { key }),
                 };
                 let _ = reply.send(res);
             }
@@ -1144,6 +1175,39 @@ mod tests {
         other.push_bit(true);
         engine.install_synopsis(77, other.encode()).unwrap();
         assert_eq!(engine.query(77, 64).unwrap().value, 1.0);
+    }
+
+    #[test]
+    fn install_synopsis_never_rolls_a_key_back() {
+        let engine = Engine::new(small_cfg(2)).unwrap();
+        let wave = |bits: &[bool]| {
+            let mut w = DetWave::new(64, 0.25).unwrap();
+            w.push_words(Bits::from_bools(bits).as_ref());
+            w
+        };
+        engine
+            .ingest(IngestRequest::of(9, [true, false, true, true]).blocking(true))
+            .unwrap();
+        let held = engine.synopsis_bytes(9).unwrap();
+
+        // An older copy is acknowledged and changes nothing.
+        engine
+            .install_synopsis(9, wave(&[true, true, true]).encode())
+            .unwrap();
+        assert_eq!(engine.synopsis_bytes(9).unwrap(), held);
+
+        // An equal position replaces, and so does a newer one.
+        let equal = wave(&[false, false, false, true]);
+        engine.install_synopsis(9, equal.encode()).unwrap();
+        assert_eq!(engine.synopsis_bytes(9).unwrap(), equal.encode());
+        let newer = wave(&[true; 9]);
+        engine.install_synopsis(9, newer.encode()).unwrap();
+        assert_eq!(engine.synopsis_bytes(9).unwrap(), newer.encode());
+
+        assert_eq!(
+            engine.synopsis_bytes(10),
+            Err(WaveError::UnknownKey { key: 10 })
+        );
     }
 
     #[test]

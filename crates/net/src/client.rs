@@ -237,6 +237,22 @@ impl Client {
         self.addr
     }
 
+    /// Whether the server has closed this connection, read without
+    /// blocking and without sending: an end of stream (or a reset) is
+    /// already waiting on the socket. A caller that must not send a
+    /// non-idempotent request into the void checks this first, while
+    /// nothing has left the client.
+    pub fn peer_closed(&self) -> bool {
+        if self.stream.set_nonblocking(true).is_err() {
+            return true;
+        }
+        let closed = match self.stream.peek(&mut [0u8; 1]) {
+            Ok(n) => n == 0,
+            Err(e) => e.kind() != std::io::ErrorKind::WouldBlock,
+        };
+        self.stream.set_nonblocking(false).is_err() || closed
+    }
+
     /// The trace id of the most recent traced request, or `None` if no
     /// request has been traced yet (tracing is on only when the
     /// recorder's [`Recorder::trace_enabled`] is `true`).
@@ -349,8 +365,8 @@ impl Client {
     }
 
     /// Ship one key's synopsis encode to this server, which installs it
-    /// over its local state for that key — the wire v5 replication path
-    /// a cluster primary uses toward its followers. Idempotent (an
+    /// over its local state for that key unless that state is newer —
+    /// the wire v5 replication path toward a follower. Idempotent (an
     /// install is a state overwrite, so a re-send converges to the same
     /// state), so it is retried.
     pub fn replicate(
@@ -361,6 +377,17 @@ impl Client {
     ) -> Result<(), WaveError> {
         self.request(&Frame::Replicate { key, kind, bytes }, self.cfg.retry)
             .and_then(expect_ok)
+    }
+
+    /// Read one key's synopsis encode from this server (wire v8): the
+    /// bytes a follower installs through [`Client::replicate`]. The
+    /// server answers behind every `INGEST` sent ahead on this
+    /// connection. Read-only, so it is retried.
+    pub fn fetch(&mut self, key: u64) -> Result<(SynopsisKind, Vec<u8>), WaveError> {
+        match self.request(&Frame::Fetch { key }, self.cfg.retry)? {
+            Frame::Replicate { kind, bytes, .. } => Ok((kind, bytes)),
+            other => Err(unexpected(other)),
+        }
     }
 
     /// Referee combine across every pushed party at `window`.

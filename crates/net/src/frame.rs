@@ -73,8 +73,10 @@ pub const MAGIC: [u8; 2] = *b"WA";
 /// (`0x0B`), the continuous-monitoring push: a party ships its
 /// synopsis only when local drift crosses its ε-slack budget, with a
 /// per-party sequence number so the referee folds deltas exactly once
-/// and in order.
-pub const WIRE_VERSION: u8 = 7;
+/// and in order; version 8 added the `FETCH` request (`0x0C`), by which
+/// a cluster client reads one key's synopsis bytes from the replica
+/// that holds them, answered with a `REPLICATE` frame.
+pub const WIRE_VERSION: u8 = 8;
 
 /// Fixed header size in bytes (magic + version + type + length +
 /// trace id + correlation id).
@@ -100,6 +102,7 @@ const TYPE_SHUTDOWN: u8 = 0x08;
 const TYPE_STATS: u8 = 0x09;
 const TYPE_REPLICATE: u8 = 0x0A;
 const TYPE_PUSH_DELTA: u8 = 0x0B;
+const TYPE_FETCH: u8 = 0x0C;
 
 // Response frame types (server -> client). High bit set.
 const TYPE_OK: u8 = 0x80;
@@ -149,11 +152,12 @@ pub enum Frame {
     Shutdown,
     /// Ask for the server's live [`waves_obs::MetricsSnapshot`].
     Stats,
-    /// A cluster primary ships one key's synopsis `encode()` bytes to a
-    /// follower replica, which installs them over its local state for
-    /// that key. Same payload shape as [`Frame::PushSynopsis`], but the
-    /// receiver *replaces* engine state instead of filing a referee
-    /// entry — replication, not aggregation.
+    /// One key's synopsis `encode()` bytes, shipped to a follower
+    /// replica, which installs them over its local state for that key
+    /// unless that state is newer. Same payload shape as
+    /// [`Frame::PushSynopsis`], but the receiver *replaces* engine state
+    /// instead of filing a referee entry — replication, not
+    /// aggregation. Also the answer to [`Frame::Fetch`].
     Replicate {
         key: u64,
         kind: SynopsisKind,
@@ -175,6 +179,9 @@ pub enum Frame {
         kind: SynopsisKind,
         bytes: Vec<u8>,
     },
+    /// Read one key's synopsis `encode()` bytes (wire v8); the server
+    /// answers [`Frame::Replicate`] carrying them.
+    Fetch { key: u64 },
 
     // ---- responses ----
     /// Generic success for requests with no payload to return.
@@ -506,6 +513,10 @@ impl WireCodec {
                 put_u64(p, *window);
                 TYPE_COMBINE
             }
+            Frame::Fetch { key } => {
+                put_u64(p, *key);
+                TYPE_FETCH
+            }
             Frame::EstimateResp(e) => {
                 put_u64(p, e.value.to_bits());
                 put_u64(p, e.lo);
@@ -655,6 +666,7 @@ impl WireCodec {
                 }
             }
             TYPE_COMBINE => Frame::Combine { window: r.u64()? },
+            TYPE_FETCH => Frame::Fetch { key: r.u64()? },
             TYPE_ESTIMATE => {
                 let value = r.f64()?;
                 let lo = r.u64()?;
@@ -801,6 +813,8 @@ mod tests {
             bytes: Vec::new(),
         });
         roundtrip(Frame::Combine { window: 512 });
+        roundtrip(Frame::Fetch { key: 11 });
+        roundtrip(Frame::Fetch { key: u64::MAX });
         roundtrip(Frame::EstimateResp(Estimate {
             value: 10.5,
             lo: 9,
@@ -1050,7 +1064,7 @@ mod tests {
             bytes: vec![0xAB, 0xCD],
         };
         let bytes = WireCodec::encode(&frame);
-        assert_eq!(bytes[2], 7, "PROTOCOL.md documents wire v7");
+        assert_eq!(bytes[2], 8, "PROTOCOL.md documents wire v8");
         assert_eq!(bytes[3], TYPE_PUSH_DELTA);
         let p = HEADER_LEN;
         assert_eq!(&bytes[p..p + 8], &0x0102_0304_0506_0708u64.to_be_bytes());

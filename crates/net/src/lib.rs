@@ -22,9 +22,9 @@
 //!   and combines, shutdown — is served on that thread; the ingests
 //!   one pass over a connection's buffered bytes decodes reach each
 //!   shard as one engine batch. Only requests that wait on a shard
-//!   worker's reply (query, flush, snapshot, stats, replicate) cross
-//!   to a small dispatch pool. Everything a readiness cycle produced
-//!   leaves in one `write` per connection. [`Frame::PushSynopsis`],
+//!   worker's reply (query, flush, snapshot, stats, replicate, fetch)
+//!   cross to a small dispatch pool. Everything a readiness cycle
+//!   produced leaves in one `write` per connection. [`Frame::PushSynopsis`],
 //!   [`Frame::PushDelta`] and [`Frame::Combine`] are one call each on
 //!   the one referee, [`waves_distributed::MonitorReferee`], so its
 //!   sequence dedupe (retries and late reordered deltas cannot roll it
@@ -111,7 +111,7 @@ mod proptests {
     }
 
     /// How many [`Frame`] variants [`sample_frame`] builds.
-    const FRAME_VARIANTS: usize = 17;
+    const FRAME_VARIANTS: usize = 18;
 
     /// Frame `variant` (every request and response shape), its fields
     /// and synopsis bytes drawn from `seed`.
@@ -190,6 +190,7 @@ mod proptests {
             15 => Frame::StatsResp(format!(
                 "{{\"counters\":{{\"net_frames_sent_total\":{a}}}}}"
             )),
+            16 => Frame::Fetch { key: a },
             _ => Frame::ErrorResp(WaveError::WindowTooLarge {
                 requested: a,
                 max: b,

@@ -16,9 +16,9 @@
 //! block is done where the bytes are, and everything a pass produced
 //! leaves in one piece.* INGEST, PING, PUSH_SYNOPSIS, PUSH_DELTA,
 //! COMBINE and SHUTDOWN run to completion on the loop thread, in
-//! arrival order. QUERY, FLUSH, SNAPSHOT, STATS and REPLICATE wait on a
-//! shard worker's reply, so they cross to a small pool of dispatch
-//! workers and a slow engine operation never stalls the loop; a worker
+//! arrival order. QUERY, FLUSH, SNAPSHOT, STATS, REPLICATE and FETCH
+//! wait on a shard worker's reply, so they cross to a small pool of
+//! dispatch workers and a slow engine operation never stalls the loop; a worker
 //! hands the encoded reply back over a completion channel and pokes the
 //! loop's waker once per drain, not once per reply. Every reply, served
 //! or gathered, is encoded through the same `answer`, so a request's
@@ -115,8 +115,8 @@ pub struct ServerConfig {
     /// bound.
     pub max_write_queue: usize,
     /// Dispatch worker threads, for the requests that wait on a shard
-    /// (QUERY, FLUSH, SNAPSHOT, STATS, REPLICATE). `0` (the default)
-    /// sizes from available parallelism, capped at 4 — the workers
+    /// (QUERY, FLUSH, SNAPSHOT, STATS, REPLICATE, FETCH). `0` (the
+    /// default) sizes from available parallelism, capped at 4 — the workers
     /// mostly sleep on a shard's reply; the engine has its own shard
     /// workers.
     pub dispatch_threads: usize,
@@ -354,6 +354,7 @@ fn parks_on_shard(frame: &Frame) -> bool {
             | Frame::Snapshot
             | Frame::Stats
             | Frame::Replicate { .. }
+            | Frame::Fetch { .. }
     )
 }
 
@@ -1111,6 +1112,14 @@ fn dispatch(frame: Frame, shared: &Shared, ctx: TraceCtx) -> Frame {
                 }
             }
         }
+        Frame::Fetch { key } => match shared.engine.synopsis_bytes(key) {
+            Ok(bytes) => Frame::Replicate {
+                key,
+                kind: SynopsisKind::DetWave,
+                bytes,
+            },
+            Err(e) => Frame::ErrorResp(e),
+        },
         Frame::PushDelta {
             party,
             seq,

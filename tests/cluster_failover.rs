@@ -8,8 +8,10 @@
 //! key, kills one node mid-stream, keeps streaming, and then checks
 //! every key three ways:
 //!
-//! 1. the cluster's answer equals the client's shadow synopsis **bit
-//!    for bit** (the shadow saw every bit exactly once, in order);
+//! 1. the cluster's answer equals a test-side [`DetWave`] fed the
+//!    acknowledged bits **bit for bit** (the replica that answers holds
+//!    the primary's bytes, and the primary saw every bit exactly once,
+//!    in order);
 //! 2. the answer brackets the exact oracle's truth;
 //! 3. the answer is within ε relative error of the truth — i.e. inside
 //!    the 2ε agreement bracket any two conforming synopses share.
@@ -22,7 +24,7 @@ use waves::net::{
     Client, ClientConfig, Frame, FrameError, RetryPolicy, Server, ServerConfig, WireCodec,
 };
 use waves::obs::{MetricId, MetricsRegistry, NoopRecorder};
-use waves::{EngineConfig, ExactCount, WaveError};
+use waves::{DetWave, EngineConfig, ExactCount, WaveError};
 
 const MAX_WINDOW: u64 = 256;
 const EPS: f64 = 0.2;
@@ -36,10 +38,14 @@ fn lcg(x: &mut u64) -> u64 {
 }
 
 fn start_servers(n: usize) -> Vec<Server> {
+    start_servers_at(n, EPS)
+}
+
+fn start_servers_at(n: usize, eps: f64) -> Vec<Server> {
     let ecfg = EngineConfig::builder()
         .num_shards(2)
         .max_window(MAX_WINDOW)
-        .eps(EPS)
+        .eps(eps)
         .build();
     (0..n)
         .map(|_| {
@@ -55,37 +61,60 @@ fn start_servers(n: usize) -> Vec<Server> {
         .collect()
 }
 
+/// Per key, the acknowledged bits twice over: the exact ground truth
+/// and the wave the cluster's answer must equal bit for bit.
+struct Oracle {
+    exact: ExactCount,
+    wave: DetWave,
+}
+
+impl Oracle {
+    fn new() -> Oracle {
+        Oracle {
+            exact: ExactCount::new(MAX_WINDOW),
+            wave: DetWave::new(MAX_WINDOW, EPS).unwrap(),
+        }
+    }
+
+    fn push(&mut self, bit: bool) {
+        self.exact.push_bit(bit);
+        self.wave.push_bit(bit);
+    }
+}
+
+fn oracles() -> Vec<Oracle> {
+    (0..KEYS).map(|_| Oracle::new()).collect()
+}
+
 /// Stream `items` workload items through the client, one bit per item,
-/// mirroring every bit into the exact oracles.
-fn stream(client: &mut ClusterClient, oracles: &mut [ExactCount], rng: &mut u64, items: usize) {
+/// mirroring every acknowledged bit into the oracles.
+fn stream(client: &mut ClusterClient, oracles: &mut [Oracle], rng: &mut u64, items: usize) {
     for _ in 0..items {
         let key = lcg(rng) % KEYS;
         let bit = !lcg(rng).is_multiple_of(3);
         client
             .ingest(key, &[bit][..])
             .expect("ingest with a live replica");
-        oracles[key as usize].push_bit(bit);
+        oracles[key as usize].push(bit);
     }
-    client.flush().expect("flush");
     client.replicate_all();
 }
 
-/// Every key, several windows: cluster answer == shadow, brackets
-/// truth, within ε of truth.
-fn check_all(client: &mut ClusterClient, oracles: &[ExactCount], ctx: &str) {
+/// Every key, several windows: cluster answer == the oracle wave,
+/// brackets truth, within ε of truth.
+fn check_all(client: &mut ClusterClient, oracles: &[Oracle], ctx: &str) {
     for key in 0..KEYS {
         for window in [MAX_WINDOW, MAX_WINDOW / 2, MAX_WINDOW / 7, 1] {
             let got = client
                 .query(key, window)
                 .unwrap_or_else(|e| panic!("{ctx}: query key={key} w={window}: {e}"));
-            let shadow = client
-                .shadow_query(key, window)
-                .unwrap_or_else(|e| panic!("{ctx}: shadow key={key} w={window}: {e}"));
+            let oracle = &oracles[key as usize];
             assert_eq!(
-                got, shadow,
-                "{ctx}: key={key} w={window}: cluster answer diverged from shadow"
+                Ok(got),
+                oracle.wave.query(window),
+                "{ctx}: key={key} w={window}: cluster answer diverged from the acknowledged bits"
             );
-            let truth = oracles[key as usize].query(window);
+            let truth = oracle.exact.query(window);
             assert!(
                 got.brackets(truth),
                 "{ctx}: key={key} w={window}: truth {truth} outside [{}, {}]",
@@ -111,8 +140,6 @@ fn kill_primary_mid_stream_keeps_every_answer_in_bracket() {
         ClusterConfig {
             replication: 2,
             ring_seed: 42,
-            max_window: MAX_WINDOW,
-            eps: EPS,
             // No same-node retries: a dead primary should cost one
             // refused dial per touch, not a backoff ladder — failover
             // is the recovery mechanism under test.
@@ -125,7 +152,7 @@ fn kill_primary_mid_stream_keeps_every_answer_in_bracket() {
         registry.clone(),
     )
     .expect("cluster client");
-    let mut oracles: Vec<ExactCount> = (0..KEYS).map(|_| ExactCount::new(MAX_WINDOW)).collect();
+    let mut oracles = oracles();
     let mut rng = 0x5EED_CAFE;
 
     // First half of the stream with all nodes healthy.
@@ -133,8 +160,8 @@ fn kill_primary_mid_stream_keeps_every_answer_in_bracket() {
     check_all(&mut client, &oracles, "pre-kill");
 
     // Kill one node mid-stream. It is the primary for roughly a third
-    // of the keys; their ingests repair onto the surviving replica and
-    // their queries fail over.
+    // of the keys; their ingests and queries fail over to the surviving
+    // replica, which the last round brought up to date.
     let victim = client
         .replicas_of(0)
         .first()
@@ -171,8 +198,6 @@ fn replication_keeps_followers_current_between_rounds() {
         ClusterConfig {
             replication: 2,
             ring_seed: 7,
-            max_window: MAX_WINDOW,
-            eps: EPS,
             ..Default::default()
         },
         std::sync::Arc::new(NoopRecorder),
@@ -181,45 +206,50 @@ fn replication_keeps_followers_current_between_rounds() {
 
     // With 2 nodes and R=2 every key lives on both; after a replication
     // round, killing *either* node must leave every answer identical to
-    // the shadow.
+    // the acknowledged bits.
+    let mut oracles = oracles();
     let mut rng = 0xD15C;
     for _ in 0..500 {
         let key = lcg(&mut rng) % 4;
         let bit = lcg(&mut rng) % 2 == 1;
         client.ingest(key, &[bit][..]).expect("ingest");
+        oracles[key as usize].push(bit);
     }
-    client.flush().expect("flush");
     let shipped = client.replicate_all();
     assert!(shipped > 0, "two-node R=2 cluster must ship installs");
 
     servers.remove(0).shutdown();
     for key in 0..4 {
         let got = client.query(key, MAX_WINDOW).expect("failover query");
-        let want = client.shadow_query(key, MAX_WINDOW).expect("shadow");
-        assert_eq!(got, want, "key={key}: survivor diverged from shadow");
+        let want = oracles[key as usize].wave.query(MAX_WINDOW).unwrap();
+        assert_eq!(
+            got, want,
+            "key={key}: survivor diverged from the acknowledged bits"
+        );
     }
     for s in servers {
         s.shutdown();
     }
 }
 
-/// A node that refuses every INGEST with BACKPRESSURE and answers
-/// anything else `OK`: a healthy server whose shard queue is full.
-fn refusing_node() -> SocketAddr {
+/// A stand-in primary that answers anything but INGEST `OK`. An INGEST
+/// it answers with `refusal`; with `None` it reads the INGEST and then
+/// closes the connection, so the sender cannot know whether it landed.
+fn fake_primary(refusal: Option<WaveError>) -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     std::thread::spawn(move || {
         for mut stream in listener.incoming().map_while(Result::ok) {
+            let refusal = refusal.clone();
             std::thread::spawn(move || {
                 let (mut buf, mut chunk, mut out) = (Vec::new(), [0u8; 4096], Vec::new());
                 loop {
                     match WireCodec::decode_tagged(&buf) {
                         Ok((frame, used, tag)) => {
                             buf.drain(..used);
-                            let reply = match frame {
-                                Frame::Ingest(_) => {
-                                    Frame::ErrorResp(WaveError::Backpressure { shard: 0 })
-                                }
+                            let reply = match (frame, &refusal) {
+                                (Frame::Ingest(_), Some(e)) => Frame::ErrorResp(e.clone()),
+                                (Frame::Ingest(_), None) => return,
                                 _ => Frame::Ok,
                             };
                             out.clear();
@@ -241,19 +271,13 @@ fn refusing_node() -> SocketAddr {
     addr
 }
 
-/// A batch the primary refuses never reaches a follower: the shadow
-/// takes a batch only once the primary acks it (or the repair path
-/// ships it), so the next replication round has nothing of it to
-/// install, and a caller that retries counts it once.
-#[test]
-fn a_refused_ingest_reaches_no_follower() {
-    let follower = start_servers(1).remove(0);
-    let mut client = ClusterClient::new(
-        vec![refusing_node(), follower.local_addr()],
+/// A cluster client over `primary` and `follower` at R=2, and a key
+/// whose primary is `primary`.
+fn two_node_client(primary: SocketAddr, follower: &Server) -> (ClusterClient, u64) {
+    let client = ClusterClient::new(
+        vec![primary, follower.local_addr()],
         ClusterConfig {
             replication: 2,
-            max_window: MAX_WINDOW,
-            eps: EPS,
             ..Default::default()
         },
         std::sync::Arc::new(NoopRecorder),
@@ -261,17 +285,126 @@ fn a_refused_ingest_reaches_no_follower() {
     .expect("cluster client");
     let key = (0..)
         .find(|&k| client.replicas_of(k)[0] == 0)
-        .expect("some key has the refusing node as primary");
+        .expect("some key has node 0 as primary");
+    (client, key)
+}
+
+/// The follower never took `key`'s bits: it does not know the key, or
+/// counts nothing in it.
+fn assert_follower_lacks(follower: &Server, key: u64) {
+    let mut direct = Client::connect(follower.local_addr()).unwrap();
+    match direct.query(key, MAX_WINDOW) {
+        Err(WaveError::UnknownKey { .. }) => {}
+        Ok(est) => assert_eq!(est.value, 0.0, "the follower holds unacknowledged bits"),
+        Err(e) => panic!("follower query: {e}"),
+    }
+}
+
+/// A batch the primary refuses never reaches a follower: a follower
+/// only installs bytes a replica holds, and the refused batch is in
+/// none, so a caller that retries counts it once.
+#[test]
+fn a_refused_ingest_reaches_no_follower() {
+    let follower = start_servers(1).remove(0);
+    let (mut client, key) = two_node_client(
+        fake_primary(Some(WaveError::Backpressure { shard: 0 })),
+        &follower,
+    );
 
     let err = client.ingest(key, &[true, true, true][..]).unwrap_err();
     assert!(matches!(err, WaveError::Backpressure { .. }), "{err:?}");
     client.replicate_all();
 
-    let mut direct = Client::connect(follower.local_addr()).unwrap();
-    match direct.query(key, MAX_WINDOW) {
-        Err(WaveError::UnknownKey { .. }) => {}
-        Ok(est) => assert_eq!(est.value, 0.0, "the follower holds refused bits"),
-        Err(e) => panic!("follower query: {e}"),
-    }
+    assert_follower_lacks(&follower, key);
     follower.shutdown();
+}
+
+/// A primary that reads an INGEST and then drops the connection leaves
+/// its outcome unknown. The client returns the transport error instead
+/// of re-sending the batch or shipping it anywhere, so the follower
+/// never holds those bits.
+#[test]
+fn an_ingest_lost_in_flight_is_an_error_not_a_repair() {
+    let follower = start_servers(1).remove(0);
+    let (mut client, key) = two_node_client(fake_primary(None), &follower);
+
+    let err = client.ingest(key, &[true, true, true][..]).unwrap_err();
+    assert!(matches!(err, WaveError::Io(_)), "{err:?}");
+    client.replicate_all();
+
+    assert_follower_lacks(&follower, key);
+    follower.shutdown();
+}
+
+/// Two writers of one key at R=2: each ingests 100 ones and runs a
+/// replication round. The follower installs what the primary holds, so
+/// after the primary is shut down it answers for all 200 ones, not for
+/// the half the last replicator wrote.
+#[test]
+fn two_writers_replicate_without_losing_each_others_bits() {
+    const KEY: u64 = 7;
+    let mut servers = start_servers_at(2, 0.1);
+    let addrs: Vec<SocketAddr> = servers.iter().map(|s| s.local_addr()).collect();
+    let mut writers: Vec<ClusterClient> = (0..2)
+        .map(|_| {
+            let cfg = ClusterConfig {
+                replication: 2,
+                ..Default::default()
+            };
+            ClusterClient::new(addrs.clone(), cfg, std::sync::Arc::new(NoopRecorder)).unwrap()
+        })
+        .collect();
+    for writer in &mut writers {
+        writer.ingest(KEY, &[true; 100][..]).expect("ingest");
+        writer.replicate_all();
+    }
+
+    let [primary, follower] = writers[0].replicas_of(KEY)[..] else {
+        panic!("R=2 places the key on both nodes");
+    };
+    let follower_addr = addrs[follower];
+    servers.remove(primary).shutdown();
+
+    let direct = Client::connect(follower_addr)
+        .unwrap()
+        .query(KEY, MAX_WINDOW);
+    let est = direct.expect("the follower answers");
+    assert!(est.brackets(200), "follower answers {est:?}, truth 200");
+    for writer in &mut writers {
+        let est = writer.query(KEY, MAX_WINDOW).expect("failover read");
+        assert!(est.brackets(200), "failover read {est:?}, truth 200");
+    }
+    for s in servers {
+        s.shutdown();
+    }
+}
+
+/// One writer ingests 100 ones, runs a replication round, then ingests
+/// 100 more. Once the primary dies, the follower is behind the
+/// writer's acknowledged writes, so the writer's read is a typed error
+/// — never the follower's certified-exact `[100, 100]`.
+#[test]
+fn a_follower_behind_acknowledged_writes_never_answers() {
+    const KEY: u64 = 7;
+    let mut servers = start_servers_at(2, 0.1);
+    let addrs = servers.iter().map(|s| s.local_addr()).collect();
+    let cfg = ClusterConfig {
+        replication: 2,
+        ..Default::default()
+    };
+    let mut client = ClusterClient::new(addrs, cfg, std::sync::Arc::new(NoopRecorder)).unwrap();
+    client.ingest(KEY, &[true; 100][..]).expect("ingest");
+    client.replicate_all();
+    client.ingest(KEY, &[true; 100][..]).expect("ingest");
+
+    let primary = client.replicas_of(KEY)[0];
+    servers.remove(primary).shutdown();
+
+    match client.query(KEY, MAX_WINDOW) {
+        Ok(est) => assert!(est.brackets(200), "stale answer {est:?}, truth 200"),
+        Err(e) => assert!(matches!(e, WaveError::Io(_)), "untyped failure {e:?}"),
+    }
+    for s in servers {
+        s.shutdown();
+    }
 }

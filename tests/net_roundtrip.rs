@@ -237,3 +237,34 @@ fn concurrent_clients_share_one_engine() {
         }
     }
 }
+
+/// FETCH answers behind every INGEST sent ahead of it on its
+/// connection, with no FLUSH between them: the bytes it returns are the
+/// key's wave including the batch just sent, and they install on a
+/// second server as the same answers.
+#[test]
+fn fetch_returns_the_bytes_the_ingests_ahead_of_it_built() {
+    let (window, eps) = (128u64, 0.2f64);
+    let primary = server_on_ephemeral(2, window, eps);
+    let follower = server_on_ephemeral(3, window, eps);
+    let mut client = Client::connect(primary.local_addr()).unwrap();
+    let mut to_follower = Client::connect(follower.local_addr()).unwrap();
+    let mut local = DetWave::new(window, eps).unwrap();
+    for round in 0..20u64 {
+        let bits: Vec<bool> = (0..37).map(|i| (i * 7 + round) % 3 != 0).collect();
+        bits.iter().for_each(|&b| local.push_bit(b));
+        client.ingest(IngestRequest::of(5, bits)).unwrap();
+        let (kind, bytes) = client.fetch(5).unwrap();
+        assert_eq!(kind, SynopsisKind::DetWave);
+        assert_eq!(
+            bytes,
+            local.encode(),
+            "round {round}: fetch missed the batch"
+        );
+        to_follower.replicate(5, kind, bytes).unwrap();
+    }
+    for w in [1, window / 2, window] {
+        assert_eq!(to_follower.query(5, w), Ok(local.query(w).unwrap()));
+    }
+    assert_eq!(client.fetch(6), Err(WaveError::UnknownKey { key: 6 }));
+}
