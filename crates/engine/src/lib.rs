@@ -24,7 +24,9 @@
 //!   benchmarking paths);
 //! * queries and snapshots travel through the same per-shard FIFO as
 //!   ingest batches, so a query observes every batch the same caller
-//!   enqueued before it (per-key read-your-writes);
+//!   enqueued before it (per-key read-your-writes). They take no queue
+//!   slot, and [`Engine::submit`] waits for no answer: the shard hands
+//!   it to the request's [`Sink`]. The blocking calls wait on a channel;
 //! * everything reports into `waves-obs`: ingest/query latency
 //!   histograms, queue depth, and per-shard keys/bytes via
 //!   [`Engine::snapshot`];
@@ -60,9 +62,9 @@
 
 use std::collections::{hash_map, HashMap};
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{Sender, TrySendError};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::TrySendError;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -171,11 +173,12 @@ impl IngestRequest {
 pub struct EngineConfig {
     /// Worker threads; keys hash across them. At least 1.
     pub num_shards: usize,
-    /// Bounded per-shard command-queue capacity (ingest batches plus
-    /// in-flight queries). At least 1. It also sets the queue's wake
-    /// rule: a caller blocked on a full queue (blocking ingest, query,
-    /// flush, …) is woken once the worker has drained it to
-    /// `queue_capacity / 2`, and while one is blocked, non-blocking
+    /// Bounded per-shard command-queue capacity, in ingest batches. At
+    /// least 1. Every other command (query, flush, snapshot, install,
+    /// fetch, checkpoint) takes no slot and never waits for room. It
+    /// also sets the queue's wake rule: a blocking ingest parked on a
+    /// full queue is woken once the worker has drained it to
+    /// `queue_capacity / 2`, and while one is parked, non-blocking
     /// ingest into that shard is refused rather than let past it.
     pub queue_capacity: usize,
     /// Maximum queryable window `N` for every per-key synopsis.
@@ -263,11 +266,41 @@ impl EngineConfigBuilder {
     }
 }
 
-/// Commands a shard worker consumes from its bounded queue. A traced
-/// batch or query carries its queue-wait span, opened at enqueue; the
-/// worker closes it as the shard span opens.
+/// Where a shard's answer goes: called once, on the thread of the shard
+/// that answered (the last one, for a request to every shard).
+pub type Sink<T> = Box<dyn FnOnce(T) + Send>;
+
+/// A request that waits on the shard owning its key, or on every shard,
+/// with the sink its answer goes to: what [`Engine::submit`] takes. Each
+/// variant is the blocking call of its name (`Query` is
+/// [`Engine::query_traced`], `Fetch` [`Engine::synopsis_bytes`]).
+pub enum ShardRequest {
+    Query {
+        key: Key,
+        window: u64,
+        ctx: TraceCtx,
+        reply: Sink<Result<Estimate, WaveError>>,
+    },
+    Flush(Sink<()>),
+    Snapshot(Sink<EngineSnapshot>),
+    Install {
+        key: Key,
+        bytes: Vec<u8>,
+        reply: Sink<Result<(), WaveError>>,
+    },
+    Fetch {
+        key: Key,
+        reply: Sink<Result<Vec<u8>, WaveError>>,
+    },
+    Checkpoint(Sink<Result<(), WaveError>>),
+}
+
+/// Commands a shard worker consumes from its queue: an ingest batch (the
+/// one command that takes a queue slot) or its part of a
+/// [`ShardRequest`]. A traced batch or query carries its queue-wait span,
+/// opened at enqueue and closed as the shard span opens; a query carries
+/// when it was submitted, for `engine_query_ns`.
 enum Cmd {
-    /// A per-shard sub-batch of ingest events.
     Batch {
         batch: Vec<KeyedBits>,
         queued: Option<OpenSpan>,
@@ -275,36 +308,21 @@ enum Cmd {
     Query {
         key: Key,
         window: u64,
-        reply: Sender<Result<Estimate, WaveError>>,
+        reply: Sink<Result<Estimate, WaveError>>,
         queued: Option<OpenSpan>,
+        started: Option<Instant>,
     },
-    Snapshot {
-        reply: Sender<ShardSnapshot>,
-    },
-    /// A barrier: replied to once everything enqueued before it has
-    /// been applied.
-    Flush {
-        reply: Sender<()>,
-    },
-    /// Durably checkpoint the shard's synopses (no-op without
-    /// persistence), replying with the outcome.
-    Checkpoint {
-        reply: Sender<Result<(), WaveError>>,
-    },
-    /// Install one key's synopsis from its encoded bytes, replacing any
-    /// local state for that key that is not newer — the follower half of
-    /// cluster replication. The bytes stay opaque until the worker
-    /// decodes them with [`waves_core::Synopsis::decode_synopsis`].
+    Snapshot(Sink<ShardSnapshot>),
+    Flush(Sink<()>),
+    Checkpoint(Sink<Result<(), WaveError>>),
     Install {
         key: Key,
         bytes: Vec<u8>,
-        reply: Sender<Result<(), WaveError>>,
+        reply: Sink<Result<(), WaveError>>,
     },
-    /// One key's synopsis `encode()` bytes — the source half of cluster
-    /// replication.
     Fetch {
         key: Key,
-        reply: Sender<Result<Vec<u8>, WaveError>>,
+        reply: Sink<Result<Vec<u8>, WaveError>>,
     },
 }
 
@@ -375,21 +393,14 @@ impl EngineSnapshot {
 }
 
 struct ShardHandle {
-    tx: Option<queue::Sender<Cmd>>,
-    /// Ingest batches enqueued but not yet applied by the worker.
-    depth: Arc<AtomicUsize>,
-    worker: Option<JoinHandle<()>>,
-}
-
-impl ShardHandle {
-    fn tx(&self) -> &queue::Sender<Cmd> {
-        self.tx.as_ref().expect("sender live until Drop")
-    }
+    tx: queue::Sender<Cmd>,
+    worker: JoinHandle<()>,
 }
 
 /// The sharded serving engine. See the crate docs for the design; the
 /// API surface is `new` / `ingest` (one [`IngestRequest`] entry point) /
-/// `query` / `flush` / `snapshot` / `checkpoint`.
+/// `submit` (one [`ShardRequest`] entry point) and its blocking forms
+/// `query` / `flush` / `snapshot` / `checkpoint` / ….
 ///
 /// `S` is the per-key synopsis type, `R` the observability sink
 /// ([`NoopRecorder`] by default — zero-cost when disabled, as
@@ -526,8 +537,6 @@ where
                 _ => (HashMap::new(), None),
             };
             let (tx, rx) = queue::bounded::<Cmd>(capacity);
-            let depth = Arc::new(AtomicUsize::new(0));
-            let worker_depth = Arc::clone(&depth);
             let worker_factory = Arc::clone(&factory);
             let worker_rec = Arc::clone(&rec);
             let worker_crashed = Arc::clone(&crashed);
@@ -537,7 +546,6 @@ where
                     shard_worker(
                         shard,
                         rx,
-                        worker_depth,
                         worker_factory,
                         worker_rec,
                         initial_keys,
@@ -546,11 +554,7 @@ where
                     )
                 })
                 .expect("spawn shard worker");
-            shards.push(ShardHandle {
-                tx: Some(tx),
-                depth,
-                worker: Some(worker),
-            });
+            shards.push(ShardHandle { tx, worker });
         }
         Ok(Engine {
             cfg,
@@ -608,26 +612,22 @@ where
         ctx: TraceCtx,
         blocking: bool,
     ) -> Result<(), WaveError> {
-        // Count the batch in *before* sending so the worker's decrement
-        // can never race ahead of the increment and wrap the counter.
-        let depth = self.shards[shard].depth.fetch_add(1, Ordering::Relaxed) + 1;
         let cmd = Cmd::Batch {
             batch,
             queued: OpenSpan::open(ctx, Stage::Queue, &*self.rec),
         };
-        let tx = self.shards[shard].tx();
+        let tx = &self.shards[shard].tx;
         let sent = match blocking {
             true => tx.send(cmd).map_err(|e| TrySendError::Disconnected(e.0)),
             false => tx.try_send(cmd),
         };
         match sent {
-            Ok(()) => {
+            Ok(depth) => {
                 self.rec.observe(HistId::EngineQueueDepth, depth as u64);
                 Ok(())
             }
             Err(TrySendError::Full(Cmd::Batch { batch, .. })) => {
                 let items: u64 = batch.iter().map(|(_, bits)| bits.len()).sum();
-                self.shards[shard].depth.fetch_sub(1, Ordering::Relaxed);
                 self.backpressure_events.fetch_add(1, Ordering::Relaxed);
                 self.rec.incr(MetricId::EngineBackpressureEvents, 1);
                 self.rec.incr(MetricId::EngineItemsDropped, items);
@@ -638,34 +638,88 @@ where
         }
     }
 
-    /// Send `shard` the command `cmd` builds around a reply channel and
-    /// wait for the reply. The command travels the shard's FIFO behind
-    /// everything enqueued before it.
-    fn call<T>(&self, shard: usize, cmd: impl FnOnce(Sender<T>) -> Cmd) -> T {
-        let (tx, rx) = std::sync::mpsc::channel();
-        self.shards[shard]
-            .tx()
-            .send(cmd(tx))
-            .expect("worker lives until Drop");
-        rx.recv().expect("worker replies before exiting")
+    /// Send every shard the command `cmd` builds around a reply sink, and
+    /// hand `done` the answers, in shard order, once the last one is in —
+    /// on the thread of the shard that answered last.
+    fn broadcast<T: Send + 'static>(
+        &self,
+        cmd: impl Fn(Sink<T>) -> Cmd,
+        done: impl FnOnce(Vec<T>) + Send + 'static,
+    ) {
+        let shards = self.shards.len();
+        let tally = Arc::new(Mutex::new((Vec::with_capacity(shards), Some(done))));
+        for shard in 0..shards {
+            let tally = Arc::clone(&tally);
+            let reply: Sink<T> = Box::new(move |answer| {
+                let mut tally = tally
+                    .lock()
+                    .expect("nothing that panics runs under the lock");
+                tally.0.push((shard, answer));
+                if tally.0.len() == shards {
+                    let mut answers = std::mem::take(&mut tally.0);
+                    let done = tally.1.take().expect("the last shard answers once");
+                    drop(tally);
+                    answers.sort_unstable_by_key(|&(shard, _)| shard);
+                    done(answers.into_iter().map(|(_, answer)| answer).collect());
+                }
+            });
+            self.shards[shard].tx.append(cmd(reply));
+        }
     }
 
-    /// [`Engine::call`] on every shard at once: all commands are sent
-    /// before any reply is awaited. Replies come back in shard order.
-    fn broadcast<T>(&self, cmd: impl Fn(Sender<T>) -> Cmd) -> Vec<T> {
-        let replies: Vec<_> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let (tx, rx) = std::sync::mpsc::channel();
-                shard.tx().send(cmd(tx)).expect("worker lives until Drop");
-                rx
-            })
-            .collect();
-        replies
-            .into_iter()
-            .map(|rx| rx.recv().expect("worker replies before exiting"))
-            .collect()
+    /// The non-blocking entry point for every request that waits on a
+    /// shard: enqueue `req` and return; its sink gets the answer. `req`
+    /// takes no queue slot, so it goes in at once behind everything
+    /// queued, however full, and observes every batch enqueued before
+    /// the call. The caller bounds how many it has outstanding.
+    pub fn submit(&self, req: ShardRequest) {
+        let (key, cmd) = match req {
+            ShardRequest::Query {
+                key,
+                window,
+                ctx,
+                reply,
+            } => {
+                let cmd = Cmd::Query {
+                    key,
+                    window,
+                    reply,
+                    queued: OpenSpan::open(ctx, Stage::Queue, &*self.rec),
+                    started: self.rec.enabled().then(Instant::now),
+                };
+                (key, cmd)
+            }
+            ShardRequest::Install { key, bytes, reply } => {
+                (key, Cmd::Install { key, bytes, reply })
+            }
+            ShardRequest::Fetch { key, reply } => (key, Cmd::Fetch { key, reply }),
+            ShardRequest::Flush(reply) => return self.broadcast(Cmd::Flush, |_| reply(())),
+            ShardRequest::Checkpoint(reply) => {
+                return self.broadcast(Cmd::Checkpoint, |outcomes| {
+                    reply(outcomes.into_iter().collect())
+                })
+            }
+            ShardRequest::Snapshot(reply) => {
+                let dropped_items = self.dropped_items.load(Ordering::Relaxed);
+                let backpressure_events = self.backpressure_events.load(Ordering::Relaxed);
+                return self.broadcast(Cmd::Snapshot, move |shards| {
+                    reply(EngineSnapshot {
+                        shards,
+                        dropped_items,
+                        backpressure_events,
+                    })
+                });
+            }
+        };
+        self.shards[self.shard_of(key)].tx.append(cmd);
+    }
+
+    /// [`Engine::submit`] the request `req` builds around a channel, and
+    /// wait for the answer.
+    fn wait<T: Send + 'static>(&self, req: impl FnOnce(Sink<T>) -> ShardRequest) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        self.submit(req(Box::new(move |answer| tx.send(answer).unwrap_or(()))));
+        rx.recv().expect("worker replies before exiting")
     }
 
     /// The single ingest entry point: deliver every entry of `req`,
@@ -676,8 +730,8 @@ where
     /// entire sub-batch — the shed item count lands in
     /// [`Engine::dropped_items`] and the first failing shard's
     /// [`WaveError::Backpressure`] is returned — while sub-batches for
-    /// healthy shards are still delivered. A queue that a blocked caller
-    /// is waiting on counts as full until it has drained to half.
+    /// healthy shards are still delivered. A queue that a blocking ingest
+    /// is parked on counts as full until it has drained to half.
     ///
     /// With [`IngestRequest::blocking`], waits for queue space instead
     /// (the lossless replay path used by the CLI and benches) and always
@@ -737,24 +791,18 @@ where
         window: u64,
         ctx: TraceCtx,
     ) -> Result<Estimate, WaveError> {
-        let started = self.rec.enabled().then(Instant::now);
-        let res = self.call(self.shard_of(key), |reply| Cmd::Query {
+        self.wait(|reply| ShardRequest::Query {
             key,
             window,
+            ctx,
             reply,
-            queued: OpenSpan::open(ctx, Stage::Queue, &*self.rec),
-        });
-        if let Some(t0) = started {
-            self.rec
-                .observe(HistId::EngineQueryNs, t0.elapsed().as_nanos() as u64);
-        }
-        res
+        })
     }
 
     /// Barrier: returns once every shard has applied everything enqueued
     /// before this call.
     pub fn flush(&self) {
-        self.broadcast(|reply| Cmd::Flush { reply });
+        self.wait(ShardRequest::Flush)
     }
 
     /// Collect a point-in-time snapshot: per-shard key counts, resident
@@ -763,11 +811,7 @@ where
     /// key, so treat it as an operator-frequency operation, not a
     /// hot-path one.
     pub fn snapshot(&self) -> EngineSnapshot {
-        EngineSnapshot {
-            shards: self.broadcast(|reply| Cmd::Snapshot { reply }),
-            dropped_items: self.dropped_items.load(Ordering::Relaxed),
-            backpressure_events: self.backpressure_events.load(Ordering::Relaxed),
-        }
+        self.wait(ShardRequest::Snapshot)
     }
 
     /// Install `key`'s synopsis from its encoded bytes (a synopsis's
@@ -791,11 +835,7 @@ where
     /// Undecodable bytes fail with an `InvalidData` [`WaveError::Io`]
     /// and leave the key's previous state untouched.
     pub fn install_synopsis(&self, key: Key, bytes: Vec<u8>) -> Result<(), WaveError> {
-        self.call(self.shard_of(key), |reply| Cmd::Install {
-            key,
-            bytes,
-            reply,
-        })
+        self.wait(|reply| ShardRequest::Install { key, bytes, reply })
     }
 
     /// `key`'s synopsis `encode()` bytes — what a follower installs
@@ -803,7 +843,7 @@ where
     /// FIFO, so the bytes cover every batch enqueued before the call.
     /// Returns [`WaveError::UnknownKey`] for never-seen keys.
     pub fn synopsis_bytes(&self, key: Key) -> Result<Vec<u8>, WaveError> {
-        self.call(self.shard_of(key), |reply| Cmd::Fetch { key, reply })
+        self.wait(|reply| ShardRequest::Fetch { key, reply })
     }
 
     /// Durably checkpoint every shard: each worker serializes all of its
@@ -814,9 +854,7 @@ where
     /// no-op; with persistence it returns the first shard's error, e.g.
     /// after a WAL write failure disabled durability on a shard.
     pub fn checkpoint(&self) -> Result<(), WaveError> {
-        self.broadcast(|reply| Cmd::Checkpoint { reply })
-            .into_iter()
-            .collect()
+        self.wait(ShardRequest::Checkpoint)
     }
 }
 
@@ -826,13 +864,11 @@ where
     R: Recorder + Send + Sync + ?Sized + 'static,
 {
     fn drop(&mut self) {
-        for shard in &mut self.shards {
-            shard.tx = None; // close the queue; the worker drains and exits
-        }
-        for shard in &mut self.shards {
-            if let Some(worker) = shard.worker.take() {
-                worker.join().ok();
-            }
+        // Close every queue before joining any worker, so they drain in
+        // parallel and exit.
+        let workers: Vec<_> = self.shards.drain(..).map(|shard| shard.worker).collect();
+        for worker in workers {
+            worker.join().ok();
         }
     }
 }
@@ -894,7 +930,6 @@ fn family_of(key: Key) -> usize {
 fn shard_worker<S, R, F>(
     shard: usize,
     rx: queue::Receiver<Cmd>,
-    depth: Arc<AtomicUsize>,
     factory: Arc<F>,
     rec: Arc<R>,
     initial_keys: HashMap<Key, S>,
@@ -912,7 +947,6 @@ fn shard_worker<S, R, F>(
     while let Ok(cmd) = rx.recv() {
         match cmd {
             Cmd::Batch { batch, queued } => {
-                depth.fetch_sub(1, Ordering::Relaxed);
                 let span = execute(queued);
                 let wal_ctx = span.map_or(TraceCtx::NONE, OpenSpan::ctx);
                 let started = rec.enabled().then(Instant::now);
@@ -968,6 +1002,7 @@ fn shard_worker<S, R, F>(
                 window,
                 reply,
                 queued,
+                started,
             } => {
                 let span = execute(queued);
                 let res = match keys.get(&key) {
@@ -976,21 +1011,24 @@ fn shard_worker<S, R, F>(
                 };
                 rec.incr(MetricId::EngineQueriesServed, 1);
                 rec.incr_shard(shard, ShardStat::Queries, 1);
+                if let Some(t0) = started {
+                    rec.observe(HistId::EngineQueryNs, t0.elapsed().as_nanos() as u64);
+                }
                 // Close the span before replying so a caller that
                 // inspects the ring right after the reply sees it.
                 if let Some(span) = span {
                     span.end(rec.as_ref());
                 }
-                let _ = reply.send(res);
+                reply(res);
             }
-            Cmd::Snapshot { reply } => {
+            Cmd::Snapshot(reply) => {
                 let mut snap = ShardSnapshot {
                     shard,
                     keys: keys.len(),
                     resident_bytes: 0,
                     synopsis_bits: 0,
                     entries: 0,
-                    queue_depth: depth.load(Ordering::Relaxed),
+                    queue_depth: rx.slots(),
                 };
                 for synopsis in keys.values() {
                     let r = synopsis.space_report();
@@ -998,12 +1036,10 @@ fn shard_worker<S, R, F>(
                     snap.synopsis_bits += r.synopsis_bits;
                     snap.entries += r.entries;
                 }
-                let _ = reply.send(snap);
+                reply(snap);
             }
-            Cmd::Flush { reply } => {
-                let _ = reply.send(());
-            }
-            Cmd::Checkpoint { reply } => {
+            Cmd::Flush(reply) => reply(()),
+            Cmd::Checkpoint(reply) => {
                 let res = match persist.as_mut() {
                     Some(p) => p
                         .write_checkpoint(&keys, rec.as_ref())
@@ -1013,7 +1049,7 @@ fn shard_worker<S, R, F>(
                     ))),
                     None => Ok(()), // persistence never configured: no-op
                 };
-                let _ = reply.send(res);
+                reply(res);
             }
             Cmd::Install { key, bytes, reply } => {
                 let res = match S::decode_synopsis(&bytes) {
@@ -1029,14 +1065,14 @@ fn shard_worker<S, R, F>(
                     }
                     Err(e) => Err(invalid_data(format!("synopsis install for key {key}: {e}"))),
                 };
-                let _ = reply.send(res);
+                reply(res);
             }
             Cmd::Fetch { key, reply } => {
                 let res = match keys.get(&key) {
                     Some(synopsis) => Ok(synopsis.encode_synopsis()),
                     None => Err(WaveError::UnknownKey { key }),
                 };
-                let _ = reply.send(res);
+                reply(res);
             }
         }
     }
@@ -1279,6 +1315,38 @@ mod tests {
         let snap = engine.snapshot();
         assert!(snap.backpressure_events >= 1);
         assert_eq!(snap.dropped_items, engine.dropped_items());
+    }
+
+    /// A query and a flush wait for no room: issued while the one slot
+    /// of a busy shard's queue is taken, each goes in behind the queued
+    /// batches and answers with all of them applied.
+    #[test]
+    fn a_query_and_a_flush_pass_a_full_queue_and_answer() {
+        const N: u64 = 1 << 20;
+        let cfg = EngineConfig::builder()
+            .num_shards(1)
+            .queue_capacity(1)
+            .max_window(N)
+            .eps(0.01)
+            .build();
+        let engine = Engine::new(cfg).unwrap();
+        let mut oracle = DetWave::new(N, 0.01).unwrap();
+        let big = Bits::from(lcg_bits(5, 1 << 20, 2, 1));
+        oracle.push_words(big.as_ref());
+        engine
+            .ingest(IngestRequest::batch(vec![(0, big)]).blocking(true))
+            .unwrap();
+        let small = Bits::from_bools(&[true, false, true]);
+        if engine
+            .ingest(IngestRequest::batch(vec![(0, small.clone())]))
+            .is_ok()
+        {
+            oracle.push_words(small.as_ref());
+        }
+        assert_eq!(engine.query(0, N).unwrap(), oracle.query(N).unwrap());
+        engine.flush();
+        assert_eq!(engine.snapshot().shards[0].queue_depth, 0);
+        assert_eq!(engine.query(0, 100).unwrap(), oracle.query(100).unwrap());
     }
 
     #[test]

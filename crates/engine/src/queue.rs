@@ -5,24 +5,32 @@
 //! it pays its wake-ups per drain, not per command:
 //!
 //! * **Producers.** A producer parked on a full queue is notified once
-//!   the worker has popped the queue down to `len <= cap / 2`, not on
+//!   the worker has popped the queue down to `cap / 2` slots, not on
 //!   every pop, so a blocking producer refills about `cap / 2` slots per
 //!   wake-up instead of one.
 //! * **The worker** is notified only while it is parked, and the
 //!   producer that notifies clears the flag, so a burst of sends into an
 //!   idle shard costs one wake-up.
-//! * **No overtaking.** While any producer is parked, nothing else is
-//!   admitted: [`Sender::try_send`] reports `Full` and a new
+//! * **No overtaking.** While any producer is parked, no other slot
+//!   taker is admitted: [`Sender::try_send`] reports `Full` and a new
 //!   [`Sender::send`] parks too. So a parked send is admitted after at
 //!   most `⌈cap/2⌉` pops (as long as no more than `⌈cap/2⌉` sends are
 //!   parked with it), however hard other callers retry.
 //!
+//! **Only ingest batches take a slot.** Items sent with `send` or
+//! `try_send` — the engine's ingest batches, which the cap exists to
+//! shed — hold one of the `cap` slots until popped. Every other command
+//! goes in through [`Sender::append`]: at once, behind everything
+//! queued, never parked and never refused, so the event loop never
+//! blocks on a full shard. Their callers bound them (the TCP server's
+//! per-connection in-flight cap).
+//!
 //! The rest is a bounded channel's contract: FIFO order, never more than
-//! `cap` queued, `try_send` refusing at `cap`, the receiver draining
+//! `cap` slots taken, `try_send` refusing at `cap`, the receiver draining
 //! what is queued after the sender drops and only then reporting `Err`,
 //! and a dropped receiver failing every send, parked ones included, and
-//! dropping what was queued (closing the reply channels of commands no
-//! worker will run). The mutex is held for one push or one pop; the
+//! dropping what was queued, reply sinks of commands no worker will run
+//! included. The mutex is held for one push or one pop; the
 //! shard's state stays owned by its worker and takes no lock.
 
 use std::collections::VecDeque;
@@ -36,6 +44,7 @@ pub(crate) fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
     let queue = Arc::new(Queue {
         state: Mutex::new(State {
             items: VecDeque::with_capacity(cap),
+            slots: 0,
             parked: 0,
             wake_owed: false,
             worker_parked: false,
@@ -59,12 +68,15 @@ struct Queue<T> {
 }
 
 struct State<T> {
-    items: VecDeque<T>,
+    /// Queued items, oldest first, each with whether it holds a slot.
+    items: VecDeque<(T, bool)>,
+    /// Queued items that hold a slot: at most `cap`.
+    slots: usize,
     /// Producers inside [`Sender::send`]'s wait. While any is, nothing
     /// else is admitted.
     parked: usize,
     /// A producer went to wait after the last half-drain notification:
-    /// the next pop that leaves `len <= cap / 2` owes one.
+    /// the next pop that leaves `slots <= cap / 2` owes one.
     wake_owed: bool,
     /// The worker waits on `not_empty`; cleared by whoever notifies it.
     worker_parked: bool,
@@ -84,15 +96,18 @@ impl<T> Queue<T> {
         cv.wait(st).unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Append `item` and wake the worker if it is parked, notifying
-    /// after the lock is released so it does not wake into a held mutex.
-    fn push(&self, mut st: MutexGuard<'_, State<T>>, item: T) {
-        st.items.push_back(item);
-        let wake = std::mem::take(&mut st.worker_parked);
+    /// Append `item`, holding a slot or not, and wake the worker if it
+    /// is parked, notifying after the lock is released so it does not
+    /// wake into a held mutex. Returns the slots now taken.
+    fn push(&self, mut st: MutexGuard<'_, State<T>>, item: T, slot: bool) -> usize {
+        st.items.push_back((item, slot));
+        st.slots += usize::from(slot);
+        let (slots, wake) = (st.slots, std::mem::take(&mut st.worker_parked));
         drop(st);
         if wake {
             self.not_empty.notify_one();
         }
+        slots
     }
 }
 
@@ -100,32 +115,33 @@ impl<T> Queue<T> {
 pub(crate) struct Sender<T>(Arc<Queue<T>>);
 
 impl<T> Sender<T> {
-    /// Enqueue without waiting: `Full` at `cap` queued, or while any
-    /// blocking [`Sender::send`] is parked (it goes first).
-    pub(crate) fn try_send(&self, item: T) -> Result<(), TrySendError<T>> {
+    /// Enqueue without waiting: `Full` at `cap` slots taken, or while any
+    /// blocking [`Sender::send`] is parked (it goes first). Returns the
+    /// slots now taken.
+    pub(crate) fn try_send(&self, item: T) -> Result<usize, TrySendError<T>> {
         let q = &*self.0;
         let st = q.lock();
         if st.receiver_gone {
             return Err(TrySendError::Disconnected(item));
         }
-        if st.parked > 0 || st.items.len() >= q.cap {
+        if st.parked > 0 || st.slots >= q.cap {
             return Err(TrySendError::Full(item));
         }
-        q.push(st, item);
-        Ok(())
+        Ok(q.push(st, item, true))
     }
 
     /// Enqueue, parking while the queue is full or another send is
-    /// parked. Fails only once the receiver is gone.
-    pub(crate) fn send(&self, item: T) -> Result<(), SendError<T>> {
+    /// parked. Fails only once the receiver is gone; returns the slots
+    /// now taken.
+    pub(crate) fn send(&self, item: T) -> Result<usize, SendError<T>> {
         let q = &*self.0;
         let mut st = q.lock();
-        if !st.receiver_gone && (st.parked > 0 || st.items.len() >= q.cap) {
+        if !st.receiver_gone && (st.parked > 0 || st.slots >= q.cap) {
             st.parked += 1;
             loop {
                 st.wake_owed = true;
                 st = q.wait(&q.not_full, st);
-                if st.receiver_gone || st.items.len() < q.cap {
+                if st.receiver_gone || st.slots < q.cap {
                     break;
                 }
             }
@@ -134,8 +150,17 @@ impl<T> Sender<T> {
         if st.receiver_gone {
             return Err(SendError(item));
         }
-        q.push(st, item);
-        Ok(())
+        Ok(q.push(st, item, true))
+    }
+
+    /// Enqueue at once behind everything queued, taking no slot: never
+    /// parks, never refused. Once the receiver is gone, `item` is
+    /// dropped.
+    pub(crate) fn append(&self, item: T) {
+        let st = self.0.lock();
+        if !st.receiver_gone {
+            self.0.push(st, item, false);
+        }
     }
 }
 
@@ -154,14 +179,20 @@ impl<T> Drop for Sender<T> {
 pub(crate) struct Receiver<T>(Arc<Queue<T>>);
 
 impl<T> Receiver<T> {
+    /// Queued items that hold a slot.
+    pub(crate) fn slots(&self) -> usize {
+        self.0.lock().slots
+    }
+
     /// The oldest queued item, parking while the queue is empty; `Err`
     /// once the sender is gone and the queue is drained.
     pub(crate) fn recv(&self) -> Result<T, RecvError> {
         let q = &*self.0;
         let mut st = q.lock();
         loop {
-            if let Some(item) = st.items.pop_front() {
-                let wake = st.wake_owed && st.items.len() <= q.cap / 2;
+            if let Some((item, slot)) = st.items.pop_front() {
+                st.slots -= usize::from(slot);
+                let wake = st.wake_owed && st.slots <= q.cap / 2;
                 if wake {
                     st.wake_owed = false;
                 }
@@ -189,7 +220,7 @@ impl<T> Drop for Receiver<T> {
         let queued = std::mem::take(&mut st.items);
         drop(st);
         self.0.not_full.notify_all();
-        // Outside the lock: dropping a command closes its reply channel.
+        // Outside the lock: dropping a command drops its reply sink.
         drop(queued);
     }
 }
@@ -225,7 +256,11 @@ mod tests {
             std::thread::scope(|s| {
                 for p in 0..2 {
                     let tx = &tx;
-                    s.spawn(move || (0..PER).for_each(|i| tx.send((p, i)).unwrap()));
+                    s.spawn(move || {
+                        (0..PER).for_each(|i| {
+                            tx.send((p, i)).unwrap();
+                        })
+                    });
                 }
                 (0..2 * PER).map(|_| rx.recv().unwrap()).collect::<Vec<_>>()
             })
@@ -290,6 +325,34 @@ mod tests {
         assert!(tx.0.lock().items.is_empty(), "queued items were dropped");
     }
 
+    /// At its cap, with a producer parked and no worker draining, the
+    /// queue still takes an appended item at once — behind what is
+    /// queued, ahead of the parked send — while a slot taker is still
+    /// refused. The appended item frees no slot when popped.
+    #[test]
+    fn an_appended_item_enters_a_full_queue_at_once() {
+        let (tx, rx) = bounded(2);
+        tx.try_send(0).unwrap();
+        tx.try_send(1).unwrap();
+        let tx = Arc::new(tx);
+        let producer = {
+            let tx = Arc::clone(&tx);
+            std::thread::spawn(move || tx.send(2))
+        };
+        until(&tx.0, |st| st.parked == 1);
+        let appender = Arc::clone(&tx);
+        within("append into a full queue", move || appender.append(10));
+        assert!(matches!(tx.try_send(3), Err(TrySendError::Full(3))));
+        assert_eq!(tx.0.lock().slots, 2);
+        // Popping 0 leaves one slot taken, which is half: the parked
+        // send goes in behind the appended item.
+        assert_eq!(rx.recv(), Ok(0));
+        within("parked send", move || producer.join().unwrap()).unwrap();
+        let rest: Vec<u32> = (0..3).map(|_| rx.recv().unwrap()).collect();
+        assert_eq!(rest, [1, 10, 2]);
+        assert_eq!(tx.0.lock().slots, 0);
+    }
+
     /// A parked send goes in after `⌈cap/2⌉` pops, and a `try_send` loop
     /// running all the while is refused until it has. A queue that let
     /// any free slot go to whoever asks first would let the loop's item
@@ -318,7 +381,7 @@ mod tests {
             let (tx, refusals) = (Arc::clone(&tx), Arc::clone(&refusals));
             std::thread::spawn(move || loop {
                 match tx.try_send(LATE) {
-                    Ok(()) => return,
+                    Ok(_) => return,
                     Err(TrySendError::Full(_)) => refusals.fetch_add(1, Ordering::Relaxed),
                     Err(TrySendError::Disconnected(_)) => unreachable!("receiver lives"),
                 };

@@ -17,14 +17,14 @@
 //!   verbatim, so the compact codecs of `waves-core` / `waves-eh`
 //!   round-trip the network byte-for-byte (property-tested below).
 //! * [`server`] — [`Server`]: a single epoll event-loop thread (the
-//!   vendored `poll` crate) owning every socket non-blockingly. A
-//!   request that cannot block — ingest, ping, the referee's pushes
-//!   and combines, shutdown — is served on that thread; the ingests
-//!   one pass over a connection's buffered bytes decodes reach each
-//!   shard as one engine batch. Only requests that wait on a shard
-//!   worker's reply (query, flush, snapshot, stats, replicate, fetch)
-//!   cross to a small dispatch pool. Everything a readiness cycle
-//!   produced leaves in one `write` per connection. [`Frame::PushSynopsis`],
+//!   vendored `poll` crate) owning every socket non-blockingly, beside
+//!   the engine's shard threads and no other. Every request starts on
+//!   the loop; the ingests one pass over a connection's buffered bytes
+//!   decodes reach each shard as one engine batch, and a request that
+//!   needs a shard (query, flush, snapshot, replicate, fetch) is
+//!   submitted to it and completes back on the loop. Everything a
+//!   readiness cycle produced leaves in one `write` per connection.
+//!   [`Frame::PushSynopsis`],
 //!   [`Frame::PushDelta`] and [`Frame::Combine`] are one call each on
 //!   the one referee, [`waves_distributed::MonitorReferee`], so its
 //!   sequence dedupe (retries and late reordered deltas cannot roll it

@@ -12,17 +12,18 @@
 //! in a bounded per-connection out-buffer until the socket accepts
 //! them — possibly out of request order.
 //!
-//! The rule for where a request runs is one sentence: *work that cannot
-//! block is done where the bytes are, and everything a pass produced
-//! leaves in one piece.* INGEST, PING, PUSH_SYNOPSIS, PUSH_DELTA,
-//! COMBINE and SHUTDOWN run to completion on the loop thread, in
-//! arrival order. QUERY, FLUSH, SNAPSHOT, STATS, REPLICATE and FETCH
-//! wait on a shard worker's reply, so they cross to a small pool of
-//! dispatch workers and a slow engine operation never stalls the loop; a worker
-//! hands the encoded reply back over a completion channel and pokes the
-//! loop's waker once per drain, not once per reply. Every reply, served
-//! or gathered, is encoded through the same `answer`, so a request's
-//! telemetry does not depend on where it ran.
+//! Every request starts on the loop thread, in arrival order, in the
+//! pass that decodes it, and the loop never waits on a shard. PING,
+//! PUSH_SYNOPSIS, PUSH_DELTA, COMBINE, STATS and SHUTDOWN are answered
+//! there and then. QUERY, FLUSH, SNAPSHOT, REPLICATE and FETCH need a
+//! shard: the loop hands each to [`Engine::submit`] with a completion and
+//! moves on, and the shard that answers pushes the reply frame onto the
+//! loop's completion channel, poking the loop's waker once per drain,
+//! not once per reply — one hop to the shard and one back. Every reply,
+//! answered, gathered or completed, is encoded on the loop through the
+//! same `Conn::answer`, so a request's telemetry and the write-queue
+//! check do not depend on where it ran. The server runs no thread but
+//! the loop and the engine's shard workers.
 //!
 //! INGEST is gathered rather than served one by one: the INGEST frames
 //! one pass over a connection's read buffer decodes are grouped into
@@ -32,7 +33,7 @@
 //! reply: `Ok`, or BACKPRESSURE naming the lowest shard among its own
 //! that refused its sub-batch (`ingest_reply`). The gathered
 //! sub-batches are submitted before any other frame of that connection
-//! is served or handed to the pool, and at the end of the pass. A
+//! is answered or submitted, and at the end of the pass. A
 //! traced INGEST (nonzero trace id, on a recorder that keeps traces)
 //! joins the gather too, which holds at most one: its Dispatch span
 //! opens when it is decoded, every sub-batch it touched carries that
@@ -41,7 +42,7 @@
 //! its untraced neighbours share its batches.
 //!
 //! One cycle of the loop is: read one chunk from each readable
-//! connection and serve what it completes, absorb what the pool
+//! connection and serve what it completes, absorb what the shards
 //! finished, then `write` each connection that gained replies once — a
 //! pipelined window of 32 INGESTs costs `epoll_wait` + `read` + one
 //! queue send per shard + `write`, not 32 of each.
@@ -50,13 +51,13 @@
 //! decoded ahead of a non-INGEST frame is on its shard's queue before
 //! that frame starts, a request sent behind an INGEST on the same
 //! connection observes it. Replies carry no such order: a loop-served
-//! reply may overtake a pool-served one, and the correlation id pairs
-//! them.
+//! reply may overtake a shard's, and the correlation id pairs them.
 //!
 //! Backpressure is explicit at both ends: a connection with
-//! [`ServerConfig::max_inflight`] requests handed to the pool and not
-//! yet answered has its read interest dropped until replies drain, and
-//! one whose out-buffer would exceed [`ServerConfig::max_write_queue`]
+//! [`ServerConfig::max_inflight`] requests awaiting a shard (which no
+//! shard queue counts against its capacity) has its read interest
+//! dropped until replies drain, and one whose out-buffer would exceed
+//! [`ServerConfig::max_write_queue`]
 //! bytes (a slow or stalled reader) is evicted rather than buffered
 //! without bound — every reply, wherever it was produced, passes that
 //! one check.
@@ -64,7 +65,7 @@
 //! Shutdown ([`Server::shutdown`], a client [`Frame::Shutdown`], or
 //! [`Drop`]) flips the stop flag and wakes the loop, which turns the
 //! same loop into a drain: it stops accepting and reading, lets
-//! in-flight dispatches complete, and flushes out-buffers under a
+//! requests awaiting a shard complete, and flushes out-buffers under a
 //! bounded [`ServerConfig::drain_deadline`] before closing every socket
 //! — so dropping a `Server` cannot leak threads, file descriptors, or
 //! the bound port, and a replied shutdown frame actually reaches its
@@ -82,7 +83,7 @@ use std::time::{Duration, Instant};
 use poll::{Events, Interest, Poller, Token, Waker};
 use waves_core::{DetWave, WaveError};
 use waves_distributed::{MonitorDelta, MonitorReferee};
-use waves_engine::{Engine, EngineConfig, IngestRequest, KeyedBits};
+use waves_engine::{Engine, EngineConfig, IngestRequest, KeyedBits, ShardRequest};
 use waves_obs::trace::{OpenSpan, Stage, TraceCtx, TraceId, ROOT_SPAN_ID};
 use waves_obs::{HistId, MetricId, NoopRecorder, Recorder};
 
@@ -103,26 +104,23 @@ pub struct ServerConfig {
     /// and immediately closed (the kernel backlog would otherwise hold
     /// them in limbo). Sized under the process fd limit by default.
     pub max_connections: usize,
-    /// Pipelining depth: requests a single connection may have handed
-    /// to the dispatch pool and not yet answered (requests served on
-    /// the loop thread are answered within the pass that decodes them
-    /// and never count). At the cap the loop stops reading from that
-    /// connection until replies drain.
+    /// Pipelining depth: requests a single connection may have awaiting
+    /// a shard (requests answered on the loop thread are answered within
+    /// the pass that decodes them and never count). At the cap the loop
+    /// stops reading from that connection until replies drain.
     pub max_inflight: usize,
     /// Out-buffer byte cap per connection. A peer that stops reading
     /// while responses accumulate past this is evicted
     /// (`net_connections_evicted_total`) instead of buffered without
     /// bound.
     pub max_write_queue: usize,
-    /// Dispatch worker threads, for the requests that wait on a shard
-    /// (QUERY, FLUSH, SNAPSHOT, STATS, REPLICATE, FETCH). `0` (the
-    /// default) sizes from available parallelism, capped at 4 — the workers
-    /// mostly sleep on a shard's reply; the engine has its own shard
-    /// workers.
+    /// Unused: the server runs no dispatch threads, since shard replies
+    /// complete on the event loop. Kept so configurations that set it
+    /// still build; ROADMAP item 13's re-baseline deletes it.
     pub dispatch_threads: usize,
     /// Shutdown flush budget: how long the event loop keeps flushing
-    /// buffered responses (and letting in-flight dispatches finish)
-    /// after stop is requested, before force-closing sockets.
+    /// buffered responses (and letting requests awaiting a shard
+    /// finish) after stop is requested, before force-closing sockets.
     pub drain_deadline: Duration,
 }
 
@@ -140,35 +138,44 @@ impl Default for ServerConfig {
     }
 }
 
-/// A decoded request that parks on a shard, travelling loop -> worker.
-struct Job {
-    conn: usize,
-    frame: Frame,
-    tag: FrameTag,
+/// A reply a shard finished, travelling shard thread -> loop: its
+/// connection, its request's tag, when that was decoded (recorders only)
+/// and its open Dispatch span (traced requests only), and the reply.
+type Done = (usize, FrameTag, Option<Instant>, Option<OpenSpan>, Frame);
+
+/// The shard threads' end of the loop's completion channel. It holds no
+/// `Shared`: a completion that dropped the last `Arc<Shared>` would run
+/// `Engine::drop`, which joins the shard threads, on a shard thread.
+struct Completions {
+    tx: Sender<Done>,
+    waker: Arc<Waker>,
+    /// Raised by the first completion since the loop last drained them,
+    /// lowered by that drain: the rest skip the eventfd write.
+    wake_pending: AtomicBool,
 }
 
-/// An encoded reply travelling worker -> loop.
-struct Done {
-    conn: usize,
-    bytes: Vec<u8>,
+impl Completions {
+    /// Queue `done` for the loop and wake it unless a wake is pending.
+    /// Runs on a shard thread, so it encodes nothing and cannot panic.
+    fn complete(&self, done: Done) {
+        if self.tx.send(done).is_ok() && !self.wake_pending.swap(true, Ordering::SeqCst) {
+            self.waker.wake();
+        }
+    }
 }
 
 struct Shared {
     engine: Engine<DetWave, dyn Recorder + Send + Sync>,
-    /// The referee behind PUSH_SYNOPSIS, PUSH_DELTA and COMBINE. Held
-    /// from a delta's sequence check through its install, so a racing
-    /// duplicate on another dispatch worker sees the new sequence.
+    /// The referee behind PUSH_SYNOPSIS, PUSH_DELTA and COMBINE. Only
+    /// the loop thread serves them; the lock is for [`Server`]'s
+    /// accessors on other threads.
     referee: Mutex<MonitorReferee>,
     rec: Arc<dyn Recorder + Send + Sync>,
     slow_request: Option<Duration>,
     stopping: AtomicBool,
-    /// Wakes the event loop out of `Poller::wait` — for completions
-    /// and for external shutdown.
-    waker: Arc<Waker>,
-    /// Raised by the first dispatch worker to finish a reply since the
-    /// loop last drained completions, lowered by that drain: workers
-    /// that find it up skip the eventfd write.
-    wake_pending: AtomicBool,
+    /// Its waker also wakes the loop for shutdown. Sinks clone this
+    /// `Arc`, never `Shared`'s.
+    completions: Arc<Completions>,
 }
 
 /// A running server. Bind with [`Server::start`] (or
@@ -180,7 +187,6 @@ pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
     event_loop: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -209,38 +215,20 @@ impl Server {
         )?;
         let poller = Poller::new().map_err(WaveError::io)?;
         let waker = Waker::new(&poller, WAKER).map_err(WaveError::io)?;
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<Done>();
+        let completions = Arc::new(Completions {
+            tx: done_tx,
+            waker,
+            wake_pending: AtomicBool::new(false),
+        });
         let shared = Arc::new(Shared {
             engine,
             referee: Mutex::new(MonitorReferee::new()),
             rec,
             slow_request: cfg.slow_request,
             stopping: AtomicBool::new(false),
-            waker,
-            wake_pending: AtomicBool::new(false),
+            completions,
         });
-
-        let (job_tx, job_rx) = std::sync::mpsc::channel::<Job>();
-        let (done_tx, done_rx) = std::sync::mpsc::channel::<Done>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let threads = match cfg.dispatch_threads {
-            0 => std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-                .min(4),
-            n => n,
-        };
-        let mut workers = Vec::with_capacity(threads);
-        for i in 0..threads {
-            let shared = Arc::clone(&shared);
-            let job_rx = Arc::clone(&job_rx);
-            let done_tx = done_tx.clone();
-            let h = std::thread::Builder::new()
-                .name(format!("waves-net-dispatch-{i}"))
-                .spawn(move || dispatch_worker(shared, job_rx, done_tx))
-                .map_err(WaveError::io)?;
-            workers.push(h);
-        }
-        drop(done_tx);
 
         let event_loop = {
             let engine_shards = shared.engine.num_shards();
@@ -249,7 +237,6 @@ impl Server {
                 listener,
                 poller,
                 shared,
-                job_tx,
                 done_rx,
                 conns: HashMap::new(),
                 next_conn: 0,
@@ -270,7 +257,6 @@ impl Server {
             shared,
             local_addr,
             event_loop: Some(event_loop),
-            workers,
         })
     }
 
@@ -302,21 +288,18 @@ impl Server {
     /// without joining (see [`Server::wait`] / `Drop`).
     pub fn shutdown(&self) {
         self.shared.stopping.store(true, Ordering::SeqCst);
-        self.shared.waker.wake();
+        self.shared.completions.waker.wake();
     }
 
     /// Block until the server stops (a client sent [`Frame::Shutdown`],
     /// or another thread called [`Server::shutdown`]), then join the
-    /// event loop and every dispatch worker.
+    /// event loop.
     pub fn wait(mut self) {
-        self.join_all();
+        self.join();
     }
 
-    fn join_all(&mut self) {
+    fn join(&mut self) {
         if let Some(h) = self.event_loop.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
             let _ = h.join();
         }
     }
@@ -325,7 +308,7 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
-        self.join_all();
+        self.join();
     }
 }
 
@@ -341,22 +324,6 @@ const READ_CHUNK: usize = 64 << 10;
 /// The longest single wait while draining, so the deadline is checked
 /// at least this often.
 const DRAIN_SLICE: Duration = Duration::from_millis(20);
-
-/// Requests that wait on a shard worker's reply cross to the dispatch
-/// pool; every other request cannot block and runs to completion on
-/// the loop thread within the pass that decodes it. The split is by
-/// request type alone.
-fn parks_on_shard(frame: &Frame) -> bool {
-    matches!(
-        frame,
-        Frame::Query { .. }
-            | Frame::Flush
-            | Frame::Snapshot
-            | Frame::Stats
-            | Frame::Replicate { .. }
-            | Frame::Fetch { .. }
-    )
-}
 
 /// A connection's encoded replies, back to back in the order they
 /// completed. Replies are appended whole at the tail; the socket takes
@@ -413,8 +380,8 @@ impl OutBuf {
 }
 
 /// One connection's state machine. All I/O on it is non-blocking and
-/// happens on the event-loop thread; dispatch workers only ever see
-/// decoded frames and produce encoded replies.
+/// happens on the event-loop thread; shards only ever see decoded
+/// requests and hand back reply frames.
 struct Conn {
     sock: TcpStream,
     /// Unparsed inbound bytes: a partial frame's prefix, or complete
@@ -425,7 +392,7 @@ struct Conn {
     out: OutBuf,
     /// On the loop's flush list for this cycle.
     dirty: bool,
-    /// Requests handed to the dispatch pool and not yet replied.
+    /// Requests submitted to a shard and not yet replied.
     inflight: usize,
     /// Peer closed its write half (clean EOF); no more requests, but
     /// queued replies still flush.
@@ -439,12 +406,33 @@ struct Conn {
 }
 
 impl Conn {
-    /// Admit the reply just appended at `out.bytes[start..]`. Every
-    /// reply, encoded in place by the loop or copied in from the pool,
-    /// passes this one check: `false` means it took the backlog past
-    /// the write-queue cap — it is taken back out and the caller must
+    /// Append `reply`, encoded under the request's tag, with the
+    /// telemetry every reply gets wherever it was produced — server-side
+    /// frame latency since `started`, slow-request and error accounting
+    /// — and the one write-queue check: `false` means it took the
+    /// backlog past `cap`, so it is taken back out and the caller must
     /// evict the peer.
-    fn admit_reply(&mut self, start: usize, cap: usize, rec: &dyn Recorder) -> bool {
+    fn answer(
+        &mut self,
+        reply: &Frame,
+        tag: FrameTag,
+        started: Option<Instant>,
+        shared: &Shared,
+        cap: usize,
+    ) -> bool {
+        let rec = &shared.rec;
+        if let Some(t0) = started {
+            let elapsed = t0.elapsed();
+            rec.observe(HistId::NetServerFrameNs, elapsed.as_nanos() as u64);
+            if shared.slow_request.is_some_and(|limit| elapsed > limit) {
+                rec.incr(MetricId::NetSlowRequests, 1);
+            }
+        }
+        if matches!(reply, Frame::ErrorResp(_)) {
+            rec.incr(MetricId::NetRequestErrors, 1);
+        }
+        let start = self.out.bytes.len();
+        WireCodec::encode_tagged_into(reply, tag, &mut self.out.bytes);
         let queued = self.out.queued();
         if queued > cap {
             self.out.bytes.truncate(start);
@@ -580,9 +568,7 @@ impl Gather {
             }
             if admitted {
                 let reply = ingest_reply(&self.touched[start..end], &self.refused);
-                let at = conn.out.bytes.len();
-                answer(&reply, tag, started, shared, &mut conn.out.bytes);
-                admitted = conn.admit_reply(at, cap, &*shared.rec);
+                admitted = conn.answer(&reply, tag, started, shared, cap);
             }
             start = end;
         }
@@ -595,7 +581,6 @@ struct EventLoop {
     listener: TcpListener,
     poller: Poller,
     shared: Arc<Shared>,
-    job_tx: Sender<Job>,
     done_rx: Receiver<Done>,
     conns: HashMap<usize, Conn>,
     next_conn: usize,
@@ -618,8 +603,8 @@ impl EventLoop {
     /// nothing is accepted or read; waits are cut into slices of at
     /// most [`DRAIN_SLICE`]; and the loop ends once every connection has
     /// closed or [`ServerConfig::drain_deadline`] has passed, which
-    /// force-closes the rest. Dropping `job_tx` (when `self` drops) ends
-    /// the dispatch workers.
+    /// force-closes the rest. A shard that answers after that finds the
+    /// completion channel closed and drops its reply.
     fn run(mut self) {
         let rec = Arc::clone(&self.shared.rec);
         if self
@@ -663,12 +648,12 @@ impl EventLoop {
                 }
             }
             // One cycle: read and serve everything that is ready,
-            // absorb what the pool finished, then write each touched
+            // absorb what the shards finished, then write each touched
             // connection once.
             for ev in events.iter() {
                 match ev.token {
                     LISTENER => self.accept_ready(),
-                    WAKER => self.shared.waker.ack(),
+                    WAKER => self.shared.completions.waker.ack(),
                     Token(id) => {
                         if ev.readable {
                             self.read_ready(id);
@@ -782,9 +767,9 @@ impl EventLoop {
     /// Peel complete frames off the connection's read buffer in arrival
     /// order. Every INGEST joins the pass's gather; before any other
     /// frame, and before a second traced INGEST, the gather is
-    /// submitted. A request that cannot block is then served here and
-    /// now; one that parks on a shard goes to the dispatch pool, and at
-    /// the in-flight cap parsing stops (the remainder stays buffered;
+    /// submitted. Any other request is then answered here and now, or
+    /// submitted to its shard with a completion; at the in-flight cap
+    /// parsing stops (the remainder stays buffered;
     /// [`EventLoop::drain_completions`] re-parses when a reply takes the
     /// connection off the cap). The pass ends with one last submit.
     fn parse_frames(&mut self, id: usize) {
@@ -824,22 +809,26 @@ impl EventLoop {
                     if !gather.submit(shared, conn, cap) {
                         return self.close(id);
                     }
-                    if parks_on_shard(&frame) {
-                        conn.inflight += 1;
-                        if rec.enabled() {
-                            rec.observe(HistId::NetInflightPerConn, conn.inflight as u64);
+                    conn.shutdown_after |= matches!(frame, Frame::Shutdown);
+                    let started = rec.enabled().then(Instant::now);
+                    let span = OpenSpan::open(client_ctx(tag), Stage::Dispatch, rec);
+                    let completions = Arc::clone(&shared.completions);
+                    let done = move |reply| completions.complete((id, tag, started, span, reply));
+                    let ctx = span.map_or(TraceCtx::NONE, OpenSpan::ctx);
+                    match dispatch(frame, shared, ctx, done) {
+                        Some(reply) => {
+                            if let Some(span) = span {
+                                span.end(rec);
+                            }
+                            if !conn.answer(&reply, tag, started, shared, cap) {
+                                return self.close(id);
+                            }
                         }
-                        let _ = self.job_tx.send(Job {
-                            conn: id,
-                            frame,
-                            tag,
-                        });
-                    } else {
-                        conn.shutdown_after |= matches!(frame, Frame::Shutdown);
-                        let start = conn.out.bytes.len();
-                        serve(frame, tag, shared, &mut conn.out.bytes);
-                        if !conn.admit_reply(start, cap, rec) {
-                            return self.close(id);
+                        None => {
+                            conn.inflight += 1;
+                            if rec.enabled() {
+                                rec.observe(HistId::NetInflightPerConn, conn.inflight as u64);
+                            }
                         }
                     }
                 }
@@ -859,13 +848,10 @@ impl EventLoop {
             // a best-effort error reply, then close once it (and any
             // in-flight replies) flush. The rest of the buffer is
             // garbage.
-            rec.incr(MetricId::NetRequestErrors, 1);
             conn.rbuf.clear();
             conn.closing = true;
             let refusal = invalid_data(format!("bad frame: {e}"));
-            let start = conn.out.bytes.len();
-            WireCodec::encode_tagged_into(&refusal, FrameTag::default(), &mut conn.out.bytes);
-            if !conn.admit_reply(start, cap, rec) {
+            if !conn.answer(&refusal, FrameTag::default(), None, shared, cap) {
                 return self.close(id);
             }
         }
@@ -945,22 +931,27 @@ impl EventLoop {
         }
     }
 
-    /// Absorb finished dispatches: enqueue replies, release in-flight
-    /// slots, resume parsing on connections a reply takes off the cap.
+    /// Absorb what the shards finished: end each request's span, encode
+    /// its reply, release its in-flight slot, and resume parsing on
+    /// connections a reply takes off the cap.
     fn drain_completions(&mut self) {
-        // Cleared before the drain: a worker that finishes after this
+        // Cleared before the drain: a shard that finishes after this
         // line either has its reply picked up below or finds the flag
         // down and wakes the loop again.
-        self.shared.wake_pending.swap(false, Ordering::SeqCst);
-        while let Ok(done) = self.done_rx.try_recv() {
-            let id = done.conn;
+        self.shared
+            .completions
+            .wake_pending
+            .store(false, Ordering::SeqCst);
+        while let Ok((id, tag, started, span, reply)) = self.done_rx.try_recv() {
+            let shared = &*self.shared;
+            if let Some(span) = span {
+                span.end(&*shared.rec);
+            }
             let Some(conn) = self.conns.get_mut(&id) else {
                 continue; // connection already gone; drop the reply
             };
             conn.inflight -= 1;
-            let start = conn.out.bytes.len();
-            conn.out.bytes.extend_from_slice(&done.bytes);
-            if !conn.admit_reply(start, self.max_write_queue, &*self.shared.rec) {
+            if !conn.answer(&reply, tag, started, shared, self.max_write_queue) {
                 self.close(id);
                 continue;
             }
@@ -995,30 +986,6 @@ fn set_interest(poller: &Poller, conn: &mut Conn, token: Token, max_inflight: us
     }
 }
 
-/// A dispatch worker: a request that parks on a shard in, its encoded
-/// reply out. The loop is woken once per drain, not once per reply:
-/// only the worker that raises `wake_pending` writes the eventfd.
-fn dispatch_worker(shared: Arc<Shared>, jobs: Arc<Mutex<Receiver<Job>>>, done: Sender<Done>) {
-    loop {
-        let job = match jobs.lock().unwrap().recv() {
-            Ok(j) => j,
-            Err(_) => return, // loop exited; no more work
-        };
-        let mut bytes = Vec::new();
-        serve(job.frame, job.tag, &shared, &mut bytes);
-        let done = done.send(Done {
-            conn: job.conn,
-            bytes,
-        });
-        if done.is_err() {
-            return;
-        }
-        if !shared.wake_pending.swap(true, Ordering::SeqCst) {
-            shared.waker.wake();
-        }
-    }
-}
-
 /// The context a request's Dispatch span opens under. A nonzero header
 /// trace id opts the request into tracing: the span parents to the
 /// client's root span (by the ROOT_SPAN_ID convention — only the trace
@@ -1030,54 +997,65 @@ fn client_ctx(tag: FrameTag) -> TraceCtx {
     }
 }
 
-/// Serve one request other than INGEST: run its handler and append the
-/// reply, encoded under the request's header tag, to `out`. The loop
-/// thread and the dispatch workers both come through here.
-fn serve(frame: Frame, tag: FrameTag, shared: &Shared, out: &mut Vec<u8>) {
-    let rec = &shared.rec;
-    let started = rec.enabled().then(Instant::now);
-    let span = OpenSpan::open(client_ctx(tag), Stage::Dispatch, &**rec);
-    let reply = dispatch(frame, shared, span.map_or(TraceCtx::NONE, OpenSpan::ctx));
-    if let Some(span) = span {
-        span.end(&**rec);
-    }
-    answer(&reply, tag, started, shared, out);
-}
-
-/// Append `reply`, encoded under the request's tag, to `out`, with the
-/// per-request telemetry every reply gets wherever it was produced —
-/// server-side frame latency since `started`, slow-request and error
-/// accounting — written once.
-fn answer(
-    reply: &Frame,
-    tag: FrameTag,
-    started: Option<Instant>,
+/// Answer a request other than INGEST on the loop thread, or submit it
+/// to the engine with `done` as its completion: `None` means submitted.
+/// `ctx` is the request's Dispatch span, which a query's engine spans
+/// parent to.
+fn dispatch(
+    frame: Frame,
     shared: &Shared,
-    out: &mut Vec<u8>,
-) {
-    let rec = &shared.rec;
-    if let Some(t0) = started {
-        let elapsed = t0.elapsed();
-        rec.observe(HistId::NetServerFrameNs, elapsed.as_nanos() as u64);
-        if shared.slow_request.is_some_and(|limit| elapsed > limit) {
-            rec.incr(MetricId::NetSlowRequests, 1);
+    ctx: TraceCtx,
+    done: impl FnOnce(Frame) + Send + 'static,
+) -> Option<Frame> {
+    let submit = |req| {
+        shared.engine.submit(req);
+        None
+    };
+    let reply = match frame {
+        Frame::Query { key, window } => {
+            let reply = Box::new(move |res: Result<_, _>| {
+                done(res.map_or_else(Frame::ErrorResp, Frame::EstimateResp))
+            });
+            return submit(ShardRequest::Query {
+                key,
+                window,
+                ctx,
+                reply,
+            });
         }
-    }
-    if matches!(reply, Frame::ErrorResp(_)) {
-        rec.incr(MetricId::NetRequestErrors, 1);
-    }
-    WireCodec::encode_tagged_into(reply, tag, out);
-}
-
-fn dispatch(frame: Frame, shared: &Shared, ctx: TraceCtx) -> Frame {
-    match frame {
+        Frame::Flush => return submit(ShardRequest::Flush(Box::new(move |()| done(Frame::Ok)))),
+        Frame::Snapshot => {
+            let reply = Box::new(move |snap| done(Frame::SnapshotResp(snap)));
+            return submit(ShardRequest::Snapshot(reply));
+        }
+        Frame::Fetch { key } => {
+            let reply = Box::new(move |res: Result<_, _>| {
+                done(res.map_or_else(Frame::ErrorResp, |bytes| Frame::Replicate {
+                    key,
+                    kind: SynopsisKind::DetWave,
+                    bytes,
+                }))
+            });
+            return submit(ShardRequest::Fetch { key, reply });
+        }
+        Frame::Replicate {
+            key,
+            kind: SynopsisKind::DetWave,
+            bytes,
+        } => {
+            let reply = Box::new(move |res: Result<_, _>| {
+                done(res.map_or_else(Frame::ErrorResp, |()| Frame::Ok))
+            });
+            return submit(ShardRequest::Install { key, bytes, reply });
+        }
+        // This server hosts a DetWave engine; a primary shipping any
+        // other synopsis kind is misconfigured, and installing its bytes
+        // would corrupt the key silently.
+        Frame::Replicate { kind, .. } => {
+            invalid_data(format!("replicate kind {kind:?} not hosted by this server"))
+        }
         Frame::Ping => Frame::Pong,
         Frame::Shutdown => Frame::Ok,
-        Frame::Flush => {
-            shared.engine.flush();
-            Frame::Ok
-        }
-        Frame::Snapshot => Frame::SnapshotResp(shared.engine.snapshot()),
         Frame::Stats => match shared.rec.metrics_snapshot() {
             Some(snap) => Frame::StatsResp(snap.to_json()),
             // NoopRecorder (and SpanRecorder-only) servers have no
@@ -1088,10 +1066,6 @@ fn dispatch(frame: Frame, shared: &Shared, ctx: TraceCtx) -> Frame {
             ))),
         },
         Frame::Ingest(_) => unreachable!("every INGEST joins the pass's gather"),
-        Frame::Query { key, window } => match shared.engine.query_traced(key, window, ctx) {
-            Ok(est) => Frame::EstimateResp(est),
-            Err(e) => Frame::ErrorResp(e),
-        },
         Frame::PushSynopsis { party, kind, bytes } => {
             let mut referee = shared.referee.lock().unwrap();
             match referee.install_synopsis(party, kind, &bytes) {
@@ -1099,27 +1073,6 @@ fn dispatch(frame: Frame, shared: &Shared, ctx: TraceCtx) -> Frame {
                 Err(e) => invalid_data(format!("synopsis decode failed: {e}")),
             }
         }
-        Frame::Replicate { key, kind, bytes } => {
-            // This server hosts a DetWave engine; a primary shipping any
-            // other synopsis kind is misconfigured, and installing its
-            // bytes would corrupt the key silently.
-            if kind != SynopsisKind::DetWave {
-                invalid_data(format!("replicate kind {kind:?} not hosted by this server"))
-            } else {
-                match shared.engine.install_synopsis(key, bytes) {
-                    Ok(()) => Frame::Ok,
-                    Err(e) => Frame::ErrorResp(e),
-                }
-            }
-        }
-        Frame::Fetch { key } => match shared.engine.synopsis_bytes(key) {
-            Ok(bytes) => Frame::Replicate {
-                key,
-                kind: SynopsisKind::DetWave,
-                bytes,
-            },
-            Err(e) => Frame::ErrorResp(e),
-        },
         Frame::PushDelta {
             party,
             seq,
@@ -1163,7 +1116,8 @@ fn dispatch(frame: Frame, shared: &Shared, ctx: TraceCtx) -> Frame {
         | Frame::SnapshotResp(_)
         | Frame::StatsResp(_)
         | Frame::ErrorResp(_) => invalid_data("response frame sent as request"),
-    }
+    };
+    Some(reply)
 }
 
 /// A refusal of malformed input: an `Io(InvalidData)` carrying `msg`.

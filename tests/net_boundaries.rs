@@ -23,14 +23,13 @@ fn server_cfg() -> ServerConfig {
             .max_window(256)
             .eps(0.2)
             .build(),
-        dispatch_threads: 3,
         ..Default::default()
     }
 }
 
-/// A mixed pipeline whose answers do not depend on how far the loop's
-/// INGESTs have run ahead of the pool's QUERYs: a key is never
-/// ingested again once it has been queried. 34 groups of six frames.
+/// A mixed pipeline whose answers do not depend on how far INGESTs have
+/// run ahead of QUERYs awaiting a shard: a key is never ingested again
+/// once it has been queried. 34 groups of six frames.
 fn mixed_pipeline() -> Vec<Frame> {
     let mut frames = Vec::new();
     let mut wave = DetWave::new(256, 0.2).unwrap();

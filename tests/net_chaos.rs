@@ -438,19 +438,13 @@ fn fresh_connection_after_failure_works() {
 /// Referee arithmetic faces wire input: four syntactically valid
 /// `DetWave` encodes each claiming 2^62 ones sum to 2^64. The combine
 /// must answer a typed error — not wrap to `exact 0`, not panic the
-/// dispatch worker — and the connection must keep serving afterwards.
+/// event loop, which serves COMBINE — and the connection must keep
+/// serving afterwards.
 #[test]
 fn combine_total_past_u64_is_a_typed_error_not_a_wrapped_answer() {
-    let server = Server::start(
-        "127.0.0.1:0",
-        ServerConfig {
-            // One worker: a panicked dispatch would leave nobody to
-            // answer the PING below.
-            dispatch_threads: 1,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    // A panic on the loop would stop the whole server: the PING below
+    // would go unanswered.
+    let server = Server::start("127.0.0.1:0", ServerConfig::default()).unwrap();
     let cfg = ClientConfig {
         retry: RetryPolicy::none(),
         ..fast_cfg()
@@ -484,9 +478,7 @@ fn combine_total_past_u64_is_a_typed_error_not_a_wrapped_answer() {
         "{err:?}"
     );
     assert!(t0.elapsed() < HANG_BUDGET, "took {:?}", t0.elapsed());
-    client
-        .ping()
-        .expect("dispatch worker survived the overflow");
+    client.ping().expect("the event loop survived the overflow");
     // Three parties still fit: the guard refuses only what overflows.
     client
         .push_synopsis(3, SynopsisKind::DetWave, claiming(1))
@@ -498,23 +490,16 @@ fn combine_total_past_u64_is_a_typed_error_not_a_wrapped_answer() {
 /// Decoders face wire input too: a well-framed `SumWave` encoding whose
 /// second entry `(p=5, v=10, z=11)` overlaps its first `(p=1, v=10,
 /// z=10)` describes no real stream. Accepted, `COMBINE{8}` would
-/// subtract one running total from the other — a dispatch-worker panic
+/// subtract one running total from the other — an event-loop panic
 /// under the referee lock (debug) or the bracket `[19, 10]` served as an
 /// answer (release). It must be refused at the door with a typed error,
 /// leave the other parties' answer intact, and cost the connection
 /// nothing.
 #[test]
 fn forged_sum_entries_are_refused_at_the_door_not_answered_inverted() {
-    let server = Server::start(
-        "127.0.0.1:0",
-        ServerConfig {
-            // One worker: a panicked dispatch would leave nobody to
-            // answer the PING below.
-            dispatch_threads: 1,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    // PUSH_SYNOPSIS and COMBINE run on the event loop: a panic there
+    // would leave nobody to answer the PING below.
+    let server = Server::start("127.0.0.1:0", ServerConfig::default()).unwrap();
     let cfg = ClientConfig {
         retry: RetryPolicy::none(),
         ..fast_cfg()
@@ -557,7 +542,7 @@ fn forged_sum_entries_are_refused_at_the_door_not_answered_inverted() {
     let without_forger = client.combine(8).unwrap();
     assert_eq!(without_forger, honest.query(8).unwrap());
     assert!(t0.elapsed() < HANG_BUDGET, "took {:?}", t0.elapsed());
-    client.ping().expect("dispatch worker is alive");
+    client.ping().expect("the event loop is alive");
     // The refused party can still push a real synopsis afterwards.
     client
         .push_synopsis(0, SynopsisKind::SumWave, honest.encode())
@@ -570,22 +555,15 @@ fn forged_sum_entries_are_refused_at_the_door_not_answered_inverted() {
 /// An honest party's *valid* encoding must not be refused either:
 /// `m = 49` is one of the bucket parameters whose own `eps = 1/(2m)`
 /// rounds back up to `m + 1`, and a decoder that rebuilt through `eps`
-/// tripped its own consistency assert — a dead dispatch worker (debug)
+/// tripped its own consistency assert — a dead event loop (debug)
 /// or a referee merging on thresholds the party never used (release).
 /// The push is accepted, the referee answers what the party would, and
 /// the connection lives on.
 #[test]
 fn valid_eh_encoding_with_a_drifting_m_is_served_not_refused() {
-    let server = Server::start(
-        "127.0.0.1:0",
-        ServerConfig {
-            // One worker: a panicked dispatch would leave nobody to
-            // answer the COMBINE and PING below.
-            dispatch_threads: 1,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    // PUSH_SYNOPSIS runs on the event loop: a panic there would leave
+    // nobody to answer the COMBINE and PING below.
+    let server = Server::start("127.0.0.1:0", ServerConfig::default()).unwrap();
     let cfg = ClientConfig {
         retry: RetryPolicy::none(),
         ..fast_cfg()
@@ -602,5 +580,5 @@ fn valid_eh_encoding_with_a_drifting_m_is_served_not_refused() {
     let t0 = Instant::now();
     assert_eq!(client.combine(4096).unwrap(), eh.query(4096).unwrap());
     assert!(t0.elapsed() < HANG_BUDGET, "took {:?}", t0.elapsed());
-    client.ping().expect("dispatch worker is alive");
+    client.ping().expect("the event loop is alive");
 }

@@ -32,9 +32,6 @@ fn start_referee(registry: &Arc<MetricsRegistry>) -> Server {
                 .max_window(WINDOW)
                 .eps(EPS)
                 .build(),
-            // More than one dispatch worker, so concurrent frames for
-            // one party really do race on the referee.
-            dispatch_threads: 4,
             ..Default::default()
         },
         registry.clone(),
