@@ -8,11 +8,12 @@
 //! maintaining *millions* of window synopses under sustained ingest.
 //! This crate is that missing layer:
 //!
-//! * keys hash to one of `num_shards` worker threads (std threads, each
-//!   fed by its own bounded FIFO — the workspace is std-only), each
-//!   owning a private `HashMap<Key, S>` so the hot path takes **no
-//!   cross-shard locks**; the FIFO wakes a blocked producer once per
-//!   half queue drained, not once per command (`queue.rs`);
+//! * keys hash to one of `num_shards` shards, each one value (`shard.rs`:
+//!   its own `HashMap<Key, S>`, store and checkpoint countdown, recovered,
+//!   applied and closed by its owner alone) driven by its own std thread
+//!   from its own bounded FIFO, so the hot path takes **no cross-shard
+//!   locks**; the FIFO wakes a blocked producer once per half queue
+//!   drained, not once per command (`queue.rs`);
 //! * ingestion flows through **one** entry point, [`Engine::ingest`],
 //!   taking an [`IngestRequest`]: keyed **word-packed** bit batches
 //!   ([`waves_core::Bits`] — 64 bits per queue/WAL/apply step), an
@@ -60,7 +61,6 @@
 //! assert_eq!(est.value, 2.0);
 //! ```
 
-use std::collections::{hash_map, HashMap};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::TrySendError;
@@ -70,12 +70,15 @@ use std::time::Instant;
 
 use waves_core::{BitSynopsis, Bits, DetWave, Estimate, WaveError};
 use waves_obs::trace::{OpenSpan, Stage, TraceCtx};
-use waves_obs::{HistId, MetricId, NoopRecorder, Recorder, ShardStat};
-use waves_store::{ShardStore, Store};
+use waves_obs::{HistId, MetricId, NoopRecorder, Recorder};
+use waves_store::Store;
 
 pub use waves_store::{PersistConfig, SyncPolicy};
 
 mod queue;
+mod shard;
+
+use shard::{shard_for, Cmd, Shard};
 
 /// Stream identity: every key owns an independent synopsis.
 pub type Key = u64;
@@ -88,22 +91,15 @@ pub type KeyedBits = (Key, Bits);
 /// plus delivery options — every combination is one builder chain:
 ///
 /// ```
+/// use waves_core::Bits;
 /// use waves_engine::IngestRequest;
 /// use waves_obs::trace::TraceCtx;
 ///
 /// let _one = IngestRequest::of(7, [true, false, true]);
 /// let _lossless = IngestRequest::of(7, [true; 64]).blocking(true);
-/// let _traced = IngestRequest::new()
-///     .entry(1, [true])
-///     .entry(2, [false, true])
-///     .traced(TraceCtx::NONE);
+/// let entries = vec![(1, Bits::from([true])), (2, Bits::from([false, true]))];
+/// let _traced = IngestRequest::batch(entries).traced(TraceCtx::NONE);
 /// ```
-///
-/// The struct is `#[non_exhaustive]` so future delivery options (e.g.
-/// deadlines) can land without breaking callers; construct via
-/// [`IngestRequest::new`] / [`IngestRequest::of`] /
-/// [`IngestRequest::batch`] and the builder methods.
-#[non_exhaustive]
 #[derive(Debug, Clone)]
 pub struct IngestRequest {
     /// Keyed word-packed batches, oldest bits first. Order is preserved
@@ -116,41 +112,21 @@ pub struct IngestRequest {
     pub ctx: TraceCtx,
 }
 
-impl Default for IngestRequest {
-    fn default() -> Self {
-        IngestRequest {
-            entries: Vec::new(),
-            blocking: false,
-            ctx: TraceCtx::NONE,
-        }
-    }
-}
-
 impl IngestRequest {
-    /// An empty request; add entries with [`IngestRequest::entry`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A single-entry request: `key`'s next `bits`, oldest first.
     /// Accepts anything convertible to [`Bits`] (`&[bool]`, `[bool; N]`,
     /// `Vec<bool>`, or an already-packed buffer).
     pub fn of(key: Key, bits: impl Into<Bits>) -> Self {
-        Self::new().entry(key, bits)
+        Self::batch(vec![(key, bits.into())])
     }
 
     /// A multi-entry request from already-assembled keyed batches.
     pub fn batch(entries: Vec<KeyedBits>) -> Self {
         IngestRequest {
             entries,
-            ..Self::default()
+            blocking: false,
+            ctx: TraceCtx::NONE,
         }
-    }
-
-    /// Append one keyed batch.
-    pub fn entry(mut self, key: Key, bits: impl Into<Bits>) -> Self {
-        self.entries.push((key, bits.into()));
-        self
     }
 
     /// Wait for queue space instead of shedding (default `false`).
@@ -272,8 +248,8 @@ pub type Sink<T> = Box<dyn FnOnce(T) + Send>;
 
 /// A request that waits on the shard owning its key, or on every shard,
 /// with the sink its answer goes to: what [`Engine::submit`] takes. Each
-/// variant is the blocking call of its name (`Query` is
-/// [`Engine::query_traced`], `Fetch` [`Engine::synopsis_bytes`]).
+/// variant but `Fetch` is the blocking call of its name; `Fetch` answers
+/// `key`'s synopsis bytes, what [`Engine::install_synopsis`] takes.
 pub enum ShardRequest {
     Query {
         key: Key,
@@ -293,37 +269,6 @@ pub enum ShardRequest {
         reply: Sink<Result<Vec<u8>, WaveError>>,
     },
     Checkpoint(Sink<Result<(), WaveError>>),
-}
-
-/// Commands a shard worker consumes from its queue: an ingest batch (the
-/// one command that takes a queue slot) or its part of a
-/// [`ShardRequest`]. A traced batch or query carries its queue-wait span,
-/// opened at enqueue and closed as the shard span opens; a query carries
-/// when it was submitted, for `engine_query_ns`.
-enum Cmd {
-    Batch {
-        batch: Vec<KeyedBits>,
-        queued: Option<OpenSpan>,
-    },
-    Query {
-        key: Key,
-        window: u64,
-        reply: Sink<Result<Estimate, WaveError>>,
-        queued: Option<OpenSpan>,
-        started: Option<Instant>,
-    },
-    Snapshot(Sink<ShardSnapshot>),
-    Flush(Sink<()>),
-    Checkpoint(Sink<Result<(), WaveError>>),
-    Install {
-        key: Key,
-        bytes: Vec<u8>,
-        reply: Sink<Result<(), WaveError>>,
-    },
-    Fetch {
-        key: Key,
-        reply: Sink<Result<Vec<u8>, WaveError>>,
-    },
 }
 
 /// Point-in-time state of one shard, from [`Engine::snapshot`].
@@ -392,11 +337,6 @@ impl EngineSnapshot {
     }
 }
 
-struct ShardHandle {
-    tx: queue::Sender<Cmd>,
-    worker: JoinHandle<()>,
-}
-
 /// The sharded serving engine. See the crate docs for the design; the
 /// API surface is `new` / `ingest` (one [`IngestRequest`] entry point) /
 /// `submit` (one [`ShardRequest`] entry point) and its blocking forms
@@ -410,8 +350,9 @@ pub struct Engine<
     S: BitSynopsis + Send + 'static,
     R: Recorder + Send + Sync + ?Sized + 'static = NoopRecorder,
 > {
-    cfg: EngineConfig,
-    shards: Vec<ShardHandle>,
+    /// Shard `i`'s queue, and the thread that drives it.
+    queues: Vec<queue::Sender<Cmd>>,
+    workers: Vec<JoinHandle<()>>,
     rec: Arc<R>,
     dropped_items: AtomicU64,
     backpressure_events: AtomicU64,
@@ -455,16 +396,12 @@ where
     /// construction, not mid-stream.
     ///
     /// With [`EngineConfig::persist`] set, this is also the recovery
-    /// path: each shard loads its newest valid checkpoint (decoding
-    /// every key's synopsis via
-    /// [`waves_core::Synopsis::decode_synopsis`]) and replays the
-    /// acknowledged WAL tail through [`BitSynopsis::push_words`] before
-    /// the shard accepts new work. A corrupt persist directory (META
-    /// mismatch, undecodable checkpoint entry, a checkpoint naming a key
-    /// twice, a checkpoint or WAL entry for a key another shard owns)
-    /// fails construction with a typed error naming the key; a torn WAL
-    /// tail is truncated silently — that is the crash-recovery contract,
-    /// not an error.
+    /// path: each shard decodes its newest valid checkpoint and replays
+    /// the acknowledged WAL tail before it accepts new work. A corrupt
+    /// persist directory (META mismatch, undecodable checkpoint entry, a
+    /// key checkpointed twice or found in another shard's files) fails
+    /// construction with a typed error naming the key; a torn WAL tail
+    /// is truncated silently — that is the crash-recovery contract.
     pub fn with_factory<F>(cfg: EngineConfig, factory: F, rec: Arc<R>) -> Result<Self, WaveError>
     where
         F: Fn() -> Result<S, WaveError> + Send + Sync + 'static,
@@ -473,92 +410,35 @@ where
         // worker thread on first ingest.
         drop(factory()?);
         let num_shards = cfg.num_shards.max(1);
-        let capacity = cfg.queue_capacity.max(1);
-        let store = match &cfg.persist {
-            Some(pc) => Some(Store::open(&pc.dir, num_shards as u32).map_err(WaveError::io)?),
-            None => None,
-        };
+        let store = (cfg.persist.as_ref())
+            .map(|pc| Store::open(&pc.dir, num_shards as u32).map(|store| (store, pc)))
+            .transpose()
+            .map_err(WaveError::io)?;
         let factory = Arc::new(factory);
         let crashed = Arc::new(AtomicBool::new(false));
-        let mut shards = Vec::with_capacity(num_shards);
-        for shard in 0..num_shards {
-            // Recover this shard's durable state before its worker
-            // spawns, so a recovery failure aborts construction and a
-            // recovered engine never serves a pre-replay view.
-            let (initial_keys, persist) = match (&store, &cfg.persist) {
-                (Some(store), Some(pc)) => {
-                    let recovered = ShardStore::recover(
-                        &store.shard_dir(shard),
-                        pc.sync,
-                        pc.segment_bytes,
-                        rec.as_ref(),
-                    )
-                    .map_err(WaveError::io)?;
-                    // What a checkpoint may hold (PROTOCOL.md §2.4): each
-                    // key at most once, and only keys this shard owns —
-                    // a key routed elsewhere is one no query reaches.
-                    let owned = |key: Key, what: &str| {
-                        match shard_for(key, num_shards) {
-                        owner if owner == shard => Ok(()),
-                        owner => Err(invalid_data(format!(
-                            "{what} for key {key} in shard {shard}: the key belongs to shard {owner}"
-                        ))),
-                    }
-                    };
-                    let mut keys: HashMap<Key, S> = HashMap::new();
-                    for (key, bytes) in &recovered.entries {
-                        owned(*key, "checkpoint entry")?;
-                        let hash_map::Entry::Vacant(slot) = keys.entry(*key) else {
-                            return Err(invalid_data(format!(
-                                "checkpoint of shard {shard} names key {key} twice"
-                            )));
-                        };
-                        slot.insert(S::decode_synopsis(bytes).map_err(|e| {
-                            invalid_data(format!("checkpoint entry for key {key}: {e}"))
-                        })?);
-                    }
-                    for batch in &recovered.batches {
-                        for (key, bits) in batch {
-                            owned(*key, "WAL entry")?;
-                            keys.entry(*key)
-                                .or_insert_with(|| {
-                                    factory().expect("factory validated at construction")
-                                })
-                                .push_words(bits.as_ref());
-                        }
-                    }
-                    let persist = ShardPersist {
-                        store: recovered.store,
-                        checkpoint_every: pc.checkpoint_every_batches,
-                        applied_since_checkpoint: 0,
-                    };
-                    (keys, Some(persist))
-                }
-                _ => (HashMap::new(), None),
-            };
-            let (tx, rx) = queue::bounded::<Cmd>(capacity);
-            let worker_factory = Arc::clone(&factory);
-            let worker_rec = Arc::clone(&rec);
-            let worker_crashed = Arc::clone(&crashed);
+        let (mut queues, mut workers) = (Vec::new(), Vec::new());
+        for index in 0..num_shards {
+            // Recover before the worker spawns, so a recovery failure
+            // aborts construction and no shard serves a pre-replay view.
+            let persist = store.as_ref().map(|(store, pc)| (store, *pc));
+            let mut shard = Shard::recover(index, num_shards, &factory, &rec, persist)?;
+            let (tx, rx) = queue::bounded::<Cmd>(cfg.queue_capacity.max(1));
+            let crashed = Arc::clone(&crashed);
             let worker = std::thread::Builder::new()
-                .name(format!("waves-engine-shard-{shard}"))
+                .name(format!("waves-engine-shard-{index}"))
                 .spawn(move || {
-                    shard_worker(
-                        shard,
-                        rx,
-                        worker_factory,
-                        worker_rec,
-                        initial_keys,
-                        persist,
-                        worker_crashed,
-                    )
+                    while let Ok(cmd) = rx.recv() {
+                        shard.apply(cmd, || rx.slots());
+                    }
+                    shard.close(crashed.load(Ordering::Relaxed));
                 })
                 .expect("spawn shard worker");
-            shards.push(ShardHandle { tx, worker });
+            queues.push(tx);
+            workers.push(worker);
         }
         Ok(Engine {
-            cfg,
-            shards,
+            queues,
+            workers,
             rec,
             dropped_items: AtomicU64::new(0),
             backpressure_events: AtomicU64::new(0),
@@ -569,12 +449,7 @@ where
 
     /// Number of shard worker threads.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The configuration this engine was built with.
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
+        self.queues.len()
     }
 
     /// Items shed so far by non-blocking ingest hitting full queues.
@@ -598,7 +473,7 @@ where
     /// A key always lives on the same shard, so a caller that groups
     /// entries by this before [`Engine::ingest`] keeps per-key order.
     pub fn shard_of(&self, key: Key) -> usize {
-        shard_for(key, self.shards.len())
+        shard_for(key, self.queues.len())
     }
 
     /// Enqueue one batch on one shard. Blocking waits for room;
@@ -616,7 +491,7 @@ where
             batch,
             queued: OpenSpan::open(ctx, Stage::Queue, &*self.rec),
         };
-        let tx = &self.shards[shard].tx;
+        let tx = &self.queues[shard];
         let sent = match blocking {
             true => tx.send(cmd).map_err(|e| TrySendError::Disconnected(e.0)),
             false => tx.try_send(cmd),
@@ -646,7 +521,7 @@ where
         cmd: impl Fn(Sink<T>) -> Cmd,
         done: impl FnOnce(Vec<T>) + Send + 'static,
     ) {
-        let shards = self.shards.len();
+        let shards = self.queues.len();
         let tally = Arc::new(Mutex::new((Vec::with_capacity(shards), Some(done))));
         for shard in 0..shards {
             let tally = Arc::clone(&tally);
@@ -663,7 +538,7 @@ where
                     done(answers.into_iter().map(|(_, answer)| answer).collect());
                 }
             });
-            self.shards[shard].tx.append(cmd(reply));
+            self.queues[shard].append(cmd(reply));
         }
     }
 
@@ -711,7 +586,7 @@ where
                 });
             }
         };
-        self.shards[self.shard_of(key)].tx.append(cmd);
+        self.queues[self.shard_of(key)].append(cmd);
     }
 
     /// [`Engine::submit`] the request `req` builds around a channel, and
@@ -742,36 +617,19 @@ where
     /// `ctx.trace`; identical to an untraced request when `ctx` is
     /// [`TraceCtx::NONE`] or the recorder keeps no traces.
     pub fn ingest(&self, req: IngestRequest) -> Result<(), WaveError> {
-        let IngestRequest {
-            entries,
-            blocking,
-            ctx,
-            ..
-        } = req;
+        // Request order within each shard is per-key order, since a key
+        // always maps to one shard; packed buffers move without copying.
+        let mut per_shard = vec![Vec::new(); self.queues.len()];
+        for (key, bits) in req.entries {
+            per_shard[self.shard_of(key)].push((key, bits));
+        }
         let mut first_err = Ok(());
-        for (shard, sub) in self.split_by_shard(entries) {
-            let sent = self.enqueue(shard, sub, ctx, blocking);
-            if first_err.is_ok() {
-                first_err = sent;
+        for (shard, sub) in per_shard.into_iter().enumerate() {
+            if !sub.is_empty() {
+                first_err = first_err.and(self.enqueue(shard, sub, req.ctx, req.blocking));
             }
         }
         first_err
-    }
-
-    /// Group events into per-shard sub-batches, preserving order within
-    /// each shard (per-key order is what correctness needs, and a key
-    /// always maps to one shard). Takes the batch by value: packed
-    /// buffers move into their shard's sub-batch without copying.
-    fn split_by_shard(&self, batch: Vec<KeyedBits>) -> Vec<(usize, Vec<KeyedBits>)> {
-        let mut per_shard: Vec<Vec<KeyedBits>> = vec![Vec::new(); self.shards.len()];
-        for (key, bits) in batch {
-            per_shard[self.shard_of(key)].push((key, bits));
-        }
-        per_shard
-            .into_iter()
-            .enumerate()
-            .filter(|(_, sub)| !sub.is_empty())
-            .collect()
     }
 
     /// Estimate the 1's count in the last `window` bits of `key`'s
@@ -780,21 +638,10 @@ where
     /// for the key. Returns [`WaveError::UnknownKey`] for never-seen
     /// keys and the synopsis's own errors otherwise.
     pub fn query(&self, key: Key, window: u64) -> Result<Estimate, WaveError> {
-        self.query_traced(key, window, TraceCtx::NONE)
-    }
-
-    /// [`Engine::query`] carrying a [`TraceCtx`]: the shard worker
-    /// records queue-wait and execute spans parented to `ctx.parent`.
-    pub fn query_traced(
-        &self,
-        key: Key,
-        window: u64,
-        ctx: TraceCtx,
-    ) -> Result<Estimate, WaveError> {
         self.wait(|reply| ShardRequest::Query {
             key,
             window,
-            ctx,
+            ctx: TraceCtx::NONE,
             reply,
         })
     }
@@ -838,14 +685,6 @@ where
         self.wait(|reply| ShardRequest::Install { key, bytes, reply })
     }
 
-    /// `key`'s synopsis `encode()` bytes — what a follower installs
-    /// through [`Engine::install_synopsis`]. Travels the key's shard
-    /// FIFO, so the bytes cover every batch enqueued before the call.
-    /// Returns [`WaveError::UnknownKey`] for never-seen keys.
-    pub fn synopsis_bytes(&self, key: Key) -> Result<Vec<u8>, WaveError> {
-        self.wait(|reply| ShardRequest::Fetch { key, reply })
-    }
-
     /// Durably checkpoint every shard: each worker serializes all of its
     /// keys' synopses, fsyncs them to a new checkpoint file, and
     /// reclaims the WAL history the checkpoint supersedes. Travels the
@@ -866,963 +705,12 @@ where
     fn drop(&mut self) {
         // Close every queue before joining any worker, so they drain in
         // parallel and exit.
-        let workers: Vec<_> = self.shards.drain(..).map(|shard| shard.worker).collect();
-        for worker in workers {
+        self.queues.clear();
+        for worker in self.workers.drain(..) {
             worker.join().ok();
         }
     }
 }
 
-/// A shard worker's durability state.
-struct ShardPersist {
-    store: ShardStore,
-    /// Auto-checkpoint after this many applied batches; 0 disables.
-    checkpoint_every: u64,
-    applied_since_checkpoint: u64,
-}
-
-impl ShardPersist {
-    fn write_checkpoint<S: BitSynopsis + Send + 'static, R: Recorder + ?Sized>(
-        &mut self,
-        keys: &HashMap<Key, S>,
-        rec: &R,
-    ) -> std::io::Result<()> {
-        let entries: Vec<(u64, Vec<u8>)> = keys
-            .iter()
-            .map(|(k, s)| (*k, s.encode_synopsis()))
-            .collect();
-        self.store.checkpoint(entries, rec)?;
-        self.applied_since_checkpoint = 0;
-        Ok(())
-    }
-}
-
-/// [`Engine::shard_of`] for an engine of `num_shards` shards.
-#[inline]
-fn shard_for(key: Key, num_shards: usize) -> usize {
-    let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((mixed >> 32) as usize) % num_shards
-}
-
-/// Refused bytes: an `InvalidData` [`WaveError::Io`] naming them.
-fn invalid_data(what: String) -> WaveError {
-    WaveError::io(std::io::Error::new(std::io::ErrorKind::InvalidData, what))
-}
-
-/// Key-family fingerprint for the registry's load-skew dimension: the
-/// top 4 bits of the same Fibonacci mix [`Engine::shard_of`] uses, so
-/// it costs one multiply-shift already paid for routing.
-#[inline]
-fn family_of(key: Key) -> usize {
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize
-}
-
-/// The shard worker loop: single-threaded owner of this shard's keys.
-///
-/// With persistence, every batch is WAL-appended *before* it is applied;
-/// an unrecoverable WAL io error disables durability for this shard
-/// (serving continues from memory) and is surfaced as a
-/// `store_wal_disabled_total` count plus a failed reply to the next
-/// explicit checkpoint. Clean shutdown (queue closed) writes a final
-/// checkpoint so `OnCheckpoint` deployments lose nothing across a
-/// graceful restart.
-#[allow(clippy::too_many_arguments)]
-fn shard_worker<S, R, F>(
-    shard: usize,
-    rx: queue::Receiver<Cmd>,
-    factory: Arc<F>,
-    rec: Arc<R>,
-    initial_keys: HashMap<Key, S>,
-    mut persist: Option<ShardPersist>,
-    crashed: Arc<AtomicBool>,
-) where
-    S: BitSynopsis + Send + 'static,
-    R: Recorder + Send + Sync + ?Sized + 'static,
-    F: Fn() -> Result<S, WaveError> + Send + Sync + 'static,
-{
-    // A traced command's queue wait ends as its shard span begins.
-    let execute = |queued: Option<OpenSpan>| queued.map(|q| q.then(Stage::Shard, rec.as_ref()));
-    let mut keys = initial_keys;
-    let mut wal_failed = false;
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Batch { batch, queued } => {
-                let span = execute(queued);
-                let wal_ctx = span.map_or(TraceCtx::NONE, OpenSpan::ctx);
-                let started = rec.enabled().then(Instant::now);
-                if let Some(p) = persist.as_mut() {
-                    if p.store
-                        .append_batch_traced(&batch, rec.as_ref(), wal_ctx)
-                        .is_err()
-                    {
-                        // No reply channel exists for a batch, so degrade:
-                        // keep serving from memory, stop logging, and make
-                        // the failure visible to operators.
-                        rec.incr(MetricId::StoreWalDisabled, 1);
-                        persist = None;
-                        wal_failed = true;
-                    }
-                }
-                let mut items = 0u64;
-                for (key, bits) in &batch {
-                    let synopsis = keys
-                        .entry(*key)
-                        .or_insert_with(|| factory().expect("factory validated at construction"));
-                    // The word-packed apply path: 64 bits per step, zero
-                    // runs collapsed in O(1) by the synopsis overrides.
-                    synopsis.push_words(bits.as_ref());
-                    items += bits.len();
-                    rec.incr_family(family_of(*key), bits.len());
-                }
-                if let Some(t0) = started {
-                    rec.observe(HistId::EngineIngestBatchNs, t0.elapsed().as_nanos() as u64);
-                }
-                rec.incr(MetricId::EngineBatchesIngested, 1);
-                rec.incr(MetricId::EngineItemsIngested, items);
-                rec.incr_shard(shard, ShardStat::Batches, 1);
-                rec.incr_shard(shard, ShardStat::Items, items);
-                if let Some(span) = span {
-                    span.end(rec.as_ref());
-                }
-                if let Some(p) = persist.as_mut() {
-                    p.applied_since_checkpoint += 1;
-                    if p.checkpoint_every > 0
-                        && p.applied_since_checkpoint >= p.checkpoint_every
-                        && p.write_checkpoint(&keys, rec.as_ref()).is_err()
-                    {
-                        rec.incr(MetricId::StoreCheckpointFailures, 1);
-                        // The WAL is still intact; keep logging and
-                        // retry at the next checkpoint interval.
-                        p.applied_since_checkpoint = 0;
-                    }
-                }
-            }
-            Cmd::Query {
-                key,
-                window,
-                reply,
-                queued,
-                started,
-            } => {
-                let span = execute(queued);
-                let res = match keys.get(&key) {
-                    Some(synopsis) => synopsis.query_window(window),
-                    None => Err(WaveError::UnknownKey { key }),
-                };
-                rec.incr(MetricId::EngineQueriesServed, 1);
-                rec.incr_shard(shard, ShardStat::Queries, 1);
-                if let Some(t0) = started {
-                    rec.observe(HistId::EngineQueryNs, t0.elapsed().as_nanos() as u64);
-                }
-                // Close the span before replying so a caller that
-                // inspects the ring right after the reply sees it.
-                if let Some(span) = span {
-                    span.end(rec.as_ref());
-                }
-                reply(res);
-            }
-            Cmd::Snapshot(reply) => {
-                let mut snap = ShardSnapshot {
-                    shard,
-                    keys: keys.len(),
-                    resident_bytes: 0,
-                    synopsis_bits: 0,
-                    entries: 0,
-                    queue_depth: rx.slots(),
-                };
-                for synopsis in keys.values() {
-                    let r = synopsis.space_report();
-                    snap.resident_bytes += r.resident_bytes;
-                    snap.synopsis_bits += r.synopsis_bits;
-                    snap.entries += r.entries;
-                }
-                reply(snap);
-            }
-            Cmd::Flush(reply) => reply(()),
-            Cmd::Checkpoint(reply) => {
-                let res = match persist.as_mut() {
-                    Some(p) => p
-                        .write_checkpoint(&keys, rec.as_ref())
-                        .map_err(WaveError::io),
-                    None if wal_failed => Err(WaveError::io(std::io::Error::other(
-                        "persistence disabled after WAL write failure",
-                    ))),
-                    None => Ok(()), // persistence never configured: no-op
-                };
-                reply(res);
-            }
-            Cmd::Install { key, bytes, reply } => {
-                let res = match S::decode_synopsis(&bytes) {
-                    // An older copy than the key's state: a late or
-                    // racing replicator, acknowledged and ignored.
-                    Ok(synopsis) if keys.get(&key).is_some_and(|s| s.pos() > synopsis.pos()) => {
-                        Ok(())
-                    }
-                    Ok(synopsis) => {
-                        keys.insert(key, synopsis);
-                        rec.incr(MetricId::EngineSynopsesInstalled, 1);
-                        Ok(())
-                    }
-                    Err(e) => Err(invalid_data(format!("synopsis install for key {key}: {e}"))),
-                };
-                reply(res);
-            }
-            Cmd::Fetch { key, reply } => {
-                let res = match keys.get(&key) {
-                    Some(synopsis) => Ok(synopsis.encode_synopsis()),
-                    None => Err(WaveError::UnknownKey { key }),
-                };
-                reply(res);
-            }
-        }
-    }
-    // Clean shutdown: land everything durably regardless of sync policy.
-    // A simulated crash ([`Engine::crash_on_drop`]) skips this so the
-    // WAL prefix — not a fresh checkpoint — is what recovery sees.
-    if crashed.load(Ordering::Relaxed) {
-        return;
-    }
-    if let Some(p) = persist.as_mut() {
-        if p.write_checkpoint(&keys, rec.as_ref()).is_err() {
-            rec.incr(MetricId::StoreCheckpointFailures, 1);
-            // Best effort fallback: at least fsync the WAL tail.
-            let _ = p.store.sync(rec.as_ref());
-        }
-    }
-}
-
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use waves_obs::MetricsRegistry;
-
-    fn lcg_bits(seed: u64, len: usize, density_mod: u64, density_lt: u64) -> Vec<bool> {
-        let mut x = seed;
-        (0..len)
-            .map(|_| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (x >> 33) % density_mod < density_lt
-            })
-            .collect()
-    }
-
-    fn small_cfg(shards: usize) -> EngineConfig {
-        EngineConfig::builder()
-            .num_shards(shards)
-            .max_window(64)
-            .eps(0.25)
-            .build()
-    }
-
-    #[test]
-    fn config_builder_defaults_and_clamps() {
-        let cfg = EngineConfig::builder().build();
-        assert_eq!(cfg.num_shards, 4);
-        assert_eq!(cfg.queue_capacity, 1024);
-        let cfg = EngineConfig::builder()
-            .num_shards(0)
-            .queue_capacity(0)
-            .build();
-        assert_eq!(cfg.num_shards, 1);
-        assert_eq!(cfg.queue_capacity, 1);
-    }
-
-    #[test]
-    fn bad_synopsis_params_fail_at_construction() {
-        let cfg = EngineConfig::builder().eps(7.5).build();
-        assert_eq!(Engine::new(cfg).err(), Some(WaveError::InvalidEpsilon(7.5)));
-        let cfg = EngineConfig::builder().max_window(0).build();
-        assert!(Engine::new(cfg).is_err());
-    }
-
-    /// Both synopses refuse a window past the bound with the same typed
-    /// error (the EH used to accept it, overflow in expiry, and report
-    /// every key as `0 (exact)`).
-    #[test]
-    fn window_past_the_bound_is_a_typed_error_for_either_synopsis() {
-        let cfg = EngineConfig::builder()
-            .num_shards(2)
-            .max_window(u64::MAX)
-            .eps(0.25)
-            .build();
-        let want = Some(WaveError::InvalidWindow(u64::MAX));
-        assert_eq!(Engine::new(cfg.clone()).err(), want);
-        let eh = Engine::with_factory(
-            cfg,
-            || waves_eh::EhCount::new(u64::MAX, 0.25),
-            Arc::new(NoopRecorder),
-        );
-        assert_eq!(eh.err(), want);
-    }
-
-    #[test]
-    fn per_key_results_match_single_threaded_oracle() {
-        let engine = Engine::new(small_cfg(4)).unwrap();
-        let num_keys = 200u64;
-        let mut oracles: HashMap<Key, DetWave> = HashMap::new();
-        // Interleave keys heavily: several rounds of per-key chunks.
-        for round in 0..5u64 {
-            let mut batch: Vec<KeyedBits> = Vec::new();
-            for key in 0..num_keys {
-                let bits = lcg_bits(round * 1_000 + key, 37, 3, 1);
-                let oracle = oracles
-                    .entry(key)
-                    .or_insert_with(|| DetWave::new(64, 0.25).unwrap());
-                bits.iter().for_each(|&b| oracle.push_bit(b));
-                batch.push((key, Bits::from(bits)));
-            }
-            engine
-                .ingest(IngestRequest::batch(batch).blocking(true))
-                .unwrap();
-        }
-        engine.flush();
-        for key in 0..num_keys {
-            for window in [1u64, 13, 64] {
-                assert_eq!(
-                    engine.query(key, window).unwrap(),
-                    oracles[&key].query(window).unwrap(),
-                    "key={key} window={window}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn install_synopsis_replaces_key_state() {
-        let engine = Engine::new(small_cfg(2)).unwrap();
-        engine
-            .ingest(IngestRequest::of(9, [true, true, true]).blocking(true))
-            .unwrap();
-        engine.flush();
-        assert_eq!(engine.query(9, 64).unwrap().value, 3.0);
-
-        // Build a replacement synopsis elsewhere (a "primary") and ship
-        // its encode() bytes; the install replaces the local state.
-        let mut primary = DetWave::new(64, 0.25).unwrap();
-        primary.push_words(Bits::from_bools(&[true, false, false, true, true, false]).as_ref());
-        engine.install_synopsis(9, primary.encode()).unwrap();
-        engine.flush();
-        assert_eq!(engine.query(9, 64).unwrap(), primary.query(64).unwrap());
-
-        // Installing under a fresh key creates it.
-        let mut other = DetWave::new(64, 0.25).unwrap();
-        other.push_bit(true);
-        engine.install_synopsis(77, other.encode()).unwrap();
-        assert_eq!(engine.query(77, 64).unwrap().value, 1.0);
-    }
-
-    #[test]
-    fn install_synopsis_never_rolls_a_key_back() {
-        let engine = Engine::new(small_cfg(2)).unwrap();
-        let wave = |bits: &[bool]| {
-            let mut w = DetWave::new(64, 0.25).unwrap();
-            w.push_words(Bits::from_bools(bits).as_ref());
-            w
-        };
-        engine
-            .ingest(IngestRequest::of(9, [true, false, true, true]).blocking(true))
-            .unwrap();
-        let held = engine.synopsis_bytes(9).unwrap();
-
-        // An older copy is acknowledged and changes nothing.
-        engine
-            .install_synopsis(9, wave(&[true, true, true]).encode())
-            .unwrap();
-        assert_eq!(engine.synopsis_bytes(9).unwrap(), held);
-
-        // An equal position replaces, and so does a newer one.
-        let equal = wave(&[false, false, false, true]);
-        engine.install_synopsis(9, equal.encode()).unwrap();
-        assert_eq!(engine.synopsis_bytes(9).unwrap(), equal.encode());
-        let newer = wave(&[true; 9]);
-        engine.install_synopsis(9, newer.encode()).unwrap();
-        assert_eq!(engine.synopsis_bytes(9).unwrap(), newer.encode());
-
-        assert_eq!(
-            engine.synopsis_bytes(10),
-            Err(WaveError::UnknownKey { key: 10 })
-        );
-    }
-
-    #[test]
-    fn install_synopsis_rejects_garbage_and_keeps_state() {
-        let engine = Engine::new(small_cfg(1)).unwrap();
-        engine
-            .ingest(IngestRequest::of(4, [true, true]).blocking(true))
-            .unwrap();
-        engine.flush();
-        // Empty input can't even yield the gamma-coded max_window.
-        let err = engine.install_synopsis(4, Vec::new()).unwrap_err();
-        match err {
-            WaveError::Io(io) => assert_eq!(io.kind(), std::io::ErrorKind::InvalidData),
-            other => panic!("expected Io(InvalidData), got {other:?}"),
-        }
-        // The failed install left the previous state untouched.
-        assert_eq!(engine.query(4, 64).unwrap().value, 2.0);
-    }
-
-    #[test]
-    fn unknown_key_and_oversized_window_errors() {
-        let engine = Engine::new(small_cfg(2)).unwrap();
-        engine
-            .ingest(IngestRequest::of(1, [true]).blocking(true))
-            .unwrap();
-        engine.flush();
-        assert_eq!(
-            engine.query(999, 64).err(),
-            Some(WaveError::UnknownKey { key: 999 })
-        );
-        assert_eq!(
-            engine.query(1, 65).err(),
-            Some(WaveError::WindowTooLarge {
-                requested: 65,
-                max: 64
-            })
-        );
-    }
-
-    #[test]
-    fn backpressure_sheds_and_counts() {
-        let cfg = EngineConfig::builder()
-            .num_shards(1)
-            .queue_capacity(1)
-            .max_window(1 << 20)
-            .eps(0.01)
-            .build();
-        let engine = Engine::new(cfg).unwrap();
-        // A large first batch keeps the single worker busy while we spam
-        // the capacity-1 queue; at least one try must bounce.
-        let big = vec![(0u64, Bits::from(vec![true; 1 << 20]))];
-        engine
-            .ingest(IngestRequest::batch(big).blocking(true))
-            .unwrap();
-        let mut saw_backpressure = false;
-        for _ in 0..10_000 {
-            match engine.ingest(IngestRequest::of(0, [true, false])) {
-                Err(WaveError::Backpressure { shard }) => {
-                    assert_eq!(shard, 0);
-                    saw_backpressure = true;
-                    break;
-                }
-                Err(e) => panic!("unexpected error {e}"),
-                Ok(()) => {}
-            }
-        }
-        assert!(saw_backpressure, "capacity-1 queue never filled");
-        assert!(engine.dropped_items() >= 2);
-        let snap = engine.snapshot();
-        assert!(snap.backpressure_events >= 1);
-        assert_eq!(snap.dropped_items, engine.dropped_items());
-    }
-
-    /// A query and a flush wait for no room: issued while the one slot
-    /// of a busy shard's queue is taken, each goes in behind the queued
-    /// batches and answers with all of them applied.
-    #[test]
-    fn a_query_and_a_flush_pass_a_full_queue_and_answer() {
-        const N: u64 = 1 << 20;
-        let cfg = EngineConfig::builder()
-            .num_shards(1)
-            .queue_capacity(1)
-            .max_window(N)
-            .eps(0.01)
-            .build();
-        let engine = Engine::new(cfg).unwrap();
-        let mut oracle = DetWave::new(N, 0.01).unwrap();
-        let big = Bits::from(lcg_bits(5, 1 << 20, 2, 1));
-        oracle.push_words(big.as_ref());
-        engine
-            .ingest(IngestRequest::batch(vec![(0, big)]).blocking(true))
-            .unwrap();
-        let small = Bits::from_bools(&[true, false, true]);
-        if engine
-            .ingest(IngestRequest::batch(vec![(0, small.clone())]))
-            .is_ok()
-        {
-            oracle.push_words(small.as_ref());
-        }
-        assert_eq!(engine.query(0, N).unwrap(), oracle.query(N).unwrap());
-        engine.flush();
-        assert_eq!(engine.snapshot().shards[0].queue_depth, 0);
-        assert_eq!(engine.query(0, 100).unwrap(), oracle.query(100).unwrap());
-    }
-
-    #[test]
-    fn partial_batch_delivery_under_backpressure() {
-        // One-shot: non-blocking batch into empty queues always fits.
-        let engine = Engine::new(small_cfg(2)).unwrap();
-        let batch: Vec<KeyedBits> = (0..10u64).map(|k| (k, Bits::from([true; 4]))).collect();
-        engine.ingest(IngestRequest::batch(batch)).unwrap();
-        engine.flush();
-        for k in 0..10u64 {
-            assert_eq!(engine.query(k, 64).unwrap(), Estimate::exact(4), "k={k}");
-        }
-    }
-
-    #[test]
-    fn snapshot_reports_keys_and_space() {
-        let engine = Engine::new(small_cfg(3)).unwrap();
-        let batch: Vec<KeyedBits> = (0..50u64)
-            .map(|k| (k, Bits::from(lcg_bits(k, 100, 2, 1))))
-            .collect();
-        engine
-            .ingest(IngestRequest::batch(batch).blocking(true))
-            .unwrap();
-        engine.flush();
-        let snap = engine.snapshot();
-        assert_eq!(snap.shards.len(), 3);
-        assert_eq!(snap.keys(), 50);
-        assert!(snap.entries() > 0);
-        assert!(snap.resident_bytes() > 0);
-        assert_eq!(snap.dropped_items, 0);
-        // Every shard got some keys (fibonacci hashing spreads 50 keys).
-        assert!(snap.shards.iter().all(|s| s.keys > 0));
-        let text = snap.to_text();
-        assert!(text.contains("== engine =="));
-        assert!(text.contains("total"));
-    }
-
-    #[test]
-    fn generic_over_eh_synopsis() {
-        let cfg = small_cfg(2);
-        let engine = Engine::with_factory(
-            cfg,
-            || waves_eh::EhCount::new(64, 0.25),
-            Arc::new(NoopRecorder),
-        )
-        .unwrap();
-        engine
-            .ingest(IngestRequest::of(3, [true; 10]).blocking(true))
-            .unwrap();
-        engine.flush();
-        let est = engine.query(3, 64).unwrap();
-        assert!(est.brackets(10));
-    }
-
-    #[test]
-    fn metrics_flow_into_registry() {
-        let reg = Arc::new(MetricsRegistry::new());
-        let cfg = small_cfg(2);
-        let engine = Engine::new_recorded(cfg, Arc::clone(&reg)).unwrap();
-        let batch: Vec<KeyedBits> = (0..8u64).map(|k| (k, Bits::from([true; 5]))).collect();
-        engine
-            .ingest(IngestRequest::batch(batch).blocking(true))
-            .unwrap();
-        engine.flush();
-        engine.query(0, 64).unwrap();
-        engine.query(12345, 64).unwrap_err();
-        use waves_obs::MetricId as M;
-        assert_eq!(reg.counter(M::EngineItemsIngested), 40);
-        assert!(reg.counter(M::EngineBatchesIngested) >= 1);
-        assert_eq!(reg.counter(M::EngineQueriesServed), 2);
-        assert_eq!(reg.counter(M::EngineBackpressureEvents), 0);
-        assert!(reg.histogram(HistId::EngineQueryNs).snapshot().count >= 2);
-        assert!(reg.histogram(HistId::EngineIngestBatchNs).snapshot().count >= 1);
-        assert!(reg.histogram(HistId::EngineQueueDepth).snapshot().count >= 1);
-    }
-
-    #[test]
-    fn shard_dimension_sums_to_global_counters() {
-        let reg = Arc::new(MetricsRegistry::new());
-        let engine = Engine::new_recorded(small_cfg(3), Arc::clone(&reg)).unwrap();
-        let batch: Vec<KeyedBits> = (0..40u64).map(|k| (k, Bits::from([true; 3]))).collect();
-        engine
-            .ingest(IngestRequest::batch(batch).blocking(true))
-            .unwrap();
-        engine.flush();
-        for k in 0..10u64 {
-            engine.query(k, 64).unwrap();
-        }
-        use waves_obs::MetricId as M;
-        let snap = reg.snapshot();
-        let shard_items: u64 = snap.shards.iter().map(|s| s.items).sum();
-        let shard_batches: u64 = snap.shards.iter().map(|s| s.batches).sum();
-        let shard_queries: u64 = snap.shards.iter().map(|s| s.queries).sum();
-        assert_eq!(shard_items, reg.counter(M::EngineItemsIngested));
-        assert_eq!(shard_items, 120);
-        assert_eq!(shard_batches, reg.counter(M::EngineBatchesIngested));
-        assert_eq!(shard_queries, reg.counter(M::EngineQueriesServed));
-        // Key families: every ingested item lands in exactly one family.
-        assert_eq!(snap.families.iter().sum::<u64>(), 120);
-    }
-
-    #[test]
-    fn traced_ingest_and_query_record_span_tree() {
-        use waves_obs::trace::{SpanRecorder, TraceCtx, TraceId};
-        use waves_obs::{Fanout, Stage};
-        let rec = Arc::new(Fanout(MetricsRegistry::new(), SpanRecorder::new()));
-        let cfg = EngineConfig::builder()
-            .num_shards(2)
-            .max_window(64)
-            .eps(0.25)
-            .persist_config(
-                PersistConfig::new(waves_store::scratch_dir("engine-trace"))
-                    .sync_policy(SyncPolicy::EveryBatch),
-            )
-            .build();
-        let dir = cfg.persist.as_ref().unwrap().dir.clone();
-        let (n, eps) = (cfg.max_window, cfg.eps);
-        let engine =
-            Engine::with_factory(cfg, move || DetWave::new(n, eps), Arc::clone(&rec)).unwrap();
-        let ctx = TraceCtx {
-            trace: TraceId(42),
-            parent: 1,
-        };
-        engine
-            .ingest(IngestRequest::of(7, [true; 5]).traced(ctx))
-            .unwrap();
-        engine.flush();
-        engine.query_traced(7, 64, ctx).unwrap();
-        let spans = rec.1.trace(TraceId(42));
-        let stages: Vec<Stage> = spans.iter().map(|s| s.stage).collect();
-        // Ingest: queue + shard + wal + fsync. Query: queue + shard.
-        assert_eq!(stages.iter().filter(|&&s| s == Stage::Queue).count(), 2);
-        assert_eq!(stages.iter().filter(|&&s| s == Stage::Shard).count(), 2);
-        assert_eq!(stages.iter().filter(|&&s| s == Stage::Wal).count(), 1);
-        assert_eq!(stages.iter().filter(|&&s| s == Stage::Fsync).count(), 1);
-        // Structure: queue spans parent to the ctx parent, wal parents
-        // to the ingest's shard span.
-        let wal = spans.iter().find(|s| s.stage == Stage::Wal).unwrap();
-        let shard_ids: Vec<u64> = spans
-            .iter()
-            .filter(|s| s.stage == Stage::Shard)
-            .map(|s| s.id)
-            .collect();
-        assert!(shard_ids.contains(&wal.parent));
-        assert!(spans
-            .iter()
-            .filter(|s| s.stage == Stage::Queue)
-            .all(|s| s.parent == 1));
-        // Untraced work records no spans.
-        engine.ingest(IngestRequest::of(8, [true])).unwrap();
-        engine.flush();
-        engine.query(8, 64).unwrap();
-        assert_eq!(rec.1.spans().len(), spans.len());
-        drop(engine);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn queries_observe_prior_ingests_per_key() {
-        // FIFO-per-shard read-your-writes: no flush needed between an
-        // ingest and a query for the same key.
-        let engine = Engine::new(small_cfg(4)).unwrap();
-        for i in 0..100u64 {
-            engine
-                .ingest(IngestRequest::of(i % 7, [true]).blocking(true))
-                .unwrap();
-            let est = engine.query(i % 7, 64).unwrap();
-            assert_eq!(est.value, (i / 7 + 1) as f64, "i={i}");
-        }
-    }
-
-    #[test]
-    fn drop_joins_workers_cleanly() {
-        let engine = Engine::new(small_cfg(8)).unwrap();
-        engine
-            .ingest(IngestRequest::of(1, [true; 100]).blocking(true))
-            .unwrap();
-        drop(engine); // must not hang or panic
-    }
-
-    fn persist_cfg(dir: &std::path::Path, shards: usize) -> EngineConfig {
-        EngineConfig::builder()
-            .num_shards(shards)
-            .max_window(64)
-            .eps(0.25)
-            .persist_config(PersistConfig::new(dir).sync_policy(SyncPolicy::EveryBatch))
-            .build()
-    }
-
-    #[test]
-    fn restart_preserves_state_and_query_results() {
-        let dir = waves_store::scratch_dir("engine-restart");
-        let mut oracles: HashMap<Key, DetWave> = HashMap::new();
-        let cfg = persist_cfg(&dir, 3);
-        {
-            let engine = Engine::new(cfg.clone()).unwrap();
-            for round in 0..4u64 {
-                let mut batch: Vec<KeyedBits> = Vec::new();
-                for key in 0..60u64 {
-                    let bits = lcg_bits(round * 777 + key, 29, 3, 1);
-                    let oracle = oracles
-                        .entry(key)
-                        .or_insert_with(|| DetWave::new(64, 0.25).unwrap());
-                    bits.iter().for_each(|&b| oracle.push_bit(b));
-                    batch.push((key, Bits::from(bits)));
-                }
-                engine
-                    .ingest(IngestRequest::batch(batch).blocking(true))
-                    .unwrap();
-            }
-            engine.flush();
-        } // clean shutdown: final checkpoint
-        let engine = Engine::new(cfg).unwrap();
-        let snap = engine.snapshot();
-        assert_eq!(snap.keys(), 60, "all keys survive restart");
-        assert!(snap.entries() > 0);
-        for key in 0..60u64 {
-            for window in [1u64, 17, 64] {
-                assert_eq!(
-                    engine.query(key, window).unwrap(),
-                    oracles[&key].query(window).unwrap(),
-                    "key={key} window={window}"
-                );
-            }
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn restart_replays_wal_without_checkpoint() {
-        // Auto-checkpoint disabled and no clean-shutdown path exercised:
-        // kill the engine via mem::forget so recovery must come from the
-        // WAL alone (EveryBatch syncs acknowledge each batch).
-        let dir = waves_store::scratch_dir("engine-wal-only");
-        let cfg = EngineConfig::builder()
-            .num_shards(2)
-            .max_window(64)
-            .eps(0.25)
-            .persist_config(
-                PersistConfig::new(&dir)
-                    .sync_policy(SyncPolicy::EveryBatch)
-                    .checkpoint_every(0),
-            )
-            .build();
-        {
-            let engine = Engine::new(cfg.clone()).unwrap();
-            for key in 0..10u64 {
-                engine
-                    .ingest(IngestRequest::of(key, [true; 7]).blocking(true))
-                    .unwrap();
-            }
-            engine.flush();
-            let shard0 = std::fs::read_dir(dir.join("shard-0")).unwrap();
-            assert!(
-                shard0
-                    .filter_map(|e| e.ok())
-                    .all(|e| !e.file_name().to_string_lossy().ends_with(".ckpt")),
-                "no checkpoint should exist before shutdown"
-            );
-            // Simulate a crash: leak the engine so Drop never runs and no
-            // final checkpoint is written. The workers stay parked on
-            // their closed-over receivers; recovery must use the WAL.
-            std::mem::forget(engine);
-        }
-        let engine = Engine::new(cfg).unwrap();
-        for key in 0..10u64 {
-            assert_eq!(
-                engine.query(key, 64).unwrap(),
-                Estimate::exact(7),
-                "key={key}"
-            );
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn explicit_checkpoint_trims_wal_and_survives_restart() {
-        let dir = waves_store::scratch_dir("engine-ckpt");
-        let cfg = persist_cfg(&dir, 2);
-        {
-            let engine = Engine::new(cfg.clone()).unwrap();
-            for key in 0..20u64 {
-                engine
-                    .ingest(IngestRequest::of(key, lcg_bits(key, 50, 2, 1)).blocking(true))
-                    .unwrap();
-            }
-            engine.checkpoint().unwrap();
-            // Checkpoint rotated each shard onto a fresh segment and
-            // reclaimed the old ones: exactly one (empty) segment left.
-            for shard in 0..2 {
-                let dir = dir.join(format!("shard-{shard}"));
-                let segs = std::fs::read_dir(&dir)
-                    .unwrap()
-                    .filter_map(|e| e.ok())
-                    .filter(|e| e.file_name().to_string_lossy().ends_with(".log"))
-                    .count();
-                assert_eq!(segs, 1, "shard {shard} should hold one live segment");
-            }
-            engine
-                .ingest(IngestRequest::of(99, [true; 3]).blocking(true))
-                .unwrap();
-        }
-        let engine = Engine::new(cfg).unwrap();
-        assert_eq!(engine.snapshot().keys(), 21);
-        assert_eq!(engine.query(99, 64).unwrap(), Estimate::exact(3));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn checkpoint_without_persistence_is_ok() {
-        let engine = Engine::new(small_cfg(2)).unwrap();
-        engine
-            .ingest(IngestRequest::of(1, [true]).blocking(true))
-            .unwrap();
-        engine.checkpoint().unwrap();
-    }
-
-    /// An automatic checkpoint that cannot be written (its shard
-    /// directory is gone) is counted, and the key keeps serving from
-    /// memory.
-    #[test]
-    fn a_failed_auto_checkpoint_is_counted_and_the_key_still_answers() {
-        let dir = waves_store::scratch_dir("engine-ckpt-fail");
-        let cfg = EngineConfig::builder()
-            .num_shards(1)
-            .max_window(64)
-            .eps(0.25)
-            .persist_config(
-                PersistConfig::new(&dir)
-                    .sync_policy(SyncPolicy::EveryBatch)
-                    .checkpoint_every(1),
-            )
-            .build();
-        let reg = Arc::new(MetricsRegistry::new());
-        let engine = Engine::new_recorded(cfg, Arc::clone(&reg)).unwrap();
-        std::fs::remove_dir_all(dir.join("shard-0")).unwrap();
-        engine
-            .ingest(IngestRequest::of(5, [true; 4]).blocking(true))
-            .unwrap();
-        engine.flush();
-        assert!(reg.counter(MetricId::StoreCheckpointFailures) >= 1);
-        assert_eq!(engine.query(5, 64).unwrap(), Estimate::exact(4));
-        drop(engine);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// A WAL append that fails (the next segment cannot be created: the
-    /// shard directory is gone) disables durability for the shard once:
-    /// `store_wal_disabled_total` reads 1, the next checkpoint reports
-    /// why, and the key keeps serving every batch from memory.
-    #[test]
-    fn a_failed_wal_append_disables_durability_once_and_the_key_still_answers() {
-        let dir = waves_store::scratch_dir("engine-wal-fail");
-        let cfg = EngineConfig::builder()
-            .num_shards(1)
-            .max_window(64)
-            .eps(0.25)
-            .persist_config(
-                PersistConfig::new(&dir)
-                    .sync_policy(SyncPolicy::EveryBatch)
-                    .segment_bytes(1)
-                    .checkpoint_every(0),
-            )
-            .build();
-        let reg = Arc::new(MetricsRegistry::new());
-        let engine = Engine::new_recorded(cfg, Arc::clone(&reg)).unwrap();
-        std::fs::remove_dir_all(dir.join("shard-0")).unwrap();
-        for _ in 0..3 {
-            engine
-                .ingest(IngestRequest::of(5, [true; 4]).blocking(true))
-                .unwrap();
-        }
-        engine.flush();
-        assert_eq!(reg.counter(MetricId::StoreWalDisabled), 1);
-        let err = engine.checkpoint().unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("persistence disabled after WAL write failure"),
-            "{err}"
-        );
-        assert_eq!(engine.query(5, 64).unwrap(), Estimate::exact(12));
-        drop(engine);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shard_count_mismatch_fails_construction() {
-        let dir = waves_store::scratch_dir("engine-shards");
-        drop(Engine::new(persist_cfg(&dir, 2)).unwrap());
-        let err = Engine::new(persist_cfg(&dir, 3)).err().expect("must fail");
-        assert!(matches!(err, WaveError::Io(_)), "got {err}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// What a checkpoint may hold (PROTOCOL.md §2.4) is enforced where
-    /// it is read: in a 2-shard directory, hand-written checkpoints that
-    /// name a key twice or a key of the other shard, and a WAL record
-    /// for a key of the other shard, are each refused by key.
-    #[test]
-    fn recovery_refuses_a_repeated_key_and_a_key_of_another_shard() {
-        use waves_store::checkpoint::{write_checkpoint, Checkpoint};
-        let dir = waves_store::scratch_dir("engine-ckpt-keys");
-        let cfg = persist_cfg(&dir, 2);
-        let (mine, theirs) = {
-            let engine = Engine::new(cfg.clone()).unwrap();
-            let first_of = |shard| (0..).find(|&k| engine.shard_of(k) == shard).unwrap();
-            (first_of(0), first_of(1))
-        };
-        let shard0 = dir.join("shard-0");
-        let mut wave = DetWave::new(64, 0.25).unwrap();
-        wave.push_words(Bits::from_bools(&[true, false, true]).as_ref());
-        let refusal = || match Engine::new(cfg.clone()).err().expect("recovery refuses") {
-            WaveError::Io(io) => {
-                assert_eq!(io.kind(), std::io::ErrorKind::InvalidData);
-                io.to_string()
-            }
-            other => panic!("expected Io(InvalidData), got {other:?}"),
-        };
-        // Each checkpoint is newer than the last, so recovery loads it.
-        let checkpoint = |wal_seq, keys: &[Key]| {
-            let entries = keys.iter().map(|&k| (k, wave.encode())).collect();
-            write_checkpoint(&shard0, &Checkpoint { wal_seq, entries }).unwrap();
-        };
-        checkpoint(100, &[mine, mine]);
-        assert!(refusal().contains(&format!("names key {mine} twice")));
-        checkpoint(101, &[mine, theirs]);
-        let refused = refusal();
-        assert!(
-            refused.contains(&format!("key {theirs} in shard 0")),
-            "{refused}"
-        );
-        assert!(refused.contains("belongs to shard 1"), "{refused}");
-        // Held to the rule, the same checkpoint recovers.
-        checkpoint(102, &[mine]);
-        {
-            let engine = Engine::new(cfg.clone()).unwrap();
-            assert_eq!(engine.query(mine, 64).unwrap(), wave.query(64).unwrap());
-        }
-        // A WAL record in shard 0 for the other shard's key.
-        let mut log =
-            ShardStore::recover(&shard0, SyncPolicy::EveryBatch, 1 << 20, &NoopRecorder).unwrap();
-        log.store
-            .append_batch(&[(theirs, Bits::from_bools(&[true]))], &NoopRecorder)
-            .unwrap();
-        drop(log);
-        let refused = refusal();
-        assert!(
-            refused.starts_with(&format!("WAL entry for key {theirs}")),
-            "{refused}"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn eh_synopsis_persists_too() {
-        let dir = waves_store::scratch_dir("engine-eh");
-        let cfg = persist_cfg(&dir, 2);
-        {
-            let engine = Engine::with_factory(
-                cfg.clone(),
-                || waves_eh::EhCount::new(64, 0.25),
-                Arc::new(NoopRecorder),
-            )
-            .unwrap();
-            engine
-                .ingest(IngestRequest::of(3, [true; 10]).blocking(true))
-                .unwrap();
-            engine.flush();
-        }
-        let engine = Engine::with_factory(
-            cfg,
-            || waves_eh::EhCount::new(64, 0.25),
-            Arc::new(NoopRecorder),
-        )
-        .unwrap();
-        assert!(engine.query(3, 64).unwrap().brackets(10));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-}
+mod tests;

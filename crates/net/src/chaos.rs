@@ -13,7 +13,7 @@
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -40,11 +40,18 @@ pub enum Fault {
 /// every proxied connection and joins all pump threads.
 pub struct ChaosProxy {
     local_addr: SocketAddr,
-    stopping: Arc<AtomicBool>,
-    streams: Arc<Mutex<Vec<TcpStream>>>,
+    shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
-    pumps: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    bytes_forwarded: Arc<AtomicU64>,
+}
+
+/// What the proxy and its accept thread both hold.
+#[derive(Default)]
+struct Shared {
+    stopping: AtomicBool,
+    /// A clone of every proxied stream, so shutdown can unblock the pumps.
+    streams: Mutex<Vec<TcpStream>>,
+    pumps: Mutex<Vec<JoinHandle<()>>>,
+    bytes_forwarded: AtomicU64,
 }
 
 impl ChaosProxy {
@@ -53,36 +60,17 @@ impl ChaosProxy {
     pub fn start(upstream: SocketAddr, fault: Fault) -> std::io::Result<ChaosProxy> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let local_addr = listener.local_addr()?;
-        let stopping = Arc::new(AtomicBool::new(false));
-        let streams = Arc::new(Mutex::new(Vec::new()));
-        let pumps = Arc::new(Mutex::new(Vec::new()));
-        let bytes_forwarded = Arc::new(AtomicU64::new(0));
+        let shared = Arc::new(Shared::default());
         let accept = {
-            let stopping = Arc::clone(&stopping);
-            let streams = Arc::clone(&streams);
-            let pumps = Arc::clone(&pumps);
-            let bytes_forwarded = Arc::clone(&bytes_forwarded);
+            let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("waves-chaos-accept".into())
-                .spawn(move || {
-                    accept_loop(
-                        listener,
-                        upstream,
-                        fault,
-                        stopping,
-                        streams,
-                        pumps,
-                        bytes_forwarded,
-                    )
-                })?
+                .spawn(move || accept_loop(listener, upstream, fault, &shared))?
         };
         Ok(ChaosProxy {
             local_addr,
-            stopping,
-            streams,
+            shared,
             accept: Some(accept),
-            pumps,
-            bytes_forwarded,
         })
     }
 
@@ -93,16 +81,16 @@ impl ChaosProxy {
 
     /// Total server->client bytes actually forwarded (post-fault).
     pub fn bytes_forwarded(&self) -> u64 {
-        self.bytes_forwarded.load(Ordering::Relaxed)
+        self.shared.bytes_forwarded.load(Ordering::Relaxed)
     }
 
     /// Stop proxying: close the listener and force-close every proxied
     /// stream so pump threads unblock.
     pub fn shutdown(&self) {
-        if self.stopping.swap(true, Ordering::SeqCst) {
+        if self.shared.stopping.swap(true, Ordering::SeqCst) {
             return;
         }
-        for s in self.streams.lock().unwrap().iter() {
+        for s in lock(&self.shared.streams).iter() {
             let _ = s.shutdown(Shutdown::Both);
         }
         let _ = TcpStream::connect_timeout(&self.local_addr, Duration::from_secs(1));
@@ -115,25 +103,16 @@ impl Drop for ChaosProxy {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let pumps = std::mem::take(&mut *self.pumps.lock().unwrap());
+        let pumps = std::mem::take(&mut *lock(&self.shared.pumps));
         for h in pumps {
             let _ = h.join();
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn accept_loop(
-    listener: TcpListener,
-    upstream: SocketAddr,
-    fault: Fault,
-    stopping: Arc<AtomicBool>,
-    streams: Arc<Mutex<Vec<TcpStream>>>,
-    pumps: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    bytes_forwarded: Arc<AtomicU64>,
-) {
+fn accept_loop(listener: TcpListener, upstream: SocketAddr, fault: Fault, shared: &Arc<Shared>) {
     for client in listener.incoming() {
-        if stopping.load(Ordering::SeqCst) {
+        if shared.stopping.load(Ordering::SeqCst) {
             break;
         }
         let client = match client {
@@ -157,7 +136,7 @@ fn accept_loop(
         let _ = server.set_nodelay(true);
         // Keep clones so shutdown can unblock both pumps.
         {
-            let mut guard = streams.lock().unwrap();
+            let mut guard = lock(&shared.streams);
             if let Ok(c) = client.try_clone() {
                 guard.push(c);
             }
@@ -180,14 +159,14 @@ fn accept_loop(
         // server -> client: the fault applies here.
         let s2c = {
             let (mut from, mut to) = (server, client);
-            let bytes = Arc::clone(&bytes_forwarded);
+            let shared = Arc::clone(shared);
             std::thread::Builder::new()
                 .name("waves-chaos-s2c".into())
                 .spawn(move || {
-                    pump(&mut from, &mut to, fault, &bytes);
+                    pump(&mut from, &mut to, fault, &shared.bytes_forwarded);
                 })
         };
-        let mut guard = pumps.lock().unwrap();
+        let mut guard = lock(&shared.pumps);
         if let Ok(h) = c2s {
             guard.push(h);
         }
@@ -195,6 +174,12 @@ fn accept_loop(
             guard.push(h);
         }
     }
+}
+
+/// Each list only gains an element under its lock, so a poisoned lock
+/// still guards a valid list.
+fn lock<T>(list: &Mutex<Vec<T>>) -> MutexGuard<'_, Vec<T>> {
+    list.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Copy bytes `from -> to`, applying the fault. Exits when either side

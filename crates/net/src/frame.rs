@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       2     magic  0x57 0x41  (b"WA")
-//! 2       1     version (currently 7)
+//! 2       1     version (currently 8)
 //! 3       1     frame type (see the `TYPE_*` constants)
 //! 4       4     payload length, u32 big-endian
 //! 8       8     trace id, u64 big-endian (0 = request is untraced)
