@@ -349,7 +349,7 @@ impl Sim {
         let rec_len = self
             .cfg
             .persist
-            .then(|| wal::frame_record(&wal::encode_batch_payload(&words)).len() as u64);
+            .then(|| wal::batch_record_len(&words) as u64);
         match self.backend() {
             Backend::Direct(engine) => engine
                 .ingest(IngestRequest::batch(words))

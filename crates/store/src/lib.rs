@@ -326,8 +326,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::wal::{
-        decode_batch_payload, encode_batch_payload, frame_record, scan_segment, SegmentWriter,
-        SEGMENT_HEADER_LEN,
+        decode_batch_payload, encode_batch_payload, scan_segment, SegmentWriter, SEGMENT_HEADER_LEN,
     };
     use proptest::prelude::*;
     use waves_core::bits::Bits;
@@ -368,8 +367,7 @@ mod proptests {
             let mut w = SegmentWriter::create(&dir, 0).unwrap();
             let mut ends = vec![SEGMENT_HEADER_LEN];
             for b in &batches {
-                let end = w.append(&frame_record(&encode_batch_payload(b))).unwrap();
-                ends.push(end);
+                ends.push(w.append_batch(b));
             }
             w.sync().unwrap();
             let path = w.path().to_path_buf();
@@ -410,7 +408,7 @@ mod proptests {
             let mut w = SegmentWriter::create(&dir, 0).unwrap();
             let mut ends = vec![SEGMENT_HEADER_LEN];
             for b in &batches {
-                ends.push(w.append(&frame_record(&encode_batch_payload(b))).unwrap());
+                ends.push(w.append_batch(b));
             }
             w.sync().unwrap();
             let path = w.path().to_path_buf();

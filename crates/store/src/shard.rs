@@ -7,9 +7,9 @@
 //! 1. [`ShardStore::recover`] — load the newest valid checkpoint, replay
 //!    every acknowledged WAL batch after it (truncating any torn tail),
 //!    and hand back a writer positioned at the clean end of the log.
-//! 2. [`ShardStore::append_batch`] — frame, checksum, and append each
-//!    ingest batch *before* it is applied to the in-memory synopses,
-//!    syncing per [`SyncPolicy`].
+//! 2. [`ShardStore::append_batch`] — frame and checksum each ingest
+//!    batch in place in the segment's write buffer *before* it is applied
+//!    to the in-memory synopses, syncing per [`SyncPolicy`].
 //! 3. [`ShardStore::checkpoint`] — rotate to a fresh segment, durably
 //!    write every key's synopsis bytes, then reclaim the segments and
 //!    checkpoints the new checkpoint supersedes.
@@ -28,8 +28,8 @@ use crate::checkpoint::{
     checkpoint_file_name, list_checkpoints, load_latest_checkpoint, write_checkpoint, Checkpoint,
 };
 use crate::wal::{
-    decode_batch_payload, encode_batch_payload, frame_record, parse_segment_file_name,
-    scan_segment, segment_file_name, SegmentWriter, SEGMENT_HEADER_LEN,
+    batch_record_len, decode_batch_payload, parse_segment_file_name, scan_segment,
+    segment_file_name, SegmentWriter, SEGMENT_HEADER_LEN,
 };
 use crate::SyncPolicy;
 
@@ -219,11 +219,11 @@ impl ShardStore {
         let enabled = rec.enabled();
         let t0 = enabled.then(Instant::now);
         let wal_span = OpenSpan::open(ctx, Stage::Wal, rec);
-        let framed = frame_record(&encode_batch_payload(batch));
-        if !self.writer.is_empty() && self.writer.len() + framed.len() as u64 > self.segment_bytes {
+        let record_len = batch_record_len(batch) as u64;
+        if !self.writer.is_empty() && self.writer.len() + record_len > self.segment_bytes {
             self.rotate(rec)?;
         }
-        let offset = self.writer.append(&framed)?;
+        let offset = self.writer.append_batch(batch);
         self.unsynced += 1;
         let must_sync = match self.sync {
             SyncPolicy::EveryBatch => true,
@@ -238,7 +238,7 @@ impl ShardStore {
             }
         }
         rec.incr(MetricId::StoreWalAppends, 1);
-        rec.incr(MetricId::StoreWalBytes, framed.len() as u64);
+        rec.incr(MetricId::StoreWalBytes, record_len);
         if let Some(t0) = t0 {
             rec.observe(HistId::StoreWalAppendNs, t0.elapsed().as_nanos() as u64);
         }
@@ -411,6 +411,44 @@ mod tests {
         let r = recover(&dir, SyncPolicy::EveryBatch, 128);
         assert_eq!(r.batches.len(), 30);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A segment sized to the header plus exactly `k` records keeps the
+    /// `k`-th and rotates on the next.
+    #[test]
+    fn rotation_boundary_is_exact() {
+        let one = || vec![(9u64, Bits::from_bools(&[true; 70]))];
+        let record = batch_record_len(&one()) as u64;
+        for k in 1..4 {
+            let dir = tmp_dir("shard-boundary");
+            let seg = SEGMENT_HEADER_LEN + k * record;
+            let mut store = recover(&dir, SyncPolicy::OnCheckpoint, seg).store;
+            for i in 1..=k {
+                let at = store.append_batch(&one(), &NoopRecorder).unwrap();
+                assert_eq!(
+                    at,
+                    WalPosition {
+                        seq: 0,
+                        offset: SEGMENT_HEADER_LEN + i * record
+                    }
+                );
+            }
+            let at = store.append_batch(&one(), &NoopRecorder).unwrap();
+            assert_eq!(
+                at,
+                WalPosition {
+                    seq: 1,
+                    offset: SEGMENT_HEADER_LEN + record
+                }
+            );
+            store.sync(&NoopRecorder).unwrap();
+            drop(store);
+            assert_eq!(
+                recover(&dir, SyncPolicy::OnCheckpoint, seg).batches.len(),
+                k as usize + 1
+            );
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

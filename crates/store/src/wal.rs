@@ -19,6 +19,13 @@
 //! | 4      | 4     | CRC-32 of the payload, u32 BE        |
 //! | 8      | `L`   | payload                              |
 //!
+//! A shard writes each record in place at the end of its segment's
+//! write buffer ([`write_batch_record`]): the header is reserved, the
+//! payload encoded after it, and the length and CRC patched in once the
+//! payload is there. [`frame_record`] builds the same bytes from a
+//! separate payload; it is kept as the reference the in-place path is
+//! tested against.
+//!
 //! A record is *acknowledged* only once it (and everything before it)
 //! has reached disk; a crash mid-append leaves a torn tail that fails
 //! the length or CRC check. Recovery scans records in order and stops at
@@ -132,10 +139,41 @@ pub fn decode_entries(bytes: &[u8]) -> io::Result<Vec<(u64, Bits)>> {
     Ok(entries)
 }
 
+/// Bytes of the whole record [`write_batch_record`] writes for `batch`:
+/// record header, type byte and entry count, then per entry its key,
+/// bit count and packed words — `13 + Σ(16 + 8·⌈bits/64⌉)`.
+pub fn batch_record_len(batch: &[(u64, Bits)]) -> usize {
+    RECORD_HEADER_LEN as usize
+        + 5
+        + batch
+            .iter()
+            .map(|(_, bits)| 16 + byte_count(bits.len()))
+            .sum::<usize>()
+}
+
+/// Append one ingest batch to `out` as a whole framed record, in place:
+/// the header is reserved, the payload (type byte, then
+/// [`encode_entries`]) is written straight after it and checksummed
+/// where it lies, and the length and CRC are patched in. The bytes equal
+/// `frame_record(&encode_batch_payload(batch))`.
+pub fn write_batch_record(batch: &[(u64, Bits)], out: &mut Vec<u8>) {
+    out.reserve(batch_record_len(batch));
+    let start = out.len();
+    let body = start + RECORD_HEADER_LEN as usize;
+    out.resize(body, 0);
+    out.push(REC_BATCH);
+    encode_entries(batch, out);
+    let len = (out.len() - body) as u32;
+    let crc = crc32(&out[body..]);
+    out[start..start + 4].copy_from_slice(&len.to_be_bytes());
+    out[start + 4..body].copy_from_slice(&crc.to_be_bytes());
+}
+
 /// Encode one ingest batch as a record payload: the type byte, then
-/// [`encode_entries`].
+/// [`encode_entries`]. The payload [`write_batch_record`] frames in
+/// place.
 pub fn encode_batch_payload(batch: &[(u64, Bits)]) -> Vec<u8> {
-    let mut p = Vec::with_capacity(5 + batch.len() * 17);
+    let mut p = Vec::with_capacity(batch_record_len(batch) - RECORD_HEADER_LEN as usize);
     p.push(REC_BATCH);
     encode_entries(batch, &mut p);
     p
@@ -151,7 +189,8 @@ pub fn decode_batch_payload(payload: &[u8]) -> io::Result<Vec<(u64, Bits)>> {
     }
 }
 
-/// Wrap a payload in record framing: length, CRC-32, payload.
+/// Wrap a payload in record framing: length, CRC-32, payload. The
+/// two-buffer reference for [`write_batch_record`].
 pub fn frame_record(payload: &[u8]) -> Vec<u8> {
     let mut rec = Vec::with_capacity(RECORD_HEADER_LEN as usize + payload.len());
     rec.extend_from_slice(&(payload.len() as u32).to_be_bytes());
@@ -309,12 +348,16 @@ impl SegmentWriter {
         &self.path
     }
 
-    /// Buffer one framed record; returns the file offset just past it
+    /// Buffer `batch` as one record framed in place
+    /// ([`write_batch_record`]); returns the file offset just past it
     /// (the position a crash must reach for this record to survive).
-    pub fn append(&mut self, framed: &[u8]) -> io::Result<u64> {
-        self.buffered.extend_from_slice(framed);
-        self.len += framed.len() as u64;
-        Ok(self.len)
+    pub fn append_batch(&mut self, batch: &[(u64, Bits)]) -> u64 {
+        let before = self.buffered.len();
+        write_batch_record(batch, &mut self.buffered);
+        let written = self.buffered.len() - before;
+        debug_assert_eq!(written, batch_record_len(batch));
+        self.len += written as u64;
+        self.len
     }
 
     /// Push buffered records to the OS (no durability guarantee yet).
@@ -367,6 +410,23 @@ mod tests {
         assert_eq!(&payload[21..], &[0x01, 0x02, 0, 0, 0, 0, 0, 0]);
     }
 
+    /// The in-place record is the reference framing byte for byte, and
+    /// `batch_record_len` is its length, appended after other bytes too.
+    #[test]
+    fn in_place_record_equals_framed_payload() {
+        let mut batches: Vec<Vec<(u64, Bits)>> = (0..50).map(sample_batch).collect();
+        batches.push(Vec::new());
+        batches.push(vec![(3, Bits::from_bools(&[true; 1024]))]);
+        for batch in &batches {
+            let want = frame_record(&encode_batch_payload(batch));
+            assert_eq!(want.len(), batch_record_len(batch));
+            let mut out = vec![0xEE; 5];
+            write_batch_record(batch, &mut out);
+            assert_eq!(out[..5], [0xEE; 5]);
+            assert_eq!(out[5..], want[..]);
+        }
+    }
+
     #[test]
     fn batch_payload_roundtrip() {
         for i in 0..50 {
@@ -406,8 +466,7 @@ mod tests {
         let mut w = SegmentWriter::create(&dir, 5).unwrap();
         let mut ends = Vec::new();
         for i in 0..10 {
-            let framed = frame_record(&encode_batch_payload(&sample_batch(i)));
-            ends.push(w.append(&framed).unwrap());
+            ends.push(w.append_batch(&sample_batch(i)));
         }
         w.sync().unwrap();
         let path = w.path().to_path_buf();
@@ -439,8 +498,7 @@ mod tests {
         let mut w = SegmentWriter::create(&dir, 0).unwrap();
         let mut ends = Vec::new();
         for i in 0..6 {
-            let framed = frame_record(&encode_batch_payload(&sample_batch(i + 1)));
-            ends.push(w.append(&framed).unwrap());
+            ends.push(w.append_batch(&sample_batch(i + 1)));
         }
         w.sync().unwrap();
         let path = w.path().to_path_buf();
@@ -479,18 +537,23 @@ mod tests {
     fn reopen_appends_after_truncation_point() {
         let dir = tmp_dir("wal-reopen");
         let mut w = SegmentWriter::create(&dir, 9).unwrap();
-        let framed = frame_record(&encode_batch_payload(&sample_batch(2)));
-        let end = w.append(&framed).unwrap();
-        w.append(&framed[..5]).unwrap(); // simulate a torn half-record
+        let end = w.append_batch(&sample_batch(2));
         w.sync().unwrap();
         let path = w.path().to_path_buf();
         drop(w);
+        // Simulate a torn half-record after it.
+        let framed = frame_record(&encode_batch_payload(&sample_batch(2)));
+        OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap()
+            .write_all(&framed[..5])
+            .unwrap();
         let scan = scan_segment(&path, 9).unwrap();
         assert!(scan.torn);
         assert_eq!(scan.valid_len, end);
         let mut w = SegmentWriter::reopen(&dir, 9, scan.valid_len).unwrap();
-        let framed2 = frame_record(&encode_batch_payload(&sample_batch(4)));
-        w.append(&framed2).unwrap();
+        w.append_batch(&sample_batch(4));
         w.sync().unwrap();
         drop(w);
         let scan = scan_segment(&path, 9).unwrap();
