@@ -54,14 +54,6 @@ impl Ring {
         self.seed
     }
 
-    /// Number of distinct nodes on the ring.
-    pub fn num_nodes(&self) -> usize {
-        let mut ids: Vec<u64> = self.points.iter().map(|&(_, n)| n).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len()
-    }
-
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }

@@ -149,13 +149,6 @@ impl Bits {
         self.len += 1;
     }
 
-    /// Append every bit of a bool slice.
-    pub fn extend_from_bools(&mut self, bools: &[bool]) {
-        for &b in bools {
-            self.push(b);
-        }
-    }
-
     /// Borrow as a [`BitsRef`].
     pub fn as_ref(&self) -> BitsRef<'_> {
         BitsRef {

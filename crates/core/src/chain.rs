@@ -56,12 +56,6 @@ impl<T> Chain<T> {
         self.len == 0
     }
 
-    /// Bytes of heap memory held by the slab and free list.
-    pub fn heap_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Slot<T>>()
-            + self.free.capacity() * std::mem::size_of::<u32>()
-    }
-
     /// Oldest entry (list head), if any.
     #[inline]
     pub fn head(&self) -> Option<u32> {

@@ -46,12 +46,6 @@ impl LevelHash {
         Self { field, q, r }
     }
 
-    /// The field degree `d`; hash values lie in `[0, d]`.
-    #[inline]
-    pub fn max_level(&self) -> u32 {
-        self.field.degree()
-    }
-
     /// The coefficients `(q, r)`, for persisting / sharing the hash.
     #[inline]
     pub fn parts(&self) -> (u64, u64) {

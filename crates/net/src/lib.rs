@@ -16,21 +16,22 @@
 //!   Synopsis payloads carry each synopsis's own `encode()` bytes
 //!   verbatim, so the compact codecs of `waves-core` / `waves-eh`
 //!   round-trip the network byte-for-byte (property-tested below).
-//! * [`server`] — [`Server`]: a single epoll event-loop thread (the
-//!   vendored `poll` crate) owning every socket non-blockingly, beside
-//!   the engine's shard threads and no other. Every request starts on
-//!   the loop; the ingests one pass over a connection's buffered bytes
-//!   decodes reach each shard as one engine batch, and a request that
-//!   needs a shard (query, flush, snapshot, replicate, fetch) is
-//!   submitted to it and completes back on the loop. Everything a
-//!   readiness cycle produced leaves in one `write` per connection.
-//!   [`Frame::PushSynopsis`],
-//!   [`Frame::PushDelta`] and [`Frame::Combine`] are one call each on
-//!   the one referee, [`waves_distributed::MonitorReferee`], so its
-//!   sequence dedupe (retries and late reordered deltas cannot roll it
-//!   back) and its saturating combine are written once. Requests
-//!   pipeline per connection (bounded in-flight window, bounded
-//!   out-buffers, out-of-order completion by correlation id).
+//! * [`server`] — [`Server`]: one epoll event-loop thread (the vendored
+//!   `poll` crate) beside the engine's shard threads. The loop is one
+//!   value (`event_loop.rs`) owning every socket, and each readiness
+//!   batch is one `turn`, which a test can drive on its own thread.
+//!   Every request starts on the loop; the ingests one pass over a
+//!   connection's buffered bytes decodes reach each shard as one engine
+//!   batch, and a request that needs a shard (query, flush, snapshot,
+//!   replicate, fetch) is submitted to it and completes back on the
+//!   loop. Everything a turn produced leaves in one `write` per
+//!   connection. [`Frame::PushSynopsis`], [`Frame::PushDelta`] and
+//!   [`Frame::Combine`] are one call each on the one referee,
+//!   [`waves_distributed::MonitorReferee`], so its sequence dedupe
+//!   (retries and late reordered deltas cannot roll it back) and its
+//!   saturating combine are written once. Requests pipeline per
+//!   connection (bounded in-flight window, bounded out-buffers,
+//!   out-of-order completion by correlation id).
 //! * [`client`] — [`Client`]: blocking request/response with connect/
 //!   read/write deadlines, typed [`WaveError::Io`] /
 //!   [`WaveError::Timeout`] failures, and bounded retry-with-backoff
@@ -60,6 +61,7 @@
 
 pub mod chaos;
 pub mod client;
+mod event_loop;
 pub mod frame;
 pub mod server;
 

@@ -329,3 +329,52 @@ fn a_complete_frame_with_a_short_payload_is_refused_not_awaited() {
     assert!(rest.is_empty(), "{} bytes after the refusal", rest.len());
     assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
 }
+
+/// A connection cap of two: a third dial is accepted and closed at
+/// once, so it reads EOF rather than waiting in the backlog; the first
+/// two are still served; and once one of them closes, a new dial is
+/// served. The loop notices that close when it reads the peer's EOF, so
+/// the last dial retries until it lands after it.
+#[test]
+fn dials_beyond_the_connection_cap_read_eof_and_a_freed_slot_is_served() {
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            max_connections: 2,
+            ..server_cfg()
+        },
+    )
+    .unwrap();
+    let dial = || {
+        let sock = TcpStream::connect(server.local_addr()).unwrap();
+        sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        sock
+    };
+    // A PING answered PONG, or `None` if the server closed the socket.
+    let ping = |sock: &mut TcpStream| {
+        sock.write_all(&WireCodec::encode(&Frame::Ping)).ok()?;
+        WireCodec::read_frame_tagged(sock)
+            .ok()
+            .map(|(reply, ..)| reply)
+    };
+    let (mut first, mut second) = (dial(), dial());
+    assert_eq!(ping(&mut first), Some(Frame::Pong));
+    assert_eq!(ping(&mut second), Some(Frame::Pong));
+
+    let mut third = dial();
+    let mut byte = [0u8; 1];
+    assert_eq!(third.read(&mut byte).expect("EOF, not a timeout"), 0);
+    assert_eq!(ping(&mut first), Some(Frame::Pong));
+    assert_eq!(ping(&mut second), Some(Frame::Pong));
+
+    drop(first);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        if ping(&mut dial()) == Some(Frame::Pong) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the freed slot never served");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(ping(&mut second), Some(Frame::Pong));
+}

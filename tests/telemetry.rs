@@ -261,12 +261,12 @@ fn consecutive_requests_get_distinct_traces() {
 }
 
 /// Two traced INGESTs with an untraced one between them, in one write,
-/// so one pass decodes all three. A pass's gather holds at most one
-/// traced frame: the untraced frame rides in traced A's batches, B
-/// submits the gather first and goes in batches of its own. Each traced
-/// frame keeps its whole tree — Dispatch under the client's root, one
-/// Queue and Shard per shard it touched under Dispatch, WAL append under
-/// Shard, fsync under WAL — and the untraced frame records nothing.
+/// so one pass decodes all three. A traced frame is batched alone — the
+/// gather is submitted before and after it — so A, the untraced frame
+/// and B each go in batches of their own. Each traced frame keeps its
+/// whole tree — Dispatch under the client's root, one Queue and Shard
+/// per shard it touched under Dispatch, WAL append under Shard, fsync
+/// under WAL — and the untraced frame records nothing.
 #[test]
 fn two_traced_ingests_in_one_pass_keep_their_own_span_trees() {
     let root = scratch_dir("telemetry-traced-pair");
