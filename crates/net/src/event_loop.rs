@@ -448,7 +448,15 @@ impl EventLoop {
         for ev in ready {
             match ev.token {
                 LISTENER => self.accept_ready(),
-                WAKER => self.completions.waker.ack(),
+                WAKER => {
+                    self.completions.waker.ack();
+                    // The ack also consumes the wake of a stop raised
+                    // after this turn's check: raise it again, so the
+                    // next wait returns and the next turn drains.
+                    if self.drain_until.is_none() && self.shared.stopping.load(Ordering::SeqCst) {
+                        self.completions.waker.wake();
+                    }
+                }
                 Token(id) => {
                     if ev.readable {
                         self.read_ready(id);

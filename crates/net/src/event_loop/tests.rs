@@ -239,6 +239,30 @@ fn step(el: &mut EventLoop, events: &mut Events, rng: &mut StdRng) {
     el.turn(ready);
 }
 
+/// A loop on a fresh listener, with nothing connected, for a test to
+/// step on its own thread.
+fn stepped_loop(cfg: &ServerConfig) -> (EventLoop, Arc<Shared>, std::net::SocketAddr) {
+    let rec: Arc<dyn Recorder + Send + Sync> = Arc::new(NoopRecorder);
+    let engine = Engine::with_factory(
+        cfg.engine.clone(),
+        || DetWave::new(N, EPS),
+        Arc::clone(&rec),
+    )
+    .unwrap();
+    let shared = Arc::new(Shared {
+        engine,
+        referee: Mutex::new(MonitorReferee::new()),
+        rec,
+        slow_request: None,
+        stopping: AtomicBool::new(false),
+    });
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    listener.set_nonblocking(true).unwrap();
+    let addr = listener.local_addr().unwrap();
+    let el = EventLoop::new(listener, Arc::clone(&shared), cfg).unwrap();
+    (el, shared, addr)
+}
+
 /// One seed of the stepped test: two to four connections, each
 /// pipeline written in pieces of a seed-chosen size on a seed-chosen
 /// connection, one turn over a seed-permuted ready list after each
@@ -259,24 +283,7 @@ fn stepped_seed(seed: u64) -> usize {
         max_inflight: 4,
         ..Default::default()
     };
-    let rec: Arc<dyn Recorder + Send + Sync> = Arc::new(NoopRecorder);
-    let engine = Engine::with_factory(
-        cfg.engine.clone(),
-        || DetWave::new(N, EPS),
-        Arc::clone(&rec),
-    )
-    .unwrap();
-    let shared = Arc::new(Shared {
-        engine,
-        referee: Mutex::new(MonitorReferee::new()),
-        rec,
-        slow_request: None,
-        stopping: AtomicBool::new(false),
-    });
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    listener.set_nonblocking(true).unwrap();
-    let addr = listener.local_addr().unwrap();
-    let mut el = EventLoop::new(listener, shared, &cfg).unwrap();
+    let (mut el, _, addr) = stepped_loop(&cfg);
     let mut events = Events::with_capacity(16);
 
     let max_piece = [1, 7, 64, 512, 1 << 16][rng.gen_range(0..5usize)];
@@ -336,4 +343,49 @@ fn stepped_seed(seed: u64) -> usize {
 fn stepped_turns_answer_every_connection_like_its_shadow() {
     let refused: usize = (0..24).map(stepped_seed).sum();
     assert!(refused > 0, "no INGEST was refused in any seed");
+}
+
+/// A stop raised while a turn is under way, after the turn's stop check
+/// and before it acknowledges the waker, still reaches the next turn.
+/// If the ack swallowed the stop's wake, a loop with nothing else to do
+/// would wait forever and dropping its `Server` would never join it.
+#[test]
+fn a_stop_raised_mid_turn_survives_the_waker_ack() {
+    let cfg = ServerConfig {
+        engine: EngineConfig::builder()
+            .num_shards(1)
+            .max_window(N)
+            .eps(EPS)
+            .build(),
+        ..Default::default()
+    };
+    let (mut el, shared, _) = stepped_loop(&cfg);
+    let waker = el.waker();
+    let mut events = Events::with_capacity(16);
+    // A shard completion's wake, then the turn that answers it, during
+    // which the stop lands just before the waker's event is handled.
+    waker.wake();
+    el.poller
+        .wait(&mut events, Some(Duration::from_secs(1)))
+        .unwrap();
+    let ready: Vec<Event> = events.iter().collect();
+    assert!(ready.iter().any(|ev| ev.token == WAKER));
+    el.turn(ready.into_iter().inspect(|ev| {
+        if ev.token == WAKER {
+            shared.stopping.store(true, Ordering::SeqCst);
+            waker.wake();
+        }
+    }));
+    assert!(el.drain_until.is_none());
+    // `run` waits without a timeout until the drain starts: this wait
+    // must wake, and the turn after it start the drain.
+    el.poller
+        .wait(&mut events, Some(Duration::from_millis(200)))
+        .unwrap();
+    assert!(
+        events.iter().any(|ev| ev.token == WAKER),
+        "the stop's wake was lost"
+    );
+    el.turn(events.iter());
+    assert!(el.drain_until.is_some());
 }

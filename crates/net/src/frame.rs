@@ -51,6 +51,7 @@
 use waves_core::{Estimate, WaveError};
 pub use waves_distributed::SynopsisKind;
 use waves_engine::{EngineSnapshot, KeyedBits, ShardSnapshot};
+use waves_store::bytes::{ByteReader, Short};
 use waves_store::crc::crc32;
 use waves_store::wal::{decode_entries, encode_entries};
 
@@ -255,62 +256,17 @@ impl From<FrameError> for std::io::Error {
     }
 }
 
+/// Running past a payload is malformed, not truncated: the frame is
+/// whole (its CRC matched), so no further read can complete it.
+impl From<Short> for FrameError {
+    fn from(_: Short) -> Self {
+        FrameError::Malformed("payload ends early")
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Payload primitives
 // ---------------------------------------------------------------------------
-
-struct PayloadReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> PayloadReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        PayloadReader { buf, pos: 0 }
-    }
-
-    /// The next `n` payload bytes. Running past the payload is
-    /// [`FrameError::Malformed`]: the frame is whole (its CRC matched),
-    /// so no further read can complete it.
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.buf.len())
-            .ok_or(FrameError::Malformed("payload ends early"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, FrameError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn finish(&self) -> Result<(), FrameError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(FrameError::Malformed("trailing payload bytes"))
-        }
-    }
-}
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_be_bytes());
@@ -318,6 +274,20 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_be_bytes());
+}
+
+/// A synopsis as PUSH_SYNOPSIS, REPLICATE and PUSH_DELTA carry it: kind
+/// byte, u32 length, `encode()` bytes. [`synopsis`] reads it back.
+fn put_synopsis(out: &mut Vec<u8>, kind: SynopsisKind, bytes: &[u8]) {
+    out.push(kind as u8);
+    put_u32(out, bytes.len() as u32);
+    out.extend_from_slice(bytes);
+}
+
+fn synopsis(r: &mut ByteReader<'_>) -> Result<(SynopsisKind, Vec<u8>), FrameError> {
+    let kind = kind_from_wire(r.u8()?)?;
+    let len = r.u32()? as usize;
+    Ok((kind, r.take(len)?.to_vec()))
 }
 
 // ---------------------------------------------------------------------------
@@ -374,11 +344,11 @@ fn encode_error(e: &WaveError, out: &mut Vec<u8>) {
     out.extend_from_slice(&msg[..len]);
 }
 
-fn decode_error(r: &mut PayloadReader<'_>) -> Result<WaveError, FrameError> {
+fn decode_error(r: &mut ByteReader<'_>) -> Result<WaveError, FrameError> {
     let code = r.u8()?;
     let a = r.u64()?;
     let b = r.u64()?;
-    let msg_len = u16::from_be_bytes(r.take(2)?.try_into().unwrap()) as usize;
+    let msg_len = r.u16()? as usize;
     let msg = String::from_utf8_lossy(r.take(msg_len)?).into_owned();
     Ok(match code {
         ERR_INVALID_EPSILON => WaveError::InvalidEpsilon(f64::from_bits(a)),
@@ -482,16 +452,12 @@ impl WireCodec {
             }
             Frame::PushSynopsis { party, kind, bytes } => {
                 put_u64(p, *party);
-                p.push(*kind as u8);
-                put_u32(p, bytes.len() as u32);
-                p.extend_from_slice(bytes);
+                put_synopsis(p, *kind, bytes);
                 TYPE_PUSH_SYNOPSIS
             }
             Frame::Replicate { key, kind, bytes } => {
                 put_u64(p, *key);
-                p.push(*kind as u8);
-                put_u32(p, bytes.len() as u32);
-                p.extend_from_slice(bytes);
+                put_synopsis(p, *kind, bytes);
                 TYPE_REPLICATE
             }
             Frame::PushDelta {
@@ -504,9 +470,7 @@ impl WireCodec {
                 put_u64(p, *party);
                 put_u64(p, *seq);
                 put_u64(p, slack.to_bits());
-                p.push(*kind as u8);
-                put_u32(p, bytes.len() as u32);
-                p.extend_from_slice(bytes);
+                put_synopsis(p, *kind, bytes);
                 TYPE_PUSH_DELTA
             }
             Frame::Combine { window } => {
@@ -563,17 +527,18 @@ impl WireCodec {
         };
         let header = header.try_into().expect("sliced to HEADER_LEN");
         let (ty, len, tag) = Self::parse_header(header)?;
-        let body_end = HEADER_LEN + len;
-        let total = body_end + CRC_LEN;
-        if buf.len() < total {
+        let total = HEADER_LEN + len + CRC_LEN;
+        let Some(frame) = buf.get(..total) else {
             return Err(FrameError::Truncated);
-        }
-        let expected = u32::from_be_bytes(buf[body_end..total].try_into().unwrap());
-        let got = crc32(&buf[..body_end]);
+        };
+        let mut r = ByteReader::new(frame);
+        let body = r.take(HEADER_LEN + len)?;
+        let expected = r.u32()?;
+        let got = crc32(body);
         if got != expected {
             return Err(FrameError::BadCrc { expected, got });
         }
-        let frame = Self::decode_payload(ty, &buf[HEADER_LEN..body_end])?;
+        let frame = Self::decode_payload(ty, &body[HEADER_LEN..])?;
         Ok((frame, total, tag))
     }
 
@@ -582,7 +547,7 @@ impl WireCodec {
     /// or stepping over one whose header passed [`Self::parse_header`]
     /// and whose body did not.
     pub(crate) fn encoded_len(buf: &[u8]) -> usize {
-        let len = u32::from_be_bytes(buf[4..8].try_into().unwrap());
+        let len = ByteReader::new(&buf[4..]).u32().expect("a whole header");
         HEADER_LEN + len as usize + CRC_LEN
     }
 
@@ -590,25 +555,28 @@ impl WireCodec {
     /// magic, version, payload length cap. Returns the frame type, the
     /// payload length, and the tag.
     fn parse_header(h: &[u8; HEADER_LEN]) -> Result<(u8, usize, FrameTag), FrameError> {
-        if h[0..2] != MAGIC {
+        let mut r = ByteReader::new(h);
+        if r.take(2)? != MAGIC {
             return Err(FrameError::BadMagic);
         }
-        if h[2] != WIRE_VERSION {
-            return Err(FrameError::BadVersion(h[2]));
+        let version = r.u8()?;
+        if version != WIRE_VERSION {
+            return Err(FrameError::BadVersion(version));
         }
-        let len = u32::from_be_bytes(h[4..8].try_into().unwrap());
+        let ty = r.u8()?;
+        let len = r.u32()?;
         if len as usize > MAX_PAYLOAD_LEN {
             return Err(FrameError::FrameTooLarge(len));
         }
         let tag = FrameTag {
-            trace: u64::from_be_bytes(h[8..16].try_into().unwrap()),
-            corr: u64::from_be_bytes(h[16..24].try_into().unwrap()),
+            trace: r.u64()?,
+            corr: r.u64()?,
         };
-        Ok((h[3], len as usize, tag))
+        Ok((ty, len as usize, tag))
     }
 
     fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame, FrameError> {
-        let mut r = PayloadReader::new(payload);
+        let mut r = ByteReader::new(payload);
         let frame = match ty {
             TYPE_PING => Frame::Ping,
             TYPE_FLUSH => Frame::Flush,
@@ -635,28 +603,22 @@ impl WireCodec {
             },
             TYPE_PUSH_SYNOPSIS => {
                 let party = r.u64()?;
-                let kind = kind_from_wire(r.u8()?)?;
-                let len = r.u32()? as usize;
-                let bytes = r.take(len)?.to_vec();
+                let (kind, bytes) = synopsis(&mut r)?;
                 Frame::PushSynopsis { party, kind, bytes }
             }
             TYPE_REPLICATE => {
                 let key = r.u64()?;
-                let kind = kind_from_wire(r.u8()?)?;
-                let len = r.u32()? as usize;
-                let bytes = r.take(len)?.to_vec();
+                let (kind, bytes) = synopsis(&mut r)?;
                 Frame::Replicate { key, kind, bytes }
             }
             TYPE_PUSH_DELTA => {
                 let party = r.u64()?;
                 let seq = r.u64()?;
-                let slack = r.f64()?;
+                let slack = f64::from_bits(r.u64()?);
                 if !slack.is_finite() || slack < 0.0 {
                     return Err(FrameError::Malformed("push delta slack"));
                 }
-                let kind = kind_from_wire(r.u8()?)?;
-                let len = r.u32()? as usize;
-                let bytes = r.take(len)?.to_vec();
+                let (kind, bytes) = synopsis(&mut r)?;
                 Frame::PushDelta {
                     party,
                     seq,
@@ -668,7 +630,7 @@ impl WireCodec {
             TYPE_COMBINE => Frame::Combine { window: r.u64()? },
             TYPE_FETCH => Frame::Fetch { key: r.u64()? },
             TYPE_ESTIMATE => {
-                let value = r.f64()?;
+                let value = f64::from_bits(r.u64()?);
                 let lo = r.u64()?;
                 let hi = r.u64()?;
                 let exact = match r.u8()? {
@@ -686,11 +648,12 @@ impl WireCodec {
             TYPE_SNAPSHOT_RESP => {
                 let dropped_items = r.u64()?;
                 let backpressure_events = r.u64()?;
-                let n = r.u32()? as usize;
+                // A shard is five u64s, 40 bytes.
+                let n = r.count(40)?;
                 if n > 1 << 20 {
                     return Err(FrameError::Malformed("snapshot shard count"));
                 }
-                let mut shards = Vec::with_capacity(n.min(1024));
+                let mut shards = Vec::with_capacity(n);
                 for shard in 0..n {
                     shards.push(ShardSnapshot {
                         shard,
@@ -710,7 +673,9 @@ impl WireCodec {
             TYPE_ERROR => Frame::ErrorResp(decode_error(&mut r)?),
             other => return Err(FrameError::UnknownType(other)),
         };
-        r.finish()?;
+        if r.remaining() != 0 {
+            return Err(FrameError::Malformed("trailing payload bytes"));
+        }
         Ok(frame)
     }
 

@@ -6,7 +6,7 @@
 //! | offset  | width | field                                   |
 //! |---------|-------|-----------------------------------------|
 //! | 0       | 4     | magic `b"WCKP"`                         |
-//! | 4       | 2     | format version, u16 BE ([`STORE_VERSION`]) |
+//! | 4       | 2     | format version, u16 BE ([`STORE_VERSION`](crate::wal::STORE_VERSION)) |
 //! | 6       | 2     | reserved, zero                          |
 //! | 8       | 8     | `wal_seq`, u64 BE — replay starts here  |
 //! | 16      | 4     | key count `C`, u32 BE                   |
@@ -26,12 +26,14 @@
 //! Recovery loads the highest-sequence checkpoint that validates and
 //! replays WAL segments `>= wal_seq` on top of it.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::{fs, io};
 
+use crate::bytes::ByteReader;
 use crate::crc::crc32;
-use crate::wal::STORE_VERSION;
+use crate::file::{
+    check_header, crc_trailed, list_seqs, parse_seq_name, put_header, write_durably,
+};
 
 /// First four bytes of every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"WCKP";
@@ -46,11 +48,7 @@ pub fn checkpoint_file_name(wal_seq: u64) -> String {
 
 /// Parse a WAL sequence number back out of a checkpoint file name.
 pub fn parse_checkpoint_file_name(name: &str) -> Option<u64> {
-    let hex = name.strip_prefix("ckpt-")?.strip_suffix(".ckpt")?;
-    if hex.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(hex, 16).ok()
+    parse_seq_name(name, "ckpt-", ".ckpt")
 }
 
 /// A decoded checkpoint: where to resume the WAL, and every key's
@@ -68,9 +66,7 @@ pub struct Checkpoint {
 pub fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
     let body: usize = ckpt.entries.iter().map(|(_, b)| 12 + b.len()).sum();
     let mut out = Vec::with_capacity(CHECKPOINT_HEADER_LEN + body + 4);
-    out.extend_from_slice(&CHECKPOINT_MAGIC);
-    out.extend_from_slice(&STORE_VERSION.to_be_bytes());
-    out.extend_from_slice(&0u16.to_be_bytes());
+    put_header(CHECKPOINT_MAGIC, &mut out);
     out.extend_from_slice(&ckpt.wal_seq.to_be_bytes());
     out.extend_from_slice(&(ckpt.entries.len() as u32).to_be_bytes());
     for (key, bytes) in &ckpt.entries {
@@ -83,50 +79,27 @@ pub fn encode_checkpoint(ckpt: &Checkpoint) -> Vec<u8> {
     out
 }
 
-fn bad(what: &'static str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, what)
+fn bad(what: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("checkpoint: {what}"))
 }
 
 /// Decode and validate [`encode_checkpoint`] bytes. Arbitrary input
 /// never panics; any framing or checksum violation is `InvalidData`.
 pub fn decode_checkpoint(bytes: &[u8]) -> io::Result<Checkpoint> {
-    if bytes.len() < CHECKPOINT_HEADER_LEN + 4 {
-        return Err(bad("checkpoint too short"));
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    if crc32(body) != u32::from_be_bytes(crc_bytes.try_into().unwrap()) {
-        return Err(bad("checkpoint checksum mismatch"));
-    }
-    if body[0..4] != CHECKPOINT_MAGIC {
-        return Err(bad("checkpoint magic"));
-    }
-    if u16::from_be_bytes(body[4..6].try_into().unwrap()) != STORE_VERSION {
-        return Err(bad("checkpoint version"));
-    }
-    if body[6..8] != [0, 0] {
-        return Err(bad("checkpoint reserved bytes"));
-    }
-    let wal_seq = u64::from_be_bytes(body[8..16].try_into().unwrap());
-    let count = u32::from_be_bytes(body[16..20].try_into().unwrap());
-    let mut at = CHECKPOINT_HEADER_LEN;
-    // No more than the bytes left can hold: an entry is at least its key
-    // and length, 12 bytes.
-    let mut entries = Vec::with_capacity((count as usize).min((body.len() - at) / 12));
+    let body = crc_trailed(bytes, CHECKPOINT_HEADER_LEN).map_err(bad)?;
+    let mut r = ByteReader::new(body);
+    check_header(&mut r, CHECKPOINT_MAGIC).map_err(bad)?;
+    let wal_seq = r.u64()?;
+    // An entry is at least its key and length, 12 bytes.
+    let count = r.count(12)?;
+    let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
-        if body.len() - at < 12 {
-            return Err(bad("checkpoint entry truncated"));
-        }
-        let key = u64::from_be_bytes(body[at..at + 8].try_into().unwrap());
-        let len = u32::from_be_bytes(body[at + 8..at + 12].try_into().unwrap()) as usize;
-        at += 12;
-        if body.len() - at < len {
-            return Err(bad("checkpoint entry bytes truncated"));
-        }
-        entries.push((key, body[at..at + len].to_vec()));
-        at += len;
+        let key = r.u64()?;
+        let len = r.u32()? as usize;
+        entries.push((key, r.take(len)?.to_vec()));
     }
-    if at != body.len() {
-        return Err(bad("trailing bytes in checkpoint"));
+    if r.remaining() != 0 {
+        return Err(bad("trailing bytes"));
     }
     Ok(Checkpoint { wal_seq, entries })
 }
@@ -135,38 +108,19 @@ pub fn decode_checkpoint(bytes: &[u8]) -> io::Result<Checkpoint> {
 /// rename over the final name, then best-effort fsync the directory so
 /// the rename itself survives power loss.
 pub fn write_checkpoint(dir: &Path, ckpt: &Checkpoint) -> io::Result<PathBuf> {
-    let bytes = encode_checkpoint(ckpt);
-    let final_path = dir.join(checkpoint_file_name(ckpt.wal_seq));
-    let tmp_path = dir.join(format!("{}.tmp", checkpoint_file_name(ckpt.wal_seq)));
-    {
-        let mut f = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp_path)?;
-        f.write_all(&bytes)?;
-        f.sync_data()?;
-    }
-    fs::rename(&tmp_path, &final_path)?;
-    // Directory fsync is what makes the rename durable on Linux; other
-    // platforms may not support opening a directory, so failure here
-    // only weakens (never corrupts) the guarantee.
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(final_path)
+    let name = checkpoint_file_name(ckpt.wal_seq);
+    write_durably(dir, &name, &encode_checkpoint(ckpt))
 }
 
 /// Load the highest-sequence checkpoint in `dir` that validates.
 /// Invalid candidates are skipped (never deleted here — recovery is
 /// read-only until the store is reopened for writing).
 pub fn load_latest_checkpoint(dir: &Path) -> io::Result<Option<Checkpoint>> {
-    let mut seqs: Vec<u64> = list_checkpoints(dir)?;
-    seqs.sort_unstable();
-    for seq in seqs.into_iter().rev() {
-        let path = dir.join(checkpoint_file_name(seq));
-        let mut bytes = Vec::new();
-        File::open(&path)?.read_to_end(&mut bytes)?;
+    for seq in list_seqs(dir, parse_checkpoint_file_name)?
+        .into_iter()
+        .rev()
+    {
+        let bytes = fs::read(dir.join(checkpoint_file_name(seq)))?;
         if let Ok(ckpt) = decode_checkpoint(&bytes) {
             if ckpt.wal_seq == seq {
                 return Ok(Some(ckpt));
@@ -174,21 +128,6 @@ pub fn load_latest_checkpoint(dir: &Path) -> io::Result<Option<Checkpoint>> {
         }
     }
     Ok(None)
-}
-
-/// Sequence numbers of every checkpoint file in `dir` (validity not
-/// checked).
-pub fn list_checkpoints(dir: &Path) -> io::Result<Vec<u64>> {
-    let mut seqs = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        if let Some(name) = entry.file_name().to_str() {
-            if let Some(seq) = parse_checkpoint_file_name(name) {
-                seqs.push(seq);
-            }
-        }
-    }
-    Ok(seqs)
 }
 
 #[cfg(test)]

@@ -18,9 +18,11 @@
 //!
 //! Each engine shard owns one [`ShardStore`] (one directory, one open
 //! segment), so persistence adds no cross-shard lock. Sync cadence is
-//! a [`SyncPolicy`]: `every-batch` for zero acknowledged loss,
-//! `every-N` to amortize fsyncs, `on-checkpoint` for throughput when
-//! the WAL tail may be sacrificed.
+//! a [`SyncPolicy`]: `every-batch` loses no batch the store has
+//! acknowledged, `every-N` amortizes fsyncs, `on-checkpoint` trades the
+//! WAL tail for throughput. The store's *acknowledged* is not a wire
+//! INGEST `OK`, which means only *queued*; [`SyncPolicy`] says how far
+//! apart the two are.
 //!
 //! Byte-exact layouts for every file live in the repository's
 //! `PROTOCOL.md`; operational guidance (directory layout, policy
@@ -45,8 +47,10 @@
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
+pub mod bytes;
 pub mod checkpoint;
 pub mod crc;
+mod file;
 pub mod shard;
 pub mod wal;
 
@@ -54,25 +58,32 @@ pub use checkpoint::Checkpoint;
 pub use shard::{RecoveredShard, ShardStore, WalPosition};
 
 use std::fmt;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
+use std::{fs, io};
 
+use crate::bytes::ByteReader;
 use crate::crc::crc32;
-use crate::wal::STORE_VERSION;
+use crate::file::{check_header, crc_trailed, put_header, write_durably};
 
-/// When WAL appends are made durable (`fsync`).
+/// When WAL appends are made durable (`fsync`). A batch is
+/// *acknowledged* once the store has appended and synced it.
 ///
 /// | policy | acknowledged-loss window | fsyncs |
 /// |--------|--------------------------|--------|
-/// | `EveryBatch` | none — every batch durable before apply | one per batch |
+/// | `EveryBatch` | none: every batch is synced before it is applied | one per batch |
 /// | `EveryN(n)` | up to `n - 1` most recent batches | one per `n` batches |
 /// | `OnCheckpoint` | everything since the last checkpoint/rotation | one per checkpoint/segment |
 ///
 /// Regardless of policy, recovery always restores a *prefix* of the
 /// appended history — batches are never replayed out of order or with
 /// gaps.
+///
+/// Over the wire, an INGEST `OK` means the batch is *queued* on its
+/// shard, not appended: a killed server loses the batches still queued,
+/// whatever the policy. Under `EveryBatch`, a later FLUSH's `OK` tells a
+/// client that its earlier batches are durable. ROADMAP item 18 makes
+/// INGEST's own `OK` wait for the append.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
     /// Fsync after every appended batch.
@@ -192,27 +203,15 @@ impl Store {
     /// would silently change, scattering each key's history.
     pub fn open(root: &Path, num_shards: u32) -> io::Result<Store> {
         fs::create_dir_all(root)?;
-        let meta_path = root.join("META");
-        match File::open(&meta_path) {
-            Ok(mut f) => {
-                let mut bytes = Vec::new();
-                f.read_to_end(&mut bytes)?;
-                let bad = |what: &str| {
-                    io::Error::new(io::ErrorKind::InvalidData, format!("META: {what}"))
-                };
+        let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, format!("META: {what}"));
+        match fs::read(root.join("META")) {
+            Ok(bytes) => {
                 if bytes.len() != META_LEN {
                     return Err(bad("wrong length"));
                 }
-                if bytes[0..4] != META_MAGIC {
-                    return Err(bad("bad magic"));
-                }
-                if crc32(&bytes[..12]) != u32::from_be_bytes(bytes[12..16].try_into().unwrap()) {
-                    return Err(bad("checksum mismatch"));
-                }
-                if u16::from_be_bytes(bytes[4..6].try_into().unwrap()) != STORE_VERSION {
-                    return Err(bad("unsupported version"));
-                }
-                let stored = u32::from_be_bytes(bytes[8..12].try_into().unwrap());
+                let mut r = ByteReader::new(crc_trailed(&bytes, 12).map_err(bad)?);
+                check_header(&mut r, META_MAGIC).map_err(bad)?;
+                let stored = r.u32()?;
                 if stored != num_shards {
                     return Err(bad(&format!(
                         "directory was created with {stored} shards, engine configured {num_shards}"
@@ -221,25 +220,10 @@ impl Store {
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 let mut bytes = Vec::with_capacity(META_LEN);
-                bytes.extend_from_slice(&META_MAGIC);
-                bytes.extend_from_slice(&STORE_VERSION.to_be_bytes());
-                bytes.extend_from_slice(&0u16.to_be_bytes());
+                put_header(META_MAGIC, &mut bytes);
                 bytes.extend_from_slice(&num_shards.to_be_bytes());
                 bytes.extend_from_slice(&crc32(&bytes).to_be_bytes());
-                let tmp = root.join("META.tmp");
-                {
-                    let mut f = OpenOptions::new()
-                        .write(true)
-                        .create(true)
-                        .truncate(true)
-                        .open(&tmp)?;
-                    f.write_all(&bytes)?;
-                    f.sync_data()?;
-                }
-                fs::rename(&tmp, &meta_path)?;
-                if let Ok(d) = File::open(root) {
-                    let _ = d.sync_all();
-                }
+                write_durably(root, "META", &bytes)?;
             }
             Err(e) => return Err(e),
         }
@@ -247,10 +231,6 @@ impl Store {
             root: root.to_path_buf(),
             num_shards,
         })
-    }
-
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     pub fn num_shards(&self) -> u32 {
@@ -307,6 +287,24 @@ mod tests {
         let err = Store::open(&root, 8).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// The reserved bytes are checked like the segment's and the
+    /// checkpoint's, even under a CRC that holds.
+    #[test]
+    fn meta_with_nonzero_reserved_bytes_is_refused() {
+        let root = scratch_dir("meta-reserved");
+        Store::open(&root, 3).unwrap();
+        let meta = root.join("META");
+        let mut bytes = fs::read(&meta).unwrap();
+        bytes[6..8].copy_from_slice(&1u16.to_be_bytes());
+        let crc = crc32(&bytes[..12]);
+        bytes[12..].copy_from_slice(&crc.to_be_bytes());
+        fs::write(&meta, &bytes).unwrap();
+        let err = Store::open(&root, 3).unwrap_err();
+        fs::remove_dir_all(&root).unwrap();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "META: nonzero reserved bytes");
     }
 
     #[test]

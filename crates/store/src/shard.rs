@@ -14,7 +14,6 @@
 //!    write every key's synopsis bytes, then reclaim the segments and
 //!    checkpoints the new checkpoint supersedes.
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -25,8 +24,10 @@ use waves_obs::trace::{OpenSpan, Stage, TraceCtx};
 use waves_obs::{HistId, MetricId, Recorder};
 
 use crate::checkpoint::{
-    checkpoint_file_name, list_checkpoints, load_latest_checkpoint, write_checkpoint, Checkpoint,
+    checkpoint_file_name, load_latest_checkpoint, parse_checkpoint_file_name, write_checkpoint,
+    Checkpoint,
 };
+use crate::file::list_seqs;
 use crate::wal::{
     batch_record_len, decode_batch_payload, parse_segment_file_name, scan_segment,
     segment_file_name, SegmentWriter, SEGMENT_HEADER_LEN,
@@ -68,19 +69,6 @@ pub struct ShardStore {
     unsynced: u64,
 }
 
-fn list_segments(dir: &Path) -> io::Result<BTreeSet<u64>> {
-    let mut seqs = BTreeSet::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        if let Some(name) = entry.file_name().to_str() {
-            if let Some(seq) = parse_segment_file_name(name) {
-                seqs.insert(seq);
-            }
-        }
-    }
-    Ok(seqs)
-}
-
 impl ShardStore {
     /// Open (or create) shard state in `dir` and reconstruct everything
     /// that was acknowledged before the last shutdown or crash.
@@ -100,13 +88,9 @@ impl ShardStore {
         fs::create_dir_all(dir)?;
         // Leftover checkpoint temp files are torn writes — discard.
         for entry in fs::read_dir(dir)? {
-            let entry = entry?;
-            if entry
-                .file_name()
-                .to_str()
-                .is_some_and(|n| n.ends_with(".tmp"))
-            {
-                let _ = fs::remove_file(entry.path());
+            let path = entry?.path();
+            if path.to_str().is_some_and(|p| p.ends_with(".tmp")) {
+                let _ = fs::remove_file(path);
             }
         }
         let ckpt = load_latest_checkpoint(dir)?;
@@ -114,7 +98,7 @@ impl ShardStore {
             Some(c) => (c.wal_seq, c.entries),
             None => (0, Vec::new()),
         };
-        let segments = list_segments(dir)?;
+        let segments = list_seqs(dir, parse_segment_file_name)?;
         // Segments older than the checkpoint are fully superseded; a
         // crash between checkpoint and reclamation leaves them behind.
         for &seq in segments.range(..start_seq) {
@@ -181,11 +165,6 @@ impl ShardStore {
                 unsynced: 0,
             },
         })
-    }
-
-    /// The shard directory this store owns.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Sequence number of the segment currently accepting appends.
@@ -257,6 +236,12 @@ impl ShardStore {
         if self.unsynced == 0 {
             return Ok(());
         }
+        self.fsync(rec)
+    }
+
+    /// Flush and fsync the current segment, counted and timed, whether
+    /// or not anything was appended since the last sync.
+    fn fsync<R: Recorder + ?Sized>(&mut self, rec: &R) -> io::Result<()> {
         let t0 = rec.enabled().then(Instant::now);
         self.writer.sync()?;
         self.unsynced = 0;
@@ -275,13 +260,7 @@ impl ShardStore {
         // Unconditional sync (not `self.sync`): even with zero appends
         // since the last fsync, buffered bytes may remain under
         // `OnCheckpoint`.
-        let t0 = rec.enabled().then(Instant::now);
-        self.writer.sync()?;
-        rec.incr(MetricId::StoreFsyncs, 1);
-        if let Some(t0) = t0 {
-            rec.observe(HistId::StoreFsyncNs, t0.elapsed().as_nanos() as u64);
-        }
-        self.unsynced = 0;
+        self.fsync(rec)?;
         self.writer = SegmentWriter::create(&self.dir, self.writer.seq() + 1)?;
         Ok(())
     }
@@ -311,15 +290,13 @@ impl ShardStore {
         let wal_seq = self.writer.seq();
         write_checkpoint(&self.dir, &Checkpoint { wal_seq, entries })?;
         let mut reclaimed = 0u64;
-        for seq in list_segments(&self.dir)?.range(..wal_seq) {
+        for seq in list_seqs(&self.dir, parse_segment_file_name)?.range(..wal_seq) {
             if fs::remove_file(self.dir.join(segment_file_name(*seq))).is_ok() {
                 reclaimed += 1;
             }
         }
-        for seq in list_checkpoints(&self.dir)? {
-            if seq < wal_seq {
-                let _ = fs::remove_file(self.dir.join(checkpoint_file_name(seq)));
-            }
+        for seq in list_seqs(&self.dir, parse_checkpoint_file_name)?.range(..wal_seq) {
+            let _ = fs::remove_file(self.dir.join(checkpoint_file_name(*seq)));
         }
         rec.incr(MetricId::StoreSegmentsReclaimed, reclaimed);
         rec.incr(MetricId::StoreCheckpoints, 1);
@@ -407,7 +384,7 @@ mod tests {
         }
         assert!(store.wal_seq() > 0, "expected at least one rotation");
         drop(store);
-        assert!(list_segments(&dir).unwrap().len() > 1);
+        assert!(list_seqs(&dir, parse_segment_file_name).unwrap().len() > 1);
         let r = recover(&dir, SyncPolicy::EveryBatch, 128);
         assert_eq!(r.batches.len(), 30);
         fs::remove_dir_all(&dir).unwrap();
@@ -461,7 +438,7 @@ mod tests {
         let entries = vec![(1u64, vec![0xAB; 9]), (2, vec![0xCD])];
         store.checkpoint(entries.clone(), &NoopRecorder).unwrap();
         // Everything before the checkpoint is gone from the log.
-        let segs = list_segments(&dir).unwrap();
+        let segs = list_seqs(&dir, parse_segment_file_name).unwrap();
         assert_eq!(segs.len(), 1);
         assert_eq!(*segs.iter().next().unwrap(), store.wal_seq());
         // Post-checkpoint appends replay on top of the entries.
@@ -518,7 +495,7 @@ mod tests {
         fs::write(&p, &bytes).unwrap();
         let r = recover(&dir, SyncPolicy::EveryBatch, 96);
         assert!(r.batches.is_empty());
-        assert_eq!(list_segments(&dir).unwrap().len(), 1);
+        assert_eq!(list_seqs(&dir, parse_segment_file_name).unwrap().len(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -49,13 +49,15 @@
 //! segments are the word encoding, and a format-1 store fails header
 //! validation cleanly rather than mis-decoding.)
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use waves_core::bits::{byte_count, Bits};
 
+use crate::bytes::ByteReader;
 use crate::crc::crc32;
+use crate::file::{check_header, parse_seq_name, put_header};
 
 /// First four bytes of every segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"WLOG";
@@ -84,11 +86,7 @@ pub fn segment_file_name(seq: u64) -> String {
 
 /// Parse a segment sequence number back out of a file name.
 pub fn parse_segment_file_name(name: &str) -> Option<u64> {
-    let hex = name.strip_prefix("wal-")?.strip_suffix(".log")?;
-    if hex.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(hex, 16).ok()
+    parse_seq_name(name, "wal-", ".log")
 }
 
 fn bad(what: &'static str) -> io::Error {
@@ -110,30 +108,21 @@ pub fn encode_entries(entries: &[(u64, Bits)], out: &mut Vec<u8>) {
 /// Decode all of `bytes` as [`encode_entries`] wrote them. Arbitrary
 /// input never panics; malformed bytes yield `InvalidData`.
 pub fn decode_entries(bytes: &[u8]) -> io::Result<Vec<(u64, Bits)>> {
-    let mut rest = bytes;
-    let mut take = |n: usize| -> io::Result<&[u8]> {
-        if n > rest.len() {
-            return Err(bad("entries truncated"));
-        }
-        let (head, tail) = rest.split_at(n);
-        rest = tail;
-        Ok(head)
-    };
-    let count = u32::from_be_bytes(take(4)?.try_into().unwrap());
-    // No more than the bytes left can hold: an entry is at least its key
-    // and bit count, 16 bytes.
-    let mut entries = Vec::with_capacity((count as usize).min(bytes.len() / 16));
+    let mut r = ByteReader::new(bytes);
+    // An entry is at least its key and bit count, 16 bytes.
+    let count = r.count(16)?;
+    let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
-        let key = u64::from_be_bytes(take(8)?.try_into().unwrap());
-        let nbits = u64::from_be_bytes(take(8)?.try_into().unwrap());
+        let key = r.u64()?;
+        let nbits = r.u64()?;
         if nbits > MAX_ENTRY_BITS {
             return Err(bad("entry bit count"));
         }
-        let packed = take(byte_count(nbits))?;
+        let packed = r.take(byte_count(nbits))?;
         let bits = Bits::from_le_bytes(packed, nbits).ok_or_else(|| bad("entry bits"))?;
         entries.push((key, bits));
     }
-    if !rest.is_empty() {
+    if r.remaining() != 0 {
         return Err(bad("trailing bytes after entries"));
     }
     Ok(entries)
@@ -202,8 +191,6 @@ pub fn frame_record(payload: &[u8]) -> Vec<u8> {
 /// Result of scanning one segment file during recovery.
 #[derive(Debug)]
 pub struct SegmentScan {
-    /// Sequence number from the segment header.
-    pub seq: u64,
     /// Payloads of every intact record, in append order.
     pub payloads: Vec<Vec<u8>>,
     /// File offset just past each intact record (parallel to
@@ -220,59 +207,40 @@ pub struct SegmentScan {
 
 /// Scan a segment file, validating the header and every record frame.
 ///
-/// A file too short to hold the header (or with a wrong magic/version)
-/// scans as `seq: expect_seq, valid_len: 0, torn: true` — the recovery
-/// path rewrites it from scratch. A header whose sequence number
-/// disagrees with the file name is corruption of the same kind.
+/// A file too short to hold the header (or with a wrong magic, version
+/// or reserved bytes) scans as `valid_len: 0, torn: true` — the
+/// recovery path rewrites it from scratch. A header whose sequence
+/// number disagrees with the file name is corruption of the same kind.
 pub fn scan_segment(path: &Path, expect_seq: u64) -> io::Result<SegmentScan> {
-    let mut buf = Vec::new();
-    File::open(path)?.read_to_end(&mut buf)?;
-    let torn = |payloads: Vec<Vec<u8>>, ends: Vec<u64>, valid_len: u64| SegmentScan {
-        seq: expect_seq,
-        payloads,
-        ends,
-        valid_len,
+    let buf = fs::read(path)?;
+    let mut scan = SegmentScan {
+        payloads: Vec::new(),
+        ends: Vec::new(),
+        valid_len: 0,
         torn: true,
     };
-    if buf.len() < SEGMENT_HEADER_LEN as usize
-        || buf[0..4] != SEGMENT_MAGIC
-        || u16::from_be_bytes(buf[4..6].try_into().unwrap()) != STORE_VERSION
-        || buf[6..8] != [0, 0]
-        || u64::from_be_bytes(buf[8..16].try_into().unwrap()) != expect_seq
-    {
-        return Ok(torn(Vec::new(), Vec::new(), 0));
+    let mut r = ByteReader::new(&buf);
+    if check_header(&mut r, SEGMENT_MAGIC).is_err() || r.u64() != Ok(expect_seq) {
+        return Ok(scan);
     }
-    let mut payloads = Vec::new();
-    let mut ends = Vec::new();
-    let mut at = SEGMENT_HEADER_LEN as usize;
-    loop {
-        if at == buf.len() {
-            // Clean end: every byte accounted for.
-            return Ok(SegmentScan {
-                seq: expect_seq,
-                payloads,
-                ends,
-                valid_len: at as u64,
-                torn: false,
-            });
-        }
-        if buf.len() - at < RECORD_HEADER_LEN as usize {
-            return Ok(torn(payloads, ends, at as u64));
-        }
-        let len = u32::from_be_bytes(buf[at..at + 4].try_into().unwrap());
-        let want = u32::from_be_bytes(buf[at + 4..at + 8].try_into().unwrap());
-        let start = at + RECORD_HEADER_LEN as usize;
-        if len > MAX_RECORD_PAYLOAD || buf.len() - start < len as usize {
-            return Ok(torn(payloads, ends, at as u64));
-        }
-        let payload = &buf[start..start + len as usize];
-        if crc32(payload) != want {
-            return Ok(torn(payloads, ends, at as u64));
-        }
-        payloads.push(payload.to_vec());
-        at = start + len as usize;
-        ends.push(at as u64);
+    scan.valid_len = SEGMENT_HEADER_LEN;
+    while let Some(payload) = next_record(&mut r) {
+        scan.valid_len = (buf.len() - r.remaining()) as u64;
+        scan.payloads.push(payload.to_vec());
+        scan.ends.push(scan.valid_len);
     }
+    // Clean only if every byte is accounted for.
+    scan.torn = scan.valid_len != buf.len() as u64;
+    Ok(scan)
+}
+
+/// The payload of the record `r` is at, if one starts there, its length
+/// is in bounds and its CRC holds.
+fn next_record<'a>(r: &mut ByteReader<'a>) -> Option<&'a [u8]> {
+    let len = r.u32().ok().filter(|&len| len <= MAX_RECORD_PAYLOAD)?;
+    let want = r.u32().ok()?;
+    let payload = r.take(len as usize).ok()?;
+    (crc32(payload) == want).then_some(payload)
 }
 
 /// An open segment accepting appends. Writes go through a userspace
@@ -300,9 +268,7 @@ impl SegmentWriter {
             .truncate(true)
             .open(&path)?;
         let mut header = Vec::with_capacity(SEGMENT_HEADER_LEN as usize);
-        header.extend_from_slice(&SEGMENT_MAGIC);
-        header.extend_from_slice(&STORE_VERSION.to_be_bytes());
-        header.extend_from_slice(&0u16.to_be_bytes());
+        put_header(SEGMENT_MAGIC, &mut header);
         header.extend_from_slice(&seq.to_be_bytes());
         file.write_all(&header)?;
         Ok(SegmentWriter {

@@ -1,5 +1,5 @@
-//! Golden bytes for the store's two file formats: one WAL segment and one
-//! checkpoint, pinned as hex. Round-trip tests cannot see a framing or
+//! Golden bytes for the store's three file formats: one WAL segment, one
+//! checkpoint and one `META`, pinned as hex. Round-trip tests cannot see a framing or
 //! CRC change that writer and reader make alike; these literals can.
 //! Each was produced by the store before its records were framed in
 //! place and before the CRC gained a folding kernel, and the store must
@@ -8,11 +8,11 @@
 //! The segment holds three records, one entry each: a 0-bit, a 70-bit
 //! and a 1 024-bit stream, so the record CRCs run both short of and past
 //! the fold's 64-byte threshold. The checkpoint's CRC covers more than
-//! 64 bytes too.
+//! 64 bytes too. `META` is a 3-shard root's.
 
 use waves_core::bits::Bits;
 use waves_obs::NoopRecorder;
-use waves_store::{scratch_dir, ShardStore, SyncPolicy};
+use waves_store::{scratch_dir, ShardStore, Store, SyncPolicy};
 
 const SEGMENT: &str = concat!(
     "574c4f4700020000000000000000000000000015e2c3db640100000001000000",
@@ -30,6 +30,8 @@ const CHECKPOINT: &str = concat!(
     "5a7f1035cee38459721728cde6bb5c710a2fc0e5be53740922c798bd566b0c21",
     "fa9fb0556e0324f90000000000002222000000030102033d884cdd",
 );
+
+const META: &str = "575653540002000000000003d0360f29";
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -84,4 +86,14 @@ fn segment_and_checkpoint_bytes_are_pinned() {
 
     assert_eq!(hex(&segment), SEGMENT, "WAL segment bytes moved");
     assert_eq!(hex(&checkpoint), CHECKPOINT, "checkpoint bytes moved");
+}
+
+#[test]
+fn meta_bytes_are_pinned() {
+    let root = scratch_dir("golden-meta");
+    Store::open(&root, 3).unwrap();
+    let meta = std::fs::read(root.join("META")).unwrap();
+    Store::open(&root, 3).unwrap();
+    std::fs::remove_dir_all(&root).unwrap();
+    assert_eq!(hex(&meta), META, "META bytes moved");
 }

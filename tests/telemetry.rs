@@ -291,9 +291,9 @@ fn two_traced_ingests_in_one_pass_keep_their_own_span_trees() {
         .find(|&k| server.engine().shard_of(k) != server.engine().shard_of(key))
         .unwrap();
     let (trace_a, trace_b) = (TraceId(0xA), TraceId(0xB));
-    // A touches one shard and shares its batches with the untraced
-    // frame, which touches both: only A's shard carries A's context. B
-    // touches both shards.
+    // A touches one shard and is batched alone, so only that shard
+    // carries A's context; the untraced frame touches both shards in
+    // batches of its own. B touches both shards.
     let ingests = [
         (trace_a, vec![(key, vec![true])]),
         (
