@@ -153,20 +153,22 @@ impl DetWave {
 
     /// Ingest a packed batch of stream bits, oldest first, 64 bits per
     /// word — the path the engine's shard workers, WAL replay and the
-    /// push-mode parties apply. 1-bits are located with
-    /// `trailing_zeros`, and the 0s before each — including whole zero
-    /// words — are one addition to the clock. Only the 1s the
+    /// push-mode parties apply. The 0s before each stored 1 — including
+    /// whole zero words — are one addition to the clock. Only the 1s the
     /// wave could still hold when the call returns go through Figure 4's
     /// step 3: at a level whose stored entries the call evicts whole,
     /// which are removed up front, the last queue's worth of its
     /// arrivals; at the others, a queue's worth at each end.
     /// `O(min(ones, (1/eps) log(eps ones)))` of them when the call is no
     /// longer than the window (a longer one stores every 1). The 1s
-    /// between are counted, not visited: a popcount passes a word that
-    /// holds no others, and one broadword select the run of them that
-    /// ends inside a word. State-identical to pushing every bit
-    /// through [`DetWave::push_bit`]: `push_words_matches_single_pushes`
-    /// and `tests/batch_equivalence.rs` pin the encoding byte-for-byte.
+    /// between are never visited: a call of more than four queues of 1s
+    /// finds each 1 it stores by rank, a word cursor counting the 1s it
+    /// passes and a broadword select in the word (a few cleared 1s, when
+    /// the last one found is that close); a shorter call scans its 1s
+    /// with `trailing_zeros`. State-identical to pushing every bit
+    /// through [`DetWave::push_bit`]: `push_words_matches_single_pushes`,
+    /// `tests/batch_equivalence.rs` and the walk of every short string in
+    /// `ladder/exhaustive.rs` pin the encoding byte-for-byte.
     pub fn push_words(&mut self, bits: crate::bits::BitsRef<'_>) {
         self.ladder.push_ones(bits);
     }
@@ -273,6 +275,11 @@ impl DetWave {
     /// `r1`, delta-coded positions and ranks, a level per entry.
     pub fn space_report(&self) -> SpaceReport {
         self.ladder.space_report(std::mem::size_of::<Self>(), 3)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn ladder(&self) -> &Ladder<()> {
+        &self.ladder
     }
 }
 

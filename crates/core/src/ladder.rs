@@ -26,15 +26,14 @@
 //! mod-N' counters fit 32 bits, where no live entry is `N' / 2`
 //! positions or `N' / 2` of total behind the clock — as their low 32
 //! bits ([`Stamp`]). [`Ladder::new`] picks the width from `N'`; it is
-//! not an option, and both are the one body on [`Core`].
+//! not an option, and both are the one body on [`Core`]. `batch` is the
+//! bit waves' batch push.
 
 use crate::basic_wave::wave_levels;
-use crate::bits::BitsRef;
 use crate::chain::NIL;
 use crate::codec::{read_deltas_into, BitReader, BitWriter, CodecError};
 use crate::error::WaveError;
 use crate::estimate::SpaceReport;
-use crate::level::rank_level;
 use crate::space::{delta_coded_bits, elias_gamma_bits};
 use crate::window::ModRing;
 
@@ -156,9 +155,8 @@ impl<W: Copy> Clone for Slab<W> {
     }
 }
 
-/// `$body` with `$slots` bound to the slots of `$slab`, at its width. A
-/// batch wraps its whole loop ([`Ladder::push_ones`]), so the width is
-/// matched once a batch and not once a stored 1.
+/// `$body` with `$slots` bound to the slots of `$slab`, at its width: a
+/// batch's whole loop ([`Ladder::push_ones`]) matches it once.
 macro_rules! at_width {
     ($slab:expr, $slots:ident => $body:expr) => {
         match $slab {
@@ -167,6 +165,8 @@ macro_rules! at_width {
         }
     };
 }
+
+mod batch;
 
 /// One level queue: a circular window over the level's own slots, as
 /// offsets from its first, of a capacity the ladder derives from the
@@ -371,17 +371,18 @@ impl Core {
         self.len += 1;
     }
 
+    /// The clock entries a window behind expire against when it moves to
+    /// `to`; one further under `--cfg dst_mutation`, never in real builds:
+    /// the planted off-by-one tests/dst_mutation.rs must catch.
+    #[inline(always)]
+    fn horizon(to: u64) -> u64 {
+        to + cfg!(dst_mutation) as u64
+    }
+
     /// [`Ladder::advance`] at one width.
     #[inline(always)]
     fn advance<P: Stamp, W: Weight>(&mut self, s: &mut [Slot<P, W>], to: u64) -> Option<Entry<W>> {
-        // Planted off-by-one for the DST mutation smoke test
-        // (tests/dst_mutation.rs): under `--cfg dst_mutation` entries
-        // expire one stream position early, which the harness must
-        // catch against the exact oracle. Never enabled in real builds.
-        #[cfg(dst_mutation)]
-        let horizon = to + 1;
-        #[cfg(not(dst_mutation))]
-        let horizon = to;
+        let horizon = Core::horizon(to);
         if horizon - self.pos >= self.max_window {
             return self.expire_all(s, to);
         }
@@ -548,12 +549,9 @@ impl<W: Weight> Ladder<W> {
     /// the boundary.
     ///
     /// `inline(always)`, as are [`Ladder::insert`] and the four [`Core`]
-    /// methods under them: together they are one push body per wave. Left
-    /// to the inliner's judgement they stay out of line, and a batch that
-    /// stores every 1 runs a sixth slower (measured: `DetWave::push_words`
-    /// alone, 64 to 1024 bits a call, 2 100 -> 2 540 and 198 -> 246 ns
-    /// per 1 000 bits; `benchmark/`'s `engine_dense`, whose batches store
-    /// one 1 in twelve, 1 040 -> 970 Mbit/s).
+    /// methods under them: one push body per wave. Left to the inliner
+    /// they stay out of line, and a batch that stores every 1 runs a
+    /// sixth slower (`DetWave::push_words`, 2 100 -> 2 540 ns a kbit).
     #[inline(always)]
     pub(crate) fn advance(&mut self, to: u64) -> Option<Entry<W>> {
         at_width!(&mut self.slab, s => self.core.advance(s, to))
@@ -720,236 +718,12 @@ impl<W: Weight> Ladder<W> {
     }
 }
 
-impl Core {
-    /// Empty, before a batch of `ones` 1s that ends at position `until`,
-    /// the levels that batch evicts whole, and return how many: a prefix
-    /// `0..eager`. Level `l` is one when the batch brings a queue's worth
-    /// of its arrivals (`lower_cap << (l + 1) <= ones`) and its oldest
-    /// entry outlives the batch; the top level, of another capacity, never
-    /// is. An entry removed here would have been evicted before it could
-    /// expire, so it never moves the boundary, and each level of the
-    /// prefix goes on to hold exactly its last `lower_cap` arrivals: the
-    /// state per-bit pushes leave.
-    ///
-    /// The removal is one walk back from the newest entry. The slab is
-    /// partitioned by level, so a slot below `eager * lower_cap` is a
-    /// removed one; each kept slot is relinked to the kept one after it,
-    /// and the walk stops at the last removed slot. Out of line: only a
-    /// batch of more than four queues of 1s asks.
-    #[inline(never)]
-    fn evict_ahead<P: Stamp, W>(&mut self, s: &mut [Slot<P, W>], ones: u64, until: u64) -> u32 {
-        let (mut eager, mut removed) = (0, 0);
-        while eager + 1 < self.num_levels && (self.lower_cap as u64) << (eager + 1) <= ones {
-            let ring = self.rings[eager as usize];
-            let oldest = &s[(eager * self.lower_cap + ring.start) as usize];
-            if ring.len > 0 && oldest.pos.full(self.pos) + self.max_window <= until {
-                break;
-            }
-            (eager, removed) = (eager + 1, removed + ring.len);
-        }
-        self.rings[..eager as usize].fill(Ring::default());
-        self.len -= removed;
-        let (mut at, mut after) = (self.tail, NIL);
-        while removed > 0 {
-            let prev = s[at as usize].prev;
-            if at < eager * self.lower_cap {
-                removed -= 1;
-            } else {
-                self.link(s, at, after);
-                after = at;
-            }
-            at = prev;
-        }
-        self.link(s, at, after);
-        eager
-    }
-
-    /// Where [`Ladder::push_ones`] stands at `rank`, one of a batch's
-    /// ranks `(first, end]`, with levels `0..eager` emptied before it
-    /// ([`Core::evict_ahead`]): the mask a rank of this zone must clear
-    /// to be stored, and the zone's last rank.
-    ///
-    /// A level below the top sees a rank every `2^(level + 1)`. So an
-    /// entry of level `l` with `b` ranks of the batch after it has
-    /// `lower_cap` later arrivals of its level to evict it exactly when
-    /// `lower_cap << (l + 1) <= b`. It is passed over when it is also
-    /// evicting nothing: its level was emptied, or it has `a` ranks of
-    /// the batch before it with `lower_cap << (l + 1) <= a`, whose
-    /// arrivals evicted everything older. With `j` the largest shift that
-    /// `lower_cap << j <= m` allows, for `m = min(b, max(a, lower_cap <<
-    /// eager))`, that is every rank but the multiples of `2^j`. The top
-    /// level, of another spacing and capacity, is never strided: `j`
-    /// stops at it.
-    fn stride_zone(&self, first: u64, rank: u64, end: u64, eager: u32) -> (u64, u64) {
-        let lower = self.lower_cap as u64;
-        let m = (rank - first - 1).max(lower << eager).min(end - rank);
-        let j = if m < 2 * lower {
-            0
-        } else {
-            // `lower << j` is within a factor of two of `m`.
-            let j = m.ilog2() - lower.ilog2();
-            (j - (lower << j > m) as u32).min(self.num_levels - 1)
-        };
-        // The zone ends where the next stride up starts, if it starts
-        // ahead and has a rank to cover; else where this one runs out of
-        // later arrivals.
-        let (rise, fall) = (
-            first + 1 + (lower << (j + 1)),
-            end.saturating_sub(lower << (j + 1)),
-        );
-        let zone_end = if j + 1 < self.num_levels && rank < rise && rise <= fall {
-            rise - 1
-        } else if j == 0 {
-            end
-        } else {
-            end - (lower << j)
-        };
-        ((1 << j) - 1, zone_end)
-    }
-}
-
-/// `SELECT_IN_BYTE[r][b]`: the bit index of the 1 of rank `r` (from 0,
-/// lowest first) in the byte `b`, or 8 if `b` has no more than `r` 1s.
-const SELECT_IN_BYTE: [[u8; 256]; 8] = {
-    let mut table = [[8; 256]; 8];
-    let mut b = 0;
-    while b < 256 {
-        let (mut bit, mut rank) = (0, 0);
-        while bit < 8 {
-            if b >> bit & 1 == 1 {
-                table[rank][b] = bit as u8;
-                rank += 1;
-            }
-            bit += 1;
-        }
-        b += 1;
-    }
-    table
-};
-
-/// `x` with its `n` lowest 1s cleared, for `n < x.count_ones()`: a
-/// broadword select of the 1 of rank `n`, branch-free. Byte popcounts,
-/// summed up the word by one multiply, give the 1s through each byte;
-/// the bytes whose 1s all fall among the `n` are counted by a compare
-/// of every byte at once and a second multiply; the 1 itself is looked
-/// up in its byte.
-#[inline]
-fn clear_lowest_ones(x: u64, n: u64) -> u64 {
-    const ONES: u64 = 0x0101_0101_0101_0101;
-    const HIGHS: u64 = 0x8080_8080_8080_8080;
-    debug_assert!(n < x.count_ones() as u64);
-    let pairs = x - (x >> 1 & 0x5555_5555_5555_5555);
-    let nibbles = (pairs & 0x3333_3333_3333_3333) + (pairs >> 2 & 0x3333_3333_3333_3333);
-    let bytes = (nibbles + (nibbles >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
-    // Byte `i`: the 1s in bytes `0..=i`, at most 64, so no byte carries.
-    let ranks = bytes.wrapping_mul(ONES);
-    // Byte `i`'s high bit: its running count is at most `n` (< 64).
-    let cleared = (((n * ONES) | HIGHS) - ranks) & HIGHS;
-    let shift = ((cleared >> 7).wrapping_mul(ONES) >> 56) * 8;
-    // The 1s below byte `shift / 8`, and the rank of ours inside it.
-    let below = ranks << 8 >> shift & 0xFF;
-    let byte = x >> shift & 0xFF;
-    let at = shift + SELECT_IN_BYTE[(n - below) as usize][byte as usize] as u64;
-    x & u64::MAX << at
-}
-
-impl Ladder<()> {
-    /// The bit waves' batch push: the 1s of `bits`, oldest first, each
-    /// at the level of its rank ([`rank_level`]) — but only those Figure
-    /// 4 could still hold when the batch ends, or could have evicted an
-    /// older entry with. First, the levels the batch evicts whole are
-    /// emptied up front ([`Core::evict_ahead`]), so at those levels only
-    /// the last queue's worth of arrivals is stored. A 1 with a queue's
-    /// worth of its level's arrivals after it inside the batch, and
-    /// either an emptied level or a queue's worth before it too, is
-    /// counted and passed over ([`Core::stride_zone`]), a whole word of
-    /// them on one popcount, fewer on one select ([`clear_lowest_ones`]):
-    /// the 1s passed over cost nothing each. Every other 1 moves the
-    /// clock — over everything since the last stored 1 — and is
-    /// inserted, so what is left from before the batch is evicted and
-    /// expired in per-bit order and the state is the one per-bit pushes
-    /// leave, boundary included. Returns the number of entries stored.
-    ///
-    /// Passing over rests on no entry of the batch expiring inside it:
-    /// a batch longer than the window stores every 1.
-    ///
-    /// The loop is the per-1 `advance` and `insert` under a countdown,
-    /// with the slot width matched once; where the batch stands is asked
-    /// out of line, when the countdown runs out, and each ask is O(1):
-    /// a popcount or a select, never a walk over the 1s it passes. A
-    /// batch of up to four queues of 1s never asks and empties nothing;
-    /// it is counted only when it has more bits than that, and otherwise
-    /// costs the per-1 loop and a decrement.
-    pub(crate) fn push_ones(&mut self, bits: BitsRef<'_>) -> u64 {
-        let (first, start) = (self.core.total, self.core.pos);
-        let four = 4 * self.core.lower_cap as u64;
-        let ones = (four < bits.len() && bits.len() <= self.core.max_window)
-            .then(|| bits.count_ones())
-            .filter(|&ones| ones > four);
-        // Levels emptied, the batch's last rank, and 1s to store before
-        // asking what to pass over: all of them, in a short batch.
-        let (eager, end, mut run) = match ones {
-            Some(ones) => {
-                let until = start + bits.len();
-                let eager = at_width!(&mut self.slab, s => self.core.evict_ahead(s, ones, until));
-                (eager, first + ones, 0)
-            }
-            None => (0, first, u64::MAX),
-        };
-        let c = &mut self.core;
-        // The first ask opens a zone at the batch's first rank.
-        let (mut mask, mut zone_end, mut passed) = (0, first, 0);
-        // Count the 1s at the front of `rest` that are not to be stored:
-        // what is left of `rest`, and how many 1s to store from there.
-        let mut pass_over = |c: &mut Core, rest: u64| {
-            if c.total == zone_end {
-                (mask, zone_end) = c.stride_zone(first, c.total + 1, end, eager);
-                debug_assert!(c.total < zone_end && zone_end <= end);
-            }
-            // The zone's 1s before its next multiple of the stride.
-            let pass = (mask - (c.total & mask)).min(zone_end - c.total);
-            let left = rest.count_ones() as u64;
-            if pass >= left {
-                c.total += left;
-                passed += left;
-                return (0, 0);
-            }
-            c.total += pass;
-            passed += pass;
-            let rest = clear_lowest_ones(rest, pass);
-            // At stride 1 the zone is stored to its end; else one 1 is,
-            // or none, where the zone ends first.
-            let run = zone_end - c.total;
-            (rest, if mask == 0 { run } else { run.min(1) })
-        };
-        at_width!(&mut self.slab, s => {
-            for (i, (word, _)) in bits.chunks().enumerate() {
-                let (mut rest, at) = (word, start + 64 * i as u64);
-                while rest != 0 {
-                    if run == 0 {
-                        (rest, run) = pass_over(c, rest);
-                        if run == 0 {
-                            continue;
-                        }
-                    }
-                    run -= 1;
-                    c.advance(s, at + rest.trailing_zeros() as u64 + 1);
-                    c.insert(s, rank_level(c.total + 1), 1);
-                    rest &= rest - 1;
-                }
-            }
-            c.advance(s, start + bits.len());
-        });
-        c.total - first - passed
-    }
-}
-
+#[cfg(test)]
 /// Well-formed bytes, impossible wave, for the sum codecs' tests: after
 /// the header `params` and `k = 4`, entries `(p=1, v=10, z=10)` and
 /// `(p=5, v=10, z=11)` — the second item claims 10 units of which only 1
 /// arrived after the first. Decoded, `query(8)` would bracket the sum in
 /// `[19, 10]`.
-#[cfg(test)]
 pub(crate) fn overlapping_sum_entries(params: &[u64]) -> Vec<u8> {
     use crate::codec::write_deltas;
     let mut w = BitWriter::new();
@@ -967,6 +741,9 @@ pub(crate) fn overlapping_sum_entries(params: &[u64]) -> Vec<u8> {
     }
     w.finish()
 }
+
+#[cfg(test)]
+mod exhaustive;
 
 #[cfg(test)]
 mod tests {
@@ -1070,119 +847,6 @@ mod tests {
         }
         // Seven fit the slab and are refused for what they say instead.
         assert_eq!(decode(7), Err(CodecError::Corrupt("entry beyond counters")));
-    }
-
-    /// A batch's work, counted beside the stopwatch: the entries it
-    /// stored.
-    #[test]
-    fn a_batch_stores_what_could_outlast_it_and_no_more() {
-        use crate::bits::Bits;
-        let (n, k) = (1u64 << 14, 20u64);
-        let lower = (k + 1).div_ceil(2);
-        let fresh = || Ladder::<()>::new(n, k, n, lower, Positions::Sequence).unwrap();
-        // A batch of under four queues of 1s is never asked what to pass
-        // over: every one is stored, wherever the ranks start.
-        for ones in [0, 1, lower, 4 * lower - 1] {
-            let batch = Bits::from_bools(&[true, false, false].repeat(ones as usize));
-            let mut l = fresh();
-            for _ in 0..5 {
-                assert_eq!(l.push_ones(batch.as_ref()), ones);
-            }
-        }
-        // A window of 1s leaves at most a queue at each end of each
-        // level's arrivals — the same count on every run, for it is a
-        // function of the ranks alone.
-        let window = Bits::from_bools(&vec![true; n as usize]);
-        let slots = (fresh().num_levels() as u64 - 1) * lower + k + 1;
-        let runs = [(); 2].map(|()| {
-            let mut l = fresh();
-            [(); 3].map(|()| l.push_ones(window.as_ref()))
-        });
-        assert_eq!(runs[0], runs[1]);
-        for stored in runs[0] {
-            assert!(stored <= 2 * slots, "{stored} stored in {slots} slots");
-        }
-    }
-
-    /// A long batch stores exactly the entries it leaves behind: with
-    /// the levels it evicts whole emptied first, nothing it stores is
-    /// evicted before it ends. Waves filled past one window at the
-    /// served shapes, then, after every batch, the count `push_ones`
-    /// returns against the entries newer than the batch's start.
-    #[test]
-    fn a_long_batch_stores_what_it_leaves_behind() {
-        use crate::bits::Bits;
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        // `engine_dense` and `referee_push`: (N, k, bits a batch, density).
-        for (n, k, len, density) in [(65_536, 20, 4_096, 0.5), (65_536, 10, 256, 0.3)] {
-            let mut l =
-                Ladder::<()>::new(n, k, n, (k + 1).div_ceil(2), Positions::Sequence).unwrap();
-            let mut rng = StdRng::seed_from_u64(len);
-            let mut batch = || (0..len).map(|_| rng.gen_bool(density)).collect::<Bits>();
-            while l.pos() <= n {
-                l.push_ones(batch().as_ref());
-            }
-            let (mut batches, mut differed) = (0, 0);
-            while l.pos() <= 3 * n {
-                let start = l.pos();
-                let stored = l.push_ones(batch().as_ref());
-                let left = l.entries().filter(|e| e.pos > start).count() as u64;
-                (batches, differed) = (batches + 1, differed + (stored != left) as u32);
-            }
-            assert_eq!(differed, 0, "N={n} k={k}: {differed} of {batches} batches");
-        }
-    }
-
-    #[test]
-    fn select_in_byte_is_a_bit_scan() {
-        for (rank, row) in SELECT_IN_BYTE.iter().enumerate() {
-            for (b, &at) in row.iter().enumerate() {
-                let ones: Vec<u8> = (0..8).filter(|&i| b >> i & 1 == 1).collect();
-                let want = ones.get(rank).copied().unwrap_or(8);
-                assert_eq!(at, want, "byte {b:#04x}, rank {rank}");
-            }
-        }
-    }
-
-    /// The reference [`clear_lowest_ones`] replaced: one 1 a step.
-    fn clear_lowest_ones_stepwise(mut x: u64, n: u64) -> u64 {
-        for _ in 0..n {
-            x &= x - 1;
-        }
-        x
-    }
-
-    fn select_matches_stepwise(x: u64) {
-        for n in 0..x.count_ones() as u64 {
-            let want = clear_lowest_ones_stepwise(x, n);
-            assert_eq!(clear_lowest_ones(x, n), want, "x = {x:#018x}, n = {n}");
-        }
-    }
-
-    #[test]
-    fn select_clears_the_edge_words_like_the_stepwise_loop() {
-        let edges = [1 << 63, u64::MAX, 0xAAAA_AAAA_AAAA_AAAA, 1 | 1 << 63];
-        // A full byte at each byte position, on its own.
-        let bytes = (0..8).map(|i| 0xFF << (8 * i));
-        for x in edges.into_iter().chain(bytes) {
-            select_matches_stepwise(x);
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
-
-        /// Words of every density: about 8, 32 and 56 1s of 64.
-        #[test]
-        fn select_clears_random_words_like_the_stepwise_loop(
-            a in any::<u64>(),
-            b in any::<u64>(),
-            c in any::<u64>(),
-        ) {
-            for x in [a & b & c, a, a | b | c] {
-                select_matches_stepwise(x);
-            }
-        }
     }
 
     #[derive(Debug, Clone)]
