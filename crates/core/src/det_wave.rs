@@ -159,8 +159,9 @@ impl DetWave {
     /// step 3: at a level whose stored entries the call evicts whole,
     /// which are removed up front, the last queue's worth of its
     /// arrivals; at the others, a queue's worth at each end.
-    /// `O(min(ones, (1/eps) log(eps ones)))` of them when the call is no
-    /// longer than the window (a longer one stores every 1). The 1s
+    /// `O(min(ones, (1/eps) log(eps ones)))` of them per window of the
+    /// call: a call longer than the window goes in a window's whole
+    /// words at a time, each piece under the same rule. The 1s
     /// between are never visited: a call of more than four queues of 1s
     /// finds each 1 it stores by rank, a word cursor counting the 1s it
     /// passes and a broadword select in the word (a few cleared 1s, when

@@ -3,9 +3,10 @@
 //! batch of over four queues of 1s, no longer than the window, empties
 //! the levels it evicts whole ([`Core::evict_ahead`]), then stores each
 //! rank of a stride-1 zone and each multiple of `2^j` of a strided one
-//! ([`Core::stride_zone`]), found by rank ([`Ranks`]). Any other batch
-//! stores every 1 it scans: in one longer than the window an entry of
-//! its own could expire.
+//! ([`Core::stride_zone`]), found by rank ([`Ranks`]). A batch longer
+//! than the window is pushed a window's whole words at a time, since in
+//! it an entry of its own could expire; any other batch stores every 1
+//! it scans.
 
 use super::{Core, Ladder, Ring, Slab, Slot, Stamp, NIL};
 use crate::{bits::BitsRef, level::rank_level};
@@ -181,8 +182,19 @@ impl Ladder<()> {
     /// first, moves the clock over everything since the last one stored
     /// and is inserted at its rank's level, so older entries go in per-bit
     /// order and the state, boundary included, is what per-bit pushes
-    /// leave. Returns the number of entries stored.
+    /// leave. A batch longer than the window goes in a window at a time,
+    /// each piece a whole number of words, so every piece is asked the
+    /// batch rule. Returns the number of entries stored.
     pub(crate) fn push_ones(&mut self, bits: BitsRef<'_>) -> u64 {
+        let piece = (self.core.max_window / 64) as usize;
+        if bits.len() > self.core.max_window && piece > 0 {
+            let words = bits.words();
+            return (0..words.len()).step_by(piece).fold(0, |stored, at| {
+                let len = (bits.len() - 64 * at as u64).min(64 * piece as u64);
+                let words = &words[at..(at + piece).min(words.len())];
+                stored + self.push_ones(BitsRef::new(words, len))
+            });
+        }
         let (first, start) = (self.core.total, self.core.pos);
         let four = 4 * self.core.lower_cap as u64;
         let ones = (four < bits.len() && bits.len() <= self.core.max_window)
@@ -266,6 +278,29 @@ mod tests {
         assert_eq!(runs[0], runs[1]);
         for stored in runs[0] {
             assert!(stored <= 2 * slots, "{stored} stored in {slots} slots");
+        }
+    }
+
+    /// A batch longer than the window is asked the batch rule a window
+    /// at a time: a dense two-window batch stores about what two
+    /// one-window batches store, not each of its 1s.
+    #[test]
+    fn a_batch_past_the_window_stores_per_window() {
+        use crate::bits::Bits;
+        let (n, k) = (1u64 << 14, 20u64);
+        let lower = (k + 1).div_ceil(2);
+        let fresh = || Ladder::<()>::new(n, k, n, lower, Positions::Sequence).unwrap();
+        let slots = (fresh().num_levels() as u64 - 1) * lower + k + 1;
+        let mut rng = StdRng::seed_from_u64(7);
+        for len in [2 * n, 2 * n + 37, 5 * n - 1] {
+            let batch = (0..len).map(|_| rng.gen_bool(0.5)).collect::<Bits>();
+            let mut l = fresh();
+            let stored = l.push_ones(batch.as_ref());
+            let windows = len.div_ceil(n);
+            assert!(
+                stored <= 2 * slots * windows,
+                "{stored} stored for a {len}-bit batch, {slots} slots"
+            );
         }
     }
 

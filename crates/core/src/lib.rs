@@ -172,6 +172,41 @@ mod proptests {
             prop_assert!(opt.query_max().relative_error(actual) <= eps + 1e-9);
         }
 
+        /// A batch longer than the window goes in a window's whole words
+        /// at a time; the pieces leave what per-bit pushes leave. Windows
+        /// of at least a word, batches of one to five windows whose ends
+        /// fall inside a word, after a prefix that puts the batch's start
+        /// anywhere in a word.
+        #[test]
+        fn long_batches_match_single_pushes(
+            n_max in 64u64..=700,
+            windows in 1u64..=5,
+            tail in 1u64..=63,
+            prefix in 0usize..=200,
+            density in 0usize..=3,
+            inv_eps in 2u64..=10,
+            seed in any::<u64>(),
+        ) {
+            use rand::{rngs::StdRng, Rng, SeedableRng};
+            let eps = 1.0 / inv_eps as f64;
+            let p = [0.1, 0.5, 0.9, 1.0][density];
+            let len = windows * n_max + tail;
+            let len = len + u64::from(len.is_multiple_of(64));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let head: Vec<bool> = (0..prefix).map(|_| rng.gen_bool(0.5)).collect();
+            let long: Vec<bool> = (0..len).map(|_| rng.gen_bool(p)).collect();
+            let mut single = DetWave::new(n_max, eps).unwrap();
+            let mut worded = DetWave::new(n_max, eps).unwrap();
+            for &b in head.iter().chain(&long).chain(&long) {
+                single.push_bit(b);
+            }
+            worded.push_words(bits::Bits::from_bools(&head).as_ref());
+            worded.push_words(bits::Bits::from_bools(&long).as_ref());
+            worded.push_words(bits::Bits::from_bools(&long).as_ref());
+            prop_assert_eq!(single.encode(), worded.encode());
+        }
+
+
         /// Word-packed ingestion is indistinguishable from per-bit
         /// ingestion for every bit-stream synopsis in this crate: same encoded
         /// bytes (DetWave), same structure (BasicWave), same state and

@@ -9,11 +9,13 @@
 //! This crate is that missing layer:
 //!
 //! * keys hash to one of `num_shards` shards, each one value (`shard.rs`:
-//!   its own `HashMap<Key, S>`, store and checkpoint countdown, recovered,
-//!   applied and closed by its owner alone) driven by its own std thread
-//!   from its own bounded FIFO, so the hot path takes **no cross-shard
-//!   locks**; the FIFO wakes a blocked producer once per half queue
-//!   drained, not once per command (`queue.rs`);
+//!   its own synopses behind one key index, store and checkpoint
+//!   countdown, recovered, applied and closed by its owner alone) driven
+//!   by its own std thread from its own bounded FIFO, so the hot path
+//!   takes **no cross-shard locks**; the thread drains the FIFO a run of
+//!   batches at a time and applies each run with one push per key, and
+//!   the FIFO wakes a blocked producer once per drain that leaves it at
+//!   most half full, not once per command (`queue.rs`);
 //! * ingestion flows through **one** entry point, [`Engine::ingest`],
 //!   taking an [`IngestRequest`]: keyed **word-packed** bit batches
 //!   ([`waves_core::Bits`] — 64 bits per queue/WAL/apply step), an
@@ -427,8 +429,9 @@ where
             let worker = std::thread::Builder::new()
                 .name(format!("waves-engine-shard-{index}"))
                 .spawn(move || {
-                    while let Ok(cmd) = rx.recv() {
-                        shard.apply(cmd, || rx.slots());
+                    let mut run = Vec::new();
+                    while rx.recv_run(&mut run).is_ok() {
+                        shard.apply(run.drain(..), || rx.slots());
                     }
                     shard.close(crashed.load(Ordering::Relaxed));
                 })
@@ -712,5 +715,7 @@ where
     }
 }
 
+#[cfg(test)]
+mod run_equivalence;
 #[cfg(test)]
 mod tests;

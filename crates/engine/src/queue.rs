@@ -5,21 +5,24 @@
 //! it pays its wake-ups per drain, not per command:
 //!
 //! * **Producers.** A producer parked on a full queue is notified once
-//!   the worker has popped the queue down to `cap / 2` slots, not on
-//!   every pop, so a blocking producer refills about `cap / 2` slots per
-//!   wake-up instead of one.
+//!   a drain has left at most `cap / 2` slots taken, once per drain, so
+//!   a blocking producer refills at least `cap / 2` slots per wake-up
+//!   instead of one. The worker drains a run at a time
+//!   ([`Receiver::recv_run`]): every slot holder at the front of the
+//!   queue, or one command that holds none.
 //! * **The worker** is notified only while it is parked, and the
 //!   producer that notifies clears the flag, so a burst of sends into an
 //!   idle shard costs one wake-up.
 //! * **No overtaking.** While any producer is parked, no other slot
 //!   taker is admitted: [`Sender::try_send`] reports `Full` and a new
-//!   [`Sender::send`] parks too. So a parked send is admitted after at
-//!   most `⌈cap/2⌉` pops (as long as no more than `⌈cap/2⌉` sends are
-//!   parked with it), however hard other callers retry.
+//!   [`Sender::send`] parks too. So a parked send is admitted by the
+//!   first drain that takes `⌈cap/2⌉` slot holders, or several that do
+//!   between them (as long as no more than `⌈cap/2⌉` sends are parked
+//!   with it), however hard other callers retry.
 //!
 //! **Only ingest batches take a slot.** Items sent with `send` or
 //! `try_send` — the engine's ingest batches, which the cap exists to
-//! shed — hold one of the `cap` slots until popped. Every other command
+//! shed — hold one of the `cap` slots until drained. Every other command
 //! goes in through [`Sender::append`]: at once, behind everything
 //! queued, never parked and never refused, so the event loop never
 //! blocks on a full shard. Their callers bound them (the TCP server's
@@ -30,7 +33,7 @@
 //! what is queued after the sender drops and only then reporting `Err`,
 //! and a dropped receiver failing every send, parked ones included, and
 //! dropping what was queued, reply sinks of commands no worker will run
-//! included. The mutex is held for one push or one pop; the
+//! included. The mutex is held for one push or one drain; the
 //! shard's state stays owned by its worker and takes no lock.
 
 use std::collections::VecDeque;
@@ -47,6 +50,8 @@ pub(crate) fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
             slots: 0,
             parked: 0,
             wake_owed: false,
+            #[cfg(test)]
+            producer_wakes: 0,
             worker_parked: false,
             sender_gone: false,
             receiver_gone: false,
@@ -76,8 +81,11 @@ struct State<T> {
     /// else is admitted.
     parked: usize,
     /// A producer went to wait after the last half-drain notification:
-    /// the next pop that leaves `slots <= cap / 2` owes one.
+    /// the next drain that leaves `slots <= cap / 2` owes one.
     wake_owed: bool,
+    /// Half-drain notifications sent, for the tests to count.
+    #[cfg(test)]
+    producer_wakes: usize,
     /// The worker waits on `not_empty`; cleared by whoever notifies it.
     worker_parked: bool,
     sender_gone: bool,
@@ -166,7 +174,7 @@ impl<T> Sender<T> {
 
 impl<T> Drop for Sender<T> {
     /// Close the queue: the worker drains what is queued, then its
-    /// [`Receiver::recv`] returns `Err`.
+    /// [`Receiver::recv_run`] returns `Err`.
     fn drop(&mut self) {
         let mut st = self.0.lock();
         st.sender_gone = true;
@@ -184,24 +192,17 @@ impl<T> Receiver<T> {
         self.0.lock().slots
     }
 
-    /// The oldest queued item, parking while the queue is empty; `Err`
-    /// once the sender is gone and the queue is drained.
-    pub(crate) fn recv(&self) -> Result<T, RecvError> {
+    /// Take the oldest queued item into `run` and, when it holds a slot,
+    /// every slot holder queued right behind it, parking while the queue
+    /// is empty. The drain stops at the first item that holds no slot
+    /// and leaves it queued, so a run is either one slotless command or
+    /// consecutive slot holders in FIFO order. One lock covers the whole
+    /// drain, and a producer owed a wake gets one notification for it.
+    /// `Err` once the sender is gone and the queue is drained.
+    pub(crate) fn recv_run(&self, run: &mut Vec<T>) -> Result<(), RecvError> {
         let q = &*self.0;
         let mut st = q.lock();
-        loop {
-            if let Some((item, slot)) = st.items.pop_front() {
-                st.slots -= usize::from(slot);
-                let wake = st.wake_owed && st.slots <= q.cap / 2;
-                if wake {
-                    st.wake_owed = false;
-                }
-                drop(st);
-                if wake {
-                    q.not_full.notify_all();
-                }
-                return Ok(item);
-            }
+        while st.items.is_empty() {
             if st.sender_gone {
                 return Err(RecvError);
             }
@@ -209,6 +210,22 @@ impl<T> Receiver<T> {
             st = q.wait(&q.not_empty, st);
             st.worker_parked = false;
         }
+        let slots = st.items.iter().take_while(|(_, slot)| *slot).count();
+        run.extend(st.items.drain(..slots.max(1)).map(|(item, _)| item));
+        st.slots -= slots;
+        let wake = st.wake_owed && st.slots <= q.cap / 2;
+        if wake {
+            st.wake_owed = false;
+            #[cfg(test)]
+            {
+                st.producer_wakes += 1;
+            }
+        }
+        drop(st);
+        if wake {
+            q.not_full.notify_all();
+        }
+        Ok(())
     }
 }
 
@@ -248,6 +265,12 @@ mod tests {
         }
     }
 
+    /// Drain one run.
+    fn run<T>(rx: &Receiver<T>) -> Result<Vec<T>, RecvError> {
+        let mut run = Vec::new();
+        rx.recv_run(&mut run).map(|()| run)
+    }
+
     #[test]
     fn fifo_under_two_concurrent_producers() {
         const PER: u32 = 2_000;
@@ -262,7 +285,11 @@ mod tests {
                         })
                     });
                 }
-                (0..2 * PER).map(|_| rx.recv().unwrap()).collect::<Vec<_>>()
+                let mut got = Vec::new();
+                while got.len() < 2 * PER as usize {
+                    rx.recv_run(&mut got).unwrap();
+                }
+                got
             })
         });
         for p in 0..2 {
@@ -278,13 +305,74 @@ mod tests {
             tx.try_send(i).unwrap();
         }
         assert!(matches!(tx.try_send(5), Err(TrySendError::Full(5))));
-        assert_eq!(rx.recv(), Ok(0));
-        tx.try_send(5).unwrap();
-        assert!(matches!(tx.try_send(6), Err(TrySendError::Full(6))));
-        assert_eq!(
-            (1..=5).map(|_| rx.recv().unwrap()).collect::<Vec<_>>(),
-            [1, 2, 3, 4, 5]
-        );
+        assert_eq!(run(&rx), Ok(vec![0, 1, 2, 3, 4]));
+        for i in 5..10 {
+            tx.try_send(i).unwrap();
+        }
+        assert!(matches!(tx.try_send(10), Err(TrySendError::Full(10))));
+        assert_eq!(run(&rx), Ok(vec![5, 6, 7, 8, 9]));
+    }
+
+    /// A drain takes the slot holders at the front, in FIFO order, and
+    /// stops at the first item that holds no slot, leaving it queued; a
+    /// drain that starts at one takes it alone. The slots taken drop by
+    /// exactly the slot holders drained.
+    #[test]
+    fn a_drain_stops_at_an_item_without_a_slot_and_leaves_it_queued() {
+        let (tx, rx) = bounded(8);
+        for i in 0..3 {
+            tx.try_send(i).unwrap();
+        }
+        tx.append(10);
+        tx.append(11);
+        tx.try_send(3).unwrap();
+        tx.try_send(4).unwrap();
+        tx.append(12);
+        assert_eq!(rx.slots(), 5);
+        let mut got = vec![99];
+        rx.recv_run(&mut got).unwrap();
+        assert_eq!(got, [99, 0, 1, 2], "a drain appends to what the run holds");
+        assert_eq!(rx.slots(), 2);
+        assert_eq!(tx.0.lock().items.front(), Some(&(10, false)));
+        assert_eq!(run(&rx), Ok(vec![10]));
+        assert_eq!(run(&rx), Ok(vec![11]));
+        assert_eq!(rx.slots(), 2, "a slotless item frees no slot");
+        assert_eq!(run(&rx), Ok(vec![3, 4]));
+        assert_eq!(rx.slots(), 0);
+        assert_eq!(run(&rx), Ok(vec![12]));
+        assert!(tx.0.lock().items.is_empty());
+    }
+
+    /// A drain that frees a full queue pays one notification for it,
+    /// however many slot holders it takes, and the parked producer is
+    /// admitted right after it, behind nothing the drain left. A drain
+    /// with no producer parked pays none.
+    #[test]
+    fn a_drain_wakes_a_parked_producer_once_and_admits_it() {
+        const CAP: u32 = 8;
+        let (tx, rx) = bounded(CAP as usize);
+        let tx = Arc::new(tx);
+        for i in 0..CAP {
+            tx.try_send(i).unwrap();
+        }
+        let producer = {
+            let tx = Arc::clone(&tx);
+            std::thread::spawn(move || tx.send(CAP))
+        };
+        until(&tx.0, |st| st.parked == 1);
+        assert_eq!(run(&rx), Ok((0..CAP).collect()));
+        assert_eq!(tx.0.lock().producer_wakes, 1);
+        within("parked send after one drain", move || {
+            producer.join().unwrap()
+        })
+        .unwrap();
+        until(&tx.0, |st| st.items.len() == 1);
+        assert_eq!(run(&rx), Ok(vec![CAP]));
+        for i in 0..CAP {
+            tx.try_send(i).unwrap();
+        }
+        assert_eq!(run(&rx), Ok((0..CAP).collect()));
+        assert_eq!(tx.0.lock().producer_wakes, 1, "no producer was parked");
     }
 
     #[test]
@@ -294,12 +382,12 @@ mod tests {
             tx.send(i).unwrap();
         }
         drop(tx);
-        assert_eq!([rx.recv(), rx.recv(), rx.recv()], [Ok(0), Ok(1), Ok(2)]);
-        assert_eq!(rx.recv(), Err(RecvError));
+        assert_eq!(run(&rx), Ok(vec![0, 1, 2]));
+        assert_eq!(run(&rx), Err(RecvError));
         // A worker parked on an empty queue is woken by the close.
         let (tx, rx) = bounded::<u8>(4);
         let q = Arc::clone(&rx.0);
-        let worker = std::thread::spawn(move || rx.recv());
+        let worker = std::thread::spawn(move || run(&rx));
         until(&q, |st| st.worker_parked);
         drop(tx);
         let res = within("parked worker", move || worker.join().unwrap());
@@ -328,7 +416,8 @@ mod tests {
     /// At its cap, with a producer parked and no worker draining, the
     /// queue still takes an appended item at once — behind what is
     /// queued, ahead of the parked send — while a slot taker is still
-    /// refused. The appended item frees no slot when popped.
+    /// refused. The drain stops at the appended item, which frees no
+    /// slot when drained.
     #[test]
     fn an_appended_item_enters_a_full_queue_at_once() {
         let (tx, rx) = bounded(2);
@@ -344,28 +433,32 @@ mod tests {
         within("append into a full queue", move || appender.append(10));
         assert!(matches!(tx.try_send(3), Err(TrySendError::Full(3))));
         assert_eq!(tx.0.lock().slots, 2);
-        // Popping 0 leaves one slot taken, which is half: the parked
-        // send goes in behind the appended item.
-        assert_eq!(rx.recv(), Ok(0));
+        // The drain takes both slot holders: the parked send goes in
+        // behind the appended item.
+        assert_eq!(run(&rx), Ok(vec![0, 1]));
         within("parked send", move || producer.join().unwrap()).unwrap();
-        let rest: Vec<u32> = (0..3).map(|_| rx.recv().unwrap()).collect();
-        assert_eq!(rest, [1, 10, 2]);
+        assert_eq!(run(&rx), Ok(vec![10]));
+        assert_eq!(run(&rx), Ok(vec![2]));
         assert_eq!(tx.0.lock().slots, 0);
     }
 
-    /// A parked send goes in after `⌈cap/2⌉` pops, and a `try_send` loop
-    /// running all the while is refused until it has. A queue that let
-    /// any free slot go to whoever asks first would let the loop's item
-    /// in ahead of the parked one at the first pop.
+    /// A parked send goes in once drains have taken `⌈cap/2⌉` slot
+    /// holders, and a `try_send` loop running all the while is refused
+    /// until it has. Each slot holder is queued ahead of an appended
+    /// item, so each drain takes one. A queue that let any free slot go
+    /// to whoever asks first would let the loop's item in ahead of the
+    /// parked one at the first drain.
     #[test]
     fn a_parked_send_is_admitted_at_half_and_never_overtaken() {
         const CAP: u32 = 7;
         const LATE: u32 = 100;
         const MARK: u32 = 99;
+        const APPENDED: u32 = 1_000;
         let (tx, rx) = bounded(CAP as usize);
         let tx = Arc::new(tx);
         for i in 0..CAP {
             tx.try_send(i).unwrap();
+            tx.append(APPENDED + i);
         }
         let (sent_tx, sent_rx) = std::sync::mpsc::channel();
         let producer = {
@@ -392,8 +485,8 @@ mod tests {
         }
         let half = CAP.div_ceil(2);
         for i in 0..half {
-            assert_eq!(rx.recv(), Ok(i));
-            // Give the loop a turn at the slot each pop frees.
+            assert_eq!(run(&rx), Ok(vec![i]));
+            // Give the loop a turn at the slot each drain frees.
             let seen = refusals.load(Ordering::Relaxed);
             while refusals.load(Ordering::Relaxed) == seen
                 && !looper.is_finished()
@@ -403,17 +496,19 @@ mod tests {
             }
             assert!(
                 i + 1 == half || !looper.is_finished(),
-                "a try_send got in ahead of the parked send after pop {i}"
+                "a try_send got in ahead of the parked send after drain {i}"
             );
+            assert_eq!(run(&rx), Ok(vec![APPENDED + i]));
         }
-        within("parked send after ⌈cap/2⌉ pops", move || {
+        within("parked send after ⌈cap/2⌉ slots drained", move || {
             sent_rx.recv().unwrap()
         });
         producer.join().unwrap();
         within("try_send loop", move || looper.join().unwrap());
         drop(tx);
-        let rest: Vec<u32> = std::iter::from_fn(|| rx.recv().ok()).collect();
-        let want: Vec<u32> = (half..CAP).chain([MARK, LATE]).collect();
+        let rest: Vec<u32> = std::iter::from_fn(|| run(&rx).ok()).flatten().collect();
+        let left = (half..CAP).flat_map(|i| [i, APPENDED + i]);
+        let want: Vec<u32> = left.chain([MARK, LATE]).collect();
         assert_eq!(rest, want, "the try_send loop overtook the parked send");
     }
 }

@@ -1,9 +1,24 @@
 //! One shard as one value: the single owner of its keys' synopses (the
 //! paper's party, §1.3 — nobody else writes them). [`Shard::recover`]
-//! builds it from its durable state, [`Shard::apply`] runs one command,
-//! and [`Shard::close`] lands it on shutdown. It knows no thread and no
-//! queue: the engine drives each shard from its own thread, popping its
-//! queue into `apply` until the queue closes.
+//! builds it from its durable state, [`Shard::apply`] runs the commands
+//! its worker drained, and [`Shard::close`] lands it on shutdown. It
+//! knows no thread and no queue: the engine drives each shard from its
+//! own thread, draining its queue a run at a time into `apply` until the
+//! queue closes.
+//!
+//! Consecutive ingest batches are applied together, as one run: each
+//! batch is WAL-appended in order, and each key then takes one push over
+//! its bits in the run, oldest first. A key the run names once is pushed
+//! in place, right after its batch's append; the parts of a key it names
+//! more than once are joined in one buffer kept from run to run, a join
+//! holding at most the synopsis's window rounded down to whole words.
+//! Pushes compose (pushing `a ++ b` leaves what pushing `a`, then `b`,
+//! leaves), so a run ends in the state its batches one by one would. A
+//! single batch is a run of one, WAL replay in `recover` is one run over
+//! the recovered tail, a traced batch is a run of its own, and a run
+//! ends where the checkpoint countdown falls due, so checkpoints land
+//! after the same batch as before. Every push goes through one call, in
+//! `Joined::push`.
 //!
 //! With persistence, every batch is WAL-appended *before* it is applied;
 //! an unrecoverable WAL io error disables durability for the shard
@@ -15,6 +30,7 @@ use std::collections::{hash_map, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
+use waves_core::bits::{word_count, Bits, BitsRef};
 use waves_core::{BitSynopsis, Estimate, WaveError};
 use waves_obs::trace::{OpenSpan, Stage, TraceCtx};
 use waves_obs::{HistId, MetricId, Recorder, ShardStat};
@@ -56,7 +72,10 @@ pub(crate) enum Cmd {
 /// Shard `index`'s keys and everything that writes them.
 pub(crate) struct Shard<S, R: ?Sized, F> {
     index: usize,
-    keys: HashMap<Key, S>,
+    /// Where each key's synopsis sits in `synopses`.
+    keys: HashMap<Key, u32>,
+    /// Every key with its synopsis, in the order the keys were first seen.
+    synopses: Vec<(Key, S)>,
     /// Builds the synopsis of a newly seen key.
     factory: Arc<F>,
     rec: Arc<R>,
@@ -68,6 +87,82 @@ pub(crate) struct Shard<S, R: ?Sized, F> {
     applied_since_checkpoint: u64,
     /// A WAL append failed and took `store` with it.
     wal_failed: bool,
+    /// The run of batches being gathered, and its scratch.
+    run: Run,
+}
+
+/// A run of batches and what applying it needs, kept from run to run so
+/// a run allocates nothing once the buffers have grown.
+#[derive(Default)]
+struct Run {
+    /// The run's batches, in arrival order.
+    batches: Vec<Vec<KeyedBits>>,
+    /// Each entry's slot in `Shard::synopses`, in run order.
+    slots: Vec<u32>,
+    /// Entries per slot in the run; zero between runs.
+    seen: Vec<u32>,
+    /// `(slot, batch, entry)` of each entry whose key the run names more
+    /// than once.
+    repeated: Vec<(u32, u32, u32)>,
+    joined: Joined,
+}
+
+/// One key's parts of a run, joined into one bit buffer.
+#[derive(Default)]
+struct Joined {
+    /// Clean past `len`, like a `Bits`.
+    words: Vec<u64>,
+    len: u64,
+}
+
+impl Joined {
+    /// Push `parts`, one key's bits in a run oldest first, into
+    /// `synopsis`: consecutive parts joined while the join stays within
+    /// the window rounded down to whole words, and a part that joins
+    /// nothing pushed as it is.
+    fn push<'a, S: BitSynopsis>(
+        &mut self,
+        synopsis: &mut S,
+        parts: impl IntoIterator<Item = BitsRef<'a>>,
+    ) {
+        let cap = synopsis.max_window() & !63;
+        let mut parts = parts.into_iter().peekable();
+        while let Some(part) = parts.next() {
+            let last = parts
+                .peek()
+                .is_none_or(|next| self.len + part.len() + next.len() > cap);
+            if !last {
+                self.append(part);
+                continue;
+            }
+            let bits = match self.len {
+                0 => part,
+                _ => {
+                    self.append(part);
+                    BitsRef::new(&self.words, self.len)
+                }
+            };
+            synopsis.push_words(bits);
+            self.words.clear();
+            self.len = 0;
+        }
+    }
+
+    /// Append `part`'s bits after the joined ones.
+    fn append(&mut self, part: BitsRef<'_>) {
+        let shift = self.len % 64;
+        for (word, _) in part.chunks() {
+            match shift {
+                0 => self.words.push(word),
+                _ => {
+                    *self.words.last_mut().expect("a partial word") |= word << shift;
+                    self.words.push(word >> (64 - shift));
+                }
+            }
+        }
+        self.len += part.len();
+        self.words.truncate(word_count(self.len));
+    }
 }
 
 impl<S, R, F> Shard<S, R, F>
@@ -77,10 +172,10 @@ where
     F: Fn() -> Result<S, WaveError>,
 {
     /// Shard `index` of `num_shards` as its durable state left it: the
-    /// newest valid checkpoint, then the acknowledged WAL tail. Without
-    /// `persist` it starts empty. A checkpoint naming a key twice, or a
-    /// checkpoint or WAL entry for a key another shard owns, is refused
-    /// by key.
+    /// newest valid checkpoint, then the acknowledged WAL tail, replayed
+    /// as one run. Without `persist` it starts empty. A checkpoint naming
+    /// a key twice, or a checkpoint or WAL entry for a key another shard
+    /// owns, is refused by key.
     pub(crate) fn recover(
         index: usize,
         num_shards: usize,
@@ -91,12 +186,14 @@ where
         let mut shard = Shard {
             index,
             keys: HashMap::new(),
+            synopses: Vec::new(),
             factory: Arc::clone(factory),
             rec: Arc::clone(rec),
             store: None,
             checkpoint_every: 0,
             applied_since_checkpoint: 0,
             wal_failed: false,
+            run: Run::default(),
         };
         let Some((store, pc)) = persist else {
             return Ok(shard);
@@ -113,79 +210,163 @@ where
                 "{what} for key {key} in shard {index}: the key belongs to shard {owner}"
             ))),
         };
-        for (key, bytes) in &recovered.entries {
-            owned(*key, "checkpoint entry")?;
-            let hash_map::Entry::Vacant(slot) = shard.keys.entry(*key) else {
+        for (key, bytes) in recovered.entries {
+            owned(key, "checkpoint entry")?;
+            let hash_map::Entry::Vacant(slot) = shard.keys.entry(key) else {
                 return Err(invalid_data(format!(
                     "checkpoint of shard {index} names key {key} twice"
                 )));
             };
-            slot.insert(
-                S::decode_synopsis(bytes)
-                    .map_err(|e| invalid_data(format!("checkpoint entry for key {key}: {e}")))?,
-            );
+            let synopsis = S::decode_synopsis(&bytes)
+                .map_err(|e| invalid_data(format!("checkpoint entry for key {key}: {e}")))?;
+            slot.insert(shard.synopses.len() as u32);
+            shard.synopses.push((key, synopsis));
         }
-        for (key, bits) in recovered.batches.iter().flatten() {
+        for (key, _) in recovered.batches.iter().flatten() {
             owned(*key, "WAL entry")?;
-            let fresh = || (shard.factory)().expect("factory validated at construction");
-            let synopsis = shard.keys.entry(*key).or_insert_with(fresh);
-            synopsis.push_words(bits.as_ref());
         }
+        // The store is not yet attached, so replay appends nothing.
+        shard.run.batches = recovered.batches;
+        shard.push_run(TraceCtx::NONE);
+        shard.run = Run::default();
         shard.store = Some(recovered.store);
         shard.checkpoint_every = pc.checkpoint_every_batches;
         Ok(shard)
     }
 
-    /// Run one command. `queue_depth` is called by a snapshot only.
-    pub(crate) fn apply(&mut self, cmd: Cmd, queue_depth: impl FnOnce() -> usize) {
-        let rec = &*self.rec;
-        // A traced command's queue wait ends as its shard span begins.
-        let execute = |queued: Option<OpenSpan>| queued.map(|q| q.then(Stage::Shard, rec));
-        match cmd {
-            Cmd::Batch { batch, queued } => {
-                let span = execute(queued);
-                let wal_ctx = span.map_or(TraceCtx::NONE, OpenSpan::ctx);
-                let started = rec.enabled().then(Instant::now);
-                if let Some(store) = self.store.as_mut() {
-                    if store.append_batch_traced(&batch, rec, wal_ctx).is_err() {
-                        // No reply channel exists for a batch, so degrade:
-                        // keep serving from memory, stop logging, and make
-                        // the failure visible to operators.
-                        rec.incr(MetricId::StoreWalDisabled, 1);
-                        self.store = None;
-                        self.wal_failed = true;
+    /// Run the commands a drain took, in order: consecutive untraced
+    /// batches as one run, anything else on its own. `queue_depth` is
+    /// called by a snapshot only.
+    pub(crate) fn apply(
+        &mut self,
+        cmds: impl IntoIterator<Item = Cmd>,
+        queue_depth: impl Fn() -> usize,
+    ) {
+        for cmd in cmds {
+            match cmd {
+                Cmd::Batch {
+                    batch,
+                    queued: None,
+                } => {
+                    self.run.batches.push(batch);
+                    let due = self.applied_since_checkpoint + self.run.batches.len() as u64;
+                    if due == self.checkpoint_every {
+                        self.ingest_run(None);
                     }
                 }
-                let mut items = 0u64;
-                for (key, bits) in &batch {
-                    let fresh = || (self.factory)().expect("factory validated at construction");
-                    let synopsis = self.keys.entry(*key).or_insert_with(fresh);
-                    // The word-packed apply path: 64 bits per step, zero
-                    // runs collapsed in O(1) by the synopsis overrides.
-                    synopsis.push_words(bits.as_ref());
-                    items += bits.len();
-                    rec.incr_family(family_of(*key), bits.len());
+                Cmd::Batch { batch, queued } => {
+                    self.ingest_run(None);
+                    self.run.batches.push(batch);
+                    self.ingest_run(queued);
                 }
-                if let Some(t0) = started {
-                    rec.observe(HistId::EngineIngestBatchNs, t0.elapsed().as_nanos() as u64);
-                }
-                rec.incr(MetricId::EngineBatchesIngested, 1);
-                rec.incr(MetricId::EngineItemsIngested, items);
-                rec.incr_shard(self.index, ShardStat::Batches, 1);
-                rec.incr_shard(self.index, ShardStat::Items, items);
-                if let Some(span) = span {
-                    span.end(rec);
-                }
-                self.applied_since_checkpoint += 1;
-                if self.applied_since_checkpoint == self.checkpoint_every
-                    && self.write_checkpoint().is_some_and(|res| res.is_err())
-                {
-                    self.rec.incr(MetricId::StoreCheckpointFailures, 1);
-                    // The WAL is still intact; keep logging and retry at
-                    // the next checkpoint interval.
-                    self.applied_since_checkpoint = 0;
+                cmd => {
+                    self.ingest_run(None);
+                    self.serve(cmd, &queue_depth);
                 }
             }
+        }
+        self.ingest_run(None);
+    }
+
+    /// Apply the gathered run, if any: WAL, pushes, counters, and the
+    /// checkpoint when the countdown falls due. A traced batch, the run's
+    /// only one, carries its queue-wait span.
+    fn ingest_run(&mut self, queued: Option<OpenSpan>) {
+        if self.run.batches.is_empty() {
+            return;
+        }
+        // A traced batch's queue wait ends as its shard span begins.
+        let span = queued.map(|q| q.then(Stage::Shard, &*self.rec));
+        let started = self.rec.enabled().then(Instant::now);
+        self.push_run(span.map_or(TraceCtx::NONE, OpenSpan::ctx));
+        let rec = &*self.rec;
+        if let Some(t0) = started {
+            rec.observe(HistId::EngineIngestBatchNs, t0.elapsed().as_nanos() as u64);
+        }
+        let batches = self.run.batches.len() as u64;
+        let mut items = 0u64;
+        for (key, bits) in self.run.batches.drain(..).flatten() {
+            items += bits.len();
+            rec.incr_family(family_of(key), bits.len());
+        }
+        rec.incr(MetricId::EngineBatchesIngested, batches);
+        rec.incr(MetricId::EngineItemsIngested, items);
+        rec.incr_shard(self.index, ShardStat::Batches, batches);
+        rec.incr_shard(self.index, ShardStat::Items, items);
+        if let Some(span) = span {
+            span.end(rec);
+        }
+        self.applied_since_checkpoint += batches;
+        if self.applied_since_checkpoint == self.checkpoint_every
+            && self.write_checkpoint().is_some_and(|res| res.is_err())
+        {
+            self.rec.incr(MetricId::StoreCheckpointFailures, 1);
+            // The WAL is still intact; keep logging and retry at
+            // the next checkpoint interval.
+            self.applied_since_checkpoint = 0;
+        }
+    }
+
+    /// Append each of the run's batches to the WAL, in order, and push
+    /// every key's bits in the run: a key named once right after its
+    /// batch's append, a key named more than once after the last append,
+    /// its parts joined.
+    fn push_run(&mut self, wal_ctx: TraceCtx) {
+        let (run, synopses) = (&mut self.run, &mut self.synopses);
+        for (key, _) in run.batches.iter().flatten() {
+            let slot = *self.keys.entry(*key).or_insert_with(|| {
+                let fresh = (self.factory)().expect("factory validated at construction");
+                synopses.push((*key, fresh));
+                synopses.len() as u32 - 1
+            });
+            run.slots.push(slot);
+        }
+        run.seen.resize(synopses.len(), 0);
+        for &slot in &run.slots {
+            run.seen[slot as usize] += 1;
+        }
+        let mut slot = run.slots.iter();
+        for (b, batch) in run.batches.iter().enumerate() {
+            let store = self.store.as_mut();
+            if store.is_some_and(|s| s.append_batch_traced(batch, &*self.rec, wal_ctx).is_err()) {
+                // No reply channel exists for a batch, so degrade: keep
+                // serving from memory, stop logging, and make the failure
+                // visible to operators.
+                self.rec.incr(MetricId::StoreWalDisabled, 1);
+                self.store = None;
+                self.wal_failed = true;
+            }
+            for (e, (_, bits)) in batch.iter().enumerate() {
+                let slot = *slot.next().expect("a slot per entry");
+                match run.seen[slot as usize] {
+                    1 => run
+                        .joined
+                        .push(&mut synopses[slot as usize].1, [bits.as_ref()]),
+                    _ => run.repeated.push((slot, b as u32, e as u32)),
+                }
+            }
+        }
+        // Slot, then arrival order: each key's parts oldest first.
+        run.repeated.sort_unstable();
+        for parts in run.repeated.chunk_by(|a, b| a.0 == b.0) {
+            let bits = parts
+                .iter()
+                .map(|&(_, b, e)| &run.batches[b as usize][e as usize].1);
+            let synopsis = &mut synopses[parts[0].0 as usize].1;
+            run.joined.push(synopsis, bits.map(Bits::as_ref));
+        }
+        for &slot in &run.slots {
+            run.seen[slot as usize] = 0;
+        }
+        run.slots.clear();
+        run.repeated.clear();
+    }
+
+    /// Run one command that is not a batch.
+    fn serve(&mut self, cmd: Cmd, queue_depth: impl Fn() -> usize) {
+        let rec = &*self.rec;
+        match cmd {
+            Cmd::Batch { .. } => unreachable!("batches are applied as runs"),
             Cmd::Query {
                 key,
                 window,
@@ -193,8 +374,9 @@ where
                 queued,
                 started,
             } => {
-                let span = execute(queued);
-                let res = match self.keys.get(&key) {
+                // A traced query's queue wait ends as its shard span begins.
+                let span = queued.map(|q| q.then(Stage::Shard, rec));
+                let res = match self.get(key) {
                     Some(synopsis) => synopsis.query_window(window),
                     None => Err(WaveError::UnknownKey { key }),
                 };
@@ -213,13 +395,13 @@ where
             Cmd::Snapshot(reply) => {
                 let mut snap = ShardSnapshot {
                     shard: self.index,
-                    keys: self.keys.len(),
+                    keys: self.synopses.len(),
                     resident_bytes: 0,
                     synopsis_bits: 0,
                     entries: 0,
                     queue_depth: queue_depth(),
                 };
-                for synopsis in self.keys.values() {
+                for (_, synopsis) in &self.synopses {
                     let r = synopsis.space_report();
                     snap.resident_bytes += r.resident_bytes;
                     snap.synopsis_bits += r.synopsis_bits;
@@ -238,26 +420,33 @@ where
             Cmd::Install { key, bytes, reply } => reply(match S::decode_synopsis(&bytes) {
                 // An older copy than the key's state: a late or racing
                 // replicator, acknowledged and ignored.
-                Ok(synopsis)
-                    if self
-                        .keys
-                        .get(&key)
-                        .is_some_and(|s| s.pos() > synopsis.pos()) =>
-                {
-                    Ok(())
-                }
+                Ok(synopsis) if self.get(key).is_some_and(|s| s.pos() > synopsis.pos()) => Ok(()),
                 Ok(synopsis) => {
-                    self.keys.insert(key, synopsis);
+                    match self.keys.entry(key) {
+                        hash_map::Entry::Occupied(slot) => {
+                            self.synopses[*slot.get() as usize].1 = synopsis;
+                        }
+                        hash_map::Entry::Vacant(slot) => {
+                            slot.insert(self.synopses.len() as u32);
+                            self.synopses.push((key, synopsis));
+                        }
+                    }
                     rec.incr(MetricId::EngineSynopsesInstalled, 1);
                     Ok(())
                 }
                 Err(e) => Err(invalid_data(format!("synopsis install for key {key}: {e}"))),
             }),
-            Cmd::Fetch { key, reply } => reply(match self.keys.get(&key) {
+            Cmd::Fetch { key, reply } => reply(match self.get(key) {
                 Some(synopsis) => Ok(synopsis.encode_synopsis()),
                 None => Err(WaveError::UnknownKey { key }),
             }),
         }
+    }
+
+    /// `key`'s synopsis, if the shard has seen the key.
+    fn get(&self, key: Key) -> Option<&S> {
+        let slot = *self.keys.get(&key)?;
+        Some(&self.synopses[slot as usize].1)
     }
 
     /// Shutdown once the queue is drained: a clean one lands every key
@@ -278,7 +467,7 @@ where
     /// without a store.
     fn write_checkpoint(&mut self) -> Option<std::io::Result<()>> {
         let store = self.store.as_mut()?;
-        let entries = self.keys.iter().map(|(k, s)| (*k, s.encode_synopsis()));
+        let entries = self.synopses.iter().map(|(k, s)| (*k, s.encode_synopsis()));
         let res = store.checkpoint(entries.collect(), &*self.rec);
         if res.is_ok() {
             self.applied_since_checkpoint = 0;
@@ -352,7 +541,7 @@ mod tests {
     fn fetch(shard: &mut TestShard, key: Key) -> Vec<u8> {
         let answers = Answers::default();
         let reply = sink(&answers, Answer::Fetch);
-        shard.apply(Cmd::Fetch { key, reply }, || 0);
+        shard.apply([Cmd::Fetch { key, reply }], || 0);
         let answer = answers.lock().unwrap().pop();
         match answer {
             Some(Answer::Fetch(bytes)) => bytes.unwrap(),
@@ -369,7 +558,7 @@ mod tests {
         let mut shard = shard(None);
         let bits = [true, false, true, true, false, true, true];
         let mut oracle = DetWave::new(64, 0.25).unwrap();
-        oracle.push_words(Bits::from_bools(&bits).as_ref());
+        bits.iter().for_each(|&b| oracle.push_bit(b));
         let mut older = DetWave::new(64, 0.25).unwrap();
         older.push_bit(true);
         let answers = Answers::default();
@@ -395,9 +584,7 @@ mod tests {
             Cmd::Flush(sink(&answers, |()| Answer::Flush)),
             Cmd::Checkpoint(sink(&answers, Answer::Checkpoint)),
         ];
-        for cmd in commands {
-            shard.apply(cmd, || 3);
-        }
+        shard.apply(commands, || 3);
         let space = oracle.space_report();
         let snapshot = ShardSnapshot {
             shard: 0,
@@ -435,8 +622,8 @@ mod tests {
         let mut shard = shard(Some((&store, &pc)));
         let mut step = |shard: &mut TestShard, round: usize| {
             let bits: Vec<bool> = (0..40).map(|i| (i * 7 + round).is_multiple_of(3)).collect();
-            oracle.push_words(Bits::from_bools(&bits).as_ref());
-            shard.apply(batch(5, &bits), || 0);
+            bits.iter().for_each(|&b| oracle.push_bit(b));
+            shard.apply([batch(5, &bits)], || 0);
         };
         (0..3).for_each(|round| step(&mut shard, round));
         let held = fetch(&mut shard, 5);
