@@ -250,8 +250,11 @@ impl<'a> BitsRef<'a> {
     }
 
     /// Number of 1-bits among the first `len` bits: the whole words in
-    /// one branch-free sum, which the compiler vectorizes, and the final
-    /// word masked.
+    /// one branch-free sum and the final word masked. Inlined where it is
+    /// called, so it compiles to what its caller is built for: a SWAR
+    /// sequence a word on baseline x86-64, one `popcnt` a word inside the
+    /// batch push's popcnt + BMI2 build (the gate of `DetWave::push_words`).
+    #[inline]
     pub fn count_ones(&self) -> u64 {
         let whole = (self.len / 64) as usize;
         let tail = match self.len % 64 {

@@ -164,9 +164,15 @@ impl DetWave {
     /// words at a time, each piece under the same rule. The 1s
     /// between are never visited: a call of more than four queues of 1s
     /// finds each 1 it stores by rank, a word cursor counting the 1s it
-    /// passes and a broadword select in the word (a few cleared 1s, when
-    /// the last one found is that close); a shorter call scans its 1s
-    /// with `trailing_zeros`. State-identical to pushing every bit
+    /// passes and a select in the word (a few cleared 1s, when the last
+    /// one found is that close); a shorter call scans its 1s with
+    /// `trailing_zeros`. The body is built twice: portable, with a
+    /// broadword select, and on x86-64 for popcnt + BMI1 + BMI2, where
+    /// each count is one `popcnt` and the select `tzcnt(pdep(..))`. The
+    /// build is picked on the process's first push: BMI2 where the host
+    /// has it and is not an AMD core before Zen 3 (Zen 1/2 microcode
+    /// `pdep`), portable on every other host and target; both store the
+    /// same entries. State-identical to pushing every bit
     /// through [`DetWave::push_bit`]: `push_words_matches_single_pushes`,
     /// `tests/batch_equivalence.rs` and the walk of every short string in
     /// `ladder/exhaustive.rs` pin the encoding byte-for-byte.
@@ -281,6 +287,16 @@ impl DetWave {
     #[cfg(test)]
     pub(crate) fn ladder(&self) -> &Ladder<()> {
         &self.ladder
+    }
+
+    /// [`DetWave::push_words`] on one build of the batch kernel.
+    #[cfg(test)]
+    pub(crate) fn push_words_with(
+        &mut self,
+        kernel: crate::ladder::Kernel,
+        bits: crate::bits::BitsRef<'_>,
+    ) {
+        self.ladder.push_ones_with(kernel, bits);
     }
 }
 
@@ -657,6 +673,35 @@ mod tests {
         assert!(forged((1 << 40) - 9).is_ok());
         assert!(forged((1 << 40) - 10).is_err());
         assert!(forged(1).is_err());
+    }
+
+    /// The other side of one item a position: no more 1s through an
+    /// entry than positions, and no more expired than arrived a window
+    /// ago. The mutated-valid fuzz found both accepted, in states
+    /// `check_invariants` refuses and the batch kernels would run on.
+    #[test]
+    fn decode_rejects_ranks_ahead_of_their_positions() {
+        use crate::codec::{write_deltas, BitWriter};
+        let forged = |expired: u64, entry: Option<(u64, u64)>| {
+            let mut w = BitWriter::new();
+            w.write_gamma(16); // max_window
+            w.write_gamma(4); // k
+            w.write_gamma0(20); // pos
+            w.write_gamma0(10); // rank
+            w.write_gamma0(expired); // r1
+            w.write_gamma0(entry.is_some() as u64); // count
+            if let Some((pos, rank)) = entry {
+                write_deltas(&mut w, &[pos]);
+                write_deltas(&mut w, &[rank]);
+                w.write_gamma0(0); // level
+            }
+            DetWave::decode(&w.finish())
+        };
+        // Positions 1..=4 are a window old at 20.
+        assert!(forged(4, None).is_ok());
+        assert!(forged(5, None).is_err());
+        assert!(forged(0, Some((5, 5))).is_ok());
+        assert!(forged(0, Some((5, 6))).is_err());
     }
 
     #[test]

@@ -167,6 +167,8 @@ macro_rules! at_width {
 }
 
 mod batch;
+#[cfg(test)]
+pub(crate) use batch::Kernel;
 
 /// One level queue: a circular window over the level's own slots, as
 /// offsets from its first, of a capacity the ladder derives from the
@@ -649,6 +651,10 @@ impl<W: Weight> Ladder<W> {
         if now > 1 << 62 || total > reachable || c.boundary > total {
             return Err(CodecError::Corrupt("counters inconsistent"));
         }
+        // What expired arrived a window ago or earlier.
+        if sequence && c.boundary > now.saturating_sub(c.max_window).saturating_mul(max_weight) {
+            return Err(CodecError::Corrupt("boundary inside the window"));
+        }
         (c.pos, c.total) = (now, total);
         let count = r.read_gamma0()?;
         at_width!(&mut self.slab, s => {
@@ -672,10 +678,15 @@ impl<W: Weight> Ladder<W> {
                 }
                 let v = weight.get();
                 // One item a position, so at most `max_weight` a position
-                // arrived after an entry: what the narrow slots rest on.
-                let after =
-                    |since: u64| sequence && total - cum > since.saturating_mul(max_weight);
-                if pos > now || cum > total || v > max_weight || v > cum || after(now - pos) {
+                // arrived through an entry and after it: what the narrow
+                // slots rest on.
+                let reach = |positions: u64| match sequence {
+                    true => positions.saturating_mul(max_weight),
+                    false => u64::MAX,
+                };
+                if pos > now || cum > total || v > max_weight || v > cum
+                    || cum > reach(pos) || total - cum > reach(now - pos)
+                {
                     return Err(CodecError::Corrupt("entry beyond counters"));
                 }
                 // A real wave expires on every push.

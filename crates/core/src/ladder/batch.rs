@@ -7,9 +7,22 @@
 //! than the window is pushed a window's whole words at a time, since in
 //! it an entry of its own could expire; any other batch stores every 1
 //! it scans.
+//!
+//! The push's body — the gate's popcount, the rank walk and
+//! [`Ranks::find`] — is written once, generic over how it selects a 1
+//! in a word, and built twice ([`Kernel`]): portable, with the
+//! broadword [`select_in_word`], and on x86-64 compiled for popcnt,
+//! BMI1 and BMI2, where every popcount is one `popcnt` and the select
+//! is `tzcnt(pdep(1 << n, x))`. `push_ones` runs the build chosen on
+//! the process's first push: BMI2 where the host reports popcnt, BMI1
+//! and BMI2 and is not an AMD core before Zen 3 (family 0x19; Zen 1/2
+//! are family 0x17, Hygon's Dhyana 0x18), which microcode `pdep` at
+//! tens of cycles; portable everywhere else. The call into the BMI2
+//! build is this crate's one `unsafe` block outside tests.
 
 use super::{Core, Ladder, Ring, Slab, Slot, Stamp, NIL};
 use crate::{bits::BitsRef, level::rank_level};
+use std::sync::OnceLock;
 
 impl Core {
     /// Empty the levels a batch of `ones` 1s ending at `until` evicts
@@ -130,12 +143,108 @@ fn select_in_word(x: u64, n: u64) -> u64 {
     shift + SELECT_IN_BYTE[(n - below) as usize][byte as usize] as u64
 }
 
+/// [`select_in_word`] by BMI2: `pdep` deposits a lone 1 at the place of
+/// `x`'s 1 of rank `n`, and `tzcnt` reads its index.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "bmi1,bmi2")]
+#[inline]
+fn select_pdep(x: u64, n: u64) -> u64 {
+    use std::arch::x86_64::{_pdep_u64, _tzcnt_u64};
+    debug_assert!(n < x.count_ones() as u64);
+    _tzcnt_u64(_pdep_u64(1 << n, x))
+}
+
+/// A build of the batch push: the portable one, or on x86-64 the one
+/// compiled for popcnt + BMI1 + BMI2, which only [`Kernel::bmi2`]
+/// makes, on a host that runs it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Kernel {
+    bmi2: bool,
+}
+
+impl Kernel {
+    pub(crate) const PORTABLE: Kernel = Kernel { bmi2: false };
+
+    /// The BMI2 build, where this host runs popcnt, BMI1 and BMI2.
+    pub(crate) fn bmi2() -> Option<Kernel> {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("popcnt")
+            && is_x86_feature_detected!("bmi1")
+            && is_x86_feature_detected!("bmi2")
+        {
+            return Some(Kernel { bmi2: true });
+        }
+        None
+    }
+
+    /// The build `push_ones` runs, chosen once a process: BMI2 where the
+    /// host has it and `pdep` is not microcoded, else the portable one.
+    fn chosen() -> Kernel {
+        static CHOSEN: OnceLock<Kernel> = OnceLock::new();
+        *CHOSEN.get_or_init(|| match Kernel::bmi2() {
+            #[cfg(target_arch = "x86_64")]
+            Some(bmi2) if !slow_pdep() => bmi2,
+            _ => Kernel::PORTABLE,
+        })
+    }
+
+    /// Every build this host runs, the portable one first. A host
+    /// without BMI2 says that its build is skipped.
+    #[cfg(test)]
+    pub(crate) fn all() -> Vec<Kernel> {
+        let bmi2 = Kernel::bmi2();
+        if bmi2.is_none() {
+            eprintln!("skipped: this host has no popcnt + BMI2 batch kernel");
+        }
+        [Some(Kernel::PORTABLE), bmi2]
+            .into_iter()
+            .flatten()
+            .collect()
+    }
+
+    /// This build's in-word select, called on its own.
+    #[cfg(test)]
+    fn select(self, x: u64, n: u64) -> u64 {
+        match self.bmi2 {
+            // SAFETY: only `Kernel::bmi2` sets `bmi2`, after finding the
+            // BMI1 and BMI2 that `select_pdep` is compiled for.
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            true => unsafe { select_pdep(x, n) },
+            _ => select_in_word(x, n),
+        }
+    }
+}
+
+/// Whether this host's `pdep` is microcoded ([`microcoded_pdep`]).
+#[cfg(target_arch = "x86_64")]
+fn slow_pdep() -> bool {
+    use std::arch::x86_64::__cpuid;
+    let id = __cpuid(0);
+    microcoded_pdep([id.ebx, id.edx, id.ecx], __cpuid(1).eax)
+}
+
+/// Whether the core `cpuid` names (leaf 0's `vendor` string, as ebx,
+/// edx, ecx) and describes (leaf 1's `signature`, eax) is an AMD or
+/// Hygon core before Zen 3, family 0x19: they run `pdep` in microcode,
+/// a step per 1 of the mask, slower than the portable select.
+#[cfg(target_arch = "x86_64")]
+fn microcoded_pdep(vendor: [u32; 3], signature: u32) -> bool {
+    let family = match signature >> 8 & 0xF {
+        0xF => 0xF + (signature >> 20 & 0xFF),
+        base => base,
+    };
+    let vendor = vendor.map(u32::to_le_bytes);
+    matches!(vendor.as_flattened(), b"AuthenticAMD" | b"HygonGenuine") && family < 0x19
+}
+
 /// Ranks this close in one word are found by clearing the 1s between.
 const NEAR: u64 = 8;
 
 /// Finds a batch's 1s by rank, asked in increasing order, with a word
-/// cursor that only moves forward, counting the 1s it passes. Bits past
-/// the batch's end sit above all its 1s, so no rank reaches them.
+/// cursor that only moves forward, counting the 1s it passes, and an
+/// in-word select. Bits past the batch's end sit above all its 1s, so
+/// no rank reaches them.
 #[derive(Default)]
 struct Ranks<'a> {
     words: &'a [u64],
@@ -149,9 +258,10 @@ struct Ranks<'a> {
 
 impl Ranks<'_> {
     /// The batch offset of its 1 of rank `rank` (from 1), for a rank
-    /// past the last one asked and no more than the batch's 1s.
+    /// past the last one asked and no more than the batch's 1s; `select`
+    /// is the build's [`select_in_word`].
     #[inline(always)]
-    fn find(&mut self, rank: u64) -> u64 {
+    fn find(&mut self, rank: u64, select: impl Fn(u64, u64) -> u64) -> u64 {
         let skip = rank - self.last - 1;
         self.last = rank;
         if skip < NEAR {
@@ -168,7 +278,7 @@ impl Ranks<'_> {
             let x = self.words[self.at];
             let through = self.before + x.count_ones() as u64;
             if through >= rank {
-                let bit = select_in_word(x, rank - 1 - self.before);
+                let bit = select(x, rank - 1 - self.before);
                 self.rest = x & !(u64::MAX >> (63 - bit));
                 return 64 * self.at as u64 + bit;
             }
@@ -184,17 +294,48 @@ impl Ladder<()> {
     /// order and the state, boundary included, is what per-bit pushes
     /// leave. A batch longer than the window goes in a window at a time,
     /// each piece a whole number of words, so every piece is asked the
-    /// batch rule. Returns the number of entries stored.
+    /// batch rule. Runs the [`Kernel`] chosen for this host. Returns the
+    /// number of entries stored.
     pub(crate) fn push_ones(&mut self, bits: BitsRef<'_>) -> u64 {
+        self.push_ones_with(Kernel::chosen(), bits)
+    }
+
+    /// [`Ladder::push_ones`] on `kernel`.
+    pub(crate) fn push_ones_with(&mut self, kernel: Kernel, bits: BitsRef<'_>) -> u64 {
         let piece = (self.core.max_window / 64) as usize;
-        if bits.len() > self.core.max_window && piece > 0 {
-            let words = bits.words();
-            return (0..words.len()).step_by(piece).fold(0, |stored, at| {
-                let len = (bits.len() - 64 * at as u64).min(64 * piece as u64);
-                let words = &words[at..(at + piece).min(words.len())];
-                stored + self.push_ones(BitsRef::new(words, len))
-            });
+        if bits.len() <= self.core.max_window || piece == 0 {
+            return self.push_piece(kernel, bits);
         }
+        let words = bits.words();
+        (0..words.len()).step_by(piece).fold(0, |stored, at| {
+            let len = (bits.len() - 64 * at as u64).min(64 * piece as u64);
+            let words = &words[at..(at + piece).min(words.len())];
+            stored + self.push_piece(kernel, BitsRef::new(words, len))
+        })
+    }
+
+    fn push_piece(&mut self, kernel: Kernel, bits: BitsRef<'_>) -> u64 {
+        match kernel.bmi2 {
+            // SAFETY: only `Kernel::bmi2` sets `bmi2`, after finding the
+            // popcnt, BMI1 and BMI2 that `push_bmi2` is compiled for.
+            #[cfg(target_arch = "x86_64")]
+            #[allow(unsafe_code)]
+            true => unsafe { self.push_bmi2(bits) },
+            _ => self.push_with(bits, select_in_word),
+        }
+    }
+
+    /// The batch push built for popcnt, BMI1 and BMI2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "popcnt,bmi1,bmi2")]
+    fn push_bmi2(&mut self, bits: BitsRef<'_>) -> u64 {
+        self.push_with(bits, |x, n| select_pdep(x, n))
+    }
+
+    /// A piece of a batch, its 1s found in a word by `select`: the one
+    /// body both builds inline.
+    #[inline(always)]
+    fn push_with(&mut self, bits: BitsRef<'_>, select: impl Fn(u64, u64) -> u64) -> u64 {
         let (first, start) = (self.core.total, self.core.pos);
         let four = 4 * self.core.lower_cap as u64;
         let ones = (four < bits.len() && bits.len() <= self.core.max_window)
@@ -225,7 +366,7 @@ impl Ladder<()> {
                         let mut r = (rank + mask) & !mask;
                         while r <= zone_end {
                             c.total = r - 1;
-                            c.advance(s, start + ranks.find(r - first) + 1);
+                            c.advance(s, start + ranks.find(r - first, &select) + 1);
                             c.insert(s, rank_level(r), 1);
                             (r, stored) = (r + mask + 1, stored + 1);
                         }
@@ -350,9 +491,13 @@ mod tests {
         (0..64).filter(|&i| x >> i & 1 == 1).collect()
     }
 
+    /// Every build's select against the scan.
     fn select_matches_scan(x: u64) {
-        for (n, &at) in scan(x).iter().enumerate() {
-            assert_eq!(select_in_word(x, n as u64), at, "x = {x:#018x}, n = {n}");
+        for kernel in Kernel::all() {
+            for (n, &at) in scan(x).iter().enumerate() {
+                let found = kernel.select(x, n as u64);
+                assert_eq!(found, at, "{kernel:?}: x = {x:#018x}, n = {n}");
+            }
         }
     }
 
@@ -384,6 +529,75 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The builds store the same entries: from one wave, a few
+        /// batches of up to two windows whose ends fall inside a word, at
+        /// densities from sparse to all 1s, each pushed on every build,
+        /// return the same count and leave the same state.
+        #[test]
+        fn every_kernel_stores_what_the_portable_one_stores(
+            n in 64u64..=2_048,
+            k in 2u64..=24,
+            prefix in 0u64..=3_000,
+            density in 0.02f64..=1.0,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let lower = (k + 1).div_ceil(2);
+            let mut wave = Ladder::<()>::new(n, k, n, lower, Positions::Sequence).unwrap();
+            let head = (0..prefix).map(|_| rng.gen_bool(0.5)).collect::<Bits>();
+            wave.push_ones_with(Kernel::PORTABLE, head.as_ref());
+            let kernels = Kernel::all();
+            let mut runs = vec![wave; kernels.len()];
+            for _ in 0..4 {
+                let len = rng.gen_range(1..=2 * n);
+                let len = len + u64::from(len.is_multiple_of(64));
+                let batch = (0..len).map(|_| rng.gen_bool(density)).collect::<Bits>();
+                let stored: Vec<u64> = kernels
+                    .iter()
+                    .copied()
+                    .zip(&mut runs)
+                    .map(|(kernel, wave)| wave.push_ones_with(kernel, batch.as_ref()))
+                    .collect();
+                for (run, &count) in runs.iter().zip(&stored) {
+                    prop_assert_eq!(count, stored[0], "{} bits", len);
+                    prop_assert!(run.same_state(&runs[0]), "{} bits", len);
+                }
+            }
+        }
+    }
+
+    /// The dispatch rule's family decode, on `cpuid` signatures of
+    /// real cores: Excavator (0x15), Zen 2 (0x17) and Hygon's Dhyana
+    /// (0x18) microcode `pdep`; Zen 3 and 4 (0x19), Zen 5 (0x1A) and
+    /// Intel's cores do not.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn pdep_is_microcoded_on_amd_before_zen_3() {
+        let vendor = |name: &[u8; 12]| {
+            [0, 4, 8].map(|at| u32::from_le_bytes(name[at..at + 4].try_into().unwrap()))
+        };
+        let (amd, hygon, intel) = (
+            vendor(b"AuthenticAMD"),
+            vendor(b"HygonGenuine"),
+            vendor(b"GenuineIntel"),
+        );
+        for (vendor, signature, slow) in [
+            (amd, 0x0066_0F01, true),
+            (amd, 0x0083_0F10, true),
+            (hygon, 0x0090_0F01, true),
+            (amd, 0x00A0_0F11, false),
+            (amd, 0x00A1_0F11, false),
+            (amd, 0x00B4_0F40, false),
+            (intel, 0x0005_06E3, false),
+            (intel, 0x000B_06A2, false),
+        ] {
+            assert_eq!(microcoded_pdep(vendor, signature), slow, "{signature:#x}");
+        }
+    }
+
     /// [`Ranks::find`] against a bit-by-bit scan of the batch, for ranks
     /// a fixed stride apart — inside [`NEAR`], at it and past it, one
     /// word apart and many — and for random gaps, over batches of up to
@@ -402,16 +616,19 @@ mod tests {
                 .map(|_| rng.gen_range(1..=20))
                 .collect::<Vec<usize>>();
             let strided = [1, 2, 7, 8, 9, 31, 64, 200].map(|stride| vec![stride; ones.len()]);
-            for steps in strided.iter().chain([&gaps]) {
-                let mut ranks = Ranks {
-                    words: &words,
-                    ..Ranks::default()
-                };
-                let mut rank = 0;
-                for &step in steps {
-                    rank += step;
-                    let Some(&at) = ones.get(rank - 1) else { break };
-                    assert_eq!(ranks.find(rank as u64), at, "{len} bits, rank {rank}");
+            for kernel in Kernel::all() {
+                for steps in strided.iter().chain([&gaps]) {
+                    let mut ranks = Ranks {
+                        words: &words,
+                        ..Ranks::default()
+                    };
+                    let mut rank = 0;
+                    for &step in steps {
+                        rank += step;
+                        let Some(&at) = ones.get(rank - 1) else { break };
+                        let found = ranks.find(rank as u64, |x, n| kernel.select(x, n));
+                        assert_eq!(found, at, "{kernel:?}: {len} bits, rank {rank}");
+                    }
                 }
             }
         }

@@ -13,7 +13,8 @@
 //! * `decode(encode(w))` holds what `w` holds, so it re-encodes to the
 //!   same bytes;
 //! * `push_words` of each suffix of up to `B` bits, from the state the
-//!   suffix starts at, lands on this state's bytes.
+//!   suffix starts at, lands on this state's bytes, on every build of
+//!   the batch kernel the host runs.
 //!
 //! The scopes are chosen so that a suffix crosses `push_ones`' four
 //! queue threshold — `4 * ceil((k + 1) / 2)` is 8 at `k = 2` and `k =
@@ -25,7 +26,7 @@
 //! `L <= 20` for `N <= 12`; one that stores the 1 of rank `k + 1` for
 //! rank `k` is caught at `L = 9`, by the first long batch.
 
-use super::{Core, Entry, Ladder, Positions, Slab, Weight, NIL};
+use super::{Core, Entry, Kernel, Ladder, Positions, Slab, Weight, NIL};
 use crate::bits::BitsRef;
 use crate::DetWave;
 
@@ -97,6 +98,9 @@ impl<W: Weight> Ladder<W> {
     }
 }
 
+/// A wave to push suffixes into, and the kernel builds to push them on.
+type Batched<'a> = (DetWave, &'a [Kernel]);
+
 /// One walk: window `n`, `eps = 1 / k`, strings of up to `len` bits,
 /// suffixes of up to `batch` bits pushed as one batch.
 struct Scope {
@@ -112,19 +116,21 @@ impl Scope {
     fn walk(&self, first: &[bool]) -> u64 {
         let wave = DetWave::new(self.n, 1.0 / self.k as f64).unwrap();
         let mut path = vec![wave.clone(); self.len as usize + 1];
-        let mut bits = 0;
+        let (kernels, mut bits) = (Kernel::all(), 0);
+        let batched = &mut (wave.clone(), &kernels[..]);
         for (depth, &b) in first.iter().enumerate() {
-            self.check(&path, &mut wave.clone(), bits, depth as u32);
+            self.check(&path, batched, bits, depth as u32);
             path[depth + 1] = path[depth].clone();
             path[depth + 1].push_bit(b);
             bits |= (b as u64) << depth;
         }
-        self.visit(&mut path, &mut wave.clone(), bits, first.len() as u32)
+        self.visit(&mut path, batched, bits, first.len() as u32)
     }
 
     /// The state at `depth` of `path`, reached by the string whose bit
-    /// `i` is `bits >> i & 1`, and every state below it.
-    fn visit(&self, path: &mut [DetWave], batched: &mut DetWave, bits: u64, depth: u32) -> u64 {
+    /// `i` is `bits >> i & 1`, and every state below it. `batched` is a
+    /// wave to push suffixes into, and the kernel builds to push them on.
+    fn visit(&self, path: &mut [DetWave], batched: &mut Batched, bits: u64, depth: u32) -> u64 {
         self.check(path, batched, bits, depth);
         if depth == self.len {
             return 1;
@@ -139,7 +145,7 @@ impl Scope {
         states
     }
 
-    fn check(&self, path: &[DetWave], batched: &mut DetWave, bits: u64, depth: u32) {
+    fn check(&self, path: &[DetWave], batched: &mut Batched, bits: u64, depth: u32) {
         let wave = &path[depth as usize];
         let at = || {
             let stream: String = (0..depth)
@@ -171,12 +177,16 @@ impl Scope {
             "{}: recoded",
             at()
         );
-        for b in 1..=self.batch.min(depth) {
-            let from = depth - b;
-            batched.clone_from(&path[from as usize]);
-            batched.push_words(BitsRef::new(&[bits >> from & ((1 << b) - 1)], b as u64));
-            let same = batched.ladder().same_state(wave.ladder());
-            assert!(same, "{}: its last {b} bits as one batch", at());
+        let (batched, kernels) = batched;
+        for &kernel in *kernels {
+            for b in 1..=self.batch.min(depth) {
+                let from = depth - b;
+                batched.clone_from(&path[from as usize]);
+                let suffix = [bits >> from & ((1 << b) - 1)];
+                batched.push_words_with(kernel, BitsRef::new(&suffix, b as u64));
+                let same = batched.ladder().same_state(wave.ladder());
+                assert!(same, "{}: its last {b} bits as one batch, {kernel:?}", at());
+            }
         }
     }
 }

@@ -33,8 +33,10 @@
 //! assert!(est.relative_error(actual) <= 0.1);
 //! ```
 
-// One portable path for every kernel: no architecture-gated fast path.
-#![forbid(unsafe_code)]
+// Safe Rust but for the calls into the batch push's BMI2 build, after
+// the feature test that makes them sound: `ladder/batch.rs` is the one
+// file where an item opts out.
+#![deny(unsafe_code)]
 
 pub mod average;
 pub mod basic_wave;
@@ -209,10 +211,11 @@ mod proptests {
 
         /// Word-packed ingestion is indistinguishable from per-bit
         /// ingestion for every bit-stream synopsis in this crate: same encoded
-        /// bytes (DetWave), same structure (BasicWave), same state and
-        /// answers (ExactCount) — including buffers split at arbitrary
-        /// chunk boundaries, so `push_words` composes across engine
-        /// batches exactly like `push_bit` does.
+        /// bytes (DetWave, on every build of its batch kernel), same
+        /// structure (BasicWave), same state and answers (ExactCount) —
+        /// including buffers split at arbitrary chunk boundaries, so
+        /// `push_words` composes across engine batches exactly like
+        /// `push_bit` does.
         #[test]
         fn push_words_matches_single_pushes(
             bits in packed_stream(),
@@ -225,17 +228,19 @@ mod proptests {
             let windows = [1, n_max / 2 + 1, n_max];
 
             let mut single = DetWave::new(n_max, eps).unwrap();
-            let mut worded = DetWave::new(n_max, eps).unwrap();
-            let mut chunked = DetWave::new(n_max, eps).unwrap();
             for &b in &bits {
                 single.push_bit(b);
             }
-            worded.push_words(packed.as_ref());
-            for c in bits.chunks(chunk) {
-                chunked.push_words(bits::Bits::from_bools(c).as_ref());
+            for kernel in ladder::Kernel::all() {
+                let mut worded = DetWave::new(n_max, eps).unwrap();
+                let mut chunked = DetWave::new(n_max, eps).unwrap();
+                worded.push_words_with(kernel, packed.as_ref());
+                for c in bits.chunks(chunk) {
+                    chunked.push_words_with(kernel, bits::Bits::from_bools(c).as_ref());
+                }
+                prop_assert_eq!(single.encode(), worded.encode(), "{:?}", kernel);
+                prop_assert_eq!(single.encode(), chunked.encode(), "{:?}", kernel);
             }
-            prop_assert_eq!(single.encode(), worded.encode());
-            prop_assert_eq!(single.encode(), chunked.encode());
 
             let mut single = BasicWave::new(n_max, eps).unwrap();
             let mut worded = BasicWave::new(n_max, eps).unwrap();
@@ -417,6 +422,9 @@ mod proptests {
             };
             if let Some(w) = check_mutant!(DetWave, 1, mutate(det.encode())) {
                 let _ = w.profile();
+                // The batch kernels run on what the decoder admits
+                // (install, recovery), so it admits only ladder states.
+                w.ladder().check_invariants(1);
             }
             check_mutant!(SumWave, 2, mutate(sum.encode()));
             check_mutant!(TimestampWave, 2, mutate(ts.encode()));

@@ -148,16 +148,19 @@ impl Joined {
         }
     }
 
-    /// Append `part`'s bits after the joined ones.
+    /// Append `part`'s bits after the joined ones: on a word boundary
+    /// its words as they are, in one copy, else each shifted across two.
     fn append(&mut self, part: BitsRef<'_>) {
         let shift = self.len % 64;
-        for (word, _) in part.chunks() {
-            match shift {
-                0 => self.words.push(word),
-                _ => {
-                    *self.words.last_mut().expect("a partial word") |= word << shift;
-                    self.words.push(word >> (64 - shift));
-                }
+        if shift == 0 {
+            self.words.extend_from_slice(part.words());
+            if let (Some(last), 1..) = (self.words.last_mut(), part.len() % 64) {
+                *last &= u64::MAX >> (64 - part.len() % 64);
+            }
+        } else {
+            for (word, _) in part.chunks() {
+                *self.words.last_mut().expect("a partial word") |= word << shift;
+                self.words.push(word >> (64 - shift));
             }
         }
         self.len += part.len();
@@ -522,6 +525,43 @@ mod tests {
     fn sink<T: 'static>(answers: &Answers, tag: fn(T) -> Answer) -> Sink<T> {
         let answers = Arc::clone(answers);
         Box::new(move |answer| answers.lock().unwrap().push(tag(answer)))
+    }
+
+    /// Parts of every kind of length, on and off a word boundary, in
+    /// both orders and with junk past their ends, join to exactly their
+    /// bits one after another, clean past the end.
+    #[test]
+    fn joined_parts_are_their_concatenation() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut part = |len: u64| {
+            (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x & 1 == 1
+                })
+                .collect::<Bits>()
+        };
+        let parts = [1, 37, 64, 100, 4_096].map(&mut part);
+        let dirty = parts.each_ref().map(|p| {
+            let mut words = p.words().to_vec();
+            if p.len() % 64 > 0 {
+                *words.last_mut().unwrap() |= u64::MAX << (p.len() % 64);
+            }
+            words
+        });
+        for order in [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0]] {
+            let mut joined = Joined::default();
+            for i in order {
+                joined.append(BitsRef::new(&dirty[i], parts[i].len()));
+            }
+            let whole: Bits = order.iter().flat_map(|&i| parts[i].iter()).collect();
+            assert_eq!(
+                (&joined.words[..], joined.len),
+                (whole.words(), whole.len())
+            );
+        }
     }
 
     /// Shard 0 of 1, serving `DetWave::new(64, 0.25)` per key.
