@@ -5,10 +5,10 @@
 //!
 //! [`Chain`] now serves only `waves-rand`'s `DistinctWave`, whose
 //! entries leave from the middle of the list in no level's order. The
-//! deterministic waves keep the paper's list `L` and its level queues in
-//! one slab of their own (`ladder.rs`), where a slot's index gives its
-//! level and its place in that level's queue; they share [`NIL`], and
-//! the level ring's tests sit beside the chain's below.
+//! deterministic waves keep only the paper's level queues, in one slab of
+//! their own (`ladder.rs`): each queue is in position order, so the list
+//! `L` is their merge. The level ring's tests sit beside the chain's
+//! below.
 
 /// Sentinel index meaning "no node".
 pub const NIL: u32 = u32::MAX;

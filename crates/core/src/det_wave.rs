@@ -10,13 +10,13 @@
 //!   level stores `1/eps + 1`;
 //! * positions older than the maximum window `N` are expired as the
 //!   stream advances, and the largest expired 1-rank `r1` is retained so
-//!   a window-`N` query is answered in O(1);
-//! * all entries are threaded on a doubly linked list `L` in position
-//!   order (oldest at the head), so any window `n <= N` can be answered
-//!   in `O((1/eps) log(eps N))` by walking `L`.
+//!   a window-`N` query needs no older entry;
+//! * the paper's position-ordered list `L` of all entries is the merge
+//!   of the queues, each in position order, so it is not kept: a window
+//!   `n <= N` binary-searches each queue, `O(log(eps N) log(1/eps))`.
 //!
-//! The queues, the list, expiry and the codec body are the shared
-//! skeleton in `ladder.rs`; this file is Figure 4's parameters.
+//! The queues, expiry and the codec body are the shared skeleton in
+//! `ladder.rs`; this file is Figure 4's parameters.
 
 use crate::basic_wave::wave_estimate;
 use crate::codec::{BitReader, CodecError};
@@ -28,7 +28,7 @@ use crate::window::MAX_WINDOW;
 
 /// Deterministic wave for Basic Counting (Theorem 1): relative error at
 /// most `eps` for any window `n <= N`, `O((1/eps) log^2(eps N))` bits,
-/// O(1) worst-case per-item time, O(1) query time for the max window.
+/// O(1) per-item time but an O(L) sweep when a level front expires.
 #[derive(Debug)]
 pub struct DetWave {
     eps: f64,
@@ -120,7 +120,7 @@ impl DetWave {
         out
     }
 
-    /// Process the next stream bit — O(1) worst case (Figure 4).
+    /// Process the next stream bit (Figure 4).
     #[inline]
     pub fn push_bit(&mut self, b: bool) {
         self.push_bit_recorded(b, &waves_obs::NoopRecorder);
@@ -187,15 +187,14 @@ impl DetWave {
         self.ladder.advance(self.ladder.pos() + count);
     }
 
-    /// Estimate the count over the maximum window `N` in O(1) (Figure 4's
-    /// query procedure): the walk of [`DetWave::query`] stops at the list
-    /// head, since nothing older than the window is kept.
+    /// Estimate the count over the maximum window `N` (Figure 4's query
+    /// procedure): nothing older than the window is kept, so its first
+    /// entry is the oldest level front.
     pub fn query_max(&self) -> Estimate {
         self.window(self.max_window())
     }
 
-    /// Estimate the count over any window `n <= N`, by walking the
-    /// position-ordered list — `O((1/eps) log(eps N))` worst case.
+    /// Estimate the count over any window `n <= N`.
     pub fn query(&self, n: u64) -> Result<Estimate, WaveError> {
         if n > self.max_window() {
             return Err(WaveError::WindowTooLarge {

@@ -1,5 +1,4 @@
-//! The one wave skeleton: Figure 4's fixed-capacity level queues
-//! threaded on one position-ordered list.
+//! The one wave skeleton: Figure 4's fixed-capacity level queues.
 //!
 //! The paper derives every deterministic synopsis from this structure
 //! and then only re-parameterises it: Figure 5 swaps `(p, r)` for
@@ -7,12 +6,14 @@
 //! swaps `N` for `U` and lets positions repeat, Section 5 keys the level
 //! on the position instead of the rank. [`Ladder`] holds, once, what
 //! they share: the clock, the running total, the expired boundary,
-//! expiry, insert-with-evict, the straddle walk behind every window
+//! expiry, insert-with-evict, the straddle search behind every window
 //! query, the codec body with its validation, and the space accounting.
 //! Each wave type keeps what the paper says differs: what drives the
 //! level count, the capacity of the lower levels, the level function,
 //! where positions come from, the estimator with its exactness rule, and
-//! parameter validation.
+//! parameter validation. The paper's position-ordered list `L` is not
+//! kept: each queue is in position order, so `L` is their merge by
+//! [`Entry::key`] ([`Ladder::leveled`]).
 //!
 //! The entry shape is chosen by the weight parameter `W`: `()` for the
 //! bit waves (every entry weighs 1, so nothing is stored or coded for
@@ -30,22 +31,29 @@
 //! bit waves' batch push.
 
 use crate::basic_wave::wave_levels;
-use crate::chain::NIL;
 use crate::codec::{read_deltas_into, BitReader, BitWriter, CodecError};
 use crate::error::WaveError;
 use crate::estimate::SpaceReport;
 use crate::space::{delta_coded_bits, elias_gamma_bits};
 use crate::window::ModRing;
+use std::cmp::max_by_key;
 
 /// One stored entry — the paper's `(p, r)` pair or `(p, v, z)` triple —
 /// as every caller sees it: at full width, whatever its slot keeps.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Entry<W> {
     pub(crate) pos: u64,
     pub(crate) weight: W,
     /// Running total through this entry, inclusive: the 1-rank `r` or
     /// the partial sum `z`.
     pub(crate) cum: u64,
+}
+
+impl<W> Entry<W> {
+    /// Insertion order, rising strictly: only `Supplied` positions repeat, each weighing ≥ 1.
+    fn key(&self) -> (u64, u64) {
+        (self.pos, self.cum)
+    }
 }
 
 /// What an entry stores for its item's value.
@@ -120,14 +128,12 @@ impl Stamp for u32 {
     }
 }
 
-/// One slab cell: an entry and its links on the position-ordered list.
+/// One slab cell: an entry.
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot<P, W> {
     pos: P,
     cum: P,
     weight: W,
-    prev: u32,
-    next: u32,
 }
 
 #[derive(Debug)]
@@ -185,13 +191,19 @@ impl Ring {
         self.len == cap
     }
 
+    /// The offset of the `i`-th oldest entry, for `i <= len`.
+    #[inline(always)]
+    fn offset(&self, i: u32, cap: u32) -> u32 {
+        let at = self.start + i;
+        at - if at >= cap { cap } else { 0 }
+    }
+
     /// Claim the offset after the newest entry. The ring must not be
     /// full (the caller pops first, mirroring step 3(b) of Figure 4).
     pub(crate) fn push_back(&mut self, cap: u32) -> u32 {
         assert!(!self.is_full(cap), "level queue overflow");
-        let at = self.start + self.len;
         self.len += 1;
-        at - if at >= cap { cap } else { 0 }
+        self.offset(self.len - 1, cap)
     }
 
     /// Release and return the offset of the oldest entry.
@@ -256,13 +268,15 @@ struct Core {
     /// `cum` of the newest expired entry (0 if none yet): the paper's
     /// `r1` / `z1`.
     boundary: u64,
+    /// The level (of at most 63) whose front is the oldest entry, and the
+    /// horizon at which it expires (`u64::MAX` with none): the full
+    /// window's first entry, and a push's one expiry check.
+    oldest: u8,
+    due: u64,
     num_levels: u32,
     /// Slots of each level below the top one, which has `k + 1`: level
     /// `j` owns the slots from `j * lower_cap`.
     lower_cap: u32,
-    /// The position-ordered list: oldest slot, newest slot, length.
-    head: u32,
-    tail: u32,
     len: u32,
     /// Width of one of the paper's mod-N' counters, for the accounting.
     counter_bits: u8,
@@ -285,7 +299,7 @@ impl Clone for Core {
     }
 }
 
-/// Level queues on a chain: see the module docs.
+/// Level queues in one slab: see the module docs.
 #[derive(Debug)]
 pub(crate) struct Ladder<W> {
     core: Core,
@@ -317,11 +331,6 @@ impl Core {
         }
     }
 
-    /// The level owning `slot`: a division, for expiry and iteration only.
-    fn level_of(&self, slot: u32) -> u32 {
-        (slot / self.lower_cap).min(self.num_levels - 1)
-    }
-
     fn entry<P: Stamp, W: Weight>(&self, s: &Slot<P, W>) -> Entry<W> {
         Entry {
             pos: s.pos.full(self.pos),
@@ -330,31 +339,28 @@ impl Core {
         }
     }
 
-    /// Make `next` follow `prev` on the list; `NIL` on either side is
-    /// the list's end there.
+    /// The slot of the `i`-th oldest entry of `level`'s queue.
     #[inline(always)]
-    fn link<P, W>(&mut self, s: &mut [Slot<P, W>], prev: u32, next: u32) {
-        match prev {
-            NIL => self.head = next,
-            p => s[p as usize].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => s[n as usize].prev = prev,
-        }
+    fn slot(&self, level: u32, i: u32) -> usize {
+        (level * self.lower_cap + self.rings[level as usize].offset(i, self.cap(level))) as usize
     }
 
-    /// Take the oldest entry of `level` off its queue and the list.
+    /// The `i`-th oldest entry of `level`'s queue, if it holds that many.
     #[inline(always)]
-    fn pop<P: Stamp, W: Weight>(&mut self, s: &mut [Slot<P, W>], level: u32) -> Entry<W> {
-        let at = self.rings[level as usize].pop_front(self.cap(level));
-        let cell = s[(level * self.lower_cap + at.expect("level holds an entry")) as usize];
-        self.link(s, cell.prev, cell.next);
+    fn get<P: Stamp, W: Weight>(&self, s: &[Slot<P, W>], level: u32, i: u32) -> Option<Entry<W>> {
+        (i < self.rings[level as usize].len).then(|| self.entry(&s[self.slot(level, i)]))
+    }
+
+    /// Take the oldest entry of `level` off its queue.
+    #[inline(always)]
+    fn pop<P: Stamp, W: Weight>(&mut self, s: &[Slot<P, W>], level: u32) -> Entry<W> {
+        let e = self.get(s, level, 0).expect("level holds an entry");
+        self.rings[level as usize].pop_front(self.cap(level));
         self.len -= 1;
-        self.entry(&cell)
+        e
     }
 
-    /// Append `e` to the queue of `level`, which has room, and the list.
+    /// Append `e` to the queue of `level`, which has room.
     #[inline(always)]
     fn place<P: Stamp, W: Weight>(&mut self, s: &mut [Slot<P, W>], level: u32, e: Entry<W>) {
         let slot = level * self.lower_cap + self.rings[level as usize].push_back(self.cap(level));
@@ -362,14 +368,10 @@ impl Core {
             pos: P::pack(e.pos),
             cum: P::pack(e.cum),
             weight: e.weight,
-            prev: self.tail,
-            next: NIL,
         };
-        match self.tail {
-            NIL => self.head = slot,
-            t => s[t as usize].next = slot,
+        if self.len == 0 {
+            (self.oldest, self.due) = (level as u8, e.pos + self.max_window);
         }
-        self.tail = slot;
         self.len += 1;
     }
 
@@ -381,51 +383,35 @@ impl Core {
         to + cfg!(dst_mutation) as u64
     }
 
-    /// [`Ladder::advance`] at one width.
+    /// [`Ladder::advance`] at one width. The sweep reads the slots before
+    /// the clock moves: after a jump of `2^32 + 5` an entry 5 positions
+    /// old would read as live again against the new clock.
     #[inline(always)]
-    fn advance<P: Stamp, W: Weight>(&mut self, s: &mut [Slot<P, W>], to: u64) -> Option<Entry<W>> {
+    fn advance<P: Stamp, W: Weight>(&mut self, s: &[Slot<P, W>], to: u64) -> Option<Entry<W>> {
         let horizon = Core::horizon(to);
-        if horizon - self.pos >= self.max_window {
-            return self.expire_all(s, to);
-        }
-        // Every entry was under a window old and is now under two: a
-        // narrow slot still reads true against the new clock.
+        let due = horizon >= self.due;
+        let expired = due.then(|| self.sweep(s, horizon)).flatten();
         self.pos = to;
-        let mut expired = None;
-        while self.head != NIL {
-            let (head, e) = (self.head, self.entry(&s[self.head as usize]));
-            if e.pos + self.max_window > horizon {
-                break;
-            }
-            self.boundary = e.cum;
-            let level = self.level_of(head);
-            let front = level * self.lower_cap + self.rings[level as usize].start;
-            debug_assert_eq!(head, front, "the expiring head is its queue's front");
-            self.pop(s, level);
-            expired = Some(e);
-        }
         expired
     }
 
-    /// The clock jumps a window or more: every entry expires. Out of
-    /// line, and before the clock moves: a narrow slot reads true only
-    /// against a clock less than `2^32` past it — after a jump of
-    /// `2^32 + 5` an entry 5 positions old would read as live again — so
-    /// the newest entry, the new boundary, is read against the old one.
-    #[cold]
+    /// Pop every level front expired at `horizon` (none at 0), move the
+    /// boundary to the newest, and find the oldest entry left: O(L).
     #[inline(never)]
-    fn expire_all<P: Stamp, W: Weight>(
-        &mut self,
-        s: &mut [Slot<P, W>],
-        to: u64,
-    ) -> Option<Entry<W>> {
-        let newest = (self.tail != NIL).then(|| self.entry(&s[self.tail as usize]));
-        self.pos = to;
-        if let Some(e) = newest {
-            self.boundary = e.cum;
-            self.rings.fill(Ring::default());
-            (self.head, self.tail, self.len) = (NIL, NIL, 0);
+    fn sweep<P: Stamp, W: Weight>(&mut self, s: &[Slot<P, W>], horizon: u64) -> Option<Entry<W>> {
+        let (mut newest, mut oldest) = (None::<Entry<W>>, ((u64::MAX, u64::MAX), 0));
+        for level in 0..self.num_levels {
+            while let Some(e) = self.get(s, level, 0) {
+                if e.pos + self.max_window > horizon {
+                    oldest = oldest.min((e.key(), level));
+                    break;
+                }
+                self.pop(s, level);
+                newest = max_by_key(newest, Some(e), |e| e.map(|e| e.key()));
+            }
         }
+        (self.oldest, self.due) = (oldest.1 as u8, oldest.0 .0.saturating_add(self.max_window));
+        self.boundary = newest.map_or(self.boundary, |e| e.cum);
         newest
     }
 
@@ -440,6 +426,9 @@ impl Core {
         let level = level.min(self.num_levels - 1);
         let full = self.rings[level as usize].is_full(self.cap(level));
         let evicted = full.then(|| self.pop(s, level));
+        if full && level == self.oldest as u32 {
+            self.sweep(s, 0);
+        }
         self.total += v;
         let e = Entry {
             pos: self.pos,
@@ -457,8 +446,8 @@ impl<W: Weight> Ladder<W> {
     /// can total — of `lower_cap` entries each and `k + 1` at the top.
     /// The caller has validated `1 <= k <= 2^32` and
     /// `1 <= max_window, span <= 2^62`. `None`, before anything is
-    /// allocated, when the `u32` links cannot address that many slots:
-    /// the constructors refuse the `eps`, the decoders the `k`.
+    /// allocated, when a `u32` slot index cannot address that many
+    /// slots: the constructors refuse the `eps`, the decoders the `k`.
     pub(crate) fn new(
         max_window: u64,
         k: u64,
@@ -479,10 +468,10 @@ impl<W: Weight> Ladder<W> {
                 pos: 0,
                 total: 0,
                 boundary: 0,
+                oldest: 0,
+                due: u64::MAX,
                 num_levels,
                 lower_cap: lower_cap as u32,
-                head: NIL,
-                tail: NIL,
                 len: 0,
                 counter_bits: counter_bits as u8,
                 positions,
@@ -528,16 +517,33 @@ impl<W: Weight> Ladder<W> {
         self.core.len as usize
     }
 
-    /// Stored entries with the level that holds each, oldest first.
+    /// Stored entries with the level that holds each, oldest first: the
+    /// queues merged by key. `next` (on the stack: at most 63 levels)
+    /// holds each level's next entry by key, the smallest last.
     pub(crate) fn leveled(&self) -> impl Iterator<Item = (u32, Entry<W>)> + '_ {
-        let mut next = self.core.head;
+        let c = &self.core;
+        let get = move |level, i| at_width!(&self.slab, s => c.get(s, level, i));
+        let (mut next, mut taken) = ([(0, Entry::default()); 64], [0u32; 64]);
+        // File `level`'s next entry among the `left` already in `next`.
+        let mut file = move |next: &mut [(u32, Entry<W>); 64], left: usize, level: u32| {
+            let Some(e) = get(level, taken[level as usize]) else {
+                return left;
+            };
+            taken[level as usize] += 1;
+            let mut at = left;
+            while at > 0 && next[at - 1].1.key() < e.key() {
+                next[at] = next[at - 1];
+                at -= 1;
+            }
+            next[at] = (level, e);
+            left + 1
+        };
+        let mut left = (0..c.num_levels).fold(0, |left, level| file(&mut next, left, level));
         std::iter::from_fn(move || {
-            let slot = (next != NIL).then_some(next)?;
-            let e = at_width!(&self.slab, s => {
-                next = s[slot as usize].next;
-                self.core.entry(&s[slot as usize])
-            });
-            Some((self.core.level_of(slot), e))
+            left = left.checked_sub(1)?;
+            let (level, e) = next[left];
+            left = file(&mut next, left, level);
+            Some((level, e))
         })
     }
 
@@ -550,10 +556,10 @@ impl<W: Weight> Ladder<W> {
     /// left the maximum window. Returns the newest entry expired, now
     /// the boundary.
     ///
-    /// `inline(always)`, as are [`Ladder::insert`] and the four [`Core`]
-    /// methods under them: one push body per wave. Left to the inliner
-    /// they stay out of line, and a batch that stores every 1 runs a
-    /// sixth slower (`DetWave::push_words`, 2 100 -> 2 540 ns a kbit).
+    /// `inline(always)`, as are [`Ladder::insert`] and the [`Core`]
+    /// methods under them but the sweep: one push body per wave. Left to
+    /// the inliner they stay out of line, and a batch that stores every 1
+    /// runs a sixth slower (`DetWave::push_words`, 2 100 -> 2 540 ns).
     #[inline(always)]
     pub(crate) fn advance(&mut self, to: u64) -> Option<Entry<W>> {
         at_width!(&mut self.slab, s => self.core.advance(s, to))
@@ -570,21 +576,34 @@ impl<W: Weight> Ladder<W> {
         at_width!(&mut self.slab, s => self.core.insert(s, level, v))
     }
 
-    /// The walk behind every window query. For a window starting at
-    /// position `s`: the running total before it (`cum` of the newest
-    /// entry before `s`, else the expired boundary) and the oldest entry
-    /// at or after `s`. Entries are position-ordered, so this is
-    /// `O((1/eps) log(eps N))` in general and O(1) when `s` starts the
-    /// maximum window, where expiry has left no older entry.
+    /// Behind every window query, for a window from position `s`: the
+    /// total before it (`cum` of the newest entry before `s`, else the
+    /// boundary) and the oldest entry at or after `s`.
     pub(crate) fn straddle(&self, s: u64) -> (u64, Option<Entry<W>>) {
-        let mut before = self.core.boundary;
-        for e in self.entries() {
-            if e.pos >= s {
-                return (before, Some(e));
-            }
-            before = e.cum;
+        let c = &self.core;
+        // The full window's in O(1): no entry is older than the oldest.
+        let oldest = at_width!(&self.slab, slots => c.get(slots, c.oldest as u32, 0));
+        if oldest.is_none_or(|e| s <= e.pos) {
+            return (c.boundary, oldest);
         }
-        (before, None)
+        let (mut before, mut first) = (c.boundary, None::<Entry<W>>);
+        at_width!(&self.slab, slots => for level in 0..c.num_levels {
+            let pos = |i| slots[c.slot(level, i)].pos.full(c.pos);
+            // A queue whose front is in the window needs no search.
+            let (mut i, mut len) = (0, if pos(0) < s { c.rings[level as usize].len } else { 0 });
+            while len > 1 {
+                let half = len / 2;
+                i += half * (pos(i + half) < s) as u32;
+                len -= half;
+            }
+            i += (len == 1 && pos(i) < s) as u32;
+            // Totals rise with the key: the newest before `s` has the largest.
+            let last = i.checked_sub(1).and_then(|i| c.get(slots, level, i));
+            before = before.max(last.map_or(0, |e| e.cum));
+            let next = c.get(slots, level, i);
+            if next.is_some_and(|e| first.is_none_or(|f| e.key() < f.key())) { first = next }
+        });
+        (before, first)
     }
 
     /// The wave's whole encoding: each of `params` gamma-coded, then
@@ -602,10 +621,8 @@ impl<W: Weight> Ladder<W> {
 
     /// Append everything after the parameter header to `w`: gamma-coded
     /// counters, delta-coded positions and running totals, then each
-    /// entry's weight and level. The three runs are written in one walk
-    /// of the chain — positions straight to `w`, the other two to side
-    /// writers appended a word at a time after it — with the slot width
-    /// matched once.
+    /// entry's weight and level, in one pass of the merged queues:
+    /// positions to `w`, the rest to side writers appended after it.
     pub(crate) fn encode_body(&self, w: &mut BitWriter) {
         let c = &self.core;
         w.write_gamma0(c.pos);
@@ -614,18 +631,14 @@ impl<W: Weight> Ladder<W> {
         w.write_gamma0(c.len as u64);
         let mut cums = BitWriter::with_capacity(4 * self.len());
         let mut rest = BitWriter::with_capacity(2 * self.len());
-        at_width!(&self.slab, s => {
-            let (mut at, mut prev) = (c.head, (0, 0));
-            while at != NIL {
-                let slot = &s[at as usize];
-                let e = c.entry(slot);
-                w.write_gamma(e.pos - prev.0 + 1);
-                cums.write_gamma(e.cum - prev.1 + 1);
-                e.weight.write(&mut rest);
-                rest.write_gamma0(c.level_of(at) as u64);
-                (at, prev) = (slot.next, (e.pos, e.cum));
-            }
-        });
+        let mut prev = (0, 0);
+        for (level, e) in self.leveled() {
+            w.write_gamma(e.pos - prev.0 + 1);
+            cums.write_gamma(e.cum - prev.1 + 1);
+            e.weight.write(&mut rest);
+            rest.write_gamma0(level as u64);
+            prev = e.key();
+        }
         w.append(&cums);
         w.append(&rest);
     }
@@ -766,23 +779,23 @@ mod tests {
     fn entry_shapes_keep_their_sizes() {
         use std::mem::size_of;
         // The narrow bit slot is what every served key pays per stored 1.
-        assert_eq!(size_of::<Slot<u32, ()>>(), 16);
-        assert_eq!(size_of::<Slot<u64, ()>>(), 24);
-        assert_eq!(size_of::<Slot<u32, u64>>(), 24);
-        assert_eq!(size_of::<Slot<u64, u64>>(), 32);
+        assert_eq!(size_of::<Slot<u32, ()>>(), 8);
+        assert_eq!(size_of::<Slot<u64, ()>>(), 16);
+        assert_eq!(size_of::<Slot<u32, u64>>(), 16);
+        assert_eq!(size_of::<Slot<u64, u64>>(), 24);
         assert_eq!(size_of::<Ring>(), 8);
         assert!(size_of::<crate::DetWave>() <= 144);
     }
 
     /// `k = 2^32` passes `k_for_eps` and `read_k` but asks for more
-    /// slots than the `u32` links address: every ladder wave refuses it
+    /// slots than a `u32` slot index addresses: every ladder wave refuses it
     /// with a typed error — its constructor the `eps`, its decoder the
     /// header `γ(params) γ(2^32)` and four `γ0(0)` — instead of
     /// panicking in `Ladder::new`. Still open: a `k` between about 2^20
     /// and 2^31 passes and reserves gigabytes up front; the lazy slab of
     /// ROADMAP item 8 is what bounds that, so no `k` here is in it.
     #[test]
-    fn a_k_the_links_cannot_address_is_refused() {
+    fn a_k_the_slot_index_cannot_address_is_refused() {
         use crate::codec::BitWriter;
         use crate::{DetWave, NthRecentWave, SumWave, TimestampSumWave, TimestampWave};
         let forged = |params: &[u64]| {

@@ -1,7 +1,8 @@
 //! The bit waves' batch rule: of a batch's 1s, store those Figure 4 could
 //! still hold at its end or could have evicted an older entry with. A
 //! batch of over four queues of 1s, no longer than the window, empties
-//! the levels it evicts whole ([`Core::evict_ahead`]), then stores each
+//! the levels it evicts whole ([`Core::evict_ahead`], a reset of their
+//! rings: no entry outside them points at theirs), then stores each
 //! rank of a stride-1 zone and each multiple of `2^j` of a strided one
 //! ([`Core::stride_zone`]), found by rank ([`Ranks`]). A batch longer
 //! than the window is pushed a window's whole words at a time, since in
@@ -20,7 +21,7 @@
 //! tens of cycles; portable everywhere else. The call into the BMI2
 //! build is this crate's one `unsafe` block outside tests.
 
-use super::{Core, Ladder, Ring, Slab, Slot, Stamp, NIL};
+use super::{Core, Ladder, Ring, Slab, Slot, Stamp, Weight};
 use crate::{bits::BitsRef, level::rank_level};
 use std::sync::OnceLock;
 
@@ -30,34 +31,21 @@ impl Core {
     /// batch brings a queue's worth of its arrivals (`lower_cap << (l + 1)
     /// <= ones`) and its oldest entry outlives the batch, never the top.
     /// Per-bit pushes would evict these before they expire, so the
-    /// boundary stays. One walk back from the newest entry relinks each
-    /// kept slot to the next kept one; the slab is partitioned by level,
-    /// so a slot below `eager * lower_cap` is a removed one.
-    #[inline(never)]
-    fn evict_ahead<P: Stamp, W>(&mut self, s: &mut [Slot<P, W>], ones: u64, until: u64) -> u32 {
-        let (mut eager, mut removed) = (0, 0);
+    /// boundary stays. Emptying resets rings, then finds the oldest entry.
+    fn evict_ahead<P: Stamp, W: Weight>(&mut self, s: &[Slot<P, W>], ones: u64, until: u64) -> u32 {
+        let mut eager = 0;
         while eager + 1 < self.num_levels && (self.lower_cap as u64) << (eager + 1) <= ones {
-            let ring = self.rings[eager as usize];
-            let oldest = &s[(eager * self.lower_cap + ring.start) as usize];
-            if ring.len > 0 && oldest.pos.full(self.pos) + self.max_window <= Core::horizon(until) {
-                break;
+            match self.get(s, eager, 0) {
+                Some(e) if e.pos + self.max_window <= Core::horizon(until) => break,
+                _ => eager += 1,
             }
-            (eager, removed) = (eager + 1, removed + ring.len);
         }
-        self.rings[..eager as usize].fill(Ring::default());
-        self.len -= removed;
-        let (mut at, mut after) = (self.tail, NIL);
-        while removed > 0 {
-            let prev = s[at as usize].prev;
-            if at < eager * self.lower_cap {
-                removed -= 1;
-            } else {
-                self.link(s, at, after);
-                after = at;
-            }
-            at = prev;
+        let emptied = &mut self.rings[..eager as usize];
+        self.len -= emptied.iter().map(|r| r.len).sum::<u32>();
+        emptied.fill(Ring::default());
+        if (self.oldest as u32) < eager {
+            self.sweep(s, 0);
         }
-        self.link(s, at, after);
         eager
     }
 

@@ -26,20 +26,21 @@
 //! `L <= 20` for `N <= 12`; one that stores the 1 of rank `k + 1` for
 //! rank `k` is caught at `L = 9`, by the first long batch.
 
-use super::{Core, Entry, Kernel, Ladder, Positions, Slab, Weight, NIL};
+use super::{Core, Kernel, Ladder, Positions, Slab, Weight};
 use crate::bits::BitsRef;
 use crate::DetWave;
 
 impl<W: Weight> Ladder<W> {
-    /// Panic unless this is a state Figure 4 can be in. The list runs
-    /// from `head` to `tail` through every stored slot once, each slot
-    /// inside its level's queue and each queue in list order, at most
-    /// its capacity. Positions never fall, never pass the clock and, on
-    /// a [`Positions::Sequence`] ladder, never repeat, and no total is
+    /// Panic unless this is a state Figure 4 can be in. Each queue holds
+    /// at most its capacity, in rising `(pos, cum)` order, and the
+    /// queues hold `len` entries; their merge, the paper's list, rises
+    /// strictly too. Positions never pass the clock and, on a
+    /// [`Positions::Sequence`] ladder, never repeat, and no total is
     /// more than `max_weight` a position (rank ≤ pos, for the bit
-    /// waves). The expired boundary agrees with the clock: nothing
-    /// stored is a window old, nothing that expired was younger, and
-    /// the oldest entry begins at the boundary or after.
+    /// waves). The expired boundary agrees with the clock: no level
+    /// front is a window old, `oldest` names the oldest front and `due`
+    /// its expiry, nothing that expired was younger, and the oldest
+    /// entry begins at the boundary or after.
     pub(crate) fn check_invariants(&self, max_weight: u64) {
         let c = &self.core;
         let sequence = c.positions == Positions::Sequence;
@@ -55,46 +56,68 @@ impl<W: Weight> Ladder<W> {
             c.boundary <= reach(c.pos.saturating_sub(c.max_window)),
             "boundary"
         );
-        let mut last_age = vec![None; c.num_levels as usize];
-        let (mut at, mut back, mut listed) = (c.head, NIL, 0);
-        let mut prev = (0, c.boundary);
-        at_width!(&self.slab, s => while at != NIL {
-            let slot = &s[at as usize];
-            assert_eq!(slot.prev, back, "links at slot {at}");
-            let (level, e) = (c.level_of(at), c.entry(slot));
-            let (ring, cap) = (c.rings[level as usize], c.cap(level));
-            assert!(ring.len <= cap, "level {level} over capacity");
-            let age = (at - level * c.lower_cap + cap - ring.start) % cap;
-            assert!(age < ring.len, "slot {at} outside its queue");
-            assert!(last_age[level as usize] < Some(age), "level {level} out of list order");
-            last_age[level as usize] = Some(age);
-            let v = e.weight.get();
-            assert!(e.pos <= c.pos && e.pos + c.max_window > c.pos, "entry {} expired", e.pos);
-            assert!(e.cum <= c.total && v <= max_weight && v <= e.cum, "entry {}", e.pos);
-            assert!(e.cum <= reach(e.pos) && c.total - e.cum <= reach(c.pos - e.pos));
-            assert!(e.cum - v >= prev.1, "totals fall at {}", e.pos);
-            assert!(e.pos > prev.0 || (!sequence && e.pos == prev.0), "positions at {}", e.pos);
-            (prev, back, at, listed) = ((e.pos, e.cum), at, slot.next, listed + 1);
+        at_width!(&self.slab, s => for level in 0..c.num_levels {
+            let len = c.rings[level as usize].len;
+            assert!(len <= c.cap(level), "level {level} over capacity");
+            let queue: Vec<_> = (0..len).map(|i| c.get(s, level, i).unwrap().key()).collect();
+            assert!(queue.is_sorted_by(|a, b| a < b), "level {level} out of order");
+            if let Some(&front) = queue.first() {
+                assert!(front.0 + c.max_window > c.pos, "level {level}'s front expired");
+                let oldest = c.get(s, c.oldest as u32, 0).unwrap().key();
+                assert!(oldest <= front, "level {level}'s front is older than the oldest");
+            }
         });
-        assert_eq!((c.tail, listed), (back, c.len), "list ends");
         assert_eq!(
             c.rings.iter().map(|r| r.len).sum::<u32>(),
             c.len,
-            "queues hold the list"
+            "queue lengths"
         );
+        let due = self
+            .entries()
+            .next()
+            .map_or(u64::MAX, |e| e.pos + c.max_window);
+        assert_eq!(c.due, due, "the oldest entry's expiry");
+        let mut prev = (0, c.boundary);
+        for e in self.entries() {
+            let (at, v) = (e.pos, e.weight.get());
+            assert!(e.key() > prev, "merge falls at {at}");
+            assert!(
+                at <= c.pos && at + c.max_window > c.pos,
+                "entry {at} expired"
+            );
+            assert!(
+                e.cum <= c.total && v <= max_weight && v <= e.cum,
+                "entry {at}"
+            );
+            assert!(e.cum <= reach(at) && c.total - e.cum <= reach(c.pos - at));
+            assert!(e.cum - v >= prev.1, "totals fall at {at}");
+            assert!(
+                at > prev.0 || (!sequence && at == prev.0),
+                "positions at {at}"
+            );
+            prev = e.key();
+        }
     }
 }
 
 impl<W: Weight> Ladder<W> {
     /// Whether `other` holds what this ladder holds: the same parameters
-    /// and counters and, oldest first, entries of the same position,
-    /// total, weight and level — everything a wave's `encode()` writes,
-    /// so the same bytes; cheaper to compare than to encode.
+    /// and counters and, level by level, queues of entries of the same
+    /// position, total and weight — so the same merge, and everything a
+    /// wave's `encode()` writes; cheaper to compare than to encode.
     pub(crate) fn same_state(&self, other: &Self) -> bool {
-        let (a, b) = (&self.core, &other.core);
-        let view = |(level, e): (u32, Entry<W>)| (level, e.pos, e.cum, e.weight.get());
         let counters = |c: &Core| (c.max_window, c.k, c.pos, c.total, c.boundary, c.len);
-        counters(a) == counters(b) && self.leveled().map(view).eq(other.leveled().map(view))
+        counters(&self.core) == counters(&other.core)
+            && (0..self.core.num_levels).all(|level| self.queue(level).eq(other.queue(level)))
+    }
+
+    /// The entries of `level`'s queue, oldest first.
+    fn queue(&self, level: u32) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+        let c = &self.core;
+        (0..c.rings[level as usize].len).map(move |i| {
+            let e = at_width!(&self.slab, s => c.get(s, level, i)).unwrap();
+            (e.pos, e.cum, e.weight.get())
+        })
     }
 }
 

@@ -426,9 +426,15 @@ mod proptests {
                 // (install, recovery), so it admits only ladder states.
                 w.ladder().check_invariants(1);
             }
-            check_mutant!(SumWave, 2, mutate(sum.encode()));
-            check_mutant!(TimestampWave, 2, mutate(ts.encode()));
-            check_mutant!(TimestampSumWave, 3, mutate(ts_sum.encode()));
+            if let Some(w) = check_mutant!(SumWave, 2, mutate(sum.encode())) {
+                w.ladder().check_invariants(50);
+            }
+            if let Some(w) = check_mutant!(TimestampWave, 2, mutate(ts.encode())) {
+                w.ladder().check_invariants(1);
+            }
+            if let Some(w) = check_mutant!(TimestampSumWave, 3, mutate(ts_sum.encode())) {
+                w.ladder().check_invariants(50);
+            }
         }
     }
 }

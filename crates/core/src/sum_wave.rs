@@ -2,7 +2,8 @@
 //!
 //! Maintains an `eps`-approximation of the sum of the last `N` integers,
 //! each in `[0..R]`, using `O((1/eps)(log N + log R))` memory words with
-//! O(1) worst-case per-item time and O(1) query time.
+//! O(1) worst-case per-item time and O(1) query time (here, without the
+//! paper's list: O(L) on an item at which a level front expires).
 //!
 //! The key idea: an item of value `v` arriving at running total `T` is
 //! stored **once**, at the largest level `j` such that a multiple of
@@ -93,7 +94,7 @@ impl SumWave {
         self.ladder.len()
     }
 
-    /// Process the next item — O(1) worst case (Figure 5).
+    /// Process the next item (Figure 5).
     ///
     /// Returns an error (without consuming the item) if `v > R`.
     #[inline]
@@ -138,14 +139,12 @@ impl SumWave {
         Ok(())
     }
 
-    /// Estimate the sum over the maximum window `N` in O(1): the walk of
-    /// [`SumWave::query`] stops at the list head.
+    /// Estimate the sum over the maximum window `N`.
     pub fn query_max(&self) -> Estimate {
         self.window(self.max_window())
     }
 
-    /// Estimate the sum over any window `n <= N` by walking the
-    /// position-ordered list.
+    /// Estimate the sum over any window `n <= N`.
     pub fn query(&self, n: u64) -> Result<Estimate, WaveError> {
         if n > self.max_window() {
             return Err(WaveError::WindowTooLarge {
@@ -209,6 +208,13 @@ pub(crate) fn sum_estimate(total: u64, z1: u64, v2: u64, z2: u64) -> Estimate {
 mod tests {
     use super::*;
     use crate::exact::ExactSum;
+
+    /// For the mutated-encoding fuzz in `lib.rs`.
+    impl SumWave {
+        pub(crate) fn ladder(&self) -> &Ladder<u64> {
+            &self.ladder
+        }
+    }
 
     fn lcg_vals(seed: u64, len: usize, r: u64) -> Vec<u64> {
         let mut x = seed;

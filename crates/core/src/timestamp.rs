@@ -174,6 +174,13 @@ mod tests {
     use super::*;
     use std::collections::VecDeque;
 
+    /// For the mutated-encoding fuzz in `lib.rs`.
+    impl TimestampWave {
+        pub(crate) fn ladder(&self) -> &Ladder<()> {
+            &self.ladder
+        }
+    }
+
     /// Exact oracle: positions of 1-items within the window.
     struct Oracle {
         max_window: u64,

@@ -196,6 +196,13 @@ mod tests {
     use super::*;
     use std::collections::VecDeque;
 
+    /// For the mutated-encoding fuzz in `lib.rs`.
+    impl TimestampSumWave {
+        pub(crate) fn ladder(&self) -> &Ladder<u64> {
+            &self.ladder
+        }
+    }
+
     struct Oracle {
         max_window: u64,
         cur: u64,

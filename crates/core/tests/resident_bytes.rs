@@ -169,23 +169,23 @@ fn batch_pushes_and_skips_never_allocate() {
 }
 
 /// OPERATIONS.md §3.2's table and formula, pinned where they are
-/// computed: N = 65 536, eps = 0.05 is 153 slots of 16 bytes, 13 rings
+/// computed: N = 65 536, eps = 0.05 is 153 slots of 8 bytes, 13 rings
 /// of 8 and the 112-byte wave itself.
 #[test]
 fn the_served_wave_costs_what_the_capacity_table_says() {
     let table = [
-        (4_096, 0.05, 1_928),
-        (4_096, 0.1, 1_232),
-        (16_384, 0.05, 2_296),
-        (16_384, 0.1, 1_440),
-        (65_536, 0.05, 2_664),
-        (65_536, 0.1, 1_648),
+        (4_096, 0.05, 1_056),
+        (4_096, 0.1, 712),
+        (16_384, 0.05, 1_248),
+        (16_384, 0.1, 824),
+        (65_536, 0.05, 1_440),
+        (65_536, 0.1, 936),
     ];
     for (n, eps, bytes) in table {
         let w = DetWave::new(n, eps).unwrap();
         assert_eq!(w.space_report().resident_bytes, bytes, "N={n} eps={eps}");
     }
-    assert_eq!(2_664, 153 * 16 + 13 * 8 + std::mem::size_of::<DetWave>());
+    assert_eq!(1_440, 153 * 8 + 13 * 8 + std::mem::size_of::<DetWave>());
 }
 
 /// What a push-mode ship costs the allocator: refreshing the shadow

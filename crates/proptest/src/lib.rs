@@ -418,9 +418,23 @@ macro_rules! __proptest_fns {
             fn $name() {
                 let __cfg: $crate::ProptestConfig = $cfg;
                 for __case in 0..u64::from(__cfg.cases) {
-                    let mut __rng = $crate::TestRng::for_case(stringify!($name), __case);
-                    $crate::__proptest_bind!(__rng, $($args)*);
-                    $body
+                    let __run = std::panic::AssertUnwindSafe(|| {
+                        let mut __rng = $crate::TestRng::for_case(stringify!($name), __case);
+                        $crate::__proptest_bind!(__rng, $($args)*);
+                        $body
+                    });
+                    // Panic again with the case named: its index replays it.
+                    if let Err(__panic) = std::panic::catch_unwind(__run) {
+                        let __message = __panic
+                            .downcast_ref::<String>()
+                            .map(String::as_str)
+                            .or_else(|| __panic.downcast_ref::<&str>().copied())
+                            .unwrap_or("a non-string panic");
+                        panic!(
+                            "proptest {}: case {} of {} failed: {}",
+                            stringify!($name), __case, __cfg.cases, __message
+                        );
+                    }
                 }
             }
         )*
@@ -494,6 +508,22 @@ mod tests {
             for arm in 0..3u8 {
                 prop_assert!(all.contains(&arm), "arm {arm} never sampled");
             }
+        }
+    }
+
+    /// Cases run since the process started, for the test below.
+    static CASES_RUN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// The fourth case fails, and the panic says which it was.
+        #[test]
+        #[should_panic(expected = "proptest a_failing_case_names_its_index: case 3 of 8 failed: \
+                                   the fourth case")]
+        fn a_failing_case_names_its_index(x in 0u64..10) {
+            let run = CASES_RUN.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            prop_assert!(run < 3 && x < 10, "the fourth case");
         }
     }
 
