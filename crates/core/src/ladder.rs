@@ -370,7 +370,7 @@ impl Core {
             weight: e.weight,
         };
         if self.len == 0 {
-            (self.oldest, self.due) = (level as u8, e.pos + self.max_window);
+            (self.oldest, self.due) = (level as u8, e.pos.saturating_add(self.max_window));
         }
         self.len += 1;
     }
@@ -402,7 +402,10 @@ impl Core {
         let (mut newest, mut oldest) = (None::<Entry<W>>, ((u64::MAX, u64::MAX), 0));
         for level in 0..self.num_levels {
             while let Some(e) = self.get(s, level, 0) {
-                if e.pos + self.max_window > horizon {
+                // Age against the window, not `pos + max_window` against
+                // the horizon: that sum overflows within a window of
+                // `u64::MAX`, where a saturated `due` still sweeps.
+                if horizon.saturating_sub(e.pos) < self.max_window {
                     oldest = oldest.min((e.key(), level));
                     break;
                 }
@@ -703,7 +706,7 @@ impl<W: Weight> Ladder<W> {
                     return Err(CodecError::Corrupt("entry beyond counters"));
                 }
                 // A real wave expires on every push.
-                if pos + c.max_window <= now {
+                if now - pos >= c.max_window {
                     return Err(CodecError::Corrupt("entry already expired"));
                 }
                 // The total before an entry is at least the total through

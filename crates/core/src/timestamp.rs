@@ -238,6 +238,22 @@ mod tests {
         assert!(e.brackets(5));
     }
 
+    /// An entry within a window of `u64::MAX` never expires: its expiry
+    /// position is past the last one the clock can reach, not wrapped
+    /// round to one already behind it.
+    #[test]
+    fn positions_near_the_end_of_u64_stay_in_the_window() {
+        let n = 16;
+        let mut w = TimestampWave::new(n, 100, 0.25).unwrap();
+        for _ in 0..5 {
+            w.push(u64::MAX - 3, true).unwrap();
+        }
+        w.push(u64::MAX - 1, true).unwrap();
+        w.advance_to(u64::MAX).unwrap();
+        let e = w.query(n).unwrap();
+        assert!(e.brackets(6), "{e:?} does not bracket 6");
+    }
+
     /// `U` is the caller's promise, not something the wave enforces:
     /// three times `U` items in one window cost the `eps` guarantee but
     /// never the bracket. It is why these ladders keep wide slots — no

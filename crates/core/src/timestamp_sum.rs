@@ -254,6 +254,22 @@ mod tests {
         assert!(TimestampSumWave::new(1, 1, 1, 1.5).is_err());
     }
 
+    /// An entry within a window of `u64::MAX` never expires: its expiry
+    /// timestamp is past the last one the clock can reach, not wrapped
+    /// round to one already behind it.
+    #[test]
+    fn timestamps_near_the_end_of_u64_stay_in_the_window() {
+        let n = 16;
+        let mut w = TimestampSumWave::new(n, 100, 50, 0.25).unwrap();
+        for _ in 0..5 {
+            w.push(u64::MAX - 3, 1).unwrap();
+        }
+        w.push(u64::MAX - 1, 1).unwrap();
+        w.advance_to(u64::MAX).unwrap();
+        let e = w.query(n).unwrap();
+        assert!(e.brackets(6), "{e:?} does not bracket 6");
+    }
+
     #[test]
     fn duplicate_timestamps_summed() {
         let mut w = TimestampSumWave::new(10, 100, 50, 0.25).unwrap();

@@ -25,11 +25,11 @@
 //!   items counted in [`Engine::dropped_items`] — while
 //!   `.blocking(true)` trades latency for losslessness (replay and
 //!   benchmarking paths);
-//! * queries and snapshots travel through the same per-shard FIFO as
-//!   ingest batches, so a query observes every batch the same caller
-//!   enqueued before it (per-key read-your-writes). They take no queue
-//!   slot, and [`Engine::submit`] waits for no answer: the shard hands
-//!   it to the request's [`Sink`]. The blocking calls wait on a channel;
+//! * a query observes every batch enqueued before it (per-key
+//!   read-your-writes), answered on the caller's thread if its shard is
+//!   idle, else through its FIFO, like a snapshot. Neither takes a queue
+//!   slot, and [`Engine::submit`] waits for no answer: the shard hands it
+//!   to the request's [`Sink`]. The blocking calls wait on a channel;
 //! * everything reports into `waves-obs`: ingest/query latency
 //!   histograms, queue depth, and per-shard keys/bytes via
 //!   [`Engine::snapshot`];
@@ -66,7 +66,7 @@
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::TrySendError;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -81,6 +81,9 @@ mod queue;
 mod shard;
 
 use shard::{shard_for, Cmd, Shard};
+
+/// One shard, shared by its worker and the callers that read it idle.
+type SharedShard<S, R> = Arc<Mutex<Shard<S, R, dyn Fn() -> Result<S, WaveError> + Send + Sync>>>;
 
 /// Stream identity: every key owns an independent synopsis.
 pub type Key = u64;
@@ -245,13 +248,15 @@ impl EngineConfigBuilder {
 }
 
 /// Where a shard's answer goes: called once, on the thread of the shard
-/// that answered (the last one, for a request to every shard).
+/// that answered (the last one, for a request to every shard), or on the
+/// submitter's, for a query answered on an idle shard.
 pub type Sink<T> = Box<dyn FnOnce(T) + Send>;
 
 /// A request that waits on the shard owning its key, or on every shard,
 /// with the sink its answer goes to: what [`Engine::submit`] takes. Each
 /// variant but `Fetch` is the blocking call of its name; `Fetch` answers
-/// `key`'s synopsis bytes, what [`Engine::install_synopsis`] takes.
+/// `key`'s synopsis bytes, what [`Engine::install_synopsis`] takes. An
+/// untraced `Query` on an idle shard is answered within `submit`.
 pub enum ShardRequest {
     Query {
         key: Key,
@@ -352,8 +357,9 @@ pub struct Engine<
     S: BitSynopsis + Send + 'static,
     R: Recorder + Send + Sync + ?Sized + 'static = NoopRecorder,
 > {
-    /// Shard `i`'s queue, and the thread that drives it.
+    /// Shard `i`'s queue, the shard, and the thread that drives it.
     queues: Vec<queue::Sender<Cmd>>,
+    shards: Vec<SharedShard<S, R>>,
     workers: Vec<JoinHandle<()>>,
     rec: Arc<R>,
     dropped_items: AtomicU64,
@@ -416,23 +422,32 @@ where
             .map(|pc| Store::open(&pc.dir, num_shards as u32).map(|store| (store, pc)))
             .transpose()
             .map_err(WaveError::io)?;
-        let factory = Arc::new(factory);
+        let factory: Arc<dyn Fn() -> Result<S, WaveError> + Send + Sync> = Arc::new(factory);
         let crashed = Arc::new(AtomicBool::new(false));
+        // Recover every shard before any worker spawns, so a recovery
+        // failure aborts construction and no shard serves a pre-replay view.
+        let shards = (0..num_shards)
+            .map(|index| {
+                let persist = store.as_ref().map(|(store, pc)| (store, *pc));
+                let shard = Shard::recover(index, num_shards, &factory, &rec, persist)?;
+                Ok(Arc::new(Mutex::new(shard)))
+            })
+            .collect::<Result<Vec<_>, WaveError>>()?;
         let (mut queues, mut workers) = (Vec::new(), Vec::new());
-        for index in 0..num_shards {
-            // Recover before the worker spawns, so a recovery failure
-            // aborts construction and no shard serves a pre-replay view.
-            let persist = store.as_ref().map(|(store, pc)| (store, *pc));
-            let mut shard = Shard::recover(index, num_shards, &factory, &rec, persist)?;
+        for (index, shard) in shards.iter().enumerate() {
             let (tx, rx) = queue::bounded::<Cmd>(cfg.queue_capacity.max(1));
-            let crashed = Arc::clone(&crashed);
+            let (held, crashed) = (Arc::clone(shard), Arc::clone(&crashed));
             let worker = std::thread::Builder::new()
                 .name(format!("waves-engine-shard-{index}"))
                 .spawn(move || {
+                    // Locked only while the queue counts the worker busy,
+                    // so a caller that found it idle never waits on it.
                     let mut run = Vec::new();
                     while rx.recv_run(&mut run).is_ok() {
-                        shard.apply(run.drain(..), || rx.slots());
+                        lock(&held).apply(run.drain(..), || rx.slots());
                     }
+                    let shard = Arc::into_inner(held).expect("the engine let go of its handle");
+                    let shard = shard.into_inner().unwrap_or_else(PoisonError::into_inner);
                     shard.close(crashed.load(Ordering::Relaxed));
                 })
                 .expect("spawn shard worker");
@@ -441,6 +456,7 @@ where
         }
         Ok(Engine {
             queues,
+            shards,
             workers,
             rec,
             dropped_items: AtomicU64::new(0),
@@ -546,10 +562,11 @@ where
     }
 
     /// The non-blocking entry point for every request that waits on a
-    /// shard: enqueue `req` and return; its sink gets the answer. `req`
-    /// takes no queue slot, so it goes in at once behind everything
-    /// queued, however full, and observes every batch enqueued before
-    /// the call. The caller bounds how many it has outstanding.
+    /// shard: its sink gets the answer, and it observes every batch
+    /// enqueued before the call. An untraced query on an idle shard is
+    /// answered here ([`Engine::query`]); anything else takes no queue
+    /// slot and goes in at once behind everything queued, however full.
+    /// The caller bounds how many it has outstanding.
     pub fn submit(&self, req: ShardRequest) {
         let (key, cmd) = match req {
             ShardRequest::Query {
@@ -558,11 +575,18 @@ where
                 ctx,
                 reply,
             } => {
+                // A traced query keeps its queue and shard spans.
+                let queued = OpenSpan::open(ctx, Stage::Queue, &*self.rec);
+                if queued.is_none() {
+                    if let Some(res) = self.query_idle(key, window) {
+                        return reply(res);
+                    }
+                }
                 let cmd = Cmd::Query {
                     key,
                     window,
                     reply,
-                    queued: OpenSpan::open(ctx, Stage::Queue, &*self.rec),
+                    queued,
                     started: self.rec.enabled().then(Instant::now),
                 };
                 (key, cmd)
@@ -636,17 +660,31 @@ where
     }
 
     /// Estimate the 1's count in the last `window` bits of `key`'s
-    /// stream. Travels the shard's FIFO behind any batches already
-    /// enqueued, so it observes this caller's prior (non-shed) ingests
-    /// for the key. Returns [`WaveError::UnknownKey`] for never-seen
-    /// keys and the synopsis's own errors otherwise.
+    /// stream, observing every batch enqueued before the call: answered
+    /// on this thread when the shard is idle — nothing queued and no run
+    /// in its worker's hands — else behind what is queued. Returns
+    /// [`WaveError::UnknownKey`] for never-seen keys and the synopsis's
+    /// own errors otherwise.
     pub fn query(&self, key: Key, window: u64) -> Result<Estimate, WaveError> {
-        self.wait(|reply| ShardRequest::Query {
-            key,
-            window,
-            ctx: TraceCtx::NONE,
-            reply,
+        self.query_idle(key, window).unwrap_or_else(|| {
+            self.wait(|reply| ShardRequest::Query {
+                key,
+                window,
+                ctx: TraceCtx::NONE,
+                reply,
+            })
         })
+    }
+
+    /// Answer `key`'s query here if its shard is idle, else `None`. The
+    /// shard's lock is taken before the queue's is let go, so no run is
+    /// applied until the answer is in; producers do not wait on the read.
+    fn query_idle(&self, key: Key, window: u64) -> Option<Result<Estimate, WaveError>> {
+        let started = self.rec.enabled().then(Instant::now);
+        let index = self.shard_of(key);
+        let shard = self.queues[index].idle(|| lock(&self.shards[index]))?;
+        self.rec.incr(MetricId::EngineQueriesInline, 1);
+        Some(shard.query(key, window, started))
     }
 
     /// Barrier: returns once every shard has applied everything enqueued
@@ -700,14 +738,20 @@ where
     }
 }
 
+/// `shard`'s lock; a query that panicked under it changed nothing.
+fn lock<T>(shard: &Mutex<T>) -> MutexGuard<'_, T> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl<S, R> Drop for Engine<S, R>
 where
     S: BitSynopsis + Send + 'static,
     R: Recorder + Send + Sync + ?Sized + 'static,
 {
     fn drop(&mut self) {
-        // Close every queue before joining any worker, so they drain in
-        // parallel and exit.
+        // Let go of the shards, each worker's to close, then close every
+        // queue before joining any worker, so they drain in parallel.
+        self.shards.clear();
         self.queues.clear();
         for worker in self.workers.drain(..) {
             worker.join().ok();

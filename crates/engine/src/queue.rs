@@ -33,8 +33,12 @@
 //! what is queued after the sender drops and only then reporting `Err`,
 //! and a dropped receiver failing every send, parked ones included, and
 //! dropping what was queued, reply sinks of commands no worker will run
-//! included. The mutex is held for one push or one drain; the
-//! shard's state stays owned by its worker and takes no lock.
+//! included. The mutex is held for one push, one drain or one idle check.
+//!
+//! **The idle rule.** The worker is idle while nothing is queued and it
+//! holds no run. [`Sender::idle`] checks that under the lock, after every
+//! item sent before it, and runs its closure there: the engine takes the
+//! shard's lock in it, so the next run waits for an idle read's answer.
 
 use std::collections::VecDeque;
 use std::sync::mpsc::{RecvError, SendError, TrySendError};
@@ -53,6 +57,7 @@ pub(crate) fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
             #[cfg(test)]
             producer_wakes: 0,
             worker_parked: false,
+            busy: false,
             sender_gone: false,
             receiver_gone: false,
         }),
@@ -88,6 +93,9 @@ struct State<T> {
     producer_wakes: usize,
     /// The worker waits on `not_empty`; cleared by whoever notifies it.
     worker_parked: bool,
+    /// The worker holds a run it drained: set as [`Receiver::recv_run`]
+    /// hands one out, cleared as the worker comes back for the next.
+    busy: bool,
     sender_gone: bool,
     receiver_gone: bool,
 }
@@ -170,6 +178,14 @@ impl<T> Sender<T> {
             self.0.push(st, item, false);
         }
     }
+
+    /// `take()`, run under the queue's lock, if the worker is idle —
+    /// nothing queued and no run in its hands, so everything sent before
+    /// this call has been run — else `None`.
+    pub(crate) fn idle<G>(&self, take: impl FnOnce() -> G) -> Option<G> {
+        let st = self.0.lock();
+        (st.items.is_empty() && !st.busy).then(take)
+    }
 }
 
 impl<T> Drop for Sender<T> {
@@ -198,10 +214,13 @@ impl<T> Receiver<T> {
     /// and leaves it queued, so a run is either one slotless command or
     /// consecutive slot holders in FIFO order. One lock covers the whole
     /// drain, and a producer owed a wake gets one notification for it.
-    /// `Err` once the sender is gone and the queue is drained.
+    /// The worker is busy from the return to its next call, and idle
+    /// otherwise ([`Sender::idle`]). `Err` once the sender is gone and
+    /// the queue is drained.
     pub(crate) fn recv_run(&self, run: &mut Vec<T>) -> Result<(), RecvError> {
         let q = &*self.0;
         let mut st = q.lock();
+        st.busy = false;
         while st.items.is_empty() {
             if st.sender_gone {
                 return Err(RecvError);
@@ -213,6 +232,7 @@ impl<T> Receiver<T> {
         let slots = st.items.iter().take_while(|(_, slot)| *slot).count();
         run.extend(st.items.drain(..slots.max(1)).map(|(item, _)| item));
         st.slots -= slots;
+        st.busy = true;
         let wake = st.wake_owed && st.slots <= q.cap / 2;
         if wake {
             st.wake_owed = false;
@@ -373,6 +393,39 @@ mod tests {
         }
         assert_eq!(run(&rx), Ok((0..CAP).collect()));
         assert_eq!(tx.0.lock().producer_wakes, 1, "no producer was parked");
+    }
+
+    /// The idle rule: nothing queued and no run in the worker's hands. A
+    /// drained run keeps the worker busy with the queue empty, until it
+    /// comes back for the next run; an item queued is never idle.
+    #[test]
+    fn the_worker_is_idle_only_between_runs_with_nothing_queued() {
+        let (tx, rx) = bounded(4);
+        let idle = |tx: &Sender<u32>| tx.idle(|| ()).is_some();
+        assert!(idle(&tx), "a fresh queue");
+        tx.try_send(1).unwrap();
+        assert!(!idle(&tx), "an item is queued");
+        let mut got = Vec::new();
+        rx.recv_run(&mut got).unwrap();
+        assert_eq!(tx.0.lock().items.len(), 0);
+        assert!(!idle(&tx), "the worker holds a run it drained");
+        tx.append(2);
+        rx.recv_run(&mut got).unwrap();
+        assert!(!idle(&tx), "the next run is in its hands");
+        let rx = Arc::new(rx);
+        let worker = {
+            let rx = Arc::clone(&rx);
+            std::thread::spawn(move || run(&rx))
+        };
+        until(&tx.0, |st| st.worker_parked);
+        assert!(idle(&tx), "the worker came back and waits");
+        tx.append(3);
+        assert_eq!(
+            within("parked worker", move || worker.join().unwrap()),
+            Ok(vec![3])
+        );
+        assert!(!idle(&tx));
+        assert_eq!(got, [1, 2]);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! One shard as one value: the single owner of its keys' synopses (the
 //! paper's party, §1.3 — nobody else writes them). [`Shard::recover`]
 //! builds it from its durable state, [`Shard::apply`] runs the commands
-//! its worker drained, and [`Shard::close`] lands it on shutdown. It
-//! knows no thread and no queue: the engine drives each shard from its
-//! own thread, draining its queue a run at a time into `apply` until the
-//! queue closes.
+//! its worker drained, [`Shard::query`] answers a read, and
+//! [`Shard::close`] lands it on shutdown. It knows no thread and no
+//! queue: the engine drives each shard from its own thread, draining its
+//! queue a run at a time into `apply` under the shard's lock, and a
+//! caller that finds the shard idle runs `query` under that lock itself.
 //!
 //! Consecutive ingest batches are applied together, as one run: each
 //! batch is WAL-appended in order, and each key then takes one push over
@@ -70,7 +71,7 @@ pub(crate) enum Cmd {
 }
 
 /// Shard `index`'s keys and everything that writes them.
-pub(crate) struct Shard<S, R: ?Sized, F> {
+pub(crate) struct Shard<S, R: ?Sized, F: ?Sized> {
     index: usize,
     /// Where each key's synopsis sits in `synopses`.
     keys: HashMap<Key, u32>,
@@ -172,7 +173,7 @@ impl<S, R, F> Shard<S, R, F>
 where
     S: BitSynopsis,
     R: Recorder + ?Sized,
-    F: Fn() -> Result<S, WaveError>,
+    F: Fn() -> Result<S, WaveError> + ?Sized,
 {
     /// Shard `index` of `num_shards` as its durable state left it: the
     /// newest valid checkpoint, then the acknowledged WAL tail, replayed
@@ -379,15 +380,7 @@ where
             } => {
                 // A traced query's queue wait ends as its shard span begins.
                 let span = queued.map(|q| q.then(Stage::Shard, rec));
-                let res = match self.get(key) {
-                    Some(synopsis) => synopsis.query_window(window),
-                    None => Err(WaveError::UnknownKey { key }),
-                };
-                rec.incr(MetricId::EngineQueriesServed, 1);
-                rec.incr_shard(self.index, ShardStat::Queries, 1);
-                if let Some(t0) = started {
-                    rec.observe(HistId::EngineQueryNs, t0.elapsed().as_nanos() as u64);
-                }
+                let res = self.query(key, window, started);
                 // Close the span before replying so a caller that
                 // inspects the ring right after the reply sees it.
                 if let Some(span) = span {
@@ -444,6 +437,27 @@ where
                 None => Err(WaveError::UnknownKey { key }),
             }),
         }
+    }
+
+    /// Estimate the 1s in the last `window` bits of `key`'s stream,
+    /// counted as served and timed from `started`: the one query body.
+    pub(crate) fn query(
+        &self,
+        key: Key,
+        window: u64,
+        started: Option<Instant>,
+    ) -> Result<Estimate, WaveError> {
+        let res = match self.get(key) {
+            Some(synopsis) => synopsis.query_window(window),
+            None => Err(WaveError::UnknownKey { key }),
+        };
+        let rec = &*self.rec;
+        rec.incr(MetricId::EngineQueriesServed, 1);
+        rec.incr_shard(self.index, ShardStat::Queries, 1);
+        if let Some(t0) = started {
+            rec.observe(HistId::EngineQueryNs, t0.elapsed().as_nanos() as u64);
+        }
+        res
     }
 
     /// `key`'s synopsis, if the shard has seen the key.

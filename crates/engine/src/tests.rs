@@ -432,6 +432,134 @@ fn queries_observe_prior_ingests_per_key() {
     }
 }
 
+/// A registry whose worker sleeps a moment after each run of batches,
+/// the shard busy, so a query made meanwhile waits in the queue.
+struct SlowRuns(MetricsRegistry);
+
+impl Recorder for SlowRuns {
+    fn incr(&self, id: MetricId, by: u64) {
+        self.0.incr(id, by);
+        if id == MetricId::EngineBatchesIngested {
+            std::thread::sleep(std::time::Duration::from_micros(100));
+        }
+    }
+}
+
+/// A query sees every batch enqueued before it, whichever path answers
+/// it. A writer publishes how many blocking ingests of an all-ones key
+/// it has made; a reader loads that count, then queries, and the exact
+/// answer is never below it. The writer waits for two queries after
+/// each write, and the worker sleeps after each run: a query made while
+/// a run is pending or asleep waits in the queue, and one made once the
+/// worker is back answers on the reader's thread. A third thread
+/// ingests other keys between writes, so queries also meet batches of
+/// someone else's.
+#[test]
+fn a_query_sees_every_batch_enqueued_before_it_on_either_path() {
+    use std::sync::atomic::AtomicU64;
+    const WRITES: u64 = 500;
+    const WINDOW: u64 = 4_096;
+    let rec = Arc::new(SlowRuns(MetricsRegistry::new()));
+    let cfg = EngineConfig::builder().num_shards(1).build();
+    let factory = || DetWave::new(WINDOW, 0.25);
+    let engine = Engine::with_factory(cfg, factory, Arc::clone(&rec)).unwrap();
+    let (written, reads) = (AtomicU64::new(0), AtomicU64::new(0));
+    let done = AtomicBool::new(false);
+    // Yield until `cond` holds or the writer is done.
+    let until = |cond: &dyn Fn() -> bool| {
+        while !cond() && !done.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+    };
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for n in 1..=WRITES {
+                let req = IngestRequest::of(0, [true]).blocking(true);
+                engine.ingest(req).unwrap();
+                written.store(n, Ordering::Release);
+                let seen = reads.load(Ordering::Acquire);
+                until(&|| reads.load(Ordering::Acquire) >= seen + 2);
+            }
+            done.store(true, Ordering::Release);
+        });
+        s.spawn(|| {
+            for key in (1..=64).cycle() {
+                let seen = written.load(Ordering::Acquire);
+                until(&|| written.load(Ordering::Acquire) > seen);
+                if done.load(Ordering::Acquire) {
+                    break;
+                }
+                let req = IngestRequest::of(key, [true; 64]).blocking(true);
+                engine.ingest(req).unwrap();
+            }
+        });
+        s.spawn(|| {
+            // A failed check stops the writer too, instead of leaving it
+            // waiting for reads.
+            struct Stop<'a>(&'a AtomicBool);
+            impl Drop for Stop<'_> {
+                fn drop(&mut self) {
+                    self.0.store(true, Ordering::Release);
+                }
+            }
+            let _stop = Stop(&done);
+            until(&|| written.load(Ordering::Acquire) > 0);
+            while !done.load(Ordering::Acquire) {
+                let n = written.load(Ordering::Acquire);
+                let est = engine.query(0, WINDOW).unwrap();
+                assert!(est.exact && est.lo >= n, "{est:?} after {n} writes");
+                reads.fetch_add(1, Ordering::Release);
+            }
+        });
+    });
+    assert_eq!(engine.query(0, WINDOW).unwrap(), Estimate::exact(WRITES));
+    let (served, inline) = (
+        rec.0.counter(MetricId::EngineQueriesServed),
+        rec.0.counter(MetricId::EngineQueriesInline),
+    );
+    assert!(0 < inline && inline < served, "{inline} of {served} inline");
+}
+
+/// A query behind a batch the worker has yet to apply waits in the
+/// queue for it. The test holds the shard's lock, as a worker applying
+/// a run does, so the batch stays pending — queued, or drained and
+/// waiting for the lock — and nothing can answer until it lets go.
+#[test]
+fn a_query_behind_a_pending_batch_waits_in_the_queue() {
+    use std::time::Duration;
+    use waves_obs::MetricId as M;
+    let reg = Arc::new(MetricsRegistry::new());
+    let engine = Engine::new_recorded(small_cfg(1), Arc::clone(&reg)).unwrap();
+    engine
+        .ingest(IngestRequest::of(7, [true; 3]).blocking(true))
+        .unwrap();
+    engine.flush();
+    let held = lock(&engine.shards[0]);
+    engine
+        .ingest(IngestRequest::of(7, [true; 5]).blocking(true))
+        .unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::scope(|s| {
+        // On its own thread: an idle check that wrongly passed would
+        // wait on the lock held here.
+        s.spawn(|| {
+            engine.submit(ShardRequest::Query {
+                key: 7,
+                window: 64,
+                ctx: TraceCtx::NONE,
+                reply: Box::new(move |res| tx.send(res).unwrap()),
+            })
+        });
+        let early = rx.recv_timeout(Duration::from_millis(50));
+        assert!(early.is_err(), "answered ahead of a pending batch");
+        drop(held);
+        let answer = rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(answer, Ok(Ok(Estimate::exact(8))));
+    });
+    assert_eq!(reg.counter(M::EngineQueriesInline), 0);
+    assert_eq!(reg.counter(M::EngineQueriesServed), 1);
+}
+
 #[test]
 fn drop_joins_workers_cleanly() {
     let engine = Engine::new(small_cfg(8)).unwrap();

@@ -1,5 +1,6 @@
-//! A pipelined QUERY window, counted: the server answers a query with
-//! one hand-off to the key's shard and one back to the event loop, and
+//! A pipelined QUERY window, counted: the event loop answers a query on
+//! an idle shard itself, under the shard's lock, and a query on a busy
+//! one with one hand-off to the key's shard and one back; the server
 //! runs no thread but the loop and the shards.
 //!
 //! The count is the sum of `voluntary_ctxt_switches` over every thread
@@ -41,10 +42,13 @@ fn voluntary_switches() -> u64 {
 }
 
 /// 512 QUERYs at window 32 against one single-shard server: 16 windows.
-/// Loop → shard → loop is at most a handful of parks per window on each
-/// of the three threads (client, loop, shard), about 100 in all. A
-/// server that hands each query to a pool thread, which waits on the
-/// shard and hands the reply back, parks at least once per query.
+/// The shard is idle once the flush is answered, so the loop answers
+/// every query on its own thread: the parks are the client's and the
+/// loop's, a handful per window. Were each handed to the shard and back,
+/// it would still be a handful per window on each of the three threads
+/// (client, loop, shard), about 100 in all. A server that hands each
+/// query to a pool thread, which waits on the shard and hands the reply
+/// back, parks at least once per query.
 #[test]
 fn a_pipelined_query_window_parks_per_window_not_per_query() {
     const QUERIES: u64 = 512;

@@ -50,6 +50,9 @@ pub enum MetricId {
     EngineBatchesIngested,
     /// Per-key queries served by the engine.
     EngineQueriesServed,
+    /// Of those, queries answered on the caller's thread: the shard was
+    /// idle, so the query skipped its queue.
+    EngineQueriesInline,
     /// Ingest attempts rejected because a shard queue was full.
     EngineBackpressureEvents,
     /// Items dropped on the floor by a rejected `ingest_batch` sub-batch.
@@ -117,7 +120,7 @@ pub enum MetricId {
 }
 
 /// Number of [`MetricId`] variants (length of the registry's array).
-pub const NUM_METRICS: usize = 45;
+pub const NUM_METRICS: usize = 46;
 
 impl MetricId {
     pub const ALL: [MetricId; NUM_METRICS] = [
@@ -140,6 +143,7 @@ impl MetricId {
         MetricId::EngineItemsIngested,
         MetricId::EngineBatchesIngested,
         MetricId::EngineQueriesServed,
+        MetricId::EngineQueriesInline,
         MetricId::EngineBackpressureEvents,
         MetricId::EngineItemsDropped,
         MetricId::NetFramesSent,
@@ -190,6 +194,7 @@ impl MetricId {
             MetricId::EngineItemsIngested => "engine_items_ingested_total",
             MetricId::EngineBatchesIngested => "engine_batches_ingested_total",
             MetricId::EngineQueriesServed => "engine_queries_served_total",
+            MetricId::EngineQueriesInline => "engine_queries_inline_total",
             MetricId::EngineBackpressureEvents => "engine_backpressure_events_total",
             MetricId::EngineItemsDropped => "engine_items_dropped_total",
             MetricId::NetFramesSent => "net_frames_sent_total",
