@@ -15,7 +15,8 @@
 //!   takes **no cross-shard locks**; the thread drains the FIFO a run of
 //!   batches at a time and applies each run with one push per key, and
 //!   the FIFO wakes a blocked producer once per drain that leaves it at
-//!   most half full, not once per command (`queue.rs`);
+//!   most half full, not once per command (`queue.rs`). Between runs the
+//!   shard sits in its FIFO, whose lock is the only one it has;
 //! * ingestion flows through **one** entry point, [`Engine::ingest`],
 //!   taking an [`IngestRequest`]: keyed **word-packed** bit batches
 //!   ([`waves_core::Bits`] — 64 bits per queue/WAL/apply step), an
@@ -27,9 +28,10 @@
 //!   benchmarking paths);
 //! * a query observes every batch enqueued before it (per-key
 //!   read-your-writes), answered on the caller's thread if its shard is
-//!   idle, else through its FIFO, like a snapshot. Neither takes a queue
-//!   slot, and [`Engine::submit`] waits for no answer: the shard hands it
-//!   to the request's [`Sink`]. The blocking calls wait on a channel;
+//!   idle — in its FIFO, nothing queued — else through the FIFO, like a
+//!   snapshot. Neither takes a queue slot, and [`Engine::submit`] waits
+//!   for no answer: the shard hands it to the request's [`Sink`]. The
+//!   blocking calls wait on a channel;
 //! * everything reports into `waves-obs`: ingest/query latency
 //!   histograms, queue depth, and per-shard keys/bytes via
 //!   [`Engine::snapshot`];
@@ -66,7 +68,7 @@
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::TrySendError;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -82,8 +84,9 @@ mod shard;
 
 use shard::{shard_for, Cmd, Shard};
 
-/// One shard, shared by its worker and the callers that read it idle.
-type SharedShard<S, R> = Arc<Mutex<Shard<S, R, dyn Fn() -> Result<S, WaveError> + Send + Sync>>>;
+/// A shard's queue, where the shard sits between runs.
+type ShardQueue<S, R> =
+    queue::Sender<Cmd, Shard<S, R, dyn Fn() -> Result<S, WaveError> + Send + Sync>>;
 
 /// Stream identity: every key owns an independent synopsis.
 pub type Key = u64;
@@ -255,8 +258,8 @@ pub type Sink<T> = Box<dyn FnOnce(T) + Send>;
 /// A request that waits on the shard owning its key, or on every shard,
 /// with the sink its answer goes to: what [`Engine::submit`] takes. Each
 /// variant but `Fetch` is the blocking call of its name; `Fetch` answers
-/// `key`'s synopsis bytes, what [`Engine::install_synopsis`] takes. An
-/// untraced `Query` on an idle shard is answered within `submit`.
+/// `key`'s synopsis bytes, what [`Engine::install_synopsis`] takes. A
+/// `Query` on an idle shard is answered within `submit`.
 pub enum ShardRequest {
     Query {
         key: Key,
@@ -357,9 +360,8 @@ pub struct Engine<
     S: BitSynopsis + Send + 'static,
     R: Recorder + Send + Sync + ?Sized + 'static = NoopRecorder,
 > {
-    /// Shard `i`'s queue, the shard, and the thread that drives it.
-    queues: Vec<queue::Sender<Cmd>>,
-    shards: Vec<SharedShard<S, R>>,
+    /// Shard `i`'s queue and the thread that drives it.
+    queues: Vec<ShardQueue<S, R>>,
     workers: Vec<JoinHandle<()>>,
     rec: Arc<R>,
     dropped_items: AtomicU64,
@@ -429,25 +431,22 @@ where
         let shards = (0..num_shards)
             .map(|index| {
                 let persist = store.as_ref().map(|(store, pc)| (store, *pc));
-                let shard = Shard::recover(index, num_shards, &factory, &rec, persist)?;
-                Ok(Arc::new(Mutex::new(shard)))
+                Shard::recover(index, num_shards, &factory, &rec, persist)
             })
             .collect::<Result<Vec<_>, WaveError>>()?;
         let (mut queues, mut workers) = (Vec::new(), Vec::new());
-        for (index, shard) in shards.iter().enumerate() {
-            let (tx, rx) = queue::bounded::<Cmd>(cfg.queue_capacity.max(1));
-            let (held, crashed) = (Arc::clone(shard), Arc::clone(&crashed));
+        for (index, shard) in shards.into_iter().enumerate() {
+            let (tx, rx) = queue::bounded::<Cmd, _>(cfg.queue_capacity.max(1), shard);
+            let crashed = Arc::clone(&crashed);
             let worker = std::thread::Builder::new()
                 .name(format!("waves-engine-shard-{index}"))
                 .spawn(move || {
-                    // Locked only while the queue counts the worker busy,
-                    // so a caller that found it idle never waits on it.
-                    let mut run = Vec::new();
-                    while rx.recv_run(&mut run).is_ok() {
-                        lock(&held).apply(run.drain(..), || rx.slots());
+                    let (mut run, mut held) = (Vec::new(), None);
+                    while rx.recv_run(&mut run, &mut held).is_ok() {
+                        let shard = held.as_mut().expect("a run comes with the shard");
+                        shard.apply(run.drain(..), || rx.slots());
                     }
-                    let shard = Arc::into_inner(held).expect("the engine let go of its handle");
-                    let shard = shard.into_inner().unwrap_or_else(PoisonError::into_inner);
+                    let shard = held.expect("the queue hands the shard back at close");
                     shard.close(crashed.load(Ordering::Relaxed));
                 })
                 .expect("spawn shard worker");
@@ -456,7 +455,6 @@ where
         }
         Ok(Engine {
             queues,
-            shards,
             workers,
             rec,
             dropped_items: AtomicU64::new(0),
@@ -563,9 +561,9 @@ where
 
     /// The non-blocking entry point for every request that waits on a
     /// shard: its sink gets the answer, and it observes every batch
-    /// enqueued before the call. An untraced query on an idle shard is
-    /// answered here ([`Engine::query`]); anything else takes no queue
-    /// slot and goes in at once behind everything queued, however full.
+    /// enqueued before the call. A query on an idle shard is answered
+    /// here ([`Engine::query`]); anything else takes no queue slot and
+    /// goes in at once behind everything queued, however full.
     /// The caller bounds how many it has outstanding.
     pub fn submit(&self, req: ShardRequest) {
         let (key, cmd) = match req {
@@ -575,12 +573,9 @@ where
                 ctx,
                 reply,
             } => {
-                // A traced query keeps its queue and shard spans.
-                let queued = OpenSpan::open(ctx, Stage::Queue, &*self.rec);
-                if queued.is_none() {
-                    if let Some(res) = self.query_idle(key, window) {
-                        return reply(res);
-                    }
+                let mut queued = OpenSpan::open(ctx, Stage::Queue, &*self.rec);
+                if let Some(res) = self.query_idle(key, window, &mut queued) {
+                    return reply(res);
                 }
                 let cmd = Cmd::Query {
                     key,
@@ -666,7 +661,7 @@ where
     /// [`WaveError::UnknownKey`] for never-seen keys and the synopsis's
     /// own errors otherwise.
     pub fn query(&self, key: Key, window: u64) -> Result<Estimate, WaveError> {
-        self.query_idle(key, window).unwrap_or_else(|| {
+        self.query_idle(key, window, &mut None).unwrap_or_else(|| {
             self.wait(|reply| ShardRequest::Query {
                 key,
                 window,
@@ -676,15 +671,20 @@ where
         })
     }
 
-    /// Answer `key`'s query here if its shard is idle, else `None`. The
-    /// shard's lock is taken before the queue's is let go, so no run is
-    /// applied until the answer is in; producers do not wait on the read.
-    fn query_idle(&self, key: Key, window: u64) -> Option<Result<Estimate, WaveError>> {
+    /// Answer `key`'s query here, in the shard's queue, if the shard is
+    /// idle, its queue-wait span `queued` taken; else `None`, `queued`
+    /// left for the queue.
+    fn query_idle(
+        &self,
+        key: Key,
+        window: u64,
+        queued: &mut Option<OpenSpan>,
+    ) -> Option<Result<Estimate, WaveError>> {
         let started = self.rec.enabled().then(Instant::now);
-        let index = self.shard_of(key);
-        let shard = self.queues[index].idle(|| lock(&self.shards[index]))?;
+        let queue = &self.queues[self.shard_of(key)];
+        let res = queue.idle(|shard| shard.query(key, window, queued.take(), started))?;
         self.rec.incr(MetricId::EngineQueriesInline, 1);
-        Some(shard.query(key, window, started))
+        Some(res)
     }
 
     /// Barrier: returns once every shard has applied everything enqueued
@@ -738,20 +738,14 @@ where
     }
 }
 
-/// `shard`'s lock; a query that panicked under it changed nothing.
-fn lock<T>(shard: &Mutex<T>) -> MutexGuard<'_, T> {
-    shard.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl<S, R> Drop for Engine<S, R>
 where
     S: BitSynopsis + Send + 'static,
     R: Recorder + Send + Sync + ?Sized + 'static,
 {
     fn drop(&mut self) {
-        // Let go of the shards, each worker's to close, then close every
-        // queue before joining any worker, so they drain in parallel.
-        self.shards.clear();
+        // Close every queue before joining any worker, so they drain in
+        // parallel.
         self.queues.clear();
         for worker in self.workers.drain(..) {
             worker.join().ok();

@@ -33,21 +33,23 @@
 //! what is queued after the sender drops and only then reporting `Err`,
 //! and a dropped receiver failing every send, parked ones included, and
 //! dropping what was queued, reply sinks of commands no worker will run
-//! included. The mutex is held for one push, one drain or one idle check.
+//! included. The mutex is held for one push, one drain or one idle read.
 //!
-//! **The idle rule.** The worker is idle while nothing is queued and it
-//! holds no run. [`Sender::idle`] checks that under the lock, after every
-//! item sent before it, and runs its closure there: the engine takes the
-//! shard's lock in it, so the next run waits for an idle read's answer.
+//! **The idle rule.** The queue keeps the shard while no run is in the
+//! worker's hands: a run leaves with it, and the worker puts it back as
+//! it comes for the next. [`Sender::idle`] reads it there, under the
+//! lock, when nothing is queued either: everything sent before it has
+//! been run, and no run starts until the read is done. The queue's lock
+//! is the shard's only lock.
 
 use std::collections::VecDeque;
 use std::sync::mpsc::{RecvError, SendError, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A bounded FIFO of `cap` slots (at least 1, as the engine's config
-/// clamps it): the sending half goes to the engine, the receiving half
-/// to the shard worker.
-pub(crate) fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
+/// clamps it), holding `shard` until the first run: the sending half
+/// goes to the engine, the receiving half to the shard worker.
+pub(crate) fn bounded<T, S>(cap: usize, shard: S) -> (Sender<T, S>, Receiver<T, S>) {
     let queue = Arc::new(Queue {
         state: Mutex::new(State {
             items: VecDeque::with_capacity(cap),
@@ -57,7 +59,7 @@ pub(crate) fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
             #[cfg(test)]
             producer_wakes: 0,
             worker_parked: false,
-            busy: false,
+            shard: Some(Box::new(shard)),
             sender_gone: false,
             receiver_gone: false,
         }),
@@ -68,8 +70,8 @@ pub(crate) fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
     (Sender(Arc::clone(&queue)), Receiver(queue))
 }
 
-struct Queue<T> {
-    state: Mutex<State<T>>,
+struct Queue<T, S> {
+    state: Mutex<State<T, S>>,
     cap: usize,
     /// The worker waits here for an item.
     not_empty: Condvar,
@@ -77,7 +79,7 @@ struct Queue<T> {
     not_full: Condvar,
 }
 
-struct State<T> {
+struct State<T, S> {
     /// Queued items, oldest first, each with whether it holds a slot.
     items: VecDeque<(T, bool)>,
     /// Queued items that hold a slot: at most `cap`.
@@ -93,29 +95,25 @@ struct State<T> {
     producer_wakes: usize,
     /// The worker waits on `not_empty`; cleared by whoever notifies it.
     worker_parked: bool,
-    /// The worker holds a run it drained: set as [`Receiver::recv_run`]
-    /// hands one out, cleared as the worker comes back for the next.
-    busy: bool,
+    /// The shard, here between runs: [`Receiver::recv_run`] hands it
+    /// out with a run and takes it back as the worker comes for the next.
+    shard: Option<Box<S>>,
     sender_gone: bool,
     receiver_gone: bool,
 }
 
-impl<T> Queue<T> {
+impl<T, S> Queue<T, S> {
     /// Every update under the lock is one step that leaves the state
-    /// valid, and none runs code that can panic midway, so a poisoned
-    /// lock still guards a consistent state.
-    fn lock(&self) -> MutexGuard<'_, State<T>> {
+    /// valid, and none runs code that can panic midway; an idle read
+    /// changes nothing. So a poisoned lock still guards a consistent state.
+    fn lock(&self) -> MutexGuard<'_, State<T, S>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn wait<'a>(&self, cv: &Condvar, st: MutexGuard<'a, State<T>>) -> MutexGuard<'a, State<T>> {
-        cv.wait(st).unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Append `item`, holding a slot or not, and wake the worker if it
     /// is parked, notifying after the lock is released so it does not
     /// wake into a held mutex. Returns the slots now taken.
-    fn push(&self, mut st: MutexGuard<'_, State<T>>, item: T, slot: bool) -> usize {
+    fn push(&self, mut st: MutexGuard<'_, State<T, S>>, item: T, slot: bool) -> usize {
         st.items.push_back((item, slot));
         st.slots += usize::from(slot);
         let (slots, wake) = (st.slots, std::mem::take(&mut st.worker_parked));
@@ -128,9 +126,9 @@ impl<T> Queue<T> {
 }
 
 /// The engine's half: admits commands in FIFO order.
-pub(crate) struct Sender<T>(Arc<Queue<T>>);
+pub(crate) struct Sender<T, S>(Arc<Queue<T, S>>);
 
-impl<T> Sender<T> {
+impl<T, S> Sender<T, S> {
     /// Enqueue without waiting: `Full` at `cap` slots taken, or while any
     /// blocking [`Sender::send`] is parked (it goes first). Returns the
     /// slots now taken.
@@ -156,7 +154,7 @@ impl<T> Sender<T> {
             st.parked += 1;
             loop {
                 st.wake_owed = true;
-                st = q.wait(&q.not_full, st);
+                st = q.not_full.wait(st).unwrap_or_else(PoisonError::into_inner);
                 if st.receiver_gone || st.slots < q.cap {
                     break;
                 }
@@ -179,16 +177,17 @@ impl<T> Sender<T> {
         }
     }
 
-    /// `take()`, run under the queue's lock, if the worker is idle —
-    /// nothing queued and no run in its hands, so everything sent before
-    /// this call has been run — else `None`.
-    pub(crate) fn idle<G>(&self, take: impl FnOnce() -> G) -> Option<G> {
+    /// `read` the shard under the queue's lock if the worker is idle —
+    /// the shard in the queue and nothing queued, so everything sent
+    /// before this call has been run — else `None`.
+    pub(crate) fn idle<G>(&self, read: impl FnOnce(&S) -> G) -> Option<G> {
         let st = self.0.lock();
-        (st.items.is_empty() && !st.busy).then(take)
+        let shard = st.shard.as_deref().filter(|_| st.items.is_empty())?;
+        Some(read(shard))
     }
 }
 
-impl<T> Drop for Sender<T> {
+impl<T, S> Drop for Sender<T, S> {
     /// Close the queue: the worker drains what is queued, then its
     /// [`Receiver::recv_run`] returns `Err`.
     fn drop(&mut self) {
@@ -200,9 +199,9 @@ impl<T> Drop for Sender<T> {
 }
 
 /// The shard worker's half.
-pub(crate) struct Receiver<T>(Arc<Queue<T>>);
+pub(crate) struct Receiver<T, S>(Arc<Queue<T, S>>);
 
-impl<T> Receiver<T> {
+impl<T, S> Receiver<T, S> {
     /// Queued items that hold a slot.
     pub(crate) fn slots(&self) -> usize {
         self.0.lock().slots
@@ -214,25 +213,29 @@ impl<T> Receiver<T> {
     /// and leaves it queued, so a run is either one slotless command or
     /// consecutive slot holders in FIFO order. One lock covers the whole
     /// drain, and a producer owed a wake gets one notification for it.
-    /// The worker is busy from the return to its next call, and idle
-    /// otherwise ([`Sender::idle`]). `Err` once the sender is gone and
-    /// the queue is drained.
-    pub(crate) fn recv_run(&self, run: &mut Vec<T>) -> Result<(), RecvError> {
+    /// The shard in `held` goes back into the queue as the call begins,
+    /// and out into `held` again with the run. `Err`, the shard handed
+    /// back in `held`, once the sender is gone and the queue is drained.
+    pub(crate) fn recv_run(
+        &self,
+        run: &mut Vec<T>,
+        held: &mut Option<Box<S>>,
+    ) -> Result<(), RecvError> {
         let q = &*self.0;
         let mut st = q.lock();
-        st.busy = false;
-        while st.items.is_empty() {
-            if st.sender_gone {
-                return Err(RecvError);
-            }
+        st.shard = held.take().or(st.shard.take());
+        while st.items.is_empty() && !st.sender_gone {
             st.worker_parked = true;
-            st = q.wait(&q.not_empty, st);
+            st = q.not_empty.wait(st).unwrap_or_else(PoisonError::into_inner);
             st.worker_parked = false;
+        }
+        *held = st.shard.take();
+        if st.items.is_empty() {
+            return Err(RecvError);
         }
         let slots = st.items.iter().take_while(|(_, slot)| *slot).count();
         run.extend(st.items.drain(..slots.max(1)).map(|(item, _)| item));
         st.slots -= slots;
-        st.busy = true;
         let wake = st.wake_owed && st.slots <= q.cap / 2;
         if wake {
             st.wake_owed = false;
@@ -249,7 +252,7 @@ impl<T> Receiver<T> {
     }
 }
 
-impl<T> Drop for Receiver<T> {
+impl<T, S> Drop for Receiver<T, S> {
     /// Fail every send, parked ones included, and drop what is queued.
     fn drop(&mut self) {
         let mut st = self.0.lock();
@@ -263,7 +266,7 @@ impl<T> Drop for Receiver<T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
@@ -271,7 +274,10 @@ mod tests {
     /// Run `f` on its own thread and wait at most ten seconds for it, so
     /// a queue that never wakes a thread fails the test instead of
     /// hanging it.
-    fn within<R: Send + 'static>(what: &str, f: impl FnOnce() -> R + Send + 'static) -> R {
+    pub(crate) fn within<R: Send + 'static>(
+        what: &str,
+        f: impl FnOnce() -> R + Send + 'static,
+    ) -> R {
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || tx.send(f()));
         rx.recv_timeout(Duration::from_secs(10))
@@ -279,22 +285,22 @@ mod tests {
     }
 
     /// Spin until `cond` holds of the queue's state.
-    fn until<T>(q: &Queue<T>, cond: impl Fn(&State<T>) -> bool) {
+    fn until<T, S>(q: &Queue<T, S>, cond: impl Fn(&State<T, S>) -> bool) {
         while !cond(&q.lock()) {
             std::thread::yield_now();
         }
     }
 
-    /// Drain one run.
-    fn run<T>(rx: &Receiver<T>) -> Result<Vec<T>, RecvError> {
+    /// Drain one run, for a test that reads no shard.
+    fn run<T>(rx: &Receiver<T, ()>) -> Result<Vec<T>, RecvError> {
         let mut run = Vec::new();
-        rx.recv_run(&mut run).map(|()| run)
+        rx.recv_run(&mut run, &mut None).map(|()| run)
     }
 
     #[test]
     fn fifo_under_two_concurrent_producers() {
         const PER: u32 = 2_000;
-        let (tx, rx) = bounded::<(u32, u32)>(4);
+        let (tx, rx) = bounded::<(u32, u32), ()>(4, ());
         let got = within("two producers", move || {
             std::thread::scope(|s| {
                 for p in 0..2 {
@@ -307,7 +313,7 @@ mod tests {
                 }
                 let mut got = Vec::new();
                 while got.len() < 2 * PER as usize {
-                    rx.recv_run(&mut got).unwrap();
+                    rx.recv_run(&mut got, &mut None).unwrap();
                 }
                 got
             })
@@ -320,7 +326,7 @@ mod tests {
 
     #[test]
     fn try_send_refuses_exactly_at_capacity() {
-        let (tx, rx) = bounded(5);
+        let (tx, rx) = bounded(5, ());
         for i in 0..5 {
             tx.try_send(i).unwrap();
         }
@@ -339,7 +345,7 @@ mod tests {
     /// exactly the slot holders drained.
     #[test]
     fn a_drain_stops_at_an_item_without_a_slot_and_leaves_it_queued() {
-        let (tx, rx) = bounded(8);
+        let (tx, rx) = bounded(8, ());
         for i in 0..3 {
             tx.try_send(i).unwrap();
         }
@@ -350,7 +356,7 @@ mod tests {
         tx.append(12);
         assert_eq!(rx.slots(), 5);
         let mut got = vec![99];
-        rx.recv_run(&mut got).unwrap();
+        rx.recv_run(&mut got, &mut None).unwrap();
         assert_eq!(got, [99, 0, 1, 2], "a drain appends to what the run holds");
         assert_eq!(rx.slots(), 2);
         assert_eq!(tx.0.lock().items.front(), Some(&(10, false)));
@@ -370,7 +376,7 @@ mod tests {
     #[test]
     fn a_drain_wakes_a_parked_producer_once_and_admits_it() {
         const CAP: u32 = 8;
-        let (tx, rx) = bounded(CAP as usize);
+        let (tx, rx) = bounded(CAP as usize, ());
         let tx = Arc::new(tx);
         for i in 0..CAP {
             tx.try_send(i).unwrap();
@@ -395,42 +401,52 @@ mod tests {
         assert_eq!(tx.0.lock().producer_wakes, 1, "no producer was parked");
     }
 
-    /// The idle rule: nothing queued and no run in the worker's hands. A
-    /// drained run keeps the worker busy with the queue empty, until it
-    /// comes back for the next run; an item queued is never idle.
+    /// The idle rule: the shard is read only in the queue, with nothing
+    /// queued. Each run takes the shard out with it, so a drained run
+    /// keeps the worker occupied with the queue empty; the shard is back as
+    /// the worker comes for the next run, and handed back on close. An
+    /// item queued is never idle.
     #[test]
     fn the_worker_is_idle_only_between_runs_with_nothing_queued() {
-        let (tx, rx) = bounded(4);
-        let idle = |tx: &Sender<u32>| tx.idle(|| ()).is_some();
-        assert!(idle(&tx), "a fresh queue");
+        let (tx, rx) = bounded(4, "shard");
+        let idle = |tx: &Sender<u32, &str>| tx.idle(|shard| shard.to_string());
+        let in_queue = |tx: &Sender<u32, &str>| tx.0.lock().shard.is_some();
+        assert_eq!(idle(&tx).as_deref(), Some("shard"), "a fresh queue");
         tx.try_send(1).unwrap();
-        assert!(!idle(&tx), "an item is queued");
-        let mut got = Vec::new();
-        rx.recv_run(&mut got).unwrap();
-        assert_eq!(tx.0.lock().items.len(), 0);
-        assert!(!idle(&tx), "the worker holds a run it drained");
+        assert_eq!(idle(&tx), None, "an item is queued");
+        let (mut got, mut held) = (Vec::new(), None);
+        rx.recv_run(&mut got, &mut held).unwrap();
+        assert_eq!(held.as_deref(), Some(&"shard"), "the run took the shard");
+        assert!(tx.0.lock().items.is_empty() && !in_queue(&tx));
+        assert_eq!(idle(&tx), None, "the worker holds a run it drained");
         tx.append(2);
-        rx.recv_run(&mut got).unwrap();
-        assert!(!idle(&tx), "the next run is in its hands");
+        rx.recv_run(&mut got, &mut held).unwrap();
+        assert!(held.is_some() && !in_queue(&tx), "the next run took it");
+        assert_eq!(idle(&tx), None, "the next run is in its hands");
         let rx = Arc::new(rx);
         let worker = {
             let rx = Arc::clone(&rx);
-            std::thread::spawn(move || run(&rx))
+            std::thread::spawn(move || {
+                let mut run = Vec::new();
+                rx.recv_run(&mut run, &mut held).map(|()| (run, held))
+            })
         };
         until(&tx.0, |st| st.worker_parked);
-        assert!(idle(&tx), "the worker came back and waits");
+        assert_eq!(idle(&tx).as_deref(), Some("shard"), "the worker waits");
         tx.append(3);
-        assert_eq!(
-            within("parked worker", move || worker.join().unwrap()),
-            Ok(vec![3])
-        );
-        assert!(!idle(&tx));
-        assert_eq!(got, [1, 2]);
+        let (run, mut held) = within("parked worker", move || worker.join().unwrap()).unwrap();
+        assert_eq!((run, got), (vec![3], vec![1, 2]));
+        assert!(held.is_some() && !in_queue(&tx));
+        assert_eq!(idle(&tx), None);
+        drop(tx);
+        assert_eq!(rx.recv_run(&mut Vec::new(), &mut held), Err(RecvError));
+        assert_eq!(held.as_deref(), Some(&"shard"), "close hands it back");
+        assert!(rx.0.lock().shard.is_none());
     }
 
     #[test]
     fn a_closed_sender_drains_before_recv_fails() {
-        let (tx, rx) = bounded(4);
+        let (tx, rx) = bounded(4, ());
         for i in 0..3 {
             tx.send(i).unwrap();
         }
@@ -438,7 +454,7 @@ mod tests {
         assert_eq!(run(&rx), Ok(vec![0, 1, 2]));
         assert_eq!(run(&rx), Err(RecvError));
         // A worker parked on an empty queue is woken by the close.
-        let (tx, rx) = bounded::<u8>(4);
+        let (tx, rx) = bounded::<u8, ()>(4, ());
         let q = Arc::clone(&rx.0);
         let worker = std::thread::spawn(move || run(&rx));
         until(&q, |st| st.worker_parked);
@@ -449,7 +465,7 @@ mod tests {
 
     #[test]
     fn a_dropped_receiver_releases_a_parked_producer() {
-        let (tx, rx) = bounded(2);
+        let (tx, rx) = bounded(2, ());
         let tx = Arc::new(tx);
         tx.send(0).unwrap();
         tx.send(1).unwrap();
@@ -473,7 +489,7 @@ mod tests {
     /// slot when drained.
     #[test]
     fn an_appended_item_enters_a_full_queue_at_once() {
-        let (tx, rx) = bounded(2);
+        let (tx, rx) = bounded(2, ());
         tx.try_send(0).unwrap();
         tx.try_send(1).unwrap();
         let tx = Arc::new(tx);
@@ -507,7 +523,7 @@ mod tests {
         const LATE: u32 = 100;
         const MARK: u32 = 99;
         const APPENDED: u32 = 1_000;
-        let (tx, rx) = bounded(CAP as usize);
+        let (tx, rx) = bounded(CAP as usize, ());
         let tx = Arc::new(tx);
         for i in 0..CAP {
             tx.try_send(i).unwrap();

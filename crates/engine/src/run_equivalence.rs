@@ -12,7 +12,9 @@
 //! reference's. The durable test, with a checkpoint every third batch,
 //! then crashes both and recovers them to the reference's bytes, the
 //! checkpoints landing after the same batches as batch-by-batch
-//! application puts them.
+//! application puts them. The engine's half of each round runs under a
+//! bounded wait, so a worker that never answers fails the test instead
+//! of hanging it.
 
 use std::collections::HashMap;
 use std::sync::mpsc;
@@ -23,6 +25,7 @@ use waves_obs::trace::{OpenSpan, SpanRecorder, Stage, TraceCtx, TraceId};
 use waves_obs::{Fanout, MetricId, MetricsRegistry};
 use waves_store::{PersistConfig, Store, SyncPolicy};
 
+use crate::queue::tests::within;
 use crate::shard::{Cmd, Shard};
 use crate::{Engine, EngineConfig, IngestRequest, Key, KeyedBits, ShardRequest, Sink};
 
@@ -216,8 +219,15 @@ fn on_shard(shard: &mut TestShard, rec: &Rec, steps: &[Step]) -> Vec<Answer> {
 }
 
 /// The round queued behind a worker held inside a flush sink, then
-/// released and flushed.
-fn on_engine(engine: &TestEngine, steps: &[Step]) -> Vec<Answer> {
+/// released and flushed, on a thread of its own given ten seconds.
+fn on_engine(engine: &Arc<TestEngine>, steps: &[Step]) -> Vec<Answer> {
+    let (engine, steps) = (Arc::clone(engine), steps.to_vec());
+    within("the engine's round", move || {
+        round_on_engine(&engine, &steps)
+    })
+}
+
+fn round_on_engine(engine: &TestEngine, steps: &[Step]) -> Vec<Answer> {
     let (release, held) = mpsc::channel::<()>();
     let (parked, wait) = mpsc::channel();
     engine.submit(ShardRequest::Flush(Box::new(move |()| {
@@ -259,7 +269,7 @@ fn on_engine(engine: &TestEngine, steps: &[Step]) -> Vec<Answer> {
 }
 
 /// Fetch every key from both targets: the reference's bytes, or unknown.
-fn every_key(shard: &mut TestShard, rec: &Rec, engine: &TestEngine, reference: &Reference) {
+fn every_key(shard: &mut TestShard, rec: &Rec, engine: &Arc<TestEngine>, reference: &Reference) {
     let fetch: Vec<Step> = (0..KEYS).map(Step::Fetch).collect();
     let want: Vec<Answer> = (0..KEYS).map(|key| reference.fetch(key)).collect();
     assert_eq!(on_shard(shard, rec, &fetch), want, "shard");
@@ -267,14 +277,14 @@ fn every_key(shard: &mut TestShard, rec: &Rec, engine: &TestEngine, reference: &
 }
 
 /// A one-shard engine on `persist`, and its recorder.
-fn engine(persist: Option<PersistConfig>) -> (TestEngine, Arc<Rec>) {
+fn engine(persist: Option<PersistConfig>) -> (Arc<TestEngine>, Arc<Rec>) {
     let mut cfg = EngineConfig::builder().num_shards(1).queue_capacity(1024);
     if let Some(pc) = persist {
         cfg = cfg.persist_config(pc);
     }
     let rec = recorder();
     let engine = Engine::with_factory(cfg.build(), fresh, Arc::clone(&rec)).unwrap();
-    (engine, rec)
+    (Arc::new(engine), rec)
 }
 
 /// The one shard of `store`, recovered, and its recorder.

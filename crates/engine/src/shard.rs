@@ -3,9 +3,10 @@
 //! builds it from its durable state, [`Shard::apply`] runs the commands
 //! its worker drained, [`Shard::query`] answers a read, and
 //! [`Shard::close`] lands it on shutdown. It knows no thread and no
-//! queue: the engine drives each shard from its own thread, draining its
-//! queue a run at a time into `apply` under the shard's lock, and a
-//! caller that finds the shard idle runs `query` under that lock itself.
+//! queue: the engine keeps each shard in its queue between runs and
+//! drives it from its own thread, which takes it out with each run it
+//! drains into `apply`; a caller that finds the shard idle in its queue
+//! runs `query` there itself.
 //!
 //! Consecutive ingest batches are applied together, as one run: each
 //! batch is WAL-appended in order, and each key then takes one push over
@@ -377,17 +378,7 @@ where
                 reply,
                 queued,
                 started,
-            } => {
-                // A traced query's queue wait ends as its shard span begins.
-                let span = queued.map(|q| q.then(Stage::Shard, rec));
-                let res = self.query(key, window, started);
-                // Close the span before replying so a caller that
-                // inspects the ring right after the reply sees it.
-                if let Some(span) = span {
-                    span.end(rec);
-                }
-                reply(res);
-            }
+            } => reply(self.query(key, window, queued, started)),
             Cmd::Snapshot(reply) => {
                 let mut snap = ShardSnapshot {
                     shard: self.index,
@@ -440,22 +431,31 @@ where
     }
 
     /// Estimate the 1s in the last `window` bits of `key`'s stream,
-    /// counted as served and timed from `started`: the one query body.
+    /// counted as served and timed from `started`: the one query body,
+    /// whether the worker or an idle reader runs it. A traced query's
+    /// queue wait ends as its shard span begins, and the shard span ends
+    /// before the answer is returned, so a caller that inspects the ring
+    /// right after the reply sees it.
     pub(crate) fn query(
         &self,
         key: Key,
         window: u64,
+        queued: Option<OpenSpan>,
         started: Option<Instant>,
     ) -> Result<Estimate, WaveError> {
+        let rec = &*self.rec;
+        let span = queued.map(|q| q.then(Stage::Shard, rec));
         let res = match self.get(key) {
             Some(synopsis) => synopsis.query_window(window),
             None => Err(WaveError::UnknownKey { key }),
         };
-        let rec = &*self.rec;
         rec.incr(MetricId::EngineQueriesServed, 1);
         rec.incr_shard(self.index, ShardStat::Queries, 1);
         if let Some(t0) = started {
             rec.observe(HistId::EngineQueryNs, t0.elapsed().as_nanos() as u64);
+        }
+        if let Some(span) = span {
+            span.end(rec);
         }
         res
     }

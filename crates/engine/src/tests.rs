@@ -200,7 +200,7 @@ fn backpressure_sheds_and_counts() {
         .eps(0.01)
         .build();
     let engine = Engine::new(cfg).unwrap();
-    // A large first batch keeps the single worker busy while we spam
+    // A large first batch keeps the single worker occupied while we spam
     // the capacity-1 queue; at least one try must bounce.
     let big = vec![(0u64, Bits::from(vec![true; 1 << 20]))];
     engine
@@ -226,7 +226,7 @@ fn backpressure_sheds_and_counts() {
 }
 
 /// A query and a flush wait for no room: issued while the one slot
-/// of a busy shard's queue is taken, each goes in behind the queued
+/// of an occupied shard's queue is taken, each goes in behind the queued
 /// batches and answers with all of them applied.
 #[test]
 fn a_query_and_a_flush_pass_a_full_queue_and_answer() {
@@ -433,7 +433,7 @@ fn queries_observe_prior_ingests_per_key() {
 }
 
 /// A registry whose worker sleeps a moment after each run of batches,
-/// the shard busy, so a query made meanwhile waits in the queue.
+/// the shard out of its queue, so a query made meanwhile waits in the queue.
 struct SlowRuns(MetricsRegistry);
 
 impl Recorder for SlowRuns {
@@ -520,44 +520,53 @@ fn a_query_sees_every_batch_enqueued_before_it_on_either_path() {
     assert!(0 < inline && inline < served, "{inline} of {served} inline");
 }
 
+/// A registry whose worker, inside a run, waits for the gate before it
+/// counts the run's batches: a test that holds the gate holds the worker
+/// inside a run, the shard out of its queue.
+struct GatedRuns(MetricsRegistry, Mutex<()>);
+
+impl Recorder for GatedRuns {
+    fn incr(&self, id: MetricId, by: u64) {
+        if id == MetricId::EngineBatchesIngested {
+            drop(self.1.lock().unwrap());
+        }
+        self.0.incr(id, by);
+    }
+}
+
 /// A query behind a batch the worker has yet to apply waits in the
-/// queue for it. The test holds the shard's lock, as a worker applying
-/// a run does, so the batch stays pending — queued, or drained and
-/// waiting for the lock — and nothing can answer until it lets go.
+/// queue for it. The test holds the gate, so the batch stays pending —
+/// queued, or in a run the worker cannot finish — and nothing can
+/// answer until it lets go.
 #[test]
 fn a_query_behind_a_pending_batch_waits_in_the_queue() {
     use std::time::Duration;
     use waves_obs::MetricId as M;
-    let reg = Arc::new(MetricsRegistry::new());
-    let engine = Engine::new_recorded(small_cfg(1), Arc::clone(&reg)).unwrap();
+    let rec = Arc::new(GatedRuns(MetricsRegistry::new(), Mutex::new(())));
+    let factory = || DetWave::new(64, 0.25);
+    let engine = Engine::with_factory(small_cfg(1), factory, Arc::clone(&rec)).unwrap();
     engine
         .ingest(IngestRequest::of(7, [true; 3]).blocking(true))
         .unwrap();
     engine.flush();
-    let held = lock(&engine.shards[0]);
+    let held = rec.1.lock().unwrap();
     engine
         .ingest(IngestRequest::of(7, [true; 5]).blocking(true))
         .unwrap();
     let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::scope(|s| {
-        // On its own thread: an idle check that wrongly passed would
-        // wait on the lock held here.
-        s.spawn(|| {
-            engine.submit(ShardRequest::Query {
-                key: 7,
-                window: 64,
-                ctx: TraceCtx::NONE,
-                reply: Box::new(move |res| tx.send(res).unwrap()),
-            })
-        });
-        let early = rx.recv_timeout(Duration::from_millis(50));
-        assert!(early.is_err(), "answered ahead of a pending batch");
-        drop(held);
-        let answer = rx.recv_timeout(Duration::from_secs(10));
-        assert_eq!(answer, Ok(Ok(Estimate::exact(8))));
+    engine.submit(ShardRequest::Query {
+        key: 7,
+        window: 64,
+        ctx: TraceCtx::NONE,
+        reply: Box::new(move |res| tx.send(res).unwrap()),
     });
-    assert_eq!(reg.counter(M::EngineQueriesInline), 0);
-    assert_eq!(reg.counter(M::EngineQueriesServed), 1);
+    let early = rx.recv_timeout(Duration::from_millis(50));
+    assert!(early.is_err(), "answered ahead of a pending batch");
+    drop(held);
+    let answer = rx.recv_timeout(Duration::from_secs(10));
+    assert_eq!(answer, Ok(Ok(Estimate::exact(8))));
+    assert_eq!(rec.0.counter(M::EngineQueriesInline), 0);
+    assert_eq!(rec.0.counter(M::EngineQueriesServed), 1);
 }
 
 #[test]

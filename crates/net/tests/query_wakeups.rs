@@ -1,6 +1,6 @@
 //! A pipelined QUERY window, counted: the event loop answers a query on
-//! an idle shard itself, under the shard's lock, and a query on a busy
-//! one with one hand-off to the key's shard and one back; the server
+//! an idle shard itself, under the queue's lock the shard sits behind
+//! between runs, and a query on a shard in a run with one hand-off to the key's shard and one back; the server
 //! runs no thread but the loop and the shards.
 //!
 //! The count is the sum of `voluntary_ctxt_switches` over every thread
