@@ -7,7 +7,11 @@
 //! branch into a preallocated path, so each of the `2^(L+1) - 1`
 //! states costs one push. At every state:
 //!
-//! * the ladder's invariants hold (`Ladder::check_invariants`);
+//! * the ladder's invariants hold (`Ladder::check_invariants`), with
+//!   the rank rule (`Ladder::check_rank_levels`);
+//! * for every window start `s` in `1..=pos + 1`, the rank straddle
+//!   returns the search's pair, on the pushed state and on each kernel
+//!   build's batched one;
 //! * every window `n <= N` brackets the exact count and is within `eps`
 //!   of it (Theorem 1);
 //! * `decode(encode(w))` holds what `w` holds, so it re-encodes to the
@@ -26,7 +30,7 @@
 //! `L <= 20` for `N <= 12`; one that stores the 1 of rank `k + 1` for
 //! rank `k` is caught at `L = 9`, by the first long batch.
 
-use super::{Core, Kernel, Ladder, Positions, Slab, Weight};
+use super::{Core, Entry, Kernel, Ladder, Positions, Slab, Weight};
 use crate::bits::BitsRef;
 use crate::DetWave;
 
@@ -96,6 +100,25 @@ impl<W: Weight> Ladder<W> {
                 "positions at {at}"
             );
             prev = e.key();
+        }
+    }
+}
+
+impl Ladder<()> {
+    /// [`Ladder::check_invariants`] for a bit wave, and the rank rule
+    /// its reads rest on ([`Ladder::check_rank_levels`]).
+    pub(crate) fn check_rank_levelled(&self) {
+        self.check_invariants(1);
+        self.check_rank_levels().expect("the rank rule");
+    }
+
+    /// Panic unless [`Ladder::straddle_by_rank`] returns the search's
+    /// pair for a window from each of `starts`.
+    pub(crate) fn check_straddles(&self, starts: impl IntoIterator<Item = u64>) {
+        let view = |(before, e): (u64, Option<Entry<()>>)| (before, e.map(|e| (e.pos, e.cum)));
+        for s in starts {
+            let (rank, search) = (self.straddle_by_rank(s), self.straddle(s));
+            assert_eq!(view(rank), view(search), "a window from {s}");
         }
     }
 }
@@ -176,7 +199,8 @@ impl Scope {
                 .collect();
             format!("N={} k={} after {stream:?}", self.n, self.k)
         };
-        wave.ladder().check_invariants(1);
+        wave.ladder().check_rank_levelled();
+        wave.ladder().check_straddles(1..=wave.pos() + 1);
         for n in 1..=self.n {
             // The exact count: the 1s among the string's last `n` bits.
             let last = bits >> depth.saturating_sub(n as u32);
@@ -209,6 +233,10 @@ impl Scope {
                 batched.push_words_with(kernel, BitsRef::new(&suffix, b as u64));
                 let same = batched.ladder().same_state(wave.ladder());
                 assert!(same, "{}: its last {b} bits as one batch, {kernel:?}", at());
+            }
+            // Batches lay the rings out their own way.
+            if depth > 0 {
+                batched.ladder().check_straddles(1..=wave.pos() + 1);
             }
         }
     }

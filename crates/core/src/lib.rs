@@ -423,14 +423,15 @@ mod proptests {
             if let Some(w) = check_mutant!(DetWave, 1, mutate(det.encode())) {
                 let _ = w.profile();
                 // The batch kernels run on what the decoder admits
-                // (install, recovery), so it admits only ladder states.
-                w.ladder().check_invariants(1);
+                // (install, recovery), so it admits only ladder states,
+                // and the reads probe ranks, so only ranked ones.
+                w.ladder().check_rank_levelled();
             }
             if let Some(w) = check_mutant!(SumWave, 2, mutate(sum.encode())) {
                 w.ladder().check_invariants(50);
             }
             if let Some(w) = check_mutant!(TimestampWave, 2, mutate(ts.encode())) {
-                w.ladder().check_invariants(1);
+                w.ladder().check_rank_levelled();
             }
             if let Some(w) = check_mutant!(TimestampSumWave, 3, mutate(ts_sum.encode())) {
                 w.ladder().check_invariants(50);

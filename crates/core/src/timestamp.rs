@@ -135,7 +135,7 @@ impl TimestampWave {
         if n > cur || cur == 0 {
             return Ok(Estimate::exact(rank));
         }
-        Ok(match self.ladder.straddle(cur - n + 1) {
+        Ok(match self.ladder.straddle_by_rank(cur - n + 1) {
             (_, None) => Estimate::exact(0),
             // With duplicated positions we never claim exactness from
             // p2 == s alone (see module docs); wave_estimate still
@@ -160,6 +160,7 @@ impl TimestampWave {
         let mut wave =
             TimestampWave::with_k(max_window, max_items, k, 1.0 / k as f64).map_err(refused_k)?;
         wave.ladder.decode_body(&mut r, 1)?;
+        wave.ladder.check_rank_levels()?;
         Ok(wave)
     }
 
@@ -355,6 +356,31 @@ mod tests {
             let w2 = TimestampWave::decode(&w1.encode()).unwrap_or_else(|e| panic!("k={k}: {e}"));
             assert_eq!(w.query(n).unwrap(), w2.query(n).unwrap());
         }
+    }
+
+    /// As `DetWave`'s decoder does, this one refuses a level that
+    /// disagrees with its entries' ranks: three 1s at one timestamp,
+    /// with rank 3 moved from level 0 to level 1.
+    #[test]
+    fn decode_rejects_levels_that_disagree_with_ranks() {
+        use crate::codec::{write_deltas, BitWriter};
+        let forged = |levels: [u64; 3]| {
+            let mut w = BitWriter::new();
+            w.write_gamma(16); // max_window
+            w.write_gamma(16); // max_items
+            w.write_gamma(4); // k
+            w.write_gamma0(7); // pos
+            w.write_gamma0(3); // rank
+            w.write_gamma0(0); // r1
+            w.write_gamma0(3); // count
+            write_deltas(&mut w, &[7, 7, 7]);
+            write_deltas(&mut w, &[1, 2, 3]);
+            levels.iter().for_each(|&level| w.write_gamma0(level));
+            TimestampWave::decode(&w.finish()).map(|w| w.rank())
+        };
+        assert_eq!(forged([0, 1, 0]), Ok(3));
+        let refused = Err(CodecError::Corrupt("level disagrees with rank"));
+        assert_eq!(forged([0, 1, 1]), refused);
     }
 
     #[test]
